@@ -286,3 +286,56 @@ func TestArenaStatsSurface(t *testing.T) {
 		t.Errorf("no arena row in MemoryStats: %+v", s.MemoryStats())
 	}
 }
+
+// deferredArenaProgram transposes a fused chain's output, runs a second
+// fused chain of the same cell count, and only then multiplies by the
+// transpose. The first chain's buffer dies at the planner's free point
+// right after `t`, while the deferred t(...) still reads it; the second
+// chain then draws that very buffer from the arena.
+func deferredArenaProgram() *ir.Program {
+	p := ir.NewProgram()
+	p.Main = []ir.Block{ir.BB(
+		ir.Assign("at", ir.T(ir.Exp(ir.Add(ir.Var("X"), ir.Var("X2"))))),
+		ir.Assign("z", ir.Sum(ir.Sigmoid(ir.Mul(ir.Var("X"), ir.Var("X2"))))),
+		ir.Assign("out", ir.MatMul(ir.Var("at"), ir.Var("C"))),
+	)}
+	return p
+}
+
+// TestDeferredTransposeArenaRule: with fusion, arena and planner on, a
+// deferred transpose whose source buffer is recycled is materialized at the
+// free point, so the result stays bitwise what the plain interpreter gives
+// and the arena ownership trace stays clean.
+func TestDeferredTransposeArenaRule(t *testing.T) {
+	run := func(opts Options) (*data.Matrix, *Session) {
+		s := New(opts)
+		bindFusionInputs(s)
+		if a := s.ctx.Arena(); a != nil {
+			a.SetDebug(true)
+		}
+		if err := s.Run(deferredArenaProgram()); err != nil {
+			t.Fatal(err)
+		}
+		return s.Value("out"), s
+	}
+	ref, s0 := run(Options{})
+	s0.Close()
+	for _, opts := range []Options{
+		{Fusion: true, Arena: true, MemoryPlanner: true},
+		{Reuse: ReuseFull, Fusion: true, Arena: true, MemoryPlanner: true},
+	} {
+		got, s := run(opts)
+		if diff := sameMatrix(ref, got); diff != "" {
+			t.Errorf("reuse=%v: result read a recycled buffer through a deferred transpose: %s", opts.Reuse, diff)
+		}
+		if err := data.VerifyArenaTrace(s.ctx.Arena().Events()); err != nil {
+			t.Errorf("reuse=%v: arena trace: %v", opts.Reuse, err)
+		}
+		if opts.Reuse == ReuseOff {
+			if _, reuses, puts, _ := s.ArenaStats(); puts == 0 || reuses == 0 {
+				t.Errorf("the source buffer was not recycled under the deferred value (puts=%d reuses=%d); the test is vacuous", puts, reuses)
+			}
+		}
+		s.Close()
+	}
+}

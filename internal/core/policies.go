@@ -17,13 +17,26 @@ import (
 // and isFunc tag the entry kind for statistics and policy decisions.
 func (c *Cache) PutCP(item *lineage.Item, m *data.Matrix, computeCost float64,
 	delay int, isAction, isFunc bool) *Entry {
+	return c.putCP(item, m, m.SizeBytes(), nil, computeCost, delay, isAction, isFunc)
+}
+
+// PutCPLazy is PutCP for a value whose buffer has not been built: size is
+// its dense size and build produces it. The put is counted, charged and run
+// through delayed caching and eviction exactly like PutCP of the built
+// matrix; build runs only if the object is actually stored.
+func (c *Cache) PutCPLazy(item *lineage.Item, size int64, build func() *data.Matrix,
+	computeCost float64, delay int, isFunc bool) *Entry {
+	return c.putCP(item, nil, size, build, computeCost, delay, false, isFunc)
+}
+
+func (c *Cache) putCP(item *lineage.Item, m *data.Matrix, size int64, build func() *data.Matrix,
+	computeCost float64, delay int, isAction, isFunc bool) *Entry {
 	c.Stats.Puts++
 	c.clock.Advance(c.model.CachePut)
 	e, store := c.shouldStore(item, delay)
 	if !store {
 		return e
 	}
-	size := m.SizeBytes()
 	if size > c.conf.CPBudget {
 		return nil // never cache objects larger than the whole cache
 	}
@@ -34,6 +47,9 @@ func (c *Cache) PutCP(item *lineage.Item, m *data.Matrix, computeCost float64,
 		}
 		e = &Entry{Key: item}
 		c.insert(e)
+	}
+	if m == nil {
+		m = build()
 	}
 	e.Backend = BackendCP
 	e.Status = StatusCached

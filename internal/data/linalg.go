@@ -5,29 +5,52 @@ import (
 	"math"
 )
 
-// MatMul returns a * b using an ikj loop, sharded over rows of a: each
-// worker produces a disjoint band of output rows with the serial
-// instruction sequence, so the result is bitwise-identical to a serial run.
+// MatMul returns a * b, sharded over rows of a: each worker produces a
+// disjoint band of output rows. Every output cell accumulates its terms in
+// ascending k and skips terms whose left factor is exactly zero, whatever
+// kernel serves the shape (matmul_kernels.go), so the result is
+// bitwise-identical to the serial ikj loop at every parallelism.
 func MatMul(a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("data: matmul %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := New(a.Rows, b.Cols)
-	n := b.Cols
-	flops := 2 * float64(a.Rows) * float64(a.Cols) * float64(n)
+	flops := 2 * float64(a.Rows) * float64(a.Cols) * float64(b.Cols)
 	parallelFor(a.Rows, flops, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ai := a.Data[i*a.Cols : (i+1)*a.Cols]
-			oi := out.Data[i*n : (i+1)*n]
-			for k, av := range ai {
-				if av == 0 {
-					continue
-				}
-				bk := b.Data[k*n : (k+1)*n]
-				for j, bv := range bk {
-					oi[j] += av * bv
-				}
-			}
+		switch b.Cols {
+		case 1:
+			mmRows1(a, b.Data, out.Data, lo, hi)
+		case 2:
+			mmRows2(a, b.Data, out.Data, lo, hi)
+		case 3:
+			mmRows3(a, b.Data, out.Data, lo, hi)
+		case 4:
+			mmRows4(a, b.Data, out.Data, lo, hi)
+		default:
+			mmRows(a, b, out, lo, hi)
+		}
+	})
+	return out
+}
+
+// MatMulT returns a^T * b, bitwise-identical to MatMul(Transpose(a), b),
+// without materializing the transpose: the rows of a are streamed once and
+// the only buffer allocated is the output. Sharding is over output rows
+// (columns of a), like TSMM, so no partial results are merged.
+func MatMulT(a, b *Matrix) *Matrix {
+	if a.Rows != b.Rows {
+		panic(fmt.Sprintf("data: matmulT t(%dx%d) * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	out := New(a.Cols, b.Cols)
+	flops := 2 * float64(a.Rows) * float64(a.Cols) * float64(b.Cols)
+	parallelFor(a.Cols, flops, func(lo, hi int) {
+		switch b.Cols {
+		case 1:
+			mmtBand1(a, b.Data, out.Data, lo, hi)
+		case 2:
+			mmtBand2(a, b.Data, out.Data, lo, hi)
+		default:
+			mmtBand(a, b, out, lo, hi, false)
 		}
 	})
 	return out
@@ -67,21 +90,7 @@ func TSMM(a *Matrix) *Matrix {
 	n := a.Cols
 	out := New(n, n)
 	flops := float64(a.Rows) * float64(n) * float64(n)
-	parallelFor(n, flops, func(lo, hi int) {
-		for r := 0; r < a.Rows; r++ {
-			row := a.Data[r*n : (r+1)*n]
-			for i := lo; i < hi; i++ {
-				vi := row[i]
-				if vi == 0 {
-					continue
-				}
-				oi := out.Data[i*n : (i+1)*n]
-				for j := i; j < n; j++ {
-					oi[j] += vi * row[j]
-				}
-			}
-		}
-	})
+	parallelFor(n, flops, func(lo, hi int) { mmtBand(a, a, out, lo, hi, true) })
 	parallelFor(n, float64(n)*float64(n), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			for j := 0; j < i; j++ {

@@ -126,3 +126,96 @@ func TestScalarFastPathsMatchLegacy(t *testing.T) {
 		}
 	}
 }
+
+// Dense-product benchmarks at the gradient-step shapes of the paper's
+// Fig. 13(c) pipeline (25600x64 features, 1- and 2-column models). The
+// "ref" variants run the reference loops of matmul_kernels_test.go, i.e.
+// the kernels as they were before register blocking and, for the
+// transposed products, with the transpose materialized.
+
+func benchSkinnyX(b *testing.B) *Matrix {
+	b.Helper()
+	prev := Parallelism()
+	b.Cleanup(func() { SetParallelism(prev) })
+	SetParallelism(1)
+	return RandNorm(25600, 64, 0, 1, 1)
+}
+
+var benchSink *Matrix
+
+func BenchmarkMatMulSkinny(b *testing.B) {
+	x := benchSkinnyX(b)
+	w1, w2 := RandNorm(64, 1, 0, 1, 2), RandNorm(64, 2, 0, 1, 3)
+	v1, v2 := RandNorm(25600, 1, 0, 1, 4), RandNorm(25600, 2, 0, 1, 5)
+	cases := []struct {
+		name string
+		f    func() *Matrix
+	}{
+		{"Xw", func() *Matrix { return MatMul(x, w1) }},
+		{"XW2", func() *Matrix { return MatMul(x, w2) }},
+		{"XtV1", func() *Matrix { return MatMulT(x, v1) }},
+		{"XtV2", func() *Matrix { return MatMulT(x, v2) }},
+		{"Xw-ref", func() *Matrix { return refMatMul(x, w1) }},
+		{"XW2-ref", func() *Matrix { return refMatMul(x, w2) }},
+		{"XtV1-ref", func() *Matrix { return refMatMul(Transpose(x), v1) }},
+		{"XtV2-ref", func() *Matrix { return refMatMul(Transpose(x), v2) }},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(x.SizeBytes())
+			for i := 0; i < b.N; i++ {
+				benchSink = c.f()
+			}
+		})
+	}
+}
+
+// BenchmarkMatMulT contrasts the fused transposed product with the
+// Transpose+MatMul pair it replaces, at a general (non-skinny) width.
+func BenchmarkMatMulT(b *testing.B) {
+	x := benchSkinnyX(b)
+	v := RandNorm(25600, 8, 0, 1, 6)
+	b.Run("MatMulT", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchSink = MatMulT(x, v)
+		}
+	})
+	b.Run("Transpose+MatMul", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchSink = MatMul(Transpose(x), v)
+		}
+	})
+}
+
+func BenchmarkTSMM(b *testing.B) {
+	x := benchSkinnyX(b)
+	b.Run("TSMM", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchSink = TSMM(x)
+		}
+	})
+	b.Run("ref", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchSink = refTSMM(x)
+		}
+	})
+}
+
+func BenchmarkMatMulSquare(b *testing.B) {
+	m, n := benchMatrices(b)
+	b.Run("MatMul", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			benchSink = MatMul(m, n)
+		}
+	})
+	b.Run("ref", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			benchSink = refMatMul(m, n)
+		}
+	})
+}

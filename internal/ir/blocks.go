@@ -78,10 +78,15 @@ type Function struct {
 // parser; programs built programmatically leave it empty. It is the
 // primary component of the serving layer's compile-cache program key, so
 // two scripts differing only in whitespace or literals key differently.
+// Rewritten records that the program-level rewrites (parameter tuning,
+// loop checkpoints, eviction injection) have been applied: they edit the
+// block lists in place, so a caller that runs one program many times
+// applies them on the first run only.
 type Program struct {
-	Funcs  map[string]*Function
-	Main   []Block
-	Source string
+	Funcs     map[string]*Function
+	Main      []Block
+	Source    string
+	Rewritten bool
 }
 
 // NewProgram returns an empty program.

@@ -16,15 +16,17 @@ import (
 )
 
 // ensureHost returns the host copy of a value, waiting on pending prefetch
-// transfers, reusing cached Spark action results (bypassing the job, §4.1),
-// or collecting/copying from the owning backend.
+// transfers, materializing a deferred transpose, reusing cached Spark action
+// results (bypassing the job, §4.1), or collecting/copying from the owning
+// backend. Every consumer that wants host data comes through here, which is
+// what lets a deferred value stay unbuilt until one does.
 func (ctx *Context) ensureHost(v *Value) *data.Matrix {
 	if v.Pending != nil {
 		ctx.Clock.WaitChain(v.Pending)
 		v.Pending = nil
 	}
-	if v.M != nil {
-		return v.M
+	if m := v.host(); m != nil {
+		return m
 	}
 	switch {
 	case v.RDD != nil:
@@ -295,19 +297,32 @@ func (ctx *Context) putValue(inst *compiler.Instruction, li *lineage.Item, v *Va
 		cost := costs.Compute(inst.Flops, ctx.Model.GPUFlops)
 		e := ctx.Cache.PutGPU(li, v.GPU, cost, ctx.delay())
 		ctx.stampPlan(e, inst.Output())
-	case v.M != nil:
+	case v.HasHost():
 		if ctx.arena != nil {
 			// The cache retains the matrix beyond the binding's lifetime:
-			// the buffer must never return to the arena free lists.
+			// the buffer must never return to the arena free lists. (A
+			// deferred value has no buffer yet; the one host builds is not
+			// arena-vended.)
 			ctx.arena.Escape(v.M)
 		}
 		cost := costs.Compute(inst.Flops, ctx.Model.CPUFlops)
-		e := ctx.Cache.PutCP(li, v.M, cost, ctx.delay(), false, false)
+		e := ctx.putCP(li, v, cost, ctx.delay(), false)
 		ctx.stampPlan(e, inst.Output())
 		if ctx.wantShare(inst.Flops) {
-			ctx.sharePublish(li, v.M, cost)
+			ctx.sharePublish(li, v, cost)
 		}
 	}
+}
+
+// putCP stores a host value in the driver cache. The put is accounted in
+// full (count, CachePut charge, delayed-caching state, evictions for the
+// logical size), but a deferred value is materialized only if the cache
+// really keeps the object.
+func (ctx *Context) putCP(key *lineage.Item, v *Value, cost float64, delay int, isFunc bool) *core.Entry {
+	if v.M != nil {
+		return ctx.Cache.PutCP(key, v.M, cost, delay, false, isFunc)
+	}
+	return ctx.Cache.PutCPLazy(key, v.SizeBytes(), v.host, cost, delay, isFunc)
 }
 
 // execAssign copies a binding (variable-to-variable assignment).
@@ -335,7 +350,7 @@ func (ctx *Context) execPrefetch(inst *compiler.Instruction) error {
 	if err != nil {
 		return err
 	}
-	if v.M != nil || v.Pending != nil {
+	if v.HasHost() || v.Pending != nil {
 		return nil // already local or in flight
 	}
 	switch {
@@ -386,8 +401,8 @@ func (ctx *Context) execBroadcast(inst *compiler.Instruction) error {
 	if err != nil {
 		return err
 	}
-	if v.M != nil && (v.Bcast == nil || v.Bcast.Destroyed()) {
-		v.Bcast = ctx.SC.NewBroadcast(v.M, true)
+	if v.HasHost() && (v.Bcast == nil || v.Bcast.Destroyed()) {
+		v.Bcast = ctx.SC.NewBroadcast(v.host(), true)
 	}
 	return nil
 }

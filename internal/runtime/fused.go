@@ -105,7 +105,9 @@ func (ctx *Context) traceFused(inst *compiler.Instruction) *lineage.Item {
 // recycleValue returns a host matrix to the arena at a free point (planner
 // KindFree or block-end clearTemps) when it is safe: the buffer must still
 // be arena-owned (never escaped into a cache) and no other binding may
-// alias it. name is the binding being released.
+// alias it. A deferred transpose still reading the buffer is materialized
+// first, so the recycled cells are never read through it. name is the
+// binding being released.
 func (ctx *Context) recycleValue(name string, v *Value) {
 	if ctx.arena == nil || v == nil || v.M == nil {
 		return
@@ -119,6 +121,11 @@ func (ctx *Context) recycleValue(name string, v *Value) {
 		}
 		if o == v || o.M == v.M {
 			return
+		}
+	}
+	for _, o := range ctx.vars {
+		if o != nil && o.tSrc == v.M {
+			o.host()
 		}
 	}
 	ctx.arena.Put(v.M)

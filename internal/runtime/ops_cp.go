@@ -130,9 +130,18 @@ func attrInt(inst *compiler.Instruction, k string, def int) int {
 }
 
 // execCP runs an instruction on the local backend, charging compute from
-// the estimated FLOPs.
+// the estimated FLOPs. A transpose is charged like any other op but binds a
+// deferred value: the buffer is built only if a consumer other than a CP
+// matmul's left operand asks for it (ensureHost).
 func (ctx *Context) execCP(inst *compiler.Instruction) (*Value, error) {
 	ctx.Clock.Advance(costs.Compute(inst.Flops, ctx.Model.CPUFlops))
+	if inst.Op == "t" {
+		a, err := ctx.hostIn(inst, 0)
+		if err != nil {
+			return nil, err
+		}
+		return newDeferredT(a), nil
+	}
 	out, err := ctx.evalCP(inst)
 	if err != nil {
 		return nil, err
@@ -152,17 +161,21 @@ func (ctx *Context) evalCP(inst *compiler.Instruction) (*data.Matrix, error) {
 		return data.RandNorm(attrInt(inst, "rows", 1), attrInt(inst, "cols", 1),
 			attrFloat(inst, "mu", 0), attrFloat(inst, "sd", 1),
 			int64(attrInt(inst, "seed", 0))), nil
-	case "t":
-		a, err := in(0)
-		if err != nil {
-			return nil, err
-		}
-		return data.Transpose(a), nil
 	case "mm":
-		a, err := in(0)
+		l, err := ctx.operand(inst.Inputs[0])
 		if err != nil {
 			return nil, err
 		}
+		if src := l.tSrc; src != nil {
+			// The left operand is a transpose nobody has asked to see yet:
+			// multiply straight from its source and never build it.
+			b, err := in(1)
+			if err != nil {
+				return nil, err
+			}
+			return data.MatMulT(src, b), nil
+		}
+		a := ctx.ensureHost(l)
 		b, err := in(1)
 		if err != nil {
 			return nil, err
@@ -177,7 +190,7 @@ func (ctx *Context) evalCP(inst *compiler.Instruction) (*data.Matrix, error) {
 		if err != nil {
 			return nil, err
 		}
-		return data.MatMul(data.Transpose(a), b), nil
+		return data.MatMulT(a, b), nil
 	case "tsmm":
 		a, err := in(0)
 		if err != nil {

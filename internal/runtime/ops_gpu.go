@@ -49,7 +49,7 @@ func inputMatrix(v *Value) *data.Matrix {
 	if v.HasGPU() {
 		return v.GPU.Value()
 	}
-	return v.M
+	return v.host()
 }
 
 // launch allocates the output and runs the kernel, producing a GPU value.

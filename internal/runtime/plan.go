@@ -130,6 +130,8 @@ func (ctx *Context) sampleLive() int64 {
 		seen[v] = true
 		if v.M != nil {
 			total += v.M.SizeBytes()
+		} else if v.tSrc != nil {
+			total += v.SizeBytes() // deferred: the logical size, as if built
 		}
 		if v.HasGPU() {
 			total += v.GPU.Size()

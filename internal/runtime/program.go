@@ -332,12 +332,12 @@ func (ctx *Context) execCall(inst *compiler.Instruction) error {
 			switch {
 			case v.RDD != nil && v.M == nil:
 				e = ctx.Cache.PutRDD(outKeys[i], v.RDD, v.children, v.bcasts, cost, 1, ctx.storageLevel)
-			case v.M != nil:
+			case v.HasHost():
 				if ctx.arena != nil {
 					ctx.arena.Escape(v.M)
 				}
-				e = ctx.Cache.PutCP(outKeys[i], v.M, cost, 1, false, true)
-				ctx.sharePublish(outKeys[i], v.M, cost)
+				e = ctx.putCP(outKeys[i], v, cost, 1, true)
+				ctx.sharePublish(outKeys[i], v, cost)
 			case v.HasGPU():
 				e = ctx.Cache.PutGPU(outKeys[i], v.GPU, cost, 1)
 			}

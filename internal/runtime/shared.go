@@ -128,8 +128,9 @@ func (ctx *Context) shareProbe(it *lineage.Item) (*data.Matrix, float64, bool) {
 }
 
 // sharePublish offers a computed driver-local value to the shared level,
-// charging the returned virtual cost on the session clock.
-func (ctx *Context) sharePublish(it *lineage.Item, m *data.Matrix, computeCost float64) {
+// charging the returned virtual cost on the session clock. A deferred value
+// is materialized only once the offer is really made.
+func (ctx *Context) sharePublish(it *lineage.Item, v *Value, computeCost float64) {
 	if ctx.Shared == nil {
 		return
 	}
@@ -137,7 +138,7 @@ func (ctx *Context) sharePublish(it *lineage.Item, m *data.Matrix, computeCost f
 	if !ok {
 		return
 	}
-	charge, stored := ctx.Shared.Publish(ctx.Tenant, it, sig, m, computeCost)
+	charge, stored := ctx.Shared.Publish(ctx.Tenant, it, sig, v.host(), computeCost)
 	ctx.Clock.Advance(charge)
 	if stored {
 		ctx.Stats.SharedPuts++

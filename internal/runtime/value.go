@@ -25,6 +25,13 @@ type Value struct {
 	Bcast *spark.Broadcast
 	GPU   *gpu.Pointer
 
+	// tSrc marks a deferred host value: the logical matrix is t(tSrc) and no
+	// buffer exists until a consumer asks for host data (host). A CP
+	// transpose binds one, so a following CP matmul can read the source
+	// directly (data.MatMulT) and the transpose is never built. Every
+	// accounting path sees the logical Rows x Cols.
+	tSrc *data.Matrix
+
 	// Pending is an in-flight asynchronous fetch of the host copy
 	// (prefetch); the first host access waits on it.
 	Pending *vtime.FutureChain
@@ -64,8 +71,25 @@ func (v *Value) IsScalar() bool { return v.Rows == 1 && v.Cols == 1 }
 // SizeBytes returns the dense size of the logical matrix.
 func (v *Value) SizeBytes() int64 { return int64(v.Rows) * int64(v.Cols) * 8 }
 
-// HasHost reports whether a host copy exists (possibly still in flight).
-func (v *Value) HasHost() bool { return v.M != nil }
+// newDeferredT returns the deferred value t(src).
+func newDeferredT(src *data.Matrix) *Value {
+	return &Value{Rows: src.Cols, Cols: src.Rows, tSrc: src}
+}
+
+// HasHost reports whether a host copy exists (possibly still in flight, or
+// deferred and not yet materialized).
+func (v *Value) HasHost() bool { return v.M != nil || v.tSrc != nil }
+
+// host returns the host copy without waiting on Pending, materializing a
+// deferred value on first use; nil when the value lives on another backend
+// only. It is the one place a deferred transpose is built.
+func (v *Value) host() *data.Matrix {
+	if v.M == nil && v.tSrc != nil {
+		v.M = data.Transpose(v.tSrc)
+		v.tSrc = nil
+	}
+	return v.M
+}
 
 // HasGPU reports whether a valid device copy exists.
 func (v *Value) HasGPU() bool { return v.GPU != nil && v.GPU.Valid() }

@@ -429,3 +429,44 @@ func TestSharedCachePoolStats(t *testing.T) {
 		t.Fatalf("victim ticks %v/%v, want 5/6", vs[0].LastAccess, vs[1].LastAccess)
 	}
 }
+
+// TestSharedPublishOfTransposeResult: a CP transpose binds a deferred value
+// (no buffer) in the producing session; publishing it to the shared cache
+// must hand over the built matrix, so a second tenant with the same input
+// hits it and reads t(X) bit for bit.
+func TestSharedPublishOfTransposeResult(t *testing.T) {
+	prog := func() *ir.Program {
+		p := ir.NewProgram()
+		p.Main = []ir.Block{ir.BB(
+			ir.Assign("Xt", ir.T(ir.Var("X"))),
+			ir.Assign("g", ir.MatMul(ir.Var("Xt"), ir.Var("y"))),
+		)}
+		return p
+	}
+	conf := DefaultConfig()
+	conf.Workers = 1
+	srv := New(conf)
+	defer srv.Close()
+	in := ridgeInputs(5)
+	want := data.Transpose(in["X"])
+	for i, tenant := range []string{"producer", "consumer"} {
+		f, err := srv.Submit(tenant, prog(), SubmitOptions{Inputs: ridgeInputs(5), Fetch: []string{"Xt", "g"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := f.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !data.AllClose(r.Values["Xt"], want, 0) {
+			t.Fatalf("request %d: Xt is not t(X)", i)
+		}
+		if !data.AllClose(r.Values["g"], data.MatMul(want, in["y"]), 0) {
+			t.Fatalf("request %d: g is not t(X) %%*%% y", i)
+		}
+	}
+	srv.Close()
+	if snap := srv.Snapshot(); snap.Shared.CrossTenantHits < 2 {
+		t.Fatalf("consumer did not hit the producer's published t and mm results: %+v", snap.Shared)
+	}
+}

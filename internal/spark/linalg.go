@@ -140,7 +140,7 @@ func CPMM(a, b *RDD) *RDD {
 	}
 	partial := ZipPartitions(a, b, "cpmm-map", a.parts, m*n, flops,
 		func(_ int, pa, pb *data.Matrix) *data.Matrix {
-			return data.MatMul(data.Transpose(pa), pb)
+			return data.MatMulT(pa, pb)
 		})
 	shuffle := int64(a.parts) * int64(m) * int64(n) * 8
 	return partial.AggregateWide("cpmm-agg", 1, m, n,

@@ -312,16 +312,18 @@ func (s *Session) Bind(name string, m *Matrix) { s.ctx.BindHost(name, m) }
 
 // Run compiles and executes a program, applying MEMPHIS's program-level
 // rewrites (checkpoint placement, delay-factor tuning, eviction injection)
-// when full reuse is enabled. Programs may be run repeatedly; the lineage
-// cache persists across runs within the session.
+// when full reuse is enabled. Programs may be run repeatedly; the rewrites
+// edit the program in place and are applied on its first run only, and the
+// lineage cache persists across runs within the session.
 func (s *Session) Run(p *ir.Program) error {
 	if s.optErr != nil {
 		return s.optErr
 	}
-	if s.opts.Reuse == ReuseFull {
+	if s.opts.Reuse == ReuseFull && !p.Rewritten {
 		compiler.AutoTune(p)
 		compiler.InjectLoopCheckpoints(p)
 		compiler.InjectEvictions(p)
+		p.Rewritten = true
 	}
 	return s.ctx.RunProgram(p)
 }

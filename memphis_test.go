@@ -337,3 +337,59 @@ func TestMemoryBudgetsAndStats(t *testing.T) {
 		t.Fatalf("spark budget = %d, want MemoryBudgets.Spark", pools[2].Budget)
 	}
 }
+
+// TestSessionRunRewritesOnce is the regression test for re-running one
+// program: the program-level rewrites edit the block lists in place, so
+// they must be applied on the first Run only. Before the fix every Run
+// appended one more checkpoint block per loop.
+func TestSessionRunRewritesOnce(t *testing.T) {
+	p := ir.NewProgram()
+	p.Main = []ir.Block{
+		ir.BB(ir.Assign("w", ir.Var("w0"))),
+		ir.ForRange("it", 3, ir.BB(
+			ir.Assign("g", ir.MatMul(ir.T(ir.Var("X")), ir.Sub(ir.MatMul(ir.Var("X"), ir.Var("w")), ir.Var("y")))),
+			ir.Assign("w", ir.Sub(ir.Var("w"), ir.Mul(ir.Var("g"), ir.Lit(0.001)))),
+		)),
+	}
+	shape := func() (blocks, stmts int) {
+		ir.Walk(p.Main, func(b ir.Block) {
+			blocks++
+			if bb, ok := b.(*ir.BasicBlock); ok {
+				stmts += len(bb.Stmts)
+			}
+		})
+		return
+	}
+	s := New(Options{Reuse: ReuseFull})
+	defer s.Close()
+	bindInputs(s)
+	s.Bind("w0", data.Zeros(8, 1))
+	if err := s.Run(p); err != nil {
+		t.Fatal(err)
+	}
+	blocks, stmts := shape()
+	if blocks != 4 {
+		t.Fatalf("first run left %d blocks, want 4 (init, loop, body, one checkpoint block)", blocks)
+	}
+	want := s.Value("w")
+	prev := s.Stats().Instructions
+	var perRun int64
+	for run := 2; run <= 50; run++ {
+		if err := s.Run(p); err != nil {
+			t.Fatal(err)
+		}
+		if b, st := shape(); b != blocks || st != stmts {
+			t.Fatalf("run %d grew the program: %d blocks / %d statements, want %d / %d", run, b, st, blocks, stmts)
+		}
+		now := s.Stats().Instructions
+		if run == 2 {
+			perRun = now - prev
+		} else if now-prev != perRun {
+			t.Fatalf("run %d executed %d instructions, run 2 executed %d", run, now-prev, perRun)
+		}
+		prev = now
+	}
+	if !data.AllClose(s.Value("w"), want, 0) {
+		t.Fatal("re-running the program changed its result")
+	}
+}
