@@ -339,3 +339,106 @@ func TestDeferredTransposeArenaRule(t *testing.T) {
 		s.Close()
 	}
 }
+
+// handoffCase is one way a fused chain's output — a buffer the arena vended —
+// gains a second owner without being copied. Each program hands the buffer
+// off, lets the planner free the temporary that held it, runs a second fused
+// chain of the same cell count (which would draw the recycled buffer), and
+// only then reads through the hand-off.
+type handoffCase struct {
+	name string
+	opts Options // backend sizing; the test turns fusion, arena, planner and reuse on over it
+	prog func() *ir.Program
+}
+
+func handoffCases() []handoffCase {
+	bb := func(stmts ...ir.Stmt) func() *ir.Program {
+		return func() *ir.Program {
+			p := ir.NewProgram()
+			p.Main = []ir.Block{ir.BB(stmts...)}
+			return p
+		}
+	}
+	small := Options{OpMemBudget: 16 << 10} // X is 5.4 KB, X %*% W 20 KB, XB 27 KB
+	return []handoffCase{
+		{"row-slice", Options{}, bb(
+			ir.Assign("sl", ir.Slice(ir.Exp(ir.Add(ir.Var("X"), ir.Var("X2"))), 3, 29, 0, -1)),
+			ir.Assign("sr", ir.SliceRowsVar(ir.Abs(ir.Sub(ir.Var("X"), ir.Var("X2"))), ir.Var("lo"), 9)),
+			ir.Assign("z", ir.Sum(ir.Sigmoid(ir.Mul(ir.Var("X"), ir.Var("X2"))))),
+			ir.Assign("z2", ir.Sum(ir.Sqrt(ir.Mul(ir.Var("X2"), ir.Var("X2"))))),
+			ir.Assign("out", ir.RBind(ir.Var("sl"), ir.Var("sr"))),
+		)},
+		// The product is larger than operation memory, its operands are not:
+		// Spark parallelizes the fused left operand, lazily.
+		{"parallelize", small, bb(
+			ir.Assign("big", ir.MatMul(ir.Exp(ir.Add(ir.Var("X"), ir.Var("X2"))), ir.Var("W"))),
+			ir.Assign("z", ir.Sum(ir.Sigmoid(ir.Mul(ir.Var("X"), ir.Var("X2"))))),
+			ir.Assign("out", ir.ColSums(ir.Var("big"))),
+		)},
+		{"gpu-upload", Options{EnableGPU: true}, bb(
+			ir.Assign("G", ir.MatMul(ir.Exp(ir.Add(ir.Var("X"), ir.Var("X2"))), ir.Var("W2"))),
+			ir.Assign("z", ir.Sum(ir.Abs(ir.Mul(ir.Var("X"), ir.Var("X2"))))),
+			ir.Assign("out", ir.ColSums(ir.Var("G"))),
+		)},
+		// XB is distributed, the fused row vector is broadcast to it.
+		{"broadcast", small, bb(
+			ir.Assign("big", ir.Mul(ir.Var("XB"), ir.Exp(ir.Add(ir.Var("R"), ir.Var("R"))))),
+			ir.Assign("z", ir.Sum(ir.Sigmoid(ir.Mul(ir.Var("R"), ir.Var("R"))))),
+			ir.Assign("out", ir.ColSums(ir.Var("big"))),
+		)},
+	}
+}
+
+// TestArenaHandoffsEscape: with fusion, arena and planner on, a fused CP
+// output that is row-sliced, parallelized, uploaded to the device or
+// broadcast, and then freed by the planner, gives bitwise the results of an
+// arena-less session — the hand-off takes the buffer out of the arena
+// (runtime.Context.shared), so the free does not recycle cells a view, an RDD
+// closure, a broadcast or a device pointer still reads.
+func TestArenaHandoffsEscape(t *testing.T) {
+	run := func(t *testing.T, prog *ir.Program, opts Options) (*data.Matrix, *Session) {
+		t.Helper()
+		s := New(opts)
+		bindFusionInputs(s)
+		s.Bind("W", data.RandNorm(17, 64, 0, 1, 106))
+		s.Bind("W2", data.RandNorm(17, 128, 0, 1, 107))
+		s.Bind("XB", data.RandNorm(200, 17, 0, 1, 108))
+		s.Bind("lo", data.Scalar(2))
+		if a := s.ctx.Arena(); a != nil {
+			a.SetDebug(true)
+		}
+		if err := s.Run(prog); err != nil {
+			t.Fatal(err)
+		}
+		out, err := s.Lookup("out")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, s
+	}
+	for _, c := range handoffCases() {
+		t.Run(c.name, func(t *testing.T) {
+			ref, s0 := run(t, c.prog(), c.opts)
+			s0.Close()
+			for _, reuse := range []Reuse{ReuseOff, ReuseFull} {
+				opts := c.opts
+				opts.Reuse, opts.Fusion, opts.Arena, opts.MemoryPlanner = reuse, true, true, true
+				got, s := run(t, c.prog(), opts)
+				if diff := sameMatrix(ref, got); diff != "" {
+					t.Errorf("reuse=%v: result read a recycled buffer: %s", reuse, diff)
+				}
+				if err := data.VerifyArenaTrace(s.ctx.Arena().Events()); err != nil {
+					t.Errorf("reuse=%v: arena trace: %v", reuse, err)
+				}
+				_, _, puts, escapes := s.ArenaStats()
+				if reuse == ReuseOff && (escapes == 0 || puts == 0) {
+					// Without a cache nothing but the hand-off escapes a buffer,
+					// and the second chain's temporary is recycled at its free
+					// point: otherwise the case tests nothing.
+					t.Errorf("escapes=%d puts=%d; the hand-off or the planner's frees did not happen", escapes, puts)
+				}
+				s.Close()
+			}
+		})
+	}
+}

@@ -468,7 +468,9 @@ func (c *Cache) dropEntry(e *Entry) {
 // is being handed to a new output. Entries whose recomputation costs more
 // than a device-to-host copy are evicted to the driver cache instead of
 // dropped — the paper's device-to-host eviction process (§4.2) — so the
-// value stays reusable (and is re-uploaded on the next device use).
+// value stays reusable (and is re-uploaded on the next device use). The
+// transfer is charged, but the entry takes over the matrix the pointer held:
+// the new output replaces the pointer's value, it does not write into it.
 func (c *Cache) invalidateGPU(p *gpu.Pointer) {
 	e, ok := c.gpE[p]
 	if !ok {
@@ -482,7 +484,7 @@ func (c *Cache) invalidateGPU(p *gpu.Pointer) {
 		c.clock.Advance(d2h)
 		c.MakeSpaceCP(p.Size())
 		e.Backend = BackendCP
-		e.Matrix = v.Clone()
+		e.Matrix = v
 		e.GPUPtr = nil
 		c.cpUsed += e.Size
 		c.bumpCP()
@@ -501,7 +503,9 @@ func (c *Cache) invalidateGPU(p *gpu.Pointer) {
 // returning it either way. The caller must then release the device side
 // with Manager.Surrender (not Release/Free), which skips the recycle
 // callback: the entry is already detached here, so no second D2H charge
-// can occur. Returns nil when the pointer wraps no entry or no value.
+// can occur. The matrix returned (and cached) is the one the pointer held,
+// not a copy: the device side is given up. Returns nil when the pointer wraps
+// no entry or no value.
 func (c *Cache) DemoteGPUPointer(p *gpu.Pointer) *data.Matrix {
 	e, ok := c.gpE[p]
 	if !ok {
@@ -516,18 +520,17 @@ func (c *Cache) DemoteGPUPointer(p *gpu.Pointer) *data.Matrix {
 	c.Stats.GPUToHost++
 	c.noteDemotion(gpu.PoolName, p.Size())
 	c.clock.Advance(costs.Transfer(p.Size(), c.model.D2HBW, c.model.CopyLatency))
-	m := v.Clone()
 	if p.Size() <= c.conf.CPBudget {
 		c.MakeSpaceCP(p.Size())
 		e.Backend = BackendCP
-		e.Matrix = m
+		e.Matrix = v
 		e.GPUPtr = nil
 		c.cpUsed += e.Size
 		c.bumpCP()
 	} else {
 		c.removeEntry(e)
 	}
-	return m
+	return v
 }
 
 // shouldStore advances delayed-caching state and reports whether the PUT

@@ -3,6 +3,13 @@
 // buffers). Matrices are dense, row-major float64; missing values are NaN.
 // All randomized operations take explicit seeds so results are reproducible
 // and lineage-identified intermediates are exactly recomputable.
+//
+// Ownership contract: a matrix reachable from more than one owner — through a
+// RowView, an RDD partition, a broadcast, a device pointer, a cache entry — is
+// immutable, and kernels never write to their arguments. That is what lets
+// every hand-off between backends share the buffer instead of copying it;
+// callers that need a private buffer to write into take one with Clone, Slice
+// or SliceRows.
 package data
 
 import (
@@ -175,8 +182,19 @@ func (m *Matrix) Slice(r0, r1, c0, c1 int) *Matrix {
 	return out
 }
 
-// Rows2 returns rows [r0,r1) as a copy (all columns).
+// SliceRows returns rows [r0,r1) as a copy (all columns).
 func (m *Matrix) SliceRows(r0, r1 int) *Matrix { return m.Slice(r0, r1, 0, m.Cols) }
+
+// RowView returns rows [r0,r1) without copying: a new header over m's own
+// cells, which makes the buffer shared and therefore immutable (see the
+// package comment). The slice's capacity ends with the range, so an append
+// through the view reallocates instead of reaching the neighbouring rows.
+func (m *Matrix) RowView(r0, r1 int) *Matrix {
+	if r0 < 0 || r1 > m.Rows || r0 > r1 {
+		panic(fmt.Sprintf("data: row view [%d:%d] out of %dx%d", r0, r1, m.Rows, m.Cols))
+	}
+	return &Matrix{Rows: r1 - r0, Cols: m.Cols, Data: m.Data[r0*m.Cols : r1*m.Cols : r1*m.Cols]}
+}
 
 // Col returns column j as an n x 1 copy.
 func (m *Matrix) Col(j int) *Matrix { return m.Slice(0, m.Rows, j, j+1) }

@@ -62,10 +62,12 @@ func Softmax(a *Matrix) *Matrix {
 func Affine(x, w, b *Matrix) *Matrix { return Add(MatMul(x, w), b) }
 
 // Dropout zeroes cells with probability p and scales survivors by 1/(1-p)
-// (inverted dropout). Deterministic given the seed: each row draws from its
-// own RNG seeded by (seed, row), so the mask is a pure function of the seed
+// (inverted dropout). Deterministic given the seed: each row draws from a
+// generator seeded by (seed, row), so the mask is a pure function of the seed
 // and the cell position — identical whether rows are processed serially or
-// sharded across workers.
+// sharded across workers. A shard re-seeds one generator per row instead of
+// allocating one (Seed resets the whole 607-word state, so the draws are
+// those of a fresh generator).
 func Dropout(a *Matrix, p float64, seed int64) *Matrix {
 	if p <= 0 {
 		return a.Clone()
@@ -76,8 +78,9 @@ func Dropout(a *Matrix, p float64, seed int64) *Matrix {
 	scale := 1 / (1 - p)
 	out := New(a.Rows, a.Cols)
 	parallelFor(a.Rows, 2*float64(a.Cells()), func(lo, hi int) {
+		rng := rand.New(rand.NewSource(0))
 		for i := lo; i < hi; i++ {
-			rng := rand.New(rand.NewSource(rowSeed(seed, i)))
+			rng.Seed(rowSeed(seed, i))
 			row := a.Data[i*a.Cols : (i+1)*a.Cols]
 			orow := out.Data[i*a.Cols : (i+1)*a.Cols]
 			for j, v := range row {

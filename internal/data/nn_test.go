@@ -2,6 +2,7 @@ package data
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -96,6 +97,43 @@ func TestDropoutEdges(t *testing.T) {
 	}
 	if !AllClose(Dropout(m, 1, 1), Zeros(2, 2), 0) {
 		t.Fatal("p=1 should be all zeros")
+	}
+}
+
+// refDropout is Dropout as it was before the generator was reused: a fresh
+// rand.Rand per row. It stays as the reference the mask is pinned to.
+func refDropout(a *Matrix, p float64, seed int64) *Matrix {
+	scale := 1 / (1 - p)
+	out := New(a.Rows, a.Cols)
+	for i := 0; i < a.Rows; i++ {
+		rng := rand.New(rand.NewSource(rowSeed(seed, i)))
+		for j := 0; j < a.Cols; j++ {
+			if rng.Float64() >= p {
+				out.Data[i*a.Cols+j] = a.Data[i*a.Cols+j] * scale
+			}
+		}
+	}
+	return out
+}
+
+// TestDropoutMatchesPerRowGenerators: re-seeding one generator per shard
+// draws exactly what a fresh generator per row drew, at every parallelism, so
+// the mask is still a pure function of (seed, row).
+func TestDropoutMatchesPerRowGenerators(t *testing.T) {
+	for _, sh := range []struct{ r, c int }{{1, 1}, {7, 3}, {512, 12}, {300, 129}, {0, 5}} {
+		a := RandNorm(sh.r, sh.c, 0, 1, int64(sh.r+sh.c))
+		for _, p := range []float64{0.1, 0.5, 0.9} {
+			for _, seed := range []int64{0, 42, -7} {
+				want := refDropout(a, p, seed)
+				for _, par := range []int{1, 4, 8} {
+					withParallelism(par, func() {
+						if got := Dropout(a, p, seed); !bitwiseEqual(want, got) {
+							t.Errorf("%dx%d p=%g seed=%d par=%d: mask differs from per-row generators", sh.r, sh.c, p, seed, par)
+						}
+					})
+				}
+			}
+		}
 	}
 }
 

@@ -219,3 +219,25 @@ func BenchmarkMatMulSquare(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkDropout runs one HDROP batch (512 rows of 12 features). The "ref"
+// variant seeds a fresh 4.9 KB generator per row to draw 12 floats, which is
+// what Dropout did before it re-seeded one generator per shard.
+func BenchmarkDropout(b *testing.B) {
+	prev := Parallelism()
+	b.Cleanup(func() { SetParallelism(prev) })
+	SetParallelism(1)
+	x := RandNorm(512, 12, 0, 1, 7)
+	b.Run("512x12", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchSink = Dropout(x, 0.3, int64(i))
+		}
+	})
+	b.Run("512x12-ref", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchSink = refDropout(x, 0.3, int64(i))
+		}
+	})
+}

@@ -16,7 +16,11 @@ var ErrOOM = errors.New("gpu: out of device memory")
 // Pointer is a device memory allocation. The payload is held host-side (the
 // simulator computes real values) but is considered device-resident; reading
 // it back requires an explicit D2H copy that charges transfer cost and
-// synchronizes the stream.
+// synchronizes the stream. Copies in either direction are charged and counted
+// in full but share the matrix (data's ownership contract: shared matrices
+// are immutable, and a kernel stores a new matrix in its output pointer
+// rather than writing into the old one), so a host value outlives the
+// recycling or freeing of the pointer it was read from.
 type Pointer struct {
 	addr  int64
 	size  int64
@@ -151,7 +155,7 @@ func (d *Device) H2D(m *data.Matrix) (*Pointer, error) {
 	d.Stats.H2DCopies++
 	d.Stats.H2DBytes += m.SizeBytes()
 	d.clock.Advance(costs.Transfer(m.SizeBytes(), d.model.H2DBW, d.model.CopyLatency))
-	p.value = m.Clone()
+	p.value = m
 	return p, nil
 }
 
@@ -165,7 +169,7 @@ func (d *Device) D2H(p *Pointer) *data.Matrix {
 	d.Stats.D2HCopies++
 	d.Stats.D2HBytes += p.size
 	d.clock.Advance(costs.Transfer(p.size, d.model.D2HBW, d.model.CopyLatency))
-	return p.value.Clone()
+	return p.value
 }
 
 // Launch enqueues a kernel asynchronously: the host thread pays only the
@@ -220,7 +224,7 @@ func (d *Device) CopyIn(p *Pointer, m *data.Matrix) {
 	d.Stats.H2DCopies++
 	d.Stats.H2DBytes += m.SizeBytes()
 	d.clock.Advance(costs.Transfer(m.SizeBytes(), d.model.H2DBW, d.model.CopyLatency))
-	p.value = m.Clone()
+	p.value = m
 }
 
 // D2HAsync schedules a device-to-host copy behind the queued kernels
@@ -234,5 +238,5 @@ func (d *Device) D2HAsync(p *Pointer) (*data.Matrix, *vtime.Future) {
 	d.Stats.D2HBytes += p.size
 	f := d.clock.RunAsync(d.stream,
 		costs.Transfer(p.size, d.model.D2HBW, d.model.CopyLatency), "d2h")
-	return p.value.Clone(), f
+	return p.value, f
 }

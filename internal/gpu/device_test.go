@@ -51,21 +51,54 @@ func TestDoubleFreePanics(t *testing.T) {
 	d.Free(p)
 }
 
+// TestH2DAndD2HRoundTrip pins the copy contract: a transfer may share the
+// matrix instead of duplicating it, but it is counted and charged in full,
+// and a value read back stays intact when the pointer it came from is
+// recycled for another output and when it is freed.
 func TestH2DAndD2HRoundTrip(t *testing.T) {
-	d, _ := newTestDevice(1 << 20)
+	d, clock := newTestDevice(1 << 20)
+	model := costs.Default()
 	m := data.Rand(8, 8, -1, 1, 1, 3)
+	want, size := m.Clone(), m.SizeBytes()
+
 	p, err := d.H2D(m)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The clock adds each charge in turn, so the expected times add the same way.
+	now := model.CudaMalloc + costs.Transfer(size, model.H2DBW, model.CopyLatency)
+	if clock.Now() != now {
+		t.Fatalf("after H2D the clock reads %g s, want malloc + transfer = %g", clock.Now(), now)
+	}
 	back := d.D2H(p)
-	if !data.AllClose(m, back, 0) {
+	now += costs.Transfer(size, model.D2HBW, model.CopyLatency)
+	if clock.Now() != now {
+		t.Fatalf("after D2H the clock reads %g s, want %g", clock.Now(), now)
+	}
+	if _, f := d.D2HAsync(p); f == nil || clock.Now() != now {
+		t.Fatalf("D2HAsync blocked the host or returned no future")
+	}
+	if s := d.Stats; s.H2DCopies != 1 || s.H2DBytes != size || s.D2HCopies != 2 || s.D2HBytes != 2*size || s.Mallocs != 1 {
+		t.Fatalf("copy counters = %+v, want 1 H2D and 2 D2H of %d bytes", s, size)
+	}
+	if !data.AllClose(want, back, 0) {
 		t.Fatal("H2D/D2H round trip changed values")
 	}
-	// The copy must be a copy, not an alias.
-	back.Set(0, 0, 999)
-	if p.Value().At(0, 0) == 999 {
-		t.Fatal("D2H aliases device memory")
+
+	// The pointer is reused for a kernel output, then for an upload, then
+	// freed: the host value read earlier and the uploaded source are untouched.
+	d.Launch(1, p, func() *data.Matrix { return data.Zeros(8, 8) })
+	if !data.AllClose(want, back, 0) || !data.AllClose(want, m, 0) {
+		t.Fatal("a kernel writing to the recycled pointer changed a host value")
+	}
+	d.CopyIn(p, data.Ones(8, 8))
+	if s := d.Stats; s.H2DCopies != 2 || s.H2DBytes != 2*size {
+		t.Fatalf("CopyIn not counted: %+v", s)
+	}
+	ones := d.D2H(p)
+	d.Free(p)
+	if !data.AllClose(want, back, 0) || !data.AllClose(want, m, 0) || !data.AllClose(ones, data.Ones(8, 8), 0) {
+		t.Fatal("freeing the pointer changed a host value")
 	}
 }
 

@@ -87,7 +87,7 @@ func (ctx *Context) ensureRDD(v *Value, name string) *spark.RDD {
 	if v.RDD != nil {
 		return v.RDD
 	}
-	m := ctx.ensureHost(v)
+	m := ctx.shared(ctx.ensureHost(v))
 	v.RDD = ctx.SC.Parallelize(m, ctx.Conf.Spark.NumExecutors, name)
 	return v.RDD
 }
@@ -98,7 +98,7 @@ func (ctx *Context) ensureBcast(v *Value) *spark.Broadcast {
 	if v.Bcast != nil && !v.Bcast.Destroyed() {
 		return v.Bcast
 	}
-	v.Bcast = ctx.SC.NewBroadcast(ctx.ensureHost(v), false)
+	v.Bcast = ctx.SC.NewBroadcast(ctx.shared(ctx.ensureHost(v)), false)
 	return v.Bcast
 }
 
@@ -113,7 +113,7 @@ func (ctx *Context) ensureGPU(v *Value, height int) (*Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx.GM.Device().CopyIn(p, m)
+	ctx.GM.Device().CopyIn(p, ctx.shared(m))
 	v.GPU = p
 	return v, nil
 }
@@ -402,7 +402,7 @@ func (ctx *Context) execBroadcast(inst *compiler.Instruction) error {
 		return err
 	}
 	if v.HasHost() && (v.Bcast == nil || v.Bcast.Destroyed()) {
-		v.Bcast = ctx.SC.NewBroadcast(v.host(), true)
+		v.Bcast = ctx.SC.NewBroadcast(ctx.shared(v.host()), true)
 	}
 	return nil
 }

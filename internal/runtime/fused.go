@@ -102,12 +102,24 @@ func (ctx *Context) traceFused(inst *compiler.Instruction) *lineage.Item {
 	return final
 }
 
+// shared is the arena's one ownership rule, applied at every hand-off that
+// gives a host buffer a second owner without copying it — a row view, the
+// lazy closure of a parallelized RDD, a broadcast, a device pointer: the
+// buffer escapes the arena, so only single-owner buffers are ever recycled.
+// (Handing off a view needs nothing more: its base escaped when it was made.)
+func (ctx *Context) shared(m *data.Matrix) *data.Matrix {
+	if ctx.arena != nil {
+		ctx.arena.Escape(m)
+	}
+	return m
+}
+
 // recycleValue returns a host matrix to the arena at a free point (planner
 // KindFree or block-end clearTemps) when it is safe: the buffer must still
-// be arena-owned (never escaped into a cache) and no other binding may
-// alias it. A deferred transpose still reading the buffer is materialized
-// first, so the recycled cells are never read through it. name is the
-// binding being released.
+// be arena-owned (never escaped into a cache or shared with another owner)
+// and no other binding may alias it. A deferred transpose still reading the
+// buffer is materialized first, so the recycled cells are never read through
+// it. name is the binding being released.
 func (ctx *Context) recycleValue(name string, v *Value) {
 	if ctx.arena == nil || v == nil || v.M == nil {
 		return

@@ -324,6 +324,10 @@ func (ctx *Context) evalCP(inst *compiler.Instruction) (*data.Matrix, error) {
 		if c1 < 0 {
 			c1 = a.Cols
 		}
+		if c0 == 0 && c1 == a.Cols {
+			// A row range is contiguous: account it in full, share the cells.
+			return ctx.shared(a).RowView(r0, r1), nil
+		}
 		return a.Slice(r0, r1, c0, c1), nil
 	case "sliceRows":
 		a, err := in(0)
@@ -339,7 +343,7 @@ func (ctx *Context) evalCP(inst *compiler.Instruction) (*data.Matrix, error) {
 		if start+n > a.Rows {
 			n = a.Rows - start
 		}
-		return a.SliceRows(start, start+n), nil
+		return ctx.shared(a).RowView(start, start+n), nil
 	case "dropout":
 		a, err := in(0)
 		if err != nil {

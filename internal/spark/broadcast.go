@@ -26,12 +26,13 @@ const broadcastChunk = 4 << 20
 // NewBroadcast registers a broadcast variable for a driver-local matrix.
 // If async is true, partitioning/serialization is overlapped with driver
 // work (the compiler-placed broadcast operator of §5.1); otherwise the
-// driver blocks for the serialization.
+// driver blocks for the serialization. The serialization is charged in full
+// but the broadcast holds m itself, which must not be written to afterwards.
 func (c *Context) NewBroadcast(m *data.Matrix, async bool) *Broadcast {
 	c.nextBC++
 	b := &Broadcast{
 		id:     c.nextBC,
-		value:  m.Clone(),
+		value:  m,
 		size:   m.SizeBytes(),
 		chunks: int((m.SizeBytes() + broadcastChunk - 1) / broadcastChunk),
 		ctx:    c,

@@ -96,7 +96,7 @@ func MapElementwise(a *RDD, b *Broadcast, op string, f func(x, y *data.Matrix) *
 			// Column vectors must be sliced to the partition's rows.
 			if bv.Cols == 1 && bv.Rows == a.nrows && a.nrows > 1 {
 				lo, hi := rowsOfPart(a.nrows, a.parts, part)
-				bv = bv.SliceRows(lo, hi)
+				bv = bv.RowView(lo, hi)
 			}
 			return f(p, bv)
 		})

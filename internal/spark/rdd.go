@@ -129,7 +129,9 @@ func rowsOfPart(n, parts, part int) (lo, hi int) {
 }
 
 // Parallelize distributes a driver-local matrix into parts row blocks,
-// charging the driver-to-cluster transfer.
+// charging the driver-to-cluster transfer in full. The partitions are row
+// views of m, built on each lazy evaluation: m is shared with the cluster
+// from here on and must not be written to.
 func (c *Context) Parallelize(m *data.Matrix, parts int, name string) *RDD {
 	if parts <= 0 {
 		parts = c.conf.NumExecutors
@@ -145,7 +147,7 @@ func (c *Context) Parallelize(m *data.Matrix, parts int, name string) *RDD {
 	}
 	r.compute = func(part int, _ [][]*data.Matrix) *data.Matrix {
 		lo, hi := rowsOfPart(m.Rows, parts, part)
-		return m.SliceRows(lo, hi)
+		return m.RowView(lo, hi)
 	}
 	r.flopsPerPart = func(int) float64 { return 0 }
 	return r
