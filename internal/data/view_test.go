@@ -37,6 +37,7 @@ func viewKernels() []viewKernel {
 		{"CBind", func(m, y *Matrix) []*Matrix { return one(CBind(m, y)) }},
 		{"Diag", func(m, y *Matrix) []*Matrix { return two(Diag(m), Diag(y)) }},
 		{"Checksum", func(m, _ *Matrix) []*Matrix { return scalar(float64(m.Checksum() >> 11)) }},
+		{"Fingerprint", func(m, _ *Matrix) []*Matrix { return scalar(float64(m.Fingerprint() >> 11)) }},
 		{"Add", func(m, y *Matrix) []*Matrix { return two(Add(m, m), Add(y, m)) }},
 		{"AddRow", func(m, _ *Matrix) []*Matrix { return two(Add(m, firstRow(m)), Add(firstRow(m), m)) }},
 		{"Sub", func(m, y *Matrix) []*Matrix { return one(Sub(m, y)) }},

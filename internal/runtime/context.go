@@ -202,7 +202,7 @@ type Context struct {
 	vars map[string]*Value
 	prog *ir.Program
 
-	// inputSigs records content checksums of host-bound inputs by name,
+	// inputSigs records content fingerprints of host-bound inputs by name,
 	// and leafMemo caches per-item read-leaf name sets; both feed the
 	// content signatures that make cross-tenant sharing sound.
 	inputSigs map[string]uint64
@@ -346,14 +346,26 @@ func (ctx *Context) multiLevelReuse(fn string) bool {
 func (ctx *Context) Var(name string) *Value { return ctx.vars[name] }
 
 // BindHost binds an input matrix to a variable (a persistent read: its
-// lineage is a leaf).
+// lineage is a leaf). With a shared level attached it fingerprints the
+// content for the share signatures.
 func (ctx *Context) BindHost(name string, m *data.Matrix) {
+	var fp uint64
+	if ctx.Shared != nil {
+		fp = m.Fingerprint()
+	}
+	ctx.BindHostFingerprinted(name, m, fp)
+}
+
+// BindHostFingerprinted is BindHost for a caller that already holds
+// fp == m.Fingerprint(): the serving layer hashes each input once at
+// admission and hands the sum over instead of hashing again on the worker.
+func (ctx *Context) BindHostFingerprinted(name string, m *data.Matrix, fp uint64) {
 	ctx.setVar(name, NewHostValue(m))
 	if ctx.tracing() {
 		ctx.LMap.TraceItem(name, lineage.NewLeaf("read", name))
 	}
 	if ctx.Shared != nil {
-		ctx.inputSigs[name] = m.Checksum()
+		ctx.inputSigs[name] = fp
 	}
 }
 

@@ -17,8 +17,9 @@ import (
 // Lineage leaves of bound inputs are keyed by variable NAME only, which is
 // sound within one session but not across tenants: two tenants may bind
 // different data under the same name. Callers therefore pass sig, a
-// content signature folding the checksums of every read-leaf input the item
-// depends on; implementations must key entries by (item, sig).
+// content signature folding the fingerprints (data.Matrix.Fingerprint) of
+// every read-leaf input the item depends on; implementations must key entries
+// by (item, sig).
 //
 // Both methods return the virtual-time cost the probing/publishing session
 // must charge on its own clock. Implementations never touch session clocks
@@ -37,7 +38,7 @@ type SharedCache interface {
 
 // AttachShared connects the context to a shared reuse level under the given
 // tenant identity. It must be called before inputs are bound, so input
-// checksums are recorded for content signatures.
+// fingerprints are recorded for content signatures.
 func (ctx *Context) AttachShared(sc SharedCache, tenant string) {
 	ctx.Shared = sc
 	ctx.Tenant = tenant
@@ -78,7 +79,7 @@ func (ctx *Context) readLeafNames(it *lineage.Item) []string {
 }
 
 // shareSig computes the content signature of an item: an FNV-1a fold over
-// its sorted read-leaf names and the checksums of the matrices bound under
+// its sorted read-leaf names and the fingerprints of the matrices bound under
 // those names. It reports false when the item has no read leaves (sharing
 // literal-only values across tenants would make hit patterns depend on
 // request interleaving) or when a leaf's content is unknown (e.g. an RDD

@@ -329,3 +329,92 @@ func TestCoalesceDeadlinePropagates(t *testing.T) {
 		t.Fatalf("deadline_failures=%d failed=%d, want 2/2", snap.DeadlineFailures, snap.Failed)
 	}
 }
+
+// TestCoalesceGroupsBounded submits twelve windows' worth of requests in four
+// interleaved classes: one repeats the input of the ticket exactly
+// CoalesceWindow earlier (the last that can still join its group), one the
+// input of the ticket one further back (the first that cannot, and opens a
+// new group under the old key), one submits each of its inputs four times in
+// a row so that a group fills up (MaxBatch 2) and is replaced under its key
+// while still inside the window, and one binds never-seen inputs, over four
+// windows' worth of them in all. The group table must stay within
+// CoalesceWindow entries, and every request must get the outcome an unpruned
+// replay of the admission rule gives it: a model that keeps every group
+// forever decides who joins whom, and a follower's virtual latency is its
+// leader's plus the copy charge.
+func TestCoalesceGroupsBounded(t *testing.T) {
+	const window, tickets, maxBatch = 8, 12 * 8, 2
+	prog := ridgeProg()
+	var inputs []map[string]*data.Matrix
+	idOf := make([]int, tickets+1) // input of each ticket, tickets start at 1
+	for tk := 1; tk <= tickets; tk++ {
+		switch {
+		case tk%4 == 0 && tk > window:
+			idOf[tk] = idOf[tk-window]
+		case tk%4 == 1 && tk > window+1:
+			idOf[tk] = idOf[tk-window-1]
+		case tk%4 == 2 && (tk/4)%4 != 0:
+			idOf[tk] = idOf[tk-4]
+		default:
+			idOf[tk] = len(inputs)
+			inputs = append(inputs, ridgeInputs(int64(100+tk)))
+		}
+	}
+	// The unpruned replay: one group per input (program and fetch set are
+	// fixed, so the coalesce key is the input), never forgotten.
+	leaderOf := make([]uint64, tickets+1) // 0: the ticket leads its own group
+	latest := make(map[int]uint64)        // input -> leader of its latest group
+	size := make(map[uint64]int)          // leader -> members
+	followers := 0
+	for tk := uint64(1); tk <= tickets; tk++ {
+		if l, ok := latest[idOf[tk]]; ok && tk-l <= window && size[l] < maxBatch {
+			leaderOf[tk] = l
+			size[l]++
+			followers++
+		} else {
+			latest[idOf[tk]] = tk
+			size[tk] = 1
+		}
+	}
+	if len(latest) < 4*window || followers < window {
+		t.Fatalf("schedule too thin: %d distinct inputs, %d followers", len(latest), followers)
+	}
+
+	conf := coalesceConf(2)
+	conf.CoalesceWindow = window
+	conf.MaxBatch = maxBatch
+	srv := New(conf)
+	defer srv.Close()
+	results := make([]*Result, tickets+1)
+	for tk := uint64(1); tk <= tickets; tk++ {
+		fut, err := srv.Submit(fmt.Sprintf("t%d", tk%3), prog, SubmitOptions{Inputs: inputs[idOf[tk]], Fetch: []string{"B"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.mu.Lock()
+		n, m := len(srv.groups), len(srv.groupOrder)
+		srv.mu.Unlock()
+		if n > window || m > window {
+			t.Fatalf("ticket %d: %d groups, %d queued for expiry; window is %d", tk, n, m, window)
+		}
+		res, err := fut.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Ticket != tk {
+			t.Fatalf("submission %d got ticket %d", tk, res.Ticket)
+		}
+		results[tk] = res
+		if l := leaderOf[tk]; res.Coalesced != (l != 0) || res.CoalescedWith != l {
+			t.Fatalf("ticket %d (input %d): coalesced=%v with %d, the unpruned replay joins it to %d",
+				tk, idOf[tk], res.Coalesced, res.CoalescedWith, l)
+		} else if l != 0 {
+			if want := results[l].VirtualSeconds + expectedCopyCharge(results[l]); res.VirtualSeconds != want {
+				t.Fatalf("ticket %d: %v virtual seconds, leader %d plus copy is %v", tk, res.VirtualSeconds, l, want)
+			}
+		}
+	}
+	if got := srv.Snapshot().Coalesced; got != int64(followers) {
+		t.Fatalf("coalesced %d, the unpruned replay %d", got, followers)
+	}
+}

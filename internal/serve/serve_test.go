@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 
@@ -468,5 +469,65 @@ func TestSharedPublishOfTransposeResult(t *testing.T) {
 	srv.Close()
 	if snap := srv.Snapshot(); snap.Shared.CrossTenantHits < 2 {
 		t.Fatalf("consumer did not hit the producer's published t and mm results: %+v", snap.Shared)
+	}
+}
+
+// TestAdmissionFingerprintsMatchBindHost: the sums Submit computes before
+// taking the lock and hands to the session are the ones BindHost computes
+// for itself, per input and end to end — a session that binds the same
+// inputs through BindHost finds every entry a served request published, and
+// a served request whose sums were handed over finds them too, at the same
+// virtual cost.
+func TestAdmissionFingerprintsMatchBindHost(t *testing.T) {
+	w := hcvWorkload()
+	inputs := w.HostInputs()
+	in := hashInputs(inputs)
+	if len(in.names) != len(inputs) || !sort.StringsAreSorted(in.names) {
+		t.Fatalf("names %v: want all %d inputs, sorted", in.names, len(inputs))
+	}
+	for i, n := range in.names {
+		if in.sums[i] != inputs[n].Fingerprint() {
+			t.Fatalf("input %s: admission sum %016x, Fingerprint %016x", n, in.sums[i], inputs[n].Fingerprint())
+		}
+		if in.sums[i] != inputs[n].Clone().Fingerprint() {
+			t.Fatalf("input %s: a copy fingerprints differently", n)
+		}
+	}
+
+	conf := DefaultConfig()
+	conf.Workers = 1
+	srv := New(conf)
+	defer srv.Close()
+	serve := func(tenant string) *Result {
+		fut, err := srv.Submit(tenant, w.Prog, SubmitOptions{Inputs: inputs, Fetch: []string{"best"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := fut.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	if first := serve("alice"); first.Stats.SharedPuts == 0 {
+		t.Fatal("the first request published nothing")
+	}
+	serve("bob") // publishes what alice's own session cache kept from the shared level
+	handed := serve("dave")
+
+	ctx := runtime.New(conf.Runtime)
+	defer ctx.Close()
+	ctx.AttachShared(srv.Shared(), "carol")
+	workloads.BindHostInputs(ctx, inputs)
+	if err := ctx.RunProgram(w.Prog); err != nil {
+		t.Fatal(err)
+	}
+	if handed.Stats.SharedHits == 0 || ctx.Stats.SharedHits != handed.Stats.SharedHits ||
+		ctx.Stats.SharedProbes != handed.Stats.SharedProbes {
+		t.Fatalf("BindHost session: %d hits / %d probes; handed-over request: %d / %d",
+			ctx.Stats.SharedHits, ctx.Stats.SharedProbes, handed.Stats.SharedHits, handed.Stats.SharedProbes)
+	}
+	if ctx.Clock.Now() != handed.VirtualSeconds {
+		t.Fatalf("BindHost session took %v virtual seconds, handed-over request %v", ctx.Clock.Now(), handed.VirtualSeconds)
 	}
 }

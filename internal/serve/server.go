@@ -153,10 +153,11 @@ var ErrCanceled = errors.New("serve: request canceled")
 // SubmitOptions carries a request's inputs and result selection.
 type SubmitOptions struct {
 	// Inputs are host matrices bound (in sorted name order) into the
-	// request's fresh session before execution. Their checksums define the
+	// request's fresh session before execution. Their content fingerprints
+	// (data.Matrix.Fingerprint, taken once inside Submit) define the
 	// request's conflict keys: requests sharing any (name, content) pair
-	// serialize in ticket order. Inputs must not be mutated while the
-	// request is in flight.
+	// serialize in ticket order. Inputs must not be mutated from the call to
+	// Submit until the request completes.
 	Inputs map[string]*data.Matrix
 	// Bind, when set, runs after Inputs are bound and may install
 	// additional variables. Because its effects are opaque, the request
@@ -198,11 +199,13 @@ type Result struct {
 
 // request is the queue element behind a Future.
 type request struct {
-	tenant  string
-	prog    *ir.Program
-	opts    SubmitOptions
-	ticket  uint64
-	keys    []uint64
+	tenant string
+	prog   *ir.Program
+	opts   SubmitOptions
+	ticket uint64
+	// in is the input binding hashed once at admission: the conflict keys
+	// the scheduler serializes on and the fingerprints the session needs.
+	in      hashedInputs
 	global  bool
 	progKey uint64
 	// group is the request's coalesce group (nil when coalescing is off or
@@ -282,6 +285,7 @@ type Server struct {
 	rewritten    map[*ir.Program]struct{}
 	progKeys     map[*ir.Program]uint64
 	groups       map[uint64]*coalesceGroup // coalesce key -> latest group
+	groupOrder   []groupRef                // every group put in groups, by leader ticket
 	nextTicket   uint64
 	closed       bool
 
@@ -366,33 +370,51 @@ func New(conf Config) *Server {
 // via runtime.Context.AttachShared).
 func (s *Server) Shared() *SharedCache { return s.shared }
 
-// conflictKeys hashes each (name, content) input pair. Input-less requests
-// get the sentinel key 0 so they serialize among themselves: their cacheable
-// sub-programs have no read leaves and are excluded from sharing, but the
-// sentinel keeps the contract simple and future-proof.
-func conflictKeys(inputs map[string]*data.Matrix) []uint64 {
+// hashedInputs is a request's input binding in the order a session binds
+// it (sorted by name), with each matrix's content fingerprint and the
+// conflict key derived from it.
+type hashedInputs struct {
+	names []string
+	sums  []uint64 // sums[i] == inputs[names[i]].Fingerprint()
+	keys  []uint64 // conflict keys: one per (name, content) pair
+}
+
+// hashInputs fingerprints every input once. This is the only place a request
+// reads its inputs' cells for identity: the conflict and coalesce keys are
+// folded from the sums here, and the sums travel with the request to the
+// session (BindHostFingerprinted) for the share signatures. It runs before
+// Server.mu is taken, so a large input does not stall other submitters.
+//
+// Input-less requests get the sentinel key 0 so they serialize among
+// themselves: their cacheable sub-programs have no read leaves and are
+// excluded from sharing, but the sentinel keeps the contract simple and
+// future-proof.
+func hashInputs(inputs map[string]*data.Matrix) hashedInputs {
 	if len(inputs) == 0 {
-		return []uint64{0}
+		return hashedInputs{keys: []uint64{0}}
 	}
-	names := make([]string, 0, len(inputs))
+	in := hashedInputs{
+		names: make([]string, 0, len(inputs)),
+		sums:  make([]uint64, len(inputs)),
+		keys:  make([]uint64, len(inputs)),
+	}
 	for n := range inputs {
-		names = append(names, n)
+		in.names = append(in.names, n)
 	}
-	sort.Strings(names)
-	keys := make([]uint64, 0, len(names))
+	sort.Strings(in.names)
 	var buf [8]byte
-	for _, n := range names {
+	for i, n := range in.names {
+		sum := inputs[n].Fingerprint()
 		h := fnv.New64a()
 		h.Write([]byte(n))
 		h.Write([]byte{0})
-		sum := inputs[n].Checksum()
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(sum >> (8 * i))
+		for b := 0; b < 8; b++ {
+			buf[b] = byte(sum >> (8 * b))
 		}
 		h.Write(buf[:])
-		keys = append(keys, h.Sum64())
+		in.sums[i], in.keys[i] = sum, h.Sum64()
 	}
-	return keys
+	return in
 }
 
 // rewriteLocked applies MEMPHIS's program-level rewrites exactly once per
@@ -425,7 +447,7 @@ func (s *Server) progKeyLocked(prog *ir.Program) uint64 {
 
 // coalesceKey identifies a coalesce group: the program fingerprint, the
 // request's input contents (the conflict keys already hash name +
-// checksum), and the fetch set. Requests with equal keys run the same
+// fingerprint), and the fetch set. Requests with equal keys run the same
 // deterministic program on the same inputs, so one execution serves all.
 func coalesceKey(progKey uint64, keys []uint64, fetch []string) uint64 {
 	h := fnv.New64a()
@@ -465,21 +487,21 @@ func (s *Server) Submit(tenant string, prog *ir.Program, opts SubmitOptions) (*F
 	if tenant == "" {
 		tenant = "default"
 	}
+	in := hashInputs(opts.Inputs)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, ErrClosed
 	}
 	canCoalesce := s.conf.Coalesce && opts.Bind == nil && !opts.NoCoalesce
-	var keys []uint64
 	var progKey, coalKey uint64
 	if canCoalesce || s.cc != nil {
 		s.rewriteLocked(prog)
 		progKey = s.progKeyLocked(prog)
 	}
 	if canCoalesce {
-		keys = conflictKeys(opts.Inputs)
-		coalKey = coalesceKey(progKey, keys, opts.Fetch)
+		s.pruneGroupsLocked()
+		coalKey = coalesceKey(progKey, in.keys, opts.Fetch)
 		if g := s.groups[coalKey]; g != nil && s.nextTicket+1-g.leader <= s.conf.CoalesceWindow &&
 			g.size < s.conf.MaxBatch && !(g.done && g.err != nil) {
 			if s.tenantLoad[tenant] >= s.conf.MaxPerTenant {
@@ -497,7 +519,7 @@ func (s *Server) Submit(tenant string, prog *ir.Program, opts SubmitOptions) (*F
 				prog:    prog,
 				opts:    opts,
 				ticket:  s.nextTicket,
-				keys:    keys,
+				in:      in,
 				progKey: progKey,
 				group:   g,
 				coalKey: coalKey,
@@ -540,16 +562,13 @@ func (s *Server) Submit(tenant string, prog *ir.Program, opts SubmitOptions) (*F
 		w = 1
 	}
 	s.weight[tenant] = w
-	if keys == nil {
-		keys = conflictKeys(opts.Inputs)
-	}
 	s.nextTicket++
 	req := &request{
 		tenant:  tenant,
 		prog:    prog,
 		opts:    opts,
 		ticket:  s.nextTicket,
-		keys:    keys,
+		in:      in,
 		global:  opts.Bind != nil,
 		progKey: progKey,
 		done:    make(chan struct{}),
@@ -560,12 +579,38 @@ func (s *Server) Submit(tenant string, prog *ir.Program, opts SubmitOptions) (*F
 		req.group = g
 		req.coalKey = coalKey
 		s.groups[coalKey] = g
+		s.groupOrder = append(s.groupOrder, groupRef{leader: req.ticket, coalKey: coalKey})
 	}
 	s.queue = append(s.queue, req)
 	s.tenantLoad[tenant]++
 	s.submitted++
 	s.cond.Broadcast()
 	return &Future{req: req}, nil
+}
+
+// groupRef names the group a leader opened under a coalesce key.
+type groupRef struct{ leader, coalKey uint64 }
+
+// pruneGroupsLocked forgets coalesce groups no submission can join any more.
+// A group takes joiners only while the next ticket is within CoalesceWindow
+// of its leader's, and leaders enter groupOrder in ticket order, so the
+// expired groups are a prefix of it; each is deleted unless a later group has
+// already replaced it under its key. Without this the map would keep every
+// group ever opened, with its Result and fetched values. Dropping an expired
+// group changes no outcome: the next submission under its key would have
+// found it unjoinable and overwritten it. Caller holds s.mu.
+func (s *Server) pruneGroupsLocked() {
+	n := 0
+	for _, ref := range s.groupOrder {
+		if s.nextTicket+1-ref.leader <= s.conf.CoalesceWindow {
+			break
+		}
+		if g := s.groups[ref.coalKey]; g != nil && g.leader == ref.leader {
+			delete(s.groups, ref.coalKey)
+		}
+		n++
+	}
+	s.groupOrder = s.groupOrder[n:]
 }
 
 // pickLocked selects the next runnable request and removes it from the
@@ -589,7 +634,7 @@ func (s *Server) pickLocked() *request {
 			} else if s.runningGlob || earlierGlobal {
 				eligible = false
 			} else {
-				for _, k := range r.keys {
+				for _, k := range r.in.keys {
 					if _, ok := s.running[k]; ok {
 						eligible = false
 						break
@@ -616,7 +661,7 @@ func (s *Server) pickLocked() *request {
 		if r.global {
 			earlierGlobal = true
 		} else {
-			for _, k := range r.keys {
+			for _, k := range r.in.keys {
 				earlier[k] = struct{}{}
 			}
 		}
@@ -650,7 +695,7 @@ func (s *Server) worker() {
 		if req.global {
 			s.runningGlob = true
 		} else {
-			for _, k := range req.keys {
+			for _, k := range req.in.keys {
 				s.running[k]++
 			}
 		}
@@ -665,7 +710,7 @@ func (s *Server) worker() {
 		if req.global {
 			s.runningGlob = false
 		} else {
-			for _, k := range req.keys {
+			for _, k := range req.in.keys {
 				if s.running[k]--; s.running[k] <= 0 {
 					delete(s.running, k)
 				}
@@ -911,13 +956,8 @@ func (s *Server) runAttempt(req *request, attempt int) (res *Result, err error) 
 	if s.cc != nil {
 		ctx.AttachCompileCache(s.cc, req.progKey)
 	}
-	names := make([]string, 0, len(req.opts.Inputs))
-	for n := range req.opts.Inputs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		ctx.BindHost(n, req.opts.Inputs[n])
+	for i, n := range req.in.names {
+		ctx.BindHostFingerprinted(n, req.opts.Inputs[n], req.in.sums[i])
 	}
 	if req.opts.Bind != nil {
 		req.opts.Bind(ctx)

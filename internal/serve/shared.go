@@ -7,14 +7,14 @@
 // Soundness. Session-level lineage keys input reads by variable NAME only,
 // which two tenants may bind to different data. The shared level therefore
 // keys every entry by (lineage item, content signature), where the
-// signature folds the checksums of all read-leaf inputs the item depends on
-// (runtime.Context.shareSig). Identical names with different data produce
+// signature folds the fingerprints of all read-leaf inputs the item depends
+// on (runtime.Context.shareSig). Identical names with different data produce
 // different keys and never alias.
 //
 // Determinism. Each request runs on a fresh session with its own virtual
 // clock; all shared-cache costs are charged from the analytic model, so a
 // request's virtual latency depends only on which probes hit. Requests
-// whose input sets overlap (same name AND checksum) are serialized in
+// whose input sets overlap (same name AND content) are serialized in
 // ticket order by the scheduler; requests that do not overlap can never
 // observe each other's entries (their signatures differ). Hence per-tenant
 // virtual times equal a serial replay in ticket order, regardless of worker
@@ -69,9 +69,10 @@ func (c *SharedConfig) fill() {
 }
 
 // tenantAccount tracks one tenant's shared-cache footprint and activity.
-// All fields are atomics: stats are read concurrently by Snapshot while
+// The counters are atomics: stats are read concurrently by Snapshot while
 // workers publish.
 type tenantAccount struct {
+	pool      string // arbiter pool name, TenantPoolName(tenant)
 	usage     atomic.Int64
 	tick      atomic.Uint64 // per-tenant publish sequence (eviction order)
 	probes    atomic.Int64
@@ -79,27 +80,82 @@ type tenantAccount struct {
 	crossHits atomic.Int64
 	puts      atomic.Int64
 	evictions atomic.Int64
+	// lists[i] is the tenant's publish-order list inside shard i, guarded by
+	// that shard's lock.
+	lists []metaList
 }
 
+// The two publish orders every entry is linked into.
+const (
+	byGlobal = iota // all of a shard's entries, ascending global sequence
+	byTenant        // one tenant's entries in a shard, ascending tenant tick
+)
+
 // entryMeta is the serving layer's per-entry bookkeeping alongside the
-// wrapped core.Cache entry.
+// wrapped core.Cache entry. Everything but links is immutable once the entry
+// is inserted.
 type entryMeta struct {
 	tenant      string
 	acct        *tenantAccount
 	key         *lineage.Item
 	size        int64
-	tick        uint64 // per-tenant publish order
-	gseq        uint64 // global publish order (overcommit eviction only)
 	computeCost float64
+	// seq is the entry's publish sequence in each order: the global sequence
+	// (overcommit eviction only) and the per-tenant tick.
+	seq [2]uint64
+	// links chains the entry into its shard's list of each order.
+	links [2]struct{ prev, next *entryMeta }
+}
+
+// metaList is an intrusive doubly-linked list of entries in publish order.
+// The victim index is made of these: FIFO eviction reclaims entries in the
+// order they were published, so the next victim of a list is its head and
+// needs no search. Three invariants, all kept under the owning shard's lock:
+//
+//  1. A sequence is drawn and its entry appended in one critical section, so
+//     every list is strictly ascending in its sequence.
+//  2. An entry is in sh.meta exactly while it is linked into the shard's
+//     byGlobal list and its tenant's byTenant list for that shard (inserted
+//     by Publish, unlinked by onDrop, reset together by Clear).
+//  3. Hence the oldest entry overall (or of a tenant) is the smallest of the
+//     shard heads: comparing at most Shards entries replaces the scan.
+type metaList struct{ head, tail *entryMeta }
+
+func (l *metaList) pushBack(md *entryMeta, order int) {
+	lk := &md.links[order]
+	lk.prev, lk.next = l.tail, nil
+	if l.tail != nil {
+		l.tail.links[order].next = md
+	} else {
+		l.head = md
+	}
+	l.tail = md
+}
+
+func (l *metaList) remove(md *entryMeta, order int) {
+	lk := &md.links[order]
+	if lk.prev != nil {
+		lk.prev.links[order].next = lk.next
+	} else {
+		l.head = lk.next
+	}
+	if lk.next != nil {
+		lk.next.links[order].prev = lk.prev
+	} else {
+		l.tail = lk.prev
+	}
+	lk.prev, lk.next = nil, nil
 }
 
 // shard is one lock-guarded slice of the shared cache: a private core.Cache
 // (on its own virtual clock, never a session's) plus serving metadata.
 type shard struct {
 	front *SharedCache
+	idx   int // position in front.shards (and in every tenantAccount.lists)
 	mu    sync.Mutex
 	cache *core.Cache
 	meta  map[*core.Entry]*entryMeta
+	order metaList // every entry of the shard, byGlobal
 	// disabled marks the shard degraded (simulated partial cache outage):
 	// probes miss and publishes are rejected, with charges identical to
 	// genuine misses/rejections so virtual times stay deterministic.
@@ -157,7 +213,7 @@ func NewSharedCache(conf SharedConfig) *SharedCache {
 	s.arb.Register(globalPool{s})
 	s.shards = make([]*shard, conf.Shards)
 	for i := range s.shards {
-		sh := &shard{front: s, meta: make(map[*core.Entry]*entryMeta)}
+		sh := &shard{front: s, idx: i, meta: make(map[*core.Entry]*entryMeta)}
 		// The inner cache never evicts on its own (budgets are enforced
 		// here, per tenant, before PutCP) and never spills: its clock is
 		// private, so any time it charged would be lost.
@@ -224,14 +280,31 @@ func (s *SharedCache) account(tenant string) *tenantAccount {
 	}
 	s.accMu.Lock()
 	if a = s.accounts[tenant]; a == nil {
-		a = &tenantAccount{}
+		a = &tenantAccount{pool: TenantPoolName(tenant), lists: make([]metaList, len(s.shards))}
 		s.accounts[tenant] = a
 	}
 	s.accMu.Unlock()
 	// Registration is idempotent (replace-by-name keeps counters), so the
 	// race between two first-touches of a tenant is harmless.
-	s.arb.Register(tenantPool{s: s, acct: a, tenant: tenant})
+	s.arb.Register(tenantPool{s: s, acct: a})
 	return a
+}
+
+// orderOf is the publish order that ranks acct's entries (nil: all entries).
+func orderOf(acct *tenantAccount) int {
+	if acct == nil {
+		return byGlobal
+	}
+	return byTenant
+}
+
+// oldest returns the shard's next FIFO victim among acct's entries (nil:
+// among all entries), or nil when there is none. Caller holds sh.mu.
+func (sh *shard) oldest(acct *tenantAccount) *entryMeta {
+	if acct == nil {
+		return sh.order.head
+	}
+	return acct.lists[sh.idx].head
 }
 
 // onDrop maintains usage accounting when an entry leaves a shard's cache;
@@ -242,19 +315,23 @@ func (sh *shard) onDrop(e *core.Entry) {
 		return
 	}
 	delete(sh.meta, e)
+	sh.order.remove(md, byGlobal)
+	md.acct.lists[sh.idx].remove(md, byTenant)
 	sh.front.bytesStored.Add(-md.size)
 	md.acct.usage.Add(-md.size)
 	sh.front.evictions.Add(1)
 	md.acct.evictions.Add(1)
 	// The entry left the shared level entirely (no lower tier), so both the
 	// tenant pool and the global pool record an eviction.
-	sh.front.arb.NoteEviction(TenantPoolName(md.tenant), 1, md.size)
+	sh.front.arb.NoteEviction(md.acct.pool, 1, md.size)
 	sh.front.arb.NoteEviction(GlobalPoolName, 1, md.size)
 }
 
 // Probe implements runtime.SharedCache: REUSE under the shard lock. A hit
 // returns a private clone (sessions must never share matrix storage) and
-// charges the probe plus a host-memory copy of the object.
+// charges the probe plus a host-memory copy of the object. The copy itself
+// is made after the lock is released: a stored matrix is never written, and
+// an eviction in between only drops the cache's reference to it.
 func (s *SharedCache) Probe(tenant string, item *lineage.Item, sig uint64) (*data.Matrix, float64, float64, bool) {
 	acct := s.account(tenant)
 	s.probes.Add(1)
@@ -276,7 +353,7 @@ func (s *SharedCache) Probe(tenant string, item *lineage.Item, sig uint64) (*dat
 		s.reuse.Note(item.Opcode(), int(core.BackendCP), -1, false)
 		return nil, 0, s.conf.Model.Probe, false
 	}
-	m := sh.cache.Matrix(e).Clone()
+	stored := sh.cache.Matrix(e)
 	md := sh.meta[e]
 	producer := ""
 	computeCost := 0.0
@@ -285,6 +362,7 @@ func (s *SharedCache) Probe(tenant string, item *lineage.Item, sig uint64) (*dat
 		computeCost = md.computeCost
 	}
 	sh.mu.Unlock()
+	m := stored.Clone()
 	s.hits.Add(1)
 	acct.hits.Add(1)
 	s.reuse.Note(item.Opcode(), int(core.BackendCP),
@@ -308,25 +386,25 @@ func (s *SharedCache) Publish(tenant string, item *lineage.Item, sig uint64, m *
 	}
 	// A degraded shard rejects the publish outright (same charge as any
 	// rejected put) before any budget eviction can disturb other entries.
-	sh0 := s.shardFor(shareKey(item, sig))
-	sh0.mu.Lock()
-	degraded := sh0.disabled
-	sh0.mu.Unlock()
+	key := shareKey(item, sig)
+	sh := s.shardFor(key)
+	sh.mu.Lock()
+	degraded := sh.disabled
+	sh.mu.Unlock()
 	if degraded {
 		return charge, false
 	}
 	// Both budget checks are arbiter-driven MAKE_SPACE calls against the
-	// corresponding pool; the pools' Evict mechanisms are the same oldest-
-	// first searches as before, so the victim sequence — and therefore every
-	// virtual latency — is unchanged. The outer loops re-check usage because
-	// concurrent publishers may race on the coupled global path.
+	// corresponding pool, whose Evict drops oldest-first. The outer loops
+	// re-check usage because concurrent publishers may race on the coupled
+	// global path.
 	acct := s.account(tenant)
 	for {
 		over := acct.usage.Load() + size - s.conf.TenantBudget
 		if over <= 0 {
 			break
 		}
-		if s.arb.MakeSpace(TenantPoolName(tenant), over) == 0 {
+		if s.arb.MakeSpace(acct.pool, over) == 0 {
 			return charge, false
 		}
 	}
@@ -339,8 +417,6 @@ func (s *SharedCache) Publish(tenant string, item *lineage.Item, sig uint64, m *
 			return charge, false
 		}
 	}
-	key := shareKey(item, sig)
-	sh := s.shardFor(key)
 	stored := m.Clone()
 	sh.mu.Lock()
 	if sh.cache.Lookup(key) != nil {
@@ -352,15 +428,19 @@ func (s *SharedCache) Publish(tenant string, item *lineage.Item, sig uint64, m *
 		sh.mu.Unlock()
 		return charge, false
 	}
-	sh.meta[e] = &entryMeta{
+	// Both sequences are drawn here, under the lock that also orders the
+	// appends: that is what keeps each list ascending (invariant 1).
+	md := &entryMeta{
 		tenant:      tenant,
 		acct:        acct,
 		key:         key,
 		size:        size,
-		tick:        acct.tick.Add(1),
-		gseq:        s.gseq.Add(1),
 		computeCost: computeCost,
+		seq:         [2]uint64{byGlobal: s.gseq.Add(1), byTenant: acct.tick.Add(1)},
 	}
+	sh.meta[e] = md
+	sh.order.pushBack(md, byGlobal)
+	acct.lists[sh.idx].pushBack(md, byTenant)
 	sh.mu.Unlock()
 	s.bytesStored.Add(size)
 	acct.usage.Add(size)
@@ -369,71 +449,39 @@ func (s *SharedCache) Publish(tenant string, item *lineage.Item, sig uint64, m *
 	return charge, true
 }
 
-// evictTenantOldest drops the tenant's oldest entry (lowest publish tick)
-// and returns its size, or 0 when the tenant has no entries. Victim search
-// never holds two shard locks: candidates are collected one shard at a
-// time, then the winner is re-checked under its own lock.
-func (s *SharedCache) evictTenantOldest(acct *tenantAccount) int64 {
+// evictOldest drops the oldest entry — of the tenant (lowest publish tick),
+// or with a nil account of the whole cache (lowest global sequence) — and
+// returns its size, or 0 when there is none. Each shard offers the head of
+// its list, the smallest sequence wins (metaList's invariants make that the
+// entry a scan of everything would find). Victim search never holds two
+// shard locks: heads are read one shard at a time, then the winner is
+// dropped under its own lock.
+//
+// The global order is only reached when tenant budgets overcommit the global
+// budget; that path is concurrency-safe but couples tenants, so virtual
+// latencies are no longer interleaving-independent.
+func (s *SharedCache) evictOldest(acct *tenantAccount) int64 {
+	order := orderOf(acct)
 	for {
+		var best *entryMeta
 		var bestShard *shard
-		var bestKey *lineage.Item
-		var bestTick uint64
-		var bestSize int64
-		found := false
 		for _, sh := range s.shards {
 			sh.mu.Lock()
-			for _, md := range sh.meta {
-				if md.acct == acct && (!found || md.tick < bestTick) {
-					found, bestTick = true, md.tick
-					bestShard, bestKey, bestSize = sh, md.key, md.size
-				}
+			if md := sh.oldest(acct); md != nil && (best == nil || md.seq[order] < best.seq[order]) {
+				best, bestShard = md, sh
 			}
 			sh.mu.Unlock()
 		}
-		if !found {
+		if best == nil {
 			return 0
 		}
 		bestShard.mu.Lock()
-		dropped := bestShard.cache.DropItem(bestKey)
+		dropped := bestShard.cache.DropItem(best.key)
 		bestShard.mu.Unlock()
 		if dropped {
-			return bestSize
+			return best.size
 		}
-		// The candidate vanished between passes; rescan.
-	}
-}
-
-// evictGlobalOldest drops the globally oldest entry (lowest global publish
-// sequence) and returns its size, or 0 when the cache is empty. Only
-// reached when tenant budgets overcommit the global budget; this path is
-// concurrency-safe but couples tenants, so virtual latencies are no longer
-// interleaving-independent.
-func (s *SharedCache) evictGlobalOldest() int64 {
-	for {
-		var bestShard *shard
-		var bestKey *lineage.Item
-		var bestSeq uint64
-		var bestSize int64
-		found := false
-		for _, sh := range s.shards {
-			sh.mu.Lock()
-			for _, md := range sh.meta {
-				if !found || md.gseq < bestSeq {
-					found, bestSeq = true, md.gseq
-					bestShard, bestKey, bestSize = sh, md.key, md.size
-				}
-			}
-			sh.mu.Unlock()
-		}
-		if !found {
-			return 0
-		}
-		bestShard.mu.Lock()
-		dropped := bestShard.cache.DropItem(bestKey)
-		bestShard.mu.Unlock()
-		if dropped {
-			return bestSize
-		}
+		// The candidate vanished between passes; look again.
 	}
 }
 
@@ -452,6 +500,10 @@ func (s *SharedCache) Clear() {
 		sh.cache.Clear()
 		sh.cache.SetOnDrop(sh.onDrop)
 		sh.meta = make(map[*core.Entry]*entryMeta)
+		for md := sh.order.head; md != nil; md = md.links[byGlobal].next {
+			md.acct.lists[sh.idx] = metaList{}
+		}
+		sh.order = metaList{}
 		sh.mu.Unlock()
 	}
 	s.accMu.RLock()

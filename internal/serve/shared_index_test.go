@@ -1,0 +1,442 @@
+package serve
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"sync"
+	"testing"
+
+	"memphis/internal/core"
+	"memphis/internal/data"
+	"memphis/internal/lineage"
+	"memphis/internal/memctl"
+)
+
+// The reference victim searches: the full scans the publish-order index
+// replaced, kept to prove the index picks the same victims.
+
+// refEvictTenantOldest scans every entry of every shard for the tenant's
+// lowest publish tick and drops it.
+func refEvictTenantOldest(s *SharedCache, acct *tenantAccount) int64 {
+	for {
+		var bestShard *shard
+		var bestKey *lineage.Item
+		var bestTick uint64
+		var bestSize int64
+		found := false
+		for _, sh := range s.shards {
+			sh.mu.Lock()
+			for _, md := range sh.meta {
+				if md.acct == acct && (!found || md.seq[byTenant] < bestTick) {
+					found, bestTick = true, md.seq[byTenant]
+					bestShard, bestKey, bestSize = sh, md.key, md.size
+				}
+			}
+			sh.mu.Unlock()
+		}
+		if !found {
+			return 0
+		}
+		bestShard.mu.Lock()
+		dropped := bestShard.cache.DropItem(bestKey)
+		bestShard.mu.Unlock()
+		if dropped {
+			return bestSize
+		}
+	}
+}
+
+// refEvictGlobalOldest scans every entry of every shard for the lowest
+// global publish sequence and drops it.
+func refEvictGlobalOldest(s *SharedCache) int64 {
+	for {
+		var bestShard *shard
+		var bestKey *lineage.Item
+		var bestSeq uint64
+		var bestSize int64
+		found := false
+		for _, sh := range s.shards {
+			sh.mu.Lock()
+			for _, md := range sh.meta {
+				if !found || md.seq[byGlobal] < bestSeq {
+					found, bestSeq = true, md.seq[byGlobal]
+					bestShard, bestKey, bestSize = sh, md.key, md.size
+				}
+			}
+			sh.mu.Unlock()
+		}
+		if !found {
+			return 0
+		}
+		bestShard.mu.Lock()
+		dropped := bestShard.cache.DropItem(bestKey)
+		bestShard.mu.Unlock()
+		if dropped {
+			return bestSize
+		}
+	}
+}
+
+// refVictimsByAge scores and sorts every entry, as victimsByAge did before
+// it read the index.
+func refVictimsByAge(s *SharedCache, acct *tenantAccount, max int) []memctl.Victim {
+	order, now := orderOf(acct), s.gseq.Load()
+	if acct != nil {
+		now = acct.tick.Load()
+	}
+	norms := memctl.Norms{Now: float64(now)}
+	var out []memctl.Victim
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		for _, md := range sh.meta {
+			if acct != nil && md.acct != acct {
+				continue
+			}
+			cand := memctl.Candidate{Size: md.size, ComputeCost: md.computeCost, LastAccess: float64(md.seq[order])}
+			out = append(out, memctl.Victim{Candidate: cand, Score: memctl.Score(cand, memctl.LRUWeights, norms)})
+		}
+		sh.mu.Unlock()
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Score < out[j].Score })
+	if max >= 0 && len(out) > max {
+		out = out[:max]
+	}
+	return out
+}
+
+// refPool is an arbiter pool over a SharedCache whose eviction runs the
+// reference scans; registered under a pool's name it replaces the indexed
+// pool and keeps its counters.
+type refPool struct {
+	s    *SharedCache
+	acct *tenantAccount // nil: the global pool
+}
+
+func (p refPool) Name() string {
+	if p.acct == nil {
+		return GlobalPoolName
+	}
+	return p.acct.pool
+}
+
+func (p refPool) Used() int64 {
+	if p.acct == nil {
+		return p.s.bytesStored.Load()
+	}
+	return p.acct.usage.Load()
+}
+
+func (p refPool) Budget() int64 {
+	if p.acct == nil {
+		return p.s.conf.Budget
+	}
+	return p.s.conf.TenantBudget
+}
+
+func (p refPool) Victims(max int) []memctl.Victim { return refVictimsByAge(p.s, p.acct, max) }
+func (p refPool) Demote(int64) int64              { return 0 }
+
+func (p refPool) Evict(need int64) int64 {
+	var freed int64
+	for freed < need {
+		var n int64
+		if p.acct == nil {
+			n = refEvictGlobalOldest(p.s)
+		} else {
+			n = refEvictTenantOldest(p.s, p.acct)
+		}
+		if n == 0 {
+			break
+		}
+		freed += n
+	}
+	return freed
+}
+
+// withReferenceEviction swaps every pool of s for its scanning twin. The
+// accounts are created first so that no later first touch re-registers the
+// indexed pool.
+func withReferenceEviction(s *SharedCache, tenants []string) {
+	s.arb.Register(refPool{s: s})
+	for _, tn := range tenants {
+		s.arb.Register(refPool{s: s, acct: s.account(tn)})
+	}
+}
+
+// dropLog records, per cache, the keys that left it, in order.
+type dropLog struct {
+	mu   sync.Mutex
+	keys []string
+}
+
+// watchDrops chains a recorder in front of every shard's onDrop. Clear
+// reinstalls the plain observer, so callers re-arm after it.
+func watchDrops(s *SharedCache, log *dropLog) {
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		sh.cache.SetOnDrop(func(e *core.Entry) {
+			log.mu.Lock()
+			log.keys = append(log.keys, fmt.Sprintf("%016x", e.Key.Hash()))
+			log.mu.Unlock()
+			sh.onDrop(e)
+		})
+		sh.mu.Unlock()
+	}
+}
+
+// checkIndex verifies the publish-order index against sh.meta: every list
+// strictly ascending in its sequence with consistent back links, the shard
+// list holding exactly the entries of sh.meta, and the tenant lists of a
+// shard partitioning them. With accounting set it also checks that the byte
+// counters equal the sums over the lists.
+func checkIndex(t *testing.T, s *SharedCache, accounting bool) {
+	t.Helper()
+	s.accMu.RLock()
+	accounts := make(map[string]*tenantAccount, len(s.accounts))
+	for name, a := range s.accounts {
+		accounts[name] = a
+	}
+	s.accMu.RUnlock()
+	walk := func(what string, l metaList, order int, visit func(*entryMeta)) int {
+		n := 0
+		var prev *entryMeta
+		for md := l.head; md != nil; prev, md = md, md.links[order].next {
+			if md.links[order].prev != prev {
+				t.Fatalf("%s: entry %d has a wrong back link", what, n)
+			}
+			if prev != nil && prev.seq[order] >= md.seq[order] {
+				t.Fatalf("%s: sequence %d follows %d", what, md.seq[order], prev.seq[order])
+			}
+			visit(md)
+			n++
+		}
+		if l.tail != prev {
+			t.Fatalf("%s: tail is not the last entry", what)
+		}
+		return n
+	}
+	var total int64
+	usage := make(map[*tenantAccount]int64)
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		inMeta := make(map[*entryMeta]bool, len(sh.meta))
+		for _, md := range sh.meta {
+			inMeta[md] = true
+		}
+		n := walk(fmt.Sprintf("shard %d", sh.idx), sh.order, byGlobal, func(md *entryMeta) {
+			if !inMeta[md] {
+				t.Fatalf("shard %d: listed entry is not in meta", sh.idx)
+			}
+			total += md.size
+		})
+		if n != len(sh.meta) {
+			t.Fatalf("shard %d: list holds %d entries, meta %d", sh.idx, n, len(sh.meta))
+		}
+		perTenant := 0
+		for name, a := range accounts {
+			perTenant += walk(fmt.Sprintf("shard %d tenant %s", sh.idx, name), a.lists[sh.idx], byTenant, func(md *entryMeta) {
+				if md.acct != a || !inMeta[md] {
+					t.Fatalf("shard %d tenant %s: foreign or dropped entry listed", sh.idx, name)
+				}
+				usage[a] += md.size
+			})
+		}
+		if perTenant != len(sh.meta) {
+			t.Fatalf("shard %d: tenant lists hold %d entries, meta %d", sh.idx, perTenant, len(sh.meta))
+		}
+		sh.mu.Unlock()
+	}
+	if !accounting {
+		return
+	}
+	if got := s.bytesStored.Load(); got != total {
+		t.Fatalf("bytesStored %d, entries sum to %d", got, total)
+	}
+	for name, a := range accounts {
+		if got := a.usage.Load(); got != usage[a] {
+			t.Fatalf("tenant %s usage %d, entries sum to %d", name, got, usage[a])
+		}
+	}
+}
+
+// TestVictimOrderMatchesReferenceScan drives two caches through the same
+// randomized sequence of publishes, probes, direct drops, clears, shard
+// outages and explicit MAKE_SPACE calls — one evicting through the
+// publish-order index, one through the retained full scans — and requires
+// the same victims in the same order, the same Victims listings, and equal
+// byte, tenant and arbiter counters after every step.
+func TestVictimOrderMatchesReferenceScan(t *testing.T) {
+	for seed := int64(1); seed <= 24; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		shards := 1 + rng.Intn(8)
+		tenants := make([]string, 1+rng.Intn(6))
+		for i := range tenants {
+			tenants[i] = fmt.Sprintf("t%d", i)
+		}
+		conf := SharedConfig{Shards: shards, TenantBudget: int64(1+rng.Intn(4)) << 10}
+		if seed%2 == 0 {
+			conf.Budget = conf.TenantBudget * int64(len(tenants)) // tenant budgets fit: global path idle
+		} else {
+			conf.Budget = conf.TenantBudget * int64(len(tenants)) / 2 // overcommitted
+			if conf.Budget < conf.TenantBudget {
+				conf.Budget = conf.TenantBudget
+			}
+		}
+		t.Run(fmt.Sprintf("seed%d_%dshards_%dtenants", seed, shards, len(tenants)), func(t *testing.T) {
+			idx, ref := NewSharedCache(conf), NewSharedCache(conf)
+			withReferenceEviction(ref, tenants)
+			for _, tn := range tenants {
+				idx.account(tn) // the same accounts, and pool rows, on both sides from the start
+			}
+			var idxLog, refLog dropLog
+			watchDrops(idx, &idxLog)
+			watchDrops(ref, &refLog)
+
+			leaf := lineage.NewLeaf("read", "X")
+			item := func(i int) *lineage.Item {
+				return lineage.NewItem("op", "", leaf, lineage.NewLeaf("lit", fmt.Sprint(i)))
+			}
+			type published struct {
+				item *lineage.Item
+				sig  uint64
+			}
+			var live []published
+			both := func(f func(s *SharedCache)) { f(idx); f(ref) }
+			for step := 0; step < 400; step++ {
+				tn := tenants[rng.Intn(len(tenants))]
+				switch op := rng.Intn(100); {
+				case op < 62: // publish, mostly new keys, sometimes one seen before
+					p := published{item(step), uint64(1 + rng.Intn(3))}
+					if len(live) > 0 && rng.Intn(8) == 0 {
+						p = live[rng.Intn(len(live))]
+					}
+					m := data.New(1+rng.Intn(48), 4) // 32 B .. 1.5 KB: some exceed a 1 KB tenant budget
+					cost := rng.Float64()
+					var stored [2]bool
+					for i, s := range []*SharedCache{idx, ref} {
+						_, stored[i] = s.Publish(tn, p.item, p.sig, m, cost)
+					}
+					if stored[0] != stored[1] {
+						t.Fatalf("step %d: publish stored %v with the index, %v with the scan", step, stored[0], stored[1])
+					}
+					live = append(live, p)
+				case op < 80:
+					if len(live) == 0 {
+						continue
+					}
+					p := live[rng.Intn(len(live))]
+					var hit [2]bool
+					for i, s := range []*SharedCache{idx, ref} {
+						_, _, _, hit[i] = s.Probe(tn, p.item, p.sig)
+					}
+					if hit[0] != hit[1] {
+						t.Fatalf("step %d: probe hit %v with the index, %v with the scan", step, hit[0], hit[1])
+					}
+				case op < 88: // an entry leaves without the evictor choosing it
+					if len(live) == 0 {
+						continue
+					}
+					p := live[rng.Intn(len(live))]
+					both(func(s *SharedCache) {
+						key := shareKey(p.item, p.sig)
+						sh := s.shardFor(key)
+						sh.mu.Lock()
+						sh.cache.DropItem(key)
+						sh.mu.Unlock()
+					})
+				case op < 94: // explicit MAKE_SPACE on the global or a tenant pool
+					pool, need := GlobalPoolName, int64(1+rng.Intn(2048))
+					if rng.Intn(2) == 0 {
+						pool = TenantPoolName(tn)
+					}
+					both(func(s *SharedCache) { s.account(tn); s.arb.MakeSpace(pool, need) })
+				case op < 98:
+					shard, on := rng.Intn(shards), rng.Intn(2) == 0
+					both(func(s *SharedCache) { s.SetShardEnabled(shard, on) })
+				default:
+					both(func(s *SharedCache) { s.Clear() })
+					watchDrops(idx, &idxLog)
+					watchDrops(ref, &refLog)
+				}
+
+				if !reflect.DeepEqual(idxLog.keys, refLog.keys) {
+					t.Fatalf("step %d: victim sequences diverge:\n index %v\n scan  %v", step, idxLog.keys, refLog.keys)
+				}
+				if a, b := idx.StatsSnapshot(), ref.StatsSnapshot(); !reflect.DeepEqual(a, b) {
+					t.Fatalf("step %d: stats diverge:\n index %+v\n scan  %+v", step, a, b)
+				}
+				checkIndex(t, idx, true)
+				if step%16 == 0 {
+					for _, max := range []int{-1, 0, 1, 3, 1000} {
+						for _, acct := range append([]*tenantAccount{nil}, idx.account(tn)) {
+							got, want := idx.victimsByAge(acct, max), refVictimsByAge(idx, acct, max)
+							if len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+								t.Fatalf("step %d: Victims(%d) from the index %v, from the scan %v", step, max, got, want)
+							}
+						}
+					}
+				}
+			}
+			if len(idxLog.keys) == 0 {
+				t.Fatal("the sequence evicted nothing")
+			}
+		})
+	}
+}
+
+// TestIndexInvariantsUnderConcurrency races publishers of several tenants
+// (overcommitted, so both the tenant and the global order evict) against
+// probers, direct drops and shard outages, and checks the index once they
+// are done. With clears in the mix a Clear can interleave with a publisher's
+// byte accounting, so that variant checks the lists alone.
+func TestIndexInvariantsUnderConcurrency(t *testing.T) {
+	for _, withClear := range []bool{false, true} {
+		t.Run(fmt.Sprintf("clear=%v", withClear), func(t *testing.T) {
+			const tenants, perTenant = 4, 400
+			s := NewSharedCache(SharedConfig{Shards: 4, Budget: 12 << 10, TenantBudget: 4 << 10})
+			leaf := lineage.NewLeaf("read", "X")
+			item := func(i int) *lineage.Item {
+				return lineage.NewItem("op", "", leaf, lineage.NewLeaf("lit", fmt.Sprint(i)))
+			}
+			m := data.New(16, 4) // 512 B
+			var wg sync.WaitGroup
+			for tn := 0; tn < tenants; tn++ {
+				// Two publishers per tenant, so ticks of one tenant are drawn
+				// concurrently too.
+				for half := 0; half < 2; half++ {
+					wg.Add(1)
+					go func(tn, half int) {
+						defer wg.Done()
+						name := fmt.Sprintf("t%d", tn)
+						for i := half; i < perTenant; i += 2 {
+							s.Publish(name, item(i), uint64(tn+1), m, 1e-3)
+							s.Probe(name, item(i/2), uint64((tn+1)%tenants+1))
+						}
+					}(tn, half)
+				}
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < perTenant; i++ {
+					key := shareKey(item(i), uint64(i%tenants+1))
+					sh := s.shardFor(key)
+					sh.mu.Lock()
+					sh.cache.DropItem(key)
+					sh.mu.Unlock()
+					s.SetShardEnabled(i%4, i%8 < 6)
+					if withClear && i%64 == 63 {
+						s.Clear()
+					}
+				}
+			}()
+			wg.Wait()
+			checkIndex(t, s, !withClear)
+			if st := s.StatsSnapshot(); st.Evictions == 0 || st.Puts == 0 {
+				t.Fatalf("nothing happened: %d puts, %d evictions", st.Puts, st.Evictions)
+			}
+		})
+	}
+}
