@@ -7,6 +7,20 @@ import (
 	"memphis/internal/ir"
 )
 
+// RewriteProgram applies full MEMPHIS's program-level rewrites — AutoTune,
+// InjectLoopCheckpoints, InjectEvictions — the first time it sees a program
+// and marks it Rewritten: the rewrites edit the block lists in place and are
+// not idempotent, and a program may reach several sessions and servers.
+func RewriteProgram(p *ir.Program) {
+	if p.Rewritten {
+		return
+	}
+	AutoTune(p)
+	InjectLoopCheckpoints(p)
+	InjectEvictions(p)
+	p.Rewritten = true
+}
+
 // AutoTune implements the automatic parameter tuning rewrite (§5.2,
 // Figure 10): it recursively traverses program blocks, analyzes which
 // statements are loop-iteration-dependent (not reusable), and stores a

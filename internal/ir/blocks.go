@@ -76,17 +76,32 @@ type Function struct {
 // Program is a compiled script: functions plus a main block sequence.
 // Source holds the raw script text when the program came from the DML
 // parser; programs built programmatically leave it empty. It is the
-// primary component of the serving layer's compile-cache program key, so
-// two scripts differing only in whitespace or literals key differently.
-// Rewritten records that the program-level rewrites (parameter tuning,
-// loop checkpoints, eviction injection) have been applied: they edit the
-// block lists in place, so a caller that runs one program many times
-// applies them on the first run only.
+// primary component of the program key, so two scripts differing only in
+// whitespace or literals key differently.
+//
+// A program's statements are immutable once it has run. The program-level
+// rewrites (compiler.RewriteProgram: parameter tuning, loop checkpoints,
+// eviction injection) edit the block lists in place, so they run before the
+// first compile and once per program — Rewritten records that — and nothing
+// edits the blocks afterwards: sessions memoize compile-cache key components
+// by block pointer, and Key is remembered here. One goroutine at a time may
+// prepare (rewrite, key) a program; running it is read-only.
 type Program struct {
 	Funcs     map[string]*Function
 	Main      []Block
 	Source    string
 	Rewritten bool
+
+	key uint64 // Fingerprint() once taken; 0 before
+}
+
+// Key returns Fingerprint(), computed on the first call — which callers make
+// after the rewrites — and remembered beside Rewritten.
+func (p *Program) Key() uint64 {
+	if p.key == 0 {
+		p.key = p.Fingerprint()
+	}
+	return p.key
 }
 
 // NewProgram returns an empty program.

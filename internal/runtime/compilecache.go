@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"memphis/internal/compiler"
 	"memphis/internal/ir"
@@ -16,7 +18,8 @@ import (
 // read-only across concurrent sessions: instructions are never mutated
 // during execution and memplan.Plan's runtime queries (LifetimeAt,
 // SkipCache, NextUse) are read-only, so no further synchronization is
-// needed once a block is published.
+// needed once a block is published. A session holds the block it executes
+// by pointer, so evicting it from a cache mid-run is harmless.
 type CompiledBlock struct {
 	// Insts is the raw compiled stream (before planner rewrites).
 	Insts []compiler.Instruction
@@ -25,37 +28,178 @@ type CompiledBlock struct {
 	Planned []compiler.Instruction
 	// Plan is the memory plan for Planned (nil without a planner).
 	Plan *memplan.Plan
-	// Sig is streamSig(Insts): the session-level plan-record key, so a
-	// session using the compile cache keeps the same per-stream planner
-	// accounting as one compiling from scratch.
+	// Sig is streamSig(Insts): the key of the session's planner report
+	// rows, so blocks that compile to the same stream share one row.
 	Sig uint64
 }
 
-// CompileCache is the cross-session compiled-plan cache interface
-// implemented by the serving layer. Both methods must be safe for
-// concurrent use. StoreCompiled returns the block that ends up resident:
-// under a racing double-compile the first writer wins and later writers
-// adopt the resident block, so every session executes the same object.
+// CompileCache is the seam every basic block passes on its way to the
+// interpreter (BlockCache is the implementation; tests and the benchmark
+// harness substitute recorders). Both methods must be safe for concurrent
+// use. StoreCompiled returns the block that ends up resident: under a
+// racing double-compile the first writer wins and later writers adopt the
+// resident block, so every session executes the same object.
 type CompileCache interface {
 	LookupCompiled(key uint64) (*CompiledBlock, bool)
 	StoreCompiled(key uint64, cb *CompiledBlock) *CompiledBlock
 }
 
-// AttachCompileCache connects the session to a cross-session compiled-plan
-// cache. programKey identifies the program (ir.Program.Fingerprint of the
-// submitted script); it is folded into every block key so textually
-// different scripts never share entries even when individual blocks
-// compile identically.
+// blockShardCap bounds one BlockCache shard; the oldest block of a full
+// shard makes room for a new one (FIFO). Sized so that no program in the
+// tree evicts (the largest compiles a few dozen distinct blocks) while a
+// session fed an endless stream of distinct scripts holds a few MB at most.
+const blockShardCap = 256
+
+// BlockCache is the compile cache: a sharded, bounded map from block key to
+// CompiledBlock. A session owns a one-shard instance by default; the
+// serving layer shares a wider one across all tenants' sessions, so hot
+// programs are compiled, auto-tuned, and memory-planned once. Keys are
+// computed by Context.blockKey as (program key, block structure,
+// read-variable shapes, compiler config, planner config), so entries are
+// never shared across different input shapes or planner budgets.
 //
-// Compilation and planning charge no virtual time, so attaching a compile
-// cache is vtime-neutral: results and per-request virtual latencies are
-// bitwise-identical to the cache-off path.
-func (ctx *Context) AttachCompileCache(cc CompileCache, programKey uint64) {
-	ctx.compCache = cc
-	ctx.progKey = programKey
-	if ctx.bbKeys == nil {
-		ctx.bbKeys = make(map[*ir.BasicBlock]blockKeyParts)
+// Compilation charges no virtual time and is a pure function of the key's
+// components, so a hit, a miss and an eviction are indistinguishable to the
+// program: results and virtual times are bitwise-identical either way.
+type BlockCache struct {
+	shards []blockShard
+
+	// lookups counts LookupCompiled calls and is deterministic for a given
+	// request mix (one lookup per block execution, independent of
+	// interleaving). hits and stores depend on timing: two sessions racing
+	// on a cold key may both miss and compile, with the first store
+	// winning. Deterministic reports therefore derive the hit rate as
+	// 1 - entries/lookups rather than from the raw hit counter.
+	lookups atomic.Int64
+	hits    atomic.Int64
+	stores  atomic.Int64
+}
+
+type blockShard struct {
+	mu sync.RWMutex
+	m  map[uint64]*CompiledBlock
+	// fifo holds the resident keys in insertion order; its capacity is the
+	// shard's bound, and once full it is a ring whose oldest key sits at
+	// next.
+	fifo []uint64
+	next int
+}
+
+// NewBlockCache creates a cache with the given shard count (at least one).
+func NewBlockCache(shards int) *BlockCache {
+	if shards < 1 {
+		shards = 1
 	}
+	c := &BlockCache{shards: make([]blockShard, shards)}
+	for i := range c.shards {
+		c.shards[i].m = make(map[uint64]*CompiledBlock)
+		c.shards[i].fifo = make([]uint64, 0, blockShardCap)
+	}
+	return c
+}
+
+func (c *BlockCache) shard(key uint64) *blockShard {
+	return &c.shards[key%uint64(len(c.shards))]
+}
+
+// LookupCompiled implements CompileCache.
+func (c *BlockCache) LookupCompiled(key uint64) (*CompiledBlock, bool) {
+	c.lookups.Add(1)
+	sh := c.shard(key)
+	sh.mu.RLock()
+	cb, ok := sh.m[key]
+	sh.mu.RUnlock()
+	if ok {
+		c.hits.Add(1)
+	}
+	return cb, ok
+}
+
+// StoreCompiled implements CompileCache: first writer wins, and racing
+// writers adopt the resident block so all sessions execute the same shared
+// object. A full shard drops its oldest block.
+func (c *BlockCache) StoreCompiled(key uint64, cb *CompiledBlock) *CompiledBlock {
+	sh := c.shard(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if prev, ok := sh.m[key]; ok {
+		return prev
+	}
+	if len(sh.fifo) < cap(sh.fifo) {
+		sh.fifo = append(sh.fifo, key)
+	} else {
+		delete(sh.m, sh.fifo[sh.next])
+		sh.fifo[sh.next] = key
+		sh.next = (sh.next + 1) % len(sh.fifo)
+	}
+	sh.m[key] = cb
+	c.stores.Add(1)
+	return cb
+}
+
+// BlockCacheStats is a point-in-time counter snapshot. Entries counts the
+// resident blocks. Lookups and Entries are deterministic for a fixed
+// request mix; Hits and Stores can vary with interleaving (racing cold-key
+// compiles), so deterministic consumers compute HitRate = 1 -
+// Entries/Lookups.
+type BlockCacheStats struct {
+	Lookups int64 `json:"lookups"`
+	Hits    int64 `json:"hits"`
+	Stores  int64 `json:"stores"`
+	Entries int64 `json:"entries"`
+	Shards  int   `json:"shards"`
+}
+
+// StatsSnapshot returns current counters.
+func (c *BlockCache) StatsSnapshot() BlockCacheStats {
+	st := BlockCacheStats{
+		Lookups: c.lookups.Load(),
+		Hits:    c.hits.Load(),
+		Stores:  c.stores.Load(),
+		Shards:  len(c.shards),
+	}
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.RLock()
+		st.Entries += int64(len(sh.m))
+		sh.mu.RUnlock()
+	}
+	return st
+}
+
+// HitRate is the deterministic hit-rate estimate: the fraction of lookups
+// that did not require a distinct compilation. It is exact while nothing
+// has been evicted; afterwards Entries counts only the resident blocks, so
+// evicted blocks and their recompiles go uncounted and the value is an
+// upper bound. Returns 0 with no lookups.
+func (st BlockCacheStats) HitRate() float64 {
+	if st.Lookups == 0 {
+		return 0
+	}
+	return 1 - float64(st.Entries)/float64(st.Lookups)
+}
+
+// AttachCompileCache swaps a shared compile cache in for the session's own;
+// AttachCompileCache(nil, 0) restores the session's own. programKey
+// identifies the program (ir.Program.Key of the submitted script); it is
+// folded into every block key so textually different scripts never share
+// entries of a shared cache even when individual blocks compile identically.
+func (ctx *Context) AttachCompileCache(cc CompileCache, programKey uint64) {
+	ctx.attached = cc
+	ctx.progKey = programKey
+}
+
+// compileCache returns the cache this session's blocks go through: the
+// attached one, else the session's own, created on first use — a served
+// request always runs on the server's cache and never allocates one.
+func (ctx *Context) compileCache() CompileCache {
+	if ctx.attached != nil {
+		return ctx.attached
+	}
+	if ctx.own == nil {
+		ctx.own = NewBlockCache(1)
+	}
+	return ctx.own
 }
 
 // blockKeyParts memoizes the shape-independent components of a block's
@@ -85,6 +229,9 @@ func (ctx *Context) blockKey(bb *ir.BasicBlock) uint64 {
 		}
 		sort.Strings(reads)
 		parts = blockKeyParts{fp: ir.FingerprintBlock(bb), reads: reads}
+		if ctx.bbKeys == nil {
+			ctx.bbKeys = make(map[*ir.BasicBlock]blockKeyParts)
+		}
 		ctx.bbKeys[bb] = parts
 	}
 	h := fnv.New64a()
@@ -98,7 +245,8 @@ func (ctx *Context) blockKey(bb *ir.BasicBlock) uint64 {
 	}
 	// Config.Fold is the deterministic key text (an interface field in the
 	// config would print pointer addresses under %+v); it includes the
-	// calibration epoch/fingerprint when adaptive placement is active.
+	// calibration epoch/fingerprint when adaptive placement is active, which
+	// is what makes an adaptive session recompile after a recalibration.
 	fmt.Fprintf(h, "|cc:%s", ctx.Conf.Compiler.Fold())
 	if ctx.Conf.MemPlan != nil {
 		fmt.Fprintf(h, "|mp:%+v", *ctx.Conf.MemPlan)
@@ -106,12 +254,12 @@ func (ctx *Context) blockKey(bb *ir.BasicBlock) uint64 {
 	return h.Sum64()
 }
 
-// compiledBlock returns the prepared execution unit for a basic block via
-// the attached compile cache, compiling (and planning) on miss. Callers
-// must have ctx.compCache non-nil.
+// compiledBlock returns the prepared execution unit for a basic block from
+// the compile cache, compiling (and planning) on a miss. This is the only
+// place a block is compiled.
 func (ctx *Context) compiledBlock(bb *ir.BasicBlock) *CompiledBlock {
-	key := ctx.blockKey(bb)
-	if cb, hit := ctx.compCache.LookupCompiled(key); hit {
+	cc, key := ctx.compileCache(), ctx.blockKey(bb)
+	if cb, hit := cc.LookupCompiled(key); hit {
 		return cb
 	}
 	insts := compiler.CompileBlock(bb, ctx.shapes(), ctx.Conf.Compiler)
@@ -119,23 +267,5 @@ func (ctx *Context) compiledBlock(bb *ir.BasicBlock) *CompiledBlock {
 	if ctx.Conf.MemPlan != nil {
 		cb.Planned, cb.Plan = memplan.Apply(insts, *ctx.Conf.MemPlan)
 	}
-	return ctx.compCache.StoreCompiled(key, cb)
-}
-
-// planBlockPre is planBlock for a cache-prepared block: the plan and
-// rewritten stream come from the CompiledBlock (planned once at store
-// time), while the session still keeps its own planRecord keyed by the
-// stream signature, so planner reports and eviction attribution are
-// identical to the cache-off path.
-func (ctx *Context) planBlockPre(cb *CompiledBlock) (*memplan.Plan, []compiler.Instruction, *planRecord) {
-	if ctx.planRecs == nil {
-		ctx.planRecs = make(map[uint64]*planRecord)
-	}
-	if rec, ok := ctx.planRecs[cb.Sig]; ok {
-		return rec.plan, rec.insts, rec
-	}
-	rec := &planRecord{seq: len(ctx.planOrder), sig: cb.Sig, plan: cb.Plan, insts: cb.Planned}
-	ctx.planRecs[cb.Sig] = rec
-	ctx.planOrder = append(ctx.planOrder, cb.Sig)
-	return cb.Plan, cb.Planned, rec
+	return cc.StoreCompiled(key, cb)
 }

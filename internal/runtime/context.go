@@ -192,12 +192,18 @@ type Context struct {
 	Shared SharedCache
 	Tenant string
 
-	// compCache is the optional cross-session compiled-plan cache
-	// (AttachCompileCache); progKey identifies the submitted program and
-	// bbKeys memoizes per-block key components.
-	compCache CompileCache
-	progKey   uint64
-	bbKeys    map[*ir.BasicBlock]blockKeyParts
+	// Every basic block reaches the interpreter through a compile cache:
+	// attached (AttachCompileCache, with progKey naming the submitted
+	// program) or, without one, the session's own. bbKeys memoizes per-block
+	// key components and condBBs the block wrapped around each while/if
+	// condition; both are keyed by pointers into prog and dropped when
+	// RunProgram sees a different program, so a long-lived session holds
+	// memos for one program at a time.
+	attached CompileCache
+	own      *BlockCache
+	progKey  uint64
+	bbKeys   map[*ir.BasicBlock]blockKeyParts
+	condBBs  map[*ir.Node]*ir.BasicBlock
 
 	vars map[string]*Value
 	prog *ir.Program
@@ -218,12 +224,13 @@ type Context struct {
 
 	// Memory-planner state: the plan of the currently executing stream,
 	// the current instruction position within it, the soon-reuse window,
-	// and the per-signature plan records (nil without Config.MemPlan).
+	// and the planner report rows by stream signature, also listed in
+	// first-seen order (nil without Config.MemPlan).
 	activePlan *memplan.Plan
 	planPos    int
 	planWindow int
 	planRecs   map[uint64]*planRecord
-	planOrder  []uint64
+	planOrder  []*planRecord
 
 	// arena is the optional pooled buffer arena (Config.Arena); fusedProgs
 	// memoizes parsed fused-instruction step programs by encoding.
@@ -296,8 +303,9 @@ func New(conf Config) *Context {
 	if conf.Adaptive {
 		ctx.cal = costs.NewCalibration(model)
 		ctx.reuse = lineage.NewReuseStats()
-		// The calibration is the compiler's placement estimator; blocks
-		// recompile per execution, so placement tracks the latest epoch.
+		// The calibration is the compiler's placement estimator; its epoch
+		// is part of every block key (Compiler.Fold), so blocks recompile
+		// after a recalibration and placement tracks the latest epoch.
 		ctx.Conf.Compiler.Estimator = ctx.cal
 	}
 	if conf.Faults != nil {
@@ -411,7 +419,7 @@ func (ctx *Context) clearTemps() {
 // Arena exposes the session's buffer arena (nil without Config.Arena).
 func (ctx *Context) Arena() *data.Arena { return ctx.arena }
 
-// shapes snapshots variable shapes for dynamic recompilation.
+// shapes snapshots variable shapes for compiling a block.
 func (ctx *Context) shapes() map[string]ir.Shape {
 	env := make(map[string]ir.Shape, len(ctx.vars))
 	for name, v := range ctx.vars {

@@ -325,9 +325,12 @@ func (ctx *Context) putCP(key *lineage.Item, v *Value, cost float64, delay int, 
 	return ctx.Cache.PutCPLazy(key, v.SizeBytes(), v.host, cost, delay, isFunc)
 }
 
-// execAssign copies a binding (variable-to-variable assignment).
+// execAssign copies a binding (variable-to-variable assignment) or binds a
+// literal. The target always takes the source's lineage — a literal's is a
+// value-carrying leaf — so it never keeps the lineage of what it held before.
 func (ctx *Context) execAssign(inst *compiler.Instruction) error {
-	v, err := ctx.operand(inst.Inputs[0])
+	in := inst.Inputs[0]
+	v, err := ctx.operand(in)
 	if err != nil {
 		return err
 	}
@@ -335,8 +338,12 @@ func (ctx *Context) execAssign(inst *compiler.Instruction) error {
 		ctx.GM.Retain(v.GPU)
 	}
 	ctx.setVar(inst.Output(), v)
-	if ctx.tracing() && !compiler.IsLiteral(inst.Inputs[0]) {
-		ctx.LMap.Bind(inst.Output(), inst.Inputs[0])
+	if ctx.tracing() {
+		if compiler.IsLiteral(in) {
+			ctx.LMap.TraceItem(inst.Output(), lineage.NewLeaf("lit", compiler.LiteralValue(in)))
+		} else {
+			ctx.LMap.Bind(inst.Output(), in)
+		}
 	}
 	return nil
 }

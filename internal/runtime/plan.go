@@ -10,17 +10,13 @@ import (
 	"memphis/internal/memplan"
 )
 
-// planRecord is the runtime's per-stream planning state: one record per
-// distinct compiled stream signature. Because planning is a pure function
-// of the stream and the budget, the record caches the plan and the
-// rewritten stream; repeated executions (loop iterations recompile to the
-// same stream once shapes stabilize) reuse both and accumulate runtime
-// observations.
+// planRecord accumulates what a session observed while running one planned
+// stream; it is a report row, not a cache. Rows are keyed by stream
+// signature, so blocks that compile to the same stream (loop iterations once
+// shapes stabilize) share one. The plan and the stream belong to the
+// CompiledBlock; the row points at the first block seen with its signature.
 type planRecord struct {
-	seq   int
-	sig   uint64
-	plan  *memplan.Plan
-	insts []compiler.Instruction
+	cb *CompiledBlock
 
 	runs          int64
 	evictions     int64 // measured CP evictions attributed to this stream
@@ -52,10 +48,10 @@ type PlanReport struct {
 // streamSig fingerprints a compiled stream: opcode, operands, backend,
 // attrs, and the compile-time shapes. Two blocks that compile identically
 // (the common case across loop iterations) share a signature and therefore
-// a plan. Attrs must be included: ops like slice (r0/r1/c0/c1), sliceRows
-// (n), and dropout (p, seed) carry their semantics only in Attrs, so
-// omitting them would alias differently-parameterized streams onto one
-// cached rewrite.
+// a planner report row. Attrs must be included: ops like slice
+// (r0/r1/c0/c1), sliceRows (n), and dropout (p, seed) carry their semantics
+// only in Attrs, so omitting them would alias differently-parameterized
+// streams onto one row.
 func streamSig(insts []compiler.Instruction) uint64 {
 	h := fnv.New64a()
 	for i := range insts {
@@ -79,22 +75,19 @@ func streamSig(insts []compiler.Instruction) uint64 {
 	return h.Sum64()
 }
 
-// planBlock plans one compiled stream, reusing the record of a previously
-// seen signature. It returns the plan, the (possibly rewritten) stream to
-// execute, and the record accumulating runtime observations.
-func (ctx *Context) planBlock(insts []compiler.Instruction) (*memplan.Plan, []compiler.Instruction, *planRecord) {
-	if ctx.planRecs == nil {
-		ctx.planRecs = make(map[uint64]*planRecord)
+// planRecordFor returns the report row of a planned block, adding one the
+// first time its stream signature is seen.
+func (ctx *Context) planRecordFor(cb *CompiledBlock) *planRecord {
+	rec, ok := ctx.planRecs[cb.Sig]
+	if !ok {
+		if ctx.planRecs == nil {
+			ctx.planRecs = make(map[uint64]*planRecord)
+		}
+		rec = &planRecord{cb: cb}
+		ctx.planRecs[cb.Sig] = rec
+		ctx.planOrder = append(ctx.planOrder, rec)
 	}
-	sig := streamSig(insts)
-	if rec, ok := ctx.planRecs[sig]; ok {
-		return rec.plan, rec.insts, rec
-	}
-	rewritten, plan := memplan.Apply(insts, *ctx.Conf.MemPlan)
-	rec := &planRecord{seq: len(ctx.planOrder), sig: sig, plan: plan, insts: rewritten}
-	ctx.planRecs[sig] = rec
-	ctx.planOrder = append(ctx.planOrder, sig)
-	return plan, rewritten, rec
+	return rec
 }
 
 // predictEvictions adds the planner's minimum-eviction estimate for one run
@@ -102,15 +95,15 @@ func (ctx *Context) planBlock(insts []compiler.Instruction) (*memplan.Plan, []co
 // the remaining CP budget, divided by the mean entry size (a lower bound —
 // actual victim choice can free more or less per eviction).
 func (ctx *Context) predictEvictions(rec *planRecord) {
-	budget := ctx.Cache.Config().CPBudget
-	if budget <= 0 || rec.plan.CacheEntries == 0 {
+	budget, plan := ctx.Cache.Config().CPBudget, rec.cb.Plan
+	if budget <= 0 || plan.CacheEntries == 0 {
 		return
 	}
-	overflow := ctx.Cache.CPUsed() + rec.plan.CacheBytes - budget
+	overflow := ctx.Cache.CPUsed() + plan.CacheBytes - budget
 	if overflow <= 0 {
 		return
 	}
-	mean := rec.plan.CacheBytes / int64(rec.plan.CacheEntries)
+	mean := plan.CacheBytes / int64(plan.CacheEntries)
 	if mean <= 0 {
 		return
 	}
@@ -174,28 +167,28 @@ func (ctx *Context) execFree(inst *compiler.Instruction) error {
 // without an active memory planner.
 func (ctx *Context) PlanReports() []PlanReport {
 	out := make([]PlanReport, 0, len(ctx.planOrder))
-	for _, sig := range ctx.planOrder {
-		rec := ctx.planRecs[sig]
-		stream := make([]string, len(rec.insts))
-		for i := range rec.insts {
-			stream[i] = rec.insts[i].String()
+	for seq, rec := range ctx.planOrder {
+		plan, insts := rec.cb.Plan, rec.cb.Planned
+		stream := make([]string, len(insts))
+		for i := range insts {
+			stream[i] = insts[i].String()
 		}
 		out = append(out, PlanReport{
-			Seq:                rec.seq,
-			Sig:                fmt.Sprintf("%016x", rec.sig),
+			Seq:                seq,
+			Sig:                fmt.Sprintf("%016x", rec.cb.Sig),
 			Runs:               rec.runs,
-			Instructions:       rec.plan.Insts,
-			PeakBytes:          rec.plan.Peak,
-			PeakAt:             rec.plan.PeakAt,
-			Budget:             rec.plan.Budget,
-			Frees:              rec.plan.Frees,
-			Splits:             rec.plan.Splits,
-			NoCache:            rec.plan.NoCache,
+			Instructions:       plan.Insts,
+			PeakBytes:          plan.Peak,
+			PeakAt:             plan.PeakAt,
+			Budget:             plan.Budget,
+			Frees:              plan.Frees,
+			Splits:             plan.Splits,
+			NoCache:            plan.NoCache,
 			PredictedEvictions: rec.predictedEv,
 			Evictions:          rec.evictions,
 			PeakLiveBytes:      rec.peakLiveBytes,
-			Intervals:          rec.plan.Intervals,
-			Profile:            rec.plan.Profile,
+			Intervals:          plan.Intervals,
+			Profile:            plan.Profile,
 			Stream:             stream,
 		})
 	}

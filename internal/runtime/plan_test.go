@@ -10,10 +10,10 @@ import (
 	"memphis/internal/memplan"
 )
 
-// TestStreamSigDistinguishesAttrs guards against planner-cache aliasing:
-// two streams identical except for Attrs (e.g. two slices of the same
-// input with different bounds) must not share a signature, or planBlock
-// would return the first stream's cached rewrite for the second.
+// TestStreamSigDistinguishesAttrs guards against report-row aliasing: two
+// streams identical except for Attrs (e.g. two slices of the same input with
+// different bounds) must not share a signature, or the second stream's runs
+// would be reported under the first one's plan and instruction listing.
 func TestStreamSigDistinguishesAttrs(t *testing.T) {
 	mk := func(r0, r1 string) []compiler.Instruction {
 		return []compiler.Instruction{{
@@ -35,10 +35,10 @@ func TestStreamSigDistinguishesAttrs(t *testing.T) {
 
 // TestPlannerDistinguishesSliceBlocks executes the aliasing scenario end to
 // end: two blocks whose compiled streams are identical — same op, operands,
-// output name, and shapes — except for the slice attrs. The plan cache
-// persists on the context across programs, so with the planner on each
-// block must still run its own stream; a signature collision would replay
-// the first block's slice bounds for the second.
+// output name, and shapes — except for the slice attrs. The session's
+// compile cache persists on the context across programs, so each block must
+// still run its own stream; a block-key collision would replay the first
+// block's slice bounds for the second.
 func TestPlannerDistinguishesSliceBlocks(t *testing.T) {
 	cfg := testConfig(ReuseNone)
 	cfg.MemPlan = &memplan.Config{Budget: 1 << 20}
@@ -60,6 +60,6 @@ func TestPlannerDistinguishesSliceBlocks(t *testing.T) {
 		t.Errorf("sum(X[0:3]) = %g, want 6", got)
 	}
 	if got := run(3, 6); got != 15 {
-		t.Errorf("sum(X[3:6]) = %g, want 15 (signature collision replays the first block's slice)", got)
+		t.Errorf("sum(X[3:6]) = %g, want 15 (a key collision replays the first block's slice)", got)
 	}
 }

@@ -8,13 +8,18 @@ import (
 	"memphis/internal/core"
 	"memphis/internal/ir"
 	"memphis/internal/lineage"
-	"memphis/internal/memplan"
 	"memphis/internal/spark"
 )
 
-// RunProgram interprets a program: every basic block is dynamically
-// recompiled against the current variable sizes, then executed instruction
-// by instruction through the reuse path.
+// RunProgram interprets a program: every basic block is fetched from the
+// compile cache — compiled against the current variable sizes on a miss, so
+// a block is recompiled exactly when the shapes it reads or the compiler
+// configuration change — then executed instruction by instruction through
+// the reuse path.
+//
+// The program's statements must not change once it has run (see ir.Program):
+// the session memoizes per-block key components by block pointer for as long
+// as it keeps running the same program.
 //
 // A Spark stage abort (a task exceeding its attempt limit under fault
 // injection) unwinds the RDD evaluation as an ErrStageAbort panic; it is
@@ -34,7 +39,9 @@ func (ctx *Context) RunProgram(p *ir.Program) (err error) {
 			panic(r)
 		}
 	}()
-	ctx.prog = p
+	if ctx.prog != p {
+		ctx.prog, ctx.bbKeys, ctx.condBBs = p, nil, nil
+	}
 	return ctx.runBlocks(p.Main)
 }
 
@@ -91,40 +98,26 @@ func (ctx *Context) runBlocks(blocks []ir.Block) error {
 	return nil
 }
 
-// runBasicBlock recompiles and executes one basic block, applying the
+// runBasicBlock executes one basic block's compiled stream, applying the
 // block-header reuse parameters (§5.2) and clearing temporaries afterwards.
-// With a memory planner configured, the compiled stream is planned first:
-// the (possibly rewritten) stream executes under the plan, lifetime hints
-// are stamped per position, and measured evictions are attributed back to
-// the stream's record. Plan state is saved and restored around the block
-// because function calls and scalar-condition evaluation recurse here.
+// With a memory planner configured the block carries a plan: the rewritten
+// stream executes under it, lifetime hints are stamped per position, and
+// measured evictions are attributed back to the stream's report row. Plan
+// state is saved and restored around the block because function calls and
+// scalar-condition evaluation recurse here.
 func (ctx *Context) runBasicBlock(bb *ir.BasicBlock) error {
-	var insts []compiler.Instruction
-	var cb *CompiledBlock
-	if ctx.compCache != nil {
-		cb = ctx.compiledBlock(bb)
-		insts = cb.Insts
-	} else {
-		insts = compiler.CompileBlock(bb, ctx.shapes(), ctx.Conf.Compiler)
-	}
+	cb := ctx.compiledBlock(bb)
+	insts := cb.Planned
 	savedPlan, savedPos := ctx.activePlan, ctx.planPos
 	var rec *planRecord
 	var evictBefore int64
-	if ctx.Conf.MemPlan != nil {
-		var plan *memplan.Plan
-		if cb != nil {
-			plan, insts, rec = ctx.planBlockPre(cb)
-		} else {
-			plan, insts, rec = ctx.planBlock(insts)
-		}
-		ctx.activePlan = plan
-		ctx.planPos = 0
+	if cb.Plan != nil {
+		rec = ctx.planRecordFor(cb)
+		ctx.activePlan, ctx.planPos = cb.Plan, 0
 		ctx.Cache.BeginPlanEpoch()
 		ctx.Stats.PlanBlocks++
 		ctx.predictEvictions(rec)
 		evictBefore = ctx.Cache.Stats.EvictionsCP
-	} else if cb != nil {
-		insts = cb.Planned
 	}
 	prevDelay, prevLevel := ctx.delayFactor, ctx.storageLevel
 	ctx.delayFactor = bb.DelayFactor
@@ -150,8 +143,8 @@ func (ctx *Context) runBasicBlock(bb *ir.BasicBlock) error {
 			// Sampling walks every bound variable, so it runs only at the
 			// planner-predicted peak, every 32 instructions, and at block
 			// end — not after every instruction.
-			ctx.activePlan, ctx.planPos = rec.plan, i
-			if i == rec.plan.PeakAt || i == len(insts)-1 || i%32 == 31 {
+			ctx.activePlan, ctx.planPos = cb.Plan, i
+			if i == cb.Plan.PeakAt || i == len(insts)-1 || i%32 == 31 {
 				if lv := ctx.sampleLive(); lv > rec.peakLiveBytes {
 					rec.peakLiveBytes = lv
 				}
@@ -180,9 +173,18 @@ func (ctx *Context) bindLoopVar(name string, val float64) {
 	}
 }
 
-// evalScalar evaluates a scalar condition expression.
+// evalScalar evaluates a scalar condition expression. The block wrapped
+// around a condition is made once per condition node, so every evaluation of
+// a loop condition presents the same block to the key memo.
 func (ctx *Context) evalScalar(cond *ir.Node) (float64, error) {
-	bb := ir.BB(ir.Assign("_cond", cond))
+	bb := ctx.condBBs[cond]
+	if bb == nil {
+		bb = ir.BB(ir.Assign("_cond", cond))
+		if ctx.condBBs == nil {
+			ctx.condBBs = make(map[*ir.Node]*ir.BasicBlock)
+		}
+		ctx.condBBs[cond] = bb
+	}
 	if err := ctx.runBasicBlock(bb); err != nil {
 		return 0, err
 	}

@@ -84,9 +84,20 @@ func TestChaosDeterminism(t *testing.T) {
 	}
 }
 
+// missCompileCache is the reference side of the compile-cache property: it
+// answers every lookup with a miss, so a session attached to it compiles
+// every block on every execution.
+type missCompileCache struct{}
+
+func (missCompileCache) LookupCompiled(uint64) (*runtime.CompiledBlock, bool) { return nil, false }
+func (missCompileCache) StoreCompiled(_ uint64, cb *runtime.CompiledBlock) *runtime.CompiledBlock {
+	return cb
+}
+
 // TestCompileCacheBitwiseProperty is the compile-cache acceptance property:
-// for every (worker count, fault plan) combination, switching the shared
-// compile cache on or off changes neither a single result bit nor a single
+// for every (worker count, fault plan) combination, running on the shared
+// compile cache or compiling every block afresh (a Bind hook attaches the
+// always-miss cache) changes neither a single result bit nor a single
 // virtual latency. Compilation charges no virtual time and compiled streams
 // are pure functions of (program, shapes, config), so cached and uncached
 // executions are indistinguishable to tenants.
@@ -95,15 +106,17 @@ func TestCompileCacheBitwiseProperty(t *testing.T) {
 	run := func(workers int, cache bool, plan *faults.Plan) ([]float64, []*data.Matrix) {
 		conf := DefaultConfig()
 		conf.Workers = workers
-		conf.CompileCache = cache
 		conf.Faults = plan
 		srv := New(conf)
 		defer srv.Close()
 		w := hcvWorkload()
+		opts := SubmitOptions{Inputs: w.HostInputs(), Fetch: []string{"best"}}
+		if !cache {
+			opts.Bind = func(ctx *runtime.Context) { ctx.AttachCompileCache(missCompileCache{}, 0) }
+		}
 		futs := make([]*Future, n)
 		for i := range futs {
-			f, err := srv.Submit(fmt.Sprintf("t%d", i), w.Prog,
-				SubmitOptions{Inputs: w.HostInputs(), Fetch: []string{"best"}})
+			f, err := srv.Submit(fmt.Sprintf("t%d", i), w.Prog, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,6 +131,11 @@ func TestCompileCacheBitwiseProperty(t *testing.T) {
 			}
 			vtimes[i] = res.VirtualSeconds
 			vals[i] = res.Values["best"]
+		}
+		if st := srv.Snapshot().CompileCache; !cache && st.Lookups != 0 {
+			t.Fatalf("workers=%d: the reference side looked up %d blocks in the shared compile cache", workers, st.Lookups)
+		} else if cache && st.Lookups == 0 {
+			t.Fatalf("workers=%d: the cached side never used the shared compile cache", workers)
 		}
 		return vtimes, vals
 	}

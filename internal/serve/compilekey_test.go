@@ -58,15 +58,20 @@ func TestProgramKeySeparation(t *testing.T) {
 		t.Error("literal difference must change the structural fingerprint")
 	}
 
-	// The server memoizes per program object and keys equal sources
-	// equally across distinct objects.
+	// The server prepares (rewrites, keys) each program object once and
+	// keys equal sources equally across distinct objects.
 	srv := New(DefaultConfig())
 	defer srv.Close()
+	first := parse(base)
 	srv.mu.Lock()
-	k1 := srv.progKeyLocked(parse(base))
-	k2 := srv.progKeyLocked(parse(base))
-	k3 := srv.progKeyLocked(parse("z = 9\n"))
+	k1 := srv.prepareLocked(first)
+	k2 := srv.prepareLocked(parse(base))
+	k3 := srv.prepareLocked(parse("z = 9\n"))
+	again := srv.prepareLocked(first)
 	srv.mu.Unlock()
+	if !first.Rewritten || again != k1 {
+		t.Errorf("preparing a program twice: Rewritten=%v, keys %016x then %016x", first.Rewritten, k1, again)
+	}
 	if k1 != k2 {
 		t.Error("equal sources must yield equal program keys across objects")
 	}

@@ -82,16 +82,6 @@ type Config struct {
 	// so sessions recompute instead of failing.
 	DisabledShards []int
 
-	// CompileCache shares compiled (and memory-planned) instruction streams
-	// across all sessions: hot programs compile once per (program, shapes,
-	// compiler config, planner config) key and are reused read-only by every
-	// tenant. Compilation charges no virtual time, so results and virtual
-	// latencies are bitwise-identical with the cache on or off. Enabled by
-	// DefaultConfig.
-	CompileCache bool
-	// CompileShards is the compile cache's shard count (default 16).
-	CompileShards int
-
 	// Coalesce enables batched admission: a submission that resolves to the
 	// same compiled plan as a recent one — same program fingerprint, same
 	// input contents, same fetch set, no Bind hook — joins that request's
@@ -131,7 +121,6 @@ func DefaultConfig() Config {
 		Rewrite:      true,
 		MaxRetries:   2,
 		RetryBackoff: 0.05,
-		CompileCache: true,
 	}
 }
 
@@ -265,11 +254,26 @@ func (f *Future) Wait() (*Result, error) {
 // Cancel never leaks the waiter: Done is closed on every path.
 func (f *Future) Cancel() { f.req.srv.cancel(f.req) }
 
+// CompileCache is the server-wide compile cache: runtime.BlockCache, the one
+// compile-cache type, sharded so that every tenant's session can compile
+// through one instance. NewCompileCache and CompileCacheStats are re-exports
+// for the monitoring surface.
+type (
+	CompileCache      = runtime.BlockCache
+	CompileCacheStats = runtime.BlockCacheStats
+)
+
+// compileShards is the server cache's lock-shard count.
+const compileShards = 16
+
+// NewCompileCache creates a compile cache with the given shard count.
+func NewCompileCache(shards int) *CompileCache { return runtime.NewBlockCache(shards) }
+
 // Server owns the shared cache, the request queue, and the worker pool.
 type Server struct {
 	conf   Config
 	shared *SharedCache
-	cc     *CompileCache // nil when Config.CompileCache is off
+	cc     *CompileCache // every request session compiles through it
 	model  *costs.Model  // coalesce fan-out copy charges
 
 	mu           sync.Mutex
@@ -282,8 +286,6 @@ type Server struct {
 	tenantLoad   map[string]int  // queued+running per tenant (admission)
 	service      map[string]float64
 	weight       map[string]float64
-	rewritten    map[*ir.Program]struct{}
-	progKeys     map[*ir.Program]uint64
 	groups       map[uint64]*coalesceGroup // coalesce key -> latest group
 	groupOrder   []groupRef                // every group put in groups, by leader ticket
 	nextTicket   uint64
@@ -340,20 +342,16 @@ func New(conf Config) *Server {
 	s := &Server{
 		conf:         conf,
 		shared:       NewSharedCache(conf.Shared),
+		cc:           NewCompileCache(compileShards),
 		model:        model,
 		running:      make(map[uint64]int),
 		tenantActive: make(map[string]bool),
 		tenantLoad:   make(map[string]int),
 		service:      make(map[string]float64),
 		weight:       make(map[string]float64),
-		rewritten:    make(map[*ir.Program]struct{}),
-		progKeys:     make(map[*ir.Program]uint64),
 		groups:       make(map[uint64]*coalesceGroup),
 		faultCounts:  make(map[string]int64),
 		start:        time.Now(),
-	}
-	if conf.CompileCache {
-		s.cc = NewCompileCache(conf.CompileShards)
 	}
 	for _, idx := range conf.DisabledShards {
 		s.shared.SetShardEnabled(idx, false)
@@ -417,32 +415,18 @@ func hashInputs(inputs map[string]*data.Matrix) hashedInputs {
 	return in
 }
 
-// rewriteLocked applies MEMPHIS's program-level rewrites exactly once per
-// program object, before any worker can run it (the rewrites mutate the
-// ir.Program and are not idempotent). Caller holds s.mu.
-func (s *Server) rewriteLocked(prog *ir.Program) {
+// prepareLocked applies MEMPHIS's program-level rewrites (once per program
+// object, before any worker can run it) and returns the program key. The key
+// is taken after the rewrites: source-backed programs key on their raw text,
+// but programmatically built ones key on post-rewrite structure, and
+// same-structure programs rewrite identically, so equal sources always yield
+// equal keys. Both are remembered on the program itself; the caller holds
+// s.mu, which orders concurrent submissions of one program.
+func (s *Server) prepareLocked(prog *ir.Program) uint64 {
 	if s.conf.Rewrite && s.conf.Runtime.Mode == runtime.ReuseMemphis {
-		if _, done := s.rewritten[prog]; !done {
-			compiler.AutoTune(prog)
-			compiler.InjectLoopCheckpoints(prog)
-			compiler.InjectEvictions(prog)
-			s.rewritten[prog] = struct{}{}
-		}
+		compiler.RewriteProgram(prog)
 	}
-}
-
-// progKeyLocked memoizes the program fingerprint per program object. It
-// must run after rewriteLocked: source-backed programs key on their raw
-// text, but programmatically built ones key on post-rewrite structure, and
-// same-structure programs rewrite identically, so equal sources always
-// yield equal keys. Caller holds s.mu.
-func (s *Server) progKeyLocked(prog *ir.Program) uint64 {
-	if k, ok := s.progKeys[prog]; ok {
-		return k
-	}
-	k := prog.Fingerprint()
-	s.progKeys[prog] = k
-	return k
+	return prog.Key()
 }
 
 // coalesceKey identifies a coalesce group: the program fingerprint, the
@@ -494,11 +478,8 @@ func (s *Server) Submit(tenant string, prog *ir.Program, opts SubmitOptions) (*F
 		return nil, ErrClosed
 	}
 	canCoalesce := s.conf.Coalesce && opts.Bind == nil && !opts.NoCoalesce
-	var progKey, coalKey uint64
-	if canCoalesce || s.cc != nil {
-		s.rewriteLocked(prog)
-		progKey = s.progKeyLocked(prog)
-	}
+	progKey := s.prepareLocked(prog)
+	var coalKey uint64
 	if canCoalesce {
 		s.pruneGroupsLocked()
 		coalKey = coalesceKey(progKey, in.keys, opts.Fetch)
@@ -552,10 +533,6 @@ func (s *Server) Submit(tenant string, prog *ir.Program, opts SubmitOptions) (*F
 	if s.tenantLoad[tenant] >= s.conf.MaxPerTenant {
 		s.rejected++
 		return nil, ErrTenantLimit
-	}
-	s.rewriteLocked(prog)
-	if s.cc != nil {
-		progKey = s.progKeyLocked(prog)
 	}
 	w := opts.Weight
 	if w <= 0 {
@@ -953,9 +930,7 @@ func (s *Server) runAttempt(req *request, attempt int) (res *Result, err error) 
 		}
 	}()
 	ctx.AttachShared(s.shared, req.tenant)
-	if s.cc != nil {
-		ctx.AttachCompileCache(s.cc, req.progKey)
-	}
+	ctx.AttachCompileCache(s.cc, req.progKey)
 	for i, n := range req.in.names {
 		ctx.BindHostFingerprinted(n, req.opts.Inputs[n], req.in.sums[i])
 	}
@@ -1048,10 +1023,8 @@ func (s *Server) Snapshot() Snapshot {
 		snap.Throughput = float64(snap.Completed) / snap.WallSeconds
 	}
 	snap.Shared = s.shared.StatsSnapshot()
-	if s.cc != nil {
-		st := s.cc.StatsSnapshot()
-		snap.CompileCache = &st
-	}
+	st := s.cc.StatsSnapshot()
+	snap.CompileCache = &st
 	return snap
 }
 

@@ -255,11 +255,9 @@ func RunTraffic(conf Config, tc TrafficConfig) (*TrafficReport, error) {
 	if snap.Shared.Probes > 0 {
 		rep.SharedHitRatio = float64(snap.Shared.Hits) / float64(snap.Shared.Probes)
 	}
-	if snap.CompileCache != nil {
-		rep.CompileCacheLookups = snap.CompileCache.Lookups
-		rep.CompileCacheEntries = snap.CompileCache.Entries
-		rep.CompileCacheHitRate = snap.CompileCache.HitRate()
-	}
+	rep.CompileCacheLookups = snap.CompileCache.Lookups
+	rep.CompileCacheEntries = snap.CompileCache.Entries
+	rep.CompileCacheHitRate = snap.CompileCache.HitRate()
 	trafficSimulate(tc, service, copyCost, rep)
 	return rep, nil
 }
@@ -272,7 +270,6 @@ func RunTraffic(conf Config, tc TrafficConfig) (*TrafficReport, error) {
 // the server's final snapshot.
 func trafficMeasure(conf Config, tc TrafficConfig) (service, copyCost []float64, snap Snapshot, failed int64, err error) {
 	conf.Coalesce = true
-	conf.CompileCache = true
 	conf.Faults = nil
 	conf.Deadline = 0
 	conf.ShedThreshold = 0

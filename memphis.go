@@ -64,18 +64,14 @@ const (
 type Options struct {
 	Reuse Reuse
 
-	// EnableGPU adds the simulated accelerator; GPUCapacity defaults to
-	// 48 MB (the paper's 48 GB at 1/1000 scale).
-	EnableGPU   bool
-	GPUCapacity int64
+	// EnableGPU adds the simulated accelerator; MemoryBudgets.GPU sizes it
+	// (default 48 MB, the paper's 48 GB at 1/1000 scale).
+	EnableGPU bool
 
 	// OpMemBudget is the operation memory: operators with larger
 	// estimates compile to distributed Spark instructions. Defaults to
 	// 7 MB ("7 GB" at scale).
 	OpMemBudget int64
-
-	// CacheBudget is the driver lineage cache size (default 5 MB).
-	CacheBudget int64
 
 	// DisableAsync turns off the prefetch/broadcast operators and
 	// MAXPARALLELIZE ordering that ReuseFull enables by default (MPH-NA).
@@ -95,18 +91,12 @@ type Options struct {
 	FaultPlan *FaultPlan
 
 	// MemoryBudgets sets explicit per-pool byte budgets for the unified
-	// memory arbiter. Zero fields keep the defaults. Budget precedence
-	// (validated by Options.Validate, which New applies):
-	//
-	//   - CP pool: MemoryBudgets.CP wins over CacheBudget. Setting both to
-	//     different values is a configuration error.
-	//   - GPU pool: MemoryBudgets.GPU wins over GPUCapacity. Setting both
-	//     to different values is a configuration error.
-	//   - Spark: OpMemBudget is the compiler's CP-vs-Spark placement
-	//     threshold, NOT a storage budget; MemoryBudgets.Spark sizes the
-	//     cluster storage region. An OpMemBudget larger than
-	//     MemoryBudgets.Spark is a configuration error (operators placed
-	//     locally up to OpMemBudget bytes could never be checkpointed).
+	// memory arbiter. Zero fields keep the defaults. OpMemBudget is the
+	// compiler's CP-vs-Spark placement threshold, NOT a storage budget;
+	// MemoryBudgets.Spark sizes the cluster storage region. An OpMemBudget
+	// larger than MemoryBudgets.Spark is a configuration error (operators
+	// placed locally up to OpMemBudget bytes could never be checkpointed),
+	// reported by Options.Validate, which New applies.
 	MemoryBudgets MemoryBudgets
 
 	// Fusion enables the compile-time elementwise fusion pass: maximal
@@ -147,7 +137,7 @@ type Options struct {
 	// compiled stream, lifetime hints for the arbiter's victim selection,
 	// and budget-bounding rewrites (early frees, row-panel matmul splits,
 	// cache-vs-recompute flips). The planning budget is the CP cache
-	// budget (MemoryBudgets.CP, else CacheBudget, else the default).
+	// budget (MemoryBudgets.CP, else the default).
 	// Numeric results are bitwise-identical with the planner on or off.
 	MemoryPlanner bool
 }
@@ -185,18 +175,10 @@ type FaultPlan = faults.Plan
 // that every recovery path absorbs without failing a run.
 func DefaultFaultPlan(seed int64) *FaultPlan { return faults.Default(seed) }
 
-// Validate checks the Options for conflicting budget settings, returning a
+// Validate checks the Options for conflicting settings, returning a
 // descriptive error for the first conflict found. New applies it and defers
 // the error to Run/Lookup; call it directly to fail fast.
 func (o Options) Validate() error {
-	if o.CacheBudget > 0 && o.MemoryBudgets.CP > 0 && o.CacheBudget != o.MemoryBudgets.CP {
-		return fmt.Errorf("memphis: CacheBudget (%d) and MemoryBudgets.CP (%d) are both set but differ; set one, or set both equal (MemoryBudgets.CP takes precedence)",
-			o.CacheBudget, o.MemoryBudgets.CP)
-	}
-	if o.GPUCapacity > 0 && o.MemoryBudgets.GPU > 0 && o.GPUCapacity != o.MemoryBudgets.GPU {
-		return fmt.Errorf("memphis: GPUCapacity (%d) and MemoryBudgets.GPU (%d) are both set but differ; set one, or set both equal (MemoryBudgets.GPU takes precedence)",
-			o.GPUCapacity, o.MemoryBudgets.GPU)
-	}
 	if o.OpMemBudget > 0 && o.MemoryBudgets.Spark > 0 && o.OpMemBudget > o.MemoryBudgets.Spark {
 		return fmt.Errorf("memphis: OpMemBudget (%d) exceeds MemoryBudgets.Spark (%d); operators compiled locally under OpMemBudget could never fit the cluster storage region",
 			o.OpMemBudget, o.MemoryBudgets.Spark)
@@ -230,9 +212,6 @@ func runtimeConfig(opts Options) runtime.Config {
 	}
 	comp.GPUEnabled = opts.EnableGPU
 	cache := core.DefaultConfig()
-	if opts.CacheBudget > 0 {
-		cache.CPBudget = opts.CacheBudget
-	}
 	if opts.MemoryBudgets.CP > 0 {
 		cache.CPBudget = opts.MemoryBudgets.CP
 	}
@@ -262,11 +241,8 @@ func runtimeConfig(opts Options) runtime.Config {
 	gcap := int64(0)
 	pol := gpu.PolicyNone
 	if opts.EnableGPU {
-		gcap = opts.GPUCapacity
-		if opts.MemoryBudgets.GPU > 0 {
-			gcap = opts.MemoryBudgets.GPU
-		}
-		if gcap == 0 {
+		gcap = opts.MemoryBudgets.GPU
+		if gcap <= 0 {
 			gcap = 48 << 20
 		}
 		if opts.Reuse == ReuseFull || opts.Reuse == ReuseFine {
@@ -312,18 +288,18 @@ func (s *Session) Bind(name string, m *Matrix) { s.ctx.BindHost(name, m) }
 
 // Run compiles and executes a program, applying MEMPHIS's program-level
 // rewrites (checkpoint placement, delay-factor tuning, eviction injection)
-// when full reuse is enabled. Programs may be run repeatedly; the rewrites
-// edit the program in place and are applied on its first run only, and the
-// lineage cache persists across runs within the session.
+// when full reuse is enabled. Programs may be run repeatedly: the rewrites
+// edit the program in place and are applied once per program (whichever
+// session or server sees it first), compiled blocks are kept in the session's
+// compile cache and recompiled only when the shapes they read change, and the
+// lineage cache persists across runs within the session. Do not edit a
+// program's blocks after its first Run or Submit (see ir.Program).
 func (s *Session) Run(p *ir.Program) error {
 	if s.optErr != nil {
 		return s.optErr
 	}
-	if s.opts.Reuse == ReuseFull && !p.Rewritten {
-		compiler.AutoTune(p)
-		compiler.InjectLoopCheckpoints(p)
-		compiler.InjectEvictions(p)
-		p.Rewritten = true
+	if s.opts.Reuse == ReuseFull {
+		compiler.RewriteProgram(p)
 	}
 	return s.ctx.RunProgram(p)
 }
@@ -523,13 +499,6 @@ type ServerOptions struct {
 	// serve.ErrOverloaded once the queue reaches this depth.
 	ShedThreshold int
 
-	// DisableCompileCache turns off the cross-tenant compiled-plan cache
-	// (on by default: hot programs compile, auto-tune, and memory-plan
-	// once per (program, shapes, config) key and are reused read-only by
-	// every session; results and virtual latencies are unaffected).
-	// CompileShards sizes its lock-shard count (default 16).
-	DisableCompileCache bool
-	CompileShards       int
 	// Coalesce enables batched admission: submissions resolving to the
 	// same compiled plan over the same inputs and fetch set join the
 	// in-flight request's coalesce group — one execution fans out
@@ -592,10 +561,6 @@ func NewServer(opts ServerOptions) *Server {
 	}
 	conf.ShedThreshold = opts.ShedThreshold
 	conf.DisabledShards = opts.DisabledShards
-	conf.CompileCache = !opts.DisableCompileCache
-	if opts.CompileShards > 0 {
-		conf.CompileShards = opts.CompileShards
-	}
 	conf.Coalesce = opts.Coalesce
 	if opts.CoalesceWindow > 0 {
 		conf.CoalesceWindow = opts.CoalesceWindow

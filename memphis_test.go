@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"memphis/internal/data"
+	"memphis/internal/dml"
 	"memphis/internal/faults"
 	"memphis/internal/ir"
 )
@@ -340,18 +341,23 @@ func TestMemoryBudgetsAndStats(t *testing.T) {
 
 // TestSessionRunRewritesOnce is the regression test for re-running one
 // program: the program-level rewrites edit the block lists in place, so
-// they must be applied on the first Run only. Before the fix every Run
-// appended one more checkpoint block per loop.
+// they must be applied once per program. Before the first fix every Run
+// appended one more checkpoint block per loop; before the second, a program
+// that went through both Session.Run and Server.Submit, in either order, was
+// rewritten by each.
 func TestSessionRunRewritesOnce(t *testing.T) {
-	p := ir.NewProgram()
-	p.Main = []ir.Block{
-		ir.BB(ir.Assign("w", ir.Var("w0"))),
-		ir.ForRange("it", 3, ir.BB(
-			ir.Assign("g", ir.MatMul(ir.T(ir.Var("X")), ir.Sub(ir.MatMul(ir.Var("X"), ir.Var("w")), ir.Var("y")))),
-			ir.Assign("w", ir.Sub(ir.Var("w"), ir.Mul(ir.Var("g"), ir.Lit(0.001)))),
-		)),
+	mk := func() *ir.Program {
+		p := ir.NewProgram()
+		p.Main = []ir.Block{
+			ir.BB(ir.Assign("w", ir.Var("w0"))),
+			ir.ForRange("it", 3, ir.BB(
+				ir.Assign("g", ir.MatMul(ir.T(ir.Var("X")), ir.Sub(ir.MatMul(ir.Var("X"), ir.Var("w")), ir.Var("y")))),
+				ir.Assign("w", ir.Sub(ir.Var("w"), ir.Mul(ir.Var("g"), ir.Lit(0.001)))),
+			)),
+		}
+		return p
 	}
-	shape := func() (blocks, stmts int) {
+	shape := func(p *ir.Program) (blocks, stmts int) {
 		ir.Walk(p.Main, func(b ir.Block) {
 			blocks++
 			if bb, ok := b.(*ir.BasicBlock); ok {
@@ -360,14 +366,15 @@ func TestSessionRunRewritesOnce(t *testing.T) {
 		})
 		return
 	}
+	p := mk()
 	s := New(Options{Reuse: ReuseFull})
 	defer s.Close()
-	bindInputs(s)
+	x, y := bindInputs(s)
 	s.Bind("w0", data.Zeros(8, 1))
 	if err := s.Run(p); err != nil {
 		t.Fatal(err)
 	}
-	blocks, stmts := shape()
+	blocks, stmts := shape(p)
 	if blocks != 4 {
 		t.Fatalf("first run left %d blocks, want 4 (init, loop, body, one checkpoint block)", blocks)
 	}
@@ -378,7 +385,7 @@ func TestSessionRunRewritesOnce(t *testing.T) {
 		if err := s.Run(p); err != nil {
 			t.Fatal(err)
 		}
-		if b, st := shape(); b != blocks || st != stmts {
+		if b, st := shape(p); b != blocks || st != stmts {
 			t.Fatalf("run %d grew the program: %d blocks / %d statements, want %d / %d", run, b, st, blocks, stmts)
 		}
 		now := s.Stats().Instructions
@@ -391,5 +398,79 @@ func TestSessionRunRewritesOnce(t *testing.T) {
 	}
 	if !data.AllClose(s.Value("w"), want, 0) {
 		t.Fatal("re-running the program changed its result")
+	}
+
+	// The same program through a server, after the session and before it.
+	srv := NewServer(ServerOptions{Options: Options{Reuse: ReuseFull}})
+	defer srv.Close()
+	submit := func(p *ir.Program) {
+		t.Helper()
+		f, err := srv.Submit("t", p, SubmitOptions{
+			Inputs: map[string]*Matrix{"X": x, "y": y, "w0": data.Zeros(8, 1)},
+			Fetch:  []string{"w"},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := f.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !data.AllClose(res.Values["w"], want, 0) {
+			t.Fatal("served run differs from the session's")
+		}
+	}
+	submit(p)
+	if b, st := shape(p); b != blocks || st != stmts {
+		t.Fatalf("Submit after Run rewrote the program again: %d blocks / %d statements, want %d / %d", b, st, blocks, stmts)
+	}
+	q := mk()
+	submit(q)
+	if b, st := shape(q); b != blocks || st != stmts {
+		t.Fatalf("Submit left %d blocks / %d statements, want %d / %d", b, st, blocks, stmts)
+	}
+	if err := s.Run(q); err != nil {
+		t.Fatal(err)
+	}
+	if b, st := shape(q); b != blocks || st != stmts {
+		t.Fatalf("Run after Submit rewrote the program again: %d blocks / %d statements, want %d / %d", b, st, blocks, stmts)
+	}
+}
+
+// TestLiteralReassignment is the regression test for stale lineage on a
+// literal assignment: r = 3 must give r the lineage of the literal 3, not
+// leave the leaf it carried as r = 2, or sum(X*r) after the reassignment is
+// served from the cache with the value computed before it.
+func TestLiteralReassignment(t *testing.T) {
+	const src = `r = 2
+for (i in [1]) {
+    a = sum(X * r)
+}
+r = 3
+for (i in [1]) {
+    b = sum(X * r)
+}
+`
+	run := func(reuse Reuse) (a, b float64) {
+		p, err := dml.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := New(Options{Reuse: reuse})
+		defer s.Close()
+		bindInputs(s)
+		if err := s.Run(p); err != nil {
+			t.Fatal(err)
+		}
+		return s.Value("a").ScalarValue(), s.Value("b").ScalarValue()
+	}
+	wantA, wantB := run(ReuseOff)
+	if wantA == wantB {
+		t.Fatal("test is vacuous: a == b without reuse")
+	}
+	for _, reuse := range []Reuse{ReuseLocal, ReuseFine, ReuseFull} {
+		if a, b := run(reuse); a != wantA || b != wantB {
+			t.Errorf("reuse=%d: a, b = %v, %v, want %v, %v", reuse, a, b, wantA, wantB)
+		}
 	}
 }
