@@ -16,6 +16,9 @@
 //
 // Delayed caching (§5.2) defers object storage until the n-th repetition of
 // an operation using TO-BE-CACHED placeholder entries.
+//
+// A Cache is one session's cache, charged to that session's clock; the
+// serving layer's cross-tenant level (internal/serve) keeps its own entries.
 package core
 
 import (
@@ -211,11 +214,6 @@ type Cache struct {
 	// pendingMat are futures of asynchronous materialization jobs.
 	pendingMat []*vtime.Future
 
-	// onDrop, when set, observes every entry leaving the cache (eviction,
-	// invalidation, or explicit drop). The serving layer uses it to keep
-	// per-tenant usage accounting in sync with the entry map.
-	onDrop func(*Entry)
-
 	// inj injects deterministic spill I/O errors; nil means none.
 	inj *faults.Injector
 
@@ -375,24 +373,6 @@ func (c *Cache) removeEntry(e *Entry) {
 	} else {
 		c.entries[h] = chain
 	}
-	if c.onDrop != nil {
-		c.onDrop(e)
-	}
-}
-
-// SetOnDrop installs the entry-removal observer.
-func (c *Cache) SetOnDrop(f func(*Entry)) { c.onDrop = f }
-
-// DropItem removes the entry keyed by item, releasing its resources, and
-// reports whether an entry existed. Used by the serving layer's per-tenant
-// budget enforcement, which picks victims outside the cache.
-func (c *Cache) DropItem(item *lineage.Item) bool {
-	e := c.find(item)
-	if e == nil {
-		return false
-	}
-	c.dropEntry(e)
-	return true
 }
 
 // Lookup returns the entry equal to item without charging probe cost or

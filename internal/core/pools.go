@@ -1,84 +1,14 @@
 package core
 
-import (
-	"sort"
-
-	"memphis/internal/memctl"
-)
-
-// victims collects the scored eviction candidates of one backend in
-// ascending score order (tie-broken by lineage hash for determinism),
-// trimmed to max when max >= 0. Shared by the arbiter pool adapters.
-func (c *Cache) victims(b Backend, max int) []memctl.Victim {
-	var entries []*Entry
-	for _, chain := range c.entries {
-		for _, e := range chain {
-			if e.Backend != b || e.Status != StatusCached {
-				continue
-			}
-			if b == BackendCP && e.Matrix == nil {
-				continue
-			}
-			if b == BackendSpark && e.RDD == nil {
-				continue
-			}
-			entries = append(entries, e)
-		}
-	}
-	var w memctl.Weights
-	var n memctl.Norms
-	switch b {
-	case BackendSpark:
-		w, n = memctl.SparkWeights, memctl.Norms{MaxRatio: 1}
-	default:
-		maxRatio := 0.0
-		for _, e := range entries {
-			if r := memctl.Ratio(cpCandidate(e), false); r > maxRatio {
-				maxRatio = r
-			}
-		}
-		w, n = memctl.CPWeights, memctl.Norms{MaxRatio: maxRatio, Now: c.clock.Now()}
-	}
-	out := make([]memctl.Victim, len(entries))
-	for i, e := range entries {
-		cand := cpCandidate(e)
-		cand.Lifetime = c.entryLife(e)
-		out[i] = memctl.Victim{Candidate: cand, Score: memctl.Score(cand, w, n)}
-	}
-	hashes := make([]uint64, len(entries))
-	for i, e := range entries {
-		hashes[i] = e.Key.Hash()
-	}
-	idx := make([]int, len(out))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(i, j int) bool {
-		if out[idx[i]].Score != out[idx[j]].Score {
-			return out[idx[i]].Score < out[idx[j]].Score
-		}
-		return hashes[idx[i]] < hashes[idx[j]]
-	})
-	sorted := make([]memctl.Victim, len(out))
-	for i, k := range idx {
-		sorted[i] = out[k]
-	}
-	if max >= 0 && len(sorted) > max {
-		sorted = sorted[:max]
-	}
-	return sorted
-}
-
 // cpPool is the arbiter view of the driver lineage cache region. Evict
 // runs the LIMA policy (spill expensive victims, drop cheap ones); Demote
 // force-spills victims to disk — the host-to-disk rung of the ladder.
 type cpPool struct{ c *Cache }
 
-func (p cpPool) Name() string                    { return PoolCP }
-func (p cpPool) Used() int64                     { return p.c.cpUsed }
-func (p cpPool) Peak() int64                     { return p.c.cpPeak }
-func (p cpPool) Budget() int64                   { return p.c.conf.CPBudget }
-func (p cpPool) Victims(max int) []memctl.Victim { return p.c.victims(BackendCP, max) }
+func (p cpPool) Name() string  { return PoolCP }
+func (p cpPool) Used() int64   { return p.c.cpUsed }
+func (p cpPool) Peak() int64   { return p.c.cpPeak }
+func (p cpPool) Budget() int64 { return p.c.conf.CPBudget }
 
 func (p cpPool) Evict(need int64) int64 {
 	var freed int64
@@ -107,12 +37,11 @@ func (p cpPool) Demote(need int64) int64 {
 // here is already "drop-for-lineage-recompute"; there is no lower tier.
 type sparkReusePool struct{ c *Cache }
 
-func (p sparkReusePool) Name() string                    { return PoolSparkReuse }
-func (p sparkReusePool) Used() int64                     { return p.c.sparkUsed }
-func (p sparkReusePool) Peak() int64                     { return p.c.sparkPeak }
-func (p sparkReusePool) Budget() int64                   { return p.c.conf.SparkBudget }
-func (p sparkReusePool) Victims(max int) []memctl.Victim { return p.c.victims(BackendSpark, max) }
-func (p sparkReusePool) Demote(need int64) int64         { return 0 }
+func (p sparkReusePool) Name() string            { return PoolSparkReuse }
+func (p sparkReusePool) Used() int64             { return p.c.sparkUsed }
+func (p sparkReusePool) Peak() int64             { return p.c.sparkPeak }
+func (p sparkReusePool) Budget() int64           { return p.c.conf.SparkBudget }
+func (p sparkReusePool) Demote(need int64) int64 { return 0 }
 
 func (p sparkReusePool) Evict(need int64) int64 {
 	var freed int64

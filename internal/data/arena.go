@@ -19,10 +19,11 @@ import (
 // lineage cache, the shared serving cache) must be announced via Escape so
 // the arena never recycles storage that something else can still read.
 //
-// The arena registers with the memctl arbiter as one more Pool: Used is
-// the retained free-list footprint, and Evict trims free shape classes
-// (largest first, deterministically) — idle buffers are the only thing an
-// arena can give back without breaking a live kernel.
+// The arena registers with the memctl arbiter as itself: its method set
+// satisfies memctl.Pool without data importing memctl. Used is the retained
+// free-list footprint, and Evict trims free shape classes (largest first,
+// deterministically) — idle buffers are the only thing an arena can give
+// back without breaking a live kernel.
 //
 // Methods are safe for concurrent use, though the expected discipline is
 // the runtime driver's single-threaded execution loop; the lock exists for
@@ -241,37 +242,6 @@ func (a *Arena) Peak() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.peak
-}
-
-// ArenaVictim mirrors the fields memctl.Victim needs without importing
-// memctl (data must stay dependency-free); the adapter lives in runtime.
-type ArenaVictim struct {
-	Cells int
-	Count int
-	Bytes int64
-}
-
-// FreeClasses lists idle shape classes, largest cell count first — the
-// order Evict trims them in.
-func (a *Arena) FreeClasses(max int) []ArenaVictim {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	keys := make([]int, 0, len(a.free))
-	for c := range a.free {
-		if len(a.free[c]) > 0 {
-			keys = append(keys, c)
-		}
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(keys)))
-	if max > 0 && len(keys) > max {
-		keys = keys[:max]
-	}
-	out := make([]ArenaVictim, 0, len(keys))
-	for _, c := range keys {
-		n := len(a.free[c])
-		out = append(out, ArenaVictim{Cells: c, Count: n, Bytes: int64(c) * 8 * int64(n)})
-	}
-	return out
 }
 
 // Evict implements memctl.Pool: trim idle shape classes until need bytes

@@ -491,28 +491,6 @@ func (p memPool) Name() string  { return PoolName }
 func (p memPool) Used() int64   { return p.m.dev.Used() }
 func (p memPool) Budget() int64 { return p.m.dev.Capacity() }
 
-func (p memPool) Victims(max int) []memctl.Victim {
-	var ptrs []*Pointer
-	for _, q := range p.m.free {
-		ptrs = append(ptrs, q...)
-	}
-	sort.Slice(ptrs, func(i, j int) bool {
-		si, sj := p.m.score(ptrs[i]), p.m.score(ptrs[j])
-		if si != sj {
-			return si < sj
-		}
-		return ptrs[i].addr < ptrs[j].addr
-	})
-	if max >= 0 && len(ptrs) > max {
-		ptrs = ptrs[:max]
-	}
-	out := make([]memctl.Victim, len(ptrs))
-	for i, q := range ptrs {
-		out[i] = memctl.Victim{Candidate: candidate(q), Score: p.m.score(q)}
-	}
-	return out
-}
-
 func (p memPool) Evict(need int64) int64 { return p.m.evictFreeBytes(need) }
 
 func (p memPool) Demote(need int64) int64 {

@@ -8,9 +8,9 @@ import (
 
 // Pool is one managed memory region registered with the Arbiter. Pools
 // keep their own mechanisms (the CP cache's MAKE_SPACE, the GPU
-// manager's Algorithm 1, the block manager's partition eviction) but
-// expose a uniform surface so the arbiter can reason about pressure
-// jointly and drive the cross-backend demotion ladder.
+// manager's Algorithm 1, the block manager's partition eviction) and
+// their own victim ranking; the surface is only what the arbiter calls to
+// account pressure jointly and drive the cross-backend demotion ladder.
 //
 // Pool methods are called under the owner's execution discipline: the
 // runtime's pools are single-threaded on the driver, the serving layer's
@@ -23,10 +23,6 @@ type Pool interface {
 	// Budget returns the pool's byte budget (device capacity, cache
 	// budget, storage region size, or tenant share).
 	Budget() int64
-	// Victims returns up to max current eviction candidates in ascending
-	// score order (cheapest to lose first) — the introspection surface
-	// behind memphis-bench -mem and the arbiter tests.
-	Victims(max int) []Victim
 	// Evict releases room for need bytes inside the pool (dropping or
 	// unpersisting victims), returning the bytes actually released.
 	Evict(need int64) int64
@@ -35,12 +31,6 @@ type Pool interface {
 	// memory-and-disk blocks to disk — returning the bytes demoted.
 	// Pools with no lower tier return 0.
 	Demote(need int64) int64
-}
-
-// Victim is one scored eviction candidate, for monitoring and tests.
-type Victim struct {
-	Candidate
-	Score float64
 }
 
 // PeakReporter is an optional Pool extension: pools that track a resident
@@ -184,31 +174,9 @@ func (a *Arbiter) NotePressure(pool string) {
 	a.counter(pool).pressureEvents.Add(1)
 }
 
-// Pressure returns the named pool's Used/Budget, or 0 if unregistered.
-func (a *Arbiter) Pressure(name string) float64 {
-	p := a.Pool(name)
-	if p == nil {
-		return 0
-	}
-	b := p.Budget()
-	if b <= 0 {
-		return 0
-	}
-	return float64(p.Used()) / float64(b)
-}
-
-// GlobalPressure returns total used over total budget across all pools —
-// the joint signal that distinguishes "one tier is hot" (demote) from
-// "the system is full" (evict).
-func (a *Arbiter) GlobalPressure() float64 {
-	used, budget := a.totals()
-	if budget <= 0 {
-		return 0
-	}
-	return float64(used) / float64(budget)
-}
-
-// GlobalHeadroom returns total unused budget bytes across all pools.
+// GlobalHeadroom returns total unused budget bytes across all pools — the
+// joint signal that distinguishes "one tier is hot" (demote) from "the
+// system is full" (evict).
 func (a *Arbiter) GlobalHeadroom() int64 {
 	used, budget := a.totals()
 	if h := budget - used; h > 0 {

@@ -7,9 +7,9 @@ import (
 )
 
 // TestArbiterTotalsRegisterRace is the -race regression for the pool-list
-// read path: totals() (behind GlobalPressure/GlobalHeadroom, which
-// MakeSpace consults on every pressure event) must not iterate the shared
-// pools slice unlocked while Register replaces elements in place. The
+// read path: totals() (behind GlobalHeadroom, which MakeSpace consults on
+// every pressure event) must not iterate the shared pools slice unlocked
+// while Register replaces elements in place. The
 // serving layer hits exactly this interleaving when a publish-driven
 // eviction runs concurrently with a new tenant's first touch
 // re-registering its pool.
@@ -40,7 +40,6 @@ func TestArbiterTotalsRegisterRace(t *testing.T) {
 		go func() {
 			defer readers.Done()
 			for i := 0; i < 2000; i++ {
-				a.GlobalPressure()
 				a.GlobalHeadroom()
 				a.MakeSpace("pool3", 10)
 				a.Snapshot()

@@ -21,9 +21,6 @@ type fakePool struct {
 func (p *fakePool) Name() string  { return p.name }
 func (p *fakePool) Used() int64   { return p.used }
 func (p *fakePool) Budget() int64 { return p.budget }
-func (p *fakePool) Victims(max int) []Victim {
-	return nil
-}
 func (p *fakePool) Demote(need int64) int64 {
 	p.mu.Lock()
 	p.demotes = append(p.demotes, need)
@@ -91,17 +88,15 @@ func TestPressureAndHeadroom(t *testing.T) {
 	a := NewArbiter()
 	a.Register(&fakePool{name: "a", used: 50, budget: 100})
 	a.Register(&fakePool{name: "b", used: 150, budget: 300})
-	if got := a.Pressure("a"); got != 0.5 {
-		t.Fatalf("Pressure(a)=%v", got)
+	a.Register(&fakePool{name: "unbudgeted", used: 7})
+	snap := a.Snapshot()
+	for i, want := range []float64{0.5, 0.5, 0} {
+		if got := snap[i].Pressure; got != want {
+			t.Fatalf("%s: Pressure=%v want %v", snap[i].Name, got, want)
+		}
 	}
-	if got := a.GlobalPressure(); got != 0.5 {
-		t.Fatalf("GlobalPressure=%v", got)
-	}
-	if got := a.GlobalHeadroom(); got != 200 {
+	if got := a.GlobalHeadroom(); got != 400-207 {
 		t.Fatalf("GlobalHeadroom=%v", got)
-	}
-	if got := a.Pressure("missing"); got != 0 {
-		t.Fatalf("Pressure(missing)=%v", got)
 	}
 }
 
@@ -157,8 +152,8 @@ func TestArbiterConcurrent(t *testing.T) {
 				case 3:
 					_ = a.Snapshot()
 				case 4:
-					_ = a.GlobalPressure()
-					_ = a.Pressure(name)
+					_ = a.GlobalHeadroom()
+					_ = a.Pool(name)
 				}
 			}
 		}(g)

@@ -39,11 +39,6 @@ type Candidate struct {
 	Size        int64   // s(o): object size, bytes
 	Height      int     // h(o): producing lineage-DAG height
 	LastAccess  float64 // T_a(o): virtual time (or sequence) of last use
-
-	// Lifetime is the compile-time liveness class stamped by the memory
-	// planner's hints (internal/memplan); LifeUnknown when no plan covers
-	// the object.
-	Lifetime Lifetime
 }
 
 // Lifetime is the planner's static liveness classification of a cached
@@ -145,19 +140,6 @@ func Ratio(c Candidate, eqOne bool) float64 {
 		freq = float64(c.Hits + c.Misses + c.Jobs)
 	}
 	return freq * c.ComputeCost / s
-}
-
-// MaxRatio returns the largest Ratio across candidates — the CostSize
-// normalizer of one selection pass. It is order-independent, so callers
-// may feed candidates from map iteration.
-func MaxRatio(cands []Candidate, eqOne bool) float64 {
-	max := 0.0
-	for _, c := range cands {
-		if r := Ratio(c, eqOne); r > max {
-			max = r
-		}
-	}
-	return max
 }
 
 // Score is the unified victim score; the minimum across a pool's

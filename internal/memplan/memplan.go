@@ -41,28 +41,16 @@ type Config struct {
 	// Rewrites fire only when the analyzed peak exceeds it; zero disables
 	// rewrites and yields analysis plus hints only.
 	Budget int64
-	// Window is the soon-reuse protection distance in instructions
-	// (default 8): a cached value read again within Window instructions is
-	// classified LifeSoon.
-	Window int
-	// DisableRewrites keeps the stream untouched (liveness + hints only).
-	DisableRewrites bool
 	// EagerFrees inserts last-use frees even without a budget. The runtime
 	// sets it when a buffer arena is attached: every planner free point is
 	// an arena recycling opportunity, budget or not.
 	EagerFrees bool
 }
 
-// DefaultWindow is the soon-reuse protection window when Config.Window
-// is zero.
+// DefaultWindow is the soon-reuse protection distance in instructions the
+// runtime stamps lifetimes with: a cached value read again within it is
+// classified LifeSoon.
 const DefaultWindow = 8
-
-func (c Config) window() int {
-	if c.Window > 0 {
-		return c.Window
-	}
-	return DefaultWindow
-}
 
 // Interval is one operand's live range over a stream. Positions are
 // instruction indices; Def is -1 for block-external live-ins. End models

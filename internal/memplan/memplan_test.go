@@ -140,10 +140,6 @@ func TestApplyGating(t *testing.T) {
 		t.Errorf("zero-budget stream was rewritten: %d insts, frees=%d splits=%d nocache=%v",
 			len(rewritten), p.Frees, p.Splits, p.NoCache)
 	}
-	rewritten, p = Apply(testStream(), Config{Budget: 4000, DisableRewrites: true})
-	if len(rewritten) != 3 || p.Frees != 0 || p.Splits != 0 {
-		t.Errorf("DisableRewrites stream was rewritten: %d insts", len(rewritten))
-	}
 }
 
 // TestSplitOversizedMatmul: a CP mm whose output exceeds half the budget is

@@ -32,7 +32,7 @@ func Apply(insts []compiler.Instruction, cfg Config) ([]compiler.Instruction, *P
 	plan.Budget = cfg.Budget
 	out := insts
 	splits := 0
-	if !cfg.DisableRewrites && cfg.Budget > 0 && plan.Peak > cfg.Budget {
+	if cfg.Budget > 0 && plan.Peak > cfg.Budget {
 		out, splits = splitOversized(out, cfg)
 		if splits > 0 {
 			plan = Analyze(out)
@@ -45,14 +45,14 @@ func Apply(insts []compiler.Instruction, cfg Config) ([]compiler.Instruction, *P
 	// reusable entries the split was protecting. Size-based flips stay
 	// gated on a residual overrun.
 	noCache := map[string]bool{}
-	if !cfg.DisableRewrites && cfg.Budget > 0 && (splits > 0 || plan.Peak > cfg.Budget) {
+	if cfg.Budget > 0 && (splits > 0 || plan.Peak > cfg.Budget) {
 		noCache = cacheFlips(out, cfg, plan.Peak > cfg.Budget)
 	}
 	// Early frees are worthwhile whenever a budget exists, even when the
 	// profile fits: dead temporaries stop competing with cached values.
 	// Splits and cache flips above stay gated on an actual overrun.
 	var frees int
-	if !cfg.DisableRewrites && (cfg.Budget > 0 || cfg.EagerFrees) {
+	if cfg.Budget > 0 || cfg.EagerFrees {
 		out, frees = insertFrees(out, plan)
 	}
 	final := Analyze(out)

@@ -96,11 +96,6 @@ type Config struct {
 	// Results and virtual times are bitwise-identical for every value.
 	Parallelism int
 
-	// ShareMinFlops is the flops floor for offering/looking up individual
-	// CP operator results in an attached shared cache (function outputs
-	// are always shared). Zero shares every cacheable CP result.
-	ShareMinFlops float64
-
 	// Faults, when non-nil, injects deterministic failures into the GPU
 	// allocator, the Spark simulator, and the driver cache's spill path.
 	// Runs with the same plan replay bitwise-identically.
@@ -223,12 +218,11 @@ type Context struct {
 	storageLevel spark.StorageLevel
 
 	// Memory-planner state: the plan of the currently executing stream,
-	// the current instruction position within it, the soon-reuse window,
-	// and the planner report rows by stream signature, also listed in
-	// first-seen order (nil without Config.MemPlan).
+	// the current instruction position within it, and the planner report
+	// rows by stream signature, also listed in first-seen order (nil
+	// without Config.MemPlan).
 	activePlan *memplan.Plan
 	planPos    int
-	planWindow int
 	planRecs   map[uint64]*planRecord
 	planOrder  []*planRecord
 
@@ -292,13 +286,7 @@ func New(conf Config) *Context {
 			budget = data.DefaultArenaBudget
 		}
 		ctx.arena = data.NewArena(budget)
-		ctx.Arb.Register(arenaPool{ctx.arena})
-	}
-	if conf.MemPlan != nil {
-		ctx.planWindow = conf.MemPlan.Window
-		if ctx.planWindow <= 0 {
-			ctx.planWindow = memplan.DefaultWindow
-		}
+		ctx.Arb.Register(ctx.arena)
 	}
 	if conf.Adaptive {
 		ctx.cal = costs.NewCalibration(model)

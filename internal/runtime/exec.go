@@ -230,7 +230,7 @@ func (ctx *Context) Execute(inst *compiler.Instruction) error {
 		// Second level: the cross-session shared cache (serving layer).
 		// A hit installs the value locally so later probes stay session-
 		// local, keyed under this session's item.
-		if inst.Backend == core.BackendCP && ctx.wantShare(inst.Flops) {
+		if inst.Backend == core.BackendCP && ctx.Shared != nil {
 			if m, computeCost, ok := ctx.shareProbe(li); ok {
 				ctx.Cache.PutCP(li, m, computeCost, 1, false, false)
 				v := NewHostValue(m)
@@ -308,7 +308,7 @@ func (ctx *Context) putValue(inst *compiler.Instruction, li *lineage.Item, v *Va
 		cost := costs.Compute(inst.Flops, ctx.Model.CPUFlops)
 		e := ctx.putCP(li, v, cost, ctx.delay(), false)
 		ctx.stampPlan(e, inst.Output())
-		if ctx.wantShare(inst.Flops) {
+		if ctx.Shared != nil {
 			ctx.sharePublish(li, v, cost)
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"memphis/internal/compiler"
 	"memphis/internal/data"
 	"memphis/internal/lineage"
-	"memphis/internal/memctl"
 )
 
 // Fused-instruction execution and lineage. A fused instruction is a chain
@@ -141,32 +140,4 @@ func (ctx *Context) recycleValue(name string, v *Value) {
 		}
 	}
 	ctx.arena.Put(v.M)
-}
-
-// arenaPool adapts data.Arena to the memctl.Pool interface (data stays
-// free of memctl imports). Victims are the idle shape classes in trim
-// order; scores rise with position so the largest class is cheapest to
-// lose, matching Evict's deterministic largest-first order.
-type arenaPool struct{ a *data.Arena }
-
-func (p arenaPool) Name() string            { return p.a.Name() }
-func (p arenaPool) Used() int64             { return p.a.Used() }
-func (p arenaPool) Budget() int64           { return p.a.Budget() }
-func (p arenaPool) Peak() int64             { return p.a.Peak() }
-func (p arenaPool) Evict(need int64) int64  { return p.a.Evict(need) }
-func (p arenaPool) Demote(need int64) int64 { return p.a.Demote(need) }
-
-func (p arenaPool) Victims(max int) []memctl.Victim {
-	classes := p.a.FreeClasses(max)
-	out := make([]memctl.Victim, 0, len(classes))
-	for i, c := range classes {
-		out = append(out, memctl.Victim{
-			Candidate: memctl.Candidate{
-				Size:     c.Bytes,
-				Lifetime: memctl.LifeDead, // idle buffers hold no values
-			},
-			Score: float64(i),
-		})
-	}
-	return out
 }

@@ -140,7 +140,7 @@ func (ctx *Context) stampPlan(e *core.Entry, name string) {
 	if ctx.activePlan == nil || e == nil {
 		return
 	}
-	ctx.Cache.StampLifetime(e, ctx.activePlan.LifetimeAt(name, ctx.planPos, ctx.planWindow))
+	ctx.Cache.StampLifetime(e, ctx.activePlan.LifetimeAt(name, ctx.planPos, memplan.DefaultWindow))
 }
 
 // skipCache reports whether the active plan flipped the instruction's

@@ -145,10 +145,3 @@ func (ctx *Context) sharePublish(it *lineage.Item, v *Value, computeCost float64
 		ctx.Stats.SharedPuts++
 	}
 }
-
-// wantShare gates fine-grained shared-cache traffic by backend and size:
-// only driver-local results at or above the configured flops floor cross
-// the session boundary.
-func (ctx *Context) wantShare(flops float64) bool {
-	return ctx.Shared != nil && flops >= ctx.Conf.ShareMinFlops
-}

@@ -25,10 +25,10 @@ const (
 	// SchedFIFO dispatches strictly by ticket (submission) order among
 	// eligible requests.
 	SchedFIFO SchedPolicy = iota
-	// SchedWFQ is weighted fair queueing: among eligible requests, the
-	// tenant with the least accumulated virtual service per weight runs
-	// next (ties break by ticket). Conflicting requests still serialize
-	// in ticket order, so determinism is unaffected.
+	// SchedWFQ is fair queueing with every tenant weighted equally: among
+	// eligible requests, the tenant with the least accumulated virtual
+	// service runs next (ties break by ticket). Conflicting requests still
+	// serialize in ticket order, so determinism is unaffected.
 	SchedWFQ
 )
 
@@ -40,7 +40,7 @@ type Config struct {
 	Runtime runtime.Config
 	// Workers is the worker-pool size (default 4).
 	Workers int
-	// Sched selects FIFO or weighted-fair dispatch.
+	// Sched selects FIFO or fair-queueing dispatch.
 	Sched SchedPolicy
 	// MaxQueue bounds the number of queued requests; Submit rejects with
 	// ErrQueueFull beyond it (default 1024).
@@ -154,8 +154,6 @@ type SubmitOptions struct {
 	Bind func(*runtime.Context)
 	// Fetch lists variables to materialize to the host in the Result.
 	Fetch []string
-	// Weight is the tenant's fair-share weight under SchedWFQ (default 1).
-	Weight float64
 	// NoCoalesce opts this request out of batched admission even when
 	// Config.Coalesce is on: it always executes on its own session.
 	NoCoalesce bool
@@ -285,7 +283,6 @@ type Server struct {
 	tenantActive map[string]bool // tenant has a running request
 	tenantLoad   map[string]int  // queued+running per tenant (admission)
 	service      map[string]float64
-	weight       map[string]float64
 	groups       map[uint64]*coalesceGroup // coalesce key -> latest group
 	groupOrder   []groupRef                // every group put in groups, by leader ticket
 	nextTicket   uint64
@@ -348,7 +345,6 @@ func New(conf Config) *Server {
 		tenantActive: make(map[string]bool),
 		tenantLoad:   make(map[string]int),
 		service:      make(map[string]float64),
-		weight:       make(map[string]float64),
 		groups:       make(map[uint64]*coalesceGroup),
 		faultCounts:  make(map[string]int64),
 		start:        time.Now(),
@@ -489,11 +485,6 @@ func (s *Server) Submit(tenant string, prog *ir.Program, opts SubmitOptions) (*F
 				s.rejected++
 				return nil, ErrTenantLimit
 			}
-			if w := opts.Weight; w > 0 {
-				s.weight[tenant] = w
-			} else if s.weight[tenant] == 0 {
-				s.weight[tenant] = 1
-			}
 			s.nextTicket++
 			req := &request{
 				tenant:  tenant,
@@ -534,11 +525,6 @@ func (s *Server) Submit(tenant string, prog *ir.Program, opts SubmitOptions) (*F
 		s.rejected++
 		return nil, ErrTenantLimit
 	}
-	w := opts.Weight
-	if w <= 0 {
-		w = 1
-	}
-	s.weight[tenant] = w
 	s.nextTicket++
 	req := &request{
 		tenant:  tenant,
@@ -694,7 +680,7 @@ func (s *Server) worker() {
 			}
 		}
 		if res != nil {
-			s.service[req.tenant] += res.VirtualSeconds / s.weight[req.tenant]
+			s.service[req.tenant] += res.VirtualSeconds
 			s.vtimeTotal += res.VirtualSeconds
 		}
 		if err != nil {
@@ -787,7 +773,7 @@ func (s *Server) followerOutcome(w *request, g *coalesceGroup) (*Result, float64
 func (s *Server) accountFollowerLocked(w *request, res *Result, copySvc float64, err error) {
 	s.tenantLoad[w.tenant]--
 	if res != nil {
-		s.service[w.tenant] += copySvc / s.weight[w.tenant]
+		s.service[w.tenant] += copySvc
 		s.vtimeTotal += res.VirtualSeconds
 	}
 	if err != nil {

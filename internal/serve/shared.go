@@ -11,6 +11,11 @@
 // on (runtime.Context.shareSig). Identical names with different data produce
 // different keys and never alias.
 //
+// Storage. The shared cache is its own lock-sharded map from lineage hash to
+// entries that hold the stored matrix; it keeps no clock and no session
+// cache inside. Budgets are enforced per tenant, FIFO by publish order,
+// through the serving layer's memory arbiter.
+//
 // Determinism. Each request runs on a fresh session with its own virtual
 // clock; all shared-cache costs are charged from the analytic model, so a
 // request's virtual latency depends only on which probes hit. Requests
@@ -33,7 +38,6 @@ import (
 	"memphis/internal/data"
 	"memphis/internal/lineage"
 	"memphis/internal/memctl"
-	"memphis/internal/vtime"
 )
 
 // SharedConfig sizes the cross-tenant cache.
@@ -91,13 +95,14 @@ const (
 	byTenant        // one tenant's entries in a shard, ascending tenant tick
 )
 
-// entryMeta is the serving layer's per-entry bookkeeping alongside the
-// wrapped core.Cache entry. Everything but links is immutable once the entry
+// entryMeta is one shared-cache entry: the stored matrix plus the serving
+// layer's bookkeeping. Everything but the links is immutable once the entry
 // is inserted.
 type entryMeta struct {
 	tenant      string
 	acct        *tenantAccount
 	key         *lineage.Item
+	m           *data.Matrix // the publisher's value, cloned; never written
 	size        int64
 	computeCost float64
 	// seq is the entry's publish sequence in each order: the global sequence
@@ -105,6 +110,8 @@ type entryMeta struct {
 	seq [2]uint64
 	// links chains the entry into its shard's list of each order.
 	links [2]struct{ prev, next *entryMeta }
+	// same chains the shard's entries whose keys share a lineage hash.
+	same *entryMeta
 }
 
 // metaList is an intrusive doubly-linked list of entries in publish order.
@@ -114,9 +121,9 @@ type entryMeta struct {
 //
 //  1. A sequence is drawn and its entry appended in one critical section, so
 //     every list is strictly ascending in its sequence.
-//  2. An entry is in sh.meta exactly while it is linked into the shard's
+//  2. An entry is in sh.entries exactly while it is linked into the shard's
 //     byGlobal list and its tenant's byTenant list for that shard (inserted
-//     by Publish, unlinked by onDrop, reset together by Clear).
+//     by Publish, unlinked by drop, reset together by Clear).
 //  3. Hence the oldest entry overall (or of a tenant) is the smallest of the
 //     shard heads: comparing at most Shards entries replaces the scan.
 type metaList struct{ head, tail *entryMeta }
@@ -147,15 +154,16 @@ func (l *metaList) remove(md *entryMeta, order int) {
 	lk.prev, lk.next = nil, nil
 }
 
-// shard is one lock-guarded slice of the shared cache: a private core.Cache
-// (on its own virtual clock, never a session's) plus serving metadata.
+// shard is one lock-guarded slice of the shared cache: its entries keyed by
+// lineage hash, each hash's entries chained through entryMeta.same and told
+// apart by lineage.Item.Equals.
 type shard struct {
-	front *SharedCache
-	idx   int // position in front.shards (and in every tenantAccount.lists)
-	mu    sync.Mutex
-	cache *core.Cache
-	meta  map[*core.Entry]*entryMeta
-	order metaList // every entry of the shard, byGlobal
+	front   *SharedCache
+	idx     int // position in front.shards (and in every tenantAccount.lists)
+	mu      sync.Mutex
+	entries map[uint64]*entryMeta
+	n       int      // resident entries
+	order   metaList // every entry of the shard, byGlobal
 	// disabled marks the shard degraded (simulated partial cache outage):
 	// probes miss and publishes are rejected, with charges identical to
 	// genuine misses/rejections so virtual times stay deterministic.
@@ -163,9 +171,10 @@ type shard struct {
 	disabled bool
 }
 
-// SharedCache is the sharded, concurrency-safe front over core.Cache that
-// implements runtime.SharedCache. It owns no session state: probes return
-// private matrix copies and virtual costs for the caller to charge.
+// SharedCache is the sharded, concurrency-safe cross-tenant lineage cache
+// that implements runtime.SharedCache. It owns no session state and no
+// clock: probes return private matrix copies and virtual costs, all from the
+// cost model, for the caller to charge.
 type SharedCache struct {
 	conf   SharedConfig
 	shards []*shard
@@ -213,18 +222,7 @@ func NewSharedCache(conf SharedConfig) *SharedCache {
 	s.arb.Register(globalPool{s})
 	s.shards = make([]*shard, conf.Shards)
 	for i := range s.shards {
-		sh := &shard{front: s, idx: i, meta: make(map[*core.Entry]*entryMeta)}
-		// The inner cache never evicts on its own (budgets are enforced
-		// here, per tenant, before PutCP) and never spills: its clock is
-		// private, so any time it charged would be lost.
-		sh.cache = core.NewCache(vtime.New(), conf.Model, core.Config{
-			CPBudget:    1 << 62,
-			SparkBudget: 1,
-			GPUReuse:    false,
-			SpillToDisk: false,
-		}, nil, nil)
-		sh.cache.SetOnDrop(sh.onDrop)
-		s.shards[i] = sh
+		s.shards[i] = &shard{front: s, idx: i, entries: make(map[uint64]*entryMeta)}
 	}
 	return s
 }
@@ -307,14 +305,45 @@ func (sh *shard) oldest(acct *tenantAccount) *entryMeta {
 	return acct.lists[sh.idx].head
 }
 
-// onDrop maintains usage accounting when an entry leaves a shard's cache;
-// it runs with the shard lock held (all removals happen under it).
-func (sh *shard) onDrop(e *core.Entry) {
-	md, ok := sh.meta[e]
-	if !ok {
-		return
+// find returns the shard's entry keyed by key, or nil. Caller holds sh.mu.
+func (sh *shard) find(key *lineage.Item) *entryMeta {
+	for md := sh.entries[key.Hash()]; md != nil; md = md.same {
+		if md.key.Equals(key) {
+			return md
+		}
 	}
-	delete(sh.meta, e)
+	return nil
+}
+
+// insert adds md to the entry map and to the tail of both publish orders.
+// Caller holds sh.mu.
+func (sh *shard) insert(md *entryMeta) {
+	h := md.key.Hash()
+	md.same = sh.entries[h]
+	sh.entries[h] = md
+	sh.n++
+	sh.order.pushBack(md, byGlobal)
+	md.acct.lists[sh.idx].pushBack(md, byTenant)
+}
+
+// drop removes a resident entry and maintains usage accounting. Caller
+// holds sh.mu.
+func (sh *shard) drop(md *entryMeta) {
+	h := md.key.Hash()
+	if p := sh.entries[h]; p == md {
+		if md.same == nil {
+			delete(sh.entries, h)
+		} else {
+			sh.entries[h] = md.same
+		}
+	} else {
+		for p.same != md {
+			p = p.same
+		}
+		p.same = md.same
+	}
+	md.same = nil
+	sh.n--
 	sh.order.remove(md, byGlobal)
 	md.acct.lists[sh.idx].remove(md, byTenant)
 	sh.front.bytesStored.Add(-md.size)
@@ -346,21 +375,14 @@ func (s *SharedCache) Probe(tenant string, item *lineage.Item, sig uint64) (*dat
 		s.reuse.Note(item.Opcode(), int(core.BackendCP), -1, false)
 		return nil, 0, s.conf.Model.Probe, false
 	}
-	e, hit := sh.cache.Probe(key)
-	if !hit {
+	md := sh.find(key)
+	if md == nil {
 		sh.mu.Unlock()
 		s.misses.Add(1)
 		s.reuse.Note(item.Opcode(), int(core.BackendCP), -1, false)
 		return nil, 0, s.conf.Model.Probe, false
 	}
-	stored := sh.cache.Matrix(e)
-	md := sh.meta[e]
-	producer := ""
-	computeCost := 0.0
-	if md != nil {
-		producer = md.tenant
-		computeCost = md.computeCost
-	}
+	stored, producer, computeCost := md.m, md.tenant, md.computeCost
 	sh.mu.Unlock()
 	m := stored.Clone()
 	s.hits.Add(1)
@@ -419,28 +441,21 @@ func (s *SharedCache) Publish(tenant string, item *lineage.Item, sig uint64, m *
 	}
 	stored := m.Clone()
 	sh.mu.Lock()
-	if sh.cache.Lookup(key) != nil {
-		sh.mu.Unlock()
-		return charge, false
-	}
-	e := sh.cache.PutCP(key, stored, computeCost, 1, false, false)
-	if e == nil {
+	if sh.find(key) != nil {
 		sh.mu.Unlock()
 		return charge, false
 	}
 	// Both sequences are drawn here, under the lock that also orders the
 	// appends: that is what keeps each list ascending (invariant 1).
-	md := &entryMeta{
+	sh.insert(&entryMeta{
 		tenant:      tenant,
 		acct:        acct,
 		key:         key,
+		m:           stored,
 		size:        size,
 		computeCost: computeCost,
 		seq:         [2]uint64{byGlobal: s.gseq.Add(1), byTenant: acct.tick.Add(1)},
-	}
-	sh.meta[e] = md
-	sh.order.pushBack(md, byGlobal)
-	acct.lists[sh.idx].pushBack(md, byTenant)
+	})
 	sh.mu.Unlock()
 	s.bytesStored.Add(size)
 	acct.usage.Add(size)
@@ -476,9 +491,12 @@ func (s *SharedCache) evictOldest(acct *tenantAccount) int64 {
 			return 0
 		}
 		bestShard.mu.Lock()
-		dropped := bestShard.cache.DropItem(best.key)
+		resident := bestShard.find(best.key) == best
+		if resident {
+			bestShard.drop(best)
+		}
 		bestShard.mu.Unlock()
-		if dropped {
+		if resident {
 			return best.size
 		}
 		// The candidate vanished between passes; look again.
@@ -496,10 +514,8 @@ func (s *SharedCache) Arbiter() *memctl.Arbiter { return s.arb }
 func (s *SharedCache) Clear() {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		sh.cache.SetOnDrop(nil)
-		sh.cache.Clear()
-		sh.cache.SetOnDrop(sh.onDrop)
-		sh.meta = make(map[*core.Entry]*entryMeta)
+		sh.entries = make(map[uint64]*entryMeta)
+		sh.n = 0
 		for md := sh.order.head; md != nil; md = md.links[byGlobal].next {
 			md.acct.lists[sh.idx] = metaList{}
 		}
@@ -564,7 +580,7 @@ func (s *SharedCache) StatsSnapshot() SharedStats {
 	st.DegradedProbes = s.degradedProbes.Load()
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		st.Entries += sh.cache.NumEntries()
+		st.Entries += sh.n
 		if sh.disabled {
 			st.DisabledShards++
 		}

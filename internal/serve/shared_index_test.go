@@ -8,102 +8,54 @@ import (
 	"sync"
 	"testing"
 
-	"memphis/internal/core"
 	"memphis/internal/data"
 	"memphis/internal/lineage"
-	"memphis/internal/memctl"
 )
 
 // The reference victim searches: the full scans the publish-order index
 // replaced, kept to prove the index picks the same victims.
 
-// refEvictTenantOldest scans every entry of every shard for the tenant's
-// lowest publish tick and drops it.
-func refEvictTenantOldest(s *SharedCache, acct *tenantAccount) int64 {
-	for {
-		var bestShard *shard
-		var bestKey *lineage.Item
-		var bestTick uint64
-		var bestSize int64
-		found := false
-		for _, sh := range s.shards {
-			sh.mu.Lock()
-			for _, md := range sh.meta {
-				if md.acct == acct && (!found || md.seq[byTenant] < bestTick) {
-					found, bestTick = true, md.seq[byTenant]
-					bestShard, bestKey, bestSize = sh, md.key, md.size
-				}
-			}
-			sh.mu.Unlock()
-		}
-		if !found {
-			return 0
-		}
-		bestShard.mu.Lock()
-		dropped := bestShard.cache.DropItem(bestKey)
-		bestShard.mu.Unlock()
-		if dropped {
-			return bestSize
+// eachEntry visits every entry of the shard through its entry map and
+// same-hash chains, never through the publish-order lists. Caller holds
+// sh.mu.
+func eachEntry(sh *shard, visit func(*entryMeta)) {
+	for _, md := range sh.entries {
+		for ; md != nil; md = md.same {
+			visit(md)
 		}
 	}
 }
 
-// refEvictGlobalOldest scans every entry of every shard for the lowest
-// global publish sequence and drops it.
-func refEvictGlobalOldest(s *SharedCache) int64 {
+// refEvictOldest scans every entry of every shard for the lowest sequence of
+// the order — among the tenant's entries, or all entries when acct is nil —
+// and drops it.
+func refEvictOldest(s *SharedCache, acct *tenantAccount) int64 {
+	order := orderOf(acct)
 	for {
+		var best *entryMeta
 		var bestShard *shard
-		var bestKey *lineage.Item
-		var bestSeq uint64
-		var bestSize int64
-		found := false
 		for _, sh := range s.shards {
 			sh.mu.Lock()
-			for _, md := range sh.meta {
-				if !found || md.seq[byGlobal] < bestSeq {
-					found, bestSeq = true, md.seq[byGlobal]
-					bestShard, bestKey, bestSize = sh, md.key, md.size
+			eachEntry(sh, func(md *entryMeta) {
+				if (acct == nil || md.acct == acct) && (best == nil || md.seq[order] < best.seq[order]) {
+					best, bestShard = md, sh
 				}
-			}
+			})
 			sh.mu.Unlock()
 		}
-		if !found {
+		if best == nil {
 			return 0
 		}
 		bestShard.mu.Lock()
-		dropped := bestShard.cache.DropItem(bestKey)
+		resident := bestShard.find(best.key) == best
+		if resident {
+			bestShard.drop(best)
+		}
 		bestShard.mu.Unlock()
-		if dropped {
-			return bestSize
+		if resident {
+			return best.size
 		}
 	}
-}
-
-// refVictimsByAge scores and sorts every entry, as victimsByAge did before
-// it read the index.
-func refVictimsByAge(s *SharedCache, acct *tenantAccount, max int) []memctl.Victim {
-	order, now := orderOf(acct), s.gseq.Load()
-	if acct != nil {
-		now = acct.tick.Load()
-	}
-	norms := memctl.Norms{Now: float64(now)}
-	var out []memctl.Victim
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for _, md := range sh.meta {
-			if acct != nil && md.acct != acct {
-				continue
-			}
-			cand := memctl.Candidate{Size: md.size, ComputeCost: md.computeCost, LastAccess: float64(md.seq[order])}
-			out = append(out, memctl.Victim{Candidate: cand, Score: memctl.Score(cand, memctl.LRUWeights, norms)})
-		}
-		sh.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Score < out[j].Score })
-	if max >= 0 && len(out) > max {
-		out = out[:max]
-	}
-	return out
 }
 
 // refPool is an arbiter pool over a SharedCache whose eviction runs the
@@ -135,18 +87,12 @@ func (p refPool) Budget() int64 {
 	return p.s.conf.TenantBudget
 }
 
-func (p refPool) Victims(max int) []memctl.Victim { return refVictimsByAge(p.s, p.acct, max) }
-func (p refPool) Demote(int64) int64              { return 0 }
+func (p refPool) Demote(int64) int64 { return 0 }
 
 func (p refPool) Evict(need int64) int64 {
 	var freed int64
 	for freed < need {
-		var n int64
-		if p.acct == nil {
-			n = refEvictGlobalOldest(p.s)
-		} else {
-			n = refEvictTenantOldest(p.s, p.acct)
-		}
+		n := refEvictOldest(p.s, p.acct)
 		if n == 0 {
 			break
 		}
@@ -165,32 +111,38 @@ func withReferenceEviction(s *SharedCache, tenants []string) {
 	}
 }
 
-// dropLog records, per cache, the keys that left it, in order.
-type dropLog struct {
-	mu   sync.Mutex
-	keys []string
-}
-
-// watchDrops chains a recorder in front of every shard's onDrop. Clear
-// reinstalls the plain observer, so callers re-arm after it.
-func watchDrops(s *SharedCache, log *dropLog) {
+// resident names every entry of s by lineage hash and global publish
+// sequence (a key evicted and published again in one step is a new entry).
+func resident(s *SharedCache) map[string]uint64 {
+	out := make(map[string]uint64)
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		sh.cache.SetOnDrop(func(e *core.Entry) {
-			log.mu.Lock()
-			log.keys = append(log.keys, fmt.Sprintf("%016x", e.Key.Hash()))
-			log.mu.Unlock()
-			sh.onDrop(e)
+		eachEntry(sh, func(md *entryMeta) {
+			out[fmt.Sprintf("%016x@%d", md.key.Hash(), md.seq[byGlobal])] = md.seq[byGlobal]
 		})
 		sh.mu.Unlock()
 	}
+	return out
 }
 
-// checkIndex verifies the publish-order index against sh.meta: every list
-// strictly ascending in its sequence with consistent back links, the shard
-// list holding exactly the entries of sh.meta, and the tenant lists of a
-// shard partitioning them. With accounting set it also checks that the byte
-// counters equal the sums over the lists.
+// dropped lists the entries of before that are gone from after, in publish
+// order.
+func dropped(before, after map[string]uint64) []string {
+	var out []string
+	for k := range before {
+		if _, ok := after[k]; !ok {
+			out = append(out, k)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return before[out[i]] < before[out[j]] })
+	return out
+}
+
+// checkIndex verifies the publish-order index against the entry map: every
+// list strictly ascending in its sequence with consistent back links, the
+// shard list holding exactly the entries of the map (each found by its own
+// key), and the tenant lists of a shard partitioning them. With accounting
+// set it also checks that the byte counters equal the sums over the lists.
 func checkIndex(t *testing.T, s *SharedCache, accounting bool) {
 	t.Helper()
 	s.accMu.RLock()
@@ -221,30 +173,36 @@ func checkIndex(t *testing.T, s *SharedCache, accounting bool) {
 	usage := make(map[*tenantAccount]int64)
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		inMeta := make(map[*entryMeta]bool, len(sh.meta))
-		for _, md := range sh.meta {
-			inMeta[md] = true
+		inMap := make(map[*entryMeta]bool)
+		eachEntry(sh, func(md *entryMeta) {
+			if sh.find(md.key) != md {
+				t.Fatalf("shard %d: an entry is not found by its own key", sh.idx)
+			}
+			inMap[md] = true
+		})
+		if len(inMap) != sh.n {
+			t.Fatalf("shard %d: map holds %d entries, counter says %d", sh.idx, len(inMap), sh.n)
 		}
 		n := walk(fmt.Sprintf("shard %d", sh.idx), sh.order, byGlobal, func(md *entryMeta) {
-			if !inMeta[md] {
-				t.Fatalf("shard %d: listed entry is not in meta", sh.idx)
+			if !inMap[md] {
+				t.Fatalf("shard %d: listed entry is not in the map", sh.idx)
 			}
 			total += md.size
 		})
-		if n != len(sh.meta) {
-			t.Fatalf("shard %d: list holds %d entries, meta %d", sh.idx, n, len(sh.meta))
+		if n != sh.n {
+			t.Fatalf("shard %d: list holds %d entries, map %d", sh.idx, n, sh.n)
 		}
 		perTenant := 0
 		for name, a := range accounts {
 			perTenant += walk(fmt.Sprintf("shard %d tenant %s", sh.idx, name), a.lists[sh.idx], byTenant, func(md *entryMeta) {
-				if md.acct != a || !inMeta[md] {
+				if md.acct != a || !inMap[md] {
 					t.Fatalf("shard %d tenant %s: foreign or dropped entry listed", sh.idx, name)
 				}
 				usage[a] += md.size
 			})
 		}
-		if perTenant != len(sh.meta) {
-			t.Fatalf("shard %d: tenant lists hold %d entries, meta %d", sh.idx, perTenant, len(sh.meta))
+		if perTenant != sh.n {
+			t.Fatalf("shard %d: tenant lists hold %d entries, map %d", sh.idx, perTenant, sh.n)
 		}
 		sh.mu.Unlock()
 	}
@@ -262,11 +220,10 @@ func checkIndex(t *testing.T, s *SharedCache, accounting bool) {
 }
 
 // TestVictimOrderMatchesReferenceScan drives two caches through the same
-// randomized sequence of publishes, probes, direct drops, clears, shard
-// outages and explicit MAKE_SPACE calls — one evicting through the
-// publish-order index, one through the retained full scans — and requires
-// the same victims in the same order, the same Victims listings, and equal
-// byte, tenant and arbiter counters after every step.
+// randomized sequence of publishes, probes, clears, shard outages and
+// explicit MAKE_SPACE calls — one evicting through the publish-order index,
+// one through the retained full scans — and requires the same victims after
+// every step, and equal byte, tenant and arbiter counters.
 func TestVictimOrderMatchesReferenceScan(t *testing.T) {
 	for seed := int64(1); seed <= 24; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -290,9 +247,7 @@ func TestVictimOrderMatchesReferenceScan(t *testing.T) {
 			for _, tn := range tenants {
 				idx.account(tn) // the same accounts, and pool rows, on both sides from the start
 			}
-			var idxLog, refLog dropLog
-			watchDrops(idx, &idxLog)
-			watchDrops(ref, &refLog)
+			evicted := 0
 
 			leaf := lineage.NewLeaf("read", "X")
 			item := func(i int) *lineage.Item {
@@ -305,6 +260,8 @@ func TestVictimOrderMatchesReferenceScan(t *testing.T) {
 			var live []published
 			both := func(f func(s *SharedCache)) { f(idx); f(ref) }
 			for step := 0; step < 400; step++ {
+				idxBefore, refBefore := resident(idx), resident(ref)
+				cleared := false
 				tn := tenants[rng.Intn(len(tenants))]
 				switch op := rng.Intn(100); {
 				case op < 62: // publish, mostly new keys, sometimes one seen before
@@ -334,18 +291,6 @@ func TestVictimOrderMatchesReferenceScan(t *testing.T) {
 					if hit[0] != hit[1] {
 						t.Fatalf("step %d: probe hit %v with the index, %v with the scan", step, hit[0], hit[1])
 					}
-				case op < 88: // an entry leaves without the evictor choosing it
-					if len(live) == 0 {
-						continue
-					}
-					p := live[rng.Intn(len(live))]
-					both(func(s *SharedCache) {
-						key := shareKey(p.item, p.sig)
-						sh := s.shardFor(key)
-						sh.mu.Lock()
-						sh.cache.DropItem(key)
-						sh.mu.Unlock()
-					})
 				case op < 94: // explicit MAKE_SPACE on the global or a tenant pool
 					pool, need := GlobalPoolName, int64(1+rng.Intn(2048))
 					if rng.Intn(2) == 0 {
@@ -357,29 +302,22 @@ func TestVictimOrderMatchesReferenceScan(t *testing.T) {
 					both(func(s *SharedCache) { s.SetShardEnabled(shard, on) })
 				default:
 					both(func(s *SharedCache) { s.Clear() })
-					watchDrops(idx, &idxLog)
-					watchDrops(ref, &refLog)
+					cleared = true
 				}
 
-				if !reflect.DeepEqual(idxLog.keys, refLog.keys) {
-					t.Fatalf("step %d: victim sequences diverge:\n index %v\n scan  %v", step, idxLog.keys, refLog.keys)
+				if !cleared {
+					got, want := dropped(idxBefore, resident(idx)), dropped(refBefore, resident(ref))
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("step %d: victims diverge:\n index %v\n scan  %v", step, got, want)
+					}
+					evicted += len(got)
 				}
 				if a, b := idx.StatsSnapshot(), ref.StatsSnapshot(); !reflect.DeepEqual(a, b) {
 					t.Fatalf("step %d: stats diverge:\n index %+v\n scan  %+v", step, a, b)
 				}
 				checkIndex(t, idx, true)
-				if step%16 == 0 {
-					for _, max := range []int{-1, 0, 1, 3, 1000} {
-						for _, acct := range append([]*tenantAccount{nil}, idx.account(tn)) {
-							got, want := idx.victimsByAge(acct, max), refVictimsByAge(idx, acct, max)
-							if len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
-								t.Fatalf("step %d: Victims(%d) from the index %v, from the scan %v", step, max, got, want)
-							}
-						}
-					}
-				}
 			}
-			if len(idxLog.keys) == 0 {
+			if evicted == 0 {
 				t.Fatal("the sequence evicted nothing")
 			}
 		})
@@ -388,9 +326,9 @@ func TestVictimOrderMatchesReferenceScan(t *testing.T) {
 
 // TestIndexInvariantsUnderConcurrency races publishers of several tenants
 // (overcommitted, so both the tenant and the global order evict) against
-// probers, direct drops and shard outages, and checks the index once they
-// are done. With clears in the mix a Clear can interleave with a publisher's
-// byte accounting, so that variant checks the lists alone.
+// probers, explicit MAKE_SPACE calls and shard outages, and checks the index
+// once they are done. With clears in the mix a Clear can interleave with a
+// publisher's byte accounting, so that variant checks the lists alone.
 func TestIndexInvariantsUnderConcurrency(t *testing.T) {
 	for _, withClear := range []bool{false, true} {
 		t.Run(fmt.Sprintf("clear=%v", withClear), func(t *testing.T) {
@@ -421,11 +359,11 @@ func TestIndexInvariantsUnderConcurrency(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < perTenant; i++ {
-					key := shareKey(item(i), uint64(i%tenants+1))
-					sh := s.shardFor(key)
-					sh.mu.Lock()
-					sh.cache.DropItem(key)
-					sh.mu.Unlock()
+					pool := GlobalPoolName
+					if i%2 == 1 {
+						pool = TenantPoolName(fmt.Sprintf("t%d", i/2%tenants))
+					}
+					s.arb.MakeSpace(pool, 512)
 					s.SetShardEnabled(i%4, i%8 < 6)
 					if withClear && i%64 == 63 {
 						s.Clear()

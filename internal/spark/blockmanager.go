@@ -124,7 +124,7 @@ func (b *BlockManager) put(rdd, part int, m *data.Matrix, level StorageLevel) (s
 		b.notePressure()
 	}
 	for b.used+size > b.budget {
-		victim := b.pickVictim(rdd)
+		victim := b.pickVictim(rdd, false)
 		if victim == nil {
 			// Everything in memory belongs to this RDD; skip caching.
 			return spilled, dropped, spillErrs
@@ -169,15 +169,17 @@ func (b *BlockManager) evictBlock(k blockKey) (spilled, dropped, spillErrs int) 
 // pickVictim returns the LRU in-memory block not belonging to the RDD
 // currently being written (Spark never evicts blocks of the same RDD to
 // admit its own partitions; pass a negative id to consider every RDD).
-// Ranking goes through the shared policy's recency-only instance: with
-// unique monotone touch sequences the minimum score is exactly the LRU
-// block, and the argmin over map iteration is deterministic.
-func (b *BlockManager) pickVictim(writingRDD int) *blockKey {
+// spillOnly restricts the search to MEMORY_AND_DISK blocks, the ones a
+// demotion can move to disk. Ranking goes through the shared policy's
+// recency-only instance: with unique monotone touch sequences the minimum
+// score is exactly the LRU block, and the argmin over map iteration is
+// deterministic.
+func (b *BlockManager) pickVictim(writingRDD int, spillOnly bool) *blockKey {
 	norms := memctl.Norms{Now: float64(b.seq)}
 	var victim *blockKey
 	best := math.Inf(1)
 	for k, blk := range b.blocks {
-		if blk.onDisk || k.rdd == writingRDD {
+		if blk.onDisk || k.rdd == writingRDD || spillOnly && blk.level != StorageMemoryAndDisk {
 			continue
 		}
 		cand := memctl.Candidate{Size: blk.size, LastAccess: float64(blk.seq)}
@@ -283,64 +285,24 @@ func (p bmPool) Used() int64   { return p.b.used }
 func (p bmPool) Peak() int64   { return p.b.peak }
 func (p bmPool) Budget() int64 { return p.b.budget }
 
-func (p bmPool) Victims(max int) []memctl.Victim {
-	norms := memctl.Norms{Now: float64(p.b.seq)}
-	var out []memctl.Victim
-	for _, blk := range p.b.blocks {
-		if blk.onDisk {
-			continue
-		}
-		cand := memctl.Candidate{Size: blk.size, LastAccess: float64(blk.seq)}
-		out = append(out, memctl.Victim{Candidate: cand, Score: memctl.Score(cand, memctl.LRUWeights, norms)})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Score < out[j].Score })
-	if max >= 0 && len(out) > max {
-		out = out[:max]
-	}
-	return out
-}
+func (p bmPool) Evict(need int64) int64 { return p.b.evictLRU(need, false) }
 
-func (p bmPool) Evict(need int64) int64 {
+// Demote frees memory just like Evict but only from MEMORY_AND_DISK blocks.
+// An injected spill failure drops the block instead, which still frees the
+// memory (evictBlock counts it as an eviction, not a demotion).
+func (p bmPool) Demote(need int64) int64 { return p.b.evictLRU(need, true) }
+
+// evictLRU pushes LRU blocks of any RDD out of memory until need bytes are
+// freed or no candidate is left, returning the bytes freed.
+func (b *BlockManager) evictLRU(need int64, spillOnly bool) int64 {
 	var freed int64
 	for freed < need {
-		victim := p.b.pickVictim(-1)
+		victim := b.pickVictim(-1, spillOnly)
 		if victim == nil {
 			break
 		}
-		size := p.b.blocks[*victim].size
-		p.b.evictBlock(*victim)
-		freed += size
-	}
-	return freed
-}
-
-func (p bmPool) Demote(need int64) int64 {
-	norms := memctl.Norms{Now: float64(p.b.seq)}
-	var freed int64
-	for freed < need {
-		var victim *blockKey
-		best := math.Inf(1)
-		for k, blk := range p.b.blocks {
-			if blk.onDisk || blk.level != StorageMemoryAndDisk {
-				continue
-			}
-			cand := memctl.Candidate{Size: blk.size, LastAccess: float64(blk.seq)}
-			if s := memctl.Score(cand, memctl.LRUWeights, norms); s < best {
-				k := k
-				best, victim = s, &k
-			}
-		}
-		if victim == nil {
-			break
-		}
-		size := p.b.blocks[*victim].size
-		if spilled, _, _ := p.b.evictBlock(*victim); spilled == 0 {
-			// Injected spill failure: the block was dropped, which still
-			// frees memory but is an eviction, not a demotion.
-			freed += size
-			continue
-		}
-		freed += size
+		freed += b.blocks[*victim].size
+		b.evictBlock(*victim)
 	}
 	return freed
 }

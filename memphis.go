@@ -471,7 +471,7 @@ type ServerOptions struct {
 
 	// Workers is the worker-pool size (default 4).
 	Workers int
-	// FairScheduling selects weighted-fair queueing across tenants
+	// FairScheduling selects fair queueing across tenants (equal weights)
 	// instead of FIFO dispatch.
 	FairScheduling bool
 	// SharedBudget is the cross-tenant cache's global byte budget
