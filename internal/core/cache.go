@@ -127,6 +127,10 @@ type Entry struct {
 	// read as LifeUnknown.
 	planLife  memctl.Lifetime
 	planEpoch int64
+
+	// seq orders entries by insertion; victim selection breaks score ties
+	// toward the lower (older) one instead of toward map iteration order.
+	seq uint64
 }
 
 // Stats counts cache events; experiments and tests assert on these.
@@ -193,6 +197,7 @@ type Cache struct {
 	conf  Config
 
 	entries map[uint64][]*Entry // lineage hash -> entries (chained)
+	nextSeq uint64              // Entry.seq of the next insert
 
 	cpUsed    int64
 	sparkUsed int64 // worst-case estimates of persisted reuse RDDs
@@ -354,6 +359,8 @@ func (c *Cache) find(item *lineage.Item) *Entry {
 
 // insert adds an entry keyed by its lineage item.
 func (c *Cache) insert(e *Entry) {
+	c.nextSeq++
+	e.seq = c.nextSeq
 	h := e.Key.Hash()
 	c.entries[h] = append(c.entries[h], e)
 }

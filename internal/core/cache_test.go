@@ -403,3 +403,69 @@ func TestCheapGPUEntryDroppedOnRecycle(t *testing.T) {
 		t.Fatalf("GPUInvalidated = %d", e.cache.Stats.GPUInvalidated)
 	}
 }
+
+// TestEvictionTiesGoToTheOlderEntry: three equally scored entries and one
+// more put evict the first of the three, on every one of 200 fresh caches,
+// for the driver cache with the planner off and on and for the Spark reuse
+// share (where Eq. (1) scores every unreferenced RDD 0). Map iteration
+// order used to decide.
+func TestEvictionTiesGoToTheOlderEntry(t *testing.T) {
+	cases := []struct {
+		name string
+		run  func() (evicted []string)
+	}{
+		{"cp", func() []string { return cpTie(false) }},
+		{"cp-planned", func() []string { return cpTie(true) }},
+		{"spark", sparkTie},
+	}
+	for _, c := range cases {
+		seen := map[string]int{}
+		for i := 0; i < 200; i++ {
+			evicted := c.run()
+			seen[fmt.Sprint(evicted)]++
+		}
+		if len(seen) != 1 || seen["[a]"] != 200 {
+			t.Errorf("%s: evicted %v over 200 runs, want [a] every time", c.name, seen)
+		}
+	}
+}
+
+// cpTie puts a, b and c with equal cost, size and last access into a
+// driver cache that fits three, puts d, and returns which of a, b, c went.
+func cpTie(planned bool) []string {
+	conf := DefaultConfig()
+	conf.CPBudget = 3 * 8 * 16
+	conf.SpillToDisk = false
+	e := newEnv(conf)
+	if planned {
+		e.cache.BeginPlanEpoch()
+	}
+	for _, n := range []string{"a", "b", "c"} {
+		e.cache.PutCP(li(n, ""), data.Ones(4, 4), 1, 1, false, false).LastAccess = 0
+	}
+	e.cache.PutCP(li("d", ""), data.Ones(4, 4), 1, 1, false, false)
+	return missing(e.cache, "a", "b", "c")
+}
+
+// sparkTie is cpTie for reuse RDDs.
+func sparkTie() []string {
+	conf := DefaultConfig()
+	conf.SparkBudget = 3 * 40 * 4 * 8
+	e := newEnv(conf)
+	for _, n := range []string{"a", "b", "c", "d"} {
+		r := e.sc.Parallelize(data.Ones(40, 4), 4, "X")
+		e.cache.PutRDD(li(n, ""), r, nil, nil, 1, 1, spark.StorageMemory)
+	}
+	return missing(e.cache, "a", "b", "c")
+}
+
+// missing lists the named entries no longer in the cache.
+func missing(c *Cache, names ...string) []string {
+	var out []string
+	for _, n := range names {
+		if c.Lookup(li(n, "")) == nil {
+			out = append(out, n)
+		}
+	}
+	return out
+}

@@ -100,7 +100,8 @@ func cpCandidate(e *Entry) memctl.Candidate {
 // lifetime-grouped first: entries the plan marked dead evict before
 // unknown ones, soon-reused ones are protected, and the hybrid score
 // breaks ties within a group. With the planner off, planEpoch stays zero
-// and the historical strict-< minimum scan runs byte-identically.
+// and selection is by score alone. Either way equal candidates go to the
+// older entry, so the victim never depends on map iteration order.
 func (c *Cache) cpVictim() *Entry {
 	maxRatio := 0.0
 	for _, chain := range c.entries {
@@ -125,10 +126,12 @@ func (c *Cache) cpVictim() *Entry {
 			}
 			s := memctl.Score(cpCandidate(e), memctl.CPWeights, norms)
 			if planOn {
-				if life := c.entryLife(e); memctl.PreferVictim(life, s, bestLife, best) {
+				life := c.entryLife(e)
+				if memctl.PreferVictim(life, s, bestLife, best) ||
+					life == bestLife && s == best && older(e, victim) {
 					bestLife, best, victim = life, s, e
 				}
-			} else if s < best {
+			} else if s < best || s == best && older(e, victim) {
 				best, victim = s, e
 			}
 		}
@@ -224,9 +227,14 @@ func (c *Cache) PutRDD(item *lineage.Item, r *spark.RDD, children []*spark.RDD,
 	return e
 }
 
+// older reports whether e was inserted before the current victim v (false
+// while there is none): the tie-break of victim selection.
+func older(e, v *Entry) bool { return v != nil && e.seq < v.seq }
+
 // sparkVictim selects the lowest-scored reuse RDD under the shared policy
 // instance for Spark: Eq. (1), argmin (r_h+r_m+r_j)·c/s (memctl.SparkWeights
-// with MaxRatio 1 keeps the historical unnormalized ordering exactly).
+// with MaxRatio 1 keeps the historical unnormalized ordering exactly); of
+// equally scored RDDs the older entry goes.
 func (c *Cache) sparkVictim() *Entry {
 	norms := memctl.Norms{MaxRatio: 1}
 	var victim *Entry
@@ -236,7 +244,7 @@ func (c *Cache) sparkVictim() *Entry {
 			if e.Backend != BackendSpark || e.Status != StatusCached || e.RDD == nil {
 				continue
 			}
-			if s := memctl.Score(cpCandidate(e), memctl.SparkWeights, norms); s < best {
+			if s := memctl.Score(cpCandidate(e), memctl.SparkWeights, norms); s < best || s == best && older(e, victim) {
 				best, victim = s, e
 			}
 		}

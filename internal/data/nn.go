@@ -3,7 +3,6 @@ package data
 import (
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // ReLU returns max(0, a) elementwise.
@@ -62,12 +61,12 @@ func Softmax(a *Matrix) *Matrix {
 func Affine(x, w, b *Matrix) *Matrix { return Add(MatMul(x, w), b) }
 
 // Dropout zeroes cells with probability p and scales survivors by 1/(1-p)
-// (inverted dropout). Deterministic given the seed: each row draws from a
-// generator seeded by (seed, row), so the mask is a pure function of the seed
-// and the cell position — identical whether rows are processed serially or
-// sharded across workers. A shard re-seeds one generator per row instead of
-// allocating one (Seed resets the whole 607-word state, so the draws are
-// those of a fresh generator).
+// (inverted dropout). Deterministic given the seed: cell (i, j) survives iff
+// the j-th Float64 of rand.New(rand.NewSource(rowSeed(seed, i))) is >= p, so
+// the mask is a pure function of the seed and the cell position — identical
+// whether rows are processed serially or sharded across workers. A shard
+// computes each row's stream in closed form (randStream) instead of seeding
+// a source.
 func Dropout(a *Matrix, p float64, seed int64) *Matrix {
 	if p <= 0 {
 		return a.Clone()
@@ -78,13 +77,13 @@ func Dropout(a *Matrix, p float64, seed int64) *Matrix {
 	scale := 1 / (1 - p)
 	out := New(a.Rows, a.Cols)
 	parallelFor(a.Rows, 2*float64(a.Cells()), func(lo, hi int) {
-		rng := rand.New(rand.NewSource(0))
+		var rng randStream
 		for i := lo; i < hi; i++ {
-			rng.Seed(rowSeed(seed, i))
+			rng.reset(rowSeed(seed, i))
 			row := a.Data[i*a.Cols : (i+1)*a.Cols]
 			orow := out.Data[i*a.Cols : (i+1)*a.Cols]
 			for j, v := range row {
-				if rng.Float64() >= p {
+				if rng.float64() >= p {
 					orow[j] = v * scale
 				}
 			}
@@ -106,6 +105,16 @@ func rowSeed(seed int64, row int) int64 {
 // padding. Input layout: each row of x is one image flattened as
 // [cIn][h][w]; each row of w is one filter flattened as [cIn][kH][kW].
 // The output rows are flattened as [cOut][outH][outW].
+//
+// Per-cell contract: an output cell starts at +0 and adds its terms
+// image*filter in ascending (ci, ky, kx); a tap that falls in the padding
+// is skipped, never added as zero. The kernel scatters instead of
+// gathering — each tap adds a run of one image row into the output rows of
+// four channels — but every cell still takes the same additions in the
+// same order, so every result bit, the sign of a zero and every ±Inf and
+// NaN included, is that of the per-pixel loop kept as refConv2D in
+// nn_test.go, at every parallelism. Only which payload a NaN carries when
+// two NaNs meet is not part of the contract (DESIGN.md §6 item 7).
 func Conv2D(x *Matrix, w *Matrix, cIn, h, width, kH, kW, stride, pad int) *Matrix {
 	if x.Cols != cIn*h*width {
 		panic(fmt.Sprintf("data: conv2d input cols %d != %d*%d*%d", x.Cols, cIn, h, width))
@@ -114,44 +123,104 @@ func Conv2D(x *Matrix, w *Matrix, cIn, h, width, kH, kW, stride, pad int) *Matri
 	if w.Cols != cIn*kH*kW {
 		panic(fmt.Sprintf("data: conv2d filter cols %d != %d*%d*%d", w.Cols, cIn, kH, kW))
 	}
-	outH := (h+2*pad-kH)/stride + 1
-	outW := (width+2*pad-kW)/stride + 1
-	out := New(x.Rows, cOut*outH*outW)
-	flops := 2 * float64(x.Rows) * float64(cOut) * float64(outH) * float64(outW) *
+	if stride < 1 || pad < 0 || kH < 1 || kW < 1 || kH > h+2*pad || kW > width+2*pad {
+		panic(fmt.Sprintf("data: conv2d geometry: %dx%d kernel, stride %d, pad %d over a %dx%d image",
+			kH, kW, stride, pad, h, width))
+	}
+	g := convGeom{cIn: cIn, h: h, w: width, kH: kH, kW: kW, stride: stride, pad: pad,
+		outH: (h+2*pad-kH)/stride + 1, outW: (width+2*pad-kW)/stride + 1}
+	plane := g.outH * g.outW
+	out := New(x.Rows, cOut*plane)
+	flops := 2 * float64(x.Rows) * float64(cOut) * float64(plane) *
 		float64(cIn) * float64(kH) * float64(kW)
 	parallelFor(x.Rows, flops, func(nLo, nHi int) {
-		convRows(x, w, out, nLo, nHi, cIn, h, width, kH, kW, stride, pad, cOut, outH, outW)
+		// Images are independent, so workers write disjoint output rows.
+		for n := nLo; n < nHi; n++ {
+			img := x.Data[n*x.Cols : (n+1)*x.Cols]
+			dst := out.Data[n*out.Cols : (n+1)*out.Cols]
+			co := 0
+			for ; co+4 <= cOut; co += 4 {
+				g.scatter(img, w.Data[co*w.Cols:(co+4)*w.Cols], dst[co*plane:(co+4)*plane], 4)
+			}
+			for ; co < cOut; co++ {
+				g.scatter(img, w.Data[co*w.Cols:(co+1)*w.Cols], dst[co*plane:(co+1)*plane], 1)
+			}
+		}
 	})
 	return out
 }
 
-// convRows computes the convolution for the batch rows [nLo, nHi); rows are
-// independent images, so workers write disjoint output rows.
-func convRows(x, w, out *Matrix, nLo, nHi, cIn, h, width, kH, kW, stride, pad, cOut, outH, outW int) {
-	for n := nLo; n < nHi; n++ {
-		img := x.Data[n*x.Cols : (n+1)*x.Cols]
-		dst := out.Data[n*out.Cols : (n+1)*out.Cols]
-		for co := 0; co < cOut; co++ {
-			filt := w.Data[co*w.Cols : (co+1)*w.Cols]
-			for oy := 0; oy < outH; oy++ {
-				for ox := 0; ox < outW; ox++ {
-					sum := 0.0
-					for ci := 0; ci < cIn; ci++ {
-						for ky := 0; ky < kH; ky++ {
-							iy := oy*stride + ky - pad
-							if iy < 0 || iy >= h {
-								continue
-							}
-							for kx := 0; kx < kW; kx++ {
-								ix := ox*stride + kx - pad
-								if ix < 0 || ix >= width {
-									continue
-								}
-								sum += img[ci*h*width+iy*width+ix] * filt[ci*kH*kW+ky*kW+kx]
-							}
+// convGeom is the geometry of one Conv2D call.
+type convGeom struct {
+	cIn, h, w, kH, kW, stride, pad, outH, outW int
+}
+
+// span returns the output positions [lo, hi) whose tap at kernel offset k
+// reads inside an input extent of n cells (o*stride+k-pad in [0, n)),
+// clipped to [0, out); it is empty when the tap lies in the padding for
+// every output position.
+func (g convGeom) span(k, n, out int) (lo, hi int) {
+	if d := g.pad - k; d > 0 {
+		lo = (d + g.stride - 1) / g.stride
+	}
+	if e := n - 1 + g.pad - k; e >= 0 {
+		hi = min(out, e/g.stride+1)
+	}
+	return lo, max(lo, hi)
+}
+
+// scatter adds the terms of nc filters (4, or 1 for the cOut mod 4 tail)
+// into their output planes of one image; filt holds the filters and dst
+// the planes, back to back. Taps run in ascending (ci, ky, kx), and a tap
+// touches only the output cells whose window it falls inside: for each of
+// their rows, one run of image cells is loaded once and added, scaled, into
+// the nc planes.
+func (g convGeom) scatter(img, filt, dst []float64, nc int) {
+	taps, plane := g.cIn*g.kH*g.kW, g.outH*g.outW
+	t := 0
+	for ci := 0; ci < g.cIn; ci++ {
+		src := img[ci*g.h*g.w : (ci+1)*g.h*g.w]
+		for ky := 0; ky < g.kH; ky++ {
+			oy0, oy1 := g.span(ky, g.h, g.outH)
+			for kx := 0; kx < g.kW; kx, t = kx+1, t+1 {
+				ox0, ox1 := g.span(kx, g.w, g.outW)
+				n := ox1 - ox0
+				if n == 0 {
+					continue
+				}
+				w0 := filt[t]
+				var w1, w2, w3 float64
+				if nc == 4 {
+					w1, w2, w3 = filt[taps+t], filt[2*taps+t], filt[3*taps+t]
+				}
+				for oy := oy0; oy < oy1; oy++ {
+					in := src[(oy*g.stride+ky-g.pad)*g.w+ox0*g.stride+kx-g.pad:]
+					in = in[:(n-1)*g.stride+1]
+					at := oy*g.outW + ox0
+					if nc == 1 {
+						o0 := dst[at : at+n]
+						for j := range o0 {
+							o0[j] += in[j*g.stride] * w0
 						}
+						continue
 					}
-					dst[co*outH*outW+oy*outW+ox] = sum
+					o0, o1, o2, o3 := dst[at:at+n], dst[plane+at:plane+at+n], dst[2*plane+at:2*plane+at+n], dst[3*plane+at:3*plane+at+n]
+					if g.stride == 1 {
+						for j, v := range in {
+							o0[j] += v * w0
+							o1[j] += v * w1
+							o2[j] += v * w2
+							o3[j] += v * w3
+						}
+						continue
+					}
+					for j := range o0 {
+						v := in[j*g.stride]
+						o0[j] += v * w0
+						o1[j] += v * w1
+						o2[j] += v * w2
+						o3[j] += v * w3
+					}
 				}
 			}
 		}

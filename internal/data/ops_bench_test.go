@@ -1,6 +1,7 @@
 package data
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -220,24 +221,66 @@ func BenchmarkMatMulSquare(b *testing.B) {
 	})
 }
 
-// BenchmarkDropout runs one HDROP batch (512 rows of 12 features). The "ref"
-// variant seeds a fresh 4.9 KB generator per row to draw 12 floats, which is
-// what Dropout did before it re-seeded one generator per shard.
+// BenchmarkConv2D runs the convolutions of one TLVIS batch (4 images of
+// 16x16, "same" padding): AlexNet's 5x5 first layer, the 16-to-32 second
+// layer AlexNet and VGG share, VGG's third layer and ResNet's two layers.
+// The "ref" variants run the per-pixel gather kept as refConv2D.
+func BenchmarkConv2D(b *testing.B) {
+	prev := Parallelism()
+	b.Cleanup(func() { SetParallelism(prev) })
+	SetParallelism(1)
+	layers := []struct {
+		name               string
+		cIn, side, cOut, k int
+	}{
+		{"alex1", 3, 16, 16, 5},
+		{"l2", 16, 8, 32, 3},
+		{"vgg3", 32, 4, 64, 3},
+		{"res1", 3, 16, 32, 3},
+		{"res2", 32, 8, 64, 3},
+	}
+	for _, l := range layers {
+		x := RandNorm(4, l.cIn*l.side*l.side, 0, 1, 8)
+		w := RandNorm(l.cOut, l.cIn*l.k*l.k, 0, 0.1, 9)
+		flops := int64(2 * 4 * l.cOut * l.side * l.side * l.cIn * l.k * l.k)
+		for _, ref := range []bool{false, true} {
+			name, conv := l.name, Conv2D
+			if ref {
+				name, conv = l.name+"/ref", refConv2D
+			}
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				b.SetBytes(flops) // MB/s reads as MFLOP/s
+				for i := 0; i < b.N; i++ {
+					benchSink = conv(x, w, l.cIn, l.side, l.side, l.k, l.k, 1, l.k/2)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkDropout runs an HDROP batch as the pipeline draws it (64 rows of
+// 16 hidden units) and a wider one (512 rows of 12 features). The "ref"
+// variants seed a fresh 4.9 KB generator per row, which is what the mask is
+// defined by.
 func BenchmarkDropout(b *testing.B) {
 	prev := Parallelism()
 	b.Cleanup(func() { SetParallelism(prev) })
 	SetParallelism(1)
-	x := RandNorm(512, 12, 0, 1, 7)
-	b.Run("512x12", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			benchSink = Dropout(x, 0.3, int64(i))
-		}
-	})
-	b.Run("512x12-ref", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			benchSink = refDropout(x, 0.3, int64(i))
-		}
-	})
+	for _, sh := range []struct{ r, c int }{{512, 12}, {64, 16}} {
+		x := RandNorm(sh.r, sh.c, 0, 1, 7)
+		name := fmt.Sprintf("%dx%d", sh.r, sh.c)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchSink = Dropout(x, 0.3, int64(i))
+			}
+		})
+		b.Run(name+"/ref", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchSink = refDropout(x, 0.3, int64(i))
+			}
+		})
+	}
 }

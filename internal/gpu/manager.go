@@ -176,13 +176,14 @@ func (m *Manager) popFreeJustLarger(size int64) *Pointer {
 }
 
 // popFreeAny removes and returns the lowest-score free pointer across all
-// sizes, or nil.
+// sizes, or nil. Equal scores go to the lower device address, as in
+// DemotableLive, so the order never depends on map iteration.
 func (m *Manager) popFreeAny() *Pointer {
 	var best *Pointer
 	bestScore := 0.0
 	for _, q := range m.free {
 		for _, p := range q {
-			if s := m.score(p); best == nil || s < bestScore {
+			if s := m.score(p); best == nil || s < bestScore || s == bestScore && p.addr < best.addr {
 				best, bestScore = p, s
 			}
 		}

@@ -52,6 +52,38 @@ func TestRecycleInvalidatesCacheEntry(t *testing.T) {
 	}
 }
 
+// TestPopFreeAnyTiesGoToLowerAddress: of three equally scored free pointers
+// (one per size, so they sit under three map keys) the lowest device
+// address is released first, on every one of 200 fresh managers. Map
+// iteration order used to decide.
+func TestPopFreeAnyTiesGoToLowerAddress(t *testing.T) {
+	seen := map[int64]int{}
+	for i := 0; i < 200; i++ {
+		m, _ := newTestManager(1 << 20)
+		var ps []*Pointer
+		for _, size := range []int64{300, 200, 100} {
+			p, err := m.Allocate(size, 1, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.LastAccess = 0
+			ps = append(ps, p)
+		}
+		for _, p := range ps {
+			m.Release(p)
+		}
+		m.EvictPercent(0.01) // one pointer
+		for _, p := range ps {
+			if !p.Valid() {
+				seen[p.Addr()]++
+			}
+		}
+	}
+	if len(seen) != 1 || seen[0] != 200 {
+		t.Fatalf("released addresses %v over 200 runs, want address 0 every time", seen)
+	}
+}
+
 func TestFreeJustLargerWhenNoExact(t *testing.T) {
 	m, d := newTestManager(3000)
 	a, _ := m.Allocate(1000, 1, 0)
