@@ -107,7 +107,7 @@ func trace() error {
 // dumps the closed-loop cost model's report: per-operator predicted vs
 // observed virtual cost, cache hit rates, and the per-backend effective
 // rates the recalibration converged to. With jsonOut the raw
-// memphis.CalibrationReport is emitted (byte-stable across runs: every
+// memphis.Stats.Calibration report is emitted (byte-stable across runs: every
 // quantity is virtual).
 func costsReport(jsonOut bool) error {
 	s := memphis.New(memphis.Options{Reuse: memphis.ReuseFull, AdaptivePlacement: true})
@@ -129,7 +129,7 @@ func costsReport(jsonOut bool) error {
 	if err := s.Run(prog); err != nil {
 		return err
 	}
-	rep := s.CalibrationReport()
+	rep := s.Stats().Calibration
 	if rep == nil {
 		return fmt.Errorf("no calibration report (AdaptivePlacement off?)")
 	}

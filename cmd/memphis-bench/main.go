@@ -187,7 +187,7 @@ func memReport(cpBudget int64, planOn, jsonOut bool) {
 			fmt.Fprintf(os.Stderr, "memphis-bench -mem: %s: %v\n", c.name, err)
 			os.Exit(1)
 		}
-		r := row{Workload: c.name, VirtualSeconds: s.VirtualTime(), Pools: s.MemoryStats()}
+		r := row{Workload: c.name, VirtualSeconds: s.VirtualTime(), Pools: s.Stats().Memory}
 		r.Arena.Gets, r.Arena.Reuses, r.Arena.Puts, r.Arena.Escapes = s.ArenaStats()
 		if planOn {
 			for _, p := range s.PlanReports() {

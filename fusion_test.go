@@ -277,13 +277,14 @@ func TestArenaStatsSurface(t *testing.T) {
 		t.Errorf("arena never reused a buffer across repeated runs (gets=%d)", gets)
 	}
 	found := false
-	for _, row := range s.MemoryStats() {
+	memory := s.Stats().Memory
+	for _, row := range memory {
 		if row.Name == "arena" {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("no arena row in MemoryStats: %+v", s.MemoryStats())
+		t.Errorf("no arena row in Stats().Memory: %+v", memory)
 	}
 }
 

@@ -132,7 +132,6 @@ type Env struct {
 	CPBudget    int64
 	SparkBudget int64
 	GPUCapacity int64
-	NoSpill     bool
 }
 
 // DefaultEnv mirrors the paper's memory configuration at ~1/1000 scale.
@@ -158,7 +157,6 @@ func (s System) NewContext(env Env) *runtime.Context {
 	cache := core.DefaultConfig()
 	cache.CPBudget = env.CPBudget
 	cache.SparkBudget = env.SparkBudget
-	cache.SpillToDisk = !env.NoSpill
 	model := costs.Default()
 	if s.ModelTweak != nil {
 		s.ModelTweak(model)

@@ -162,32 +162,22 @@ type Stats struct {
 	SpillErrorsCP int64
 }
 
-// Config tunes the cache policies.
+// Config sizes the cache.
 type Config struct {
 	// CPBudget is the driver lineage cache size in bytes.
 	CPBudget int64
 	// SparkBudget is the cluster storage fraction reserved for reuse
 	// (the paper uses 80% of Spark storage).
 	SparkBudget int64
-	// GPUReuse enables caching of GPU pointers.
-	GPUReuse bool
-	// SpillToDisk lets driver eviction spill to local disk instead of
-	// dropping.
-	SpillToDisk bool
-	// AsyncMatThreshold is k: unmaterialized touches before an RDD is
-	// materialized with an asynchronous count() (default 3).
-	AsyncMatThreshold int
 }
+
+// asyncMatThreshold is k: unmaterialized touches before a cached RDD is
+// materialized with an asynchronous count() (§4.1).
+const asyncMatThreshold = 3
 
 // DefaultConfig returns the paper's defaults at simulation scale.
 func DefaultConfig() Config {
-	return Config{
-		CPBudget:          16 << 20,
-		SparkBudget:       48 << 20,
-		GPUReuse:          true,
-		SpillToDisk:       true,
-		AsyncMatThreshold: 3,
-	}
+	return Config{CPBudget: 16 << 20, SparkBudget: 48 << 20}
 }
 
 // Cache is the hierarchical lineage cache.
@@ -241,9 +231,6 @@ func NewCache(clock *vtime.Clock, model *costs.Model, conf Config,
 		sc:      sc,
 		gm:      gm,
 		gpE:     make(map[*gpu.Pointer]*Entry),
-	}
-	if c.conf.AsyncMatThreshold <= 0 {
-		c.conf.AsyncMatThreshold = 3
 	}
 	if gm != nil {
 		gm.SetOnRecycle(c.invalidateGPU)

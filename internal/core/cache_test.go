@@ -67,13 +67,13 @@ func TestOversizedObjectNotCached(t *testing.T) {
 func TestCPEvictionCostAndSize(t *testing.T) {
 	conf := DefaultConfig()
 	conf.CPBudget = 2 * 8 * 16 // fits two 4x4 matrices
-	conf.SpillToDisk = false
 	e := newEnv(conf)
 	cheap := li("cheap", "")
 	costly := li("costly", "")
 	e.cache.PutCP(cheap, data.Ones(4, 4), 0.001, 1, false, false)
 	e.cache.PutCP(costly, data.Ones(4, 4), 10.0, 1, false, false)
-	// Third insert must evict the cheap entry.
+	// Third insert must evict the cheap entry, which costs less than the
+	// ~4 ms disk round trip and is therefore dropped, not spilled.
 	e.cache.PutCP(li("new", ""), data.Ones(4, 4), 1.0, 1, false, false)
 	if _, hit := e.cache.Probe(li("cheap", "")); hit {
 		t.Fatal("cheap entry should have been evicted")
@@ -89,7 +89,6 @@ func TestCPEvictionCostAndSize(t *testing.T) {
 func TestCPSpillAndRestore(t *testing.T) {
 	conf := DefaultConfig()
 	conf.CPBudget = 8 * 16
-	conf.SpillToDisk = true
 	e := newEnv(conf)
 	a := li("a", "")
 	m := data.Rand(4, 4, 0, 1, 1, 1)
@@ -218,13 +217,11 @@ func TestLazyGCAfterMaterialization(t *testing.T) {
 }
 
 func TestAsyncMaterializationAfterKMisses(t *testing.T) {
-	conf := DefaultConfig()
-	conf.AsyncMatThreshold = 3
-	e := newEnv(conf)
+	e := newEnv(DefaultConfig())
 	x := e.sc.Parallelize(data.RandNorm(40, 4, 0, 1, 1), 4, "X")
 	ts := spark.TSMM(x)
 	entry := e.cache.PutRDD(li("tsmm", ""), ts, []*spark.RDD{x}, nil, 1.0, 1, spark.StorageMemory)
-	for i := 0; i < 2; i++ {
+	for i := 0; i < asyncMatThreshold-1; i++ {
 		e.cache.OnRDDReuse(entry)
 		if e.cache.Stats.AsyncMats != 0 {
 			t.Fatal("materialization before threshold")
@@ -287,16 +284,6 @@ func TestPutGPUAndRecycleInvalidation(t *testing.T) {
 	}
 }
 
-func TestGPUReuseDisabled(t *testing.T) {
-	conf := DefaultConfig()
-	conf.GPUReuse = false
-	e := newEnv(conf)
-	p, _ := e.gm.Allocate(64, 1, 0)
-	if e.cache.PutGPU(li("k", ""), p, 0, 1) != nil {
-		t.Fatal("PutGPU must be a no-op when disabled")
-	}
-}
-
 func TestFunctionEntryStats(t *testing.T) {
 	e := newEnv(DefaultConfig())
 	e.cache.PutCP(li("fn_linReg", "X,y"), data.Ones(2, 1), 1, 1, false, true)
@@ -322,19 +309,20 @@ func TestClear(t *testing.T) {
 }
 
 // Property: cpUsed equals the sum of cached (non-spilled) CP entry sizes
-// and never exceeds the budget, across random put/probe sequences.
+// and never exceeds the budget, across random put/probe sequences. Compute
+// costs of 0-7 ms straddle the ~4 ms disk round trip, so victims are both
+// spilled and dropped.
 func TestCPAccountingProperty(t *testing.T) {
 	f := func(ops []uint8) bool {
 		conf := DefaultConfig()
 		conf.CPBudget = 1024
-		conf.SpillToDisk = ops != nil && len(ops) > 0 && ops[0]%2 == 0
 		e := newEnv(conf)
 		for i, op := range ops {
 			name := fmt.Sprintf("op%d", op%8)
 			rows := 1 + int(op%5)
 			switch i % 3 {
 			case 0, 1:
-				e.cache.PutCP(li(name, ""), data.Ones(rows, 8), float64(op), 1, false, false)
+				e.cache.PutCP(li(name, ""), data.Ones(rows, 8), float64(op%8)*1e-3, 1, false, false)
 			case 2:
 				if en, hit := e.cache.Probe(li(name, "")); hit {
 					e.cache.Matrix(en)
@@ -432,18 +420,18 @@ func TestEvictionTiesGoToTheOlderEntry(t *testing.T) {
 
 // cpTie puts a, b and c with equal cost, size and last access into a
 // driver cache that fits three, puts d, and returns which of a, b, c went.
+// Each costs 1 ms, below the disk round trip, so the victim is dropped.
 func cpTie(planned bool) []string {
 	conf := DefaultConfig()
 	conf.CPBudget = 3 * 8 * 16
-	conf.SpillToDisk = false
 	e := newEnv(conf)
 	if planned {
 		e.cache.BeginPlanEpoch()
 	}
 	for _, n := range []string{"a", "b", "c"} {
-		e.cache.PutCP(li(n, ""), data.Ones(4, 4), 1, 1, false, false).LastAccess = 0
+		e.cache.PutCP(li(n, ""), data.Ones(4, 4), 1e-3, 1, false, false).LastAccess = 0
 	}
-	e.cache.PutCP(li("d", ""), data.Ones(4, 4), 1, 1, false, false)
+	e.cache.PutCP(li("d", ""), data.Ones(4, 4), 1e-3, 1, false, false)
 	return missing(e.cache, "a", "b", "c")
 }
 

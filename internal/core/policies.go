@@ -166,7 +166,7 @@ func (c *Cache) evictOneCP() (int64, bool) {
 	c.Stats.EvictionsCP++
 	c.cpUsed -= victim.Size
 	diskRT := 2 * (c.model.SpillSetup + costs.Transfer(victim.Size, c.model.DiskBW, 0))
-	if c.conf.SpillToDisk && victim.ComputeCost > diskRT {
+	if victim.ComputeCost > diskRT {
 		c.clock.Advance(c.model.SpillSetup +
 			costs.Transfer(victim.Size, c.model.DiskBW, 0))
 		if c.inj.Fail(faults.CPSpill) {
@@ -296,7 +296,7 @@ func (c *Cache) OnRDDReuse(e *Entry) {
 		return
 	}
 	e.UnmatTouch++
-	if int(e.UnmatTouch) >= c.conf.AsyncMatThreshold && c.sc != nil {
+	if e.UnmatTouch >= asyncMatThreshold && c.sc != nil {
 		e.UnmatTouch = 0
 		c.Stats.AsyncMats++
 		_, f := c.sc.Count(e.RDD, true)
@@ -330,7 +330,7 @@ func (c *Cache) collectGarbage(e *Entry) {
 // PutGPU caches a device pointer. The gpu.Manager keeps owning the memory;
 // the entry is invalidated if the pointer is recycled.
 func (c *Cache) PutGPU(item *lineage.Item, p *gpu.Pointer, computeCost float64, delay int) *Entry {
-	if !c.conf.GPUReuse || c.gm == nil {
+	if c.gm == nil {
 		return nil
 	}
 	c.Stats.Puts++

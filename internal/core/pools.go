@@ -23,9 +23,6 @@ func (p cpPool) Evict(need int64) int64 {
 }
 
 func (p cpPool) Demote(need int64) int64 {
-	if !p.c.conf.SpillToDisk {
-		return 0
-	}
 	// The spill-or-drop decision inside evictOneCP is the ladder's disk
 	// rung: expensive victims land on disk and stay reusable, cheap ones
 	// are recomputed from lineage.

@@ -25,7 +25,6 @@ func Parse(src string) (*ir.Program, error) {
 		return nil, p.errf(t, "unexpected %q after end of program", t.text)
 	}
 	p.prog.Main = blocks
-	p.prog.Source = src
 	if err := p.validateCalls(p.prog.Main); err != nil {
 		return nil, err
 	}

@@ -32,8 +32,8 @@ const (
 	// GPUAlloc fails the device's plain cudaMalloc attempt (simulated OOM);
 	// the memory manager's Algorithm-1 recovery ladder then runs.
 	GPUAlloc Site = "gpu.alloc"
-	// SparkTask fails a task (partition computation); the stage retries it
-	// up to spark.Config.MaxTaskFailures attempts before aborting.
+	// SparkTask fails a task (partition computation); the stage gives it
+	// four attempts (spark.task.maxFailures) before aborting.
 	SparkTask Site = "spark.task"
 	// SparkFetch loses a cached shuffle file; the map side is recomputed.
 	SparkFetch Site = "spark.fetch"

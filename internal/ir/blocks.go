@@ -74,10 +74,10 @@ type Function struct {
 }
 
 // Program is a compiled script: functions plus a main block sequence.
-// Source holds the raw script text when the program came from the DML
-// parser; programs built programmatically leave it empty. It is the
-// primary component of the program key, so two scripts differing only in
-// whitespace or literals key differently.
+// Its identity (Key, Fingerprint) is its structure, whether it was parsed
+// or built programmatically: scripts that differ only in whitespace are the
+// same program, and any difference in a literal, an operator or a block is
+// a different one.
 //
 // A program's statements are immutable once it has run. The program-level
 // rewrites (compiler.RewriteProgram: parameter tuning, loop checkpoints,
@@ -89,7 +89,6 @@ type Function struct {
 type Program struct {
 	Funcs     map[string]*Function
 	Main      []Block
-	Source    string
 	Rewritten bool
 
 	key uint64 // Fingerprint() once taken; 0 before

@@ -7,11 +7,10 @@ import (
 )
 
 // Fingerprint returns a structural hash of the program covering every
-// block, statement, operator, and attribute, plus the raw source text when
-// present. It is the program-identity component of the serving layer's
-// compile-cache key: two programs with equal fingerprints compile to the
-// same instruction streams given the same input shapes and compiler
-// configuration.
+// function, block, statement, operator, and attribute (literal values
+// included). It is the program-identity component of the serving layer's
+// coalesce key: two programs with equal fingerprints compute the same
+// values from the same inputs.
 //
 // Shared subexpressions (DAG nodes referenced from several statements) are
 // hashed once and referenced by a memoized ID thereafter, so fingerprinting
@@ -19,13 +18,6 @@ import (
 // the equivalent tree.
 func (p *Program) Fingerprint() uint64 {
 	h := fnv.New64a()
-	if p.Source != "" {
-		// Raw text keys maximally conservatively: any textual difference
-		// (including whitespace) yields a distinct program key.
-		fmt.Fprintf(h, "src:%d:", len(p.Source))
-		h.Write([]byte(p.Source))
-		return h.Sum64()
-	}
 	fp := &fingerprinter{h: h, ids: make(map[*Node]int)}
 	names := make([]string, 0, len(p.Funcs))
 	for name := range p.Funcs {
@@ -47,7 +39,7 @@ func (p *Program) Fingerprint() uint64 {
 // FingerprintBlock returns a structural hash of one block (statements,
 // operators, attributes, reuse-parameter headers, nested bodies), with the
 // same DAG-memoized node identity as Program.Fingerprint. It is the
-// per-block component of the serving layer's compile-cache key.
+// structural component of the compile-cache key.
 func FingerprintBlock(b Block) uint64 {
 	h := fnv.New64a()
 	fp := &fingerprinter{h: h, ids: make(map[*Node]int)}

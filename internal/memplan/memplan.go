@@ -41,10 +41,6 @@ type Config struct {
 	// Rewrites fire only when the analyzed peak exceeds it; zero disables
 	// rewrites and yields analysis plus hints only.
 	Budget int64
-	// EagerFrees inserts last-use frees even without a budget. The runtime
-	// sets it when a buffer arena is attached: every planner free point is
-	// an arena recycling opportunity, budget or not.
-	EagerFrees bool
 }
 
 // DefaultWindow is the soon-reuse protection distance in instructions the

@@ -52,7 +52,7 @@ func Apply(insts []compiler.Instruction, cfg Config) ([]compiler.Instruction, *P
 	// profile fits: dead temporaries stop competing with cached values.
 	// Splits and cache flips above stay gated on an actual overrun.
 	var frees int
-	if cfg.Budget > 0 || cfg.EagerFrees {
+	if cfg.Budget > 0 {
 		out, frees = insertFrees(out, plan)
 	}
 	final := Analyze(out)

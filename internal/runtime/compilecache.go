@@ -54,9 +54,10 @@ const blockShardCap = 256
 // CompiledBlock. A session owns a one-shard instance by default; the
 // serving layer shares a wider one across all tenants' sessions, so hot
 // programs are compiled, auto-tuned, and memory-planned once. Keys are
-// computed by Context.blockKey as (program key, block structure,
-// read-variable shapes, compiler config, planner config), so entries are
-// never shared across different input shapes or planner budgets.
+// computed by Context.blockKey as (block structure, read-variable shapes,
+// compiler config, planner budget), so entries are never shared across
+// different input shapes or planner budgets, and are shared by every
+// program that contains the block.
 //
 // Compilation charges no virtual time and is a pure function of the key's
 // components, so a hit, a miss and an eviction are indistinguishable to the
@@ -180,13 +181,11 @@ func (st BlockCacheStats) HitRate() float64 {
 }
 
 // AttachCompileCache swaps a shared compile cache in for the session's own;
-// AttachCompileCache(nil, 0) restores the session's own. programKey
-// identifies the program (ir.Program.Key of the submitted script); it is
-// folded into every block key so textually different scripts never share
-// entries of a shared cache even when individual blocks compile identically.
-func (ctx *Context) AttachCompileCache(cc CompileCache, programKey uint64) {
+// AttachCompileCache(nil, 0) restores the session's own. The second
+// parameter is ignored: a compiled block depends on the block, not on the
+// program around it, so programs that share a block share its entry.
+func (ctx *Context) AttachCompileCache(cc CompileCache, _ uint64) {
 	ctx.attached = cc
-	ctx.progKey = programKey
 }
 
 // compileCache returns the cache this session's blocks go through: the
@@ -211,11 +210,11 @@ type blockKeyParts struct {
 }
 
 // blockKey computes the compile-cache key for one basic block in the
-// current environment: (program, block structure, shapes of the variables
-// the block reads, compiler config, planner config). Compilation is a pure
-// function of exactly these inputs — CompileBlock consults the shape
-// environment only through the block's variable references — so equal keys
-// imply bitwise-equal compiled streams.
+// current environment: (block structure, shapes of the variables the block
+// reads, compiler config, planner budget when the planner is on).
+// Compilation is a pure function of exactly these inputs — CompileBlock
+// consults the shape environment only through the block's variable
+// references — so equal keys imply bitwise-equal compiled streams.
 func (ctx *Context) blockKey(bb *ir.BasicBlock) uint64 {
 	parts, ok := ctx.bbKeys[bb]
 	if !ok {
@@ -235,7 +234,7 @@ func (ctx *Context) blockKey(bb *ir.BasicBlock) uint64 {
 		ctx.bbKeys[bb] = parts
 	}
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%016x|%016x|", ctx.progKey, parts.fp)
+	fmt.Fprintf(h, "%016x|", parts.fp)
 	for _, name := range parts.reads {
 		if v, bound := ctx.vars[name]; bound {
 			fmt.Fprintf(h, "%s=%dx%d;", name, v.Rows, v.Cols)
@@ -248,8 +247,8 @@ func (ctx *Context) blockKey(bb *ir.BasicBlock) uint64 {
 	// calibration epoch/fingerprint when adaptive placement is active, which
 	// is what makes an adaptive session recompile after a recalibration.
 	fmt.Fprintf(h, "|cc:%s", ctx.Conf.Compiler.Fold())
-	if ctx.Conf.MemPlan != nil {
-		fmt.Fprintf(h, "|mp:%+v", *ctx.Conf.MemPlan)
+	if ctx.Conf.MemoryPlanner {
+		fmt.Fprintf(h, "|mp:%d", ctx.Conf.Cache.CPBudget)
 	}
 	return h.Sum64()
 }
@@ -264,8 +263,8 @@ func (ctx *Context) compiledBlock(bb *ir.BasicBlock) *CompiledBlock {
 	}
 	insts := compiler.CompileBlock(bb, ctx.shapes(), ctx.Conf.Compiler)
 	cb := &CompiledBlock{Insts: insts, Planned: insts, Sig: streamSig(insts)}
-	if ctx.Conf.MemPlan != nil {
-		cb.Planned, cb.Plan = memplan.Apply(insts, *ctx.Conf.MemPlan)
+	if ctx.Conf.MemoryPlanner {
+		cb.Planned, cb.Plan = memplan.Apply(insts, memplan.Config{Budget: ctx.Conf.Cache.CPBudget})
 	}
 	return cc.StoreCompiled(key, cb)
 }

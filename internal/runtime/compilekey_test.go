@@ -5,7 +5,6 @@ import (
 
 	"memphis/internal/data"
 	"memphis/internal/ir"
-	"memphis/internal/memplan"
 )
 
 // keyCtx builds a context with a compile cache attached under the given
@@ -30,9 +29,10 @@ func (noopCompileCache) LookupCompiled(uint64) (*CompiledBlock, bool)           
 func (noopCompileCache) StoreCompiled(_ uint64, cb *CompiledBlock) *CompiledBlock { return cb }
 
 // TestBlockKeyComposition is the table-driven key test for the compile
-// cache: every component of the key — program identity, block structure,
-// statement literals, input shapes, compiler config, and planner config —
-// must separate entries; identical setups must collide.
+// cache: every component of the key — block structure, statement literals,
+// input shapes, compiler config, and planner budget — must separate
+// entries; identical setups must collide, whatever program key the cache
+// was attached under, since a block compiles the same in any program.
 func TestBlockKeyComposition(t *testing.T) {
 	block := func(lit float64) *ir.BasicBlock {
 		return ir.BB(ir.Assign("z", ir.Mul(ir.TSMM(ir.Var("X")), ir.Lit(lit))))
@@ -45,7 +45,7 @@ func TestBlockKeyComposition(t *testing.T) {
 		build func() (*Context, *ir.BasicBlock)
 	}{
 		{"identical setup", true, base},
-		{"different program key", false, func() (*Context, *ir.BasicBlock) {
+		{"different program key", true, func() (*Context, *ir.BasicBlock) {
 			return keyCtx(t, 2, 16, 4, nil), block(2)
 		}},
 		{"different literal", false, func() (*Context, *ir.BasicBlock) {
@@ -67,7 +67,7 @@ func TestBlockKeyComposition(t *testing.T) {
 			return keyCtx(t, 1, 16, 4, func(c *Config) { c.Compiler.OpMemBudget = 1 << 10 }), block(2)
 		}},
 		{"planner configured", false, func() (*Context, *ir.BasicBlock) {
-			return keyCtx(t, 1, 16, 4, func(c *Config) { c.MemPlan = &memplan.Config{Budget: 1 << 20} }), block(2)
+			return keyCtx(t, 1, 16, 4, func(c *Config) { c.MemoryPlanner = true }), block(2)
 		}},
 	}
 
@@ -84,9 +84,13 @@ func TestBlockKeyComposition(t *testing.T) {
 		}
 	}
 
-	// Different planner budgets must not share planned streams.
-	a, bbA := keyCtx(t, 1, 16, 4, func(c *Config) { c.MemPlan = &memplan.Config{Budget: 1 << 20} }), block(2)
-	b, bbB := keyCtx(t, 1, 16, 4, func(c *Config) { c.MemPlan = &memplan.Config{Budget: 1 << 16} }), block(2)
+	// Different planner budgets (the driver cache budget) must not share
+	// planned streams.
+	planned := func(budget int64) func(*Config) {
+		return func(c *Config) { c.MemoryPlanner, c.Cache.CPBudget = true, budget }
+	}
+	a, bbA := keyCtx(t, 1, 16, 4, planned(1<<20)), block(2)
+	b, bbB := keyCtx(t, 1, 16, 4, planned(1<<16)), block(2)
 	if a.blockKey(bbA) == b.blockKey(bbB) {
 		t.Error("different memplan budgets must produce distinct block keys")
 	}

@@ -125,13 +125,13 @@ type Config struct {
 	// byte-identical to the static pipeline.
 	Adaptive bool
 
-	// MemPlan, when non-nil, enables the compile-time memory planner
-	// (internal/memplan): every compiled stream is analyzed for liveness,
-	// lifetime hints are stamped onto cache entries, and budget-bounding
-	// rewrites (early frees, row-panel matmul splits, cache flips) are
-	// applied. Nil keeps every execution path bitwise-identical to the
-	// planner-less runtime.
-	MemPlan *memplan.Config
+	// MemoryPlanner enables the compile-time memory planner
+	// (internal/memplan) under the driver cache budget Cache.CPBudget: every
+	// compiled stream is analyzed for liveness, lifetime hints are stamped
+	// onto cache entries, and budget-bounding rewrites (early frees,
+	// row-panel matmul splits, cache flips) are applied. Off keeps every
+	// execution path bitwise-identical to the planner-less runtime.
+	MemoryPlanner bool
 }
 
 // Stats counts runtime events.
@@ -157,7 +157,7 @@ type Stats struct {
 	SharedHits   int64
 	SharedPuts   int64
 
-	// Memory-planner events (zero without Config.MemPlan).
+	// Memory-planner events (zero without Config.MemoryPlanner).
 	PlanBlocks int64 // planned stream executions
 	EarlyFrees int64 // planner-inserted frees that released a binding
 
@@ -188,15 +188,13 @@ type Context struct {
 	Tenant string
 
 	// Every basic block reaches the interpreter through a compile cache:
-	// attached (AttachCompileCache, with progKey naming the submitted
-	// program) or, without one, the session's own. bbKeys memoizes per-block
-	// key components and condBBs the block wrapped around each while/if
-	// condition; both are keyed by pointers into prog and dropped when
-	// RunProgram sees a different program, so a long-lived session holds
-	// memos for one program at a time.
+	// attached (AttachCompileCache) or, without one, the session's own.
+	// bbKeys memoizes per-block key components and condBBs the block wrapped
+	// around each while/if condition; both are keyed by pointers into prog
+	// and dropped when RunProgram sees a different program, so a long-lived
+	// session holds memos for one program at a time.
 	attached CompileCache
 	own      *BlockCache
-	progKey  uint64
 	bbKeys   map[*ir.BasicBlock]blockKeyParts
 	condBBs  map[*ir.Node]*ir.BasicBlock
 
@@ -220,7 +218,7 @@ type Context struct {
 	// Memory-planner state: the plan of the currently executing stream,
 	// the current instruction position within it, and the planner report
 	// rows by stream signature, also listed in first-seen order (nil
-	// without Config.MemPlan).
+	// without Config.MemoryPlanner).
 	activePlan *memplan.Plan
 	planPos    int
 	planRecs   map[uint64]*planRecord

@@ -7,7 +7,6 @@ import (
 	"memphis/internal/core"
 	"memphis/internal/data"
 	"memphis/internal/ir"
-	"memphis/internal/memplan"
 )
 
 // TestStreamSigDistinguishesAttrs guards against report-row aliasing: two
@@ -41,7 +40,7 @@ func TestStreamSigDistinguishesAttrs(t *testing.T) {
 // block's slice bounds for the second.
 func TestPlannerDistinguishesSliceBlocks(t *testing.T) {
 	cfg := testConfig(ReuseNone)
-	cfg.MemPlan = &memplan.Config{Budget: 1 << 20}
+	cfg.MemoryPlanner = true
 	ctx := New(cfg)
 	defer ctx.Close()
 	ctx.BindHost("X", data.FromSlice(6, 1, []float64{1, 2, 3, 4, 5, 6}))

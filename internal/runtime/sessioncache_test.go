@@ -13,7 +13,6 @@ import (
 	"memphis/internal/faults"
 	"memphis/internal/ir"
 	"memphis/internal/lineage"
-	"memphis/internal/memplan"
 )
 
 // controlFlowProgram has every block kind a session meets: a function called
@@ -73,7 +72,7 @@ func sessionCacheConfig(mode ReuseMode, planner, adaptive bool, plan *faults.Pla
 		conf.Compiler.Async, conf.Compiler.MaxParallelize, conf.Compiler.CheckpointInjection = true, true, true
 	}
 	if planner {
-		conf.MemPlan = &memplan.Config{Budget: 32 << 10, EagerFrees: true}
+		conf.MemoryPlanner, conf.Cache.CPBudget = true, 32<<10
 	}
 	conf.Adaptive = adaptive
 	conf.Faults = plan

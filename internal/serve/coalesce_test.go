@@ -162,19 +162,6 @@ func TestCoalesceLateJoinersMatchWaiters(t *testing.T) {
 	if !data.AllClose(lateRes.Values["best"], leadRes.Values["best"], 0) {
 		t.Fatal("late joiner result differs from leader")
 	}
-	// NoCoalesce opts out: a fresh execution, not a follower.
-	solo, err := srv.Submit("solo", w.Prog,
-		SubmitOptions{Inputs: inputs, Fetch: []string{"best"}, NoCoalesce: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	soloRes, err := solo.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if soloRes.Coalesced {
-		t.Fatal("NoCoalesce request must not coalesce")
-	}
 }
 
 // TestCoalesceCancelPaths: canceling a waiting follower resolves it with

@@ -48,11 +48,6 @@ type Config struct {
 	// MaxPerTenant bounds one tenant's queued+running requests; Submit
 	// rejects with ErrTenantLimit beyond it (default 64).
 	MaxPerTenant int
-	// Rewrite applies MEMPHIS's program-level rewrites (auto-tuning,
-	// checkpoint and eviction injection) exactly once per program object
-	// before its first execution; programs may then be shared by many
-	// concurrent requests. Enabled by DefaultConfig.
-	Rewrite bool
 	// Shared sizes the cross-tenant cache.
 	Shared SharedConfig
 
@@ -118,7 +113,6 @@ func DefaultConfig() Config {
 		Workers:      4,
 		MaxQueue:     1024,
 		MaxPerTenant: 64,
-		Rewrite:      true,
 		MaxRetries:   2,
 		RetryBackoff: 0.05,
 	}
@@ -154,9 +148,6 @@ type SubmitOptions struct {
 	Bind func(*runtime.Context)
 	// Fetch lists variables to materialize to the host in the Result.
 	Fetch []string
-	// NoCoalesce opts this request out of batched admission even when
-	// Config.Coalesce is on: it always executes on its own session.
-	NoCoalesce bool
 }
 
 // Result is one completed request.
@@ -192,9 +183,8 @@ type request struct {
 	ticket uint64
 	// in is the input binding hashed once at admission: the conflict keys
 	// the scheduler serializes on and the fingerprints the session needs.
-	in      hashedInputs
-	global  bool
-	progKey uint64
+	in     hashedInputs
+	global bool
 	// group is the request's coalesce group (nil when coalescing is off or
 	// the request is ineligible); the request is the group's leader when
 	// group.leader == ticket. coalKey is the group's key in Server.groups.
@@ -411,15 +401,15 @@ func hashInputs(inputs map[string]*data.Matrix) hashedInputs {
 	return in
 }
 
-// prepareLocked applies MEMPHIS's program-level rewrites (once per program
-// object, before any worker can run it) and returns the program key. The key
-// is taken after the rewrites: source-backed programs key on their raw text,
-// but programmatically built ones key on post-rewrite structure, and
-// same-structure programs rewrite identically, so equal sources always yield
-// equal keys. Both are remembered on the program itself; the caller holds
-// s.mu, which orders concurrent submissions of one program.
+// prepareLocked applies MEMPHIS's program-level rewrites under full reuse,
+// as Session.Run does (once per program object, before any worker can run
+// it), and returns the program key, the coalesce key's program component.
+// The key is the post-rewrite structure, and same-structure programs rewrite
+// identically, so equal programs always yield equal keys. Both are
+// remembered on the program itself; the caller holds s.mu, which orders
+// concurrent submissions of one program.
 func (s *Server) prepareLocked(prog *ir.Program) uint64 {
-	if s.conf.Rewrite && s.conf.Runtime.Mode == runtime.ReuseMemphis {
+	if s.conf.Runtime.Mode == runtime.ReuseMemphis {
 		compiler.RewriteProgram(prog)
 	}
 	return prog.Key()
@@ -473,7 +463,7 @@ func (s *Server) Submit(tenant string, prog *ir.Program, opts SubmitOptions) (*F
 	if s.closed {
 		return nil, ErrClosed
 	}
-	canCoalesce := s.conf.Coalesce && opts.Bind == nil && !opts.NoCoalesce
+	canCoalesce := s.conf.Coalesce && opts.Bind == nil
 	progKey := s.prepareLocked(prog)
 	var coalKey uint64
 	if canCoalesce {
@@ -492,7 +482,6 @@ func (s *Server) Submit(tenant string, prog *ir.Program, opts SubmitOptions) (*F
 				opts:    opts,
 				ticket:  s.nextTicket,
 				in:      in,
-				progKey: progKey,
 				group:   g,
 				coalKey: coalKey,
 				done:    make(chan struct{}),
@@ -527,15 +516,14 @@ func (s *Server) Submit(tenant string, prog *ir.Program, opts SubmitOptions) (*F
 	}
 	s.nextTicket++
 	req := &request{
-		tenant:  tenant,
-		prog:    prog,
-		opts:    opts,
-		ticket:  s.nextTicket,
-		in:      in,
-		global:  opts.Bind != nil,
-		progKey: progKey,
-		done:    make(chan struct{}),
-		srv:     s,
+		tenant: tenant,
+		prog:   prog,
+		opts:   opts,
+		ticket: s.nextTicket,
+		in:     in,
+		global: opts.Bind != nil,
+		done:   make(chan struct{}),
+		srv:    s,
 	}
 	if canCoalesce {
 		g := &coalesceGroup{leader: req.ticket, size: 1}
@@ -916,7 +904,7 @@ func (s *Server) runAttempt(req *request, attempt int) (res *Result, err error) 
 		}
 	}()
 	ctx.AttachShared(s.shared, req.tenant)
-	ctx.AttachCompileCache(s.cc, req.progKey)
+	ctx.AttachCompileCache(s.cc, 0)
 	for i, n := range req.in.names {
 		ctx.BindHostFingerprinted(n, req.opts.Inputs[n], req.in.sums[i])
 	}

@@ -21,7 +21,7 @@ import (
 	"memphis/internal/vtime"
 )
 
-// ErrStageAbort signals that a stage gave up after MaxTaskFailures
+// ErrStageAbort signals that a stage gave up after maxTaskFailures
 // consecutive failures of the same task. It propagates as a panic value
 // (the RDD evaluation path returns no errors, matching Spark's DAGScheduler
 // which fails the job from deep inside the scheduler loop) and is recovered
@@ -31,20 +31,12 @@ var ErrStageAbort = errors.New("spark: stage aborted: task exceeded max failures
 // Config sizes the simulated cluster.
 type Config struct {
 	NumExecutors  int
-	CoresPerExec  int
 	StorageMemory int64 // aggregate storage region across executors, bytes
-	// JobSlots is the number of Spark jobs that can execute concurrently
-	// (FAIR-scheduler pools); asynchronous operators exploit it.
-	JobSlots int
-	// MaxTaskFailures is how many attempts a task gets before its stage
-	// aborts (spark.task.maxFailures); <= 0 means the default of 4.
-	MaxTaskFailures int
 }
 
 // DefaultConfig mirrors the paper's 8-worker cluster, scaled to simulation.
 func DefaultConfig() Config {
-	return Config{NumExecutors: 8, CoresPerExec: 24, StorageMemory: 64 << 20, JobSlots: 4,
-		MaxTaskFailures: 4}
+	return Config{NumExecutors: 8, StorageMemory: 64 << 20}
 }
 
 // Stats counts cluster events; experiments assert on these.
@@ -98,16 +90,23 @@ type Context struct {
 	Stats Stats
 }
 
+const (
+	// coresPerExec is the task slots of one executor.
+	coresPerExec = 24
+	// jobSlots is the number of Spark jobs that can execute concurrently
+	// (FAIR-scheduler pools); asynchronous operators exploit it.
+	jobSlots = 4
+	// maxTaskFailures is how many attempts a task gets before its stage
+	// aborts (spark.task.maxFailures).
+	maxTaskFailures = 4
+)
+
 // NewContext returns a simulated cluster on the given clock.
 func NewContext(clock *vtime.Clock, model *costs.Model, conf Config) *Context {
-	if conf.NumExecutors <= 0 || conf.CoresPerExec <= 0 {
+	if conf.NumExecutors <= 0 {
 		panic("spark: invalid cluster config")
 	}
-	n := conf.JobSlots
-	if n <= 0 {
-		n = 1
-	}
-	slots := make([]*vtime.Resource, n)
+	slots := make([]*vtime.Resource, jobSlots)
 	for i := range slots {
 		slots[i] = clock.Resource(fmt.Sprintf("spark-%d", i))
 	}
@@ -148,14 +147,6 @@ func (c *Context) SetArbiter(a *memctl.Arbiter) {
 	}
 }
 
-// maxTaskFailures returns the effective task-attempt limit.
-func (c *Context) maxTaskFailures() int {
-	if c.conf.MaxTaskFailures > 0 {
-		return c.conf.MaxTaskFailures
-	}
-	return 4
-}
-
 // Clock returns the virtual clock (for tests).
 func (c *Context) Clock() *vtime.Clock { return c.clock }
 
@@ -165,14 +156,11 @@ func (c *Context) Cluster() *vtime.Resource { return c.slots[0] }
 // BlockManager exposes cluster storage (for tests and cache policies).
 func (c *Context) BlockManager() *BlockManager { return c.bm }
 
-// Config returns the cluster configuration.
-func (c *Context) Config() Config { return c.conf }
-
 // DriverBroadcastBytes returns serialized broadcast bytes held in the driver.
 func (c *Context) DriverBroadcastBytes() int64 { return c.driverBroadcastBytes }
 
 // taskSlots returns the number of parallel task slots.
-func (c *Context) taskSlots() int { return c.conf.NumExecutors * c.conf.CoresPerExec }
+func (c *Context) taskSlots() int { return c.conf.NumExecutors * coresPerExec }
 
 // jobCost aggregates one job's virtual duration and memoizes partition
 // values so fan-out in the RDD DAG does not recompute shared ancestors
@@ -306,10 +294,10 @@ func (c *Context) evaluate(r *RDD, part int, cost *jobCost) *data.Matrix {
 	c.Stats.PartitionsComputed++
 	// Injected task failures: the stage retries the task, charging each
 	// wasted attempt's scheduling overhead and compute; after
-	// MaxTaskFailures attempts the whole stage aborts (Spark's
+	// maxTaskFailures attempts the whole stage aborts (Spark's
 	// spark.task.maxFailures semantics).
 	if fails := c.inj.Next(faults.SparkTask); fails > 0 {
-		if fails >= c.maxTaskFailures() {
+		if fails >= maxTaskFailures {
 			panic(fmt.Errorf("%w: rdd %d partition %d failed %d attempts",
 				ErrStageAbort, r.id, part, fails))
 		}

@@ -60,11 +60,11 @@ func TestTaskRetryChargesAttempts(t *testing.T) {
 	}
 }
 
-// TestStageAbortAtMaxFailures: a task that fails MaxTaskFailures attempts
+// TestStageAbortAtMaxFailures: a task that fails maxTaskFailures attempts
 // aborts the stage with an ErrStageAbort panic.
 func TestStageAbortAtMaxFailures(t *testing.T) {
 	c := newFaultContext(&faults.Plan{Seed: 1, Sites: map[faults.Site]faults.Trigger{
-		faults.SparkTask: {Nth: []int64{1}, Attempts: 4},
+		faults.SparkTask: {Nth: []int64{1}, Attempts: maxTaskFailures},
 	}})
 	defer func() {
 		r := recover()

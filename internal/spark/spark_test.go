@@ -419,16 +419,23 @@ func TestConcurrentJobSlots(t *testing.T) {
 	}
 }
 
+// TestJobSlotsSerializeWhenSaturated: jobSlots equal asynchronous jobs run
+// side by side and finish together; one more has to wait for a slot and
+// finishes after all of them.
 func TestJobSlotsSerializeWhenSaturated(t *testing.T) {
-	conf := DefaultConfig()
-	conf.JobSlots = 1
-	clock := vtime.New()
-	c := NewContext(clock, costs.Default(), conf)
+	c, _ := newTestContext(0)
 	x := c.Parallelize(data.RandNorm(100, 5, 0, 1, 22), 4, "X")
-	_, f1 := c.RunJob(TSMM(x), []int{0}, true)
-	_, f2 := c.RunJob(ColAggregate(x, "sum", data.ColSums, data.Add), []int{0}, true)
-	if f2.ReadyAt() <= f1.ReadyAt() {
-		t.Fatal("a single job slot must serialize jobs")
+	futs := make([]*vtime.Future, jobSlots+1)
+	for i := range futs {
+		_, futs[i] = c.RunJob(TSMM(x), []int{0}, true)
 	}
-	_ = clock
+	first := futs[0].ReadyAt()
+	for i, f := range futs[:jobSlots] {
+		if f.ReadyAt() != first {
+			t.Fatalf("job %d finished at %g, job 0 at %g: the first %d jobs must overlap", i, f.ReadyAt(), first, jobSlots)
+		}
+	}
+	if last := futs[jobSlots].ReadyAt(); last <= first {
+		t.Fatalf("job %d finished at %g, not after the first %d (%g): saturated slots must serialize", jobSlots, last, jobSlots, first)
+	}
 }

@@ -7,7 +7,6 @@ import (
 	"memphis/internal/core"
 	"memphis/internal/data"
 	"memphis/internal/faults"
-	"memphis/internal/memplan"
 	"memphis/internal/runtime"
 	"memphis/internal/spark"
 )
@@ -25,13 +24,13 @@ func fusedCtx(cpBudget, opMem int64, plan *faults.Plan) *runtime.Context {
 	cache := core.DefaultConfig()
 	cache.CPBudget = cpBudget
 	return runtime.New(runtime.Config{
-		Mode:     runtime.ReuseMemphis,
-		Compiler: comp,
-		Cache:    cache,
-		Spark:    spark.DefaultConfig(),
-		Faults:   plan,
-		MemPlan:  &memplan.Config{Budget: cpBudget, EagerFrees: true},
-		Arena:    true,
+		Mode:          runtime.ReuseMemphis,
+		Compiler:      comp,
+		Cache:         cache,
+		Spark:         spark.DefaultConfig(),
+		Faults:        plan,
+		MemoryPlanner: true,
+		Arena:         true,
 	})
 }
 

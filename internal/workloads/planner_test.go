@@ -7,14 +7,13 @@ import (
 	"memphis/internal/core"
 	"memphis/internal/data"
 	"memphis/internal/faults"
-	"memphis/internal/memplan"
 	"memphis/internal/runtime"
 	"memphis/internal/spark"
 )
 
 // plannerCtx builds a full-MEMPHIS CP/Spark context like tightCtx, with the
-// compile-time memory planner attached when mp is non-nil.
-func plannerCtx(cpBudget, opMem int64, plan *faults.Plan, mp *memplan.Config) *runtime.Context {
+// compile-time memory planner, which plans under cpBudget, when planner is set.
+func plannerCtx(cpBudget, opMem int64, plan *faults.Plan, planner bool) *runtime.Context {
 	comp := compiler.DefaultConfig()
 	comp.OpMemBudget = opMem
 	comp.Async = true
@@ -23,12 +22,12 @@ func plannerCtx(cpBudget, opMem int64, plan *faults.Plan, mp *memplan.Config) *r
 	cache := core.DefaultConfig()
 	cache.CPBudget = cpBudget
 	return runtime.New(runtime.Config{
-		Mode:     runtime.ReuseMemphis,
-		Compiler: comp,
-		Cache:    cache,
-		Spark:    spark.DefaultConfig(),
-		Faults:   plan,
-		MemPlan:  mp,
+		Mode:          runtime.ReuseMemphis,
+		Compiler:      comp,
+		Cache:         cache,
+		Spark:         spark.DefaultConfig(),
+		Faults:        plan,
+		MemoryPlanner: planner,
 	})
 }
 
@@ -53,7 +52,7 @@ func TestPlannerBoundsPeakBitwise(t *testing.T) {
 	for _, tc := range plannerCases {
 		t.Run(tc.name, func(t *testing.T) {
 			// Natural (unbounded) run: reference checksum and peak.
-			ctx := plannerCtx(1<<30, tc.opMem, nil, nil)
+			ctx := plannerCtx(1<<30, tc.opMem, nil, false)
 			vtime0, sum0, _ := runPinned(t, ctx, tc.build(), tc.out)
 			natural := ctx.Cache.CPPeak()
 			ctx.Close()
@@ -62,7 +61,7 @@ func TestPlannerBoundsPeakBitwise(t *testing.T) {
 			}
 			budget := natural / 2
 
-			ctx = plannerCtx(budget, tc.opMem, nil, &memplan.Config{Budget: budget})
+			ctx = plannerCtx(budget, tc.opMem, nil, true)
 			vtime1, sum1, cs := runPinned(t, ctx, tc.build(), tc.out)
 			peak := ctx.Cache.CPPeak()
 			var predicted int64
@@ -102,16 +101,16 @@ func TestPlannerHintsReduceEvictions(t *testing.T) {
 	var anyFrees int64
 	for _, tc := range plannerCases {
 		t.Run(tc.name, func(t *testing.T) {
-			ctx := plannerCtx(1<<30, tc.opMem, nil, nil)
+			ctx := plannerCtx(1<<30, tc.opMem, nil, false)
 			_, sum0, _ := runPinned(t, ctx, tc.build(), tc.out)
 			budget := ctx.Cache.CPPeak() / 2
 			ctx.Close()
 
-			ctx = plannerCtx(budget, tc.opMem, nil, nil)
+			ctx = plannerCtx(budget, tc.opMem, nil, false)
 			_, sumOff, csOff := runPinned(t, ctx, tc.build(), tc.out)
 			ctx.Close()
 
-			ctx = plannerCtx(budget, tc.opMem, nil, &memplan.Config{Budget: budget})
+			ctx = plannerCtx(budget, tc.opMem, nil, true)
 			_, sumOn, csOn := runPinned(t, ctx, tc.build(), tc.out)
 			anyFrees += ctx.Stats.EarlyFrees
 			ctx.Close()
@@ -140,8 +139,7 @@ func TestPlannerFreesUnderInjectedEvictions(t *testing.T) {
 	defer data.SetParallelism(prev)
 
 	run := func(plan *faults.Plan) (string, uint64, core.Stats, int64) {
-		mp := &memplan.Config{Budget: 16 << 10}
-		ctx := plannerCtx(16<<10, 8<<10, plan, mp)
+		ctx := plannerCtx(16<<10, 8<<10, plan, true)
 		defer ctx.Close()
 		w := PNMF(400, 30, 4, 4, 11)
 		vt, sum, cs := runPinned(t, ctx, w, "obj")

@@ -31,7 +31,6 @@ import (
 	"memphis/internal/ir"
 	"memphis/internal/lineage"
 	"memphis/internal/memctl"
-	"memphis/internal/memplan"
 	"memphis/internal/runtime"
 	"memphis/internal/serve"
 	"memphis/internal/spark"
@@ -144,8 +143,8 @@ type Options struct {
 
 // MemoryBudgets names the byte budgets of the arbiter's pools: the driver
 // lineage cache (CP), the reuse share of cluster storage (SparkReuse), the
-// cluster storage region itself (Spark), and device memory (GPU). Session
-// MemoryStats reports one row per pool under these budgets.
+// cluster storage region itself (Spark), and device memory (GPU).
+// Session.Stats().Memory reports one row per pool under these budgets.
 type MemoryBudgets struct {
 	CP         int64 // driver lineage cache (default 16 MB)
 	SparkReuse int64 // reuse share of cluster storage (default 48 MB)
@@ -250,29 +249,20 @@ func runtimeConfig(opts Options) runtime.Config {
 		}
 	}
 	comp.Fusion = opts.Fusion
-	var plan *memplan.Config
-	if opts.MemoryPlanner {
-		plan = &memplan.Config{Budget: cache.CPBudget}
-		if opts.Arena {
-			// Every planner free point is an arena recycling opportunity,
-			// so frees are worth inserting even when the profile fits.
-			plan.EagerFrees = true
-		}
-	}
 	return runtime.Config{
-		Mode:        mode,
-		Compiler:    comp,
-		Cache:       cache,
-		Spark:       sparkConf,
-		GPUCapacity: gcap,
-		GPUPolicy:   pol,
-		Parallelism: opts.Parallelism,
-		Faults:      opts.FaultPlan,
-		MemPlan:     plan,
-		Arena:       opts.Arena,
-		ArenaBudget: opts.MemoryBudgets.Arena,
-		Model:       opts.CostModel,
-		Adaptive:    opts.AdaptivePlacement,
+		Mode:          mode,
+		Compiler:      comp,
+		Cache:         cache,
+		Spark:         sparkConf,
+		GPUCapacity:   gcap,
+		GPUPolicy:     pol,
+		Parallelism:   opts.Parallelism,
+		Faults:        opts.FaultPlan,
+		MemoryPlanner: opts.MemoryPlanner,
+		Arena:         opts.Arena,
+		ArenaBudget:   opts.MemoryBudgets.Arena,
+		Model:         opts.CostModel,
+		Adaptive:      opts.AdaptivePlacement,
 	}
 }
 
@@ -364,41 +354,25 @@ type PoolStats = memctl.PoolStats
 // pressure and demotion rows.
 type Stats struct {
 	runtime.Stats
+	// Memory has one row per arbiter pool, in fixed registration order: the
+	// driver cache ("cp"), the reuse share of cluster storage
+	// ("spark-reuse"), the cluster storage region ("spark"), the device pool
+	// ("gpu") when EnableGPU is set, and the buffer arena ("arena") when
+	// Arena is set.
 	Memory []PoolStats `json:"memory,omitempty"`
-	// Calibration is the closed-loop cost model's report (nil unless
-	// Options.AdaptivePlacement is set).
+	// Calibration is the closed-loop cost model's report: calibration
+	// epoch, per-backend effective rates, and per-operator
+	// predicted-vs-observed virtual costs with reuse probabilities. Nil
+	// unless Options.AdaptivePlacement is set; two replays of the same
+	// program serialize it byte-identically.
 	Calibration *CalibrationReport `json:"calibration,omitempty"`
 }
 
-// Stats returns the runtime statistics (instruction counts, reuses) with
-// the memory arbiter's per-pool rows attached, and — under
-// Options.AdaptivePlacement — the cost-model calibration report.
+// Stats returns the runtime statistics with the memory and calibration
+// reports attached.
 func (s *Session) Stats() Stats {
-	return Stats{Stats: s.ctx.Stats, Memory: s.MemoryStats(), Calibration: s.CalibrationReport()}
+	return Stats{Stats: s.ctx.Stats, Memory: s.ctx.Arb.Snapshot(), Calibration: s.ctx.CalibrationReport()}
 }
-
-// CalibrationReport returns the closed-loop cost model's current snapshot:
-// calibration epoch, per-backend effective rates, and per-operator
-// predicted-vs-observed virtual costs with reuse probabilities. Nil unless
-// Options.AdaptivePlacement is set. Deterministic: two replays of the same
-// program serialize byte-identically.
-func (s *Session) CalibrationReport() *CalibrationReport { return s.ctx.CalibrationReport() }
-
-// ReuseRow is one (operator, backend, shape-class) probe/hit tally with its
-// observed hit rate.
-type ReuseRow = runtime.ReuseRow
-
-// ReuseSnapshot returns the session's fine-grained probe/hit tallies per
-// (operator, backend, shape-class). Nil unless Options.AdaptivePlacement is
-// set.
-func (s *Session) ReuseSnapshot() []ReuseRow { return s.ctx.ReuseSnapshot() }
-
-// MemoryStats returns the per-pool pressure/demotion counters of the
-// session's memory arbiter, in fixed registration order: the driver cache
-// ("cp"), the reuse share of cluster storage ("spark-reuse"), the cluster
-// storage region ("spark"), the device pool ("gpu") when EnableGPU is set,
-// and the buffer arena ("arena") when Arena is set.
-func (s *Session) MemoryStats() []PoolStats { return s.ctx.Arb.Snapshot() }
 
 // ArenaStats reports the buffer arena's allocation counters: total Gets,
 // Gets satisfied from the free lists, Puts, and buffers that escaped into
@@ -546,7 +520,6 @@ func NewServer(opts ServerOptions) *Server {
 	if opts.MaxPerTenant > 0 {
 		conf.MaxPerTenant = opts.MaxPerTenant
 	}
-	conf.Rewrite = opts.Reuse == ReuseFull
 	// The serving layer owns fault injection per request attempt; the
 	// runtime template must not also carry the plan or each session would
 	// replay one fixed stream.

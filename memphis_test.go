@@ -297,8 +297,8 @@ func TestSessionLookupSurfacesStageAbort(t *testing.T) {
 }
 
 // TestMemoryBudgetsAndStats checks the facade's arbiter surface: a tight
-// MemoryBudgets.CP forces driver-cache pressure, and Stats/MemoryStats
-// report per-pool rows with truthful counters in fixed pool order.
+// MemoryBudgets.CP forces driver-cache pressure, and Stats().Memory
+// reports per-pool rows with truthful counters in fixed pool order.
 func TestMemoryBudgetsAndStats(t *testing.T) {
 	// 600 bytes: the 512-byte gram matrix fits alone, so caching its grid
 	// siblings must evict — deterministic driver-cache pressure.
