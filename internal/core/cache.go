@@ -6,7 +6,10 @@
 // system-internal API (REUSE, PUT, MAKE_SPACE) on the instruction execution
 // path and delegates memory management to backend-specific policies:
 //
-//   - Driver: Cost&Size eviction with optional disk spill.
+//   - Driver: Cost&Size eviction with optional disk spill. Victims are
+//     searched among the resident matrices only: the cache keeps them (and
+//     the persisted reuse RDDs) in candidate lists beside the map, so
+//     placeholders and spilled entries cost a victim search nothing.
 //   - Spark (§4.1): Eq. (1) scoring (r_h+r_m+r_j)·c/s over persisted RDDs,
 //     lazy garbage collection of dangling child RDDs and broadcasts once a
 //     parent materializes, and asynchronous count() materialization after
@@ -129,9 +132,28 @@ type Entry struct {
 	planEpoch int64
 
 	// seq orders entries by insertion; victim selection breaks score ties
-	// toward the lower (older) one instead of toward map iteration order.
+	// toward the lower (older) one instead of toward candidate order.
 	seq uint64
+
+	// same chains the entries whose keys share a lineage hash.
+	same *Entry
+	// list is the candidate list holding the entry and slot its position
+	// there; both are kept by Cache.relist.
+	list candList
+	slot int32
 }
+
+// candList names the victim-candidate list an entry is in.
+type candList int8
+
+const (
+	// unlisted: no victim search may pick the entry.
+	unlisted candList = iota
+	// listedCP: a resident driver matrix, in Cache.cpCands.
+	listedCP
+	// listedSpark: a persisted reuse RDD, in Cache.sparkCands.
+	listedSpark
+)
 
 // Stats counts cache events; experiments and tests assert on these.
 type Stats struct {
@@ -186,8 +208,18 @@ type Cache struct {
 	model *costs.Model
 	conf  Config
 
-	entries map[uint64][]*Entry // lineage hash -> entries (chained)
-	nextSeq uint64              // Entry.seq of the next insert
+	// entries maps a lineage hash to its entries, chained through
+	// Entry.same: placeholders, resident and spilled objects alike.
+	entries map[uint64]*Entry
+	n       int    // entries in the map
+	nextSeq uint64 // Entry.seq of the next insert
+
+	// The victim candidates, unordered: cpCands holds the resident CP
+	// matrices cpVictim may pick, sparkCands the persisted reuse RDDs
+	// sparkVictim may pick. relist keeps them equal to the map filtered by
+	// those predicates.
+	cpCands    []*Entry
+	sparkCands []*Entry
 
 	cpUsed    int64
 	sparkUsed int64 // worst-case estimates of persisted reuse RDDs
@@ -227,7 +259,7 @@ func NewCache(clock *vtime.Clock, model *costs.Model, conf Config,
 		clock:   clock,
 		model:   model,
 		conf:    conf,
-		entries: make(map[uint64][]*Entry),
+		entries: make(map[uint64]*Entry),
 		sc:      sc,
 		gm:      gm,
 		gpE:     make(map[*gpu.Pointer]*Entry),
@@ -326,17 +358,11 @@ func (c *Cache) entryLife(e *Entry) memctl.Lifetime {
 }
 
 // NumEntries returns the number of cache entries (all states).
-func (c *Cache) NumEntries() int {
-	n := 0
-	for _, chain := range c.entries {
-		n += len(chain)
-	}
-	return n
-}
+func (c *Cache) NumEntries() int { return c.n }
 
 // find locates the entry equal to item, if any.
 func (c *Cache) find(item *lineage.Item) *Entry {
-	for _, e := range c.entries[item.Hash()] {
+	for e := c.entries[item.Hash()]; e != nil; e = e.same {
 		if e.Key.Equals(item) {
 			return e
 		}
@@ -344,29 +370,82 @@ func (c *Cache) find(item *lineage.Item) *Entry {
 	return nil
 }
 
-// insert adds an entry keyed by its lineage item.
+// insert adds an entry keyed by its lineage item. The caller relists it
+// once its backend, status and payload are set.
 func (c *Cache) insert(e *Entry) {
 	c.nextSeq++
 	e.seq = c.nextSeq
 	h := e.Key.Hash()
-	c.entries[h] = append(c.entries[h], e)
+	e.same = c.entries[h]
+	c.entries[h] = e
+	c.n++
 }
 
-// removeEntry unlinks an entry from the map.
+// removeEntry unlinks an entry from the map and from its candidate list.
 func (c *Cache) removeEntry(e *Entry) {
 	h := e.Key.Hash()
-	chain := c.entries[h]
-	for i, x := range chain {
-		if x == e {
-			chain = append(chain[:i], chain[i+1:]...)
-			break
+	if p := c.entries[h]; p == e {
+		if e.same == nil {
+			delete(c.entries, h)
+		} else {
+			c.entries[h] = e.same
+		}
+	} else {
+		for p.same != e {
+			p = p.same
+		}
+		p.same = e.same
+	}
+	e.same = nil
+	c.n--
+	c.unlist(e)
+}
+
+// candidates returns the candidate list l names.
+func (c *Cache) candidates(l candList) *[]*Entry {
+	if l == listedCP {
+		return &c.cpCands
+	}
+	return &c.sparkCands
+}
+
+// relist puts e into the candidate list its backend, status and payload
+// now select, or into none. Every change of those fields on an entry in
+// the map is followed by a relist before the next victim search.
+func (c *Cache) relist(e *Entry) {
+	want := unlisted
+	if e.Status == StatusCached {
+		switch {
+		case e.Backend == BackendCP && e.Matrix != nil:
+			want = listedCP
+		case e.Backend == BackendSpark && e.RDD != nil:
+			want = listedSpark
 		}
 	}
-	if len(chain) == 0 {
-		delete(c.entries, h)
-	} else {
-		c.entries[h] = chain
+	if want == e.list {
+		return
 	}
+	c.unlist(e)
+	if want != unlisted {
+		l := c.candidates(want)
+		e.list, e.slot = want, int32(len(*l))
+		*l = append(*l, e)
+	}
+}
+
+// unlist takes e out of its candidate list, moving the list's last entry
+// into its slot.
+func (c *Cache) unlist(e *Entry) {
+	if e.list == unlisted {
+		return
+	}
+	l := c.candidates(e.list)
+	last := (*l)[len(*l)-1]
+	(*l)[e.slot] = last
+	last.slot = e.slot
+	(*l)[len(*l)-1] = nil
+	*l = (*l)[:len(*l)-1]
+	e.list = unlisted
 }
 
 // Lookup returns the entry equal to item without charging probe cost or
@@ -460,6 +539,7 @@ func (c *Cache) invalidateGPU(p *gpu.Pointer) {
 		e.Backend = BackendCP
 		e.Matrix = v
 		e.GPUPtr = nil
+		c.relist(e)
 		c.cpUsed += e.Size
 		c.bumpCP()
 		return
@@ -499,6 +579,7 @@ func (c *Cache) DemoteGPUPointer(p *gpu.Pointer) *data.Matrix {
 		e.Backend = BackendCP
 		e.Matrix = v
 		e.GPUPtr = nil
+		c.relist(e)
 		c.cpUsed += e.Size
 		c.bumpCP()
 	} else {
@@ -508,7 +589,10 @@ func (c *Cache) DemoteGPUPointer(p *gpu.Pointer) *data.Matrix {
 }
 
 // shouldStore advances delayed-caching state and reports whether the PUT
-// should store the object now. A delay of n<=1 stores eagerly.
+// should store the object now. A delay of n<=1 stores eagerly. An item
+// already stored (resident, spilled or on another backend) is returned
+// with store false, as the eager path returns it: storing it again would
+// count its bytes twice.
 func (c *Cache) shouldStore(item *lineage.Item, delay int) (*Entry, bool) {
 	if delay <= 1 {
 		return nil, true
@@ -518,6 +602,9 @@ func (c *Cache) shouldStore(item *lineage.Item, delay int) (*Entry, bool) {
 		e = &Entry{Key: item, Status: StatusToBeCached, DelayTarget: delay, SeenCount: 1}
 		c.insert(e)
 		c.Stats.Placeholders++
+		return e, false
+	}
+	if e.Status != StatusToBeCached {
 		return e, false
 	}
 	e.SeenCount++

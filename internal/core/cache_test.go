@@ -311,7 +311,8 @@ func TestClear(t *testing.T) {
 // Property: cpUsed equals the sum of cached (non-spilled) CP entry sizes
 // and never exceeds the budget, across random put/probe sequences. Compute
 // costs of 0-7 ms straddle the ~4 ms disk round trip, so victims are both
-// spilled and dropped.
+// spilled and dropped; delays of 1-3 mix eager and delayed puts, including
+// delayed puts of items already stored.
 func TestCPAccountingProperty(t *testing.T) {
 	f := func(ops []uint8) bool {
 		conf := DefaultConfig()
@@ -322,13 +323,19 @@ func TestCPAccountingProperty(t *testing.T) {
 			rows := 1 + int(op%5)
 			switch i % 3 {
 			case 0, 1:
-				e.cache.PutCP(li(name, ""), data.Ones(rows, 8), float64(op%8)*1e-3, 1, false, false)
+				e.cache.PutCP(li(name, ""), data.Ones(rows, 8), float64(op%8)*1e-3, 1+int(op/8%3), false, false)
 			case 2:
 				if en, hit := e.cache.Probe(li(name, "")); hit {
 					e.cache.Matrix(en)
 				}
 			}
-			if e.cache.CPUsed() > conf.CPBudget {
+			var cached int64
+			for _, en := range allEntries(e.cache) {
+				if en.Backend == BackendCP && en.Status == StatusCached && en.Matrix != nil {
+					cached += en.Size
+				}
+			}
+			if e.cache.CPUsed() != cached || e.cache.CPUsed() > conf.CPBudget {
 				return false
 			}
 		}

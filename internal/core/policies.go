@@ -60,6 +60,7 @@ func (c *Cache) putCP(item *lineage.Item, m *data.Matrix, size int64, build func
 	e.Size = size
 	e.Height = item.Height()
 	e.LastAccess = c.clock.Now()
+	c.relist(e)
 	c.cpUsed += size
 	c.bumpCP()
 	return e
@@ -73,6 +74,9 @@ func (c *Cache) Matrix(e *Entry) *data.Matrix {
 		c.clock.Advance(c.model.SpillSetup +
 			costs.Transfer(e.Size, c.model.DiskBW, 0))
 		e.Status = StatusCached
+		// Listed before making space, so the restored entry is itself a
+		// candidate and may go straight back to disk.
+		c.relist(e)
 		c.MakeSpaceCP(e.Size)
 		c.cpUsed += e.Size
 		c.bumpCP()
@@ -95,23 +99,19 @@ func cpCandidate(e *Entry) memctl.Candidate {
 
 // cpVictim selects the lowest-scored resident CP entry under the shared
 // hybrid policy (memctl.CPWeights: LIMA's Cost&Size ratio, normalized
-// against the cache-wide maximum, plus recency), or nil when nothing is
-// evictable. Under an active memory plan (planEpoch > 0) selection is
-// lifetime-grouped first: entries the plan marked dead evict before
-// unknown ones, soon-reused ones are protected, and the hybrid score
-// breaks ties within a group. With the planner off, planEpoch stays zero
-// and selection is by score alone. Either way equal candidates go to the
-// older entry, so the victim never depends on map iteration order.
+// against the maximum over the resident entries, plus recency), or nil
+// when nothing is evictable. Under an active memory plan (planEpoch > 0)
+// selection is lifetime-grouped first: entries the plan marked dead evict
+// before unknown ones, soon-reused ones are protected, and the hybrid
+// score breaks ties within a group. With the planner off, planEpoch stays
+// zero and selection is by score alone. Either way equal candidates go to
+// the older entry: the victim is the minimum of a total order over
+// cpCands, so the order of the list does not matter.
 func (c *Cache) cpVictim() *Entry {
 	maxRatio := 0.0
-	for _, chain := range c.entries {
-		for _, e := range chain {
-			if e.Backend != BackendCP || e.Status != StatusCached || e.Matrix == nil {
-				continue
-			}
-			if r := memctl.Ratio(cpCandidate(e), false); r > maxRatio {
-				maxRatio = r
-			}
+	for _, e := range c.cpCands {
+		if r := memctl.Ratio(cpCandidate(e), false); r > maxRatio {
+			maxRatio = r
 		}
 	}
 	norms := memctl.Norms{MaxRatio: maxRatio, Now: c.clock.Now()}
@@ -119,25 +119,27 @@ func (c *Cache) cpVictim() *Entry {
 	var victim *Entry
 	best := math.Inf(1)
 	bestLife := memctl.LifeSoon + 1
-	for _, chain := range c.entries {
-		for _, e := range chain {
-			if e.Backend != BackendCP || e.Status != StatusCached || e.Matrix == nil {
-				continue
+	for _, e := range c.cpCands {
+		s := memctl.Score(cpCandidate(e), memctl.CPWeights, norms)
+		if planOn {
+			life := c.entryLife(e)
+			if memctl.PreferVictim(life, s, bestLife, best) ||
+				life == bestLife && s == best && older(e, victim) {
+				bestLife, best, victim = life, s, e
 			}
-			s := memctl.Score(cpCandidate(e), memctl.CPWeights, norms)
-			if planOn {
-				life := c.entryLife(e)
-				if memctl.PreferVictim(life, s, bestLife, best) ||
-					life == bestLife && s == best && older(e, victim) {
-					bestLife, best, victim = life, s, e
-				}
-			} else if s < best || s == best && older(e, victim) {
-				best, victim = s, e
-			}
+		} else if s < best || s == best && older(e, victim) {
+			best, victim = s, e
 		}
 	}
 	return victim
 }
+
+// The victim searches evictOneCP and evictOneSpark run: variables, so that
+// a test can check every search against a scan of the whole map.
+var (
+	searchCP    = (*Cache).cpVictim
+	searchSpark = (*Cache).sparkVictim
+)
 
 // MakeSpaceCP evicts driver-cached matrices until need bytes fit in the
 // budget, spilling to disk when configured (MAKE_SPACE of the unified API).
@@ -159,7 +161,7 @@ func (c *Cache) MakeSpaceCP(need int64) {
 // error drops the victim instead — it is recomputed from lineage if needed
 // again — after charging the attempted write.
 func (c *Cache) evictOneCP() (int64, bool) {
-	victim := c.cpVictim()
+	victim := searchCP(c)
 	if victim == nil {
 		return 0, false
 	}
@@ -177,6 +179,7 @@ func (c *Cache) evictOneCP() (int64, bool) {
 			c.Stats.SpillsCP++
 			c.noteDemotion(PoolCP, victim.Size)
 			victim.Status = StatusSpilled
+			c.relist(victim)
 		}
 	} else {
 		c.noteEviction(PoolCP, victim.Size)
@@ -222,6 +225,7 @@ func (c *Cache) PutRDD(item *lineage.Item, r *spark.RDD, children []*spark.RDD,
 	e.Size = size
 	e.Height = item.Height()
 	e.LastAccess = c.clock.Now()
+	c.relist(e)
 	c.sparkUsed += size
 	c.bumpSpark()
 	return e
@@ -233,20 +237,15 @@ func older(e, v *Entry) bool { return v != nil && e.seq < v.seq }
 
 // sparkVictim selects the lowest-scored reuse RDD under the shared policy
 // instance for Spark: Eq. (1), argmin (r_h+r_m+r_j)·c/s (memctl.SparkWeights
-// with MaxRatio 1 keeps the historical unnormalized ordering exactly); of
-// equally scored RDDs the older entry goes.
+// with MaxRatio 1 keeps the historical unnormalized ordering exactly) over
+// sparkCands; of equally scored RDDs the older entry goes.
 func (c *Cache) sparkVictim() *Entry {
 	norms := memctl.Norms{MaxRatio: 1}
 	var victim *Entry
 	best := math.Inf(1)
-	for _, chain := range c.entries {
-		for _, e := range chain {
-			if e.Backend != BackendSpark || e.Status != StatusCached || e.RDD == nil {
-				continue
-			}
-			if s := memctl.Score(cpCandidate(e), memctl.SparkWeights, norms); s < best || s == best && older(e, victim) {
-				best, victim = s, e
-			}
+	for _, e := range c.sparkCands {
+		if s := memctl.Score(cpCandidate(e), memctl.SparkWeights, norms); s < best || s == best && older(e, victim) {
+			best, victim = s, e
 		}
 	}
 	return victim
@@ -270,7 +269,7 @@ func (c *Cache) MakeSpaceSpark(need int64) {
 // evictOneSpark unpersists the lowest-scored reuse RDD, returning the
 // bytes released from the reuse share plus whether a victim existed.
 func (c *Cache) evictOneSpark() (int64, bool) {
-	victim := c.sparkVictim()
+	victim := searchSpark(c)
 	if victim == nil {
 		return 0, false
 	}
@@ -357,6 +356,7 @@ func (c *Cache) PutGPU(item *lineage.Item, p *gpu.Pointer, computeCost float64, 
 	p.ComputeCost = computeCost
 	p.Cached = true
 	c.gpE[p] = e
+	c.relist(e)
 	return e
 }
 
@@ -386,8 +386,8 @@ func (c *Cache) EvictGPUPercent(frac float64) int64 {
 // Clear drops every entry and releases Spark/GPU resources; used between
 // experiment repetitions.
 func (c *Cache) Clear() {
-	for _, chain := range c.entries {
-		for _, e := range chain {
+	for _, e := range c.entries {
+		for ; e != nil; e = e.same {
 			switch e.Backend {
 			case BackendSpark:
 				if e.RDD != nil && e.RDD.StorageLevel() != spark.StorageNone {
@@ -398,9 +398,12 @@ func (c *Cache) Clear() {
 					delete(c.gpE, e.GPUPtr)
 				}
 			}
+			e.list = unlisted
 		}
 	}
-	c.entries = make(map[uint64][]*Entry)
+	c.entries = make(map[uint64]*Entry)
+	c.n = 0
+	c.cpCands, c.sparkCands = nil, nil
 	c.cpUsed = 0
 	c.sparkUsed = 0
 }

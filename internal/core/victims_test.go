@@ -1,0 +1,415 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"strconv"
+	"testing"
+
+	"memphis/internal/costs"
+	"memphis/internal/data"
+	"memphis/internal/faults"
+	"memphis/internal/gpu"
+	"memphis/internal/lineage"
+	"memphis/internal/memctl"
+	"memphis/internal/spark"
+	"memphis/internal/vtime"
+)
+
+// The reference victim searches: the scans of the whole lineage map that the
+// candidate lists replaced, kept to prove the lists pick the same victims.
+
+// refCPVictim is cpVictim over every entry of the map, filtered by the
+// candidate predicate of the driver cache.
+func refCPVictim(c *Cache) *Entry {
+	maxRatio := 0.0
+	for _, e := range c.entries {
+		for ; e != nil; e = e.same {
+			if e.Backend != BackendCP || e.Status != StatusCached || e.Matrix == nil {
+				continue
+			}
+			if r := memctl.Ratio(cpCandidate(e), false); r > maxRatio {
+				maxRatio = r
+			}
+		}
+	}
+	norms := memctl.Norms{MaxRatio: maxRatio, Now: c.clock.Now()}
+	planOn := c.planEpoch > 0
+	var victim *Entry
+	best := math.Inf(1)
+	bestLife := memctl.LifeSoon + 1
+	for _, e := range c.entries {
+		for ; e != nil; e = e.same {
+			if e.Backend != BackendCP || e.Status != StatusCached || e.Matrix == nil {
+				continue
+			}
+			s := memctl.Score(cpCandidate(e), memctl.CPWeights, norms)
+			if planOn {
+				life := c.entryLife(e)
+				if memctl.PreferVictim(life, s, bestLife, best) ||
+					life == bestLife && s == best && older(e, victim) {
+					bestLife, best, victim = life, s, e
+				}
+			} else if s < best || s == best && older(e, victim) {
+				best, victim = s, e
+			}
+		}
+	}
+	return victim
+}
+
+// refSparkVictim is sparkVictim over every entry of the map, filtered by
+// the candidate predicate of the Spark reuse share.
+func refSparkVictim(c *Cache) *Entry {
+	norms := memctl.Norms{MaxRatio: 1}
+	var victim *Entry
+	best := math.Inf(1)
+	for _, e := range c.entries {
+		for ; e != nil; e = e.same {
+			if e.Backend != BackendSpark || e.Status != StatusCached || e.RDD == nil {
+				continue
+			}
+			if s := memctl.Score(cpCandidate(e), memctl.SparkWeights, norms); s < best || s == best && older(e, victim) {
+				best, victim = s, e
+			}
+		}
+	}
+	return victim
+}
+
+// allEntries lists every entry of the map in insertion order, through the
+// same-hash chains and never through the candidate lists.
+func allEntries(c *Cache) []*Entry {
+	var out []*Entry
+	for _, e := range c.entries {
+		for ; e != nil; e = e.same {
+			out = append(out, e)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
+	return out
+}
+
+// checkLists verifies the candidate lists against the map: every entry is
+// found by its own key and sits in the list its backend, status and payload
+// select, at its recorded slot, and the lists hold nothing else. With
+// accounting set it also checks that the used-byte counters equal the sizes
+// summed over the lists.
+func checkLists(t *testing.T, c *Cache, accounting bool) {
+	t.Helper()
+	entries := allEntries(c)
+	if len(entries) != c.NumEntries() {
+		t.Fatalf("map holds %d entries, counter says %d", len(entries), c.NumEntries())
+	}
+	var nCP, nSpark int
+	var cpBytes, sparkBytes int64
+	for _, e := range entries {
+		if c.find(e.Key) != e {
+			t.Fatalf("entry %d is not found by its own key", e.seq)
+		}
+		want := unlisted
+		switch {
+		case e.Backend == BackendCP && e.Status == StatusCached && e.Matrix != nil:
+			want, nCP, cpBytes = listedCP, nCP+1, cpBytes+e.Size
+		case e.Backend == BackendSpark && e.Status == StatusCached && e.RDD != nil:
+			want, nSpark, sparkBytes = listedSpark, nSpark+1, sparkBytes+e.Size
+		}
+		if e.list != want {
+			t.Fatalf("entry %d (%v, status %d) is in list %d, want %d", e.seq, e.Backend, e.Status, e.list, want)
+		}
+		if want != unlisted {
+			if l := *c.candidates(want); int(e.slot) >= len(l) || l[e.slot] != e {
+				t.Fatalf("entry %d is not at its slot %d of list %d", e.seq, e.slot, want)
+			}
+		}
+	}
+	if len(c.cpCands) != nCP || len(c.sparkCands) != nSpark {
+		t.Fatalf("lists hold %d CP and %d Spark entries, the map %d and %d",
+			len(c.cpCands), len(c.sparkCands), nCP, nSpark)
+	}
+	if accounting && (c.CPUsed() != cpBytes || c.SparkUsed() != sparkBytes) {
+		t.Fatalf("used bytes CP %d, Spark %d; listed entries sum to %d and %d",
+			c.CPUsed(), c.SparkUsed(), cpBytes, sparkBytes)
+	}
+}
+
+// checkedSearches routes every victim search of an eviction through the
+// reference scan as well, failing t when the two disagree or the lists do
+// not match the map at the moment of the search, and counts the searches.
+func checkedSearches(t *testing.T) *int {
+	n := new(int)
+	cp, sp := searchCP, searchSpark
+	t.Cleanup(func() { searchCP, searchSpark = cp, sp })
+	searchCP = func(c *Cache) *Entry {
+		checkLists(t, c, false)
+		got, want := c.cpVictim(), refCPVictim(c)
+		if got != want {
+			t.Fatalf("CP victim %s, the reference scan picks %s", victimName(got), victimName(want))
+		}
+		*n++
+		return got
+	}
+	searchSpark = func(c *Cache) *Entry {
+		checkLists(t, c, false)
+		got, want := c.sparkVictim(), refSparkVictim(c)
+		if got != want {
+			t.Fatalf("Spark victim %s, the reference scan picks %s", victimName(got), victimName(want))
+		}
+		*n++
+		return got
+	}
+	return n
+}
+
+func victimName(e *Entry) string {
+	if e == nil {
+		return "none"
+	}
+	return fmt.Sprintf("entry %d", e.seq)
+}
+
+// collidingKey returns key k. Keys 2j and 2j+1 hash the same bytes
+// ("k\x00" "\x00" j against "k" "\x00" "\x00"+j) but are not equal, so the
+// map's same-hash chains hold more than one entry.
+func collidingKey(k int) *lineage.Item {
+	if k%2 == 0 {
+		return lineage.NewLeaf("k\x00", strconv.Itoa(k/2))
+	}
+	return lineage.NewLeaf("k", "\x00"+strconv.Itoa(k/2))
+}
+
+// TestVictimOrderMatchesReferenceScan drives caches with all three backends
+// through seeded random sequences of eager and delayed puts, GPU recycling
+// and demotion, probes, restores of spilled entries under injected spill
+// faults, MAKE_SPACE on both pools directly and through the arbiter, plan
+// epochs with lifetime stamps, and clears. Every victim search of an
+// eviction must pick what the reference scan picks, and after every step
+// the candidate lists must equal the map filtered by their predicates, with
+// the used-byte counters equal to the listed sizes.
+func TestVictimOrderMatchesReferenceScan(t *testing.T) {
+	if a, b := collidingKey(0), collidingKey(1); a.Hash() != b.Hash() || a.Equals(b) {
+		t.Fatal("collidingKey(0) and collidingKey(1) must share a hash and differ")
+	}
+	var total Stats
+	totalSearches := 0
+	for seed := int64(1); seed <= 16; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		conf := Config{CPBudget: int64(1+rng.Intn(4)) << 10, SparkBudget: int64(2+rng.Intn(3)) * 1280}
+		t.Run(fmt.Sprintf("seed%d_cp%d_spark%d", seed, conf.CPBudget, conf.SparkBudget), func(t *testing.T) {
+			searches := checkedSearches(t)
+			clock := vtime.New()
+			model := costs.Default()
+			sc := spark.NewContext(clock, model, spark.DefaultConfig())
+			gm := gpu.NewManager(gpu.NewDevice(clock, model, "gpu0", 2<<10)) // 8 pointers
+			c := NewCache(clock, model, conf, sc, gm)
+			arb := memctl.NewArbiter()
+			c.SetArbiter(arb)
+			c.SetInjector(faults.NewInjector(&faults.Plan{Seed: seed,
+				Sites: map[faults.Site]faults.Trigger{faults.CPSpill: {Probability: 0.2}}}))
+
+			const keys = 48
+			delay := func() int {
+				if rng.Intn(2) == 0 {
+					return 1
+				}
+				return 1 + rng.Intn(4)
+			}
+			// pick returns a random entry of the map matching keep, or nil.
+			pick := func(keep func(*Entry) bool) *Entry {
+				var match []*Entry
+				for _, e := range allEntries(c) {
+					if keep(e) {
+						match = append(match, e)
+					}
+				}
+				if len(match) == 0 {
+					return nil
+				}
+				return match[rng.Intn(len(match))]
+			}
+			for step := 0; step < 400; step++ {
+				item := collidingKey(rng.Intn(keys))
+				cost := rng.Float64() * 8e-3 // straddles the disk round trip: spills and drops
+				switch op := rng.Intn(100); {
+				case op < 26:
+					m := data.Ones(1+rng.Intn(8), 8)
+					if rng.Intn(3) == 0 {
+						c.PutCPLazy(item, m.SizeBytes(), func() *data.Matrix { return m }, cost, delay(), rng.Intn(4) == 0)
+					} else {
+						c.PutCP(item, m, cost, delay(), rng.Intn(6) == 0, rng.Intn(4) == 0)
+					}
+				case op < 36:
+					r := sc.Parallelize(data.Ones(10*(1+rng.Intn(4)), 4), 2, "X")
+					c.PutRDD(item, r, nil, nil, rng.Float64(), delay(), spark.StorageMemory)
+				case op < 46:
+					gcost := 0.0 // cheap: dropped when recycled
+					if rng.Intn(2) == 0 {
+						gcost = cost * 100 // dear: moved to the driver when recycled
+					}
+					p, err := gm.Allocate(256, 1+rng.Intn(3), gcost)
+					if err != nil {
+						continue
+					}
+					gm.Device().CopyIn(p, data.Ones(4, 8))
+					c.PutGPU(item, p, gcost, delay())
+					if rng.Intn(3) == 0 && c.DemoteGPUPointer(p) != nil {
+						gm.Surrender(p)
+					} else {
+						gm.Release(p) // recyclable: a later allocation may invalidate or move it
+					}
+				case op < 64:
+					e, hit := c.Probe(item)
+					if !hit {
+						continue
+					}
+					switch e.Backend {
+					case BackendCP:
+						c.Matrix(e)
+					case BackendSpark:
+						c.OnRDDReuse(e)
+					case BackendGPU:
+						if c.ReuseGPU(e) {
+							gm.Release(e.GPUPtr)
+						}
+					}
+				case op < 70:
+					if e := pick(func(e *Entry) bool { return e.Status == StatusSpilled }); e != nil {
+						c.Matrix(e)
+					}
+				case op < 78:
+					if rng.Intn(2) == 0 {
+						c.MakeSpaceCP(rng.Int63n(conf.CPBudget))
+					} else {
+						c.MakeSpaceSpark(rng.Int63n(conf.SparkBudget))
+					}
+				case op < 88:
+					need := int64(1 + rng.Intn(1024))
+					switch rng.Intn(3) {
+					case 0:
+						arb.Pool(PoolCP).Evict(need)
+					case 1:
+						arb.Pool(PoolCP).Demote(need)
+					default:
+						arb.Pool(PoolSparkReuse).Evict(need)
+					}
+				case op < 98:
+					if rng.Intn(2) == 0 {
+						c.BeginPlanEpoch()
+					}
+					for i := rng.Intn(6); i > 0; i-- {
+						c.StampLifetime(pick(func(*Entry) bool { return true }), memctl.Lifetime(rng.Intn(3)-1))
+					}
+				default:
+					c.Clear()
+				}
+				checkLists(t, c, true)
+				if got, want := c.cpVictim(), refCPVictim(c); got != want {
+					t.Fatalf("step %d: next CP victim %s, the reference scan picks %s", step, victimName(got), victimName(want))
+				}
+				if got, want := c.sparkVictim(), refSparkVictim(c); got != want {
+					t.Fatalf("step %d: next Spark victim %s, the reference scan picks %s", step, victimName(got), victimName(want))
+				}
+			}
+			totalSearches += *searches
+			s := c.Stats
+			total.EvictionsCP += s.EvictionsCP
+			total.SpillsCP += s.SpillsCP
+			total.SpillErrorsCP += s.SpillErrorsCP
+			total.RestoresCP += s.RestoresCP
+			total.UnpersistsSpark += s.UnpersistsSpark
+			total.GPUToHost += s.GPUToHost
+			total.GPUInvalidated += s.GPUInvalidated
+			total.DelayedStores += s.DelayedStores
+		})
+	}
+	// Every transition the lists must follow happened somewhere.
+	for name, n := range map[string]int64{
+		"victim searches": int64(totalSearches), "CP evictions": total.EvictionsCP,
+		"spills": total.SpillsCP, "spill faults": total.SpillErrorsCP, "restores": total.RestoresCP,
+		"Spark unpersists": total.UnpersistsSpark, "GPU-to-host moves": total.GPUToHost,
+		"GPU invalidations": total.GPUInvalidated, "delayed stores": total.DelayedStores,
+	} {
+		if n == 0 {
+			t.Errorf("the sequences made no %s", name)
+		}
+	}
+}
+
+// TestDelayedPutOfStoredItemCountsItsBytesOnce: a put of an item that is
+// already stored returns the stored entry and stores nothing, whatever its
+// delay. A delayed put used to store it again, counting its bytes twice,
+// and a delayed PutRDD or PutGPU moved a CP entry to another backend
+// without releasing its CP bytes.
+func TestDelayedPutOfStoredItemCountsItsBytesOnce(t *testing.T) {
+	for delay := 1; delay <= 3; delay++ {
+		e := newEnv(DefaultConfig())
+		var used []int64
+		for i := 0; i < delay+2; i++ {
+			e.cache.PutCP(li("x", ""), data.Ones(4, 4), 1, delay, false, false)
+			used = append(used, e.cache.CPUsed())
+		}
+		if got := used[len(used)-1]; got != 128 || e.cache.NumEntries() != 1 {
+			t.Errorf("delay %d: CPUsed after each put %v with %d entries, want 128 once stored, 1 entry",
+				delay, used, e.cache.NumEntries())
+		}
+	}
+
+	e := newEnv(DefaultConfig())
+	for i := 0; i < 2; i++ {
+		e.cache.PutCP(li("x", ""), data.Ones(4, 4), 1, 2, false, false)
+	}
+	r := e.sc.Parallelize(data.Ones(40, 4), 4, "X")
+	if got := e.cache.PutRDD(li("x", ""), r, nil, nil, 1, 2, spark.StorageMemory); got == nil || got.Backend != BackendCP {
+		t.Fatal("PutRDD of a stored CP item must return the CP entry")
+	}
+	p, err := e.gm.Allocate(256, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e.cache.PutGPU(li("x", ""), p, 1, 2); got == nil || got.Backend != BackendCP {
+		t.Fatal("PutGPU of a stored CP item must return the CP entry")
+	}
+	if e.cache.CPUsed() != 128 || e.cache.SparkUsed() != 0 || r.StorageLevel() != spark.StorageNone || p.Cached {
+		t.Fatalf("CPUsed %d, SparkUsed %d, RDD level %v, pointer cached %v; want 128, 0, none, false",
+			e.cache.CPUsed(), e.cache.SparkUsed(), r.StorageLevel(), p.Cached)
+	}
+	checkLists(t, e.cache, true)
+}
+
+// BenchmarkCPVictim times one driver victim search late in a fresh-miss
+// session: 2 300 resident matrices among 8 500 delayed-caching
+// placeholders. list walks the resident candidates, ref the whole map.
+func BenchmarkCPVictim(b *testing.B) {
+	const resident, placeholders = 2300, 8500
+	conf := DefaultConfig()
+	m := data.Ones(8, 8)
+	conf.CPBudget = resident * m.SizeBytes()
+	e := newEnv(conf)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < resident; i++ {
+		e.cache.PutCP(li("resident", strconv.Itoa(i)), m, rng.Float64()*1e-2, 1, false, false)
+	}
+	for i := 0; i < placeholders; i++ {
+		e.cache.PutCP(li("placeholder", strconv.Itoa(i)), m, rng.Float64()*1e-2, 2, false, false)
+	}
+	if len(e.cache.cpCands) != resident || e.cache.NumEntries() != resident+placeholders ||
+		e.cache.cpVictim() != refCPVictim(e.cache) {
+		b.Fatalf("%d of %d entries resident, want %d of %d, with equal victims",
+			len(e.cache.cpCands), e.cache.NumEntries(), resident, resident+placeholders)
+	}
+	for _, s := range []struct {
+		name   string
+		search func(*Cache) *Entry
+	}{{"list", (*Cache).cpVictim}, {"ref", refCPVictim}} {
+		b.Run(s.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if s.search(e.cache) == nil {
+					b.Fatal("no victim")
+				}
+			}
+		})
+	}
+}
