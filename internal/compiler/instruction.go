@@ -75,6 +75,9 @@ type Instruction struct {
 	// Inputs; literals get the 1x1 scalar shape). The memory planner's
 	// liveness analysis sizes block-external operands from these.
 	InShapes []ir.Shape
+
+	// prep is the execution-ready view Prepare fills in; nil until then.
+	prep *prepared
 }
 
 // Attr returns an instruction attribute or "".

@@ -6,15 +6,24 @@
 // randomized operation carries its seed in the item's data field.
 //
 // Items are immutable after construction; their hash is precomputed by
-// hashing the input items' hashes, the opcode, and the data items, so DAG
-// probing is cheap. Equality uses a non-recursive, queue-based comparison
-// with sub-DAG memoization and early aborts on hash mismatch, height
-// difference, and shared sub-DAGs (object identity), as described in §3.2.
+// hashing the input items' hashes, the opcode, and the data items through
+// the key package's FNV-1a appender, so DAG probing is cheap. An item with
+// up to three inputs holds its input slice in its own allocation, so tracing
+// an instruction costs one allocation.
+//
+// Equality uses a non-recursive, queue-based comparison with sub-DAG
+// memoization and early aborts on hash mismatch, height difference, and
+// shared sub-DAGs (object identity), as described in §3.2. Its queue and
+// memo live in fixed arrays on the caller's stack and spill to the heap
+// only past 32 pending or compared pairs, so a probe of a typical trace
+// allocates nothing; a compacted hit (Figure 5), whose inputs are the
+// cached key's inputs, is answered by pointer identity before any walk.
 package lineage
 
 import (
-	"hash/fnv"
 	"sync/atomic"
+
+	"memphis/internal/key"
 )
 
 // Item is one node of a lineage DAG.
@@ -39,32 +48,60 @@ func NewLeaf(opcode, data string) *Item {
 
 // NewItem returns a lineage item for an operation with the given opcode,
 // serialized data items (scalar literals, seeds, dimensions), and inputs.
+// The item keeps a copy of inputs, never the caller's slice.
 func NewItem(opcode, data string, inputs ...*Item) *Item {
-	it := &Item{
-		id:     nextID.Add(1),
-		opcode: opcode,
-		data:   data,
-		inputs: inputs,
+	it := alloc(len(inputs))
+	copy(it.inputs, inputs)
+	it.seal(opcode, data)
+	return it
+}
+
+// alloc returns an unsealed item with room for n inputs. Up to three inputs
+// share the item's allocation: the slice points into the same object.
+func alloc(n int) *Item {
+	switch n {
+	case 0:
+		return &Item{}
+	case 1:
+		p := new(struct {
+			it Item
+			in [1]*Item
+		})
+		p.it.inputs = p.in[:]
+		return &p.it
+	case 2:
+		p := new(struct {
+			it Item
+			in [2]*Item
+		})
+		p.it.inputs = p.in[:]
+		return &p.it
+	case 3:
+		p := new(struct {
+			it Item
+			in [3]*Item
+		})
+		p.it.inputs = p.in[:]
+		return &p.it
 	}
-	h := fnv.New64a()
-	h.Write([]byte(opcode))
-	h.Write([]byte{0})
-	h.Write([]byte(data))
-	var buf [8]byte
+	return &Item{inputs: make([]*Item, n)}
+}
+
+// seal completes an item whose inputs are filled in: identity, hash and
+// height.
+func (it *Item) seal(opcode, data string) {
+	it.id = nextID.Add(1)
+	it.opcode, it.data = opcode, data
+	h := key.New().Str(opcode).Byte(0).Str(data)
 	maxH := 0
-	for _, in := range inputs {
-		v := in.hash
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
+	for _, in := range it.inputs {
+		h = h.U64(in.hash)
 		if in.height > maxH {
 			maxH = in.height
 		}
 	}
 	it.hash = h.Sum64()
 	it.height = maxH + 1
-	return it
 }
 
 // ID returns the item's unique object identity.
@@ -90,6 +127,52 @@ func (it *Item) Height() int { return it.height }
 // pairKey identifies an (a, b) comparison for memoization.
 type pairKey struct{ a, b uint64 }
 
+// equalsStack is how many queued and how many compared pairs Equals keeps
+// in fixed arrays on its stack before it spills to the heap.
+const equalsStack = 32
+
+// pairSet is Equals' memo of compared pairs: a fixed array, and a map only
+// once more than equalsStack pairs have been compared.
+type pairSet struct {
+	n     int
+	small [equalsStack]pairKey
+	spill map[pairKey]struct{}
+}
+
+// add inserts k and reports whether it was absent.
+func (s *pairSet) add(k pairKey) bool {
+	if s.spill != nil {
+		if _, ok := s.spill[k]; ok {
+			return false
+		}
+		s.spill[k] = struct{}{}
+		return true
+	}
+	for i := 0; i < s.n; i++ {
+		if s.small[i] == k {
+			return false
+		}
+	}
+	if s.n < len(s.small) {
+		s.small[s.n] = k
+		s.n++
+		return true
+	}
+	s.spill = make(map[pairKey]struct{}, 2*len(s.small))
+	for _, p := range s.small {
+		s.spill[p] = struct{}{}
+	}
+	s.spill[k] = struct{}{}
+	return true
+}
+
+// sameNode compares two nodes without their inputs.
+func sameNode(a, b *Item) bool {
+	return a.hash == b.hash && a.height == b.height &&
+		a.opcode == b.opcode && a.data == b.data &&
+		len(a.inputs) == len(b.inputs)
+}
+
 // Equals reports whether two lineage DAGs are structurally identical. It is
 // non-recursive (explicit queue), memoizes compared sub-DAG pairs, and
 // aborts early on hash or height mismatches and on shared sub-DAGs.
@@ -103,25 +186,40 @@ func (it *Item) Equals(other *Item) bool {
 	if it.hash != other.hash || it.height != other.height {
 		return false
 	}
-	seen := make(map[pairKey]struct{})
-	queue := [][2]*Item{{it, other}}
-	for len(queue) > 0 {
-		a, b := queue[0][0], queue[0][1]
-		queue = queue[1:]
+	// A compacted hit: equal nodes over the very same inputs.
+	if sameNode(it, other) {
+		shared := true
+		for i := range it.inputs {
+			if it.inputs[i] != other.inputs[i] {
+				shared = false
+				break
+			}
+		}
+		if shared {
+			return true
+		}
+	}
+	var qbuf [equalsStack][2]*Item
+	queue := append(qbuf[:0], [2]*Item{it, other})
+	var seen pairSet
+	for head := 0; head < len(queue); {
+		a, b := queue[head][0], queue[head][1]
+		head++
 		if a == b {
 			continue // shared sub-DAG: object identity
 		}
-		key := pairKey{a.id, b.id}
-		if _, ok := seen[key]; ok {
+		if !seen.add(pairKey{a.id, b.id}) {
 			continue // already compared
 		}
-		seen[key] = struct{}{}
-		if a.hash != b.hash || a.height != b.height ||
-			a.opcode != b.opcode || a.data != b.data ||
-			len(a.inputs) != len(b.inputs) {
+		if !sameNode(a, b) {
 			return false
 		}
 		for i := range a.inputs {
+			if len(queue) == cap(queue) && head > 0 {
+				// Reclaim the consumed front before append would grow.
+				n := copy(queue, queue[head:])
+				queue, head = queue[:n], 0
+			}
 			queue = append(queue, [2]*Item{a.inputs[i], b.inputs[i]})
 		}
 	}

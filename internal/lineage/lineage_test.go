@@ -159,6 +159,22 @@ func TestMapSnapshotRestore(t *testing.T) {
 	if m.Get("b") != nil || m.Get("a") == nil {
 		t.Fatal("Restore did not reset bindings")
 	}
+	// Restore adopts the snapshot: what is traced afterwards must not leak
+	// into a later snapshot's view, nor a later mutation into this one.
+	m.Trace("c", "rand", "s=3")
+	later := m.Snapshot()
+	m.Trace("d", "rand", "s=4")
+	m.Remove("a")
+	if _, ok := later["d"]; ok {
+		t.Fatal("a trace after Snapshot leaked into it")
+	}
+	if later["a"] == nil || later["c"] == nil {
+		t.Fatal("a mutation after Snapshot removed a binding from it")
+	}
+	m.Restore(later)
+	if m.Get("d") != nil || m.Get("a") == nil || m.Get("c") == nil {
+		t.Fatal("second Restore did not reset bindings")
+	}
 }
 
 func TestTraceItemCompaction(t *testing.T) {

@@ -19,13 +19,14 @@ func NewMap() *Map {
 // Trace records that executing opcode over the named inputs (plus literal
 // data) produced the output variable, and returns the new lineage item.
 // Unknown input variables are traced as leaves, which covers persistent
-// reads and externally bound inputs.
+// reads and externally bound inputs. The names are only read: a caller may
+// pass a slice it keeps, such as an instruction's prepared operand list.
 func (m *Map) Trace(output, opcode, data string, inputs ...string) *Item {
-	in := make([]*Item, len(inputs))
+	it := alloc(len(inputs))
 	for i, name := range inputs {
-		in[i] = m.GetOrLeaf(name)
+		it.inputs[i] = m.GetOrLeaf(name)
 	}
-	it := NewItem(opcode, data, in...)
+	it.seal(opcode, data)
 	m.items[output] = it
 	m.traced++
 	return it
@@ -81,12 +82,11 @@ func (m *Map) Snapshot() map[string]*Item {
 	return cp
 }
 
-// Restore replaces the bindings with a snapshot.
+// Restore replaces the bindings with a snapshot. The map adopts the
+// snapshot instead of copying it, so a snapshot must not be used after
+// Restore: later traces write into it.
 func (m *Map) Restore(s map[string]*Item) {
-	m.items = make(map[string]*Item, len(s))
-	for k, v := range s {
-		m.items[k] = v
-	}
+	m.items = s
 }
 
 // String renders the map for debugging.

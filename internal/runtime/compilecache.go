@@ -1,31 +1,36 @@
 package runtime
 
 import (
-	"fmt"
-	"hash/fnv"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
 	"memphis/internal/compiler"
 	"memphis/internal/ir"
+	"memphis/internal/key"
 	"memphis/internal/memplan"
 )
 
 // CompiledBlock is one fully prepared basic-block execution unit: the
 // compiled instruction stream, and — when a memory planner is configured —
 // the planner's rewritten stream and plan. Cached blocks are shared
-// read-only across concurrent sessions: instructions are never mutated
-// during execution and memplan.Plan's runtime queries (LifetimeAt,
-// SkipCache, NextUse) are read-only, so no further synchronization is
-// needed once a block is published. A session holds the block it executes
-// by pointer, so evicting it from a cache mid-run is harmless.
+// read-only across concurrent sessions: the executed stream is prepared
+// (compiler.Prepare) before the block is published and never written
+// afterwards, and memplan.Plan's runtime queries (LifetimeAt, SkipCache,
+// NextUse) are read-only, so no further synchronization is needed. A
+// session holds the block it executes by pointer, so evicting it from a
+// cache mid-run is harmless.
 type CompiledBlock struct {
 	// Insts is the raw compiled stream (before planner rewrites).
 	Insts []compiler.Instruction
 	// Planned is the stream to execute: the planner-rewritten stream, or
-	// Insts itself when no planner is configured.
+	// Insts itself when no planner is configured. It is prepared.
 	Planned []compiler.Instruction
+	// Temps lists the block-local temporaries ("_t…") Planned binds, in
+	// first-binding order: what block end unbinds.
+	Temps []string
 	// Plan is the memory plan for Planned (nil without a planner).
 	Plan *memplan.Plan
 	// Sig is streamSig(Insts): the key of the session's planner report
@@ -233,24 +238,52 @@ func (ctx *Context) blockKey(bb *ir.BasicBlock) uint64 {
 		}
 		ctx.bbKeys[bb] = parts
 	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%016x|", parts.fp)
+	h := key.New().Hex16(parts.fp).Byte('|')
 	for _, name := range parts.reads {
+		h = h.Str(name)
 		if v, bound := ctx.vars[name]; bound {
-			fmt.Fprintf(h, "%s=%dx%d;", name, v.Rows, v.Cols)
+			h = h.Byte('=').Int(int64(v.Rows)).Byte('x').Int(int64(v.Cols)).Byte(';')
 		} else {
-			fmt.Fprintf(h, "%s=?;", name)
+			h = h.Str("=?;")
 		}
 	}
-	// Config.Fold is the deterministic key text (an interface field in the
-	// config would print pointer addresses under %+v); it includes the
-	// calibration epoch/fingerprint when adaptive placement is active, which
-	// is what makes an adaptive session recompile after a recalibration.
-	fmt.Fprintf(h, "|cc:%s", ctx.Conf.Compiler.Fold())
+	h = h.Str("|cc:").Str(ctx.compilerFold())
 	if ctx.Conf.MemoryPlanner {
-		fmt.Fprintf(h, "|mp:%d", ctx.Conf.Cache.CPBudget)
+		h = h.Str("|mp:").Int(ctx.Conf.Cache.CPBudget)
 	}
 	return h.Sum64()
+}
+
+// foldMemo is the session's copy of Compiler.Fold()'s text and what it was
+// computed from.
+type foldMemo struct {
+	set       bool
+	conf      compiler.Config // with Estimator nil
+	estimator bool
+	epoch, fp uint64
+	text      string
+}
+
+// compilerFold returns Config.Fold's text: the deterministic key text of
+// the compiler configuration (an interface field in the config would print
+// pointer addresses under %+v). It includes the calibration epoch and
+// fingerprint when adaptive placement is active, which is what makes an
+// adaptive session recompile after a recalibration; the text is rebuilt
+// only when one of them, or the configuration, changes.
+func (ctx *Context) compilerFold() string {
+	conf := ctx.Conf.Compiler
+	est := conf.Estimator
+	conf.Estimator = nil
+	var epoch, fp uint64
+	if est != nil {
+		epoch, fp = est.Epoch(), est.Fingerprint()
+	}
+	m := &ctx.fold
+	if !m.set || m.conf != conf || m.estimator != (est != nil) || m.epoch != epoch || m.fp != fp {
+		*m = foldMemo{set: true, conf: conf, estimator: est != nil, epoch: epoch, fp: fp,
+			text: ctx.Conf.Compiler.Fold()}
+	}
+	return m.text
 }
 
 // compiledBlock returns the prepared execution unit for a basic block from
@@ -266,5 +299,21 @@ func (ctx *Context) compiledBlock(bb *ir.BasicBlock) *CompiledBlock {
 	if ctx.Conf.MemoryPlanner {
 		cb.Planned, cb.Plan = memplan.Apply(insts, memplan.Config{Budget: ctx.Conf.Cache.CPBudget})
 	}
+	compiler.Prepare(cb.Planned)
+	cb.Temps = tempsOf(cb.Planned)
 	return cc.StoreCompiled(key, cb)
+}
+
+// tempsOf lists the distinct "_t…" names a stream binds, in first-binding
+// order.
+func tempsOf(insts []compiler.Instruction) []string {
+	var temps []string
+	for i := range insts {
+		for _, out := range insts[i].Outputs {
+			if strings.HasPrefix(out, "_t") && !slices.Contains(temps, out) {
+				temps = append(temps, out)
+			}
+		}
+	}
+	return temps
 }

@@ -3,6 +3,7 @@ package runtime
 import (
 	"testing"
 
+	"memphis/internal/costs"
 	"memphis/internal/data"
 	"memphis/internal/ir"
 )
@@ -93,5 +94,57 @@ func TestBlockKeyComposition(t *testing.T) {
 	b, bbB := keyCtx(t, 1, 16, 4, planned(1<<16)), block(2)
 	if a.blockKey(bbA) == b.blockKey(bbB) {
 		t.Error("different memplan budgets must produce distinct block keys")
+	}
+
+	// The session memoizes the config's key text; a config changed after a
+	// key was taken, or an estimator attached at epoch 0, must still move
+	// the key, exactly as the fmt reference does.
+	ctx, bb := base()
+	for _, change := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"config changed after a key", func(c *Config) { c.Compiler.OpMemBudget = 1 << 10 }},
+		{"estimator attached at epoch 0", func(c *Config) { c.Compiler.Estimator = zeroEstimator{} }},
+	} {
+		before := ctx.blockKey(bb)
+		change.mutate(&ctx.Conf)
+		got := ctx.blockKey(bb)
+		if got == before || got != refBlockKey(ctx, bb) {
+			t.Errorf("%s: key %016x (before %016x, fmt reference %016x)", change.name, got, before, refBlockKey(ctx, bb))
+		}
+	}
+}
+
+// zeroEstimator is a costs.Estimator at epoch 0 with a zero fingerprint.
+type zeroEstimator struct{}
+
+func (zeroEstimator) Effective() *costs.Model       { return costs.Default() }
+func (zeroEstimator) ReuseProb(string, int) float64 { return 0 }
+func (zeroEstimator) Epoch() uint64                 { return 0 }
+func (zeroEstimator) Fingerprint() uint64           { return 0 }
+
+// BenchmarkBlockKey is the per-block-execution key of a warm session: a
+// block reading three bound variables and one unbound, under the planner.
+// Its components are memoized and its bytes hashed directly, so it
+// allocates nothing.
+func BenchmarkBlockKey(b *testing.B) {
+	conf := testConfig(ReuseMemphis)
+	conf.MemoryPlanner = true
+	ctx := New(conf)
+	defer ctx.Close()
+	ctx.BindHost("X", data.RandNorm(64, 8, 0, 1, 1))
+	ctx.BindHost("y", data.RandNorm(64, 1, 0, 1, 2))
+	ctx.BindHost("reg", data.Scalar(0.5))
+	bb := ir.BB(
+		ir.Assign("A", ir.Add(ir.TSMM(ir.Var("X")), ir.Var("reg"))),
+		ir.Assign("beta", ir.Solve(ir.Var("A"), ir.MatMul(ir.T(ir.Var("X")), ir.Var("y")))),
+		ir.Assign("z", ir.Mul(ir.Var("beta"), ir.Var("w"))),
+	)
+	ctx.blockKey(bb)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ctx.blockKey(bb)
 	}
 }

@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"fmt"
-	"strings"
 
 	"memphis/internal/compiler"
 	"memphis/internal/core"
@@ -189,14 +188,20 @@ type Context struct {
 
 	// Every basic block reaches the interpreter through a compile cache:
 	// attached (AttachCompileCache) or, without one, the session's own.
-	// bbKeys memoizes per-block key components and condBBs the block wrapped
-	// around each while/if condition; both are keyed by pointers into prog
-	// and dropped when RunProgram sees a different program, so a long-lived
-	// session holds memos for one program at a time.
+	// bbKeys memoizes per-block key components, condBBs the block wrapped
+	// around each while/if condition, loopVals each for loop's lineage
+	// value strings (all three keyed by pointers into prog) and fnOuts each
+	// function's output-key data strings (by name). All are dropped when
+	// RunProgram sees a different program, so a long-lived session holds
+	// memos for one program at a time. fold is the compiler configuration's
+	// key text.
 	attached CompileCache
 	own      *BlockCache
 	bbKeys   map[*ir.BasicBlock]blockKeyParts
 	condBBs  map[*ir.Node]*ir.BasicBlock
+	loopVals map[*ir.ForBlock][]string
+	fnOuts   map[string][]string
+	fold     foldMemo
 
 	vars map[string]*Value
 	prog *ir.Program
@@ -391,12 +396,14 @@ func (ctx *Context) removeVar(name string) {
 	ctx.LMap.Remove(name)
 }
 
-// clearTemps removes block-local temporaries, returning their GPU pointers
-// to the free list (this is what makes mini-batch recycling effective).
-func (ctx *Context) clearTemps() {
-	for name := range ctx.vars {
-		if strings.HasPrefix(name, "_t") {
-			ctx.recycleValue(name, ctx.vars[name])
+// clearTemps removes a block's temporaries (CompiledBlock.Temps) that are
+// still bound, in stream order, returning their GPU pointers to the free
+// list (this is what makes mini-batch recycling effective) and their host
+// buffers to the arena.
+func (ctx *Context) clearTemps(temps []string) {
+	for _, name := range temps {
+		if v, ok := ctx.vars[name]; ok {
+			ctx.recycleValue(name, v)
 			ctx.removeVar(name)
 		}
 	}
@@ -414,12 +421,13 @@ func (ctx *Context) shapes() map[string]ir.Shape {
 	return env
 }
 
-// operand resolves an instruction operand to a value; literal operands
-// become scalar values.
-func (ctx *Context) operand(name string) (*Value, error) {
+// operand resolves operand i of an instruction to a value; literal
+// operands become scalar values of their prepared parse.
+func (ctx *Context) operand(inst *compiler.Instruction, i int) (*Value, error) {
+	name := inst.Inputs[i]
 	if compiler.IsLiteral(name) {
-		var f float64
-		if _, err := fmt.Sscanf(compiler.LiteralValue(name), "%g", &f); err != nil {
+		f, err := inst.Literal(i)
+		if err != nil {
 			return nil, fmt.Errorf("runtime: bad literal %q: %v", name, err)
 		}
 		return NewScalar(f), nil

@@ -16,13 +16,15 @@ import (
 // built transpose through ensureHost.
 
 // inst builds a single-output instruction placed on the given backend, the
-// way the compiler would have emitted it.
+// way the compiler would have emitted it, prepared for execution.
 func inst(backend core.Backend, op, out string, rows, cols int, ins ...string) *compiler.Instruction {
-	return &compiler.Instruction{
+	stream := []compiler.Instruction{{
 		Kind: compiler.KindOp, Op: op, Inputs: ins, Outputs: []string{out},
 		Backend: backend, Shape: ir.Shape{Rows: rows, Cols: cols},
 		Flops: float64(rows * cols),
-	}
+	}}
+	compiler.Prepare(stream)
+	return &stream[0]
 }
 
 func mustExec(t *testing.T, ctx *Context, in *compiler.Instruction) {

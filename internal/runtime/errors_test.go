@@ -1,9 +1,11 @@
 package runtime
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"memphis/internal/core"
 	"memphis/internal/data"
 	"memphis/internal/ir"
 )
@@ -125,5 +127,24 @@ func TestRecomputeRejectsOpaqueFunctionItems(t *testing.T) {
 	ctx2.BindHost("X", data.Ones(4, 4))
 	if _, err := Recompute(ctx2, li); err != nil {
 		t.Fatalf("alias lineage must recompute: %v", err)
+	}
+}
+
+// TestBadLiteralErrorsAtExecution: a literal operand that does not parse is
+// parsed once, when its stream is prepared, and still fails only when it is
+// evaluated, with the message an evaluation-time %g scan gives.
+func TestBadLiteralErrorsAtExecution(t *testing.T) {
+	ctx := New(testConfig(ReuseMemphis))
+	defer ctx.Close()
+	ctx.BindHost("x", data.RandNorm(2, 2, 0, 1, 1))
+	var f float64
+	_, scanErr := fmt.Sscanf("abc", "%g", &f)
+	if scanErr == nil {
+		t.Fatal("scanning abc as a float succeeded")
+	}
+	want := fmt.Sprintf("runtime: bad literal %q: %v", "#abc", scanErr)
+	err := ctx.Execute(inst(core.BackendCP, "+", "s", 2, 2, "x", "#abc"))
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want it to contain %q", err, want)
 	}
 }

@@ -2,8 +2,6 @@ package runtime
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"memphis/internal/compiler"
 	"memphis/internal/core"
@@ -128,29 +126,6 @@ func cacheable(inst *compiler.Instruction) bool {
 	return true
 }
 
-// lineageData serializes the instruction's attributes and literal operands
-// into the lineage item's data field, so seeds and parameters distinguish
-// otherwise identical operations.
-func lineageData(inst *compiler.Instruction) string {
-	var parts []string
-	if len(inst.Attrs) > 0 {
-		keys := make([]string, 0, len(inst.Attrs))
-		for k := range inst.Attrs {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			parts = append(parts, k+"="+inst.Attrs[k])
-		}
-	}
-	for i, in := range inst.Inputs {
-		if compiler.IsLiteral(in) {
-			parts = append(parts, fmt.Sprintf("in%d=%s", i, compiler.LiteralValue(in)))
-		}
-	}
-	return strings.Join(parts, ";")
-}
-
 // trace records the instruction in the lineage map (TRACE of the unified
 // API) and returns the new item. Fused instructions replay their
 // constituent ops so reuse keys are identical with fusion on or off.
@@ -159,13 +134,7 @@ func (ctx *Context) trace(inst *compiler.Instruction) *lineage.Item {
 		return ctx.traceFused(inst)
 	}
 	ctx.Clock.Advance(ctx.Model.Trace)
-	var inputs []string
-	for _, in := range inst.Inputs {
-		if !compiler.IsLiteral(in) {
-			inputs = append(inputs, in)
-		}
-	}
-	return ctx.LMap.Trace(inst.Output(), inst.Op, lineageData(inst), inputs...)
+	return ctx.LMap.Trace(inst.Output(), inst.Op, inst.LineageData(), inst.Operands()...)
 }
 
 // delay returns the active delayed-caching factor (block header, §5.2).
@@ -181,8 +150,13 @@ func (ctx *Context) delay() int {
 }
 
 // Execute runs one instruction through the Figure-4 path: interpret, trace,
-// probe/reuse, execute, put.
+// probe/reuse, execute, put. The instruction must be prepared
+// (compiler.Prepare): executing one that is not is a programming error and
+// panics.
 func (ctx *Context) Execute(inst *compiler.Instruction) error {
+	if !inst.Prepared() {
+		panic(fmt.Sprintf("runtime: instruction %s was not prepared: streams must pass through compiler.Prepare before execution", inst))
+	}
 	switch inst.Kind {
 	case compiler.KindPrefetch:
 		return ctx.execPrefetch(inst)
@@ -330,7 +304,7 @@ func (ctx *Context) putCP(key *lineage.Item, v *Value, cost float64, delay int, 
 // value-carrying leaf — so it never keeps the lineage of what it held before.
 func (ctx *Context) execAssign(inst *compiler.Instruction) error {
 	in := inst.Inputs[0]
-	v, err := ctx.operand(in)
+	v, err := ctx.operand(inst, 0)
 	if err != nil {
 		return err
 	}
@@ -353,7 +327,7 @@ func (ctx *Context) execAssign(inst *compiler.Instruction) error {
 // subsequent iterations reuse them (§5.1).
 func (ctx *Context) execPrefetch(inst *compiler.Instruction) error {
 	ctx.Stats.Prefetches++
-	v, err := ctx.operand(inst.Inputs[0])
+	v, err := ctx.operand(inst, 0)
 	if err != nil {
 		return err
 	}
@@ -404,7 +378,7 @@ func (ctx *Context) execBroadcast(inst *compiler.Instruction) error {
 		return nil
 	}
 	ctx.Stats.Broadcasts++
-	v, err := ctx.operand(inst.Inputs[0])
+	v, err := ctx.operand(inst, 0)
 	if err != nil {
 		return err
 	}
@@ -417,7 +391,7 @@ func (ctx *Context) execBroadcast(inst *compiler.Instruction) error {
 // execEvict forwards the eviction-injection instruction to the GPU cache.
 func (ctx *Context) execEvict(inst *compiler.Instruction) error {
 	ctx.Stats.Evicts++
-	v, err := ctx.operand(inst.Inputs[0])
+	v, err := ctx.operand(inst, 0)
 	if err != nil {
 		return err
 	}
@@ -429,7 +403,7 @@ func (ctx *Context) execEvict(inst *compiler.Instruction) error {
 // level and registers it with the cache so eviction tracks it (§5.2). It is
 // lineage-transparent and a no-op for local values.
 func (ctx *Context) execCheckpoint(inst *compiler.Instruction) error {
-	v, err := ctx.operand(inst.Inputs[0])
+	v, err := ctx.operand(inst, 0)
 	if err != nil {
 		return nil // variable out of scope: checkpoint is a no-op
 	}

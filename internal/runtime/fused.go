@@ -65,13 +65,7 @@ func (ctx *Context) traceFused(inst *compiler.Instruction) *lineage.Item {
 		// Unparseable program: fall back to a generic trace of the fused
 		// instruction itself (still deterministic, just fusion-specific).
 		ctx.Clock.Advance(ctx.Model.Trace)
-		var inputs []string
-		for _, in := range inst.Inputs {
-			if !compiler.IsLiteral(in) {
-				inputs = append(inputs, in)
-			}
-		}
-		return ctx.LMap.Trace(inst.Output(), inst.Op, lineageData(inst), inputs...)
+		return ctx.LMap.Trace(inst.Output(), inst.Op, inst.LineageData(), inst.Operands()...)
 	}
 	items := make([]*lineage.Item, len(fp.Steps))
 	for k := range fp.Steps {

@@ -36,7 +36,7 @@ func (ctx *Context) execOp(inst *compiler.Instruction) (*Value, error) {
 
 // hostIn fetches operand i as a host matrix.
 func (ctx *Context) hostIn(inst *compiler.Instruction, i int) (*data.Matrix, error) {
-	v, err := ctx.operand(inst.Inputs[i])
+	v, err := ctx.operand(inst, i)
 	if err != nil {
 		return nil, err
 	}
@@ -162,7 +162,7 @@ func (ctx *Context) evalCP(inst *compiler.Instruction) (*data.Matrix, error) {
 			attrFloat(inst, "mu", 0), attrFloat(inst, "sd", 1),
 			int64(attrInt(inst, "seed", 0))), nil
 	case "mm":
-		l, err := ctx.operand(inst.Inputs[0])
+		l, err := ctx.operand(inst, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -274,13 +274,13 @@ func (ctx *Context) evalCP(inst *compiler.Instruction) (*data.Matrix, error) {
 		}
 		return data.RowMaxIndex(a), nil
 	case "nrow":
-		v, err := ctx.operand(inst.Inputs[0])
+		v, err := ctx.operand(inst, 0)
 		if err != nil {
 			return nil, err
 		}
 		return data.Scalar(float64(v.Rows)), nil
 	case "ncol":
-		v, err := ctx.operand(inst.Inputs[0])
+		v, err := ctx.operand(inst, 0)
 		if err != nil {
 			return nil, err
 		}

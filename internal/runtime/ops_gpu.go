@@ -33,7 +33,7 @@ func (ctx *Context) execGPU(inst *compiler.Instruction) (*Value, error) {
 // gpuIn resolves operand i to a device-resident value; scalar operands stay
 // host-side (they are passed to kernels as constants).
 func (ctx *Context) gpuIn(inst *compiler.Instruction, i int, height int) (*Value, error) {
-	v, err := ctx.operand(inst.Inputs[i])
+	v, err := ctx.operand(inst, i)
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +131,7 @@ func (ctx *Context) execGPUDropoutVar(inst *compiler.Instruction) (*Value, error
 	if err != nil {
 		return nil, err
 	}
-	pv, err := ctx.operand(inst.Inputs[1])
+	pv, err := ctx.operand(inst, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -18,18 +18,18 @@ func (ctx *Context) execSP(inst *compiler.Instruction) (*Value, error) {
 	}
 	switch inst.Op {
 	case "tsmm":
-		v, err := ctx.operand(inst.Inputs[0])
+		v, err := ctx.operand(inst, 0)
 		if err != nil {
 			return nil, err
 		}
 		x := ctx.ensureRDD(v, inst.Inputs[0])
 		return ctx.spValue(spark.TSMM(x), x), nil
 	case "cpmm":
-		a, err := ctx.operand(inst.Inputs[0])
+		a, err := ctx.operand(inst, 0)
 		if err != nil {
 			return nil, err
 		}
-		b, err := ctx.operand(inst.Inputs[1])
+		b, err := ctx.operand(inst, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -51,7 +51,7 @@ func (ctx *Context) execSP(inst *compiler.Instruction) (*Value, error) {
 	case "+", "-", "*", "/", "min", "max", ">", "<":
 		return ctx.execSPBinary(inst)
 	case "exp", "log", "sqrt", "abs", "sigmoid", "relu", "pow", "replaceNaN":
-		v, err := ctx.operand(inst.Inputs[0])
+		v, err := ctx.operand(inst, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -61,7 +61,7 @@ func (ctx *Context) execSP(inst *compiler.Instruction) (*Value, error) {
 			func(p, _ *data.Matrix) *data.Matrix { return f(p) })
 		return ctx.spValue(out, x), nil
 	case "rowSums":
-		v, err := ctx.operand(inst.Inputs[0])
+		v, err := ctx.operand(inst, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -101,11 +101,11 @@ func (ctx *Context) spValueB(out *spark.RDD, children []*spark.RDD, bcs ...*spar
 // vector on the left (vecmm), a broadcastable right operand (mapmm), or a
 // zip cross-product.
 func (ctx *Context) execSPMatMul(inst *compiler.Instruction) (*Value, error) {
-	a, err := ctx.operand(inst.Inputs[0])
+	a, err := ctx.operand(inst, 0)
 	if err != nil {
 		return nil, err
 	}
-	b, err := ctx.operand(inst.Inputs[1])
+	b, err := ctx.operand(inst, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -134,11 +134,11 @@ func (ctx *Context) execSPMatMul(inst *compiler.Instruction) (*Value, error) {
 // execSPBinary runs a distributed elementwise op: co-partitioned zip when
 // both sides are large, broadcast otherwise.
 func (ctx *Context) execSPBinary(inst *compiler.Instruction) (*Value, error) {
-	a, err := ctx.operand(inst.Inputs[0])
+	a, err := ctx.operand(inst, 0)
 	if err != nil {
 		return nil, err
 	}
-	b, err := ctx.operand(inst.Inputs[1])
+	b, err := ctx.operand(inst, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -174,7 +174,7 @@ func (ctx *Context) execSPBinary(inst *compiler.Instruction) (*Value, error) {
 
 // execSPAggregate implements full and column aggregates behind shuffles.
 func (ctx *Context) execSPAggregate(inst *compiler.Instruction) (*Value, error) {
-	v, err := ctx.operand(inst.Inputs[0])
+	v, err := ctx.operand(inst, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -255,7 +255,7 @@ func (ctx *Context) nanColMeans(x *spark.RDD, cols int) *data.Matrix {
 
 // execSPImputeMean replaces NaNs column-wise in two distributed phases.
 func (ctx *Context) execSPImputeMean(inst *compiler.Instruction) (*Value, error) {
-	v, err := ctx.operand(inst.Inputs[0])
+	v, err := ctx.operand(inst, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -278,7 +278,7 @@ func (ctx *Context) execSPImputeMean(inst *compiler.Instruction) (*Value, error)
 
 // execSPScale standardizes columns in two distributed phases.
 func (ctx *Context) execSPScale(inst *compiler.Instruction) (*Value, error) {
-	v, err := ctx.operand(inst.Inputs[0])
+	v, err := ctx.operand(inst, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -317,7 +317,7 @@ func (ctx *Context) execSPScale(inst *compiler.Instruction) (*Value, error) {
 
 // execSPMinMax rescales columns to [0,1] in two distributed phases.
 func (ctx *Context) execSPMinMax(inst *compiler.Instruction) (*Value, error) {
-	v, err := ctx.operand(inst.Inputs[0])
+	v, err := ctx.operand(inst, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -40,7 +40,7 @@ func (ctx *Context) RunProgram(p *ir.Program) (err error) {
 		}
 	}()
 	if ctx.prog != p {
-		ctx.prog, ctx.bbKeys, ctx.condBBs = p, nil, nil
+		ctx.prog, ctx.bbKeys, ctx.condBBs, ctx.loopVals, ctx.fnOuts = p, nil, nil, nil, nil
 	}
 	return ctx.runBlocks(p.Main)
 }
@@ -53,8 +53,9 @@ func (ctx *Context) runBlocks(blocks []ir.Block) error {
 				return err
 			}
 		case *ir.ForBlock:
-			for _, val := range t.Values {
-				ctx.bindLoopVar(t.Var, val)
+			lits := ctx.loopLiterals(t)
+			for i, val := range t.Values {
+				ctx.bindLoopVar(t.Var, val, lits[i])
 				if err := ctx.runBlocks(t.Body); err != nil {
 					return err
 				}
@@ -151,7 +152,7 @@ func (ctx *Context) runBasicBlock(bb *ir.BasicBlock) error {
 			}
 		}
 	}
-	ctx.clearTemps()
+	ctx.clearTemps(cb.Temps)
 	ctx.recalibrate()
 	ctx.delayFactor, ctx.storageLevel = prevDelay, prevLevel
 	if rec != nil {
@@ -163,14 +164,51 @@ func (ctx *Context) runBasicBlock(bb *ir.BasicBlock) error {
 }
 
 // bindLoopVar binds the loop variable as a literal scalar: its lineage is a
-// value-carrying leaf, so loop-dependent operations have iteration-specific
-// lineage (not reusable) while loop-independent ones reuse across
-// iterations.
-func (ctx *Context) bindLoopVar(name string, val float64) {
+// value-carrying leaf whose data is lit, the value's text, so
+// loop-dependent operations have iteration-specific lineage (not reusable)
+// while loop-independent ones reuse across iterations.
+func (ctx *Context) bindLoopVar(name string, val float64, lit string) {
 	ctx.setVar(name, NewScalar(val))
 	if ctx.tracing() {
-		ctx.LMap.TraceItem(name, lineage.NewLeaf("lit", fmt.Sprint(val)))
+		ctx.LMap.TraceItem(name, lineage.NewLeaf("lit", lit))
 	}
+}
+
+// loopLiterals returns the lineage text (fmt.Sprint) of each value of a for
+// loop, built once per loop of the running program.
+func (ctx *Context) loopLiterals(f *ir.ForBlock) []string {
+	lits, ok := ctx.loopVals[f]
+	if !ok || len(lits) != len(f.Values) {
+		lits = make([]string, len(f.Values))
+		for i, v := range f.Values {
+			lits[i] = fmt.Sprint(v)
+		}
+		if ctx.loopVals == nil {
+			ctx.loopVals = make(map[*ir.ForBlock][]string)
+		}
+		ctx.loopVals[f] = lits
+	}
+	return lits
+}
+
+// fnOutData returns the data strings ("fn#ret") of a function's output
+// keys, built once per function name of the running program. They live in
+// the session, not in a compiled block: block keys cover neither the
+// program nor function bodies, so programs that share a call block may
+// define the function differently.
+func (ctx *Context) fnOutData(fnName string, fn *ir.Function) []string {
+	data, ok := ctx.fnOuts[fnName]
+	if !ok || len(data) != len(fn.Returns) {
+		data = make([]string, len(fn.Returns))
+		for i, ret := range fn.Returns {
+			data[i] = fnName + "#" + ret
+		}
+		if ctx.fnOuts == nil {
+			ctx.fnOuts = make(map[string][]string)
+		}
+		ctx.fnOuts[fnName] = data
+	}
+	return data
 }
 
 // evalScalar evaluates a scalar condition expression. The block wrapped
@@ -197,6 +235,18 @@ func (ctx *Context) evalScalar(cond *ir.Node) (float64, error) {
 	return res, nil
 }
 
+// callStack is how many arguments and how many outputs a call keeps in
+// arrays on execCall's stack.
+const callStack = 4
+
+// fit returns buf[:n], or a new slice when n exceeds buf.
+func fit[T any](buf []T, n int) []T {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]T, n)
+}
+
 // execCall invokes a function with multi-level (function output) reuse:
 // outputs of deterministic functions called with identical inputs are
 // reused as a whole, even across backends (§3.3).
@@ -213,10 +263,13 @@ func (ctx *Context) execCall(inst *compiler.Instruction) error {
 	if len(inst.Outputs) != len(fn.Returns) {
 		return fmt.Errorf("runtime: %s returns %d values, got %d targets", fnName, len(fn.Returns), len(inst.Outputs))
 	}
-	args := make([]*Value, len(inst.Inputs))
-	argLis := make([]*lineage.Item, len(inst.Inputs))
+	// Arguments, output keys and probed values of a call with few of them
+	// stay on the stack: a reused call allocates only its keys.
+	var argBuf [callStack]*Value
+	var linBuf [callStack]*lineage.Item
+	args, argLis := fit(argBuf[:], len(inst.Inputs)), fit(linBuf[:], len(inst.Inputs))
 	for i, in := range inst.Inputs {
-		v, err := ctx.operand(in)
+		v, err := ctx.operand(inst, i)
 		if err != nil {
 			return err
 		}
@@ -230,16 +283,18 @@ func (ctx *Context) execCall(inst *compiler.Instruction) error {
 		}
 	}
 	multiLevel := ctx.tracing() && fn.Deterministic && ctx.multiLevelReuse(fnName)
+	var keyBuf [callStack]*lineage.Item
 	var outKeys []*lineage.Item
 	if multiLevel {
-		outKeys = make([]*lineage.Item, len(fn.Returns))
-		for i, ret := range fn.Returns {
-			outKeys[i] = lineage.NewItem("fnout", fnName+"#"+ret, argLis...)
+		var valBuf [callStack]*Value
+		outKeys = fit(keyBuf[:], len(fn.Returns))
+		vals := fit(valBuf[:], len(fn.Returns))
+		for i, data := range ctx.fnOutData(fnName, fn) {
+			outKeys[i] = lineage.NewItem("fnout", data, argLis...)
 		}
 		// Probe all outputs; reuse only if the whole call is covered. On a
 		// local miss the shared level (serving layer) is consulted and a
 		// hit is installed locally, so whole calls reuse across tenants.
-		vals := make([]*Value, len(outKeys))
 		allHit := true
 		for i, key := range outKeys {
 			if e, hit := ctx.Cache.Probe(key); hit {

@@ -21,6 +21,7 @@ import (
 func Recompute(ctx *Context, root *lineage.Item) (*data.Matrix, error) {
 	order := topoOrder(root)
 	names := make(map[uint64]string, len(order))
+	var stream []compiler.Instruction
 	for i, it := range order {
 		name := fmt.Sprintf("_rc%d", i)
 		names[it.ID()] = name
@@ -41,7 +42,11 @@ func Recompute(ctx *Context, root *lineage.Item) (*data.Matrix, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := ctx.Execute(inst); err != nil {
+		stream = append(stream, inst)
+	}
+	compiler.Prepare(stream)
+	for i := range stream {
+		if err := ctx.Execute(&stream[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -80,14 +85,14 @@ func topoOrder(root *lineage.Item) []*lineage.Item {
 
 // itemToInstruction reverses the trace encoding: the data field holds
 // "key=value" attributes plus "inN=literal" positional literal operands.
-func itemToInstruction(it *lineage.Item, names map[uint64]string, output string) (*compiler.Instruction, error) {
+func itemToInstruction(it *lineage.Item, names map[uint64]string, output string) (compiler.Instruction, error) {
 	attrs := make(map[string]string)
 	literals := make(map[int]string)
 	if d := it.Data(); d != "" {
 		for _, kv := range strings.Split(d, ";") {
 			eq := strings.IndexByte(kv, '=')
 			if eq < 0 {
-				return nil, fmt.Errorf("runtime: malformed lineage data %q", kv)
+				return compiler.Instruction{}, fmt.Errorf("runtime: malformed lineage data %q", kv)
 			}
 			k, v := kv[:eq], kv[eq+1:]
 			if strings.HasPrefix(k, "in") {
@@ -108,12 +113,12 @@ func itemToInstruction(it *lineage.Item, names map[uint64]string, output string)
 			continue
 		}
 		if vi >= len(it.Inputs()) {
-			return nil, fmt.Errorf("runtime: lineage item %s has inconsistent operands", it.Opcode())
+			return compiler.Instruction{}, fmt.Errorf("runtime: lineage item %s has inconsistent operands", it.Opcode())
 		}
 		inputs[pos] = names[it.Inputs()[vi].ID()]
 		vi++
 	}
-	return &compiler.Instruction{
+	return compiler.Instruction{
 		Kind:    compiler.KindOp,
 		Op:      it.Opcode(),
 		Inputs:  inputs,
