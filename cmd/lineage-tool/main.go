@@ -8,8 +8,6 @@
 //	lineage-tool recompute <logfile>       # replay a log produced by demo
 //	lineage-tool profile-diff <a> <b>      # diff two `memphis-run -plan -json` dumps
 //	lineage-tool trace                     # dump compiled streams fused vs unfused
-//	lineage-tool costs [-json]             # closed-loop cost model report: predicted
-//	                                       # vs observed virtual cost and hit rates
 package main
 
 import (
@@ -100,60 +98,6 @@ func trace() error {
 	}
 	fmt.Println("-- lineage log (identical with fusion off and on) --")
 	fmt.Print(plain)
-	return nil
-}
-
-// costsReport runs a calibrating workload under AdaptivePlacement and
-// dumps the closed-loop cost model's report: per-operator predicted vs
-// observed virtual cost, cache hit rates, and the per-backend effective
-// rates the recalibration converged to. With jsonOut the raw
-// memphis.Stats.Calibration report is emitted (byte-stable across runs: every
-// quantity is virtual).
-func costsReport(jsonOut bool) error {
-	s := memphis.New(memphis.Options{Reuse: memphis.ReuseFull, AdaptivePlacement: true})
-	defer s.Close()
-	s.Bind("X", data.RandNorm(2000, 16, 0, 1, 42))
-	s.Bind("y", data.RandNorm(2000, 1, 0, 1, 43))
-	// A ridge-regression loop: the normal-equation pieces are
-	// loop-invariant (probes hit from iteration two), the solve re-executes
-	// per lambda — so the report shows both reused and recomputed
-	// populations.
-	body := ir.BB(
-		ir.Assign("G", ir.TSMM(ir.Var("X"))),
-		ir.Assign("b", ir.MatMul(ir.T(ir.Var("X")), ir.Var("y"))),
-		ir.Assign("beta", ir.Solve(ir.Add(ir.Var("G"), ir.Var("lambda")), ir.Var("b"))),
-		ir.Assign("s", ir.Sum(ir.Var("beta"))),
-	)
-	prog := ir.NewProgram()
-	prog.Main = []ir.Block{ir.For("lambda", []float64{0.1, 0.5, 1, 5, 10, 50, 100, 500, 1000}, body)}
-	if err := s.Run(prog); err != nil {
-		return err
-	}
-	rep := s.Stats().Calibration
-	if rep == nil {
-		return fmt.Errorf("no calibration report (AdaptivePlacement off?)")
-	}
-	if jsonOut {
-		out, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(out))
-		return nil
-	}
-	fmt.Printf("calibration epoch %d (fingerprint %s)\n\n", rep.Epoch, rep.Fingerprint)
-	fmt.Printf("%-8s %8s %14s %14s %14s\n", "backend", "ops", "observed(vs)", "base rate", "eff rate")
-	for _, b := range rep.Backends {
-		fmt.Printf("%-8s %8d %14.6f %14.4g %14.4g\n",
-			b.Backend, b.Ops, b.ObservedSeconds, b.BaseRate, b.EffectiveRate)
-	}
-	fmt.Printf("\n%-10s %-4s %5s %6s %14s %14s %7s %6s %8s %6s\n",
-		"op", "bk", "class", "ops", "predicted(vs)", "observed(vs)", "probes", "hits", "hitrate", "p")
-	for _, o := range rep.Ops {
-		fmt.Printf("%-10s %-4s %5d %6d %14.6f %14.6f %7d %6d %8.2f %6.3f\n",
-			o.Op, o.Backend, o.Class, o.Ops, o.PredictedSeconds, o.ObservedSeconds,
-			o.Probes, o.Hits, o.HitRate, o.ReuseProb)
-	}
 	return nil
 }
 
@@ -258,7 +202,7 @@ func profileDiff(pathA, pathB string) error {
 
 func main() {
 	if len(os.Args) < 2 {
-		fmt.Fprintln(os.Stderr, "usage: lineage-tool demo | trace | costs [-json] | recompute <logfile> | profile-diff <a.json> <b.json>")
+		fmt.Fprintln(os.Stderr, "usage: lineage-tool demo | trace | recompute <logfile> | profile-diff <a.json> <b.json>")
 		os.Exit(2)
 	}
 	var err error
@@ -267,8 +211,6 @@ func main() {
 		err = demo()
 	case "trace":
 		err = trace()
-	case "costs":
-		err = costsReport(len(os.Args) > 2 && os.Args[2] == "-json")
 	case "recompute":
 		if len(os.Args) < 3 {
 			err = fmt.Errorf("recompute needs a log file")

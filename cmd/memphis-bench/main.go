@@ -33,15 +33,10 @@ func main() {
 	mem := flag.Bool("mem", false, "run the memory-arbiter report: per-pool used/peak/budget/pressure and eviction/demotion counters across representative workloads")
 	memBudget := flag.Int64("membudget", 0, "driver-cache (cp pool) budget in bytes for -mem (0 = default); see memphis.Options.MemoryBudgets")
 	planOn := flag.Bool("plan", false, "with -mem: enable the compile-time memory planner and report evictions per planned stream")
-	adaptive := flag.Bool("adaptive", false, "run the static-vs-adaptive placement A/B: virtual-time delta, calibration epochs, and per-backend op counts on the crossover microbenchmarks (all-virtual output, byte-stable across runs)")
 	flag.Parse()
 
 	if *par > 0 {
 		data.SetParallelism(*par)
-	}
-	if *adaptive {
-		adaptiveReport(*quick, *jsonOut)
-		return
 	}
 	if *mem {
 		memReport(*memBudget, *planOn, *jsonOut)
@@ -99,28 +94,6 @@ func main() {
 		}
 		fmt.Println(string(out))
 	}
-}
-
-// adaptiveReport runs the closed-loop cost model's static-vs-adaptive A/B
-// (memphis-bench -adaptive). The output contains only virtual quantities —
-// no wall-clock fields — so two runs byte-compare equal; CI uses that as
-// the adaptive determinism gate.
-func adaptiveReport(quick, jsonOut bool) {
-	rows, err := bench.AdaptiveReport(quick)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "memphis-bench -adaptive: %v\n", err)
-		os.Exit(1)
-	}
-	if jsonOut {
-		out, err := bench.MarshalAdaptive(rows)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Println(string(out))
-		return
-	}
-	fmt.Print(bench.AdaptiveTable(rows))
 }
 
 // memReport runs representative workloads on a full-reuse session and

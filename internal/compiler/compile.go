@@ -9,7 +9,10 @@ import (
 	"memphis/internal/ir"
 )
 
-// Config controls placement and the MEMPHIS compiler extensions.
+// Config controls placement and the MEMPHIS compiler extensions. Every
+// field is written into the runtime's block key (runtime.blockKey), so a
+// new field must be added there too, or blocks compiled under different
+// values would share a compile-cache entry.
 type Config struct {
 	// OpMemBudget is the operation memory: operators whose input or output
 	// estimates exceed it are compiled to Spark instructions (§2.1).
@@ -29,18 +32,8 @@ type Config struct {
 	// Fusion enables the elementwise fusion pass: maximal chains of
 	// CP-placed elementwise/unary/scalar ops collapse into single fused
 	// instructions executed as one loop with zero intermediate matrices.
-	// Results are bitwise-identical with fusion on or off; the flag joins
-	// the serving layer's compile-cache key via the config fold.
+	// Results are bitwise-identical with fusion on or off.
 	Fusion bool
-
-	// Estimator, when non-nil, switches operator placement from the
-	// static thresholds to closed-loop expected-cost queries
-	// (adaptivePlacement): each candidate backend is priced under the
-	// estimator's recalibrated rates with the observed reuse probability
-	// folded in. Nil keeps the static placement path byte-for-byte
-	// untouched. The estimator's epoch/fingerprint join compile-cache
-	// keys via Fold, so recalibration never serves stale cached plans.
-	Estimator costs.Estimator
 }
 
 // DefaultConfig returns placement thresholds for simulation scale,
@@ -267,11 +260,6 @@ func (bc *blockCompiler) inferShallow(n *ir.Node) ir.Shape {
 // intensive dense operations (or GPU-local chains) go to the GPU.
 func (bc *blockCompiler) placement(n *ir.Node) core.Backend {
 	if b, ok := bc.place[n]; ok {
-		return b
-	}
-	if bc.conf.Estimator != nil {
-		b := bc.adaptivePlacement(n)
-		bc.place[n] = b
 		return b
 	}
 	out := bc.shapeOf(n)

@@ -510,3 +510,56 @@ func TestEmitRemoteChainsRespectsWAR(t *testing.T) {
 			writerIdx, readerIdx, ops(insts))
 	}
 }
+
+func TestDefaultConfigDerivedFromCostModel(t *testing.T) {
+	// The historic hard-coded thresholds (1 MB, 4096 cells) must fall out
+	// of the default cost model exactly, so pinned baselines see the same
+	// static placement as before the derivation.
+	conf := DefaultConfig()
+	if conf.OpMemBudget != 1<<20 {
+		t.Fatalf("derived OpMemBudget = %d, want %d", conf.OpMemBudget, 1<<20)
+	}
+	if conf.GPUMinCells != 4096 {
+		t.Fatalf("derived GPUMinCells = %d, want 4096", conf.GPUMinCells)
+	}
+}
+
+func TestDerivedThresholdsReproduceStaticPlacement(t *testing.T) {
+	// Every placement decision under the derived DefaultConfig must match
+	// the legacy literal thresholds across representative blocks spanning
+	// the CP/Spark and CP/GPU boundaries.
+	legacy := Config{OpMemBudget: 1 << 20, GPUMinCells: 4096}
+	derived := DefaultConfig()
+	cases := []struct {
+		name string
+		env  map[string]ir.Shape
+		bb   *ir.BasicBlock
+		gpu  bool
+	}{
+		{"small-local", shapes("a", ir.Shape{Rows: 8, Cols: 8}),
+			ir.BB(ir.Assign("b", ir.Add(ir.Var("a"), ir.Lit(1)))), false},
+		{"large-spark", shapes("X", ir.Shape{Rows: 100000, Cols: 100}),
+			ir.BB(ir.Assign("g", ir.TSMM(ir.Var("X")))), false},
+		{"boundary-spark", shapes("X", ir.Shape{Rows: (1 << 17) + 1, Cols: 1}),
+			ir.BB(ir.Assign("g", ir.ColSums(ir.Var("X")))), false},
+		{"gpu-chain", shapes("X", ir.Shape{Rows: 128, Cols: 128}, "W", ir.Shape{Rows: 128, Cols: 128}),
+			ir.BB(ir.Assign("h", ir.ReLU(ir.MatMul(ir.Var("X"), ir.Var("W"))))), true},
+		{"gpu-too-small", shapes("X", ir.Shape{Rows: 16, Cols: 16}, "W", ir.Shape{Rows: 16, Cols: 16}),
+			ir.BB(ir.Assign("h", ir.MatMul(ir.Var("X"), ir.Var("W")))), true},
+	}
+	for _, tc := range cases {
+		l, d := legacy, derived
+		l.GPUEnabled, d.GPUEnabled = tc.gpu, tc.gpu
+		got := CompileBlock(tc.bb, tc.env, d)
+		want := CompileBlock(tc.bb, tc.env, l)
+		if len(got) != len(want) {
+			t.Fatalf("%s: stream lengths differ: %d vs %d", tc.name, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Backend != want[i].Backend {
+				t.Fatalf("%s: inst %d (%s) placed on %v under derived config, %v under legacy",
+					tc.name, i, got[i].Op, got[i].Backend, want[i].Backend)
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package costs
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -73,5 +74,27 @@ func TestTransferMonotoneInSize(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestModelValidate(t *testing.T) {
+	if err := Default().Validate(); err != nil {
+		t.Fatalf("default model invalid: %v", err)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Model)
+	}{
+		{"zero CPUFlops", func(m *Model) { m.CPUFlops = 0 }},
+		{"negative Probe", func(m *Model) { m.Probe = -1e-6 }},
+		{"NaN CollectBW", func(m *Model) { m.CollectBW = math.NaN() }},
+		{"Inf SparkJobOverhead", func(m *Model) { m.SparkJobOverhead = math.Inf(1) }},
+		{"zero SpillSetup", func(m *Model) { m.SpillSetup = 0 }},
+	} {
+		m := Default()
+		tc.mutate(m)
+		if err := m.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted an invalid model", tc.name)
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package costs
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Thresholds are the compiler's static placement cut-offs, derived from a
 // cost model's break-even points instead of free-standing constants.
@@ -54,8 +57,7 @@ func gpuBreakEvenCells(m *Model) float64 {
 // DeriveThresholds computes placement thresholds for a model by scaling
 // the simulation anchors with the model's break-even points relative to
 // Default(). A backend whose break-even diverges (it never pays off under
-// the model) keeps the anchor: static placement still needs a finite cut,
-// and adaptive mode is the tool for cost-true decisions.
+// the model) keeps the anchor: placement is static and needs a finite cut.
 func DeriveThresholds(m *Model) Thresholds {
 	ref := Default()
 	t := Thresholds{OpMemBudget: anchorOpMemBudget, GPUMinCells: anchorGPUMinCells}
@@ -83,4 +85,14 @@ func scalePositive(v int64, r float64) int64 {
 		return int64(1) << 61
 	}
 	return int64(s)
+}
+
+// ShapeClass buckets an output cell count into a power-of-two size class
+// (floor(log2(cells))), the granularity of reuse tallies. Non-positive
+// counts map to class 0.
+func ShapeClass(cells int64) int {
+	if cells <= 0 {
+		return 0
+	}
+	return bits.Len64(uint64(cells)) - 1
 }

@@ -6,22 +6,20 @@ import (
 )
 
 // ReuseStats records per-(op-type, backend, shape-class) lineage-cache
-// probe/hit tallies — the raw counts behind the closed-loop cost model's
-// reuse probabilities. The runtime notes every fine-grained probe against
-// the backend the operator was placed on; the serving layer's shared cache
-// keeps its own recorder for cross-tenant probes. Counts are pure
-// functions of the execution trace, so two replays of the same program
-// produce identical tallies.
+// probe/hit tallies. The serving layer's shared cache keeps one for its
+// cross-tenant probes and reports it (SharedStats.Reuse, OpHitRates).
+// Counts are pure functions of the probe sequence, so two replays of the
+// same trace produce identical tallies.
 //
-// A mutex guards the map: session use is single-goroutine, but the serve
-// shared cache records from concurrent workers.
+// A mutex guards the map: the shared cache records from concurrent
+// workers.
 type ReuseStats struct {
 	mu sync.Mutex
 	m  map[ReuseKey]*ReuseTally
 }
 
 // ReuseKey identifies one probe population. Backend uses the
-// core.Backend/costs.Backend numbering (CP=0, Spark=1, GPU=2); Class is
+// core.Backend numbering (CP=0, Spark=1, GPU=2); Class is
 // costs.ShapeClass of the output cell count, or -1 when the recording site
 // does not know the output size (e.g. a shared-cache miss).
 type ReuseKey struct {
@@ -83,20 +81,8 @@ func (s *ReuseStats) sortedKeys() []ReuseKey {
 	return keys
 }
 
-// Tallies implements costs.ReuseSource: it invokes f once per population
-// in sorted key order.
-func (s *ReuseStats) Tallies(f func(op string, backend, class int, probes, hits int64)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, k := range s.sortedKeys() {
-		t := s.m[k]
-		f(k.Op, k.Backend, k.Class, t.Probes, t.Hits)
-	}
-}
-
-// Prob returns the raw observed hit rate of one population (0 with no
-// probes). Consumers wanting quantized/sample-floored probabilities use
-// costs.Calibration instead.
+// Prob returns the observed hit rate of one population (0 with no
+// probes).
 func (s *ReuseStats) Prob(op string, backend, class int) float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

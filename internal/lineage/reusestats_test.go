@@ -50,16 +50,6 @@ func TestReuseStatsSnapshotSorted(t *testing.T) {
 	if rows[0].HitRate != 1 || rows[2].HitRate != 0 {
 		t.Fatalf("hit rates wrong: %+v", rows)
 	}
-	// Tallies iterates in the same order.
-	var got []ReuseKey
-	s.Tallies(func(op string, backend, class int, probes, hits int64) {
-		got = append(got, ReuseKey{Op: op, Backend: backend, Class: class})
-	})
-	for i, w := range want {
-		if got[i] != w {
-			t.Fatalf("tally %d = %+v, want %+v", i, got[i], w)
-		}
-	}
 }
 
 func TestReuseStatsConcurrent(t *testing.T) {

@@ -3,6 +3,7 @@ package runtime
 import (
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -247,43 +248,18 @@ func (ctx *Context) blockKey(bb *ir.BasicBlock) uint64 {
 			h = h.Str("=?;")
 		}
 	}
-	h = h.Str("|cc:").Str(ctx.compilerFold())
+	c := &ctx.Conf.Compiler
+	h = h.Str("|cc:opmem=").Int(c.OpMemBudget).
+		Str(",gpu=").Str(strconv.FormatBool(c.GPUEnabled)).
+		Str(",gpumin=").Int(int64(c.GPUMinCells)).
+		Str(",async=").Str(strconv.FormatBool(c.Async)).
+		Str(",maxpar=").Str(strconv.FormatBool(c.MaxParallelize)).
+		Str(",chk=").Str(strconv.FormatBool(c.CheckpointInjection)).
+		Str(",fuse=").Str(strconv.FormatBool(c.Fusion))
 	if ctx.Conf.MemoryPlanner {
 		h = h.Str("|mp:").Int(ctx.Conf.Cache.CPBudget)
 	}
 	return h.Sum64()
-}
-
-// foldMemo is the session's copy of Compiler.Fold()'s text and what it was
-// computed from.
-type foldMemo struct {
-	set       bool
-	conf      compiler.Config // with Estimator nil
-	estimator bool
-	epoch, fp uint64
-	text      string
-}
-
-// compilerFold returns Config.Fold's text: the deterministic key text of
-// the compiler configuration (an interface field in the config would print
-// pointer addresses under %+v). It includes the calibration epoch and
-// fingerprint when adaptive placement is active, which is what makes an
-// adaptive session recompile after a recalibration; the text is rebuilt
-// only when one of them, or the configuration, changes.
-func (ctx *Context) compilerFold() string {
-	conf := ctx.Conf.Compiler
-	est := conf.Estimator
-	conf.Estimator = nil
-	var epoch, fp uint64
-	if est != nil {
-		epoch, fp = est.Epoch(), est.Fingerprint()
-	}
-	m := &ctx.fold
-	if !m.set || m.conf != conf || m.estimator != (est != nil) || m.epoch != epoch || m.fp != fp {
-		*m = foldMemo{set: true, conf: conf, estimator: est != nil, epoch: epoch, fp: fp,
-			text: ctx.Conf.Compiler.Fold()}
-	}
-	return m.text
 }
 
 // compiledBlock returns the prepared execution unit for a basic block from

@@ -3,7 +3,6 @@ package runtime
 import (
 	"testing"
 
-	"memphis/internal/costs"
 	"memphis/internal/data"
 	"memphis/internal/ir"
 )
@@ -96,16 +95,27 @@ func TestBlockKeyComposition(t *testing.T) {
 		t.Error("different memplan budgets must produce distinct block keys")
 	}
 
-	// The session memoizes the config's key text; a config changed after a
-	// key was taken, or an estimator attached at epoch 0, must still move
-	// the key, exactly as the fmt reference does.
+	// Every compiler field is written into the key as the fmt reference
+	// prints it: each change below (applied in turn to one session) must
+	// move the key and keep it equal to the reference, with every bool
+	// flipped both ways.
 	ctx, bb := base()
 	for _, change := range []struct {
 		name   string
 		mutate func(*Config)
 	}{
 		{"config changed after a key", func(c *Config) { c.Compiler.OpMemBudget = 1 << 10 }},
-		{"estimator attached at epoch 0", func(c *Config) { c.Compiler.Estimator = zeroEstimator{} }},
+		{"GPU chain minimum", func(c *Config) { c.Compiler.GPUMinCells = 1 << 8 }},
+		{"GPU on", func(c *Config) { c.Compiler.GPUEnabled = true }},
+		{"async on", func(c *Config) { c.Compiler.Async = true }},
+		{"max-parallelize on", func(c *Config) { c.Compiler.MaxParallelize = true }},
+		{"checkpoint injection on", func(c *Config) { c.Compiler.CheckpointInjection = true }},
+		{"fusion on", func(c *Config) { c.Compiler.Fusion = true }},
+		{"GPU off", func(c *Config) { c.Compiler.GPUEnabled = false }},
+		{"async off", func(c *Config) { c.Compiler.Async = false }},
+		{"max-parallelize off", func(c *Config) { c.Compiler.MaxParallelize = false }},
+		{"checkpoint injection off", func(c *Config) { c.Compiler.CheckpointInjection = false }},
+		{"fusion off", func(c *Config) { c.Compiler.Fusion = false }},
 	} {
 		before := ctx.blockKey(bb)
 		change.mutate(&ctx.Conf)
@@ -115,14 +125,6 @@ func TestBlockKeyComposition(t *testing.T) {
 		}
 	}
 }
-
-// zeroEstimator is a costs.Estimator at epoch 0 with a zero fingerprint.
-type zeroEstimator struct{}
-
-func (zeroEstimator) Effective() *costs.Model       { return costs.Default() }
-func (zeroEstimator) ReuseProb(string, int) float64 { return 0 }
-func (zeroEstimator) Epoch() uint64                 { return 0 }
-func (zeroEstimator) Fingerprint() uint64           { return 0 }
 
 // BenchmarkBlockKey is the per-block-execution key of a warm session: a
 // block reading three bound variables and one unbound, under the planner.

@@ -112,18 +112,6 @@ type Config struct {
 	// data.DefaultArenaBudget).
 	ArenaBudget int64
 
-	// Adaptive enables the closed-loop cost model (Options.
-	// AdaptivePlacement on the facade): the context records per-operator
-	// observed virtual costs and lineage-cache hit tallies, recalibrates a
-	// costs.Calibration after every basic block, and injects it into the
-	// compiler as the placement estimator — so CP/GPU/Spark placement
-	// follows observed costs and reuse probabilities instead of the static
-	// thresholds. Recalibration is a pure function of the execution trace
-	// (virtual-clock deltas, never wall time), so adaptive runs replay
-	// bitwise-identically. Off (default), every placement and charge is
-	// byte-identical to the static pipeline.
-	Adaptive bool
-
 	// MemoryPlanner enables the compile-time memory planner
 	// (internal/memplan) under the driver cache budget Cache.CPBudget: every
 	// compiled stream is analyzed for liveness, lifetime hints are stamped
@@ -159,10 +147,6 @@ type Stats struct {
 	// Memory-planner events (zero without Config.MemoryPlanner).
 	PlanBlocks int64 // planned stream executions
 	EarlyFrees int64 // planner-inserted frees that released a binding
-
-	// Recalibrations counts calibration epoch advances (zero without
-	// Config.Adaptive).
-	Recalibrations int64
 }
 
 // Context is the execution context: symbol table, backends, lineage map,
@@ -193,15 +177,13 @@ type Context struct {
 	// value strings (all three keyed by pointers into prog) and fnOuts each
 	// function's output-key data strings (by name). All are dropped when
 	// RunProgram sees a different program, so a long-lived session holds
-	// memos for one program at a time. fold is the compiler configuration's
-	// key text.
+	// memos for one program at a time.
 	attached CompileCache
 	own      *BlockCache
 	bbKeys   map[*ir.BasicBlock]blockKeyParts
 	condBBs  map[*ir.Node]*ir.BasicBlock
 	loopVals map[*ir.ForBlock][]string
 	fnOuts   map[string][]string
-	fold     foldMemo
 
 	vars map[string]*Value
 	prog *ir.Program
@@ -233,13 +215,6 @@ type Context struct {
 	// memoizes parsed fused-instruction step programs by encoding.
 	arena      *data.Arena
 	fusedProgs map[string]*data.FusedProgram
-
-	// Closed-loop cost model state (nil without Config.Adaptive): cal is
-	// the calibration overlay injected into the compiler as the placement
-	// estimator, reuse the per-(op, backend, shape-class) probe/hit
-	// recorder feeding its reuse probabilities.
-	cal   *costs.Calibration
-	reuse *lineage.ReuseStats
 
 	closed bool
 
@@ -290,14 +265,6 @@ func New(conf Config) *Context {
 		}
 		ctx.arena = data.NewArena(budget)
 		ctx.Arb.Register(ctx.arena)
-	}
-	if conf.Adaptive {
-		ctx.cal = costs.NewCalibration(model)
-		ctx.reuse = lineage.NewReuseStats()
-		// The calibration is the compiler's placement estimator; its epoch
-		// is part of every block key (Compiler.Fold), so blocks recompile
-		// after a recalibration and placement tracks the latest epoch.
-		ctx.Conf.Compiler.Estimator = ctx.cal
 	}
 	if conf.Faults != nil {
 		ctx.Inj = faults.NewInjector(conf.Faults)

@@ -178,7 +178,6 @@ func (ctx *Context) Execute(inst *compiler.Instruction) error {
 		return ctx.execCheckpoint(inst)
 	}
 	ctx.Stats.Instructions++
-	obsStart := ctx.Clock.Now()
 	ctx.Clock.Advance(ctx.Model.Interpret)
 	var li *lineage.Item
 	if ctx.tracing() {
@@ -197,7 +196,6 @@ func (ctx *Context) Execute(inst *compiler.Instruction) error {
 				// DAGs share sub-DAGs by identity (Figure 5).
 				ctx.LMap.TraceItem(inst.Output(), e.Key)
 				ctx.Stats.Reused++
-				ctx.noteReuse(inst, true)
 				return nil
 			}
 		}
@@ -211,11 +209,9 @@ func (ctx *Context) Execute(inst *compiler.Instruction) error {
 				v.Lin = li
 				ctx.setVar(inst.Output(), v)
 				ctx.Stats.Reused++
-				ctx.noteReuse(inst, true)
 				return nil
 			}
 		}
-		ctx.noteReuse(inst, false)
 	}
 	v, err := ctx.execOp(inst)
 	if err != nil {
@@ -226,7 +222,6 @@ func (ctx *Context) Execute(inst *compiler.Instruction) error {
 	if wantReuse {
 		ctx.putValue(inst, li, v)
 	}
-	ctx.observeOp(inst, ctx.Clock.Now()-obsStart)
 	return nil
 }
 

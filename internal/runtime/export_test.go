@@ -22,7 +22,10 @@ func refBlockKey(ctx *Context, bb *ir.BasicBlock) uint64 {
 			fmt.Fprintf(h, "%s=?;", name)
 		}
 	}
-	fmt.Fprintf(h, "|cc:%s", ctx.Conf.Compiler.Fold())
+	c := ctx.Conf.Compiler
+	fmt.Fprintf(h, "|cc:opmem=%d,gpu=%t,gpumin=%d,async=%t,maxpar=%t,chk=%t,fuse=%t",
+		c.OpMemBudget, c.GPUEnabled, c.GPUMinCells, c.Async, c.MaxParallelize,
+		c.CheckpointInjection, c.Fusion)
 	if ctx.Conf.MemoryPlanner {
 		fmt.Fprintf(h, "|mp:%d", ctx.Conf.Cache.CPBudget)
 	}

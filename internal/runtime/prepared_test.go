@@ -18,8 +18,8 @@ import (
 )
 
 // keyConfig is a full-MEMPHIS configuration with all three backends; the
-// planner and the closed-loop cost model are switched by the caller.
-func keyConfig(planner, adaptive bool) runtime.Config {
+// planner is switched by the caller.
+func keyConfig(planner bool) runtime.Config {
 	comp := compiler.DefaultConfig()
 	comp.GPUEnabled = true
 	comp.Async, comp.MaxParallelize, comp.CheckpointInjection = true, true, true
@@ -30,7 +30,6 @@ func keyConfig(planner, adaptive bool) runtime.Config {
 		Spark:         spark.DefaultConfig(),
 		GPUCapacity:   48 << 20,
 		MemoryPlanner: planner,
-		Adaptive:      adaptive,
 	}
 }
 
@@ -89,8 +88,7 @@ var keyPrograms = []keyProgram{
 // replaced, byte for byte, on every block of the example and benchmark
 // scripts and of the five paper pipelines: before inputs are bound (every
 // read variable unbound), once they are, and after a run (function-local
-// names unbound, the rest bound), with the planner off and on, and in an
-// adaptive session across two recalibration epochs.
+// names unbound, the rest bound), with the planner off and on.
 func TestBlockKeyMatchesFmtReference(t *testing.T) {
 	check := func(t *testing.T, ctx *runtime.Context, p *ir.Program, when string) {
 		t.Helper()
@@ -107,7 +105,7 @@ func TestBlockKeyMatchesFmtReference(t *testing.T) {
 			for _, planner := range []bool{false, true} {
 				p, bind := kp.build(t)
 				compiler.RewriteProgram(p)
-				ctx := runtime.New(keyConfig(planner, false))
+				ctx := runtime.New(keyConfig(planner))
 				check(t, ctx, p, "nothing bound")
 				if bind != nil {
 					bind(ctx)
@@ -118,28 +116,6 @@ func TestBlockKeyMatchesFmtReference(t *testing.T) {
 				}
 				check(t, ctx, p, "after a run")
 				ctx.Close()
-			}
-
-			p, bind := kp.build(t)
-			compiler.RewriteProgram(p)
-			ctx := runtime.New(keyConfig(false, true))
-			defer ctx.Close()
-			if bind != nil {
-				bind(ctx)
-			}
-			// The first check memoizes the fold at epoch 0; the runs must
-			// move the epoch, and the key must follow it.
-			check(t, ctx, p, "adaptive, before a run")
-			epochs := []uint64{ctx.CalibrationReport().Epoch}
-			for run := 0; run < 2; run++ {
-				if err := ctx.RunProgram(p); err != nil {
-					t.Fatal(err)
-				}
-				epochs = append(epochs, ctx.CalibrationReport().Epoch)
-				check(t, ctx, p, "adaptive, after a run")
-			}
-			if epochs[1] == epochs[0] {
-				t.Fatalf("adaptive session: epochs %v, want a recalibration during the first run", epochs)
 			}
 		})
 	}
@@ -170,7 +146,7 @@ func requirePrepared(t *testing.T, ctx *runtime.Context) []compiler.Instruction 
 // Recompute lowers from lineage — arrives prepared.
 func TestEveryExecutedInstructionIsPrepared(t *testing.T) {
 	t.Run("unprepared panics", func(t *testing.T) {
-		ctx := runtime.New(keyConfig(false, false))
+		ctx := runtime.New(keyConfig(false))
 		defer ctx.Close()
 		ctx.BindHost("X", data.RandNorm(4, 4, 0, 1, 1))
 		defer func() {
@@ -184,7 +160,7 @@ func TestEveryExecutedInstructionIsPrepared(t *testing.T) {
 	})
 
 	t.Run("planned HBAND with splits", func(t *testing.T) {
-		conf := keyConfig(true, false)
+		conf := keyConfig(true)
 		conf.Compiler.OpMemBudget = 16 << 20
 		conf.GPUCapacity, conf.Compiler.GPUEnabled = 0, false
 		conf.Cache.CPBudget = 16 << 10
@@ -208,7 +184,7 @@ func TestEveryExecutedInstructionIsPrepared(t *testing.T) {
 	})
 
 	t.Run("fused", func(t *testing.T) {
-		conf := keyConfig(true, false)
+		conf := keyConfig(true)
 		conf.Compiler.Fusion, conf.Arena = true, true
 		ctx := runtime.New(conf)
 		defer ctx.Close()
@@ -233,7 +209,7 @@ func TestEveryExecutedInstructionIsPrepared(t *testing.T) {
 			ir.Assign("Z", ir.Sub(ir.MatMul(ir.Var("X"), ir.Var("G")), ir.Lit(1))),
 		)}
 		x := data.RandNorm(40, 6, 0, 1, 3)
-		ctx := runtime.New(keyConfig(false, false))
+		ctx := runtime.New(keyConfig(false))
 		defer ctx.Close()
 		ctx.BindHost("X", x)
 		if err := ctx.RunProgram(prog); err != nil {
@@ -244,7 +220,7 @@ func TestEveryExecutedInstructionIsPrepared(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx2 := runtime.New(keyConfig(false, false))
+		ctx2 := runtime.New(keyConfig(false))
 		defer ctx2.Close()
 		ctx2.BindHost("X", x)
 		got, err := runtime.Recompute(ctx2, root)

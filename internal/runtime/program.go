@@ -153,7 +153,6 @@ func (ctx *Context) runBasicBlock(bb *ir.BasicBlock) error {
 		}
 	}
 	ctx.clearTemps(cb.Temps)
-	ctx.recalibrate()
 	ctx.delayFactor, ctx.storageLevel = prevDelay, prevLevel
 	if rec != nil {
 		rec.runs++

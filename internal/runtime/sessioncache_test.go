@@ -65,7 +65,7 @@ func growingProgram() *ir.Program {
 	return p
 }
 
-func sessionCacheConfig(mode ReuseMode, planner, adaptive bool, plan *faults.Plan) Config {
+func sessionCacheConfig(mode ReuseMode, planner bool, plan *faults.Plan) Config {
 	conf := testConfig(mode)
 	conf.Compiler.OpMemBudget = 1 << 12 // mixed CP/Spark placement
 	if mode == ReuseMemphis || mode == ReuseMemphisFine {
@@ -74,7 +74,6 @@ func sessionCacheConfig(mode ReuseMode, planner, adaptive bool, plan *faults.Pla
 	if planner {
 		conf.MemoryPlanner, conf.Cache.CPBudget = true, 32<<10
 	}
-	conf.Adaptive = adaptive
 	conf.Faults = plan
 	return conf
 }
@@ -134,9 +133,8 @@ func (o sessionObservation) diff(t *testing.T, what string, ref sessionObservati
 // every execution (noopCompileCache answers every lookup with a miss) —
 // fetched values, virtual time, runtime and cache counters, planner reports
 // and serialized lineage all equal, after a cold run and after a warm one —
-// across reuse modes, planner, adaptive placement and a chaos plan. The warm
-// run compiles nothing (adaptive sessions excepted: a recalibration changes
-// the compiler configuration, which is a recompile).
+// across reuse modes, planner and a chaos plan. The warm run compiles
+// nothing.
 func TestSessionCacheBitwiseProperty(t *testing.T) {
 	programs := []struct {
 		name  string
@@ -149,15 +147,15 @@ func TestSessionCacheBitwiseProperty(t *testing.T) {
 	modes := []ReuseMode{ReuseNone, ReuseLIMA, ReuseHelix, ReuseMemphisFine, ReuseMemphis}
 	for _, pr := range programs {
 		for _, mode := range modes {
-			for c := 0; c < 8; c++ {
-				planner, adaptive, chaos := c&1 != 0, c&2 != 0, c&4 != 0
-				what := fmt.Sprintf("%s/%v/planner=%v/adaptive=%v/chaos=%v", pr.name, mode, planner, adaptive, chaos)
+			for c := 0; c < 4; c++ {
+				planner, chaos := c&1 != 0, c&2 != 0
+				what := fmt.Sprintf("%s/%v/planner=%v/chaos=%v", pr.name, mode, planner, chaos)
 				session := func() (*Context, *ir.Program) {
 					var plan *faults.Plan
 					if chaos {
 						plan = faults.Default(7)
 					}
-					ctx := New(sessionCacheConfig(mode, planner, adaptive, plan))
+					ctx := New(sessionCacheConfig(mode, planner, plan))
 					t.Cleanup(func() { ctx.Close() })
 					bindSessionCacheInputs(ctx)
 					p := pr.build()
@@ -184,7 +182,7 @@ func TestSessionCacheBitwiseProperty(t *testing.T) {
 					}
 					if label == "cold" {
 						coldStores = st.Stores
-					} else if !adaptive && st.Stores != coldStores {
+					} else if st.Stores != coldStores {
 						t.Errorf("%s: the warm run compiled %d blocks", what, st.Stores-coldStores)
 					}
 				}
@@ -227,7 +225,7 @@ func TestSessionCacheBounded(t *testing.T) {
 // condition is evaluated through a wrapper block) leaves every per-session
 // structure the size it had after the second run.
 func TestSessionCacheStationary(t *testing.T) {
-	ctx := New(sessionCacheConfig(ReuseMemphis, true, false, nil))
+	ctx := New(sessionCacheConfig(ReuseMemphis, true, nil))
 	defer ctx.Close()
 	bindSessionCacheInputs(ctx)
 	p := controlFlowProgram()
@@ -262,7 +260,7 @@ func TestSessionCacheStationary(t *testing.T) {
 func TestBlockCacheEvictionWhileExecuting(t *testing.T) {
 	fetch := []string{"out", "w", "acc"}
 	run := func(cc CompileCache) (sessionObservation, error) {
-		ctx := New(sessionCacheConfig(ReuseMemphis, true, false, nil))
+		ctx := New(sessionCacheConfig(ReuseMemphis, true, nil))
 		defer ctx.Close()
 		bindSessionCacheInputs(ctx)
 		if cc != nil {

@@ -200,13 +200,12 @@ type SharedCache struct {
 	evictions      atomic.Int64
 	degradedProbes atomic.Int64
 
-	// reuse tallies probe outcomes per (op, backend, shape-class) — the
-	// closed-loop cost model's shared-level reuse population. The shared
-	// cache is CP-resident, so the backend coordinate is always CP; hits
-	// record the served matrix's shape class, misses record class -1 (the
-	// object's shape is unknown until someone computes it). Per-op
-	// probabilities therefore come from ReuseStats.OpProb, which aggregates
-	// across classes.
+	// reuse tallies probe outcomes per (op, backend, shape-class) for
+	// SharedStats.Reuse. The shared cache is CP-resident, so the backend
+	// coordinate is always CP; hits record the served matrix's shape class,
+	// misses record class -1 (the object's shape is unknown until someone
+	// computes it). Per-op hit rates therefore come from ReuseStats.OpProb,
+	// which aggregates across classes.
 	reuse *lineage.ReuseStats
 }
 
@@ -559,7 +558,7 @@ type SharedStats struct {
 	Pools []memctl.PoolStats `json:"pools,omitempty"`
 	// Reuse is the per-(op, backend, shape-class) probe/hit tally table
 	// (sorted, deterministic given a probe sequence); OpHitRates condenses it
-	// to per-operator reuse probabilities for the closed-loop cost model.
+	// to per-operator hit rates.
 	Reuse      []lineage.ReuseRow `json:"reuse,omitempty"`
 	OpHitRates map[string]float64 `json:"op_hit_rates,omitempty"`
 }

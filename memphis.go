@@ -113,22 +113,10 @@ type Options struct {
 	// caps retained free bytes. Results are bitwise-identical on/off.
 	Arena bool
 
-	// AdaptivePlacement enables the closed-loop cost model: the session
-	// records per-operator observed virtual costs and cache hit/miss
-	// tallies, recalibrates the cost model's effective rates at basic-block
-	// boundaries, and lets the compiler place operators by expected cost —
-	// folding each operator's observed reuse probability — instead of the
-	// static thresholds. All observations are virtual-clock deltas, so
-	// adaptive runs stay deterministic and replayable; with the option off
-	// (the default) placement, results, and virtual times are
-	// bitwise-identical to previous releases. See Stats.Calibration.
-	AdaptivePlacement bool
-
 	// CostModel overrides the analytic cost model's calibrated constants
 	// (nil uses the paper's Table-2 defaults, costs.Default). Validate
-	// rejects models with non-positive or non-finite fields. With
-	// AdaptivePlacement this is the immutable base the calibration overlay
-	// refines.
+	// rejects models with non-positive or non-finite fields. The model
+	// prices every operation; placement keeps its static thresholds.
 	CostModel *CostModel
 
 	// MemoryPlanner enables the compile-time memory planner
@@ -160,11 +148,6 @@ type CostModel = costs.Model
 
 // DefaultCostModel returns the paper's calibrated constants (Table 2).
 func DefaultCostModel() *CostModel { return costs.Default() }
-
-// CalibrationReport is the closed-loop cost model's snapshot: calibration
-// epoch and fingerprint, per-backend observed-vs-base effective rates, and
-// per-operator predicted-vs-observed virtual costs with reuse statistics.
-type CalibrationReport = costs.CalibrationReport
 
 // FaultPlan is a replayable fault scenario (see internal/faults): a seed plus
 // per-site triggers. DefaultFaultPlan gives the chaos-mode defaults.
@@ -262,7 +245,6 @@ func runtimeConfig(opts Options) runtime.Config {
 		Arena:         opts.Arena,
 		ArenaBudget:   opts.MemoryBudgets.Arena,
 		Model:         opts.CostModel,
-		Adaptive:      opts.AdaptivePlacement,
 	}
 }
 
@@ -360,18 +342,11 @@ type Stats struct {
 	// ("gpu") when EnableGPU is set, and the buffer arena ("arena") when
 	// Arena is set.
 	Memory []PoolStats `json:"memory,omitempty"`
-	// Calibration is the closed-loop cost model's report: calibration
-	// epoch, per-backend effective rates, and per-operator
-	// predicted-vs-observed virtual costs with reuse probabilities. Nil
-	// unless Options.AdaptivePlacement is set; two replays of the same
-	// program serialize it byte-identically.
-	Calibration *CalibrationReport `json:"calibration,omitempty"`
 }
 
-// Stats returns the runtime statistics with the memory and calibration
-// reports attached.
+// Stats returns the runtime statistics with the memory report attached.
 func (s *Session) Stats() Stats {
-	return Stats{Stats: s.ctx.Stats, Memory: s.ctx.Arb.Snapshot(), Calibration: s.ctx.CalibrationReport()}
+	return Stats{Stats: s.ctx.Stats, Memory: s.ctx.Arb.Snapshot()}
 }
 
 // ArenaStats reports the buffer arena's allocation counters: total Gets,
@@ -499,12 +474,6 @@ func NewServer(opts ServerOptions) *Server {
 	}
 	conf := serve.DefaultConfig()
 	conf.Runtime = runtimeConfig(opts.Options)
-	// Adaptive placement is a session-lifetime feature: calibration needs a
-	// persistent observation stream, but the server builds a fresh session
-	// per request, so each would recalibrate from scratch — epoch churn in
-	// compile-cache keys with nothing learned. The serving layer's shared
-	// cache still records reuse tallies (SharedStats.Reuse).
-	conf.Runtime.Adaptive = false
 	if opts.Workers > 0 {
 		conf.Workers = opts.Workers
 	}
