@@ -2,11 +2,11 @@ package bench
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"strings"
 	"testing"
 
+	"memphis/internal/key"
 	"memphis/internal/lineage"
 	"memphis/internal/workloads"
 )
@@ -34,9 +34,8 @@ func hbandQuickTrace(t *testing.T) string {
 		if v == nil {
 			t.Fatalf("output %q unbound", name)
 		}
-		h := fnv.New64a()
-		h.Write([]byte(lineage.Serialize(ctx.LMap.Get(name))))
-		fmt.Fprintf(&sb, "%s sum=%#x lineage=%#x\n", name, ctx.EnsureHostValue(v).Checksum(), h.Sum64())
+		lin := key.New().Str(lineage.Serialize(ctx.LMap.Get(name))).Sum64()
+		fmt.Fprintf(&sb, "%s sum=%#x lineage=%#x\n", name, ctx.EnsureHostValue(v).Checksum(), lin)
 	}
 	fmt.Fprintf(&sb, "stats %+v\n", ctx.Stats)
 	fmt.Fprintf(&sb, "cache %+v\n", ctx.Cache.Stats)

@@ -1,16 +1,17 @@
 package data
 
 import (
-	"hash/fnv"
 	"math"
 	"math/bits"
+
+	"memphis/internal/key"
 )
 
 // Two content hashes live here, with different jobs.
 //
 // Checksum is the output digest: tests, the benchmark's correctness gate and
 // memphis-serve -verify compare results through it and pin its values, so its
-// definition (FNV-1a, a byte at a time) is frozen.
+// definition is frozen: FNV-1a over little-endian words, internal/key's U64.
 //
 // Fingerprint is the identity hash: the serving layer keys conflict, coalesce
 // and shared-cache entries by it, and computes it for every input of every
@@ -23,18 +24,9 @@ import (
 // equal dimensions and bitwise-equal values (including NaN payloads) hash
 // identically.
 func (m *Matrix) Checksum() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	put(uint64(m.Rows))
-	put(uint64(m.Cols))
+	h := key.New().U64(uint64(m.Rows)).U64(uint64(m.Cols))
 	for _, v := range m.Data {
-		put(math.Float64bits(v))
+		h = h.U64(math.Float64bits(v))
 	}
 	return h.Sum64()
 }

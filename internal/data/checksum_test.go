@@ -1,9 +1,55 @@
 package data
 
 import (
+	"hash/fnv"
 	"math"
+	"math/rand"
 	"testing"
 )
+
+// refChecksum is the hash/fnv digest that Checksum's key.Hash fold replaced,
+// kept verbatim as its oracle: tests, the benchmark's correctness gate and
+// memphis-serve -verify pin Checksum values, so the two must agree on every
+// matrix.
+func refChecksum(m *Matrix) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v uint64) {
+		for i := 0; i < 8; i++ {
+			buf[i] = byte(v >> (8 * i))
+		}
+		h.Write(buf[:])
+	}
+	put(uint64(m.Rows))
+	put(uint64(m.Cols))
+	for _, v := range m.Data {
+		put(math.Float64bits(v))
+	}
+	return h.Sum64()
+}
+
+// TestChecksumMatchesFNVReference covers empty, scalar and random matrices
+// whose cells include NaN payloads, infinities and negative zero.
+func TestChecksumMatchesFNVReference(t *testing.T) {
+	special := []float64{math.NaN(), math.Float64frombits(0x7ff0000000000001), math.Float64frombits(0xfff8dead00000000),
+		math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, math.MaxFloat64, 5e-324}
+	r := rand.New(rand.NewSource(3))
+	ms := []*Matrix{New(0, 0), New(0, 5), Scalar(-0.5), FromSlice(3, 3, special)}
+	for i := 0; i < 50; i++ {
+		m := RandNorm(1+r.Intn(40), 1+r.Intn(9), 0, 1, int64(i))
+		for j := range m.Data {
+			if r.Intn(4) == 0 {
+				m.Data[j] = special[r.Intn(len(special))]
+			}
+		}
+		ms = append(ms, m)
+	}
+	for i, m := range ms {
+		if got, want := m.Checksum(), refChecksum(m); got != want {
+			t.Fatalf("matrix %d (%dx%d): Checksum %016x, reference %016x", i, m.Rows, m.Cols, got, want)
+		}
+	}
+}
 
 // fpCells returns n cells of varied, non-trivial bit patterns.
 func fpCells(n int) []float64 {

@@ -73,6 +73,8 @@ func TestMalformedProgramsError(t *testing.T) {
 		{"function bad param", "f = function(1) -> (r) { r = 1 }", "parameter name"},
 		{"function bad return", "f = function(a) -> (1) { r = a }", "return name"},
 		{"function missing body", "f = function(a) -> (r)", ""},
+		{"function without returns", "A = function(A) -> () {}", "needs one definition"},
+		{"function defined twice", "f = function(a) -> (r) { r = a }\nf = function(b) -> (s) { s = b }", "needs one definition"},
 
 		// Calls: arity, undefined names, placement.
 		{"undefined function stmt", "x = foo(1)", "undefined function"},

@@ -215,7 +215,7 @@ func (p *parser) parseSimpleStmt() (ir.Stmt, bool, error) {
 // parseFunction parses `function(params) -> (rets) { body }` after the
 // `name =` prefix has been consumed.
 func (p *parser) parseFunction(name string) error {
-	p.next() // function
+	fn := p.next() // function
 	if err := p.expectOp("("); err != nil {
 		return err
 	}
@@ -249,6 +249,9 @@ func (p *parser) parseFunction(name string) error {
 		}
 	}
 	p.next() // )
+	if _, dup := p.prog.Funcs[name]; dup || len(rets) == 0 {
+		return p.errf(fn, "function %q needs one definition with at least one return", name)
+	}
 	body, err := p.parseBlock()
 	if err != nil {
 		return err

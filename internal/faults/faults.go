@@ -20,8 +20,9 @@
 package faults
 
 import (
-	"hash/fnv"
 	"sort"
+
+	"memphis/internal/key"
 )
 
 // Site identifies one injection point in the stack.
@@ -284,11 +285,7 @@ func mix64(x uint64) uint64 {
 }
 
 // siteHash folds a site name into the hash key.
-func siteHash(s Site) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
-}
+func siteHash(s Site) uint64 { return key.New().Str(string(s)).Sum64() }
 
 // chance maps (seed, site, call index) to a uniform float64 in [0, 1).
 func chance(seed int64, site Site, n uint64) float64 {

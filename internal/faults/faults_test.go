@@ -1,10 +1,35 @@
 package faults
 
 import (
+	"hash/fnv"
 	"math"
 	"reflect"
 	"testing"
 )
+
+// refSiteHash is the hash/fnv site key that siteHash's key.Hash fold
+// replaced, kept verbatim as its oracle: the site key seeds every chaos
+// sequence, so the two must agree on every site.
+func refSiteHash(s Site) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(s))
+	return h.Sum64()
+}
+
+func TestSiteHashMatchesFNVReference(t *testing.T) {
+	sites := []Site{"", "x", "gpu.alloc\x00"}
+	for s := range Default(1).Sites {
+		sites = append(sites, s)
+	}
+	if len(sites) != 3+7 {
+		t.Fatalf("want every one of the 7 wired sites, got %v", sites)
+	}
+	for _, s := range sites {
+		if got, want := siteHash(s), refSiteHash(s); got != want {
+			t.Fatalf("siteHash(%q) = %016x, reference %016x", s, got, want)
+		}
+	}
+}
 
 // TestNilSafety: every method on a nil injector / nil plan is a no-op.
 func TestNilSafety(t *testing.T) {

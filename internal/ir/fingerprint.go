@@ -1,9 +1,9 @@
 package ir
 
 import (
-	"fmt"
-	"hash/fnv"
 	"sort"
+
+	"memphis/internal/key"
 )
 
 // Fingerprint returns a structural hash of the program covering every
@@ -17,23 +17,19 @@ import (
 // is linear in program size and a diamond-shaped DAG does not collide with
 // the equivalent tree.
 func (p *Program) Fingerprint() uint64 {
-	h := fnv.New64a()
-	fp := &fingerprinter{h: h, ids: make(map[*Node]int)}
+	fp := fingerprinter{ids: make(map[*Node]int)}
 	names := make([]string, 0, len(p.Funcs))
 	for name := range p.Funcs {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	h := key.New()
 	for _, name := range names {
 		f := p.Funcs[name]
-		fmt.Fprintf(h, "fn:%s(%v)->(%v):det=%v{", f.Name, f.Params, f.Returns, f.Deterministic)
-		fp.blocks(f.Body)
-		h.Write([]byte{'}'})
+		h = strs(strs(h.Str("fn:").Str(f.Name).Byte('('), f.Params).Str(")->("), f.Returns)
+		h = fp.blocks(h.Str("):det=").Bool(f.Deterministic).Byte('{'), f.Body).Byte('}')
 	}
-	h.Write([]byte("main{"))
-	fp.blocks(p.Main)
-	h.Write([]byte{'}'})
-	return h.Sum64()
+	return fp.blocks(h.Str("main{"), p.Main).Byte('}').Sum64()
 }
 
 // FingerprintBlock returns a structural hash of one block (statements,
@@ -41,67 +37,71 @@ func (p *Program) Fingerprint() uint64 {
 // same DAG-memoized node identity as Program.Fingerprint. It is the
 // structural component of the compile-cache key.
 func FingerprintBlock(b Block) uint64 {
-	h := fnv.New64a()
-	fp := &fingerprinter{h: h, ids: make(map[*Node]int)}
-	fp.blocks([]Block{b})
-	return h.Sum64()
+	fp := fingerprinter{ids: make(map[*Node]int)}
+	return fp.blocks(key.New(), []Block{b}).Sum64()
 }
 
+// fingerprinter numbers nodes in first-visit order; the hash state is
+// threaded through its methods. The bytes are the fmt text the fingerprints
+// were first defined by, lists included as %v prints them.
 type fingerprinter struct {
-	h    interface{ Write([]byte) (int, error) }
 	ids  map[*Node]int
 	next int
 }
 
-func (fp *fingerprinter) blocks(blocks []Block) {
+// strs appends ss as fmt's %v prints a []string: "[a b]".
+func strs(h key.Hash, ss []string) key.Hash {
+	h = h.Byte('[')
+	for i, s := range ss {
+		if i > 0 {
+			h = h.Byte(' ')
+		}
+		h = h.Str(s)
+	}
+	return h.Byte(']')
+}
+
+func (fp *fingerprinter) blocks(h key.Hash, blocks []Block) key.Hash {
 	for _, b := range blocks {
 		switch t := b.(type) {
 		case *BasicBlock:
-			fmt.Fprintf(fp.h, "bb:d%d:s%s[", t.DelayFactor, t.StorageLevel)
+			h = h.Str("bb:d").Int(int64(t.DelayFactor)).Str(":s").Str(t.StorageLevel).Byte('[')
 			for _, st := range t.Stmts {
-				fmt.Fprintf(fp.h, "%v=", st.Targets)
-				fp.node(st.Expr)
-				fp.h.Write([]byte{';'})
+				h = fp.node(strs(h, st.Targets).Byte('='), st.Expr).Byte(';')
 			}
-			fp.h.Write([]byte{']'})
+			h = h.Byte(']')
 		case *ForBlock:
-			fmt.Fprintf(fp.h, "for:%s:%v:g%v{", t.Var, t.Values, t.GPUHint)
-			fp.blocks(t.Body)
-			fp.h.Write([]byte{'}'})
+			h = h.Str("for:").Str(t.Var).Str(":[")
+			for i, v := range t.Values {
+				if i > 0 {
+					h = h.Byte(' ')
+				}
+				h = h.Float(v)
+			}
+			h = fp.blocks(h.Str("]:g").Bool(t.GPUHint).Byte('{'), t.Body).Byte('}')
 		case *WhileBlock:
-			fmt.Fprintf(fp.h, "while:m%d(", t.MaxIter)
-			fp.node(t.Cond)
-			fp.h.Write([]byte("){"))
-			fp.blocks(t.Body)
-			fp.h.Write([]byte{'}'})
+			h = fp.node(h.Str("while:m").Int(int64(t.MaxIter)).Byte('('), t.Cond)
+			h = fp.blocks(h.Str("){"), t.Body).Byte('}')
 		case *IfBlock:
-			fp.h.Write([]byte("if("))
-			fp.node(t.Cond)
-			fp.h.Write([]byte("){"))
-			fp.blocks(t.Then)
-			fp.h.Write([]byte("}{"))
-			fp.blocks(t.Else)
-			fp.h.Write([]byte{'}'})
+			h = fp.blocks(fp.node(h.Str("if("), t.Cond).Str("){"), t.Then)
+			h = fp.blocks(h.Str("}{"), t.Else).Byte('}')
 		case *EvictBlock:
-			fmt.Fprintf(fp.h, "evict:%g", t.Fraction)
-		default:
-			fmt.Fprintf(fp.h, "unknown:%T", b)
+			h = h.Str("evict:").Float(t.Fraction)
 		}
 	}
+	return h
 }
 
-func (fp *fingerprinter) node(n *Node) {
+func (fp *fingerprinter) node(h key.Hash, n *Node) key.Hash {
 	if n == nil {
-		fp.h.Write([]byte("nil"))
-		return
+		return h.Str("nil")
 	}
 	if id, seen := fp.ids[n]; seen {
-		fmt.Fprintf(fp.h, "@%d", id)
-		return
+		return h.Byte('@').Int(int64(id))
 	}
 	fp.ids[n] = fp.next
 	fp.next++
-	fp.h.Write([]byte(n.Op))
+	h = h.Str(n.Op)
 	if len(n.Attrs) > 0 {
 		keys := make([]string, 0, len(n.Attrs))
 		for k := range n.Attrs {
@@ -109,15 +109,15 @@ func (fp *fingerprinter) node(n *Node) {
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			fmt.Fprintf(fp.h, ",%s=%s", k, n.Attrs[k])
+			h = h.Byte(',').Str(k).Byte('=').Str(n.Attrs[k])
 		}
 	}
-	fp.h.Write([]byte{'('})
+	h = h.Byte('(')
 	for i, in := range n.Inputs {
 		if i > 0 {
-			fp.h.Write([]byte{' '})
+			h = h.Byte(' ')
 		}
-		fp.node(in)
+		h = fp.node(h, in)
 	}
-	fp.h.Write([]byte{')'})
+	return h.Byte(')')
 }

@@ -1,6 +1,6 @@
 package ir
 
-import "hash/fnv"
+import "memphis/internal/key"
 
 // FusedOp is the opcode of a compiler-fused elementwise chain: a single
 // instruction whose "prog" attribute encodes the constituent elementwise/
@@ -21,8 +21,6 @@ func Fused(prog string, inputs ...*Node) *Node {
 // collapsed, so two fused chains are identical exactly when their source
 // DAGs are.
 func FingerprintNode(n *Node) uint64 {
-	h := fnv.New64a()
-	fp := &fingerprinter{h: h, ids: make(map[*Node]int)}
-	fp.node(n)
-	return h.Sum64()
+	fp := fingerprinter{ids: make(map[*Node]int)}
+	return fp.node(key.New(), n).Sum64()
 }

@@ -11,6 +11,8 @@
 //	sum := h.Sum64()
 package key
 
+import "strconv"
+
 const (
 	offset64 = 14695981039346656037
 	prime64  = 1099511628211
@@ -79,6 +81,25 @@ func (h Hash) Int(v int64) Hash {
 	}
 	for ; i < len(buf); i++ {
 		h ^= Hash(buf[i])
+		h *= prime64
+	}
+	return h
+}
+
+// Bool appends "true" or "false", as fmt's %t and %v write a bool.
+func (h Hash) Bool(v bool) Hash {
+	if v {
+		return h.Str("true")
+	}
+	return h.Str("false")
+}
+
+// Float appends v in the shortest form that round-trips, as fmt's %v and %g
+// write a float64 (NaN, +Inf, -Inf, -0 and exponents included).
+func (h Hash) Float(v float64) Hash {
+	var buf [32]byte
+	for _, c := range strconv.AppendFloat(buf[:0], v, 'g', -1, 64) {
+		h ^= Hash(c)
 		h *= prime64
 	}
 	return h

@@ -3,7 +3,6 @@ package runtime
 import (
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -250,12 +249,12 @@ func (ctx *Context) blockKey(bb *ir.BasicBlock) uint64 {
 	}
 	c := &ctx.Conf.Compiler
 	h = h.Str("|cc:opmem=").Int(c.OpMemBudget).
-		Str(",gpu=").Str(strconv.FormatBool(c.GPUEnabled)).
+		Str(",gpu=").Bool(c.GPUEnabled).
 		Str(",gpumin=").Int(int64(c.GPUMinCells)).
-		Str(",async=").Str(strconv.FormatBool(c.Async)).
-		Str(",maxpar=").Str(strconv.FormatBool(c.MaxParallelize)).
-		Str(",chk=").Str(strconv.FormatBool(c.CheckpointInjection)).
-		Str(",fuse=").Str(strconv.FormatBool(c.Fusion))
+		Str(",async=").Bool(c.Async).
+		Str(",maxpar=").Bool(c.MaxParallelize).
+		Str(",chk=").Bool(c.CheckpointInjection).
+		Str(",fuse=").Bool(c.Fusion)
 	if ctx.Conf.MemoryPlanner {
 		h = h.Str("|mp:").Int(ctx.Conf.Cache.CPBudget)
 	}

@@ -3,8 +3,11 @@ package runtime
 import (
 	"fmt"
 	"hash/fnv"
+	"sort"
 
+	"memphis/internal/compiler"
 	"memphis/internal/ir"
+	"memphis/internal/lineage"
 )
 
 // refBlockKey is the fmt-based block key that blockKey's appender replaced,
@@ -57,6 +60,81 @@ func BlockKeyMismatches(ctx *Context, p *ir.Program) (int, []string) {
 		}
 	}
 	return len(blocks), bad
+}
+
+// refStreamSig and refShareSig are the fmt and hash/fnv signatures that
+// streamSig's and shareSig's key.Hash folds replaced, kept verbatim as their
+// oracles: stream signatures name planner report rows ("sig" in
+// memphis-run -plan -json) and share signatures key the cross-tenant cache.
+func refStreamSig(insts []compiler.Instruction) uint64 {
+	h := fnv.New64a()
+	for i := range insts {
+		in := &insts[i]
+		fmt.Fprintf(h, "%s|%dx%d", in.String(), in.Shape.Rows, in.Shape.Cols)
+		for _, s := range in.InShapes {
+			fmt.Fprintf(h, ",%dx%d", s.Rows, s.Cols)
+		}
+		if len(in.Attrs) > 0 {
+			keys := make([]string, 0, len(in.Attrs))
+			for k := range in.Attrs {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			for _, k := range keys {
+				fmt.Fprintf(h, ";%s=%s", k, in.Attrs[k])
+			}
+		}
+		h.Write([]byte{'\n'})
+	}
+	return h.Sum64()
+}
+
+func refShareSig(ctx *Context, it *lineage.Item) (uint64, bool) {
+	names := ctx.readLeafNames(it)
+	if len(names) == 0 {
+		return 0, false
+	}
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, n := range names {
+		sum, ok := ctx.inputSigs[n]
+		if !ok {
+			return 0, false
+		}
+		h.Write([]byte(n))
+		h.Write([]byte{0})
+		for i := 0; i < 8; i++ {
+			buf[i] = byte(sum >> (8 * i))
+		}
+		h.Write(buf[:])
+	}
+	return h.Sum64(), true
+}
+
+// SigMismatches compares the signature of every stream the session
+// compiled, and the share signature of every item it offered to or probed
+// in a shared cache, with their references. It returns the number of
+// streams and of signed items compared and a line per disagreement.
+func SigMismatches(ctx *Context) (streams, signed int, bad []string) {
+	for _, cb := range CompiledStreams(ctx) {
+		for _, insts := range [][]compiler.Instruction{cb.Insts, cb.Planned} {
+			if got, want := streamSig(insts), refStreamSig(insts); got != want {
+				bad = append(bad, fmt.Sprintf("stream of %d instructions: sig %016x, fmt reference %016x", len(insts), got, want))
+			}
+		}
+		streams++
+	}
+	for it := range ctx.leafMemo {
+		got, gotOK := ctx.shareSig(it)
+		want, wantOK := refShareSig(ctx, it)
+		if got != want || gotOK != wantOK {
+			bad = append(bad, fmt.Sprintf("item %s: share sig %016x/%t, reference %016x/%t", it.Opcode(), got, gotOK, want, wantOK))
+		}
+		if gotOK {
+			signed++
+		}
+	}
+	return streams, signed, bad
 }
 
 // CompiledStreams returns every block resident in the session's own

@@ -2,11 +2,11 @@ package runtime
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 
 	"memphis/internal/compiler"
 	"memphis/internal/core"
+	"memphis/internal/key"
 	"memphis/internal/memplan"
 )
 
@@ -53,12 +53,12 @@ type PlanReport struct {
 // only in Attrs, so omitting them would alias differently-parameterized
 // streams onto one row.
 func streamSig(insts []compiler.Instruction) uint64 {
-	h := fnv.New64a()
+	h := key.New()
 	for i := range insts {
 		in := &insts[i]
-		fmt.Fprintf(h, "%s|%dx%d", in.String(), in.Shape.Rows, in.Shape.Cols)
+		h = h.Str(in.String()).Byte('|').Int(int64(in.Shape.Rows)).Byte('x').Int(int64(in.Shape.Cols))
 		for _, s := range in.InShapes {
-			fmt.Fprintf(h, ",%dx%d", s.Rows, s.Cols)
+			h = h.Byte(',').Int(int64(s.Rows)).Byte('x').Int(int64(s.Cols))
 		}
 		if len(in.Attrs) > 0 {
 			keys := make([]string, 0, len(in.Attrs))
@@ -67,10 +67,10 @@ func streamSig(insts []compiler.Instruction) uint64 {
 			}
 			sort.Strings(keys)
 			for _, k := range keys {
-				fmt.Fprintf(h, ";%s=%s", k, in.Attrs[k])
+				h = h.Byte(';').Str(k).Byte('=').Str(in.Attrs[k])
 			}
 		}
-		h.Write([]byte{'\n'})
+		h = h.Byte('\n')
 	}
 	return h.Sum64()
 }

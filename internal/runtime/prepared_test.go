@@ -121,6 +121,53 @@ func TestBlockKeyMatchesFmtReference(t *testing.T) {
 	}
 }
 
+// missShared is a shared reuse level that never hits and never stores, so
+// a session attached to it signs every item it probes and publishes and
+// otherwise runs as it would alone.
+type missShared struct{}
+
+func (missShared) Probe(string, *lineage.Item, uint64) (*data.Matrix, float64, float64, bool) {
+	return nil, 0, 0, false
+}
+func (missShared) Publish(string, *lineage.Item, uint64, *data.Matrix, float64) (float64, bool) {
+	return 0, false
+}
+
+// TestSigsMatchFmtReference holds streamSig and shareSig to the fmt and
+// hash/fnv versions they replaced on every stream the key programs compile
+// and every item they sign, with the planner off and on.
+func TestSigsMatchFmtReference(t *testing.T) {
+	signed := 0
+	for _, kp := range keyPrograms {
+		t.Run(kp.name, func(t *testing.T) {
+			for _, planner := range []bool{false, true} {
+				p, bind := kp.build(t)
+				compiler.RewriteProgram(p)
+				ctx := runtime.New(keyConfig(planner))
+				ctx.AttachShared(missShared{}, "t")
+				if bind != nil {
+					bind(ctx)
+				}
+				if err := ctx.RunProgram(p); err != nil {
+					t.Fatal(err)
+				}
+				streams, n, bad := runtime.SigMismatches(ctx)
+				if streams == 0 {
+					t.Fatal("no streams compared")
+				}
+				for _, b := range bad {
+					t.Errorf("planner %t: %s", planner, b)
+				}
+				signed += n
+				ctx.Close()
+			}
+		})
+	}
+	if signed == 0 {
+		t.Fatal("no share signatures compared")
+	}
+}
+
 // requirePrepared fails unless every block the session compiled executes a
 // prepared stream, and returns the executed instructions.
 func requirePrepared(t *testing.T, ctx *runtime.Context) []compiler.Instruction {

@@ -1,10 +1,10 @@
 package runtime
 
 import (
-	"hash/fnv"
 	"sort"
 
 	"memphis/internal/data"
+	"memphis/internal/key"
 	"memphis/internal/lineage"
 )
 
@@ -90,19 +90,13 @@ func (ctx *Context) shareSig(it *lineage.Item) (uint64, bool) {
 	if len(names) == 0 {
 		return 0, false
 	}
-	h := fnv.New64a()
-	var buf [8]byte
+	h := key.New()
 	for _, n := range names {
 		sum, ok := ctx.inputSigs[n]
 		if !ok {
 			return 0, false
 		}
-		h.Write([]byte(n))
-		h.Write([]byte{0})
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(sum >> (8 * i))
-		}
-		h.Write(buf[:])
+		h = h.Str(n).Byte(0).U64(sum)
 	}
 	return h.Sum64(), true
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 	"time"
@@ -14,6 +13,7 @@ import (
 	"memphis/internal/data"
 	"memphis/internal/faults"
 	"memphis/internal/ir"
+	"memphis/internal/key"
 	"memphis/internal/runtime"
 	"memphis/internal/spark"
 )
@@ -386,17 +386,9 @@ func hashInputs(inputs map[string]*data.Matrix) hashedInputs {
 		in.names = append(in.names, n)
 	}
 	sort.Strings(in.names)
-	var buf [8]byte
 	for i, n := range in.names {
 		sum := inputs[n].Fingerprint()
-		h := fnv.New64a()
-		h.Write([]byte(n))
-		h.Write([]byte{0})
-		for b := 0; b < 8; b++ {
-			buf[b] = byte(sum >> (8 * b))
-		}
-		h.Write(buf[:])
-		in.sums[i], in.keys[i] = sum, h.Sum64()
+		in.sums[i], in.keys[i] = sum, key.New().Str(n).Byte(0).U64(sum).Sum64()
 	}
 	return in
 }
@@ -420,23 +412,14 @@ func (s *Server) prepareLocked(prog *ir.Program) uint64 {
 // fingerprint), and the fetch set. Requests with equal keys run the same
 // deterministic program on the same inputs, so one execution serves all.
 func coalesceKey(progKey uint64, keys []uint64, fetch []string) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	put(progKey)
+	h := key.New().U64(progKey)
 	for _, k := range keys {
-		put(k)
+		h = h.U64(k)
 	}
 	names := append([]string(nil), fetch...)
 	sort.Strings(names)
 	for _, n := range names {
-		h.Write([]byte(n))
-		h.Write([]byte{0})
+		h = h.Str(n).Byte(0)
 	}
 	return h.Sum64()
 }
