@@ -9,7 +9,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"memphis/internal/compiler"
@@ -207,14 +206,4 @@ func fmtX(base, t float64) string {
 		return "inf"
 	}
 	return fmt.Sprintf("%.2fx", base/t)
-}
-
-// sortedKeys is a small helper for deterministic map iteration in reports.
-func sortedKeys[M ~map[string]V, V any](m M) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -7,7 +7,6 @@ import (
 	"memphis/internal/costs"
 	"memphis/internal/data"
 	"memphis/internal/gpu"
-	"memphis/internal/runtime"
 	"memphis/internal/spark"
 	"memphis/internal/vtime"
 	"memphis/internal/workloads"
@@ -395,7 +394,3 @@ func Fig12b(nImages, h, w int, batchSizes []int) *Table {
 	}
 	return t
 }
-
-// stats accessor kept for report completeness.
-var _ = runtime.Stats{}
-var _ = sortedKeys[map[string]int]

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"memphis/internal/core"
-	"memphis/internal/costs"
 	"memphis/internal/ir"
 )
 
@@ -36,17 +35,11 @@ type Config struct {
 	Fusion bool
 }
 
-// DefaultConfig returns placement thresholds for simulation scale,
-// derived from the default cost model's break-even points (costs.
-// DeriveThresholds is anchored so the default model reproduces the
-// original hand-calibrated constants: 1 MB plays the role of the paper's
-// 7 GB, and 4096 cells the smallest profitable GPU chain start).
+// DefaultConfig returns the placement thresholds at simulation scale: an
+// operation memory of 1 MB plays the role of the paper's 7 GB, and 4096
+// cells is the smallest profitable GPU chain start.
 func DefaultConfig() Config {
-	th := costs.DeriveThresholds(costs.Default())
-	return Config{
-		OpMemBudget: th.OpMemBudget,
-		GPUMinCells: th.GPUMinCells,
-	}
+	return Config{OpMemBudget: 1 << 20, GPUMinCells: 4096}
 }
 
 // blockCompiler holds per-block compilation state.

@@ -87,3 +87,6 @@ var computeIntensive = map[string]bool{
 	"dropout": true, "dropoutv": true, "softmax": true,
 	"relu": true, "sigmoid": true,
 }
+
+// GPUSupported reports whether op has a device kernel in the runtime.
+func GPUSupported(op string) bool { return gpuSupported[op] }

@@ -6,11 +6,6 @@
 // (per-instruction interpretation, tracing, and probing overheads).
 package costs
 
-import (
-	"fmt"
-	"math"
-)
-
 // Model holds all tunable cost constants. Times are seconds, sizes bytes,
 // rates bytes/second or FLOP/second.
 type Model struct {
@@ -84,48 +79,6 @@ func Default() *Model {
 
 		SpillSetup: 2e-3,
 	}
-}
-
-// Validate checks that every rate and overhead in the model is positive
-// and finite. A zero or negative rate would divide virtual time away (or
-// make it negative), and NaN/Inf constants would poison every clock charge
-// downstream, so misconfigured models are rejected up front
-// (memphis.Options.Validate calls this for Options.CostModel).
-func (m *Model) Validate() error {
-	fields := []struct {
-		name string
-		v    float64
-	}{
-		{"CPUFlops", m.CPUFlops},
-		{"GPUFlops", m.GPUFlops},
-		{"SparkFlops", m.SparkFlops},
-		{"SparkExchangeBW", m.SparkExchangeBW},
-		{"CollectBW", m.CollectBW},
-		{"BroadcastBW", m.BroadcastBW},
-		{"H2DBW", m.H2DBW},
-		{"D2HBW", m.D2HBW},
-		{"DiskBW", m.DiskBW},
-		{"MemBW", m.MemBW},
-		{"SparkJobOverhead", m.SparkJobOverhead},
-		{"SparkStageOverhead", m.SparkStageOverhead},
-		{"SparkTaskOverhead", m.SparkTaskOverhead},
-		{"ExecutorReplace", m.ExecutorReplace},
-		{"CudaMalloc", m.CudaMalloc},
-		{"CudaFree", m.CudaFree},
-		{"KernelLaunch", m.KernelLaunch},
-		{"CopyLatency", m.CopyLatency},
-		{"Interpret", m.Interpret},
-		{"Trace", m.Trace},
-		{"Probe", m.Probe},
-		{"CachePut", m.CachePut},
-		{"SpillSetup", m.SpillSetup},
-	}
-	for _, f := range fields {
-		if !(f.v > 0) || math.IsInf(f.v, 0) {
-			return fmt.Errorf("costs: Model.%s = %v; every rate and overhead must be positive and finite", f.name, f.v)
-		}
-	}
-	return nil
 }
 
 // MatMulFlops returns the FLOP count of an (m x k) * (k x n) product.

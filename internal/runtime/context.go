@@ -335,14 +335,6 @@ func (ctx *Context) BindHostFingerprinted(name string, m *data.Matrix, fp uint64
 	}
 }
 
-// BindRDD binds a distributed input.
-func (ctx *Context) BindRDD(name string, r *spark.RDD) {
-	ctx.setVar(name, NewRDDValue(r))
-	if ctx.tracing() {
-		ctx.LMap.TraceItem(name, lineage.NewLeaf("read", name))
-	}
-}
-
 // setVar rebinds a variable, managing GPU reference counts: the old
 // binding's device reference is released and the new binding retained.
 func (ctx *Context) setVar(name string, v *Value) {

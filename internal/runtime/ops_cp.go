@@ -129,310 +129,180 @@ func attrInt(inst *compiler.Instruction, k string, def int) int {
 	return def
 }
 
+func attrSeed(inst *compiler.Instruction) int64 { return int64(attrInt(inst, "seed", 0)) }
+
 // execCP runs an instruction on the local backend, charging compute from
-// the estimated FLOPs. A transpose is charged like any other op but binds a
-// deferred value: the buffer is built only if a consumer other than a CP
-// matmul's left operand asks for it (ensureHost).
+// the estimated FLOPs. The cases that act on bindings rather than host
+// matrices come first: a transpose binds a deferred value, built only if a
+// consumer other than a CP matmul's left operand asks for it (ensureHost);
+// nrow/ncol read the binding's shape; a fused chain evaluates its leaves.
+// Everything else resolves its host operands once, in index order, and runs
+// the shared kernel table (slices excepted, whose row views share cells).
 func (ctx *Context) execCP(inst *compiler.Instruction) (*Value, error) {
 	ctx.Clock.Advance(costs.Compute(inst.Flops, ctx.Model.CPUFlops))
-	if inst.Op == "t" {
-		a, err := ctx.hostIn(inst, 0)
-		if err != nil {
-			return nil, err
-		}
-		return newDeferredT(a), nil
-	}
-	out, err := ctx.evalCP(inst)
-	if err != nil {
-		return nil, err
-	}
-	return NewHostValue(out), nil
-}
-
-// evalCP computes the instruction's value with local kernels.
-func (ctx *Context) evalCP(inst *compiler.Instruction) (*data.Matrix, error) {
-	in := func(i int) (*data.Matrix, error) { return ctx.hostIn(inst, i) }
 	switch inst.Op {
-	case "rand":
-		return data.Rand(attrInt(inst, "rows", 1), attrInt(inst, "cols", 1),
-			attrFloat(inst, "min", 0), attrFloat(inst, "max", 1),
-			attrFloat(inst, "sparsity", 1), int64(attrInt(inst, "seed", 0))), nil
-	case "randn":
-		return data.RandNorm(attrInt(inst, "rows", 1), attrInt(inst, "cols", 1),
-			attrFloat(inst, "mu", 0), attrFloat(inst, "sd", 1),
-			int64(attrInt(inst, "seed", 0))), nil
-	case "mm":
-		l, err := ctx.operand(inst, 0)
+	case "t", "mm", "nrow", "ncol":
+		v, err := ctx.operand(inst, 0)
 		if err != nil {
 			return nil, err
 		}
-		if src := l.tSrc; src != nil {
+		switch {
+		case inst.Op == "t":
+			return newDeferredT(ctx.ensureHost(v)), nil
+		case inst.Op == "nrow":
+			return NewScalar(float64(v.Rows)), nil
+		case inst.Op == "ncol":
+			return NewScalar(float64(v.Cols)), nil
+		case v.tSrc != nil:
 			// The left operand is a transpose nobody has asked to see yet:
 			// multiply straight from its source and never build it.
-			b, err := in(1)
+			b, err := ctx.hostIn(inst, 1)
 			if err != nil {
 				return nil, err
 			}
-			return data.MatMulT(src, b), nil
+			return NewHostValue(data.MatMulT(v.tSrc, b)), nil
 		}
-		a := ctx.ensureHost(l)
-		b, err := in(1)
-		if err != nil {
-			return nil, err
-		}
-		return data.MatMul(a, b), nil
-	case "cpmm":
-		a, err := in(0)
-		if err != nil {
-			return nil, err
-		}
-		b, err := in(1)
-		if err != nil {
-			return nil, err
-		}
-		return data.MatMulT(a, b), nil
-	case "tsmm":
-		a, err := in(0)
-		if err != nil {
-			return nil, err
-		}
-		return data.TSMM(a), nil
-	case "solve":
-		a, err := in(0)
-		if err != nil {
-			return nil, err
-		}
-		b, err := in(1)
-		if err != nil {
-			return nil, err
-		}
-		return data.Solve(a, b), nil
 	case ir.FusedOp:
-		return ctx.evalFused(inst)
-	case "+", "-", "*", "/", "min", "max", ">", "<":
-		a, err := in(0)
+		m, err := ctx.evalFused(inst)
 		if err != nil {
 			return nil, err
 		}
-		b, err := in(1)
+		return NewHostValue(m), nil
+	}
+	var buf [2]*data.Matrix
+	in := buf[:0]
+	for i := range inst.Inputs {
+		m, err := ctx.hostIn(inst, i)
 		if err != nil {
 			return nil, err
 		}
-		return binFunc(inst.Op)(a, b), nil
-	case "sum":
-		a, err := in(0)
-		if err != nil {
-			return nil, err
-		}
-		return data.Scalar(data.Sum(a)), nil
-	case "mean":
-		a, err := in(0)
-		if err != nil {
-			return nil, err
-		}
-		return data.Scalar(data.Mean(a)), nil
-	case "rowSums":
-		a, err := in(0)
-		if err != nil {
-			return nil, err
-		}
-		return data.RowSums(a), nil
-	case "colSums":
-		a, err := in(0)
-		if err != nil {
-			return nil, err
-		}
-		return data.ColSums(a), nil
-	case "colMeans":
-		a, err := in(0)
-		if err != nil {
-			return nil, err
-		}
-		return data.ColMeans(a), nil
-	case "colVars":
-		a, err := in(0)
-		if err != nil {
-			return nil, err
-		}
-		return data.ColVars(a), nil
-	case "colMins":
-		a, err := in(0)
-		if err != nil {
-			return nil, err
-		}
-		return data.ColMins(a), nil
-	case "colMaxs":
-		a, err := in(0)
-		if err != nil {
-			return nil, err
-		}
-		return data.ColMaxs(a), nil
-	case "rowMaxIdx":
-		a, err := in(0)
-		if err != nil {
-			return nil, err
-		}
-		return data.RowMaxIndex(a), nil
-	case "nrow":
-		v, err := ctx.operand(inst, 0)
-		if err != nil {
-			return nil, err
-		}
-		return data.Scalar(float64(v.Rows)), nil
-	case "ncol":
-		v, err := ctx.operand(inst, 0)
-		if err != nil {
-			return nil, err
-		}
-		return data.Scalar(float64(v.Cols)), nil
-	case "cbind":
-		a, err := in(0)
-		if err != nil {
-			return nil, err
-		}
-		b, err := in(1)
-		if err != nil {
-			return nil, err
-		}
-		return data.CBind(a, b), nil
-	case "rbind":
-		a, err := in(0)
-		if err != nil {
-			return nil, err
-		}
-		b, err := in(1)
-		if err != nil {
-			return nil, err
-		}
-		return data.RBind(a, b), nil
-	case "diag":
-		a, err := in(0)
-		if err != nil {
-			return nil, err
-		}
-		return data.Diag(a), nil
-	case "slice":
-		a, err := in(0)
-		if err != nil {
-			return nil, err
-		}
-		r0, r1 := attrInt(inst, "r0", 0), attrInt(inst, "r1", -1)
-		c0, c1 := attrInt(inst, "c0", 0), attrInt(inst, "c1", -1)
-		if r1 < 0 {
-			r1 = a.Rows
-		}
-		if c1 < 0 {
-			c1 = a.Cols
-		}
-		if c0 == 0 && c1 == a.Cols {
-			// A row range is contiguous: account it in full, share the cells.
-			return ctx.shared(a).RowView(r0, r1), nil
-		}
-		return a.Slice(r0, r1, c0, c1), nil
-	case "sliceRows":
-		a, err := in(0)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := in(1)
-		if err != nil {
-			return nil, err
-		}
-		start := int(lo.ScalarValue())
+		in = append(in, m)
+	}
+	if inst.Op == "slice" || inst.Op == "sliceRows" {
+		return NewHostValue(ctx.slice(inst, in)), nil
+	}
+	m, err := hostKernel(inst, in)
+	if err != nil {
+		return nil, err
+	}
+	return NewHostValue(m), nil
+}
+
+// slice cuts a slice or sliceRows operand. A row range is contiguous: it is
+// accounted in full and shares the operand's cells, which escape the arena.
+func (ctx *Context) slice(inst *compiler.Instruction, in []*data.Matrix) *data.Matrix {
+	a := in[0]
+	if inst.Op == "sliceRows" {
+		start := int(in[1].ScalarValue())
 		n := attrInt(inst, "n", 1)
 		if start+n > a.Rows {
 			n = a.Rows - start
 		}
-		return ctx.shared(a).RowView(start, start+n), nil
+		return ctx.shared(a).RowView(start, start+n)
+	}
+	r0, r1 := attrInt(inst, "r0", 0), attrInt(inst, "r1", -1)
+	c0, c1 := attrInt(inst, "c0", 0), attrInt(inst, "c1", -1)
+	if r1 < 0 {
+		r1 = a.Rows
+	}
+	if c1 < 0 {
+		c1 = a.Cols
+	}
+	if c0 == 0 && c1 == a.Cols {
+		return ctx.shared(a).RowView(r0, r1)
+	}
+	return a.Slice(r0, r1, c0, c1)
+}
+
+// hostKernel computes an instruction's value from its operands with the
+// data kernels. It is the one opcode table of the CP and GPU backends — the
+// GPU launches it on its device copies — so a lineage item names the same
+// value wherever the compiler placed the instruction. It touches no clock:
+// each backend charges its own costs around it.
+func hostKernel(inst *compiler.Instruction, in []*data.Matrix) (*data.Matrix, error) {
+	switch inst.Op {
+	case "rand":
+		return data.Rand(attrInt(inst, "rows", 1), attrInt(inst, "cols", 1),
+			attrFloat(inst, "min", 0), attrFloat(inst, "max", 1),
+			attrFloat(inst, "sparsity", 1), attrSeed(inst)), nil
+	case "randn":
+		return data.RandNorm(attrInt(inst, "rows", 1), attrInt(inst, "cols", 1),
+			attrFloat(inst, "mu", 0), attrFloat(inst, "sd", 1), attrSeed(inst)), nil
+	case "t":
+		return data.Transpose(in[0]), nil
+	case "mm":
+		return data.MatMul(in[0], in[1]), nil
+	case "cpmm":
+		return data.MatMulT(in[0], in[1]), nil
+	case "tsmm":
+		return data.TSMM(in[0]), nil
+	case "solve":
+		return data.Solve(in[0], in[1]), nil
+	case "sum":
+		return data.Scalar(data.Sum(in[0])), nil
+	case "mean":
+		return data.Scalar(data.Mean(in[0])), nil
+	case "rowSums":
+		return data.RowSums(in[0]), nil
+	case "colSums":
+		return data.ColSums(in[0]), nil
+	case "colMeans":
+		return data.ColMeans(in[0]), nil
+	case "colVars":
+		return data.ColVars(in[0]), nil
+	case "colMins":
+		return data.ColMins(in[0]), nil
+	case "colMaxs":
+		return data.ColMaxs(in[0]), nil
+	case "rowMaxIdx":
+		return data.RowMaxIndex(in[0]), nil
+	case "cbind":
+		return data.CBind(in[0], in[1]), nil
+	case "rbind":
+		return data.RBind(in[0], in[1]), nil
+	case "diag":
+		return data.Diag(in[0]), nil
 	case "dropout":
-		a, err := in(0)
-		if err != nil {
-			return nil, err
-		}
-		return data.Dropout(a, attrFloat(inst, "p", 0.5), int64(attrInt(inst, "seed", 0))), nil
+		return data.Dropout(in[0], attrFloat(inst, "p", 0.5), attrSeed(inst)), nil
 	case "dropoutv":
-		a, err := in(0)
-		if err != nil {
-			return nil, err
-		}
-		p, err := in(1)
-		if err != nil {
-			return nil, err
-		}
-		return data.Dropout(a, p.ScalarValue(), int64(attrInt(inst, "seed", 0))), nil
+		return data.Dropout(in[0], in[1].ScalarValue(), attrSeed(inst)), nil
 	case "conv2d":
-		x, err := in(0)
-		if err != nil {
-			return nil, err
-		}
-		w, err := in(1)
-		if err != nil {
-			return nil, err
-		}
-		return data.Conv2D(x, w, attrInt(inst, "cin", 1), attrInt(inst, "h", 1),
+		return data.Conv2D(in[0], in[1], attrInt(inst, "cin", 1), attrInt(inst, "h", 1),
 			attrInt(inst, "w", 1), attrInt(inst, "kh", 1), attrInt(inst, "kw", 1),
 			attrInt(inst, "stride", 1), attrInt(inst, "pad", 0)), nil
 	case "maxpool":
-		x, err := in(0)
-		if err != nil {
-			return nil, err
-		}
-		return data.MaxPool(x, attrInt(inst, "c", 1), attrInt(inst, "h", 1),
+		return data.MaxPool(in[0], attrInt(inst, "c", 1), attrInt(inst, "h", 1),
 			attrInt(inst, "w", 1), attrInt(inst, "ph", 1), attrInt(inst, "pw", 1),
 			attrInt(inst, "stride", 1)), nil
 	case "bin":
-		a, err := in(0)
-		if err != nil {
-			return nil, err
-		}
-		return data.Bin(a, attrInt(inst, "bins", 10)), nil
+		return data.Bin(in[0], attrInt(inst, "bins", 10)), nil
 	case "onehotf":
-		a, err := in(0)
-		if err != nil {
-			return nil, err
-		}
-		return data.OneHotFixed(a, attrInt(inst, "domain", 10)), nil
+		return data.OneHotFixed(in[0], attrInt(inst, "domain", 10)), nil
 	case "pca":
-		a, err := in(0)
-		if err != nil {
-			return nil, err
-		}
-		comps := data.PCA(a, attrInt(inst, "k", 2), int64(attrInt(inst, "seed", 0)))
-		return data.MatMul(a, comps), nil
+		comps := data.PCA(in[0], attrInt(inst, "k", 2), attrSeed(inst))
+		return data.MatMul(in[0], comps), nil
 	case "cleanPCASplit":
-		xy, err := in(0)
-		if err != nil {
-			return nil, err
-		}
-		k := attrInt(inst, "k", 8)
+		xy := in[0]
 		x := xy.Slice(0, xy.Rows, 0, xy.Cols-1)
-		y := xy.Col(xy.Cols - 1)
-		comps := data.PCA(x, k, int64(attrInt(inst, "seed", 0)))
-		return data.CBind(data.MatMul(x, comps), y), nil
+		comps := data.PCA(x, attrInt(inst, "k", 8), attrSeed(inst))
+		return data.CBind(data.MatMul(x, comps), xy.Col(xy.Cols-1)), nil
 	case "usample":
-		xy, err := in(0)
-		if err != nil {
-			return nil, err
-		}
-		x := xy.Slice(0, xy.Rows, 0, xy.Cols-1)
-		y := xy.Col(xy.Cols - 1)
-		sx, sy := data.UnderSample(x, y, int64(attrInt(inst, "seed", 0)))
+		xy := in[0]
+		sx, sy := data.UnderSample(xy.Slice(0, xy.Rows, 0, xy.Cols-1), xy.Col(xy.Cols-1), attrSeed(inst))
 		return data.CBind(sx, sy), nil
-	default:
-		if f := unaryFunc(inst); f != nil {
-			a, err := in(0)
-			if err != nil {
-				return nil, err
-			}
-			if inst.Attr("skipLast") == "1" && a.Cols > 1 {
-				// Apply the transform to the feature columns only,
-				// keeping the trailing label column intact (cleaning
-				// pipelines carry labels for row alignment).
-				feats := f(a.Slice(0, a.Rows, 0, a.Cols-1))
-				return data.CBind(feats, a.Col(a.Cols-1)), nil
-			}
-			return f(a), nil
-		}
-		return nil, fmt.Errorf("unknown CP opcode %q", inst.Op)
 	}
+	if f := binFunc(inst.Op); f != nil {
+		return f(in[0], in[1]), nil
+	}
+	if f := unaryFunc(inst); f != nil {
+		a := in[0]
+		if inst.Attr("skipLast") == "1" && a.Cols > 1 {
+			// Apply the transform to the feature columns only, keeping the
+			// trailing label column intact (cleaning pipelines carry labels
+			// for row alignment).
+			return data.CBind(f(a.Slice(0, a.Rows, 0, a.Cols-1)), a.Col(a.Cols-1)), nil
+		}
+		return f(a), nil
+	}
+	return nil, fmt.Errorf("unknown opcode %q", inst.Op)
 }

@@ -10,135 +10,52 @@ import (
 
 // execGPU runs an instruction on the device: inputs are uploaded through
 // the memory manager, the output pointer is allocated (preferably by
-// recycling an exact-size free pointer, Algorithm 1), and the kernel is
-// launched asynchronously on the command stream.
+// recycling an exact-size free pointer, Algorithm 1), and the shared kernel
+// table is launched asynchronously on the command stream. Scalar operands
+// stay host-side and reach the kernel as constants; so does dropoutv's
+// runtime rate, fetched to the host whatever its shape.
 func (ctx *Context) execGPU(inst *compiler.Instruction) (*Value, error) {
 	if ctx.GM == nil {
 		return nil, fmt.Errorf("gpu backend not configured")
 	}
-	switch inst.Op {
-	case "mm", "+", "-", "*", "/", "min", "max", "conv2d":
-		return ctx.execGPUBinary(inst)
-	case "t", "tsmm", "exp", "log", "sqrt", "abs", "sigmoid", "relu",
-		"softmax", "pow", "dropout", "maxpool", "rowSums", "colSums", "sum",
-		"scale", "minmax":
-		return ctx.execGPUUnary(inst)
-	case "dropoutv":
-		return ctx.execGPUDropoutVar(inst)
-	default:
+	if !compiler.GPUSupported(inst.Op) {
 		return nil, fmt.Errorf("unknown GPU opcode %q", inst.Op)
 	}
-}
-
-// gpuIn resolves operand i to a device-resident value; scalar operands stay
-// host-side (they are passed to kernels as constants).
-func (ctx *Context) gpuIn(inst *compiler.Instruction, i int, height int) (*Value, error) {
-	v, err := ctx.operand(inst, i)
-	if err != nil {
-		return nil, err
+	height := heightOf(ctx, inst)
+	var buf [2]*data.Matrix
+	in := buf[:0]
+	for i := range inst.Inputs {
+		v, err := ctx.operand(inst, i)
+		if err != nil {
+			return nil, err
+		}
+		switch {
+		case inst.Op == "dropoutv" && i == 1:
+			in = append(in, ctx.ensureHost(v))
+			continue
+		case !v.IsScalar():
+			if v, err = ctx.ensureGPU(v, height); err != nil {
+				return nil, err
+			}
+		}
+		if v.HasGPU() {
+			in = append(in, v.GPU.Value())
+		} else {
+			in = append(in, v.host())
+		}
 	}
-	if v.IsScalar() {
-		return v, nil
-	}
-	return ctx.ensureGPU(v, height)
-}
-
-// inputMatrix returns the matrix a kernel reads for an operand: the device
-// value for uploaded inputs, the host scalar otherwise.
-func inputMatrix(v *Value) *data.Matrix {
-	if v.HasGPU() {
-		return v.GPU.Value()
-	}
-	return v.host()
-}
-
-// launch allocates the output and runs the kernel, producing a GPU value.
-func (ctx *Context) launch(inst *compiler.Instruction, height int,
-	compute func() *data.Matrix) (*Value, error) {
-	size := inst.Shape.Bytes()
-	out, err := ctx.GM.Allocate(size, height, 0)
+	out, err := ctx.GM.Allocate(inst.Shape.Bytes(), height, 0)
 	if err != nil {
 		return nil, err
 	}
 	var result *data.Matrix
 	ctx.GM.Device().Launch(inst.Flops, out, func() *data.Matrix {
-		result = compute()
+		// Every opcode compiler.GPUSupported admits has a kernel
+		// (the GPU parity tests run each one), so there is no error.
+		result, _ = hostKernel(inst, in)
 		return result
 	})
 	return NewGPUValue(out, result.Rows, result.Cols), nil
-}
-
-func (ctx *Context) execGPUBinary(inst *compiler.Instruction) (*Value, error) {
-	height := heightOf(ctx, inst)
-	a, err := ctx.gpuIn(inst, 0, height)
-	if err != nil {
-		return nil, err
-	}
-	b, err := ctx.gpuIn(inst, 1, height)
-	if err != nil {
-		return nil, err
-	}
-	return ctx.launch(inst, height, func() *data.Matrix {
-		x, y := inputMatrix(a), inputMatrix(b)
-		switch inst.Op {
-		case "mm":
-			return data.MatMul(x, y)
-		case "conv2d":
-			return data.Conv2D(x, y, attrInt(inst, "cin", 1), attrInt(inst, "h", 1),
-				attrInt(inst, "w", 1), attrInt(inst, "kh", 1), attrInt(inst, "kw", 1),
-				attrInt(inst, "stride", 1), attrInt(inst, "pad", 0))
-		default:
-			return binFunc(inst.Op)(x, y)
-		}
-	})
-}
-
-func (ctx *Context) execGPUUnary(inst *compiler.Instruction) (*Value, error) {
-	height := heightOf(ctx, inst)
-	a, err := ctx.gpuIn(inst, 0, height)
-	if err != nil {
-		return nil, err
-	}
-	return ctx.launch(inst, height, func() *data.Matrix {
-		x := inputMatrix(a)
-		switch inst.Op {
-		case "t":
-			return data.Transpose(x)
-		case "tsmm":
-			return data.TSMM(x)
-		case "dropout":
-			return data.Dropout(x, attrFloat(inst, "p", 0.5), int64(attrInt(inst, "seed", 0)))
-		case "maxpool":
-			return data.MaxPool(x, attrInt(inst, "c", 1), attrInt(inst, "h", 1),
-				attrInt(inst, "w", 1), attrInt(inst, "ph", 1), attrInt(inst, "pw", 1),
-				attrInt(inst, "stride", 1))
-		case "rowSums":
-			return data.RowSums(x)
-		case "colSums":
-			return data.ColSums(x)
-		case "sum":
-			return data.Scalar(data.Sum(x))
-		default:
-			return unaryFunc(inst)(x)
-		}
-	})
-}
-
-// execGPUDropoutVar applies dropout with a runtime scalar rate.
-func (ctx *Context) execGPUDropoutVar(inst *compiler.Instruction) (*Value, error) {
-	height := heightOf(ctx, inst)
-	a, err := ctx.gpuIn(inst, 0, height)
-	if err != nil {
-		return nil, err
-	}
-	pv, err := ctx.operand(inst, 1)
-	if err != nil {
-		return nil, err
-	}
-	p := ctx.ensureHost(pv).ScalarValue()
-	return ctx.launch(inst, height, func() *data.Matrix {
-		return data.Dropout(inputMatrix(a), p, int64(attrInt(inst, "seed", 0)))
-	})
 }
 
 // heightOf returns the lineage height of the output, used by the GPU

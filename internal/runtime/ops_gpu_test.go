@@ -8,8 +8,8 @@ import (
 )
 
 // runGPUOp executes a single-op program with and without the GPU backend
-// and checks the results match — covering every device kernel in
-// ops_gpu.go against its local ground truth.
+// and checks the results match: a device placement must compute the value
+// its lineage item names on CP.
 func runGPUOp(t *testing.T, build func(x *ir.Node) *ir.Node, m *data.Matrix) {
 	t.Helper()
 	results := make([]*data.Matrix, 2)
@@ -50,6 +50,21 @@ func TestGPUOperatorsMatchLocal(t *testing.T) {
 		"rowSums": func(x *ir.Node) *ir.Node { return ir.RowSums(ir.MatMul(x, x)) },
 		"colSums": func(x *ir.Node) *ir.Node { return ir.ColSums(ir.MatMul(x, x)) },
 		"sum":     func(x *ir.Node) *ir.Node { return ir.Sum(ir.MatMul(x, x)) },
+		"sub":     func(x *ir.Node) *ir.Node { return ir.Sub(ir.MatMul(x, x), x) },
+		"div":     func(x *ir.Node) *ir.Node { return ir.Div(ir.MatMul(x, x), ir.Lit(4)) },
+		"min":     func(x *ir.Node) *ir.Node { return ir.Min(ir.MatMul(x, x), x) },
+		"max":     func(x *ir.Node) *ir.Node { return ir.Max(ir.MatMul(x, x), x) },
+		"abs":     func(x *ir.Node) *ir.Node { return ir.Abs(ir.MatMul(x, x)) },
+		"sqrt":    func(x *ir.Node) *ir.Node { return ir.Sqrt(ir.Abs(ir.MatMul(x, x))) },
+		"log":     func(x *ir.Node) *ir.Node { return ir.Log(ir.Abs(ir.MatMul(x, x))) },
+		"pow":     func(x *ir.Node) *ir.Node { return ir.Pow(ir.MatMul(x, x), 3) },
+		// CLEAN transforms the features and keeps the trailing label.
+		"scale-skipLast": func(x *ir.Node) *ir.Node {
+			return ir.Scale(ir.Sigmoid(ir.MatMul(x, x))).WithAttr("skipLast", "1")
+		},
+		"minmax-skipLast": func(x *ir.Node) *ir.Node {
+			return ir.MinMax(ir.Sigmoid(ir.MatMul(x, x))).WithAttr("skipLast", "1")
+		},
 	}
 	for name, build := range cases {
 		build := build

@@ -33,7 +33,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"memphis/internal/core"
 	"memphis/internal/costs"
 	"memphis/internal/data"
 	"memphis/internal/lineage"
@@ -199,14 +198,6 @@ type SharedCache struct {
 	puts           atomic.Int64
 	evictions      atomic.Int64
 	degradedProbes atomic.Int64
-
-	// reuse tallies probe outcomes per (op, backend, shape-class) for
-	// SharedStats.Reuse. The shared cache is CP-resident, so the backend
-	// coordinate is always CP; hits record the served matrix's shape class,
-	// misses record class -1 (the object's shape is unknown until someone
-	// computes it). Per-op hit rates therefore come from ReuseStats.OpProb,
-	// which aggregates across classes.
-	reuse *lineage.ReuseStats
 }
 
 // NewSharedCache builds the shared level.
@@ -216,7 +207,6 @@ func NewSharedCache(conf SharedConfig) *SharedCache {
 		conf:     conf,
 		arb:      memctl.NewArbiter(),
 		accounts: make(map[string]*tenantAccount),
-		reuse:    lineage.NewReuseStats(),
 	}
 	s.arb.Register(globalPool{s})
 	s.shards = make([]*shard, conf.Shards)
@@ -371,14 +361,12 @@ func (s *SharedCache) Probe(tenant string, item *lineage.Item, sig uint64) (*dat
 		sh.mu.Unlock()
 		s.misses.Add(1)
 		s.degradedProbes.Add(1)
-		s.reuse.Note(item.Opcode(), int(core.BackendCP), -1, false)
 		return nil, 0, s.conf.Model.Probe, false
 	}
 	md := sh.find(key)
 	if md == nil {
 		sh.mu.Unlock()
 		s.misses.Add(1)
-		s.reuse.Note(item.Opcode(), int(core.BackendCP), -1, false)
 		return nil, 0, s.conf.Model.Probe, false
 	}
 	stored, producer, computeCost := md.m, md.tenant, md.computeCost
@@ -386,8 +374,6 @@ func (s *SharedCache) Probe(tenant string, item *lineage.Item, sig uint64) (*dat
 	m := stored.Clone()
 	s.hits.Add(1)
 	acct.hits.Add(1)
-	s.reuse.Note(item.Opcode(), int(core.BackendCP),
-		costs.ShapeClass(int64(m.Rows)*int64(m.Cols)), true)
 	if producer != tenant {
 		s.crossHits.Add(1)
 		acct.crossHits.Add(1)
@@ -556,11 +542,6 @@ type SharedStats struct {
 	// Pools is the arbiter's per-pool pressure/eviction surface: the global
 	// pool first (registration order), then one row per tenant.
 	Pools []memctl.PoolStats `json:"pools,omitempty"`
-	// Reuse is the per-(op, backend, shape-class) probe/hit tally table
-	// (sorted, deterministic given a probe sequence); OpHitRates condenses it
-	// to per-operator hit rates.
-	Reuse      []lineage.ReuseRow `json:"reuse,omitempty"`
-	OpHitRates map[string]float64 `json:"op_hit_rates,omitempty"`
 }
 
 // StatsSnapshot returns a consistent-enough view of the shared cache for
@@ -601,17 +582,5 @@ func (s *SharedCache) StatsSnapshot() SharedStats {
 	}
 	s.accMu.RUnlock()
 	st.Pools = s.arb.Snapshot()
-	st.Reuse = s.reuse.Snapshot()
-	if len(st.Reuse) > 0 {
-		st.OpHitRates = make(map[string]float64, len(st.Reuse))
-		for _, r := range st.Reuse {
-			st.OpHitRates[r.Op] = s.reuse.OpProb(r.Op)
-		}
-	}
 	return st
 }
-
-// ReuseStats exposes the shared cache's probe/hit recorder (per op,
-// backend, shape-class) so servers and tests can query reuse probabilities
-// directly.
-func (s *SharedCache) ReuseStats() *lineage.ReuseStats { return s.reuse }

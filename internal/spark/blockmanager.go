@@ -233,17 +233,6 @@ func (b *BlockManager) remove(rdd int) {
 	}
 }
 
-// memoryBytesOf returns the in-memory bytes cached for an RDD.
-func (b *BlockManager) memoryBytesOf(rdd int) int64 {
-	var n int64
-	for k, blk := range b.blocks {
-		if k.rdd == rdd && !blk.onDisk {
-			n += blk.size
-		}
-	}
-	return n
-}
-
 // NumBlocks returns the number of cached blocks (memory + disk).
 func (b *BlockManager) NumBlocks() int { return len(b.blocks) }
 

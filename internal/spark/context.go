@@ -150,9 +150,6 @@ func (c *Context) SetArbiter(a *memctl.Arbiter) {
 // Clock returns the virtual clock (for tests).
 func (c *Context) Clock() *vtime.Clock { return c.clock }
 
-// Cluster returns the first job slot (for tests and overlap accounting).
-func (c *Context) Cluster() *vtime.Resource { return c.slots[0] }
-
 // BlockManager exposes cluster storage (for tests and cache policies).
 func (c *Context) BlockManager() *BlockManager { return c.bm }
 

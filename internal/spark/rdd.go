@@ -73,9 +73,6 @@ func (r *RDD) Dims() (rows, cols int) { return r.nrows, r.ncols }
 // SizeBytes returns the logical dense size of the represented matrix.
 func (r *RDD) SizeBytes() int64 { return int64(r.nrows) * int64(r.ncols) * 8 }
 
-// Dependencies returns the parent RDDs.
-func (r *RDD) Dependencies() []*RDD { return r.deps }
-
 // StorageLevel returns the current persist level.
 func (r *RDD) StorageLevel() StorageLevel { return r.level }
 
@@ -110,10 +107,6 @@ func (r *RDD) IsMaterialized() bool {
 	}
 	return true
 }
-
-// CachedBytes returns the bytes of this RDD currently held in storage
-// memory (excluding disk).
-func (r *RDD) CachedBytes() int64 { return r.ctx.bm.memoryBytesOf(r.id) }
 
 // rowsOfPart returns the row range [lo, hi) of a partition for an RDD with
 // n rows split into parts blocks.

@@ -24,7 +24,6 @@ import (
 
 	"memphis/internal/compiler"
 	"memphis/internal/core"
-	"memphis/internal/costs"
 	"memphis/internal/data"
 	"memphis/internal/faults"
 	"memphis/internal/gpu"
@@ -72,10 +71,6 @@ type Options struct {
 	// 7 MB ("7 GB" at scale).
 	OpMemBudget int64
 
-	// DisableAsync turns off the prefetch/broadcast operators and
-	// MAXPARALLELIZE ordering that ReuseFull enables by default (MPH-NA).
-	DisableAsync bool
-
 	// Parallelism caps the wall-clock worker fan-out of the dense kernel
 	// layer (matmul, conv, elementwise, Spark partition compute). Zero
 	// keeps the process default (GOMAXPROCS); 1 forces the serial path.
@@ -113,12 +108,6 @@ type Options struct {
 	// caps retained free bytes. Results are bitwise-identical on/off.
 	Arena bool
 
-	// CostModel overrides the analytic cost model's calibrated constants
-	// (nil uses the paper's Table-2 defaults, costs.Default). Validate
-	// rejects models with non-positive or non-finite fields. The model
-	// prices every operation; placement keeps its static thresholds.
-	CostModel *CostModel
-
 	// MemoryPlanner enables the compile-time memory planner
 	// (internal/memplan): static liveness and peak-memory profiles per
 	// compiled stream, lifetime hints for the arbiter's victim selection,
@@ -141,14 +130,6 @@ type MemoryBudgets struct {
 	Arena      int64 // buffer-arena retained free bytes, when Arena is set (default 8 MB)
 }
 
-// CostModel is the analytic cost model's constant set (see internal/costs):
-// compute rates, transfer bandwidths, and per-operation overheads, all in
-// virtual seconds. costs.Default() reproduces the paper's Table 2.
-type CostModel = costs.Model
-
-// DefaultCostModel returns the paper's calibrated constants (Table 2).
-func DefaultCostModel() *CostModel { return costs.Default() }
-
 // FaultPlan is a replayable fault scenario (see internal/faults): a seed plus
 // per-site triggers. DefaultFaultPlan gives the chaos-mode defaults.
 type FaultPlan = faults.Plan
@@ -164,11 +145,6 @@ func (o Options) Validate() error {
 	if o.OpMemBudget > 0 && o.MemoryBudgets.Spark > 0 && o.OpMemBudget > o.MemoryBudgets.Spark {
 		return fmt.Errorf("memphis: OpMemBudget (%d) exceeds MemoryBudgets.Spark (%d); operators compiled locally under OpMemBudget could never fit the cluster storage region",
 			o.OpMemBudget, o.MemoryBudgets.Spark)
-	}
-	if o.CostModel != nil {
-		if err := o.CostModel.Validate(); err != nil {
-			return fmt.Errorf("memphis: CostModel: %w", err)
-		}
 	}
 	return nil
 }
@@ -215,7 +191,7 @@ func runtimeConfig(opts Options) runtime.Config {
 	case ReuseFull:
 		mode = runtime.ReuseMemphis
 	}
-	if (opts.Reuse == ReuseFull || opts.Reuse == ReuseFine) && !opts.DisableAsync {
+	if opts.Reuse == ReuseFull || opts.Reuse == ReuseFine {
 		comp.Async = true
 		comp.MaxParallelize = true
 		comp.CheckpointInjection = true
@@ -244,7 +220,6 @@ func runtimeConfig(opts Options) runtime.Config {
 		MemoryPlanner: opts.MemoryPlanner,
 		Arena:         opts.Arena,
 		ArenaBudget:   opts.MemoryBudgets.Arena,
-		Model:         opts.CostModel,
 	}
 }
 
