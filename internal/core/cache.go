@@ -7,9 +7,12 @@
 // path and delegates memory management to backend-specific policies:
 //
 //   - Driver: Cost&Size eviction with optional disk spill. Victims are
-//     searched among the resident matrices only: the cache keeps them (and
+//     chosen among the resident matrices only: the cache keeps them (and
 //     the persisted reuse RDDs) in candidate lists beside the map, so
-//     placeholders and spilled entries cost a victim search nothing.
+//     placeholders and spilled entries cost eviction nothing. One
+//     MAKE_SPACE scores its candidates once, into a heap it pops its
+//     victims from, and scores again only if a spill moved the clock or
+//     the highest-ratio entry left.
 //   - Spark (§4.1): Eq. (1) scoring (r_h+r_m+r_j)·c/s over persisted RDDs,
 //     lazy garbage collection of dangling child RDDs and broadcasts once a
 //     parent materializes, and asynchronous count() materialization after
@@ -215,11 +218,16 @@ type Cache struct {
 	nextSeq uint64 // Entry.seq of the next insert
 
 	// The victim candidates, unordered: cpCands holds the resident CP
-	// matrices cpVictim may pick, sparkCands the persisted reuse RDDs
-	// sparkVictim may pick. relist keeps them equal to the map filtered by
-	// those predicates.
+	// matrices the driver cache may evict, sparkCands the persisted reuse
+	// RDDs the Spark reuse share may unpersist. relist keeps them equal to
+	// the map filtered by those predicates.
 	cpCands    []*Entry
 	sparkCands []*Entry
+	// The rankings of the MAKE_SPACE in progress on each pool, built from
+	// the candidates at its first victim request and dropped when it
+	// returns.
+	cpRank    ranking
+	sparkRank ranking
 
 	cpUsed    int64
 	sparkUsed int64 // worst-case estimates of persisted reuse RDDs

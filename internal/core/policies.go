@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-
 	"memphis/internal/costs"
 	"memphis/internal/data"
 	"memphis/internal/faults"
@@ -97,17 +95,16 @@ func cpCandidate(e *Entry) memctl.Candidate {
 	}
 }
 
-// cpVictim selects the lowest-scored resident CP entry under the shared
-// hybrid policy (memctl.CPWeights: LIMA's Cost&Size ratio, normalized
-// against the maximum over the resident entries, plus recency), or nil
-// when nothing is evictable. Under an active memory plan (planEpoch > 0)
-// selection is lifetime-grouped first: entries the plan marked dead evict
-// before unknown ones, soon-reused ones are protected, and the hybrid
-// score breaks ties within a group. With the planner off, planEpoch stays
-// zero and selection is by score alone. Either way equal candidates go to
-// the older entry: the victim is the minimum of a total order over
-// cpCands, so the order of the list does not matter.
-func (c *Cache) cpVictim() *Entry {
+// rankCP scores the resident CP entries into the CP ranking under the
+// shared hybrid policy (memctl.CPWeights: LIMA's Cost&Size ratio,
+// normalized against the maximum over the resident entries, plus recency).
+// Under an active memory plan (planEpoch > 0) the order is lifetime-grouped
+// first: entries the plan marked dead evict before unknown ones, soon-reused
+// ones are protected, and the hybrid score orders each group. With the
+// planner off every entry reads LifeUnknown and the order is by score
+// alone. Either way equal scores go to the older entry, so the order of
+// cpCands does not matter.
+func (c *Cache) rankCP() {
 	maxRatio := 0.0
 	for _, e := range c.cpCands {
 		if r := memctl.Ratio(cpCandidate(e), false); r > maxRatio {
@@ -115,38 +112,52 @@ func (c *Cache) cpVictim() *Entry {
 		}
 	}
 	norms := memctl.Norms{MaxRatio: maxRatio, Now: c.clock.Now()}
-	planOn := c.planEpoch > 0
-	var victim *Entry
-	best := math.Inf(1)
-	bestLife := memctl.LifeSoon + 1
+	r := &c.cpRank
+	r.drop()
 	for _, e := range c.cpCands {
-		s := memctl.Score(cpCandidate(e), memctl.CPWeights, norms)
-		if planOn {
-			life := c.entryLife(e)
-			if memctl.PreferVictim(life, s, bestLife, best) ||
-				life == bestLife && s == best && older(e, victim) {
-				bestLife, best, victim = life, s, e
-			}
-		} else if s < best || s == best && older(e, victim) {
-			best, victim = s, e
-		}
+		r.heap = append(r.heap, ranked{e, c.entryLife(e), memctl.Score(cpCandidate(e), memctl.CPWeights, norms)})
 	}
-	return victim
+	r.heapify()
+	r.now, r.maxRatio = norms.Now, maxRatio
+}
+
+// cpRankHolds reports whether the CP ranking exists and still orders the
+// candidates as a fresh one would: the clock (which a spill advances) and
+// the maximum ratio have not moved since it was built.
+func (c *Cache) cpRankHolds() bool {
+	r := &c.cpRank
+	return r.built && !r.maxLeft && r.now == c.clock.Now()
+}
+
+// popCPVictim returns the next victim of the current driver-cache
+// MAKE_SPACE, or nil when nothing is evictable, ranking the candidates
+// first when no ranking holds.
+func (c *Cache) popCPVictim() *Entry {
+	if !c.cpRankHolds() {
+		c.rankCP()
+	}
+	e := c.cpRank.pop()
+	if e != nil && memctl.Ratio(cpCandidate(e), false) == c.cpRank.maxRatio {
+		c.cpRank.maxLeft = true
+	}
+	return e
 }
 
 // The victim searches evictOneCP and evictOneSpark run: variables, so that
-// a test can check every search against a scan of the whole map.
+// a test can check every victim against a scan of the whole map.
 var (
-	searchCP    = (*Cache).cpVictim
-	searchSpark = (*Cache).sparkVictim
+	searchCP    = (*Cache).popCPVictim
+	searchSpark = (*Cache).popSparkVictim
 )
 
 // MakeSpaceCP evicts driver-cached matrices until need bytes fit in the
 // budget, spilling to disk when configured (MAKE_SPACE of the unified API).
 func (c *Cache) MakeSpaceCP(need int64) {
-	if c.cpUsed+need > c.conf.CPBudget {
-		c.notePressure(PoolCP)
+	if c.cpUsed+need <= c.conf.CPBudget {
+		return
 	}
+	c.notePressure(PoolCP)
+	defer c.cpRank.drop()
 	for c.cpUsed+need > c.conf.CPBudget {
 		if _, ok := c.evictOneCP(); !ok {
 			return
@@ -231,24 +242,28 @@ func (c *Cache) PutRDD(item *lineage.Item, r *spark.RDD, children []*spark.RDD,
 	return e
 }
 
-// older reports whether e was inserted before the current victim v (false
-// while there is none): the tie-break of victim selection.
-func older(e, v *Entry) bool { return v != nil && e.seq < v.seq }
-
-// sparkVictim selects the lowest-scored reuse RDD under the shared policy
-// instance for Spark: Eq. (1), argmin (r_h+r_m+r_j)·c/s (memctl.SparkWeights
-// with MaxRatio 1 keeps the historical unnormalized ordering exactly) over
-// sparkCands; of equally scored RDDs the older entry goes.
-func (c *Cache) sparkVictim() *Entry {
+// rankSpark scores the persisted reuse RDDs into the Spark ranking under
+// the shared policy instance for Spark: Eq. (1), (r_h+r_m+r_j)·c/s
+// (memctl.SparkWeights with MaxRatio 1 keeps the historical unnormalized
+// ordering exactly); of equally scored RDDs the older entry goes first.
+func (c *Cache) rankSpark() {
 	norms := memctl.Norms{MaxRatio: 1}
-	var victim *Entry
-	best := math.Inf(1)
+	r := &c.sparkRank
+	r.drop()
 	for _, e := range c.sparkCands {
-		if s := memctl.Score(cpCandidate(e), memctl.SparkWeights, norms); s < best || s == best && older(e, victim) {
-			best, victim = s, e
-		}
+		r.heap = append(r.heap, ranked{e, memctl.LifeUnknown, memctl.Score(cpCandidate(e), memctl.SparkWeights, norms)})
 	}
-	return victim
+	r.heapify()
+}
+
+// popSparkVictim returns the next victim of the current Spark-reuse
+// MAKE_SPACE, or nil when nothing is evictable. The Spark norms never
+// move, so one ranking serves the whole call.
+func (c *Cache) popSparkVictim() *Entry {
+	if !c.sparkRank.built {
+		c.rankSpark()
+	}
+	return c.sparkRank.pop()
 }
 
 // MakeSpaceSpark unpersists reuse RDDs with the lowest Eq. (1) scores until
@@ -256,9 +271,11 @@ func (c *Cache) sparkVictim() *Entry {
 // asynchronous in Spark; temporary overflow is absorbed by partition
 // spilling in the block manager, so no driver time is charged.
 func (c *Cache) MakeSpaceSpark(need int64) {
-	if c.sparkUsed+need > c.conf.SparkBudget {
-		c.notePressure(PoolSparkReuse)
+	if c.sparkUsed+need <= c.conf.SparkBudget {
+		return
 	}
+	c.notePressure(PoolSparkReuse)
+	defer c.sparkRank.drop()
 	for c.sparkUsed+need > c.conf.SparkBudget {
 		if _, ok := c.evictOneSpark(); !ok {
 			return
@@ -404,6 +421,8 @@ func (c *Cache) Clear() {
 	c.entries = make(map[uint64]*Entry)
 	c.n = 0
 	c.cpCands, c.sparkCands = nil, nil
+	c.cpRank.drop()
+	c.sparkRank.drop()
 	c.cpUsed = 0
 	c.sparkUsed = 0
 }

@@ -11,6 +11,7 @@ func (p cpPool) Peak() int64   { return p.c.cpPeak }
 func (p cpPool) Budget() int64 { return p.c.conf.CPBudget }
 
 func (p cpPool) Evict(need int64) int64 {
+	defer p.c.cpRank.drop()
 	var freed int64
 	for freed < need {
 		n, ok := p.c.evictOneCP()
@@ -41,6 +42,7 @@ func (p sparkReusePool) Budget() int64           { return p.c.conf.SparkBudget }
 func (p sparkReusePool) Demote(need int64) int64 { return 0 }
 
 func (p sparkReusePool) Evict(need int64) int64 {
+	defer p.c.sparkRank.drop()
 	var freed int64
 	for freed < need {
 		n, ok := p.c.evictOneSpark()

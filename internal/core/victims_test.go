@@ -79,6 +79,10 @@ func refSparkVictim(c *Cache) *Entry {
 	return victim
 }
 
+// older reports whether e was inserted before the current victim v (false
+// while there is none): the tie-break of the reference scans.
+func older(e, v *Entry) bool { return v != nil && e.seq < v.seq }
+
 // allEntries lists every entry of the map in insertion order, through the
 // same-hash chains and never through the candidate lists.
 func allEntries(c *Cache) []*Entry {
@@ -135,32 +139,68 @@ func checkLists(t *testing.T, c *Cache, accounting bool) {
 	}
 }
 
-// checkedSearches routes every victim search of an eviction through the
+// rankCounts tallies how the rankings served the victims popped through
+// checkedSearches.
+type rankCounts struct {
+	pops       int // victims popped, CP and Spark
+	rankings   int // rankings built for them
+	reused     int // pops served by a ranking an earlier pop built
+	clockMoves int // CP re-ranks because a spill moved the clock
+	maxLeft    int // CP re-ranks because the max-ratio entry left
+}
+
+// checkedSearches routes every victim an eviction pops through the
 // reference scan as well, failing t when the two disagree or the lists do
-// not match the map at the moment of the search, and counts the searches.
-func checkedSearches(t *testing.T) *int {
-	n := new(int)
+// not match the map at the moment of the pop, and counts the pops and the
+// rankings behind them.
+func checkedSearches(t *testing.T) *rankCounts {
+	n := new(rankCounts)
 	cp, sp := searchCP, searchSpark
 	t.Cleanup(func() { searchCP, searchSpark = cp, sp })
 	searchCP = func(c *Cache) *Entry {
 		checkLists(t, c, false)
-		got, want := c.cpVictim(), refCPVictim(c)
-		if got != want {
+		if r := &c.cpRank; c.cpRankHolds() {
+			n.reused++
+		} else {
+			n.rankings++
+			if r.built && r.now != c.clock.Now() {
+				n.clockMoves++
+			}
+			if r.maxLeft {
+				n.maxLeft++
+			}
+		}
+		want := refCPVictim(c)
+		if got := c.popCPVictim(); got != want {
 			t.Fatalf("CP victim %s, the reference scan picks %s", victimName(got), victimName(want))
 		}
-		*n++
-		return got
+		n.pops++
+		return want
 	}
 	searchSpark = func(c *Cache) *Entry {
 		checkLists(t, c, false)
-		got, want := c.sparkVictim(), refSparkVictim(c)
-		if got != want {
+		if c.sparkRank.built {
+			n.reused++
+		} else {
+			n.rankings++
+		}
+		want := refSparkVictim(c)
+		if got := c.popSparkVictim(); got != want {
 			t.Fatalf("Spark victim %s, the reference scan picks %s", victimName(got), victimName(want))
 		}
-		*n++
-		return got
+		n.pops++
+		return want
 	}
 	return n
+}
+
+// firstVictims returns the first victims of fresh CP and Spark rankings,
+// called while no MAKE_SPACE is in progress, and drops both rankings again.
+func firstVictims(c *Cache) (cp, spark *Entry) {
+	cp, spark = c.popCPVictim(), c.popSparkVictim()
+	c.cpRank.drop()
+	c.sparkRank.drop()
+	return cp, spark
 }
 
 func victimName(e *Entry) string {
@@ -184,21 +224,22 @@ func collidingKey(k int) *lineage.Item {
 // through seeded random sequences of eager and delayed puts, GPU recycling
 // and demotion, probes, restores of spilled entries under injected spill
 // faults, MAKE_SPACE on both pools directly and through the arbiter, plan
-// epochs with lifetime stamps, and clears. Every victim search of an
-// eviction must pick what the reference scan picks, and after every step
-// the candidate lists must equal the map filtered by their predicates, with
-// the used-byte counters equal to the listed sizes.
+// epochs with lifetime stamps, and clears. Every victim an eviction pops
+// from a ranking must be what the reference scan picks at that moment, and
+// after every step the candidate lists must equal the map filtered by
+// their predicates, with the used-byte counters equal to the listed sizes,
+// and the first victims of fresh rankings must be the reference scans'.
 func TestVictimOrderMatchesReferenceScan(t *testing.T) {
 	if a, b := collidingKey(0), collidingKey(1); a.Hash() != b.Hash() || a.Equals(b) {
 		t.Fatal("collidingKey(0) and collidingKey(1) must share a hash and differ")
 	}
 	var total Stats
-	totalSearches := 0
+	var counts rankCounts
 	for seed := int64(1); seed <= 16; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		conf := Config{CPBudget: int64(1+rng.Intn(4)) << 10, SparkBudget: int64(2+rng.Intn(3)) * 1280}
 		t.Run(fmt.Sprintf("seed%d_cp%d_spark%d", seed, conf.CPBudget, conf.SparkBudget), func(t *testing.T) {
-			searches := checkedSearches(t)
+			n := checkedSearches(t)
 			clock := vtime.New()
 			model := costs.Default()
 			sc := spark.NewContext(clock, model, spark.DefaultConfig())
@@ -305,14 +346,22 @@ func TestVictimOrderMatchesReferenceScan(t *testing.T) {
 					c.Clear()
 				}
 				checkLists(t, c, true)
-				if got, want := c.cpVictim(), refCPVictim(c); got != want {
-					t.Fatalf("step %d: next CP victim %s, the reference scan picks %s", step, victimName(got), victimName(want))
+				if c.cpRank.built || c.sparkRank.built {
+					t.Fatalf("step %d: a ranking outlived its call", step)
 				}
-				if got, want := c.sparkVictim(), refSparkVictim(c); got != want {
-					t.Fatalf("step %d: next Spark victim %s, the reference scan picks %s", step, victimName(got), victimName(want))
+				cp, sp := firstVictims(c)
+				if want := refCPVictim(c); cp != want {
+					t.Fatalf("step %d: next CP victim %s, the reference scan picks %s", step, victimName(cp), victimName(want))
+				}
+				if want := refSparkVictim(c); sp != want {
+					t.Fatalf("step %d: next Spark victim %s, the reference scan picks %s", step, victimName(sp), victimName(want))
 				}
 			}
-			totalSearches += *searches
+			counts.pops += n.pops
+			counts.rankings += n.rankings
+			counts.reused += n.reused
+			counts.clockMoves += n.clockMoves
+			counts.maxLeft += n.maxLeft
 			s := c.Stats
 			total.EvictionsCP += s.EvictionsCP
 			total.SpillsCP += s.SpillsCP
@@ -326,13 +375,55 @@ func TestVictimOrderMatchesReferenceScan(t *testing.T) {
 	}
 	// Every transition the lists must follow happened somewhere.
 	for name, n := range map[string]int64{
-		"victim searches": int64(totalSearches), "CP evictions": total.EvictionsCP,
-		"spills": total.SpillsCP, "spill faults": total.SpillErrorsCP, "restores": total.RestoresCP,
-		"Spark unpersists": total.UnpersistsSpark, "GPU-to-host moves": total.GPUToHost,
-		"GPU invalidations": total.GPUInvalidated, "delayed stores": total.DelayedStores,
+		"victim pops":                             int64(counts.pops),
+		"rankings reused for a later pop":         int64(counts.reused),
+		"re-ranks after a spill moved the clock":  int64(counts.clockMoves),
+		"re-ranks after the max-ratio entry left": int64(counts.maxLeft),
+		"CP evictions":                            total.EvictionsCP,
+		"spills":                                  total.SpillsCP,
+		"spill faults":                            total.SpillErrorsCP,
+		"restores":                                total.RestoresCP,
+		"Spark unpersists":                        total.UnpersistsSpark,
+		"GPU-to-host moves":                       total.GPUToHost,
+		"GPU invalidations":                       total.GPUInvalidated,
+		"delayed stores":                          total.DelayedStores,
 	} {
 		if n == 0 {
 			t.Errorf("the sequences made no %s", name)
+		}
+	}
+	t.Logf("%d pops from %d rankings: %d reused, %d re-ranks after a clock move, %d after the max-ratio entry left",
+		counts.pops, counts.rankings, counts.reused, counts.clockMoves, counts.maxLeft)
+}
+
+// TestMakeSpaceRanksOnce: a MAKE_SPACE that evicts several victims without
+// spilling any (so the clock stays put) scores its candidates once, pops
+// the reference scan's victims in order, and leaves no ranking and no
+// entry in the ranking buffer behind.
+func TestMakeSpaceRanksOnce(t *testing.T) {
+	n := checkedSearches(t)
+	conf := DefaultConfig()
+	m := data.Ones(8, 8)
+	conf.CPBudget = 64 * m.SizeBytes()
+	e := newEnv(conf)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 64; i++ {
+		// Under the disk round trip: every victim is dropped, none spilled.
+		e.cache.PutCP(li("resident", strconv.Itoa(i)), m, 1e-4+rng.Float64()*1e-3, 1, false, false)
+	}
+	e.cache.MakeSpaceCP(10 * m.SizeBytes())
+	s := e.cache.Stats
+	if s.EvictionsCP != 10 || s.SpillsCP != 0 || n.pops != 10 || n.rankings != 1 {
+		t.Fatalf("%d evictions, %d spills, %d pops from %d rankings; want 10, 0, 10 from 1",
+			s.EvictionsCP, s.SpillsCP, n.pops, n.rankings)
+	}
+	r := &e.cache.cpRank
+	if r.built || len(r.heap) != 0 {
+		t.Fatalf("the ranking outlived the call: built %v with %d candidates", r.built, len(r.heap))
+	}
+	for i, x := range r.heap[:cap(r.heap)] {
+		if x.e != nil {
+			t.Fatalf("the ranking buffer still holds entry %d at slot %d", x.e.seq, i)
 		}
 	}
 }
@@ -378,11 +469,43 @@ func TestDelayedPutOfStoredItemCountsItsBytesOnce(t *testing.T) {
 	checkLists(t, e.cache, true)
 }
 
-// BenchmarkCPVictim times one driver victim search late in a fresh-miss
-// session: 2 300 resident matrices among 8 500 delayed-caching
-// placeholders. list walks the resident candidates, ref the whole map.
-func BenchmarkCPVictim(b *testing.B) {
-	const resident, placeholders = 2300, 8500
+// TestMakeSpaceReranksAfterMaxRatioLeaves: once the entry with the maximum
+// ratio is evicted, every remaining ratio term is normalized against a
+// lower maximum, which can reorder the rest. X (ratio 1, accessed at 0)
+// scores 1.00, A (ratio 0.5, accessed at 0.55) 1.05 and B (ratio 0.1,
+// accessed at 0.96) 1.06, so X goes first; against A's ratio as the new
+// maximum, A scores 1.55 and B 1.16, so B goes second, not A.
+func TestMakeSpaceReranksAfterMaxRatioLeaves(t *testing.T) {
+	n := checkedSearches(t)
+	conf := DefaultConfig()
+	m := data.Ones(8, 8)
+	conf.CPBudget = 3 * m.SizeBytes()
+	e := newEnv(conf)
+	var entries []*Entry
+	for _, name := range []string{"X", "A", "B"} {
+		entries = append(entries, e.cache.PutCP(li("resident", name), m, 0, 1, false, false))
+	}
+	e.clock.Advance(1)
+	now := e.clock.Now()
+	for i, f := range []struct{ ratio, access float64 }{{1, 0}, {0.5, 0.55}, {0.1, 0.96}} {
+		// Costs under the disk round trip: every victim is dropped, none spilled.
+		entries[i].ComputeCost = f.ratio * 1e-3
+		entries[i].LastAccess = f.access * now
+	}
+	e.cache.MakeSpaceCP(2 * m.SizeBytes())
+	if e.cache.Lookup(li("resident", "A")) == nil || n.pops != 2 || n.rankings != 2 || n.maxLeft != 1 {
+		t.Fatalf("A resident %v after %d pops from %d rankings (%d after the max-ratio entry left); want true after 2 from 2 (1)",
+			e.cache.Lookup(li("resident", "A")) != nil, n.pops, n.rankings, n.maxLeft)
+	}
+}
+
+// BenchmarkMakeSpaceVictims times the victim choice of one driver
+// MAKE_SPACE late in a fresh-miss session: 12 victims among 2 300 resident
+// matrices and 8 500 delayed-caching placeholders. ranked pops them from
+// one ranking, scan runs the reference scan of the whole map per victim.
+// Nothing is evicted, so every iteration chooses from the same cache.
+func BenchmarkMakeSpaceVictims(b *testing.B) {
+	const resident, placeholders, victims = 2300, 8500, 12
 	conf := DefaultConfig()
 	m := data.Ones(8, 8)
 	conf.CPBudget = resident * m.SizeBytes()
@@ -394,21 +517,35 @@ func BenchmarkCPVictim(b *testing.B) {
 	for i := 0; i < placeholders; i++ {
 		e.cache.PutCP(li("placeholder", strconv.Itoa(i)), m, rng.Float64()*1e-2, 2, false, false)
 	}
-	if len(e.cache.cpCands) != resident || e.cache.NumEntries() != resident+placeholders ||
-		e.cache.cpVictim() != refCPVictim(e.cache) {
-		b.Fatalf("%d of %d entries resident, want %d of %d, with equal victims",
-			len(e.cache.cpCands), e.cache.NumEntries(), resident, resident+placeholders)
+	c := e.cache
+	if len(c.cpCands) != resident || c.NumEntries() != resident+placeholders {
+		b.Fatalf("%d of %d entries resident, want %d of %d",
+			len(c.cpCands), c.NumEntries(), resident, resident+placeholders)
+	}
+	if first, _ := firstVictims(c); first != refCPVictim(c) {
+		b.Fatal("the ranking's first victim is not the reference scan's")
 	}
 	for _, s := range []struct {
-		name   string
-		search func(*Cache) *Entry
-	}{{"list", (*Cache).cpVictim}, {"ref", refCPVictim}} {
+		name string
+		run  func(*testing.B)
+	}{{"ranked", func(b *testing.B) {
+		for v := 0; v < victims; v++ {
+			if c.popCPVictim() == nil || !c.cpRankHolds() {
+				b.Fatal("no victim, or the ranking did not hold")
+			}
+		}
+		c.cpRank.drop()
+	}}, {"scan", func(b *testing.B) {
+		for v := 0; v < victims; v++ {
+			if refCPVictim(c) == nil {
+				b.Fatal("no victim")
+			}
+		}
+	}}} {
 		b.Run(s.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if s.search(e.cache) == nil {
-					b.Fatal("no victim")
-				}
+				s.run(b)
 			}
 		})
 	}

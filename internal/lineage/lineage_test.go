@@ -235,6 +235,20 @@ func TestDeserializeErrors(t *testing.T) {
 	}
 }
 
+// TestDeserializeRejectsReboundID: a line whose ID is already bound is an
+// error naming that line. It used to replace the binding silently, so later
+// references read the second item; Serialize never writes such a line.
+func TestDeserializeRejectsReboundID(t *testing.T) {
+	log := "0 read \"X\" \n0 read \"Y\" \n1 t \"\" 0\n"
+	it, err := Deserialize(log)
+	if err == nil {
+		t.Fatalf("Deserialize accepted a re-bound ID, root %s(%s)", it.Opcode(), it.Inputs()[0].Data())
+	}
+	if !strings.Contains(err.Error(), "line 2") {
+		t.Fatalf("error %q does not name line 2", err)
+	}
+}
+
 // Property: random DAGs round-trip through serialization preserving equality.
 func TestSerializeRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -301,4 +315,41 @@ func BenchmarkProbeHashMismatch(b *testing.B) {
 			b.Fatal("must differ")
 		}
 	}
+}
+
+// FuzzDeserialize runs arbitrary logs through Deserialize, which must not
+// panic. A log it accepts must re-serialize to a log that deserializes to
+// an equal item with the same hash, and Serialize of that item must give
+// the same log again.
+func FuzzDeserialize(f *testing.F) {
+	x := NewLeaf("read", "X with spaces \"and quotes\"")
+	y := NewLeaf("read", "y")
+	f.Add(Serialize(NewItem("ba+*", "k=3", NewItem("t", "", x), y)))
+	f.Add(Serialize(NewItem("t", "", NewItem("exp", "", NewLeaf("read", "X")))))
+	f.Add(Serialize(NewItem("ba+*", "", NewItem("t", "", x), x)))
+	rng := rand.New(rand.NewSource(1))
+	nodes := []*Item{x, y}
+	for i := 0; i < 12; i++ {
+		nodes = append(nodes, NewItem(fmt.Sprintf("op%d", rng.Intn(4)), fmt.Sprint(rng.Intn(3)),
+			nodes[rng.Intn(len(nodes))], nodes[rng.Intn(len(nodes))]))
+	}
+	f.Add(Serialize(nodes[len(nodes)-1]))
+	f.Add("0 read \"X\" \n0 read \"Y\" \n1 t \"\" 0\n")
+	f.Fuzz(func(t *testing.T, log string) {
+		it, err := Deserialize(log)
+		if err != nil {
+			return
+		}
+		again := Serialize(it)
+		back, err := Deserialize(again)
+		if err != nil {
+			t.Fatalf("the re-serialized log does not parse: %v\n%s", err, again)
+		}
+		if !back.Equals(it) || back.Hash() != it.Hash() {
+			t.Fatalf("the re-serialized log names another item:\n%s", again)
+		}
+		if s := Serialize(back); s != again {
+			t.Fatalf("Serialize is not stable:\n%s\nthen\n%s", again, s)
+		}
+	})
 }

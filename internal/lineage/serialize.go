@@ -79,6 +79,9 @@ func Deserialize(log string) (*Item, error) {
 				inputs = append(inputs, in)
 			}
 		}
+		if _, ok := items[id]; ok {
+			return nil, fmt.Errorf("lineage: id %d bound again on line %d", id, lineNo)
+		}
 		it := NewItem(opcode, dataStr, inputs...)
 		items[id] = it
 		root = it
