@@ -9,10 +9,12 @@
 //   - Driver: Cost&Size eviction with optional disk spill. Victims are
 //     chosen among the resident matrices only: the cache keeps them (and
 //     the persisted reuse RDDs) in candidate lists beside the map, so
-//     placeholders and spilled entries cost eviction nothing. One
-//     MAKE_SPACE scores its candidates once, into a heap it pops its
-//     victims from, and scores again only if a spill moved the clock or
-//     the highest-ratio entry left.
+//     placeholders and spilled entries cost eviction nothing. Beside each
+//     resident matrix sits its score row (Cost&Size ratio, last access),
+//     refreshed on put and hit. One MAKE_SPACE scores its candidates once,
+//     from the rows, into a heap it pops its victims from, and scores
+//     again only if a spill moved the clock or the highest-ratio entry
+//     left.
 //   - Spark (§4.1): Eq. (1) scoring (r_h+r_m+r_j)·c/s over persisted RDDs,
 //     lazy garbage collection of dangling child RDDs and broadcasts once a
 //     parent materializes, and asynchronous count() materialization after
@@ -21,7 +23,9 @@
 //     a pointer invalidates its entry via callback.
 //
 // Delayed caching (§5.2) defers object storage until the n-th repetition of
-// an operation using TO-BE-CACHED placeholder entries.
+// an operation using TO-BE-CACHED placeholder entries. A cache holds at most
+// maxPlaceholders of them and drops the least recently touched past that,
+// so a session of novel programs does not grow by its never-repeated puts.
 //
 // A Cache is one session's cache, charged to that session's clock; the
 // serving layer's cross-tenant level (internal/serve) keeps its own entries.
@@ -140,13 +144,15 @@ type Entry struct {
 
 	// same chains the entries whose keys share a lineage hash.
 	same *Entry
-	// list is the candidate list holding the entry and slot its position
-	// there; both are kept by Cache.relist.
-	list candList
-	slot int32
+	// list is the list holding the entry: a candidate list, where slot is
+	// its position, or the placeholder list, where prev and next link it.
+	// All four are kept by Cache.relist.
+	list       candList
+	slot       int32
+	prev, next *Entry
 }
 
-// candList names the victim-candidate list an entry is in.
+// candList names the list an entry is in.
 type candList int8
 
 const (
@@ -156,7 +162,61 @@ const (
 	listedCP
 	// listedSpark: a persisted reuse RDD, in Cache.sparkCands.
 	listedSpark
+	// listedPlaceholder: a delayed-caching placeholder, in
+	// Cache.placeholders.
+	listedPlaceholder
 )
+
+// maxPlaceholders bounds the delayed-caching placeholders of one cache:
+// a new one past the bound drops the least recently touched. A session
+// of mostly novel programs leaves placeholders that never repeat, one
+// entry and its lineage each, so without a bound it grows with every op.
+// The bound sits above the most placeholders alive in any experiment and
+// in any benchmark workload's pinned prefix, so none of them drops one.
+const maxPlaceholders = 4096
+
+// placeholderList is an intrusive doubly linked list of placeholder
+// entries, least recently touched first.
+type placeholderList struct {
+	first, last *Entry
+	n           int
+}
+
+// push appends e as the most recently touched placeholder.
+func (l *placeholderList) push(e *Entry) {
+	e.prev = l.last
+	if l.last != nil {
+		l.last.next = e
+	} else {
+		l.first = e
+	}
+	l.last = e
+	l.n++
+}
+
+// remove unlinks e, clearing its links.
+func (l *placeholderList) remove(e *Entry) {
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		l.first = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	} else {
+		l.last = e.prev
+	}
+	e.prev, e.next = nil, nil
+	l.n--
+}
+
+// touch makes e, a listed placeholder, the most recently touched.
+func (l *placeholderList) touch(e *Entry) {
+	if l.last != e {
+		l.remove(e)
+		l.push(e)
+	}
+}
 
 // Stats counts cache events; experiments and tests assert on these.
 type Stats struct {
@@ -223,6 +283,13 @@ type Cache struct {
 	// the map filtered by those predicates.
 	cpCands    []*Entry
 	sparkCands []*Entry
+	// cpRows[i] holds cpCands[i]'s score inputs, so that a ranking reads
+	// one dense slice and no entry. relist and unlist move it with
+	// cpCands; rescore refreshes it when a hit changes them.
+	cpRows []cpRow
+	// placeholders lists the delayed-caching placeholders in the map,
+	// least recently touched first, at most maxPlaceholders of them.
+	placeholders placeholderList
 	// The rankings of the MAKE_SPACE in progress on each pool, built from
 	// the candidates at its first victim request and dropped when it
 	// returns.
@@ -417,12 +484,15 @@ func (c *Cache) candidates(l candList) *[]*Entry {
 	return &c.sparkCands
 }
 
-// relist puts e into the candidate list its backend, status and payload
-// now select, or into none. Every change of those fields on an entry in
-// the map is followed by a relist before the next victim search.
+// relist puts e into the list its backend, status and payload now select,
+// or into none. Every change of those fields on an entry in the map is
+// followed by a relist before the next victim search.
 func (c *Cache) relist(e *Entry) {
 	want := unlisted
-	if e.Status == StatusCached {
+	switch e.Status {
+	case StatusToBeCached:
+		want = listedPlaceholder
+	case StatusCached:
 		switch {
 		case e.Backend == BackendCP && e.Matrix != nil:
 			want = listedCP
@@ -434,26 +504,51 @@ func (c *Cache) relist(e *Entry) {
 		return
 	}
 	c.unlist(e)
-	if want != unlisted {
+	switch want {
+	case listedPlaceholder:
+		c.placeholders.push(e)
+	case listedCP:
+		c.cpRows = append(c.cpRows, cpRowOf(e))
+		fallthrough
+	case listedSpark:
 		l := c.candidates(want)
-		e.list, e.slot = want, int32(len(*l))
+		e.slot = int32(len(*l))
 		*l = append(*l, e)
 	}
+	e.list = want
 }
 
-// unlist takes e out of its candidate list, moving the list's last entry
-// into its slot.
+// unlist takes e out of its list: out of the placeholder list, or out of
+// its candidate list by moving the list's last entry (and row) into its
+// slot.
 func (c *Cache) unlist(e *Entry) {
-	if e.list == unlisted {
+	switch e.list {
+	case unlisted:
 		return
+	case listedPlaceholder:
+		c.placeholders.remove(e)
+	case listedCP:
+		n := len(c.cpRows) - 1
+		c.cpRows[e.slot] = c.cpRows[n]
+		c.cpRows = c.cpRows[:n]
+		fallthrough
+	default:
+		l := c.candidates(e.list)
+		last := (*l)[len(*l)-1]
+		(*l)[e.slot] = last
+		last.slot = e.slot
+		(*l)[len(*l)-1] = nil
+		*l = (*l)[:len(*l)-1]
 	}
-	l := c.candidates(e.list)
-	last := (*l)[len(*l)-1]
-	(*l)[e.slot] = last
-	last.slot = e.slot
-	(*l)[len(*l)-1] = nil
-	*l = (*l)[:len(*l)-1]
 	e.list = unlisted
+}
+
+// rescore refreshes e's score row after its hits or last access changed;
+// an entry that is not a CP candidate has none.
+func (c *Cache) rescore(e *Entry) {
+	if e.list == listedCP {
+		c.cpRows[e.slot] = cpRowOf(e)
+	}
 }
 
 // Lookup returns the entry equal to item without charging probe cost or
@@ -475,6 +570,7 @@ func (c *Cache) Probe(item *lineage.Item) (*Entry, bool) {
 	}
 	if e.Status == StatusToBeCached {
 		e.Misses++
+		c.placeholders.touch(e)
 		c.Stats.Misses++
 		return e, false
 	}
@@ -486,6 +582,7 @@ func (c *Cache) Probe(item *lineage.Item) (*Entry, bool) {
 	}
 	e.Hits++
 	e.LastAccess = c.clock.Now()
+	c.rescore(e)
 	switch {
 	case e.IsFunc:
 		c.Stats.HitsFunc++
@@ -600,21 +697,27 @@ func (c *Cache) DemoteGPUPointer(p *gpu.Pointer) *data.Matrix {
 // should store the object now. A delay of n<=1 stores eagerly. An item
 // already stored (resident, spilled or on another backend) is returned
 // with store false, as the eager path returns it: storing it again would
-// count its bytes twice.
+// count its bytes twice. A new placeholder that would exceed
+// maxPlaceholders first drops the least recently touched one from the map.
 func (c *Cache) shouldStore(item *lineage.Item, delay int) (*Entry, bool) {
 	if delay <= 1 {
 		return nil, true
 	}
 	e := c.find(item)
 	if e == nil {
+		if c.placeholders.n == maxPlaceholders {
+			c.removeEntry(c.placeholders.first)
+		}
 		e = &Entry{Key: item, Status: StatusToBeCached, DelayTarget: delay, SeenCount: 1}
 		c.insert(e)
+		c.relist(e)
 		c.Stats.Placeholders++
 		return e, false
 	}
 	if e.Status != StatusToBeCached {
 		return e, false
 	}
+	c.placeholders.touch(e)
 	e.SeenCount++
 	if e.SeenCount >= delay {
 		c.Stats.DelayedStores++

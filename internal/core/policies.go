@@ -95,9 +95,22 @@ func cpCandidate(e *Entry) memctl.Candidate {
 	}
 }
 
+// cpRow is a resident CP matrix's two score inputs that change over its
+// life: its Cost&Size ratio and its last access.
+type cpRow struct {
+	ratio float64
+	last  float64
+}
+
+// cpRowOf computes e's row from its fields.
+func cpRowOf(e *Entry) cpRow {
+	return cpRow{memctl.Ratio(cpCandidate(e), false), e.LastAccess}
+}
+
 // rankCP scores the resident CP entries into the CP ranking under the
 // shared hybrid policy (memctl.CPWeights: LIMA's Cost&Size ratio,
-// normalized against the maximum over the resident entries, plus recency).
+// normalized against the maximum over the resident entries, plus recency),
+// reading each entry's ratio and last access from its row.
 // Under an active memory plan (planEpoch > 0) the order is lifetime-grouped
 // first: entries the plan marked dead evict before unknown ones, soon-reused
 // ones are protected, and the hybrid score orders each group. With the
@@ -106,16 +119,18 @@ func cpCandidate(e *Entry) memctl.Candidate {
 // cpCands does not matter.
 func (c *Cache) rankCP() {
 	maxRatio := 0.0
-	for _, e := range c.cpCands {
-		if r := memctl.Ratio(cpCandidate(e), false); r > maxRatio {
-			maxRatio = r
+	for _, row := range c.cpRows {
+		if row.ratio > maxRatio {
+			maxRatio = row.ratio
 		}
 	}
 	norms := memctl.Norms{MaxRatio: maxRatio, Now: c.clock.Now()}
 	r := &c.cpRank
 	r.drop()
-	for _, e := range c.cpCands {
-		r.heap = append(r.heap, ranked{e, c.entryLife(e), memctl.Score(cpCandidate(e), memctl.CPWeights, norms)})
+	for i, row := range c.cpRows {
+		e := c.cpCands[i]
+		s := memctl.ScoreRatio(row.ratio, memctl.Candidate{LastAccess: row.last}, memctl.CPWeights, norms)
+		r.heap = append(r.heap, ranked{e, c.entryLife(e), s})
 	}
 	r.heapify()
 	r.now, r.maxRatio = norms.Now, maxRatio
@@ -137,7 +152,7 @@ func (c *Cache) popCPVictim() *Entry {
 		c.rankCP()
 	}
 	e := c.cpRank.pop()
-	if e != nil && memctl.Ratio(cpCandidate(e), false) == c.cpRank.maxRatio {
+	if e != nil && c.cpRows[e.slot].ratio == c.cpRank.maxRatio {
 		c.cpRank.maxLeft = true
 	}
 	return e
@@ -416,11 +431,13 @@ func (c *Cache) Clear() {
 				}
 			}
 			e.list = unlisted
+			e.prev, e.next = nil, nil
 		}
 	}
 	c.entries = make(map[uint64]*Entry)
 	c.n = 0
-	c.cpCands, c.sparkCands = nil, nil
+	c.cpCands, c.sparkCands, c.cpRows = nil, nil, nil
+	c.placeholders = placeholderList{}
 	c.cpRank.drop()
 	c.sparkRank.drop()
 	c.cpUsed = 0

@@ -96,18 +96,20 @@ func allEntries(c *Cache) []*Entry {
 	return out
 }
 
-// checkLists verifies the candidate lists against the map: every entry is
-// found by its own key and sits in the list its backend, status and payload
-// select, at its recorded slot, and the lists hold nothing else. With
-// accounting set it also checks that the used-byte counters equal the sizes
-// summed over the lists.
+// checkLists verifies the lists against the map: every entry is found by
+// its own key and sits in the list its backend, status and payload select,
+// at its recorded slot, and the lists hold nothing else. Every CP score row
+// equals, bit for bit, the row computed afresh from its candidate, and the
+// placeholder list links exactly the map's placeholders, never more than
+// the bound. With accounting set it also checks that the used-byte
+// counters equal the sizes summed over the lists.
 func checkLists(t *testing.T, c *Cache, accounting bool) {
 	t.Helper()
 	entries := allEntries(c)
 	if len(entries) != c.NumEntries() {
 		t.Fatalf("map holds %d entries, counter says %d", len(entries), c.NumEntries())
 	}
-	var nCP, nSpark int
+	var nCP, nSpark, nPlaceholders int
 	var cpBytes, sparkBytes int64
 	for _, e := range entries {
 		if c.find(e.Key) != e {
@@ -115,6 +117,8 @@ func checkLists(t *testing.T, c *Cache, accounting bool) {
 		}
 		want := unlisted
 		switch {
+		case e.Status == StatusToBeCached:
+			want, nPlaceholders = listedPlaceholder, nPlaceholders+1
 		case e.Backend == BackendCP && e.Status == StatusCached && e.Matrix != nil:
 			want, nCP, cpBytes = listedCP, nCP+1, cpBytes+e.Size
 		case e.Backend == BackendSpark && e.Status == StatusCached && e.RDD != nil:
@@ -123,19 +127,58 @@ func checkLists(t *testing.T, c *Cache, accounting bool) {
 		if e.list != want {
 			t.Fatalf("entry %d (%v, status %d) is in list %d, want %d", e.seq, e.Backend, e.Status, e.list, want)
 		}
-		if want != unlisted {
+		if want == listedCP || want == listedSpark {
 			if l := *c.candidates(want); int(e.slot) >= len(l) || l[e.slot] != e {
 				t.Fatalf("entry %d is not at its slot %d of list %d", e.seq, e.slot, want)
 			}
+		}
+		if want != listedPlaceholder && (e.prev != nil || e.next != nil) {
+			t.Fatalf("entry %d is linked to the placeholder list from list %d", e.seq, e.list)
 		}
 	}
 	if len(c.cpCands) != nCP || len(c.sparkCands) != nSpark {
 		t.Fatalf("lists hold %d CP and %d Spark entries, the map %d and %d",
 			len(c.cpCands), len(c.sparkCands), nCP, nSpark)
 	}
+	if len(c.cpRows) != nCP {
+		t.Fatalf("%d CP score rows for %d candidates", len(c.cpRows), nCP)
+	}
+	for i, e := range c.cpCands {
+		got, want := c.cpRows[i], cpRowOf(e)
+		if math.Float64bits(got.ratio) != math.Float64bits(want.ratio) ||
+			math.Float64bits(got.last) != math.Float64bits(want.last) {
+			t.Fatalf("row %d of entry %d is %+v, its fields give %+v", i, e.seq, got, want)
+		}
+	}
+	checkPlaceholders(t, c, nPlaceholders)
 	if accounting && (c.CPUsed() != cpBytes || c.SparkUsed() != sparkBytes) {
 		t.Fatalf("used bytes CP %d, Spark %d; listed entries sum to %d and %d",
 			c.CPUsed(), c.SparkUsed(), cpBytes, sparkBytes)
+	}
+}
+
+// checkPlaceholders walks the placeholder list from its first entry,
+// checking every back link: it must link the map's n placeholders, no more
+// than the bound, each once and each listed as one.
+func checkPlaceholders(t *testing.T, c *Cache, n int) {
+	t.Helper()
+	l := &c.placeholders
+	if l.n != n || n > maxPlaceholders {
+		t.Fatalf("placeholder list counts %d, the map holds %d, the bound is %d", l.n, n, maxPlaceholders)
+	}
+	walked := 0
+	var prev *Entry
+	for e := l.first; e != nil; prev, e = e, e.next {
+		if e.list != listedPlaceholder || e.Status != StatusToBeCached || e.prev != prev || c.find(e.Key) != e {
+			t.Fatalf("placeholder list links entry %d (status %d, list %d) out of place", e.seq, e.Status, e.list)
+		}
+		if walked++; walked > n {
+			t.Fatalf("placeholder list links more than its %d entries", n)
+		}
+	}
+	if walked != n || l.last != prev {
+		t.Fatalf("placeholder list walks %d entries to %s, counts %d ending at %s",
+			walked, victimName(prev), n, victimName(l.last))
 	}
 }
 
@@ -228,7 +271,9 @@ func collidingKey(k int) *lineage.Item {
 // from a ranking must be what the reference scan picks at that moment, and
 // after every step the candidate lists must equal the map filtered by
 // their predicates, with the used-byte counters equal to the listed sizes,
-// and the first victims of fresh rankings must be the reference scans'.
+// every score row must equal its candidate's fields, the placeholder list
+// must link exactly the map's placeholders, and the first victims of fresh
+// rankings must be the reference scans'.
 func TestVictimOrderMatchesReferenceScan(t *testing.T) {
 	if a, b := collidingKey(0), collidingKey(1); a.Hash() != b.Hash() || a.Equals(b) {
 		t.Fatal("collidingKey(0) and collidingKey(1) must share a hash and differ")
@@ -469,6 +514,133 @@ func TestDelayedPutOfStoredItemCountsItsBytesOnce(t *testing.T) {
 	checkLists(t, e.cache, true)
 }
 
+// placeholderKey is the item of the k-th novel delayed put.
+func placeholderKey(k int) *lineage.Item { return li("placeholder", strconv.Itoa(k)) }
+
+// unlinked reports whether e is in no list and links no other entry.
+func unlinked(e *Entry) bool { return e.list == unlisted && e.prev == nil && e.next == nil }
+
+// TestPlaceholderBoundDropsLeastRecentlyTouched: the placeholder that would
+// exceed the bound drops the least recently touched one from the map. Of
+// never-repeated puts that is the oldest, unless a probe or a repeated put
+// touched it since, which makes the next oldest go instead.
+func TestPlaceholderBoundDropsLeastRecentlyTouched(t *testing.T) {
+	m := data.Ones(2, 2)
+	for _, tc := range []struct {
+		name          string
+		touch         func(*Cache)
+		dropped, kept int
+	}{
+		{"untouched", func(*Cache) {}, 0, 1},
+		{"probed", func(c *Cache) { c.Probe(placeholderKey(0)) }, 1, 0},
+		{"put again", func(c *Cache) { c.PutCP(placeholderKey(0), m, 1, 3, false, false) }, 1, 0},
+	} {
+		e := newEnv(DefaultConfig())
+		c := e.cache
+		first := make([]*Entry, 2)
+		for k := 0; k < maxPlaceholders; k++ {
+			p := c.PutCP(placeholderKey(k), m, 1, 3, false, false)
+			if k < len(first) {
+				first[k] = p
+			}
+		}
+		tc.touch(c)
+		checkLists(t, c, true)
+		c.PutCP(placeholderKey(maxPlaceholders), m, 1, 3, false, false)
+		checkLists(t, c, true)
+		if c.NumEntries() != maxPlaceholders || c.Stats.Placeholders != maxPlaceholders+1 {
+			t.Fatalf("%s: %d entries after %d placeholders, want %d", tc.name, c.NumEntries(), c.Stats.Placeholders, maxPlaceholders)
+		}
+		if c.Lookup(placeholderKey(tc.dropped)) != nil || c.Lookup(placeholderKey(tc.kept)) != first[tc.kept] {
+			t.Fatalf("%s: want placeholder %d dropped and %d kept", tc.name, tc.dropped, tc.kept)
+		}
+		if !unlinked(first[tc.dropped]) {
+			t.Fatalf("%s: the dropped placeholder is still linked", tc.name)
+		}
+	}
+}
+
+// TestPlaceholderPromotionUnlinks: the put that stores a placeholder's
+// object takes it off the placeholder list, on every backend.
+func TestPlaceholderPromotionUnlinks(t *testing.T) {
+	e := newEnv(DefaultConfig())
+	c := e.cache
+	r := e.sc.Parallelize(data.Ones(40, 4), 4, "X")
+	p, err := e.gm.Allocate(256, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	puts := []func() *Entry{
+		func() *Entry { return c.PutCP(li("cp", ""), data.Ones(2, 2), 1, 2, false, false) },
+		func() *Entry { return c.PutRDD(li("rdd", ""), r, nil, nil, 1, 2, spark.StorageMemory) },
+		func() *Entry { return c.PutGPU(li("gpu", ""), p, 1, 2) },
+	}
+	var held []*Entry
+	for _, put := range puts {
+		held = append(held, put())
+	}
+	checkLists(t, c, true)
+	if c.placeholders.n != len(puts) {
+		t.Fatalf("%d placeholders listed after %d first puts", c.placeholders.n, len(puts))
+	}
+	for i, put := range puts {
+		if got := put(); got != held[i] || got.Status != StatusCached {
+			t.Fatalf("put %d: the second put did not store its placeholder", i)
+		}
+		checkLists(t, c, true)
+		if held[i].prev != nil || held[i].next != nil {
+			t.Fatalf("put %d: the stored entry is still linked to the placeholder list", i)
+		}
+	}
+	if l := c.placeholders; l.n != 0 || l.first != nil || l.last != nil {
+		t.Fatalf("placeholder list %+v after every placeholder was stored", l)
+	}
+}
+
+// TestClearEmptiesPlaceholders: Clear leaves no placeholder listed and no
+// entry linked to another.
+func TestClearEmptiesPlaceholders(t *testing.T) {
+	e := newEnv(DefaultConfig())
+	c := e.cache
+	var held []*Entry
+	for k := 0; k < 8; k++ {
+		held = append(held, c.PutCP(placeholderKey(k), data.Ones(2, 2), 1, 2, false, false))
+	}
+	c.Clear()
+	checkLists(t, c, true)
+	if l := c.placeholders; l.n != 0 || l.first != nil || l.last != nil {
+		t.Fatalf("placeholder list %+v after Clear", l)
+	}
+	for k, p := range held {
+		if !unlinked(p) {
+			t.Fatalf("placeholder %d is still linked after Clear", k)
+		}
+	}
+	c.PutCP(placeholderKey(0), data.Ones(2, 2), 1, 2, false, false)
+	checkLists(t, c, true)
+}
+
+// TestNovelDelayedPutsStayBounded: a long session of novel programs, where
+// no delayed put ever repeats and one put in ten is eager, keeps every
+// resident and exactly maxPlaceholders placeholders, however many it made.
+func TestNovelDelayedPutsStayBounded(t *testing.T) {
+	e := newEnv(DefaultConfig())
+	c := e.cache
+	m := data.Ones(2, 2)
+	const puts = 10000
+	for k := 0; k < puts; k++ {
+		c.PutCP(placeholderKey(k), m, 1, 2, false, false)
+		if k%10 == 0 {
+			c.PutCP(li("resident", strconv.Itoa(k)), m, 1, 1, false, false)
+		}
+	}
+	checkLists(t, c, true)
+	if len(c.cpCands) != puts/10 || c.NumEntries() != len(c.cpCands)+maxPlaceholders {
+		t.Fatalf("%d entries with %d residents, want %d residents plus %d placeholders",
+			c.NumEntries(), len(c.cpCands), puts/10, maxPlaceholders)
+	}
+}
+
 // TestMakeSpaceReranksAfterMaxRatioLeaves: once the entry with the maximum
 // ratio is evicted, every remaining ratio term is normalized against a
 // lower maximum, which can reorder the rest. X (ratio 1, accessed at 0)
@@ -491,6 +663,7 @@ func TestMakeSpaceReranksAfterMaxRatioLeaves(t *testing.T) {
 		// Costs under the disk round trip: every victim is dropped, none spilled.
 		entries[i].ComputeCost = f.ratio * 1e-3
 		entries[i].LastAccess = f.access * now
+		e.cache.rescore(entries[i])
 	}
 	e.cache.MakeSpaceCP(2 * m.SizeBytes())
 	if e.cache.Lookup(li("resident", "A")) == nil || n.pops != 2 || n.rankings != 2 || n.maxLeft != 1 {
@@ -501,11 +674,11 @@ func TestMakeSpaceReranksAfterMaxRatioLeaves(t *testing.T) {
 
 // BenchmarkMakeSpaceVictims times the victim choice of one driver
 // MAKE_SPACE late in a fresh-miss session: 12 victims among 2 300 resident
-// matrices and 8 500 delayed-caching placeholders. ranked pops them from
+// matrices and maxPlaceholders (4 096) delayed-caching placeholders. ranked pops them from
 // one ranking, scan runs the reference scan of the whole map per victim.
 // Nothing is evicted, so every iteration chooses from the same cache.
 func BenchmarkMakeSpaceVictims(b *testing.B) {
-	const resident, placeholders, victims = 2300, 8500, 12
+	const resident, placeholders, victims = 2300, maxPlaceholders, 12
 	conf := DefaultConfig()
 	m := data.Ones(8, 8)
 	conf.CPBudget = resident * m.SizeBytes()

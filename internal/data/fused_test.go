@@ -49,18 +49,21 @@ func TestParseFusedPowDefault(t *testing.T) {
 	}
 }
 
+// rejectedFused are programs ParseFused must refuse.
+var rejectedFused = []string{
+	"",
+	"frobnicate($0)",
+	"+($0)",         // wrong arity
+	"exp($0,$1)",    // wrong arity
+	"+($0,@1)",      // forward step reference
+	"+($0,@0)",      // self reference
+	"exp(%0)",       // bad operand syntax
+	"+($0,$1);;",    // empty step
+	"+{p=2}($0,$1)", // attr on non-pow op
+}
+
 func TestParseFusedRejects(t *testing.T) {
-	for _, bad := range []string{
-		"",
-		"frobnicate($0)",
-		"+($0)",         // wrong arity
-		"exp($0,$1)",    // wrong arity
-		"+($0,@1)",      // forward step reference
-		"+($0,@0)",      // self reference
-		"exp(%0)",       // bad operand syntax
-		"+($0,$1);;",    // empty step
-		"+{p=2}($0,$1)", // attr on non-pow op
-	} {
+	for _, bad := range rejectedFused {
 		if _, err := ParseFused(bad); err == nil {
 			t.Errorf("ParseFused(%q) accepted", bad)
 		}
@@ -155,6 +158,105 @@ func TestEvalFusedArenaRecycles(t *testing.T) {
 	if reuses != 1 {
 		t.Errorf("reuses = %d, want 1", reuses)
 	}
+}
+
+// fuzzLeaf returns a rows x cols leaf whose cells mix ordinary values with
+// zeros, negatives, infinities and NaN, so that log, sqrt, division and the
+// comparisons meet their edge cases.
+func fuzzLeaf(rows, cols int, seed int64) *Matrix {
+	m := RandNorm(rows, cols, 0, 2, seed)
+	specials := []float64{0, math.Copysign(0, -1), -1, math.Inf(1), math.Inf(-1), math.NaN()}
+	for i := range m.Data {
+		if i%3 == 1 {
+			m.Data[i] = specials[(i/3+int(seed))%len(specials)]
+		}
+	}
+	return m
+}
+
+// sameBits reports whether two cells are bitwise equal, counting any two
+// NaNs as equal: an operation on two NaN operands may keep either payload.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+}
+
+// evalOrNil runs eval, turning a panic (operands whose shapes do not
+// broadcast) into a nil result.
+func evalOrNil(eval func() *Matrix) (m *Matrix) {
+	defer func() {
+		if recover() != nil {
+			m = nil
+		}
+	}()
+	return eval()
+}
+
+// FuzzParseFused runs arbitrary text through ParseFused, which must not
+// panic. A program it accepts over at most four leaves must evaluate, on
+// leaves of the output shape, a row, a column or a scalar as shapes picks
+// (two bits per leaf), to the same cells under EvalFused as under the
+// stepwise kernels, bit for bit, and must panic under both or neither.
+func FuzzParseFused(f *testing.F) {
+	for _, prog := range []string{
+		"+($0,$1);exp(@0);sigmoid(@1)",
+		"*($0,$1);relu(@0)",
+		"-($0,$1);abs(@0);sqrt(@1)",
+		"/($0,$1);log(@0)",
+		"-($0,$1)",
+		">($0,$1);min(@0,$0);max(@1,$1)",
+		"pow{p=3}($0);pow(@0)",
+		"exp($0);log($0);+(@0,@1)",
+		"exp($1);*($0,@0)",
+		"*($0,$1);sigmoid(@0);+(@1,$0)",
+		"exp($0);sigmoid(@0)",
+		"pow($0)",
+		"<($0,$3);max(@0,$2);/(@1,$1)",
+	} {
+		for _, shapes := range []uint8{0x00, 0x1b, 0xe4} {
+			f.Add(prog, shapes)
+		}
+	}
+	for _, bad := range rejectedFused {
+		f.Add(bad, uint8(0))
+	}
+	const rows, cols = 5, 3
+	f.Fuzz(func(t *testing.T, prog string, shapes uint8) {
+		fp, err := ParseFused(prog)
+		if err != nil || fp.Leaves > 4 {
+			return
+		}
+		leaves := make([]*Matrix, fp.Leaves)
+		for i := range leaves {
+			r, c := rows, cols
+			switch shapes >> (2 * i) & 3 {
+			case 1:
+				r = 1
+			case 2:
+				c = 1
+			case 3:
+				r, c = 1, 1
+			}
+			leaves[i] = fuzzLeaf(r, c, int64(i+1))
+		}
+		fused := evalOrNil(func() *Matrix { return EvalFused(fp, leaves, nil) })
+		stepwise := evalOrNil(func() *Matrix { return fp.evalStepwise(leaves) })
+		if (fused == nil) != (stepwise == nil) {
+			t.Fatalf("%q: EvalFused panicked %v, the stepwise kernels %v", prog, fused == nil, stepwise == nil)
+		}
+		if fused == nil {
+			return
+		}
+		if fused.Rows != stepwise.Rows || fused.Cols != stepwise.Cols {
+			t.Fatalf("%q: EvalFused gives %dx%d, the stepwise kernels %dx%d",
+				prog, fused.Rows, fused.Cols, stepwise.Rows, stepwise.Cols)
+		}
+		for i := range fused.Data {
+			if !sameBits(fused.Data[i], stepwise.Data[i]) {
+				t.Fatalf("%q: cell %d is %v under EvalFused, %v under the stepwise kernels",
+					prog, i, fused.Data[i], stepwise.Data[i])
+			}
+		}
+	})
 }
 
 // BenchmarkFusedChain pins the tentpole allocation property: a fused

@@ -8,6 +8,7 @@ package datasets
 import (
 	"math"
 	"math/rand"
+	"sort"
 
 	"memphis/internal/data"
 )
@@ -30,7 +31,7 @@ func Classification(rows, cols int, posFrac float64, seed int64) (x, y *data.Mat
 	scores := data.MatMul(x, w)
 	// Threshold at the quantile that yields posFrac positives.
 	sorted := append([]float64(nil), scores.Data...)
-	quickSelectSort(sorted)
+	sort.Float64s(sorted)
 	thresh := sorted[int(float64(len(sorted))*(1-posFrac))]
 	y = data.Map(scores, func(v float64) float64 {
 		if v > thresh {
@@ -39,15 +40,6 @@ func Classification(rows, cols int, posFrac float64, seed int64) (x, y *data.Mat
 		return 0
 	})
 	return x, y
-}
-
-func quickSelectSort(v []float64) {
-	// Small n; a simple sort suffices.
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
 }
 
 // MovieLens returns an integer-encoded ratings matrix (users x movies)

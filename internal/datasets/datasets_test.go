@@ -26,6 +26,41 @@ func TestClassificationBalance(t *testing.T) {
 	}
 }
 
+// insertionSort is the quadratic sort Classification used before
+// sort.Float64s, kept as the oracle of its threshold.
+func insertionSort(v []float64) {
+	for i := 1; i < len(v); i++ {
+		for j := i; j > 0 && v[j] < v[j-1]; j-- {
+			v[j], v[j-1] = v[j-1], v[j]
+		}
+	}
+}
+
+// TestClassificationLabelsMatchInsertionSort: the labels are those the
+// threshold of an insertion-sorted copy of the scores gives, bit for bit.
+func TestClassificationLabelsMatchInsertionSort(t *testing.T) {
+	for _, s := range []struct {
+		rows, cols int
+		posFrac    float64
+	}{{1500, 16, 0.4}, {1000, 10, 0.3}, {64, 8, 0.5}, {4000, 4, 0.4}} {
+		x, y := Classification(s.rows, s.cols, s.posFrac, 11)
+		w := data.RandNorm(s.cols, 1, 0, 1, 12)
+		scores := data.MatMul(x, w)
+		sorted := append([]float64(nil), scores.Data...)
+		insertionSort(sorted)
+		thresh := sorted[int(float64(len(sorted))*(1-s.posFrac))]
+		for i, v := range scores.Data {
+			want := 0.0
+			if v > thresh {
+				want = 1
+			}
+			if y.Data[i] != want {
+				t.Fatalf("%dx%d: label %d is %g, the insertion-sorted threshold gives %g", s.rows, s.cols, i, y.Data[i], want)
+			}
+		}
+	}
+}
+
 func TestMovieLensSparsity(t *testing.T) {
 	m := MovieLens(200, 500, 5)
 	nnz := 0

@@ -148,9 +148,21 @@ func Ratio(c Candidate, eqOne bool) float64 {
 // using any weight subset reproduces its historical floating-point
 // result bit for bit.
 func Score(c Candidate, w Weights, n Norms) float64 {
+	ratio := 0.0
+	if w.CostSize != 0 {
+		ratio = Ratio(c, w.EqOne)
+	}
+	return ScoreRatio(ratio, c, w, n)
+}
+
+// ScoreRatio is Score for a caller that already holds the candidate's
+// Ratio(c, w.EqOne): a pool that keeps each candidate's ratio beside it
+// scores from that value without recomputing it. The ratio term reads
+// ratio in place of the candidate's fields, every other term reads c.
+func ScoreRatio(ratio float64, c Candidate, w Weights, n Norms) float64 {
 	s := 0.0
 	if w.CostSize != 0 && n.MaxRatio > 0 {
-		s += w.CostSize * (Ratio(c, w.EqOne) / n.MaxRatio)
+		s += w.CostSize * (ratio / n.MaxRatio)
 	}
 	if w.Recency != 0 && n.Now > 0 {
 		s += w.Recency * (c.LastAccess / n.Now)

@@ -300,6 +300,68 @@ func TestAdmissionControl(t *testing.T) {
 	}
 }
 
+// TestAdmissionMapsForgetDrainedTenants: once every request of many
+// distinct tenants has run, been delivered as a coalesced follower, or been
+// canceled, the admission maps hold no tenant. They used to keep a key for
+// every tenant ever seen.
+func TestAdmissionMapsForgetDrainedTenants(t *testing.T) {
+	conf := DefaultConfig()
+	conf.Workers = 1
+	conf.Coalesce = true
+	srv := New(conf)
+	defer srv.Close()
+	started := make(chan struct{})
+	release := make(chan struct{})
+	gate, err := srv.Submit("gate", trivialProg(), SubmitOptions{
+		Bind: func(*runtime.Context) { close(started); <-release },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started // the worker is busy: everything below queues or joins a group
+	const tenants = 48
+	var futs []*Future
+	for i := 0; i < tenants; i++ {
+		// Equal programs and inputs: the first leads a coalesce group, the
+		// rest join it as followers.
+		f, err := srv.Submit(fmt.Sprintf("tenant-%d", i), trivialProg(), SubmitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		futs = append(futs, f)
+	}
+	for i := 0; i < tenants; i++ {
+		// A distinct input per tenant: each request queues on its own.
+		in := map[string]*data.Matrix{"X": data.Fill(1, 1, float64(i))}
+		f, err := srv.Submit(fmt.Sprintf("queued-%d", i), trivialProg(), SubmitOptions{Inputs: in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%3 == 0 {
+			f.Cancel()
+		}
+		futs = append(futs, f)
+	}
+	close(release)
+	if _, err := gate.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range futs {
+		<-f.Done()
+	}
+	srv.Close()
+	snap := srv.Snapshot()
+	if snap.Coalesced == 0 || snap.Canceled == 0 {
+		t.Fatalf("%d coalesced, %d canceled: the drain must cover both release paths", snap.Coalesced, snap.Canceled)
+	}
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	if len(srv.tenantLoad) != 0 || len(srv.tenantActive) != 0 {
+		t.Fatalf("after draining %d tenants the admission maps hold %d and %d keys, want 0 and 0",
+			2*tenants+1, len(srv.tenantLoad), len(srv.tenantActive))
+	}
+}
+
 // TestSharedCacheTenantBudgetEviction publishes past a tenant's budget and
 // checks FIFO (oldest-first) eviction confined to that tenant.
 func TestSharedCacheTenantBudgetEviction(t *testing.T) {

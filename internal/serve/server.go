@@ -270,8 +270,8 @@ type Server struct {
 	running      map[uint64]int  // conflict key -> running holders
 	runningGlob  bool            // a Bind-carrying request is running
 	runningCount int             // requests currently executing
-	tenantActive map[string]bool // tenant has a running request
-	tenantLoad   map[string]int  // queued+running per tenant (admission)
+	tenantActive map[string]bool // tenant has a running request; no key otherwise
+	tenantLoad   map[string]int  // queued+running per tenant (admission); no key at 0
 	service      map[string]float64
 	groups       map[uint64]*coalesceGroup // coalesce key -> latest group
 	groupOrder   []groupRef                // every group put in groups, by leader ticket
@@ -638,8 +638,8 @@ func (s *Server) worker() {
 		res, err := s.execute(req)
 
 		s.mu.Lock()
-		s.tenantActive[req.tenant] = false
-		s.tenantLoad[req.tenant]--
+		delete(s.tenantActive, req.tenant)
+		s.releaseTenantLocked(req.tenant)
 		s.runningCount--
 		if req.global {
 			s.runningGlob = false
@@ -742,7 +742,7 @@ func (s *Server) followerOutcome(w *request, g *coalesceGroup) (*Result, float64
 // the fan-out copy to the tenant's WFQ service (the follower occupied no
 // worker). Caller holds s.mu.
 func (s *Server) accountFollowerLocked(w *request, res *Result, copySvc float64, err error) {
-	s.tenantLoad[w.tenant]--
+	s.releaseTenantLocked(w.tenant)
 	if res != nil {
 		s.service[w.tenant] += copySvc
 		s.vtimeTotal += res.VirtualSeconds
@@ -754,6 +754,18 @@ func (s *Server) accountFollowerLocked(w *request, res *Result, copySvc float64,
 		}
 	}
 	s.completed++
+}
+
+// releaseTenantLocked frees one of the tenant's admission slots, deleting
+// the tenant's key when it holds none, so that tenantLoad keeps only
+// tenants with work in flight (a missing key reads as zero). Caller holds
+// s.mu.
+func (s *Server) releaseTenantLocked(tenant string) {
+	if n := s.tenantLoad[tenant] - 1; n != 0 {
+		s.tenantLoad[tenant] = n
+	} else {
+		delete(s.tenantLoad, tenant)
+	}
 }
 
 // cancel implements Future.Cancel: withdraw the request if it is still
@@ -785,7 +797,7 @@ func (s *Server) cancel(req *request) {
 	var orphans []*request
 	if removed {
 		req.cancelled = true
-		s.tenantLoad[req.tenant]--
+		s.releaseTenantLocked(req.tenant)
 		s.canceled++
 		s.completed++
 		// A canceled group leader never executes: fail the group over so
