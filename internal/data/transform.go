@@ -35,68 +35,94 @@ func ImputeByMean(a *Matrix) *Matrix {
 }
 
 // ImputeByMode replaces NaNs in each column with the most frequent observed
-// value (ties broken by smaller value for determinism).
+// value (ties broken by smaller value for determinism). Columns are sharded
+// across the kernel workers; each column is imputed by one worker running
+// the serial code, so the result is bitwise that of the serial loop.
 func ImputeByMode(a *Matrix) *Matrix {
 	out := a.Clone()
-	for j := 0; j < a.Cols; j++ {
-		counts := make(map[float64]int)
-		for i := 0; i < a.Rows; i++ {
-			if v := a.At(i, j); !math.IsNaN(v) {
-				counts[v]++
-			}
+	parallelFor(a.Cols, columnSortWork(a), func(lo, hi int) {
+		for j := lo; j < hi; j++ {
+			imputeColumnByMode(a, out, j)
 		}
-		mode, best := 0.0, -1
-		keys := make([]float64, 0, len(counts))
-		for k := range counts {
-			keys = append(keys, k)
-		}
-		sort.Float64s(keys)
-		for _, k := range keys {
-			if counts[k] > best {
-				mode, best = k, counts[k]
-			}
-		}
-		for i := 0; i < a.Rows; i++ {
-			if math.IsNaN(out.At(i, j)) {
-				out.Set(i, j, mode)
-			}
-		}
-	}
+	})
 	return out
 }
 
-// OutlierByIQR clamps each column to [q1-1.5*iqr, q3+1.5*iqr].
-func OutlierByIQR(a *Matrix) *Matrix {
-	out := a.Clone()
-	col := make([]float64, 0, a.Rows)
-	for j := 0; j < a.Cols; j++ {
-		col = col[:0]
-		for i := 0; i < a.Rows; i++ {
-			if v := a.At(i, j); !math.IsNaN(v) {
-				col = append(col, v)
-			}
-		}
-		if len(col) == 0 {
-			continue
-		}
-		sort.Float64s(col)
-		q1 := quantileSorted(col, 0.25)
-		q3 := quantileSorted(col, 0.75)
-		iqr := q3 - q1
-		lo, hi := q1-1.5*iqr, q3+1.5*iqr
-		for i := 0; i < a.Rows; i++ {
-			v := out.At(i, j)
-			if math.IsNaN(v) {
-				continue
-			}
-			if v < lo {
-				out.Set(i, j, lo)
-			} else if v > hi {
-				out.Set(i, j, hi)
-			}
+// imputeColumnByMode replaces the NaNs of column j of out with the mode of
+// a's observed values in that column.
+func imputeColumnByMode(a, out *Matrix, j int) {
+	counts := make(map[float64]int)
+	for i := 0; i < a.Rows; i++ {
+		if v := a.At(i, j); !math.IsNaN(v) {
+			counts[v]++
 		}
 	}
+	mode, best := 0.0, -1
+	keys := make([]float64, 0, len(counts))
+	for k := range counts {
+		keys = append(keys, k)
+	}
+	sort.Float64s(keys)
+	for _, k := range keys {
+		if counts[k] > best {
+			mode, best = k, counts[k]
+		}
+	}
+	for i := 0; i < a.Rows; i++ {
+		if math.IsNaN(out.At(i, j)) {
+			out.Set(i, j, mode)
+		}
+	}
+}
+
+// OutlierByIQR clamps each column to [q1-1.5*iqr, q3+1.5*iqr]. Columns are
+// sharded across the kernel workers like ImputeByMode's.
+func OutlierByIQR(a *Matrix) *Matrix {
+	out := a.Clone()
+	parallelFor(a.Cols, columnSortWork(a), func(lo, hi int) {
+		col := make([]float64, 0, a.Rows)
+		for j := lo; j < hi; j++ {
+			col = clampColumnByIQR(a, out, j, col)
+		}
+	})
 	return out
+}
+
+// clampColumnByIQR clamps column j of out from a's observed values; col is
+// scratch, returned for reuse.
+func clampColumnByIQR(a, out *Matrix, j int, col []float64) []float64 {
+	col = col[:0]
+	for i := 0; i < a.Rows; i++ {
+		if v := a.At(i, j); !math.IsNaN(v) {
+			col = append(col, v)
+		}
+	}
+	if len(col) == 0 {
+		return col
+	}
+	sort.Float64s(col)
+	q1 := quantileSorted(col, 0.25)
+	q3 := quantileSorted(col, 0.75)
+	iqr := q3 - q1
+	lo, hi := q1-1.5*iqr, q3+1.5*iqr
+	for i := 0; i < a.Rows; i++ {
+		v := out.At(i, j)
+		if math.IsNaN(v) {
+			continue
+		}
+		if v < lo {
+			out.Set(i, j, lo)
+		} else if v > hi {
+			out.Set(i, j, hi)
+		}
+	}
+	return col
+}
+
+// columnSortWork estimates a per-column sort over a, cells·log2(rows), as
+// the work parallelFor weighs against MinParallelWork.
+func columnSortWork(a *Matrix) float64 {
+	return float64(a.Cells()) * math.Log2(float64(a.Rows)+1)
 }
 
 // quantileSorted interpolates the q-quantile of sorted values.

@@ -2,6 +2,7 @@ package data
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -217,5 +218,62 @@ func TestImputePreservesObserved(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestColumnTransformsIndependentOfParallelism: ImputeByMode and
+// OutlierByIQR shard columns across workers, and each column must come out
+// bitwise as the serial loop makes it — NaN-only columns (left NaN by the
+// clamp, imputed with 0), columns mixing +0 and -0 (the mode map folds them
+// into one key, whichever it met first), heavy ties and outliers — under
+// parallelism 2 and 4, on shapes past MinParallelWork.
+func TestColumnTransformsIndependentOfParallelism(t *testing.T) {
+	build := func(rows, cols int, seed int64) *Matrix {
+		r := rand.New(rand.NewSource(seed))
+		m := Zeros(rows, cols)
+		for j := 0; j < cols; j++ {
+			for i := 0; i < rows; i++ {
+				var v float64
+				switch j % 5 {
+				case 0: // NaN only
+					v = math.NaN()
+				case 1: // signed zeros, a few NaNs
+					v = math.Copysign(0, float64(r.Intn(2))-0.5)
+					if r.Intn(7) == 0 {
+						v = math.NaN()
+					}
+				case 2: // few distinct values, many ties
+					v = float64(r.Intn(4))
+				default: // spread with outliers and NaNs
+					v = r.NormFloat64()
+					if r.Intn(20) == 0 {
+						v *= 100
+					}
+					if r.Intn(10) == 0 {
+						v = math.NaN()
+					}
+				}
+				m.Set(i, j, v)
+			}
+		}
+		return m
+	}
+	for _, sh := range []struct{ r, c int }{{2000, 20}, {4096, 7}, {1000, 45}} {
+		a := build(sh.r, sh.c, int64(sh.r+sh.c))
+		if columnSortWork(a) < MinParallelWork {
+			t.Fatalf("%dx%d does not fan out", sh.r, sh.c)
+		}
+		var mode, iqr *Matrix
+		withParallelism(1, func() { mode, iqr = ImputeByMode(a), OutlierByIQR(a) })
+		for _, p := range []int{2, 4} {
+			withParallelism(p, func() {
+				if got := ImputeByMode(a); !bitwiseEqual(mode, got) {
+					t.Errorf("%dx%d par=%d: ImputeByMode differs from serial", sh.r, sh.c, p)
+				}
+				if got := OutlierByIQR(a); !bitwiseEqual(iqr, got) {
+					t.Errorf("%dx%d par=%d: OutlierByIQR differs from serial", sh.r, sh.c, p)
+				}
+			})
+		}
 	}
 }

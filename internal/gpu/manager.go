@@ -423,12 +423,19 @@ func (m *Manager) Defragment() {
 // lineage cache must be cleared before Close so the recycle callback finds
 // no entries to invalidate (and charges no device-to-host eviction time).
 // After Close the manager is empty but reusable.
+//
+// The free list drains in one pass, by device address: with no entries
+// left to invalidate, the order is unobservable (every cudaFree costs the
+// same, and the allocator coalesces the same regions in any order), so
+// Close does not pay popFreeAny's rescoring of every remaining pointer.
 func (m *Manager) Close() {
-	for {
-		p := m.popFreeAny()
-		if p == nil {
-			break
-		}
+	var free []*Pointer
+	for _, q := range m.free {
+		free = append(free, q...)
+	}
+	clear(m.free)
+	sort.Slice(free, func(i, j int) bool { return free[i].addr < free[j].addr })
+	for _, p := range free {
 		m.releaseFreePointer(p)
 	}
 	for p := range m.live {

@@ -3,6 +3,7 @@ package gpu
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -407,4 +408,74 @@ func TestReleaseBeyondLastReferenceIsNoOp(t *testing.T) {
 		t.Fatalf("FreeCount = %d after double release, want 1", m.FreeCount())
 	}
 	m.Close() // drains the free list; a duplicate entry would double free
+}
+
+// refClose is the free-list drain Close used before it released the list
+// in one pass, kept as its oracle: the lowest-score pointer first, every
+// remaining pointer rescored for each release.
+func refClose(m *Manager) {
+	for {
+		p := m.popFreeAny()
+		if p == nil {
+			break
+		}
+		m.releaseFreePointer(p)
+	}
+	for p := range m.live {
+		delete(m.live, p)
+		p.RefCount = 0
+		if m.onRecycle != nil {
+			m.onRecycle(p)
+		}
+		m.dev.Free(p)
+	}
+}
+
+// TestCloseMatchesReferenceDrain: Close's one-pass drain by address leaves
+// the device exactly as the scored drain did — stats, allocator free
+// regions and the clock — over many free pointers of mixed sizes, scores
+// and heights, with live pointers interleaved in the address space.
+func TestCloseMatchesReferenceDrain(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		build := func() (*Manager, *Device) {
+			m, d := newTestManager(1 << 20)
+			r := rand.New(rand.NewSource(seed))
+			var ps []*Pointer
+			for i := 0; i < 300; i++ {
+				size := int64(64 * (1 + r.Intn(12)))
+				p, err := m.Allocate(size, 1+r.Intn(5), r.Float64())
+				if err != nil {
+					t.Fatal(err)
+				}
+				d.clock.Advance(r.Float64() * 1e-3)
+				ps = append(ps, p)
+			}
+			for _, p := range ps {
+				if r.Intn(5) > 0 {
+					m.Release(p)
+				}
+			}
+			return m, d
+		}
+		got, gd := build()
+		want, wd := build()
+		if got.FreeCount() < 200 {
+			t.Fatalf("seed %d: only %d free pointers", seed, got.FreeCount())
+		}
+		got.Close()
+		refClose(want)
+		if gd.Stats != wd.Stats {
+			t.Fatalf("seed %d: device stats %+v, reference %+v", seed, gd.Stats, wd.Stats)
+		}
+		if gd.alloc.used != wd.alloc.used || !slices.Equal(gd.alloc.free, wd.alloc.free) {
+			t.Fatalf("seed %d: allocator %d used %v free, reference %d used %v free",
+				seed, gd.alloc.used, gd.alloc.free, wd.alloc.used, wd.alloc.free)
+		}
+		if gd.clock.Now() != wd.clock.Now() {
+			t.Fatalf("seed %d: clock %v, reference %v", seed, gd.clock.Now(), wd.clock.Now())
+		}
+		if got.FreeCount() != 0 || got.LiveCount() != 0 || gd.Used() != 0 {
+			t.Fatalf("seed %d: %d free, %d live, %d bytes used after Close", seed, got.FreeCount(), got.LiveCount(), gd.Used())
+		}
+	}
 }

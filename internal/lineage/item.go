@@ -9,7 +9,8 @@
 // hashing the input items' hashes, the opcode, and the data items through
 // the key package's FNV-1a appender, so DAG probing is cheap. An item with
 // up to three inputs holds its input slice in its own allocation, so tracing
-// an instruction costs one allocation.
+// an instruction costs one allocation, and a probe with a Candidate, which
+// is filled without allocating, costs none unless its item is kept.
 //
 // Equality uses a non-recursive, queue-based comparison with sub-DAG
 // memoization and early aborts on hash mismatch, height difference, and
@@ -92,16 +93,69 @@ func alloc(n int) *Item {
 func (it *Item) seal(opcode, data string) {
 	it.id = nextID.Add(1)
 	it.opcode, it.data = opcode, data
-	h := key.New().Str(opcode).Byte(0).Str(data)
+	it.hash, it.height = fold(Prefix(opcode, data), it.inputs)
+}
+
+// Prefix returns the hash state of an item's opcode and data, before its
+// inputs. It depends on the operation alone, so compiler.Prepare keeps one
+// per instruction and a trace folds only the input hashes onto it.
+func Prefix(opcode, data string) key.Hash {
+	return key.New().Str(opcode).Byte(0).Str(data)
+}
+
+// fold completes a hash from its prefix and the inputs' hashes, and returns
+// it with the height of an item over those inputs.
+func fold(h key.Hash, inputs []*Item) (uint64, int) {
 	maxH := 0
-	for _, in := range it.inputs {
+	for _, in := range inputs {
 		h = h.U64(in.hash)
 		if in.height > maxH {
 			maxH = in.height
 		}
 	}
-	it.hash = h.Sum64()
-	it.height = maxH + 1
+	return h.Sum64(), maxH + 1
+}
+
+// Candidate is a caller-owned scratch item: the item NewItem would return
+// for one traced operation, assembled without allocating, so that a probe
+// which hits keeps nothing. Its item has no identity (ID 0, which no
+// allocated item has) and is overwritten by the next Reset, so it must not
+// outlive the probe: Keep copies it into an ordinary item when the caller
+// needs one.
+type Candidate struct {
+	it     Item
+	prefix key.Hash
+	buf    [4]*Item
+}
+
+// Reset starts a candidate for an operation; prefix must be
+// Prefix(opcode, data).
+func (c *Candidate) Reset(prefix key.Hash, opcode, data string) {
+	c.prefix, c.it.opcode, c.it.data = prefix, opcode, data
+	if c.it.inputs == nil {
+		c.it.inputs = c.buf[:0]
+	}
+	c.it.inputs = c.it.inputs[:0]
+}
+
+// Add appends the operation's next input.
+func (c *Candidate) Add(in *Item) { c.it.inputs = append(c.it.inputs, in) }
+
+// Seal completes the candidate's hash and height and returns its item, valid
+// until the next Reset.
+func (c *Candidate) Seal() *Item {
+	c.it.hash, c.it.height = fold(c.prefix, c.it.inputs)
+	return &c.it
+}
+
+// Keep returns an allocated item equal to the sealed candidate, with an
+// identity of its own: one allocation, as NewItem.
+func (c *Candidate) Keep() *Item {
+	it := alloc(len(c.it.inputs))
+	copy(it.inputs, c.it.inputs)
+	it.id = nextID.Add(1)
+	it.opcode, it.data, it.hash, it.height = c.it.opcode, c.it.data, c.it.hash, c.it.height
+	return it
 }
 
 // ID returns the item's unique object identity.

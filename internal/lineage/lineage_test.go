@@ -123,14 +123,6 @@ func TestMapTraceAndBind(t *testing.T) {
 	if m.Get("b").Inputs()[0] != it {
 		t.Fatal("input lineage not linked")
 	}
-	m.Bind("c", "b")
-	if m.Get("c") != m.Get("b") {
-		t.Fatal("Bind must share the item")
-	}
-	m.Remove("c")
-	if m.Get("c") != nil {
-		t.Fatal("Remove failed")
-	}
 	if m.Traced() != 2 {
 		t.Fatalf("Traced = %d, want 2", m.Traced())
 	}
@@ -147,33 +139,6 @@ func TestMapUnknownInputBecomesLeaf(t *testing.T) {
 	it2 := m.Trace("out2", "exp", "", "X")
 	if it2.Inputs()[0] != in {
 		t.Fatal("repeated unknown input must share one leaf")
-	}
-}
-
-func TestMapSnapshotRestore(t *testing.T) {
-	m := NewMap()
-	m.Trace("a", "rand", "s=1")
-	snap := m.Snapshot()
-	m.Trace("b", "rand", "s=2")
-	m.Restore(snap)
-	if m.Get("b") != nil || m.Get("a") == nil {
-		t.Fatal("Restore did not reset bindings")
-	}
-	// Restore adopts the snapshot: what is traced afterwards must not leak
-	// into a later snapshot's view, nor a later mutation into this one.
-	m.Trace("c", "rand", "s=3")
-	later := m.Snapshot()
-	m.Trace("d", "rand", "s=4")
-	m.Remove("a")
-	if _, ok := later["d"]; ok {
-		t.Fatal("a trace after Snapshot leaked into it")
-	}
-	if later["a"] == nil || later["c"] == nil {
-		t.Fatal("a mutation after Snapshot removed a binding from it")
-	}
-	m.Restore(later)
-	if m.Get("d") != nil || m.Get("a") == nil || m.Get("c") == nil {
-		t.Fatal("second Restore did not reset bindings")
 	}
 }
 
@@ -352,4 +317,48 @@ func FuzzDeserialize(f *testing.F) {
 			t.Fatalf("Serialize is not stable:\n%s\nthen\n%s", again, s)
 		}
 	})
+}
+
+// TestCandidateMatchesNewItem: a candidate sealed over 0 to 6 inputs (past
+// its four inline slots) has NewItem's hash, height, opcode and data and
+// equals it; Keep returns a distinct item with an identity of its own that
+// refilling the candidate does not change; and resetting, filling and
+// sealing over four inputs allocates nothing.
+func TestCandidateMatchesNewItem(t *testing.T) {
+	var ins []*Item
+	for i := 0; i < 6; i++ {
+		ins = append(ins, NewItem("rand", fmt.Sprintf("seed=%d", i), NewLeaf("read", "X")))
+	}
+	var c Candidate
+	for n := 0; n <= len(ins); n++ {
+		want := NewItem("ba+*", "k=v", ins[:n]...)
+		c.Reset(Prefix("ba+*", "k=v"), "ba+*", "k=v")
+		for _, in := range ins[:n] {
+			c.Add(in)
+		}
+		got := c.Seal()
+		if got.Hash() != want.Hash() || got.Height() != want.Height() || got.Opcode() != "ba+*" || got.Data() != "k=v" || !got.Equals(want) {
+			t.Fatalf("%d inputs: candidate %016x/%d, NewItem %016x/%d", n, got.Hash(), got.Height(), want.Hash(), want.Height())
+		}
+		kept := c.Keep()
+		if kept == got || kept.ID() == 0 || kept.ID() == want.ID() || !kept.Equals(want) || len(kept.Inputs()) != n {
+			t.Fatalf("%d inputs: Keep returned %p (candidate %p), id %d", n, kept, got, kept.ID())
+		}
+		c.Reset(Prefix("exp", ""), "exp", "")
+		c.Add(kept)
+		c.Seal()
+		if kept.Hash() != want.Hash() || kept.Opcode() != "ba+*" || !kept.Equals(want) {
+			t.Fatalf("%d inputs: refilling the candidate changed the kept item", n)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		c.Reset(Prefix("+", ""), "+", "")
+		for _, in := range ins[:4] {
+			c.Add(in)
+		}
+		c.Seal()
+	})
+	if allocs != 0 {
+		t.Fatalf("filling a candidate allocates %v objects, want 0", allocs)
+	}
 }

@@ -28,14 +28,17 @@ type CompiledBlock struct {
 	// Planned is the stream to execute: the planner-rewritten stream, or
 	// Insts itself when no planner is configured. It is prepared.
 	Planned []compiler.Instruction
-	// Temps lists the block-local temporaries ("_t…") Planned binds, in
-	// first-binding order: what block end unbinds.
-	Temps []string
 	// Plan is the memory plan for Planned (nil without a planner).
 	Plan *memplan.Plan
 	// Sig is streamSig(Insts): the key of the session's planner report
 	// rows, so blocks that compile to the same stream share one row.
 	Sig uint64
+
+	// layout is Planned's layout, and temps the slots of the block-local
+	// temporaries ("_t…") Planned binds, in first-binding order: what
+	// block end unbinds.
+	layout *compiler.Layout
+	temps  []int32
 }
 
 // CompileCache is the seam every basic block passes on its way to the
@@ -207,11 +210,30 @@ func (ctx *Context) compileCache() CompileCache {
 }
 
 // blockKeyParts memoizes the shape-independent components of a block's
-// cache key: the structural fingerprint and the sorted set of variables
-// the block reads (whose shapes are the dynamic key component).
+// cache key — the structural fingerprint and the sorted set of variables
+// the block reads, whose shapes are the dynamic key component — and the key
+// last computed, with the read shapes and configuration it was computed
+// from.
 type blockKeyParts struct {
-	fp    uint64
-	reads []string
+	fp     uint64
+	reads  []string
+	shapes []readShape
+	conf   keyConf
+	key    uint64
+	keyed  bool
+}
+
+// readShape is a read variable's shape as the block key sees it.
+type readShape struct {
+	rows, cols int
+	bound      bool
+}
+
+// keyConf is the session configuration a block key folds in.
+type keyConf struct {
+	compiler compiler.Config
+	planner  bool
+	budget   int64
 }
 
 // blockKey computes the compile-cache key for one basic block in the
@@ -219,7 +241,9 @@ type blockKeyParts struct {
 // reads, compiler config, planner budget when the planner is on).
 // Compilation is a pure function of exactly these inputs — CompileBlock
 // consults the shape environment only through the block's variable
-// references — so equal keys imply bitwise-equal compiled streams.
+// references — so equal keys imply bitwise-equal compiled streams. While
+// the read shapes and the configuration equal those the memoized key was
+// computed from, the memo answers without hashing.
 func (ctx *Context) blockKey(bb *ir.BasicBlock) uint64 {
 	parts, ok := ctx.bbKeys[bb]
 	if !ok {
@@ -232,17 +256,30 @@ func (ctx *Context) blockKey(bb *ir.BasicBlock) uint64 {
 			reads = append(reads, name)
 		}
 		sort.Strings(reads)
-		parts = blockKeyParts{fp: ir.FingerprintBlock(bb), reads: reads}
+		parts = blockKeyParts{fp: ir.FingerprintBlock(bb), reads: reads, shapes: make([]readShape, len(reads))}
 		if ctx.bbKeys == nil {
 			ctx.bbKeys = make(map[*ir.BasicBlock]blockKeyParts)
 		}
-		ctx.bbKeys[bb] = parts
+	}
+	conf := keyConf{ctx.Conf.Compiler, ctx.Conf.MemoryPlanner, ctx.Conf.Cache.CPBudget}
+	same := parts.keyed && parts.conf == conf
+	for i, name := range parts.reads {
+		var s readShape
+		if v := ctx.Var(name); v != nil {
+			s = readShape{v.Rows, v.Cols, true}
+		}
+		if parts.shapes[i] != s {
+			parts.shapes[i], same = s, false
+		}
+	}
+	if same {
+		return parts.key
 	}
 	h := key.New().Hex16(parts.fp).Byte('|')
-	for _, name := range parts.reads {
+	for i, name := range parts.reads {
 		h = h.Str(name)
-		if v, bound := ctx.vars[name]; bound {
-			h = h.Byte('=').Int(int64(v.Rows)).Byte('x').Int(int64(v.Cols)).Byte(';')
+		if s := parts.shapes[i]; s.bound {
+			h = h.Byte('=').Int(int64(s.rows)).Byte('x').Int(int64(s.cols)).Byte(';')
 		} else {
 			h = h.Str("=?;")
 		}
@@ -258,7 +295,9 @@ func (ctx *Context) blockKey(bb *ir.BasicBlock) uint64 {
 	if ctx.Conf.MemoryPlanner {
 		h = h.Str("|mp:").Int(ctx.Conf.Cache.CPBudget)
 	}
-	return h.Sum64()
+	parts.conf, parts.key, parts.keyed = conf, h.Sum64(), true
+	ctx.bbKeys[bb] = parts
+	return parts.key
 }
 
 // compiledBlock returns the prepared execution unit for a basic block from
@@ -274,19 +313,19 @@ func (ctx *Context) compiledBlock(bb *ir.BasicBlock) *CompiledBlock {
 	if ctx.Conf.MemoryPlanner {
 		cb.Planned, cb.Plan = memplan.Apply(insts, memplan.Config{Budget: ctx.Conf.Cache.CPBudget})
 	}
-	compiler.Prepare(cb.Planned)
-	cb.Temps = tempsOf(cb.Planned)
+	cb.layout = compiler.Prepare(cb.Planned)
+	cb.temps = tempsOf(cb.Planned)
 	return cc.StoreCompiled(key, cb)
 }
 
-// tempsOf lists the distinct "_t…" names a stream binds, in first-binding
-// order.
-func tempsOf(insts []compiler.Instruction) []string {
-	var temps []string
+// tempsOf lists the slots of the distinct "_t…" names a prepared stream
+// binds, in first-binding order.
+func tempsOf(insts []compiler.Instruction) []int32 {
+	var temps []int32
 	for i := range insts {
-		for _, out := range insts[i].Outputs {
-			if strings.HasPrefix(out, "_t") && !slices.Contains(temps, out) {
-				temps = append(temps, out)
+		for j, out := range insts[i].Outputs {
+			if s := int32(insts[i].OutSlot(j)); strings.HasPrefix(out, "_t") && !slices.Contains(temps, s) {
+				temps = append(temps, s)
 			}
 		}
 	}

@@ -126,10 +126,47 @@ func TestBlockKeyComposition(t *testing.T) {
 	}
 }
 
+// TestBlockKeyMemoFollowsReadShapes: one session's memoized key moves with
+// every change of a read variable's shape — rebound larger, unbound, bound
+// again — and with the planner budget, equals the fmt reference after each
+// change, and returns to the first key when the first shapes return.
+func TestBlockKeyMemoFollowsReadShapes(t *testing.T) {
+	conf := testConfig(ReuseMemphis)
+	conf.MemoryPlanner = true
+	ctx := New(conf)
+	defer ctx.Close()
+	bb := ir.BB(ir.Assign("z", ir.Add(ir.TSMM(ir.Var("X")), ir.Var("y"))))
+	ctx.BindHost("X", data.RandNorm(16, 4, 0, 1, 1))
+	ctx.BindHost("y", data.Scalar(1))
+	first := ctx.blockKey(bb)
+	seen := map[uint64]string{first: "first"}
+	for _, step := range []struct {
+		name string
+		do   func()
+	}{
+		{"X rebound 32x4", func() { ctx.BindHost("X", data.RandNorm(32, 4, 0, 1, 2)) }},
+		{"X rebound 32x5", func() { ctx.BindHost("X", data.RandNorm(32, 5, 0, 1, 3)) }},
+		{"y unbound", func() { ctx.removeVar("y") }},
+		{"planner budget", func() { ctx.Conf.Cache.CPBudget /= 2 }},
+	} {
+		step.do()
+		got := ctx.blockKey(bb)
+		if prev, dup := seen[got]; dup || got != refBlockKey(ctx, bb) {
+			t.Fatalf("%s: key %016x (also %q), fmt reference %016x", step.name, got, prev, refBlockKey(ctx, bb))
+		}
+		seen[got] = step.name
+	}
+	ctx.Conf.Cache.CPBudget *= 2
+	ctx.BindHost("X", data.RandNorm(16, 4, 0, 1, 4))
+	ctx.BindHost("y", data.Scalar(2))
+	if got := ctx.blockKey(bb); got != first {
+		t.Fatalf("first shapes again: key %016x, want the first key %016x", got, first)
+	}
+}
+
 // BenchmarkBlockKey is the per-block-execution key of a warm session: a
 // block reading three bound variables and one unbound, under the planner.
-// Its components are memoized and its bytes hashed directly, so it
-// allocates nothing.
+// The shapes match the memo, so it compares them and allocates nothing.
 func BenchmarkBlockKey(b *testing.B) {
 	conf := testConfig(ReuseMemphis)
 	conf.MemoryPlanner = true

@@ -157,8 +157,10 @@ type Context struct {
 	SC    *spark.Context
 	GM    *gpu.Manager
 	Cache *core.Cache
-	LMap  *lineage.Map
-	Conf  Config
+	// LMap is the symbol table: every bound name's value and lineage item
+	// (the LineageMap of §3.2 and the variable bindings, in one table).
+	LMap *Table
+	Conf Config
 
 	// Arb is the unified memory arbiter: every backend memory region (CP
 	// cache, Spark reuse share, Spark storage, GPU device) registers with
@@ -172,21 +174,34 @@ type Context struct {
 
 	// Every basic block reaches the interpreter through a compile cache:
 	// attached (AttachCompileCache) or, without one, the session's own.
-	// bbKeys memoizes per-block key components, condBBs the block wrapped
-	// around each while/if condition, loopVals each for loop's lineage
-	// value strings (all three keyed by pointers into prog) and fnOuts each
-	// function's output-key data strings (by name). All are dropped when
-	// RunProgram sees a different program, so a long-lived session holds
-	// memos for one program at a time.
-	attached CompileCache
-	own      *BlockCache
-	bbKeys   map[*ir.BasicBlock]blockKeyParts
-	condBBs  map[*ir.Node]*ir.BasicBlock
-	loopVals map[*ir.ForBlock][]string
-	fnOuts   map[string][]string
+	// bbKeys memoizes per-block key components and the key last computed,
+	// condBBs the block wrapped around each while/if condition, loopLeaves
+	// each for loop's lineage leaves (all three keyed by pointers into
+	// prog) and fnOuts each function's output-key data strings (by name).
+	// All are dropped when RunProgram sees a different program, so a
+	// long-lived session holds memos for one program at a time.
+	attached   CompileCache
+	own        *BlockCache
+	bbKeys     map[*ir.BasicBlock]blockKeyParts
+	condBBs    map[*ir.Node]*ir.BasicBlock
+	loopLeaves map[*ir.ForBlock][]*lineage.Item
+	fnOuts     map[string][]string
 
-	vars map[string]*Value
 	prog *ir.Program
+
+	// The executing stream's frame: its layout's names resolved to cells
+	// of the current scope (bindings.go). frames is the stack the nested
+	// frames of function calls share. scopes are the callee scopes by call
+	// depth, kept for the next call at that depth.
+	layout *compiler.Layout
+	frame  []*binding
+	frames []*binding
+	scopes []map[string]*binding
+	depth  int
+
+	// cand is the lineage candidate a reuse probe fills: an item is
+	// allocated only when the probe misses.
+	cand lineage.Candidate
 
 	// inputSigs records content fingerprints of host-bound inputs by name,
 	// and leafMemo caches per-item read-leaf name sets; both feed the
@@ -234,9 +249,8 @@ func New(conf Config) *Context {
 	ctx := &Context{
 		Clock: clock,
 		Model: model,
-		LMap:  lineage.NewMap(),
+		LMap:  newTable(),
 		Conf:  conf,
-		vars:  make(map[string]*Value),
 	}
 	if conf.Spark.NumExecutors > 0 {
 		ctx.SC = spark.NewContext(clock, model, conf.Spark)
@@ -309,7 +323,12 @@ func (ctx *Context) multiLevelReuse(fn string) bool {
 }
 
 // Var returns a bound value or nil.
-func (ctx *Context) Var(name string) *Value { return ctx.vars[name] }
+func (ctx *Context) Var(name string) *Value {
+	if c := ctx.LMap.lookup(name); c != nil {
+		return c.v
+	}
+	return nil
+}
 
 // BindHost binds an input matrix to a variable (a persistent read: its
 // lineage is a leaf). With a shared level attached it fingerprints the
@@ -326,44 +345,32 @@ func (ctx *Context) BindHost(name string, m *data.Matrix) {
 // fp == m.Fingerprint(): the serving layer hashes each input once at
 // admission and hands the sum over instead of hashing again on the worker.
 func (ctx *Context) BindHostFingerprinted(name string, m *data.Matrix, fp uint64) {
-	ctx.setVar(name, NewHostValue(m))
+	c := ctx.LMap.cell(name)
+	ctx.bindCell(c, NewHostValue(m))
 	if ctx.tracing() {
-		ctx.LMap.TraceItem(name, lineage.NewLeaf("read", name))
+		c.li = lineage.NewLeaf("read", name)
 	}
 	if ctx.Shared != nil {
 		ctx.inputSigs[name] = fp
 	}
 }
 
-// setVar rebinds a variable, managing GPU reference counts: the old
-// binding's device reference is released and the new binding retained.
-func (ctx *Context) setVar(name string, v *Value) {
-	if old, ok := ctx.vars[name]; ok && old != v && old.HasGPU() && ctx.GM != nil {
-		ctx.GM.Release(old.GPU)
-	}
-	ctx.vars[name] = v
-}
-
 // removeVar unbinds a variable, releasing GPU references.
 func (ctx *Context) removeVar(name string) {
-	if old, ok := ctx.vars[name]; ok {
-		if old.HasGPU() && ctx.GM != nil {
-			ctx.GM.Release(old.GPU)
-		}
-		delete(ctx.vars, name)
+	if c := ctx.LMap.lookup(name); c != nil {
+		ctx.unbindCell(c)
 	}
-	ctx.LMap.Remove(name)
 }
 
-// clearTemps removes a block's temporaries (CompiledBlock.Temps) that are
-// still bound, in stream order, returning their GPU pointers to the free
-// list (this is what makes mini-batch recycling effective) and their host
-// buffers to the arena.
-func (ctx *Context) clearTemps(temps []string) {
-	for _, name := range temps {
-		if v, ok := ctx.vars[name]; ok {
-			ctx.recycleValue(name, v)
-			ctx.removeVar(name)
+// clearTemps unbinds a block's temporaries (CompiledBlock.temps, slots of
+// the current frame) that are still bound, in stream order, returning their
+// GPU pointers to the free list (this is what makes mini-batch recycling
+// effective) and their host buffers to the arena.
+func (ctx *Context) clearTemps(temps []int32) {
+	for _, s := range temps {
+		if c := ctx.frame[s]; c.v != nil {
+			ctx.recycleValue(c)
+			ctx.unbindCell(c)
 		}
 	}
 }
@@ -373,27 +380,29 @@ func (ctx *Context) Arena() *data.Arena { return ctx.arena }
 
 // shapes snapshots variable shapes for compiling a block.
 func (ctx *Context) shapes() map[string]ir.Shape {
-	env := make(map[string]ir.Shape, len(ctx.vars))
-	for name, v := range ctx.vars {
-		env[name] = ir.Shape{Rows: v.Rows, Cols: v.Cols}
+	env := make(map[string]ir.Shape, len(ctx.LMap.scope))
+	for name, c := range ctx.LMap.scope {
+		if v := c.v; v != nil {
+			env[name] = ir.Shape{Rows: v.Rows, Cols: v.Cols}
+		}
 	}
 	return env
 }
 
-// operand resolves operand i of an instruction to a value; literal
-// operands become scalar values of their prepared parse.
+// operand resolves operand i of an instruction of the current frame to a
+// value; literal operands become scalar values of their prepared parse.
 func (ctx *Context) operand(inst *compiler.Instruction, i int) (*Value, error) {
-	name := inst.Inputs[i]
-	if compiler.IsLiteral(name) {
+	s := inst.Slot(i)
+	if s < 0 {
 		f, err := inst.Literal(i)
 		if err != nil {
-			return nil, fmt.Errorf("runtime: bad literal %q: %v", name, err)
+			return nil, fmt.Errorf("runtime: bad literal %q: %v", inst.Inputs[i], err)
 		}
 		return NewScalar(f), nil
 	}
-	v, ok := ctx.vars[name]
-	if !ok {
-		return nil, fmt.Errorf("runtime: undefined variable %q", name)
+	v := ctx.frame[s].v
+	if v == nil {
+		return nil, fmt.Errorf("runtime: undefined variable %q", inst.Inputs[i])
 	}
 	return v, nil
 }
@@ -409,8 +418,8 @@ func (ctx *Context) Close() error {
 		return nil
 	}
 	ctx.closed = true
-	for name := range ctx.vars {
-		ctx.removeVar(name)
+	for _, c := range ctx.LMap.scope {
+		ctx.unbindCell(c)
 	}
 	// Clear before GM.Close so recycle callbacks find no entries (no
 	// device-to-host eviction is charged during teardown).
@@ -458,8 +467,8 @@ func (ctx *Context) demoteGPUToHost(need int64) int64 {
 		if m == nil {
 			continue
 		}
-		for _, v := range ctx.vars {
-			if v.GPU == p {
+		for _, c := range ctx.LMap.scope {
+			if v := c.v; v != nil && v.GPU == p {
 				if v.M == nil {
 					v.M = m
 				}

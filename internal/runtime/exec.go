@@ -131,10 +131,38 @@ func cacheable(inst *compiler.Instruction) bool {
 // constituent ops so reuse keys are identical with fusion on or off.
 func (ctx *Context) trace(inst *compiler.Instruction) *lineage.Item {
 	if inst.Op == ir.FusedOp {
-		return ctx.traceFused(inst)
+		if li := ctx.traceFused(inst); li != nil {
+			return li
+		}
 	}
 	ctx.Clock.Advance(ctx.Model.Trace)
-	return ctx.LMap.Trace(inst.Output(), inst.Op, inst.LineageData(), inst.Operands()...)
+	ctx.candidate(inst)
+	return ctx.keep(inst)
+}
+
+// keep binds a heap copy of the sealed candidate to the instruction's output
+// and returns it.
+func (ctx *Context) keep(inst *compiler.Instruction) *lineage.Item {
+	li := ctx.cand.Keep()
+	ctx.outCell(inst, 0).li = li
+	return li
+}
+
+// candidate fills the context's lineage candidate with the item tracing
+// the instruction would bind, counts the trace, and returns the sealed
+// candidate: its inputs are the operands' items (a leaf for an operand
+// never traced, bound to it as Map.Trace binds one) and its hash folds
+// their hashes onto the prepared prefix. Nothing is allocated unless a
+// leaf is.
+func (ctx *Context) candidate(inst *compiler.Instruction) *lineage.Item {
+	ctx.cand.Reset(inst.LineagePrefix(), inst.Op, inst.LineageData())
+	for i, name := range inst.Inputs {
+		if s := inst.Slot(i); s >= 0 {
+			ctx.cand.Add(itemOrLeaf(ctx.frame[s], name))
+		}
+	}
+	ctx.LMap.traced++
+	return ctx.cand.Seal()
 }
 
 // delay returns the active delayed-caching factor (block header, §5.2).
@@ -152,11 +180,21 @@ func (ctx *Context) delay() int {
 // Execute runs one instruction through the Figure-4 path: interpret, trace,
 // probe/reuse, execute, put. The instruction must be prepared
 // (compiler.Prepare): executing one that is not is a programming error and
-// panics.
+// panics. Outside an execution of its stream, the instruction runs in a
+// frame of its own.
 func (ctx *Context) Execute(inst *compiler.Instruction) error {
 	if !inst.Prepared() {
 		panic(fmt.Sprintf("runtime: instruction %s was not prepared: streams must pass through compiler.Prepare before execution", inst))
 	}
+	if l := inst.Layout(); l != ctx.layout {
+		m := ctx.enterFrame(l)
+		defer ctx.leaveFrame(m)
+	}
+	return ctx.execute(inst)
+}
+
+// execute is Execute for an instruction of the current frame.
+func (ctx *Context) execute(inst *compiler.Instruction) error {
 	switch inst.Kind {
 	case compiler.KindPrefetch:
 		return ctx.execPrefetch(inst)
@@ -179,26 +217,27 @@ func (ctx *Context) Execute(inst *compiler.Instruction) error {
 	}
 	ctx.Stats.Instructions++
 	ctx.Clock.Advance(ctx.Model.Interpret)
+	out := ctx.outCell(inst, 0)
 	var li *lineage.Item
-	if ctx.tracing() {
-		li = ctx.trace(inst)
-	}
-	wantReuse := li != nil && cacheable(inst) && ctx.fineGrainedReuse(inst.Backend) &&
+	wantReuse := ctx.tracing() && cacheable(inst) && ctx.fineGrainedReuse(inst.Backend) &&
 		(ctx.Conf.CPAllowlist == nil || inst.Backend != core.BackendCP || ctx.Conf.CPAllowlist[inst.Op]) &&
 		!ctx.skipCache(inst.Output())
-	if wantReuse {
-		if e, hit := ctx.Cache.Probe(li); hit {
-			ctx.stampPlan(e, inst.Output())
-			if v := ctx.valueFromEntry(e); v != nil {
-				v.Lin = e.Key
-				ctx.setVar(inst.Output(), v)
-				// Compaction: rebind the map to the cached key so future
-				// DAGs share sub-DAGs by identity (Figure 5).
-				ctx.LMap.TraceItem(inst.Output(), e.Key)
-				ctx.Stats.Reused++
-				return nil
-			}
+	switch {
+	case wantReuse && inst.Op != ir.FusedOp:
+		// Probe with the unallocated candidate; an item is kept only if
+		// the probe does not serve the value.
+		ctx.Clock.Advance(ctx.Model.Trace)
+		if ctx.reuse(inst, out, ctx.candidate(inst)) {
+			return nil
 		}
+		li = ctx.keep(inst)
+	case ctx.tracing():
+		li = ctx.trace(inst)
+		if wantReuse && ctx.reuse(inst, out, li) {
+			return nil
+		}
+	}
+	if wantReuse {
 		// Second level: the cross-session shared cache (serving layer).
 		// A hit installs the value locally so later probes stay session-
 		// local, keyed under this session's item.
@@ -207,7 +246,7 @@ func (ctx *Context) Execute(inst *compiler.Instruction) error {
 				ctx.Cache.PutCP(li, m, computeCost, 1, false, false)
 				v := NewHostValue(m)
 				v.Lin = li
-				ctx.setVar(inst.Output(), v)
+				ctx.bindCell(out, v)
 				ctx.Stats.Reused++
 				return nil
 			}
@@ -218,11 +257,32 @@ func (ctx *Context) Execute(inst *compiler.Instruction) error {
 		return fmt.Errorf("runtime: %s: %w", inst, err)
 	}
 	v.Lin = li
-	ctx.setVar(inst.Output(), v)
+	ctx.bindCell(out, v)
 	if wantReuse {
 		ctx.putValue(inst, li, v)
 	}
 	return nil
+}
+
+// reuse probes the driver cache for an instruction's lineage item and, on a
+// hit whose value is still usable, binds the value to the output cell with
+// the cached key as its lineage: compaction, so future DAGs share sub-DAGs
+// by identity (Figure 5).
+func (ctx *Context) reuse(inst *compiler.Instruction, out *binding, li *lineage.Item) bool {
+	e, hit := ctx.Cache.Probe(li)
+	if !hit {
+		return false
+	}
+	ctx.stampPlan(e, inst.Output())
+	v := ctx.valueFromEntry(e)
+	if v == nil {
+		return false
+	}
+	v.Lin = e.Key
+	ctx.bindCell(out, v)
+	out.li = e.Key
+	ctx.Stats.Reused++
+	return true
 }
 
 // valueFromEntry materializes a Value from a cache entry, performing the
@@ -298,7 +358,6 @@ func (ctx *Context) putCP(key *lineage.Item, v *Value, cost float64, delay int, 
 // literal. The target always takes the source's lineage — a literal's is a
 // value-carrying leaf — so it never keeps the lineage of what it held before.
 func (ctx *Context) execAssign(inst *compiler.Instruction) error {
-	in := inst.Inputs[0]
 	v, err := ctx.operand(inst, 0)
 	if err != nil {
 		return err
@@ -306,12 +365,13 @@ func (ctx *Context) execAssign(inst *compiler.Instruction) error {
 	if v.HasGPU() && ctx.GM != nil {
 		ctx.GM.Retain(v.GPU)
 	}
-	ctx.setVar(inst.Output(), v)
+	out := ctx.outCell(inst, 0)
+	ctx.bindCell(out, v)
 	if ctx.tracing() {
-		if compiler.IsLiteral(in) {
-			ctx.LMap.TraceItem(inst.Output(), lineage.NewLeaf("lit", compiler.LiteralValue(in)))
+		if s := inst.Slot(0); s < 0 {
+			out.li = lineage.NewLeaf("lit", compiler.LiteralValue(inst.Inputs[0]))
 		} else {
-			ctx.LMap.Bind(inst.Output(), in)
+			out.li = ctx.frame[s].li
 		}
 	}
 	return nil
@@ -402,11 +462,12 @@ func (ctx *Context) execCheckpoint(inst *compiler.Instruction) error {
 	if err != nil {
 		return nil // variable out of scope: checkpoint is a no-op
 	}
-	ctx.setVar(inst.Output(), v)
+	out := ctx.outCell(inst, 0)
+	ctx.bindCell(out, v)
 	// Checkpoints are lineage-transparent: the output carries the input's
 	// lineage unchanged (the linearizer may route it through a temporary).
-	if ctx.tracing() && !compiler.IsLiteral(inst.Inputs[0]) {
-		ctx.LMap.Bind(inst.Output(), inst.Inputs[0])
+	if s := inst.Slot(0); ctx.tracing() && s >= 0 {
+		out.li = ctx.frame[s].li
 	}
 	if v.RDD == nil || v.M != nil {
 		return nil

@@ -45,6 +45,46 @@ func TestStageAbortSurfacesAsError(t *testing.T) {
 	}
 }
 
+// TestStageAbortInCallLeavesCallerScope: a stage that aborts inside a
+// function call unwinds the call as its return would have: the caller's
+// scope is current again, no frame and no call depth are left over, the
+// callee's scope holds no binding, and the session runs the program again.
+func TestStageAbortInCallLeavesCallerScope(t *testing.T) {
+	conf := faultedConfig(ReuseNone, &faults.Plan{Seed: 1, Sites: map[faults.Site]faults.Trigger{
+		faults.SparkTask: {Nth: []int64{1}, Attempts: 4},
+	}})
+	conf.Compiler.OpMemBudget = 1 << 10 // force Spark placement
+	ctx := New(conf)
+	defer ctx.Close()
+	ctx.BindHost("X", data.RandNorm(60, 6, 2, 1, 31))
+	p := ir.NewProgram()
+	p.Define(&ir.Function{
+		Name: "f", Params: []string{"A"}, Returns: []string{"s"},
+		Body: []ir.Block{ir.BB(
+			ir.Assign("G", ir.TSMM(ir.Var("A"))),
+			ir.Assign("s", ir.Sum(ir.Var("G"))),
+		)},
+	})
+	p.Main = []ir.Block{ir.BB(ir.Call("f", []string{"out"}, ir.Var("X")))}
+	if err := ctx.RunProgram(p); !errors.Is(err, spark.ErrStageAbort) {
+		t.Fatalf("err = %v, want ErrStageAbort", err)
+	}
+	if ctx.depth != 0 || ctx.layout != nil || len(ctx.frame) != 0 || len(ctx.frames) != 0 {
+		t.Fatalf("after the abort: depth %d, layout %v, %d frame cells, %d stacked", ctx.depth, ctx.layout, len(ctx.frame), len(ctx.frames))
+	}
+	if ctx.Var("X") == nil || ctx.Var("A") != nil {
+		t.Fatal("the caller's scope is not current after the abort")
+	}
+	for name, c := range ctx.scopes[0] {
+		if c.v != nil || c.li != nil {
+			t.Fatalf("the aborted call's scope keeps %q bound", name)
+		}
+	}
+	if err := ctx.RunProgram(p); err != nil || ctx.Var("out") == nil {
+		t.Fatalf("post-abort run: %v, out bound %t", err, ctx.Var("out") != nil)
+	}
+}
+
 // TestFaultedRunMatchesFaultFree: at default probabilities every fault is
 // absorbed by a recovery path — results are bitwise-identical to a
 // fault-free run, and the faulted run replays deterministically.

@@ -54,18 +54,19 @@ func (ctx *Context) evalFused(inst *compiler.Instruction) (*data.Matrix, error) 
 	return data.EvalFused(fp, leaves, ctx.arena), nil
 }
 
-// traceFused replays the constituent ops of a fused instruction through the
-// lineage map, charging the trace cost per constituent. Each step's item is
-// built exactly as the unfused instruction's trace would build it (same
-// opcode, same sorted attr + positional-literal data encoding, same input
-// items), so the final key is stable across fusion on/off.
+// traceFused replays the constituent ops of a fused instruction into
+// lineage items, charging the trace cost per constituent, and binds the
+// last to the output. Each step's item is built exactly as the unfused
+// instruction's trace would build it (same opcode, same sorted attr +
+// positional-literal data encoding, same input items), so the final key is
+// stable across fusion on/off. It binds nothing and returns nil when the
+// fused program does not parse.
 func (ctx *Context) traceFused(inst *compiler.Instruction) *lineage.Item {
 	fp, err := ctx.fusedProgram(inst)
 	if err != nil {
-		// Unparseable program: fall back to a generic trace of the fused
-		// instruction itself (still deterministic, just fusion-specific).
-		ctx.Clock.Advance(ctx.Model.Trace)
-		return ctx.LMap.Trace(inst.Output(), inst.Op, inst.LineageData(), inst.Operands()...)
+		// Unparseable program: the caller traces the fused instruction
+		// itself (still deterministic, just fusion-specific).
+		return nil
 	}
 	items := make([]*lineage.Item, len(fp.Steps))
 	for k := range fp.Steps {
@@ -83,7 +84,7 @@ func (ctx *Context) traceFused(inst *compiler.Instruction) *lineage.Item {
 					parts = append(parts, fmt.Sprintf("in%d=%s", ai, compiler.LiteralValue(name)))
 					continue
 				}
-				inputs = append(inputs, ctx.LMap.GetOrLeaf(name))
+				inputs = append(inputs, itemOrLeaf(ctx.inCell(inst, a.Leaf), name))
 				continue
 			}
 			inputs = append(inputs, items[a.Step])
@@ -91,7 +92,7 @@ func (ctx *Context) traceFused(inst *compiler.Instruction) *lineage.Item {
 		items[k] = lineage.NewItem(st.Op, strings.Join(parts, ";"), inputs...)
 	}
 	final := items[len(items)-1]
-	ctx.LMap.TraceItem(inst.Output(), final)
+	ctx.outCell(inst, 0).li = final
 	return final
 }
 
@@ -112,24 +113,22 @@ func (ctx *Context) shared(m *data.Matrix) *data.Matrix {
 // be arena-owned (never escaped into a cache or shared with another owner)
 // and no other binding may alias it. A deferred transpose still reading the
 // buffer is materialized first, so the recycled cells are never read through
-// it. name is the binding being released.
-func (ctx *Context) recycleValue(name string, v *Value) {
+// it. c is the binding being released.
+func (ctx *Context) recycleValue(c *binding) {
+	v := c.v
 	if ctx.arena == nil || v == nil || v.M == nil {
 		return
 	}
 	if !ctx.arena.Vended(v.M) {
 		return
 	}
-	for n, o := range ctx.vars {
-		if n == name || o == nil {
-			continue
-		}
-		if o == v || o.M == v.M {
+	for _, oc := range ctx.LMap.scope {
+		if o := oc.v; oc != c && o != nil && (o == v || o.M == v.M) {
 			return
 		}
 	}
-	for _, o := range ctx.vars {
-		if o != nil && o.tSrc == v.M {
+	for _, oc := range ctx.LMap.scope {
+		if o := oc.v; o != nil && o.tSrc == v.M {
 			o.host()
 		}
 	}

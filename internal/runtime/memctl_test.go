@@ -22,7 +22,7 @@ func demotableSetup(t *testing.T, ctx *Context, name string, m *data.Matrix, cos
 	if e == nil {
 		t.Fatal("PutGPU returned no entry")
 	}
-	ctx.setVar(name, NewGPUValue(p, m.Rows, m.Cols))
+	ctx.bindCell(ctx.LMap.cell(name), NewGPUValue(p, m.Rows, m.Cols))
 	return p
 }
 

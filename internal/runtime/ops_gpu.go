@@ -61,16 +61,15 @@ func (ctx *Context) execGPU(inst *compiler.Instruction) (*Value, error) {
 // heightOf returns the lineage height of the output, used by the GPU
 // eviction policy to preserve input-pipeline intermediates (Eq. 2).
 func heightOf(ctx *Context, inst *compiler.Instruction) int {
-	if li := ctx.LMap.Get(inst.Output()); li != nil {
+	if li := ctx.outCell(inst, 0).li; li != nil {
 		return li.Height()
 	}
 	h := 1
-	for _, in := range inst.Inputs {
-		if compiler.IsLiteral(in) {
-			continue
-		}
-		if li := ctx.LMap.Get(in); li != nil && li.Height()+1 > h {
-			h = li.Height() + 1
+	for i := range inst.Inputs {
+		if s := inst.Slot(i); s >= 0 {
+			if li := ctx.frame[s].li; li != nil && li.Height()+1 > h {
+				h = li.Height() + 1
+			}
 		}
 	}
 	return h
@@ -78,7 +77,7 @@ func heightOf(ctx *Context, inst *compiler.Instruction) int {
 
 // gpuPointerOf is a test helper exposing a variable's device pointer.
 func (ctx *Context) gpuPointerOf(name string) *gpu.Pointer {
-	if v := ctx.vars[name]; v != nil {
+	if v := ctx.Var(name); v != nil {
 		return v.GPU
 	}
 	return nil

@@ -114,9 +114,10 @@ func (ctx *Context) predictEvictions(rec *planRecord) {
 // by value identity (aliases from assignments share a *Value). Host and
 // device copies both count; a value with both counts each copy once.
 func (ctx *Context) sampleLive() int64 {
-	seen := make(map[*Value]bool, len(ctx.vars))
+	seen := make(map[*Value]bool, len(ctx.LMap.scope))
 	var total int64
-	for _, v := range ctx.vars {
+	for _, c := range ctx.LMap.scope {
+		v := c.v
 		if v == nil || seen[v] {
 			continue
 		}
@@ -153,10 +154,9 @@ func (ctx *Context) skipCache(name string) bool {
 // unbound (returning GPU references and dropping its lineage binding)
 // exactly as clearTemps would at block end, just at its last-use point.
 func (ctx *Context) execFree(inst *compiler.Instruction) error {
-	name := inst.Inputs[0]
-	if v, ok := ctx.vars[name]; ok {
-		ctx.recycleValue(name, v)
-		ctx.removeVar(name)
+	if c := ctx.inCell(inst, 0); c.v != nil {
+		ctx.recycleValue(c)
+		ctx.unbindCell(c)
 		ctx.Stats.EarlyFrees++
 	}
 	return nil

@@ -1,6 +1,8 @@
 package runtime_test
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"os"
 	"strings"
@@ -280,4 +282,80 @@ func TestEveryExecutedInstructionIsPrepared(t *testing.T) {
 			}
 		}
 	})
+}
+
+// refItemHash is the item hash as Item.seal wrote it before the prefix was
+// split out: FNV-1a over opcode, a zero byte, data and each input hash as
+// eight little-endian bytes.
+func refItemHash(opcode, data string, inputs []*lineage.Item) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(opcode))
+	h.Write([]byte{0})
+	h.Write([]byte(data))
+	for _, in := range inputs {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], in.Hash())
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// TestPreparedPrefixMatchesNewItem: for every instruction the example ridge
+// script and the benchmark's grid script execute, with the planner off and
+// on, the prepared lineage prefix with the input items' hashes folded on
+// (what a reuse probe's candidate holds) equals NewItem's hash and height
+// bit for bit, and the hash of the unsplit FNV-1a encoding. Every operand
+// and output slot names the operand or output in the stream's layout.
+func TestPreparedPrefixMatchesNewItem(t *testing.T) {
+	leaf := lineage.NewLeaf("read", "A")
+	deep := lineage.NewItem("exp", "", lineage.NewItem("t", "", leaf))
+	pool := []*lineage.Item{leaf, deep, lineage.NewItem("+", "in1=2", deep), lineage.NewLeaf("lit", "0.5")}
+	var cand lineage.Candidate
+	for _, kp := range keyPrograms[:2] {
+		for _, planner := range []bool{false, true} {
+			p, _ := kp.build(t)
+			compiler.RewriteProgram(p)
+			ctx := runtime.New(keyConfig(planner))
+			if err := ctx.RunProgram(p); err != nil {
+				t.Fatal(err)
+			}
+			checked := 0
+			for k, in := range requirePrepared(t, ctx) {
+				names := in.Layout().Names
+				var inputs []*lineage.Item
+				for i, name := range in.Inputs {
+					if s := in.Slot(i); s >= 0 {
+						if names[s] != name {
+							t.Fatalf("%s %s: input %d in slot %d of %q", kp.name, &in, i, s, names[s])
+						}
+						inputs = append(inputs, pool[(k+i)%len(pool)])
+					} else if !compiler.IsLiteral(name) {
+						t.Fatalf("%s %s: operand %q has no slot", kp.name, &in, name)
+					}
+				}
+				for i, name := range in.Outputs {
+					if names[in.OutSlot(i)] != name {
+						t.Fatalf("%s %s: output %d in slot of %q", kp.name, &in, i, names[in.OutSlot(i)])
+					}
+				}
+				want := lineage.NewItem(in.Op, in.LineageData(), inputs...)
+				cand.Reset(in.LineagePrefix(), in.Op, in.LineageData())
+				for _, li := range inputs {
+					cand.Add(li)
+				}
+				got := cand.Seal()
+				if got.Hash() != want.Hash() || got.Height() != want.Height() || !got.Equals(want) {
+					t.Fatalf("%s %s: candidate %016x/%d, NewItem %016x/%d", kp.name, &in, got.Hash(), got.Height(), want.Hash(), want.Height())
+				}
+				if ref := refItemHash(in.Op, in.LineageData(), inputs); want.Hash() != ref {
+					t.Fatalf("%s %s: NewItem hash %016x, FNV-1a reference %016x", kp.name, &in, want.Hash(), ref)
+				}
+				checked++
+			}
+			if checked < 20 {
+				t.Fatalf("%s: only %d instructions checked", kp.name, checked)
+			}
+			ctx.Close()
+		}
+	}
 }

@@ -24,15 +24,18 @@ import (
 // A Spark stage abort (a task exceeding its attempt limit under fault
 // injection) unwinds the RDD evaluation as an ErrStageAbort panic; it is
 // converted to an error here so callers — the serve layer's retry loop in
-// particular — see a failed program run, not a crashed process. All other
-// panics propagate.
+// particular — see a failed program run, not a crashed process — and the
+// frames and call scopes the run had entered are left as their returns
+// would have left them. All other panics propagate.
 func (ctx *Context) RunProgram(p *ir.Program) (err error) {
 	if ctx.closed {
 		return fmt.Errorf("runtime: context is closed")
 	}
+	frame, scope, depth := frameMark{ctx.layout, ctx.frame, len(ctx.frames)}, ctx.LMap.scope, ctx.depth
 	defer func() {
 		if r := recover(); r != nil {
 			if e, ok := r.(error); ok && errors.Is(e, spark.ErrStageAbort) {
+				ctx.unwind(frame, scope, depth)
 				err = e
 				return
 			}
@@ -40,7 +43,7 @@ func (ctx *Context) RunProgram(p *ir.Program) (err error) {
 		}
 	}()
 	if ctx.prog != p {
-		ctx.prog, ctx.bbKeys, ctx.condBBs, ctx.loopVals, ctx.fnOuts = p, nil, nil, nil, nil
+		ctx.prog, ctx.bbKeys, ctx.condBBs, ctx.loopLeaves, ctx.fnOuts = p, nil, nil, nil, nil
 	}
 	return ctx.runBlocks(p.Main)
 }
@@ -53,9 +56,9 @@ func (ctx *Context) runBlocks(blocks []ir.Block) error {
 				return err
 			}
 		case *ir.ForBlock:
-			lits := ctx.loopLiterals(t)
+			leaves := ctx.loopLits(t)
 			for i, val := range t.Values {
-				ctx.bindLoopVar(t.Var, val, lits[i])
+				ctx.bindLoopVar(t.Var, val, leaves[i])
 				if err := ctx.runBlocks(t.Body); err != nil {
 					return err
 				}
@@ -109,6 +112,7 @@ func (ctx *Context) runBlocks(blocks []ir.Block) error {
 func (ctx *Context) runBasicBlock(bb *ir.BasicBlock) error {
 	cb := ctx.compiledBlock(bb)
 	insts := cb.Planned
+	frame := ctx.enterFrame(cb.layout)
 	savedPlan, savedPos := ctx.activePlan, ctx.planPos
 	var rec *planRecord
 	var evictBefore int64
@@ -135,7 +139,7 @@ func (ctx *Context) runBasicBlock(bb *ir.BasicBlock) error {
 		if rec != nil {
 			ctx.planPos = i
 		}
-		if err = ctx.Execute(&insts[i]); err != nil {
+		if err = ctx.execute(&insts[i]); err != nil {
 			break
 		}
 		if rec != nil {
@@ -152,7 +156,8 @@ func (ctx *Context) runBasicBlock(bb *ir.BasicBlock) error {
 			}
 		}
 	}
-	ctx.clearTemps(cb.Temps)
+	ctx.clearTemps(cb.temps)
+	ctx.leaveFrame(frame)
 	ctx.delayFactor, ctx.storageLevel = prevDelay, prevLevel
 	if rec != nil {
 		rec.runs++
@@ -162,32 +167,34 @@ func (ctx *Context) runBasicBlock(bb *ir.BasicBlock) error {
 	return err
 }
 
-// bindLoopVar binds the loop variable as a literal scalar: its lineage is a
-// value-carrying leaf whose data is lit, the value's text, so
+// bindLoopVar binds the loop variable as a literal scalar: its lineage is
+// leaf, a value-carrying leaf whose data is the value's text, so
 // loop-dependent operations have iteration-specific lineage (not reusable)
 // while loop-independent ones reuse across iterations.
-func (ctx *Context) bindLoopVar(name string, val float64, lit string) {
-	ctx.setVar(name, NewScalar(val))
+func (ctx *Context) bindLoopVar(name string, val float64, leaf *lineage.Item) {
+	c := ctx.LMap.cell(name)
+	ctx.bindCell(c, NewScalar(val))
 	if ctx.tracing() {
-		ctx.LMap.TraceItem(name, lineage.NewLeaf("lit", lit))
+		c.li = leaf
 	}
 }
 
-// loopLiterals returns the lineage text (fmt.Sprint) of each value of a for
-// loop, built once per loop of the running program.
-func (ctx *Context) loopLiterals(f *ir.ForBlock) []string {
-	lits, ok := ctx.loopVals[f]
-	if !ok || len(lits) != len(f.Values) {
-		lits = make([]string, len(f.Values))
+// loopLits returns the lineage leaf ("lit", fmt.Sprint of the value) of each
+// value of a for loop, built once per loop of the running program: a leaf
+// is immutable, so every iteration over a value binds the same one.
+func (ctx *Context) loopLits(f *ir.ForBlock) []*lineage.Item {
+	leaves, ok := ctx.loopLeaves[f]
+	if !ok || len(leaves) != len(f.Values) {
+		leaves = make([]*lineage.Item, len(f.Values))
 		for i, v := range f.Values {
-			lits[i] = fmt.Sprint(v)
+			leaves[i] = lineage.NewLeaf("lit", fmt.Sprint(v))
 		}
-		if ctx.loopVals == nil {
-			ctx.loopVals = make(map[*ir.ForBlock][]string)
+		if ctx.loopLeaves == nil {
+			ctx.loopLeaves = make(map[*ir.ForBlock][]*lineage.Item)
 		}
-		ctx.loopVals[f] = lits
+		ctx.loopLeaves[f] = leaves
 	}
-	return lits
+	return leaves
 }
 
 // fnOutData returns the data strings ("fn#ret") of a function's output
@@ -225,7 +232,7 @@ func (ctx *Context) evalScalar(cond *ir.Node) (float64, error) {
 	if err := ctx.runBasicBlock(bb); err != nil {
 		return 0, err
 	}
-	v := ctx.vars["_cond"]
+	v := ctx.Var("_cond")
 	if v == nil {
 		return 0, fmt.Errorf("runtime: condition produced no value")
 	}
@@ -274,10 +281,10 @@ func (ctx *Context) execCall(inst *compiler.Instruction) error {
 		}
 		args[i] = v
 		if ctx.tracing() {
-			if compiler.IsLiteral(in) {
-				argLis[i] = lineage.NewLeaf("lit", compiler.LiteralValue(in))
+			if s := inst.Slot(i); s < 0 {
+				argLis[i] = inst.LiteralLeaf(i)
 			} else {
-				argLis[i] = ctx.LMap.GetOrLeaf(in)
+				argLis[i] = itemOrLeaf(ctx.frame[s], in)
 			}
 		}
 	}
@@ -322,24 +329,27 @@ func (ctx *Context) execCall(inst *compiler.Instruction) error {
 					lin = e.Alias
 				}
 				vals[i].Lin = lin
-				ctx.setVar(inst.Outputs[i], vals[i])
-				ctx.LMap.TraceItem(inst.Outputs[i], lin)
+				out := ctx.outCell(inst, i)
+				ctx.bindCell(out, vals[i])
+				out.li = lin
 			}
 			return nil
 		}
 	}
-	// Execute the body in a fresh scope.
+	// Execute the body in a scope of its own. The caller's frame stays
+	// resolved in the caller's scope, and callee blocks stack their frames
+	// above it.
 	start := ctx.Clock.Now()
-	savedVars := ctx.vars
-	savedLMap := ctx.LMap.Snapshot()
-	ctx.vars = make(map[string]*Value, len(fn.Params))
+	frame := ctx.frame
+	caller := ctx.enterScope()
 	for i, p := range fn.Params {
 		if args[i].HasGPU() && ctx.GM != nil {
 			ctx.GM.Retain(args[i].GPU)
 		}
-		ctx.vars[p] = args[i]
+		c := ctx.LMap.cell(p)
+		c.v = args[i]
 		if ctx.tracing() {
-			ctx.LMap.TraceItem(p, argLis[i])
+			c.li = argLis[i]
 		}
 	}
 	runErr := ctx.runBlocks(fn.Body)
@@ -347,38 +357,32 @@ func (ctx *Context) execCall(inst *compiler.Instruction) error {
 	outLis := make([]*lineage.Item, len(fn.Returns))
 	if runErr == nil {
 		for i, ret := range fn.Returns {
-			outs[i] = ctx.vars[ret]
-			if outs[i] == nil {
+			c := ctx.LMap.lookup(ret)
+			if c == nil || c.v == nil {
 				runErr = fmt.Errorf("runtime: %s did not assign return %q", fnName, ret)
 				break
 			}
-			outLis[i] = ctx.LMap.Get(ret)
+			outs[i], outLis[i] = c.v, c.li
 			if outs[i].HasGPU() && ctx.GM != nil {
 				ctx.GM.Retain(outs[i].GPU) // caller's reference
 			}
 		}
 	}
-	// Tear down the function scope.
-	for name := range ctx.vars {
-		if v := ctx.vars[name]; v.HasGPU() && ctx.GM != nil {
-			ctx.GM.Release(v.GPU)
-		}
-	}
-	ctx.vars = savedVars
-	ctx.LMap.Restore(savedLMap)
+	ctx.leaveScope(caller)
 	if runErr != nil {
 		return runErr
 	}
 	elapsed := ctx.Clock.Now() - start
-	for i, target := range inst.Outputs {
+	for i := range inst.Outputs {
 		lin := outLis[i]
 		if lin == nil && multiLevel {
 			lin = outKeys[i]
 		}
 		outs[i].Lin = lin
-		ctx.setVar(target, outs[i])
+		out := frame[inst.OutSlot(i)]
+		ctx.bindCell(out, outs[i])
 		if ctx.tracing() && lin != nil {
-			ctx.LMap.TraceItem(target, lin)
+			out.li = lin
 		}
 	}
 	if multiLevel {

@@ -44,12 +44,14 @@ func Recompute(ctx *Context, root *lineage.Item) (*data.Matrix, error) {
 		}
 		stream = append(stream, inst)
 	}
-	compiler.Prepare(stream)
+	frame := ctx.enterFrame(compiler.Prepare(stream))
 	for i := range stream {
-		if err := ctx.Execute(&stream[i]); err != nil {
+		if err := ctx.execute(&stream[i]); err != nil {
+			ctx.leaveFrame(frame)
 			return nil, err
 		}
 	}
+	ctx.leaveFrame(frame)
 	out := ctx.Var(names[root.ID()])
 	if out == nil {
 		return nil, fmt.Errorf("runtime: recompute produced no value")
