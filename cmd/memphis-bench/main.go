@@ -25,6 +25,26 @@ import (
 	"memphis/internal/workloads"
 )
 
+// result is the machine-readable form of one experiment run, emitted by
+// -json so BENCH_*.json trajectory files can accumulate across sessions.
+// Rows carry the virtual times (and speedup columns) the table prints;
+// WallSeconds is the simulator's real regeneration cost at the recorded
+// kernel parallelism. AllocsPerOp/BytesPerOp are the heap allocation deltas
+// (runtime.ReadMemStats Mallocs/TotalAlloc) of one experiment regeneration
+// — the "op" is the whole table rebuild — so the fusion/arena alloc savings
+// stay visible in trajectory files.
+type result struct {
+	ID          string     `json:"id"`
+	Title       string     `json:"title"`
+	Header      []string   `json:"header"`
+	Rows        [][]string `json:"rows"`
+	Notes       []string   `json:"notes,omitempty"`
+	WallSeconds float64    `json:"wall_seconds"`
+	Parallelism int        `json:"parallelism"`
+	AllocsPerOp int64      `json:"allocs_per_op"`
+	BytesPerOp  int64      `json:"bytes_per_op"`
+}
+
 func main() {
 	list := flag.Bool("list", false, "list available experiments")
 	quick := flag.Bool("quick", false, "run reduced-size variants")
@@ -61,7 +81,7 @@ func main() {
 	} else {
 		ids = args
 	}
-	var results []bench.Result
+	var results []result
 	for _, id := range ids {
 		e, err := bench.Find(id)
 		if err != nil {
@@ -79,7 +99,10 @@ func main() {
 		})
 		wall := time.Since(start).Seconds()
 		if *jsonOut {
-			results = append(results, tb.Result(wall, data.Parallelism(), allocs, bytes))
+			results = append(results, result{
+				ID: tb.ID, Title: tb.Title, Header: tb.Header, Rows: tb.Rows, Notes: tb.Notes,
+				WallSeconds: wall, Parallelism: data.Parallelism(), AllocsPerOp: allocs, BytesPerOp: bytes,
+			})
 			continue
 		}
 		fmt.Println(tb.String())
@@ -87,7 +110,7 @@ func main() {
 			wall, allocs, float64(bytes)/(1<<20))
 	}
 	if *jsonOut {
-		out, err := bench.MarshalResults(results)
+		out, err := json.MarshalIndent(results, "", "  ")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

@@ -35,8 +35,8 @@ func TestRegistryComplete(t *testing.T) {
 	if _, err := Find("nope"); err == nil {
 		t.Fatal("Find must reject unknown ids")
 	}
-	if len(IDs()) != len(want) {
-		t.Fatalf("IDs() = %d, want %d", len(IDs()), len(want))
+	if len(Registry()) != len(want) {
+		t.Fatalf("Registry() = %d experiments, want %d", len(Registry()), len(want))
 	}
 }
 

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Experiment couples an id with a runner using default (laptop-scale)
@@ -116,14 +115,4 @@ func Find(id string) (Experiment, error) {
 		}
 	}
 	return Experiment{}, fmt.Errorf("bench: unknown experiment %q", id)
-}
-
-// IDs returns the registered experiment ids in order.
-func IDs() []string {
-	var ids []string
-	for _, e := range Registry() {
-		ids = append(ids, e.ID)
-	}
-	sort.Strings(ids)
-	return ids
 }

@@ -1,44 +1,6 @@
 package bench
 
-import (
-	"encoding/json"
-	"runtime"
-)
-
-// Result is the machine-readable form of one experiment run, emitted by
-// `memphis-bench -json` so BENCH_*.json trajectory files can accumulate
-// across sessions. Rows carry the virtual times (and speedup columns) the
-// table prints; WallSeconds is the simulator's real regeneration cost at
-// the recorded kernel parallelism. AllocsPerOp/BytesPerOp are the heap
-// allocation deltas (runtime.ReadMemStats Mallocs/TotalAlloc) of one
-// experiment regeneration — the "op" is the whole table rebuild — so the
-// fusion/arena alloc savings stay visible in trajectory files.
-type Result struct {
-	ID          string     `json:"id"`
-	Title       string     `json:"title"`
-	Header      []string   `json:"header"`
-	Rows        [][]string `json:"rows"`
-	Notes       []string   `json:"notes,omitempty"`
-	WallSeconds float64    `json:"wall_seconds"`
-	Parallelism int        `json:"parallelism"`
-	AllocsPerOp int64      `json:"allocs_per_op"`
-	BytesPerOp  int64      `json:"bytes_per_op"`
-}
-
-// Result converts a finished table into its machine-readable form.
-func (t *Table) Result(wallSeconds float64, parallelism int, allocs, bytes int64) Result {
-	return Result{
-		ID:          t.ID,
-		Title:       t.Title,
-		Header:      t.Header,
-		Rows:        t.Rows,
-		Notes:       t.Notes,
-		WallSeconds: wallSeconds,
-		Parallelism: parallelism,
-		AllocsPerOp: allocs,
-		BytesPerOp:  bytes,
-	}
-}
+import "runtime"
 
 // MeasureAllocs runs f and returns the heap allocation delta it incurred:
 // allocation count (Mallocs) and bytes (TotalAlloc). A GC runs first so
@@ -52,9 +14,4 @@ func MeasureAllocs(f func()) (allocs, bytes int64) {
 	f()
 	runtime.ReadMemStats(&after)
 	return int64(after.Mallocs - before.Mallocs), int64(after.TotalAlloc - before.TotalAlloc)
-}
-
-// MarshalResults renders results as indented JSON.
-func MarshalResults(rs []Result) ([]byte, error) {
-	return json.MarshalIndent(rs, "", "  ")
 }

@@ -389,17 +389,6 @@ func (bc *blockCompiler) emitCall(st ir.Stmt, root *ir.Node) {
 	})
 }
 
-// CompileEvict lowers an evict block (§5.2).
-func CompileEvict(e *ir.EvictBlock) []Instruction {
-	return []Instruction{{
-		Kind:    KindEvict,
-		Op:      "evict",
-		Inputs:  []string{LiteralOperand(fmt.Sprint(e.Fraction))},
-		Outputs: []string{"_"},
-		Backend: core.BackendGPU,
-	}}
-}
-
 // CheckpointInstruction builds the loop-checkpoint instruction for a
 // variable (§5.2, Figure 9(c)).
 func CheckpointInstruction(variable string) Instruction {

@@ -399,16 +399,6 @@ func TestInjectEvictionsOnPatternShift(t *testing.T) {
 	}
 }
 
-func TestCompileEvict(t *testing.T) {
-	insts := CompileEvict(&ir.EvictBlock{Fraction: 0.5})
-	if len(insts) != 1 || insts[0].Kind != KindEvict {
-		t.Fatal("bad evict compilation")
-	}
-	if LiteralValue(insts[0].Inputs[0]) != "0.5" {
-		t.Fatalf("fraction operand = %q", insts[0].Inputs[0])
-	}
-}
-
 func TestInstructionString(t *testing.T) {
 	in := Instruction{Op: "mm", Inputs: []string{"a", "b"}, Outputs: []string{"c"},
 		Backend: core.BackendGPU}
@@ -519,5 +509,15 @@ func TestDefaultConfigDerivedFromCostModel(t *testing.T) {
 	}
 	if conf.GPUMinCells != 4096 {
 		t.Fatalf("GPUMinCells = %d, want 4096", conf.GPUMinCells)
+	}
+}
+
+// TestKindString: every instruction kind prints its own name.
+func TestKindString(t *testing.T) {
+	for k, want := range map[Kind]string{KindOp: "op", KindPrefetch: "prefetch",
+		KindBroadcast: "broadcast", KindCheckpoint: "chkpoint", KindFree: "free"} {
+		if got := k.String(); got != want {
+			t.Errorf("Kind(%d).String() = %q, want %q", int(k), got, want)
+		}
 	}
 }

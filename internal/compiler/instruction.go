@@ -30,8 +30,6 @@ const (
 	KindBroadcast
 	// KindCheckpoint persists an RDD-backed variable (§5.2).
 	KindCheckpoint
-	// KindEvict releases part of the GPU free list (§5.2).
-	KindEvict
 	// KindFree releases a block-local temporary at its last-use point.
 	// Inserted by the memory planner (internal/memplan) so intermediates
 	// are dropped deterministically instead of waiting for block end.
@@ -46,8 +44,6 @@ func (k Kind) String() string {
 		return "broadcast"
 	case KindCheckpoint:
 		return "chkpoint"
-	case KindEvict:
-		return "evict"
 	case KindFree:
 		return "free"
 	default:

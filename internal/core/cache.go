@@ -385,14 +385,8 @@ func (c *Cache) Config() Config { return c.conf }
 // CPUsed returns the bytes of driver-resident cached matrices.
 func (c *Cache) CPUsed() int64 { return c.cpUsed }
 
-// SparkUsed returns the worst-case bytes of reuse-persisted RDDs.
-func (c *Cache) SparkUsed() int64 { return c.sparkUsed }
-
 // CPPeak returns the high-water mark of driver-resident cached bytes.
 func (c *Cache) CPPeak() int64 { return c.cpPeak }
-
-// SparkPeak returns the high-water mark of reuse-persisted RDD bytes.
-func (c *Cache) SparkPeak() int64 { return c.sparkPeak }
 
 // bumpCP/bumpSpark refresh the high-water marks after a usage increase.
 func (c *Cache) bumpCP() {

@@ -240,6 +240,59 @@ func TestAsyncMaterializationAfterKMisses(t *testing.T) {
 	}
 }
 
+// TestFreedGPUPointerDropsEntry: a device pointer freed without the
+// recycle callback (Surrender, as a demotion does) leaves its entry behind.
+// The next Probe, or a ReuseGPU of an entry already probed, drops the
+// entry and its pointer index slot and leaves the host byte counters and
+// candidate lists as they were.
+func TestFreedGPUPointerDropsEntry(t *testing.T) {
+	e := newEnv(DefaultConfig())
+	c := e.cache
+	c.PutCP(li("host", ""), data.Ones(4, 4), 0.5, 1, false, false)
+	cpUsed, entries := c.cpUsed, c.NumEntries()
+	put := func(op string) *gpu.Pointer {
+		p, err := e.gm.Allocate(256, 1, 0.001)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.PutGPU(li(op, ""), p, 0.001, 1)
+		if c.gpE[p] == nil || c.NumEntries() != entries+1 {
+			t.Fatalf("%s: the GPU entry was not stored", op)
+		}
+		return p
+	}
+	dropped := func(op string, p *gpu.Pointer) {
+		t.Helper()
+		if c.find(li(op, "")) != nil || c.gpE[p] != nil || p.Cached {
+			t.Fatalf("%s: the entry of the freed pointer survived", op)
+		}
+		if c.NumEntries() != entries || c.cpUsed != cpUsed || c.sparkUsed != 0 {
+			t.Fatalf("%s: %d entries, %d CP and %d Spark bytes; want %d, %d and 0",
+				op, c.NumEntries(), c.cpUsed, c.sparkUsed, entries, cpUsed)
+		}
+		checkLists(t, c, true)
+	}
+
+	p := put("gemm")
+	e.gm.Surrender(p)
+	misses := c.Stats.Misses
+	if _, hit := c.Probe(li("gemm", "")); hit || c.Stats.Misses != misses+1 {
+		t.Fatal("Probe: a freed pointer's entry must miss")
+	}
+	dropped("gemm", p)
+
+	q := put("conv")
+	got, hit := c.Probe(li("conv", ""))
+	if !hit {
+		t.Fatal("a valid GPU entry must hit")
+	}
+	e.gm.Surrender(q)
+	if c.ReuseGPU(got) {
+		t.Fatal("ReuseGPU retained a freed pointer")
+	}
+	dropped("conv", q)
+}
+
 func TestPutGPUAndRecycleInvalidation(t *testing.T) {
 	e := newEnv(DefaultConfig())
 	p, err := e.gm.Allocate(256, 2, 0.001)
@@ -303,7 +356,7 @@ func TestClear(t *testing.T) {
 		func(_ int, p *data.Matrix) *data.Matrix { return p }), nil, nil, 1, 1, spark.StorageMemory)
 	e.cache.PutCP(li("m", ""), data.Ones(2, 2), 1, 1, false, false)
 	e.cache.Clear()
-	if e.cache.NumEntries() != 0 || e.cache.CPUsed() != 0 || e.cache.SparkUsed() != 0 {
+	if e.cache.NumEntries() != 0 || e.cache.CPUsed() != 0 || e.cache.sparkUsed != 0 {
 		t.Fatal("Clear left state behind")
 	}
 }

@@ -151,9 +151,9 @@ func checkLists(t *testing.T, c *Cache, accounting bool) {
 		}
 	}
 	checkPlaceholders(t, c, nPlaceholders)
-	if accounting && (c.CPUsed() != cpBytes || c.SparkUsed() != sparkBytes) {
+	if accounting && (c.CPUsed() != cpBytes || c.sparkUsed != sparkBytes) {
 		t.Fatalf("used bytes CP %d, Spark %d; listed entries sum to %d and %d",
-			c.CPUsed(), c.SparkUsed(), cpBytes, sparkBytes)
+			c.CPUsed(), c.sparkUsed, cpBytes, sparkBytes)
 	}
 }
 
@@ -371,14 +371,13 @@ func TestVictimOrderMatchesReferenceScan(t *testing.T) {
 						c.MakeSpaceSpark(rng.Int63n(conf.SparkBudget))
 					}
 				case op < 88:
+					// A need past the free room: MAKE_SPACE frees at
+					// least the extra bytes, at least one victim.
 					need := int64(1 + rng.Intn(1024))
-					switch rng.Intn(3) {
-					case 0:
-						arb.Pool(PoolCP).Evict(need)
-					case 1:
-						arb.Pool(PoolCP).Demote(need)
-					default:
-						arb.Pool(PoolSparkReuse).Evict(need)
+					if rng.Intn(3) < 2 {
+						c.MakeSpaceCP(conf.CPBudget - c.cpUsed + need)
+					} else {
+						c.MakeSpaceSpark(conf.SparkBudget - c.sparkUsed + need)
 					}
 				case op < 98:
 					if rng.Intn(2) == 0 {
@@ -507,9 +506,9 @@ func TestDelayedPutOfStoredItemCountsItsBytesOnce(t *testing.T) {
 	if got := e.cache.PutGPU(li("x", ""), p, 1, 2); got == nil || got.Backend != BackendCP {
 		t.Fatal("PutGPU of a stored CP item must return the CP entry")
 	}
-	if e.cache.CPUsed() != 128 || e.cache.SparkUsed() != 0 || r.StorageLevel() != spark.StorageNone || p.Cached {
+	if e.cache.CPUsed() != 128 || e.cache.sparkUsed != 0 || r.StorageLevel() != spark.StorageNone || p.Cached {
 		t.Fatalf("CPUsed %d, SparkUsed %d, RDD level %v, pointer cached %v; want 128, 0, none, false",
-			e.cache.CPUsed(), e.cache.SparkUsed(), r.StorageLevel(), p.Cached)
+			e.cache.CPUsed(), e.cache.sparkUsed, r.StorageLevel(), p.Cached)
 	}
 	checkLists(t, e.cache, true)
 }

@@ -19,11 +19,12 @@ import (
 // lineage cache, the shared serving cache) must be announced via Escape so
 // the arena never recycles storage that something else can still read.
 //
-// The arena registers with the memctl arbiter as itself: its method set
-// satisfies memctl.Pool without data importing memctl. Used is the retained
-// free-list footprint, and Evict trims free shape classes (largest first,
-// deterministically) — idle buffers are the only thing an arena can give
-// back without breaking a live kernel.
+// The arena registers with the memctl arbiter as itself, a report-only
+// pool: its method set satisfies memctl.Pool without data importing memctl.
+// Used is the retained free-list footprint. The arena evicts on its own
+// path: a Put that takes Used over the budget trims free shape classes
+// (largest first, deterministically) — idle buffers are the only thing an
+// arena can give back without breaking a live kernel.
 //
 // Methods are safe for concurrent use, though the expected discipline is
 // the runtime driver's single-threaded execution loop; the lock exists for
@@ -40,14 +41,14 @@ type Arena struct {
 	reuses  int64 // Gets served from a free list
 	puts    int64
 	escapes int64
-	evicted int64 // bytes trimmed by Evict
+	evicted int64 // bytes trimmed by budget overflow
 	debug   bool
 	nextID  int
 	events  []ArenaEvent
 }
 
 // DefaultArenaBudget bounds the bytes an arena retains on its free lists
-// before it trims itself; the arbiter can trim further under pressure.
+// before it trims itself.
 const DefaultArenaBudget = 8 << 20
 
 // NewArena returns an empty arena retaining at most budget bytes of idle
@@ -200,14 +201,6 @@ func (a *Arena) Stats() (gets, reuses, puts, escapes int64) {
 	return a.gets, a.reuses, a.puts, a.escapes
 }
 
-// Evicted returns the cumulative bytes trimmed from the free lists (by
-// budget overflow or arbiter pressure).
-func (a *Arena) Evicted() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.evicted
-}
-
 // Events returns a copy of the recorded trace (debug mode only).
 func (a *Arena) Events() []ArenaEvent {
 	a.mu.Lock()
@@ -243,18 +236,6 @@ func (a *Arena) Peak() int64 {
 	defer a.mu.Unlock()
 	return a.peak
 }
-
-// Evict implements memctl.Pool: trim idle shape classes until need bytes
-// are released (or nothing idle remains). Returns bytes freed.
-func (a *Arena) Evict(need int64) int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.trimLocked(need)
-}
-
-// Demote implements memctl.Pool. Idle arena buffers hold no values worth
-// keeping in a lower tier, so the arena never demotes.
-func (a *Arena) Demote(need int64) int64 { return 0 }
 
 // --- trace checker (mirrors memplan.VerifyStream) -------------------------
 

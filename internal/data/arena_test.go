@@ -3,6 +3,8 @@ package data
 import (
 	"strings"
 	"testing"
+
+	"memphis/internal/memctl"
 )
 
 func TestArenaGetPutRecycles(t *testing.T) {
@@ -50,13 +52,24 @@ func TestArenaBudgetTrims(t *testing.T) {
 	if a.Used() > 1024 {
 		t.Errorf("retained %d bytes over budget 1024", a.Used())
 	}
-	if a.Evicted() == 0 {
+	if a.evicted == 0 {
 		t.Errorf("no eviction recorded despite over-budget Put")
 	}
 }
 
+// TestArenaEvictAndPoolShape: the arena is a report-only arbiter pool
+// (Name/Used/Budget and Peak, nothing to reclaim through); it evicts by
+// trimming itself when a Put overflows its budget.
 func TestArenaEvictAndPoolShape(t *testing.T) {
-	a := NewArena(1 << 20)
+	const buf = 32 * 32 * 8
+	a := NewArena(3 * buf)
+	var pool memctl.Pool = a
+	if _, ok := pool.(memctl.Reclaimer); ok {
+		t.Errorf("the arena is a memctl.Reclaimer; it only reports")
+	}
+	if _, ok := pool.(memctl.PeakReporter); !ok {
+		t.Errorf("the arena does not report its peak")
+	}
 	ms := make([]*Matrix, 4)
 	for i := range ms {
 		ms[i] = a.Get(32, 32)
@@ -64,20 +77,12 @@ func TestArenaEvictAndPoolShape(t *testing.T) {
 	for _, m := range ms {
 		a.Put(m)
 	}
-	if a.Name() != "arena" {
-		t.Errorf("Name = %q", a.Name())
+	if a.Name() != "arena" || a.Budget() != 3*buf {
+		t.Errorf("Name = %q, Budget = %d", a.Name(), a.Budget())
 	}
-	if want := int64(4 * 32 * 32 * 8); a.Used() != want || a.Peak() != want {
-		t.Errorf("Used=%d Peak=%d, want four idle buffers (%d)", a.Used(), a.Peak(), want)
-	}
-	if freed := a.Evict(1); freed != 32*32*8 {
-		t.Errorf("Evict(1) freed %d, want one whole buffer (%d)", freed, 32*32*8)
-	}
-	if freed := a.Evict(a.Used()); freed == 0 || a.Used() != 0 {
-		t.Errorf("draining Evict freed %d, used now %d", freed, a.Used())
-	}
-	if a.Demote(1) != 0 {
-		t.Errorf("arena Demote should be 0 (buffers hold no values)")
+	if a.Used() != 3*buf || a.Peak() != 4*buf || a.evicted != buf {
+		t.Errorf("Used=%d Peak=%d Evicted=%d, want the fourth Put to trim one buffer (%d)",
+			a.Used(), a.Peak(), a.evicted, buf)
 	}
 }
 

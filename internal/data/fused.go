@@ -193,16 +193,6 @@ func ParseFused(prog string) (*FusedProgram, error) {
 	return fp, nil
 }
 
-// Ops returns the constituent opcodes in step order, for rendering fused
-// instructions in traces and plan dumps.
-func (fp *FusedProgram) Ops() []string {
-	out := make([]string, len(fp.Steps))
-	for i, st := range fp.Steps {
-		out[i] = st.Op
-	}
-	return out
-}
-
 func fusedBinary(op string) bool {
 	switch op {
 	case "+", "-", "*", "/", "min", "max", ">", "<":

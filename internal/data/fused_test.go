@@ -27,8 +27,8 @@ func TestParseFusedValid(t *testing.T) {
 	if len(fp.Steps) != 3 || fp.Leaves != 2 {
 		t.Fatalf("steps %d leaves %d", len(fp.Steps), fp.Leaves)
 	}
-	if got := fp.Ops(); len(got) != 3 || got[0] != "+" || got[2] != "sigmoid" {
-		t.Fatalf("ops %v", got)
+	if fp.Steps[0].Op != "+" || fp.Steps[2].Op != "sigmoid" {
+		t.Fatalf("ops %q, %q", fp.Steps[0].Op, fp.Steps[2].Op)
 	}
 }
 

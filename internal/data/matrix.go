@@ -90,15 +90,6 @@ func RandNorm(rows, cols int, mu, sd float64, seed int64) *Matrix {
 	return m
 }
 
-// Seq returns a column vector [from, from+step, ...] with n entries.
-func Seq(from, step float64, n int) *Matrix {
-	m := New(n, 1)
-	for i := 0; i < n; i++ {
-		m.Data[i] = from + float64(i)*step
-	}
-	return m
-}
-
 // At returns the cell (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 

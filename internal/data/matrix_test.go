@@ -85,6 +85,16 @@ func TestRandSparsity(t *testing.T) {
 	}
 }
 
+// Seq returns a column vector [from, from+step, ...] with n entries: a
+// fixture of the data tests.
+func Seq(from, step float64, n int) *Matrix {
+	m := New(n, 1)
+	for i := 0; i < n; i++ {
+		m.Data[i] = from + float64(i)*step
+	}
+	return m
+}
+
 func TestSeq(t *testing.T) {
 	s := Seq(1, 2, 4)
 	want := []float64{1, 3, 5, 7}

@@ -15,22 +15,6 @@ func ReLU(a *Matrix) *Matrix {
 	})
 }
 
-// ReLUBackward masks upstream gradients dout where the forward input x <= 0.
-func ReLUBackward(x, dout *Matrix) *Matrix {
-	if x.Rows != dout.Rows || x.Cols != dout.Cols {
-		panic("data: relu backward shape mismatch")
-	}
-	out := New(x.Rows, x.Cols)
-	parallelFor(len(x.Data), float64(len(x.Data)), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if x.Data[i] > 0 {
-				out.Data[i] = dout.Data[i]
-			}
-		}
-	})
-	return out
-}
-
 // Softmax returns the row-wise softmax with the usual max-shift for
 // numerical stability, sharded over rows.
 func Softmax(a *Matrix) *Matrix {
@@ -56,9 +40,6 @@ func Softmax(a *Matrix) *Matrix {
 	})
 	return out
 }
-
-// Affine returns x*w + b where b is a 1 x n bias row.
-func Affine(x, w, b *Matrix) *Matrix { return Add(MatMul(x, w), b) }
 
 // Dropout zeroes cells with probability p and scales survivors by 1/(1-p)
 // (inverted dropout). Deterministic given the seed: cell (i, j) survives iff

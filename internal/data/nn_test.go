@@ -17,15 +17,6 @@ func TestReLU(t *testing.T) {
 	}
 }
 
-func TestReLUBackward(t *testing.T) {
-	x := FromSlice(1, 3, []float64{-1, 2, 0})
-	dout := FromSlice(1, 3, []float64{5, 5, 5})
-	want := FromSlice(1, 3, []float64{0, 5, 0})
-	if !AllClose(ReLUBackward(x, dout), want, 0) {
-		t.Fatal("ReLUBackward wrong")
-	}
-}
-
 func TestSoftmaxRowsSumToOne(t *testing.T) {
 	f := func(seed int64) bool {
 		m := RandNorm(3, 5, 0, 3, seed)
@@ -55,17 +46,6 @@ func TestSoftmaxStability(t *testing.T) {
 	s := Softmax(m)
 	if math.IsNaN(s.At(0, 0)) || math.IsNaN(s.At(0, 1)) {
 		t.Fatal("softmax overflowed on large logits")
-	}
-}
-
-func TestAffine(t *testing.T) {
-	x := FromSlice(2, 2, []float64{1, 2, 3, 4})
-	w := Identity(2)
-	b := FromSlice(1, 2, []float64{10, 20})
-	got := Affine(x, w, b)
-	want := FromSlice(2, 2, []float64{11, 22, 13, 24})
-	if !AllClose(got, want, 0) {
-		t.Fatalf("Affine = %v", got)
 	}
 }
 

@@ -136,7 +136,6 @@ func TestSerialParallelEquivalence(t *testing.T) {
 				kernel{"Exp", func() *Matrix { return Exp(a) }},
 				kernel{"Dropout", func() *Matrix { return Dropout(a, 0.3, 17) }},
 				kernel{"Softmax", func() *Matrix { return Softmax(a) }},
-				kernel{"ReLUBackward", func() *Matrix { return ReLUBackward(a, d) }},
 				kernel{"RowSums", func() *Matrix { return RowSums(a) }},
 				kernel{"ColSums", func() *Matrix { return ColSums(a) }},
 				kernel{"RowMaxIndex", func() *Matrix { return RowMaxIndex(a) }},

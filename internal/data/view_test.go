@@ -86,9 +86,7 @@ func viewKernels() []viewKernel {
 		{"Norm2", func(m, _ *Matrix) []*Matrix { return scalar(Norm2(m)) }},
 		{"PCA", func(m, _ *Matrix) []*Matrix { return one(PCA(m, 2, 5)) }},
 		{"ReLU", func(m, _ *Matrix) []*Matrix { return one(ReLU(m)) }},
-		{"ReLUBackward", func(m, _ *Matrix) []*Matrix { return one(ReLUBackward(m, m)) }},
 		{"Softmax", func(m, _ *Matrix) []*Matrix { return one(Softmax(m)) }},
-		{"Affine", func(m, _ *Matrix) []*Matrix { return one(Affine(m, cols(m, 4), Ones(1, 4))) }},
 		{"Dropout", func(m, _ *Matrix) []*Matrix { return two(Dropout(m, 0.4, 9), Dropout(m, 0, 9)) }},
 		{"Conv2D", func(m, _ *Matrix) []*Matrix { return one(Conv2D(m, filt, 1, 3, 4, 2, 2, 1, 1)) }},
 		{"Conv2DFilter", func(m, _ *Matrix) []*Matrix {

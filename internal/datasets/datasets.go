@@ -140,29 +140,3 @@ func Images(n, c, h, w int, dupFrac float64, seed int64) *data.Matrix {
 	}
 	return out
 }
-
-// DuplicateRate reports the fraction of rows that repeat an earlier row
-// (used by tests to validate generators).
-func DuplicateRate(m *data.Matrix) float64 {
-	seen := make(map[string]bool, m.Rows)
-	dups := 0
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		key := ""
-		for _, v := range row[:min(8, len(row))] {
-			key += string(rune(int(v*1e6) % 1114111))
-		}
-		if seen[key] {
-			dups++
-		}
-		seen[key] = true
-	}
-	return float64(dups) / float64(m.Rows)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -127,6 +127,25 @@ func TestWMT14ZipfDuplicates(t *testing.T) {
 	}
 }
 
+// DuplicateRate reports the fraction of rows that repeat an earlier row
+// (the generators' duplicate check).
+func DuplicateRate(m *data.Matrix) float64 {
+	seen := make(map[string]bool, m.Rows)
+	dups := 0
+	for i := 0; i < m.Rows; i++ {
+		row := m.Data[i*m.Cols : (i+1)*m.Cols]
+		key := ""
+		for _, v := range row[:min(8, len(row))] {
+			key += string(rune(int(v*1e6) % 1114111))
+		}
+		if seen[key] {
+			dups++
+		}
+		seen[key] = true
+	}
+	return float64(dups) / float64(m.Rows)
+}
+
 func TestImagesDuplicateRate(t *testing.T) {
 	imgs := Images(400, 1, 4, 4, 0.4, 17)
 	rate := DuplicateRate(imgs)

@@ -20,8 +20,6 @@
 package faults
 
 import (
-	"sort"
-
 	"memphis/internal/key"
 )
 
@@ -221,14 +219,6 @@ func (i *Injector) Draw(site Site) uint64 {
 	return mix64(uint64(i.seed) ^ mix64(siteHash(site)^0xd7a3) ^ mix64(uint64(st.draws)))
 }
 
-// Calls returns how many calls the site has begun.
-func (i *Injector) Calls(site Site) int64 {
-	if i == nil || i.sites[site] == nil {
-		return 0
-	}
-	return i.sites[site].calls
-}
-
 // Counts returns the number of injected failures per site (sites that never
 // fired are omitted). The map is a copy.
 func (i *Injector) Counts() map[Site]int64 {
@@ -254,25 +244,6 @@ func (i *Injector) Injected() int64 {
 		n += st.injected
 	}
 	return n
-}
-
-// SiteNames returns the registered sites in sorted order (for reports).
-func (i *Injector) SiteNames() []Site {
-	if i == nil {
-		return nil
-	}
-	out := make([]Site, 0, len(i.sites))
-	for s := range i.sites {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
-}
-
-// Hit is the package-level stateless Bernoulli draw keyed by (seed, site,
-// index) — for callers that index calls themselves.
-func Hit(seed int64, site Site, n uint64, prob float64) bool {
-	return prob > 0 && chance(seed, site, n) < prob
 }
 
 // mix64 is the splitmix64 finalizer: a high-quality 64-bit mixing function

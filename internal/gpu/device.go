@@ -46,9 +46,6 @@ type Pointer struct {
 // Size returns the allocation size in bytes.
 func (p *Pointer) Size() int64 { return p.size }
 
-// Addr returns the device address (for tests and fragmentation inspection).
-func (p *Pointer) Addr() int64 { return p.addr }
-
 // Valid reports whether the pointer still owns device memory.
 func (p *Pointer) Valid() bool { return !p.freed }
 
@@ -74,7 +71,6 @@ type Device struct {
 	stream *vtime.Resource
 	model  *costs.Model
 	alloc  *allocator
-	peak   int64 // high-water mark of allocated bytes
 	Stats  DeviceStats
 }
 
@@ -92,9 +88,6 @@ func NewDevice(clock *vtime.Clock, model *costs.Model, name string, capacity int
 // Capacity returns the device memory size in bytes.
 func (d *Device) Capacity() int64 { return d.alloc.capacity }
 
-// Peak returns the high-water mark of allocated device bytes.
-func (d *Device) Peak() int64 { return d.peak }
-
 // Used returns the allocated bytes.
 func (d *Device) Used() int64 { return d.alloc.capacity - d.alloc.available() }
 
@@ -106,9 +99,6 @@ func (d *Device) LargestFree() int64 { return d.alloc.largestFree() }
 
 // Fragmented reports external fragmentation.
 func (d *Device) Fragmented() bool { return d.alloc.fragmented() }
-
-// Stream exposes the command-stream resource (for overlap accounting).
-func (d *Device) Stream() *vtime.Resource { return d.stream }
 
 // Sync blocks the host until all queued kernels complete.
 func (d *Device) Sync() {
@@ -126,9 +116,6 @@ func (d *Device) Malloc(size int64) (*Pointer, error) {
 	}
 	d.Stats.Mallocs++
 	d.clock.Advance(d.model.CudaMalloc)
-	if u := d.Used(); u > d.peak {
-		d.peak = u
-	}
 	return &Pointer{addr: addr, size: size, RefCount: 1, LastAccess: d.clock.Now()}, nil
 }
 
@@ -181,7 +168,7 @@ func (d *Device) Launch(flops float64, out *Pointer, compute func() *data.Matrix
 	}
 	d.Stats.Kernels++
 	d.clock.Advance(d.model.KernelLaunch)
-	d.clock.RunAsync(d.stream, costs.Compute(flops, d.model.GPUFlops), "kernel")
+	d.clock.RunAsync(d.stream, costs.Compute(flops, d.model.GPUFlops))
 	out.value = compute()
 	if out.value.SizeBytes() > out.size {
 		panic(fmt.Sprintf("gpu: kernel wrote %d bytes into %d-byte allocation",
@@ -237,6 +224,6 @@ func (d *Device) D2HAsync(p *Pointer) (*data.Matrix, *vtime.Future) {
 	d.Stats.D2HCopies++
 	d.Stats.D2HBytes += p.size
 	f := d.clock.RunAsync(d.stream,
-		costs.Transfer(p.size, d.model.D2HBW, d.model.CopyLatency), "d2h")
+		costs.Transfer(p.size, d.model.D2HBW, d.model.CopyLatency))
 	return p.value, f
 }

@@ -486,10 +486,10 @@ func (m *Manager) Surrender(p *Pointer) {
 	m.dev.Free(p)
 }
 
-// memPool adapts the manager to memctl.Pool. Used/Budget are the raw device
-// occupancy; Evict releases recyclable free-list pointers; Demote runs the
-// runtime-installed demoter, which moves cached live pointers down to the
-// host cache through the lineage cache.
+// memPool adapts the manager to memctl.Reclaimer. Used/Budget are the raw
+// device occupancy; Evict releases recyclable free-list pointers; Demote
+// runs the runtime-installed demoter, which moves cached live pointers down
+// to the host cache through the lineage cache.
 type memPool struct {
 	m       *Manager
 	demoter func(need int64) int64
@@ -510,7 +510,7 @@ func (p memPool) Demote(need int64) int64 {
 
 // MemPool returns the arbiter pool view of device memory. demoter (may be
 // nil) implements the device-to-host rung of the demotion ladder.
-func (m *Manager) MemPool(demoter func(need int64) int64) memctl.Pool {
+func (m *Manager) MemPool(demoter func(need int64) int64) memctl.Reclaimer {
 	return memPool{m: m, demoter: demoter}
 }
 

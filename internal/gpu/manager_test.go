@@ -76,7 +76,7 @@ func TestPopFreeAnyTiesGoToLowerAddress(t *testing.T) {
 		m.EvictPercent(0.01) // one pointer
 		for _, p := range ps {
 			if !p.Valid() {
-				seen[p.Addr()]++
+				seen[p.addr]++
 			}
 		}
 	}

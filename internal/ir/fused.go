@@ -6,14 +6,8 @@ import "memphis/internal/key"
 // instruction whose "prog" attribute encodes the constituent elementwise/
 // unary/scalar steps (see internal/data's fused interpreter for the step
 // grammar). The compiler's fusion pass emits these over the linearized
-// stream; programs may also construct them directly with Fused.
+// stream.
 const FusedOp = "fused"
-
-// Fused builds a fused elementwise node over the given leaf inputs. prog is
-// the step program referencing leaves as $0..$n-1 and earlier steps as @k.
-func Fused(prog string, inputs ...*Node) *Node {
-	return NewNode(FusedOp, inputs...).WithAttr("prog", prog)
-}
 
 // FingerprintNode returns a structural hash of one expression sub-DAG with
 // the same DAG-memoized node identity as Program.Fingerprint. The fusion

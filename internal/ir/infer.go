@@ -22,7 +22,7 @@ func Infer(n *Node, env map[string]Shape) Shape {
 		return Shape{1, 1}
 	case "lit":
 		return Shape{1, 1}
-	case "rand", "randn":
+	case "rand":
 		return Shape{n.AttrInt("rows", 1), n.AttrInt("cols", 1)}
 	case "t":
 		a := sh(0)

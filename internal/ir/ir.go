@@ -52,16 +52,6 @@ func (n *Node) AttrInt(k string, def int) int {
 	return def
 }
 
-// AttrFloat returns a float attribute, or def if absent.
-func (n *Node) AttrFloat(k string, def float64) float64 {
-	if s := n.Attr(k); s != "" {
-		if v, err := strconv.ParseFloat(s, 64); err == nil {
-			return v
-		}
-	}
-	return def
-}
-
 // Leaf constructors.
 
 // Var references a program variable.
@@ -80,14 +70,6 @@ func Rand(rows, cols int, min, max, sparsity float64, seed int64) *Node {
 		WithAttr("rows", strconv.Itoa(rows)).WithAttr("cols", strconv.Itoa(cols)).
 		WithAttr("min", fmt.Sprint(min)).WithAttr("max", fmt.Sprint(max)).
 		WithAttr("sparsity", fmt.Sprint(sparsity)).WithAttr("seed", fmt.Sprint(seed))
-}
-
-// RandNorm creates a normal random matrix.
-func RandNorm(rows, cols int, mu, sd float64, seed int64) *Node {
-	return NewNode("randn").
-		WithAttr("rows", strconv.Itoa(rows)).WithAttr("cols", strconv.Itoa(cols)).
-		WithAttr("mu", fmt.Sprint(mu)).WithAttr("sd", fmt.Sprint(sd)).
-		WithAttr("seed", fmt.Sprint(seed))
 }
 
 // T transposes.

@@ -13,15 +13,12 @@ func TestNodeAttrs(t *testing.T) {
 	if n.AttrInt("k", 0) != 7 || n.AttrInt("missing", 3) != 3 || n.AttrInt("f", 9) != 9 {
 		t.Fatal("AttrInt wrong")
 	}
-	if n.AttrFloat("f", 0) != 2.5 || n.AttrFloat("missing", 1.5) != 1.5 {
-		t.Fatal("AttrFloat wrong")
-	}
 }
 
 func TestConstructorsCarryParameters(t *testing.T) {
 	r := Rand(3, 4, -1, 2, 0.5, 99)
 	if r.AttrInt("rows", 0) != 3 || r.AttrInt("cols", 0) != 4 ||
-		r.AttrFloat("sparsity", 0) != 0.5 || r.Attr("seed") != "99" {
+		r.Attr("sparsity") != "0.5" || r.Attr("seed") != "99" {
 		t.Fatalf("Rand attrs = %v", r.Attrs)
 	}
 	c := Conv2D(Var("x"), Var("w"), 3, 8, 8, 5, 5, 2, 1)

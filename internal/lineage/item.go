@@ -279,19 +279,3 @@ func (it *Item) Equals(other *Item) bool {
 	}
 	return true
 }
-
-// Size returns the number of distinct nodes in the DAG rooted at it.
-func (it *Item) Size() int {
-	seen := make(map[uint64]struct{})
-	stack := []*Item{it}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if _, ok := seen[n.id]; ok {
-			continue
-		}
-		seen[n.id] = struct{}{}
-		stack = append(stack, n.inputs...)
-	}
-	return len(seen)
-}

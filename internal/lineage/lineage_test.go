@@ -104,15 +104,6 @@ func TestHeight(t *testing.T) {
 	}
 }
 
-func TestSizeCountsDistinctNodes(t *testing.T) {
-	x := NewLeaf("read", "X")
-	tx := NewItem("t", "", x)
-	mm := NewItem("ba+*", "", tx, x) // shares x
-	if mm.Size() != 3 {
-		t.Fatalf("Size = %d, want 3", mm.Size())
-	}
-}
-
 func TestMapTraceAndBind(t *testing.T) {
 	m := NewMap()
 	it := m.Trace("a", "rand", "rows=2,cols=2,seed=1")

@@ -6,11 +6,13 @@ import (
 	"sync/atomic"
 )
 
-// Pool is one managed memory region registered with the Arbiter. Pools
-// keep their own mechanisms (the CP cache's MAKE_SPACE, the GPU
-// manager's Algorithm 1, the block manager's partition eviction) and
-// their own victim ranking; the surface is only what the arbiter calls to
-// account pressure jointly and drive the cross-backend demotion ladder.
+// Pool is one memory region registered with the Arbiter for reporting:
+// its resident bytes and budget enter the snapshots and the global
+// headroom. Every pool keeps its own eviction mechanism (the CP cache's
+// MAKE_SPACE, the GPU manager's Algorithm 1, the block manager's partition
+// eviction, the arena's trim) and its own victim ranking, and reports what
+// they do through NotePressure, NoteEviction and NoteDemotion. A pool the
+// arbiter may also reclaim from implements Reclaimer.
 //
 // Pool methods are called under the owner's execution discipline: the
 // runtime's pools are single-threaded on the driver, the serving layer's
@@ -23,13 +25,19 @@ type Pool interface {
 	// Budget returns the pool's byte budget (device capacity, cache
 	// budget, storage region size, or tenant share).
 	Budget() int64
-	// Evict releases room for need bytes inside the pool (dropping or
-	// unpersisting victims), returning the bytes actually released.
+}
+
+// Reclaimer is a Pool whose pressure reaches the arbiter: MakeSpace on it
+// runs the demotion ladder. The GPU device pool and the serving layer's
+// shared-cache pools implement it.
+type Reclaimer interface {
+	Pool
+	// Evict releases room for need bytes inside the pool (dropping
+	// victims), returning the bytes actually released.
 	Evict(need int64) int64
-	// Demote moves at least need bytes one rung down the tier ladder —
-	// GPU pointers to the host cache, cached matrices to disk spill,
-	// memory-and-disk blocks to disk — returning the bytes demoted.
-	// Pools with no lower tier return 0.
+	// Demote moves at least need bytes one rung down the tier ladder (GPU
+	// pointers to the host cache), returning the bytes demoted. Pools with
+	// no lower tier return 0.
 	Demote(need int64) int64
 }
 
@@ -88,10 +96,10 @@ func (c *counters) snapshot() Counters {
 	}
 }
 
-// Arbiter is the single registry of memory pools. It owns the demotion
-// ladder and the per-pool counters; the scoring function (Score) is
-// shared by construction because every pool ranks candidates through it.
-// Registration order is preserved in snapshots so output is stable.
+// Arbiter is the single registry of memory pools. It owns the per-pool
+// counters and, for the pools that implement Reclaimer, the demotion
+// ladder. Registration order is preserved in snapshots so output is
+// stable.
 type Arbiter struct {
 	mu    sync.RWMutex
 	pools []Pool
@@ -104,8 +112,8 @@ func NewArbiter() *Arbiter {
 }
 
 // Register adds a pool. Registering a second pool under an existing name
-// replaces the pool but keeps its counters (the serving layer re-attaches
-// tenant pools across cache clears).
+// replaces the pool but keeps its counters (two racing first touches of a
+// serving tenant both register its pool).
 func (a *Arbiter) Register(p Pool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -206,10 +214,12 @@ func (a *Arbiter) totals() (used, budget int64) {
 // in the named pool, preferring demotion down the tier ladder — which
 // keeps values reachable for reuse — while the system globally has
 // headroom to absorb the demoted bytes, and falling back to in-pool
-// eviction otherwise. Returns the bytes released in the pool.
+// eviction otherwise. Returns the bytes released in the pool. A pool that
+// only reports (not a Reclaimer) is left alone: MakeSpace returns 0 and
+// counts nothing.
 func (a *Arbiter) MakeSpace(name string, need int64) int64 {
-	p := a.Pool(name)
-	if p == nil || need <= 0 {
+	p, ok := a.Pool(name).(Reclaimer)
+	if !ok || need <= 0 {
 		return 0
 	}
 	a.counter(name).pressureEvents.Add(1)

@@ -77,6 +77,46 @@ func TestMakeSpaceSkipsDemotionWithoutHeadroom(t *testing.T) {
 	}
 }
 
+// reportPool only reports its bytes: it is not a Reclaimer.
+type reportPool struct {
+	name         string
+	used, budget int64
+}
+
+func (p *reportPool) Name() string  { return p.name }
+func (p *reportPool) Used() int64   { return p.used }
+func (p *reportPool) Budget() int64 { return p.budget }
+
+// TestMakeSpaceLeavesReportOnlyPool: a pool that evicts on its own path
+// is summed into the headroom but never reclaimed from, and MakeSpace on
+// it counts no pressure event.
+func TestMakeSpaceLeavesReportOnlyPool(t *testing.T) {
+	a := NewArbiter()
+	cp := &reportPool{name: "cp", used: 100, budget: 100}
+	gpu := &fakePool{name: "gpu", used: 10, budget: 100, demoted: 5, evicted: 5}
+	a.Register(cp)
+	a.Register(gpu)
+	if freed := a.MakeSpace("cp", 50); freed != 0 {
+		t.Fatalf("freed=%d want 0 from a report-only pool", freed)
+	}
+	snap := a.Snapshot()
+	if snap[0].Name != "cp" || snap[0].Counters != (Counters{}) {
+		t.Fatalf("report-only pool counted %+v", snap[0])
+	}
+	if snap[0].Used != 100 || snap[0].Pressure != 1 || snap[0].PeakUsed != 100 {
+		t.Fatalf("report-only pool row %+v", snap[0])
+	}
+	if got := a.GlobalHeadroom(); got != 90 {
+		t.Fatalf("GlobalHeadroom=%d want 90", got)
+	}
+	if freed := a.MakeSpace("gpu", 10); freed != 10 {
+		t.Fatalf("reclaimer freed=%d want 10", freed)
+	}
+	if got := a.Snapshot()[1].PressureEvents; got != 1 {
+		t.Fatalf("reclaimer pressure=%d want 1", got)
+	}
+}
+
 func TestMakeSpaceUnknownPool(t *testing.T) {
 	a := NewArbiter()
 	if freed := a.MakeSpace("nope", 10); freed != 0 {

@@ -19,12 +19,17 @@
 // uses Eq. (2) (recency + 1/height + cost), and the block manager's LRU
 // is the degenerate recency-only instance. Lower scores evict first.
 //
-// Arbitration. Pools register with an Arbiter that owns the cross-backend
-// demotion ladder (GPU → host cache → disk spill; Spark block → disk or
-// drop-for-lineage-recompute) and per-pool pressure/eviction/demotion
-// counters. MakeSpace prefers demotion — which keeps the value reachable
-// in a lower tier — while the system as a whole has headroom, and falls
-// back to eviction when global pressure leaves nowhere to demote to.
+// Arbitration. Every region registers with an Arbiter, which keeps its
+// pressure/eviction/demotion counters and sums the global headroom. Only
+// the pools that implement Reclaimer are arbitrated: the GPU device pool,
+// whose ladder demotes cached device pointers to the host cache (where the
+// driver cache's own MAKE_SPACE may later spill them to disk), and the
+// serving layer's shared cache and tenant shares. MakeSpace prefers
+// demotion — which keeps the value reachable in a lower tier — while the
+// system as a whole has headroom, and falls back to eviction when global
+// pressure leaves nowhere to demote to. The driver cache, the Spark reuse
+// share, the block manager and the arena only report: they evict on their
+// own paths and note what they did.
 package memctl
 
 // Candidate is the backend-independent description of one eviction

@@ -27,7 +27,6 @@
 package memplan
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -275,26 +274,3 @@ func (p *Plan) LifetimeAt(name string, pos, window int) memctl.Lifetime {
 // SkipCache reports whether the plan flipped the named output to
 // recompute-from-lineage (no probe, no put).
 func (p *Plan) SkipCache(name string) bool { return p.noCache[name] }
-
-// Marshal renders the plan deterministically for byte-comparison (the
-// planner-determinism CI job) and the -plan -json dump. Maps are
-// serialized in sorted order; no timestamps or addresses appear.
-func (p *Plan) Marshal() []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "insts=%d peak=%d@%d budget=%d frees=%d splits=%d cache=%d/%d max=%d\n",
-		p.Insts, p.Peak, p.PeakAt, p.Budget, p.Frees, p.Splits,
-		p.CacheBytes, p.CacheEntries, p.MaxCacheEntry)
-	for _, iv := range p.Intervals {
-		fmt.Fprintf(&b, "iv %s def=%d first=%d last=%d end=%d bytes=%d temp=%t uses=%d\n",
-			iv.Name, iv.Def, iv.First, iv.Last, iv.End, iv.Bytes, iv.Temp, iv.Uses)
-	}
-	for _, n := range p.NoCache {
-		fmt.Fprintf(&b, "nocache %s\n", n)
-	}
-	fmt.Fprintf(&b, "profile")
-	for _, v := range p.Profile {
-		fmt.Fprintf(&b, " %d", v)
-	}
-	b.WriteString("\n")
-	return []byte(b.String())
-}

@@ -177,31 +177,14 @@ func (ctx *Context) delay() int {
 	return ctx.delayFactor
 }
 
-// Execute runs one instruction through the Figure-4 path: interpret, trace,
-// probe/reuse, execute, put. The instruction must be prepared
-// (compiler.Prepare): executing one that is not is a programming error and
-// panics. Outside an execution of its stream, the instruction runs in a
-// frame of its own.
-func (ctx *Context) Execute(inst *compiler.Instruction) error {
-	if !inst.Prepared() {
-		panic(fmt.Sprintf("runtime: instruction %s was not prepared: streams must pass through compiler.Prepare before execution", inst))
-	}
-	if l := inst.Layout(); l != ctx.layout {
-		m := ctx.enterFrame(l)
-		defer ctx.leaveFrame(m)
-	}
-	return ctx.execute(inst)
-}
-
-// execute is Execute for an instruction of the current frame.
+// execute runs one instruction of the current frame through the Figure-4
+// path: interpret, trace, probe/reuse, execute, put.
 func (ctx *Context) execute(inst *compiler.Instruction) error {
 	switch inst.Kind {
 	case compiler.KindPrefetch:
 		return ctx.execPrefetch(inst)
 	case compiler.KindBroadcast:
 		return ctx.execBroadcast(inst)
-	case compiler.KindEvict:
-		return ctx.execEvict(inst)
 	case compiler.KindCheckpoint:
 		return ctx.execCheckpoint(inst)
 	case compiler.KindFree:
@@ -440,17 +423,6 @@ func (ctx *Context) execBroadcast(inst *compiler.Instruction) error {
 	if v.HasHost() && (v.Bcast == nil || v.Bcast.Destroyed()) {
 		v.Bcast = ctx.SC.NewBroadcast(ctx.shared(v.host()), true)
 	}
-	return nil
-}
-
-// execEvict forwards the eviction-injection instruction to the GPU cache.
-func (ctx *Context) execEvict(inst *compiler.Instruction) error {
-	ctx.Stats.Evicts++
-	v, err := ctx.operand(inst, 0)
-	if err != nil {
-		return err
-	}
-	ctx.Cache.EvictGPUPercent(ctx.ensureHost(v).ScalarValue())
 	return nil
 }
 

@@ -151,3 +151,19 @@ func CompiledStreams(ctx *Context) []*CompiledBlock {
 	}
 	return out
 }
+
+// Execute is the tests' entry point for one instruction: execute, in a
+// frame of the instruction's stream. The instruction must be prepared
+// (compiler.Prepare): executing one that is not is a programming error and
+// panics. Outside an execution of its stream, the instruction runs in a
+// frame of its own.
+func (ctx *Context) Execute(inst *compiler.Instruction) error {
+	if !inst.Prepared() {
+		panic(fmt.Sprintf("runtime: instruction %s was not prepared: streams must pass through compiler.Prepare before execution", inst))
+	}
+	if l := inst.Layout(); l != ctx.layout {
+		m := ctx.enterFrame(l)
+		defer ctx.leaveFrame(m)
+	}
+	return ctx.execute(inst)
+}

@@ -225,9 +225,6 @@ func hostKernel(inst *compiler.Instruction, in []*data.Matrix) (*data.Matrix, er
 		return data.Rand(attrInt(inst, "rows", 1), attrInt(inst, "cols", 1),
 			attrFloat(inst, "min", 0), attrFloat(inst, "max", 1),
 			attrFloat(inst, "sparsity", 1), attrSeed(inst)), nil
-	case "randn":
-		return data.RandNorm(attrInt(inst, "rows", 1), attrInt(inst, "cols", 1),
-			attrFloat(inst, "mu", 0), attrFloat(inst, "sd", 1), attrSeed(inst)), nil
 	case "t":
 		return data.Transpose(in[0]), nil
 	case "mm":

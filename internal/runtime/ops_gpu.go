@@ -5,7 +5,6 @@ import (
 
 	"memphis/internal/compiler"
 	"memphis/internal/data"
-	"memphis/internal/gpu"
 )
 
 // execGPU runs an instruction on the device: inputs are uploaded through
@@ -73,12 +72,4 @@ func heightOf(ctx *Context, inst *compiler.Instruction) int {
 		}
 	}
 	return h
-}
-
-// gpuPointerOf is a test helper exposing a variable's device pointer.
-func (ctx *Context) gpuPointerOf(name string) *gpu.Pointer {
-	if v := ctx.Var(name); v != nil {
-		return v.GPU
-	}
-	return nil
 }

@@ -362,7 +362,7 @@ func TestDegradedShardsRecompute(t *testing.T) {
 	}
 	// Re-enabling a shard brings it back.
 	srv.Shared().SetShardEnabled(2, true)
-	if n := srv.Shared().DisabledShards(); n != 3 {
+	if n := srv.Shared().StatsSnapshot().DisabledShards; n != 3 {
 		t.Fatalf("DisabledShards = %d after re-enable, want 3", n)
 	}
 }

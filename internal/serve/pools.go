@@ -20,9 +20,10 @@ func (s *SharedCache) evictAtLeast(acct *tenantAccount, need int64) int64 {
 	return freed
 }
 
-// globalPool is the arbiter view of the whole shared cache. There is no
-// lower tier (a dropped entry is recomputed by the next session that needs
-// it), so Demote returns 0 and MakeSpace falls through to eviction.
+// globalPool is the arbiter view (a memctl.Reclaimer) of the whole shared
+// cache. There is no lower tier (a dropped entry is recomputed by the next
+// session that needs it), so Demote returns 0 and MakeSpace falls through
+// to eviction.
 type globalPool struct{ s *SharedCache }
 
 func (p globalPool) Name() string            { return GlobalPoolName }

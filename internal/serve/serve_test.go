@@ -378,8 +378,8 @@ func TestSharedCacheTenantBudgetEviction(t *testing.T) {
 	if got := st.PerTenant["a"].Bytes; got > 8<<10 {
 		t.Fatalf("tenant bytes %d exceed the 8KB budget", got)
 	}
-	if st.Evictions != 4 || sc.BytesStored() != 8<<10 || st.Entries != 2 {
-		t.Fatalf("evictions=%d bytes=%d entries=%d, want 4/8192/2", st.Evictions, sc.BytesStored(), st.Entries)
+	if st.Evictions != 4 || sc.bytesStored.Load() != 8<<10 || st.Entries != 2 {
+		t.Fatalf("evictions=%d bytes=%d entries=%d, want 4/8192/2", st.Evictions, sc.bytesStored.Load(), st.Entries)
 	}
 	if _, _, _, ok := sc.Probe("a", items[5], 6); !ok {
 		t.Fatal("newest entry must survive")
@@ -394,7 +394,7 @@ func TestSharedCacheTenantBudgetEviction(t *testing.T) {
 	if !ok || cost != 1.0 {
 		t.Fatalf("cross-tenant probe: ok=%v cost=%v", ok, cost)
 	}
-	if charge <= sc.Config().Model.Probe {
+	if charge <= sc.conf.Model.Probe {
 		t.Fatal("a hit must also charge the transfer of the object")
 	}
 	if got == m || &got.Data[0] == &m.Data[0] {
@@ -414,7 +414,7 @@ func TestSharedCacheTenantBudgetEviction(t *testing.T) {
 	}
 
 	sc.Clear()
-	if sc.BytesStored() != 0 || sc.StatsSnapshot().Entries != 0 {
+	if sc.bytesStored.Load() != 0 || sc.StatsSnapshot().Entries != 0 {
 		t.Fatal("Clear must drop everything")
 	}
 }
@@ -430,8 +430,8 @@ func TestSharedCacheGlobalBudget(t *testing.T) {
 			t.Fatalf("publish by %s rejected", tenant)
 		}
 	}
-	if sc.BytesStored() > 8<<10 {
-		t.Fatalf("global budget overrun: %d", sc.BytesStored())
+	if sc.bytesStored.Load() > 8<<10 {
+		t.Fatalf("global budget overrun: %d", sc.bytesStored.Load())
 	}
 	if _, _, _, ok := sc.Probe("a", item, 1); ok {
 		t.Fatal("globally oldest entry must have been evicted")

@@ -122,7 +122,7 @@ type entryMeta struct {
 //     every list is strictly ascending in its sequence.
 //  2. An entry is in sh.entries exactly while it is linked into the shard's
 //     byGlobal list and its tenant's byTenant list for that shard (inserted
-//     by Publish, unlinked by drop, reset together by Clear).
+//     by Publish, unlinked by drop).
 //  3. Hence the oldest entry overall (or of a tenant) is the smallest of the
 //     shard heads: comparing at most Shards entries replaces the scan.
 type metaList struct{ head, tail *entryMeta }
@@ -216,9 +216,6 @@ func NewSharedCache(conf SharedConfig) *SharedCache {
 	return s
 }
 
-// Config returns the active configuration.
-func (s *SharedCache) Config() SharedConfig { return s.conf }
-
 // SetShardEnabled enables or disables one shard (degraded mode). Disabling
 // does not drop the shard's entries — they come back when re-enabled.
 // Out-of-range indices are ignored.
@@ -230,19 +227,6 @@ func (s *SharedCache) SetShardEnabled(idx int, on bool) {
 	sh.mu.Lock()
 	sh.disabled = !on
 	sh.mu.Unlock()
-}
-
-// DisabledShards returns how many shards are currently degraded.
-func (s *SharedCache) DisabledShards() int {
-	n := 0
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		if sh.disabled {
-			n++
-		}
-		sh.mu.Unlock()
-	}
-	return n
 }
 
 // shareKey derives the shared-level key: the session item wrapped with the
@@ -486,33 +470,6 @@ func (s *SharedCache) evictOldest(acct *tenantAccount) int64 {
 		}
 		// The candidate vanished between passes; look again.
 	}
-}
-
-// BytesStored returns the resident shared-cache bytes.
-func (s *SharedCache) BytesStored() int64 { return s.bytesStored.Load() }
-
-// Arbiter exposes the serving layer's memory arbiter (global pool plus one
-// pool per tenant) for monitoring and tests.
-func (s *SharedCache) Arbiter() *memctl.Arbiter { return s.arb }
-
-// Clear drops every entry and resets usage (stats counters are kept).
-func (s *SharedCache) Clear() {
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		sh.entries = make(map[uint64]*entryMeta)
-		sh.n = 0
-		for md := sh.order.head; md != nil; md = md.links[byGlobal].next {
-			md.acct.lists[sh.idx] = metaList{}
-		}
-		sh.order = metaList{}
-		sh.mu.Unlock()
-	}
-	s.accMu.RLock()
-	for _, a := range s.accounts {
-		a.usage.Store(0)
-	}
-	s.accMu.RUnlock()
-	s.bytesStored.Store(0)
 }
 
 // TenantStats is one tenant's view of the shared cache.

@@ -378,3 +378,24 @@ func TestIndexInvariantsUnderConcurrency(t *testing.T) {
 		})
 	}
 }
+
+// Clear drops every entry and resets usage (stats counters are kept): the
+// tests' reset between phases.
+func (s *SharedCache) Clear() {
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		sh.entries = make(map[uint64]*entryMeta)
+		sh.n = 0
+		for md := sh.order.head; md != nil; md = md.links[byGlobal].next {
+			md.acct.lists[sh.idx] = metaList{}
+		}
+		sh.order = metaList{}
+		sh.mu.Unlock()
+	}
+	s.accMu.RLock()
+	for _, a := range s.accounts {
+		a.usage.Store(0)
+	}
+	s.accMu.RUnlock()
+	s.bytesStored.Store(0)
+}

@@ -54,11 +54,20 @@ func newBlockManager(budget int64) *BlockManager {
 	return &BlockManager{budget: budget, blocks: make(map[blockKey]*block)}
 }
 
+// Name returns the arbiter pool name of the storage region. The block
+// manager registers itself as a report-only memctl.Pool (and PeakReporter):
+// the region evicts on its own path (put: LRU partitions of other RDDs,
+// spilled or dropped by storage level) and notes what it did.
+func (b *BlockManager) Name() string { return PoolName }
+
 // Budget returns the storage memory budget.
 func (b *BlockManager) Budget() int64 { return b.budget }
 
 // Used returns the bytes of in-memory cached partitions.
 func (b *BlockManager) Used() int64 { return b.used }
+
+// Peak returns the high-water mark of in-memory cached bytes.
+func (b *BlockManager) Peak() int64 { return b.peak }
 
 // touch records a fresh access to an in-memory block.
 func (b *BlockManager) touch(k blockKey) {
@@ -124,7 +133,7 @@ func (b *BlockManager) put(rdd, part int, m *data.Matrix, level StorageLevel) (s
 		b.notePressure()
 	}
 	for b.used+size > b.budget {
-		victim := b.pickVictim(rdd, false)
+		victim := b.pickVictim(rdd)
 		if victim == nil {
 			// Everything in memory belongs to this RDD; skip caching.
 			return spilled, dropped, spillErrs
@@ -168,18 +177,16 @@ func (b *BlockManager) evictBlock(k blockKey) (spilled, dropped, spillErrs int) 
 
 // pickVictim returns the LRU in-memory block not belonging to the RDD
 // currently being written (Spark never evicts blocks of the same RDD to
-// admit its own partitions; pass a negative id to consider every RDD).
-// spillOnly restricts the search to MEMORY_AND_DISK blocks, the ones a
-// demotion can move to disk. Ranking goes through the shared policy's
+// admit its own partitions). Ranking goes through the shared policy's
 // recency-only instance: with unique monotone touch sequences the minimum
 // score is exactly the LRU block, and the argmin over map iteration is
 // deterministic.
-func (b *BlockManager) pickVictim(writingRDD int, spillOnly bool) *blockKey {
+func (b *BlockManager) pickVictim(writingRDD int) *blockKey {
 	norms := memctl.Norms{Now: float64(b.seq)}
 	var victim *blockKey
 	best := math.Inf(1)
 	for k, blk := range b.blocks {
-		if blk.onDisk || k.rdd == writingRDD || spillOnly && blk.level != StorageMemoryAndDisk {
+		if blk.onDisk || k.rdd == writingRDD {
 			continue
 		}
 		cand := memctl.Candidate{Size: blk.size, LastAccess: float64(blk.seq)}
@@ -233,9 +240,6 @@ func (b *BlockManager) remove(rdd int) {
 	}
 }
 
-// NumBlocks returns the number of cached blocks (memory + disk).
-func (b *BlockManager) NumBlocks() int { return len(b.blocks) }
-
 // clear drops every cached block (memory and disk) across all RDDs.
 func (b *BlockManager) clear() {
 	b.blocks = make(map[blockKey]*block)
@@ -262,39 +266,3 @@ func (b *BlockManager) noteDemotion(size int64) {
 		b.arb.NoteDemotion(PoolName, 1, size)
 	}
 }
-
-// bmPool adapts the storage region to memctl.Pool. Evict pushes LRU
-// blocks of any RDD out of memory (spill-or-drop by storage level);
-// Demote spills only MEMORY_AND_DISK blocks, leaving MEMORY blocks for
-// lineage recomputation.
-type bmPool struct{ b *BlockManager }
-
-func (p bmPool) Name() string  { return PoolName }
-func (p bmPool) Used() int64   { return p.b.used }
-func (p bmPool) Peak() int64   { return p.b.peak }
-func (p bmPool) Budget() int64 { return p.b.budget }
-
-func (p bmPool) Evict(need int64) int64 { return p.b.evictLRU(need, false) }
-
-// Demote frees memory just like Evict but only from MEMORY_AND_DISK blocks.
-// An injected spill failure drops the block instead, which still frees the
-// memory (evictBlock counts it as an eviction, not a demotion).
-func (p bmPool) Demote(need int64) int64 { return p.b.evictLRU(need, true) }
-
-// evictLRU pushes LRU blocks of any RDD out of memory until need bytes are
-// freed or no candidate is left, returning the bytes freed.
-func (b *BlockManager) evictLRU(need int64, spillOnly bool) int64 {
-	var freed int64
-	for freed < need {
-		victim := b.pickVictim(-1, spillOnly)
-		if victim == nil {
-			break
-		}
-		freed += b.blocks[*victim].size
-		b.evictBlock(*victim)
-	}
-	return freed
-}
-
-// MemPool returns the arbiter pool view of the storage region.
-func (b *BlockManager) MemPool() memctl.Pool { return bmPool{b} }

@@ -72,16 +72,10 @@ type Context struct {
 	conf    Config
 	bm      *BlockManager
 	nextRDD int
-	nextBC  int
 
 	// bcasts tracks every broadcast created on this context so Shutdown
 	// can destroy stragglers that lazy GC never reached.
 	bcasts []*Broadcast
-
-	// driverBroadcastBytes tracks serialized broadcast data retained in
-	// the driver until destroy() — the dangling-reference problem of
-	// Figure 2(b).
-	driverBroadcastBytes int64
 
 	// inj injects deterministic task, fetch, spill, and executor faults;
 	// nil means none.
@@ -143,18 +137,12 @@ func (c *Context) SetInjector(inj *faults.Injector) {
 func (c *Context) SetArbiter(a *memctl.Arbiter) {
 	c.bm.arb = a
 	if a != nil {
-		a.Register(c.bm.MemPool())
+		a.Register(c.bm)
 	}
 }
 
-// Clock returns the virtual clock (for tests).
-func (c *Context) Clock() *vtime.Clock { return c.clock }
-
 // BlockManager exposes cluster storage (for tests and cache policies).
 func (c *Context) BlockManager() *BlockManager { return c.bm }
-
-// DriverBroadcastBytes returns serialized broadcast bytes held in the driver.
-func (c *Context) DriverBroadcastBytes() int64 { return c.driverBroadcastBytes }
 
 // taskSlots returns the number of parallel task slots.
 func (c *Context) taskSlots() int { return c.conf.NumExecutors * coresPerExec }
@@ -240,7 +228,7 @@ func (c *Context) RunJob(r *RDD, parts []int, async bool) ([]*data.Matrix, *vtim
 		bcTime + execLossTime
 	slot := c.freestSlot()
 	if async {
-		f := c.clock.RunAsync(slot, dur, fmt.Sprintf("job(rdd%d)", r.id))
+		f := c.clock.RunAsync(slot, dur)
 		return out, f
 	}
 	c.clock.RunSync(slot, dur)

@@ -55,7 +55,7 @@ func TestTaskRetryChargesAttempts(t *testing.T) {
 	if c.Stats.Tasks != ref.Stats.Tasks+3 {
 		t.Fatalf("Tasks = %d, want %d (+3 wasted attempts)", c.Stats.Tasks, ref.Stats.Tasks)
 	}
-	if c.Clock().Now() <= ref.Clock().Now() {
+	if c.clock.Now() <= ref.clock.Now() {
 		t.Fatal("wasted attempts must cost virtual time")
 	}
 }
@@ -183,7 +183,7 @@ func TestSparkFaultDeterminism(t *testing.T) {
 			})
 		c.Collect(agg)
 		c.Collect(agg)
-		return c.Stats, c.Clock().Now()
+		return c.Stats, c.clock.Now()
 	}
 	s1, t1 := run(1)
 	s2, t2 := run(1)

@@ -49,7 +49,7 @@ func TestRunJobParallelMatchesSerial(t *testing.T) {
 	if wantCtx.Stats != gotCtx.Stats {
 		t.Fatalf("stats diverge:\n serial   %+v\n parallel %+v", wantCtx.Stats, gotCtx.Stats)
 	}
-	if w, g := wantCtx.Clock().Now(), gotCtx.Clock().Now(); w != g {
+	if w, g := wantCtx.clock.Now(), gotCtx.clock.Now(); w != g {
 		t.Fatalf("virtual time diverges: serial %v parallel %v", w, g)
 	}
 }

@@ -58,12 +58,6 @@ type RDD struct {
 	nrows, ncols int
 }
 
-// ID returns the RDD id.
-func (r *RDD) ID() int { return r.id }
-
-// Name returns the debug name.
-func (r *RDD) Name() string { return r.name }
-
 // NumPartitions returns the partition count.
 func (r *RDD) NumPartitions() int { return r.parts }
 

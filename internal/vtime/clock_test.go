@@ -41,7 +41,7 @@ func TestRunSyncBlocksDriver(t *testing.T) {
 func TestRunAsyncOverlaps(t *testing.T) {
 	c := New()
 	gpu := c.Resource("gpu")
-	f := c.RunAsync(gpu, 5.0, "kernel")
+	f := c.RunAsync(gpu, 5.0)
 	if !approx(c.Now(), 0) {
 		t.Fatalf("driver advanced by async work: %g", c.Now())
 	}
@@ -55,7 +55,7 @@ func TestRunAsyncOverlaps(t *testing.T) {
 func TestWaitOnAlreadyReadyFuture(t *testing.T) {
 	c := New()
 	r := c.Resource("spark")
-	f := c.RunAsync(r, 1.0, "job")
+	f := c.RunAsync(r, 1.0)
 	c.Advance(10.0)
 	c.Wait(f)
 	if !approx(c.Now(), 10.0) {
@@ -74,8 +74,8 @@ func TestWaitNilFuture(t *testing.T) {
 func TestResourceSerializesWork(t *testing.T) {
 	c := New()
 	r := c.Resource("gpu")
-	f1 := c.RunAsync(r, 3.0, "k1")
-	f2 := c.RunAsync(r, 2.0, "k2")
+	f1 := c.RunAsync(r, 3.0)
+	f2 := c.RunAsync(r, 2.0)
 	if !approx(f1.ReadyAt(), 3.0) || !approx(f2.ReadyAt(), 5.0) {
 		t.Fatalf("ReadyAt = %g, %g; want 3, 5", f1.ReadyAt(), f2.ReadyAt())
 	}
@@ -84,7 +84,7 @@ func TestResourceSerializesWork(t *testing.T) {
 func TestSyncBarrier(t *testing.T) {
 	c := New()
 	gpu := c.Resource("gpu")
-	c.RunAsync(gpu, 4.0, "kernel")
+	c.RunAsync(gpu, 4.0)
 	c.Advance(1.0)
 	c.Sync(gpu)
 	if !approx(c.Now(), 4.0) {
@@ -100,7 +100,7 @@ func TestWorkStartsAtDriverTime(t *testing.T) {
 	c := New()
 	r := c.Resource("spark")
 	c.Advance(7.0)
-	f := c.RunAsync(r, 1.0, "late job")
+	f := c.RunAsync(r, 1.0)
 	if !approx(f.ReadyAt(), 8.0) {
 		t.Fatalf("ReadyAt = %g, want 8.0 (starts at driver time)", f.ReadyAt())
 	}
@@ -116,16 +116,6 @@ func TestResourceIdentity(t *testing.T) {
 	}
 	if len(c.Resources()) != 2 {
 		t.Fatalf("Resources() len = %d, want 2", len(c.Resources()))
-	}
-}
-
-func TestReset(t *testing.T) {
-	c := New()
-	r := c.Resource("spark")
-	c.RunSync(r, 5)
-	c.Reset()
-	if !approx(c.Now(), 0) || !approx(r.BusyUntil(), 0) || !approx(r.TotalBusy(), 0) {
-		t.Fatal("Reset did not zero the clock and resources")
 	}
 }
 
@@ -150,7 +140,7 @@ func TestMonotonicityProperty(t *testing.T) {
 			case 1:
 				c.RunSync(r, d)
 			case 2:
-				fut = c.RunAsync(r, d, "p")
+				fut = c.RunAsync(r, d)
 			case 3:
 				c.Wait(fut)
 			}
@@ -178,7 +168,7 @@ func TestFutureOrderingProperty(t *testing.T) {
 			if math.IsNaN(d) {
 				d = 0
 			}
-			fu := c.RunAsync(r, d, "")
+			fu := c.RunAsync(r, d)
 			if fu.ReadyAt() < prev {
 				return false
 			}

@@ -334,6 +334,9 @@ func TestMemoryBudgetsAndStats(t *testing.T) {
 	if cp.Used > cp.Budget {
 		t.Fatalf("cp over budget: used %d > %d", cp.Used, cp.Budget)
 	}
+	if peak := s.CPPeak(); peak != cp.PeakUsed || peak < cp.Used || peak > cp.Budget {
+		t.Fatalf("CPPeak = %d, want the cp pool's peak %d (used %d, budget %d)", peak, cp.PeakUsed, cp.Used, cp.Budget)
+	}
 	if pools[2].Budget != 32<<20 {
 		t.Fatalf("spark budget = %d, want MemoryBudgets.Spark", pools[2].Budget)
 	}
