@@ -86,8 +86,14 @@ func main() {
 	fmt.Printf("cache: probes %d, hits CP/RDD/GPU/fn = %d/%d/%d/%d, evictions %d\n",
 		cs.Probes, cs.HitsCP, cs.HitsRDD, cs.HitsGPU, cs.HitsFunc, cs.EvictionsCP)
 	if *plan {
+		var cpPeak int64
+		for _, p := range st.Memory {
+			if p.Name == "cp" {
+				cpPeak = p.PeakUsed
+			}
+		}
 		fmt.Printf("planner: %d planned stream executions, %d early frees, cache peak %d bytes\n",
-			st.PlanBlocks, st.EarlyFrees, s.CPPeak())
+			st.PlanBlocks, st.EarlyFrees, cpPeak)
 		printPlans(s.PlanReports())
 	}
 	if *printVar != "" {

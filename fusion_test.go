@@ -136,7 +136,7 @@ func runFusionDAG(t *testing.T, seed int64, opts Options, par int) (*data.Matrix
 	t.Helper()
 	prev := data.Parallelism()
 	defer data.SetParallelism(prev)
-	opts.Parallelism = par
+	data.SetParallelism(par)
 	s := New(opts)
 	defer s.Close()
 	bindFusionInputs(s)

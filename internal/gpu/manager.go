@@ -244,11 +244,7 @@ func (m *Manager) Allocate(size int64, height int, computeCost float64) (*Pointe
 	if m.inj.Fail(faults.GPUAlloc) {
 		m.Stats.InjectedOOMs++
 		m.dev.clock.Advance(m.dev.model.CudaMalloc)
-	} else if p, err := m.dev.Malloc(size); err == nil {
-		m.Stats.FreshMallocs++
-		p.Height = height
-		p.ComputeCost = computeCost
-		m.live[p] = struct{}{}
+	} else if p := m.malloc(size, height, computeCost); p != nil {
 		return p, nil
 	}
 	// Malloc can fail despite the pressure check (fragmentation): retry
@@ -265,11 +261,7 @@ func (m *Manager) Allocate(size int64, height int, computeCost float64) (*Pointe
 	if p := m.popFreeJustLarger(size); p != nil {
 		m.releaseFreePointer(p)
 		m.Stats.FreedForSpace++
-		if np, err := m.dev.Malloc(size); err == nil {
-			m.Stats.FreshMallocs++
-			np.Height = height
-			np.ComputeCost = computeCost
-			m.live[np] = struct{}{}
+		if np := m.malloc(size, height, computeCost); np != nil {
 			return np, nil
 		}
 	}
@@ -281,11 +273,7 @@ func (m *Manager) Allocate(size int64, height int, computeCost float64) (*Pointe
 		}
 		m.releaseFreePointer(p)
 		m.Stats.FreedForSpace++
-		if np, err := m.dev.Malloc(size); err == nil {
-			m.Stats.FreshMallocs++
-			np.Height = height
-			np.ComputeCost = computeCost
-			m.live[np] = struct{}{}
+		if np := m.malloc(size, height, computeCost); np != nil {
 			return np, nil
 		}
 	}
@@ -297,11 +285,7 @@ func (m *Manager) Allocate(size int64, height int, computeCost float64) (*Pointe
 	if m.hostEvictor != nil && m.dev.Available() < size {
 		if released := m.hostEvictor(size); released > 0 {
 			m.Stats.HostEvictions++
-			if np, err := m.dev.Malloc(size); err == nil {
-				m.Stats.FreshMallocs++
-				np.Height = height
-				np.ComputeCost = computeCost
-				m.live[np] = struct{}{}
+			if np := m.malloc(size, height, computeCost); np != nil {
 				return np, nil
 			}
 		}
@@ -309,25 +293,32 @@ func (m *Manager) Allocate(size int64, height int, computeCost float64) (*Pointe
 	// Step 6: full defragmentation (rare in practice).
 	if m.dev.Available() >= size && m.dev.Fragmented() {
 		m.Defragment()
-		if np, err := m.dev.Malloc(size); err == nil {
-			m.Stats.FreshMallocs++
-			np.Height = height
-			np.ComputeCost = computeCost
-			m.live[np] = struct{}{}
+		if np := m.malloc(size, height, computeCost); np != nil {
 			return np, nil
 		}
 	}
 	// Final plain retry. Free on genuine OOM (a failing Malloc charges
 	// nothing) but recovers injected transient failures when the device
 	// actually has room and the free list was empty.
-	if np, err := m.dev.Malloc(size); err == nil {
-		m.Stats.FreshMallocs++
-		np.Height = height
-		np.ComputeCost = computeCost
-		m.live[np] = struct{}{}
+	if np := m.malloc(size, height, computeCost); np != nil {
 		return np, nil
 	}
 	return nil, ErrOOM
+}
+
+// malloc is a plain cudaMalloc for an allocation request: on success the
+// new pointer is live, carrying the request's eviction metadata; on failure
+// it returns nil.
+func (m *Manager) malloc(size int64, height int, computeCost float64) *Pointer {
+	p, err := m.dev.Malloc(size)
+	if err != nil {
+		return nil
+	}
+	m.Stats.FreshMallocs++
+	p.Height = height
+	p.ComputeCost = computeCost
+	m.live[p] = struct{}{}
+	return p
 }
 
 // Release decrements a pointer's reference count; at zero the pointer moves
@@ -487,31 +478,25 @@ func (m *Manager) Surrender(p *Pointer) {
 }
 
 // memPool adapts the manager to memctl.Reclaimer. Used/Budget are the raw
-// device occupancy; Evict releases recyclable free-list pointers; Demote
-// runs the runtime-installed demoter, which moves cached live pointers down
-// to the host cache through the lineage cache.
+// device occupancy; Reclaim runs the runtime-installed reclaimer, which
+// demotes cached live pointers to the host cache through the lineage cache.
+// The free list is not a relief: Algorithm 1 has emptied it (step 4) before
+// it asks the arbiter for room (step 5).
 type memPool struct {
 	m       *Manager
-	demoter func(need int64) int64
+	reclaim func(need int64) int64
 }
 
 func (p memPool) Name() string  { return PoolName }
 func (p memPool) Used() int64   { return p.m.dev.Used() }
 func (p memPool) Budget() int64 { return p.m.dev.Capacity() }
 
-func (p memPool) Evict(need int64) int64 { return p.m.evictFreeBytes(need) }
+func (p memPool) Reclaim(need int64) int64 { return p.reclaim(need) }
 
-func (p memPool) Demote(need int64) int64 {
-	if p.demoter == nil {
-		return 0
-	}
-	return p.demoter(need)
-}
-
-// MemPool returns the arbiter pool view of device memory. demoter (may be
-// nil) implements the device-to-host rung of the demotion ladder.
-func (m *Manager) MemPool(demoter func(need int64) int64) memctl.Reclaimer {
-	return memPool{m: m, demoter: demoter}
+// MemPool returns the arbiter pool view of device memory. reclaim
+// implements its relief: the device-to-host demotion.
+func (m *Manager) MemPool(reclaim func(need int64) int64) memctl.Reclaimer {
+	return memPool{m: m, reclaim: reclaim}
 }
 
 // recycleExact serves an allocation by recycling the lowest-score free

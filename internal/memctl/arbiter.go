@@ -28,17 +28,14 @@ type Pool interface {
 }
 
 // Reclaimer is a Pool whose pressure reaches the arbiter: MakeSpace on it
-// runs the demotion ladder. The GPU device pool and the serving layer's
-// shared-cache pools implement it.
+// runs the pool's one relief method. The GPU device pool demotes cached
+// device pointers to the host cache; the serving layer's shared-cache pools
+// evict oldest-first.
 type Reclaimer interface {
 	Pool
-	// Evict releases room for need bytes inside the pool (dropping
-	// victims), returning the bytes actually released.
-	Evict(need int64) int64
-	// Demote moves at least need bytes one rung down the tier ladder (GPU
-	// pointers to the host cache), returning the bytes demoted. Pools with
-	// no lower tier return 0.
-	Demote(need int64) int64
+	// Reclaim releases room for need bytes inside the pool, by demoting or
+	// by evicting, and returns the bytes released.
+	Reclaim(need int64) int64
 }
 
 // PeakReporter is an optional Pool extension: pools that track a resident
@@ -97,9 +94,8 @@ func (c *counters) snapshot() Counters {
 }
 
 // Arbiter is the single registry of memory pools. It owns the per-pool
-// counters and, for the pools that implement Reclaimer, the demotion
-// ladder. Registration order is preserved in snapshots so output is
-// stable.
+// counters and routes MakeSpace to the pools that implement Reclaimer.
+// Registration order is preserved in snapshots so output is stable.
 type Arbiter struct {
 	mu    sync.RWMutex
 	pools []Pool
@@ -183,8 +179,8 @@ func (a *Arbiter) NotePressure(pool string) {
 }
 
 // GlobalHeadroom returns total unused budget bytes across all pools — the
-// joint signal that distinguishes "one tier is hot" (demote) from "the
-// system is full" (evict).
+// joint signal that distinguishes "one tier is hot" (demoting helps) from
+// "the system is full" (demoting only moves the problem).
 func (a *Arbiter) GlobalHeadroom() int64 {
 	used, budget := a.totals()
 	if h := budget - used; h > 0 {
@@ -210,34 +206,32 @@ func (a *Arbiter) totals() (used, budget int64) {
 	return used, budget
 }
 
-// MakeSpace is the arbiter-driven MAKE_SPACE: free room for need bytes
-// in the named pool, preferring demotion down the tier ladder — which
-// keeps values reachable for reuse — while the system globally has
-// headroom to absorb the demoted bytes, and falling back to in-pool
-// eviction otherwise. Returns the bytes released in the pool. A pool that
-// only reports (not a Reclaimer) is left alone: MakeSpace returns 0 and
-// counts nothing.
+// Demote runs demote, a pool's move of need bytes down the ladder, while
+// the system as a whole has headroom to absorb them, and returns the bytes
+// it released. Demotion keeps the value reachable in a lower tier but does
+// not destroy bytes; with no headroom left it would only move the problem,
+// so Demote releases nothing then. The GPU device pool's Reclaim goes
+// through it.
+func (a *Arbiter) Demote(need int64, demote func(need int64) int64) int64 {
+	if a.GlobalHeadroom() <= 0 {
+		return 0
+	}
+	return demote(need)
+}
+
+// MakeSpace is the arbiter-driven MAKE_SPACE: count a pressure event
+// against the named pool and have it reclaim room for need bytes. Returns
+// the bytes released. Pools report the objects they evict or demote
+// themselves, through NoteEviction and NoteDemotion, so self-initiated
+// pressure is counted identically. A pool that only reports (not a
+// Reclaimer) is left alone: MakeSpace returns 0 and counts nothing.
 func (a *Arbiter) MakeSpace(name string, need int64) int64 {
 	p, ok := a.Pool(name).(Reclaimer)
 	if !ok || need <= 0 {
 		return 0
 	}
 	a.counter(name).pressureEvents.Add(1)
-	var freed int64
-	// Demotion shifts bytes to a lower tier rather than destroying them;
-	// under global pressure that only moves the problem, so demote only
-	// while some pool can still absorb the bytes. Pools report the
-	// resulting eviction/demotion counts themselves via NoteEviction and
-	// NoteDemotion, so self-initiated pressure is counted identically.
-	if a.GlobalHeadroom() > 0 {
-		freed = p.Demote(need)
-	}
-	if freed < need {
-		if e := p.Evict(need - freed); e > 0 {
-			freed += e
-		}
-	}
-	return freed
+	return p.Reclaim(need)
 }
 
 // Snapshot returns per-pool stats in registration order.

@@ -7,12 +7,12 @@ import (
 )
 
 // TestArbiterTotalsRegisterRace is the -race regression for the pool-list
-// read path: totals() (behind GlobalHeadroom, which MakeSpace consults on
-// every pressure event) must not iterate the shared pools slice unlocked
-// while Register replaces elements in place. The
-// serving layer hits exactly this interleaving when a publish-driven
-// eviction runs concurrently with a new tenant's first touch
-// re-registering its pool.
+// read paths: totals() (behind GlobalHeadroom, which the GPU pool's reclaim
+// consults on every pressure event), MakeSpace's pool lookup and Snapshot
+// must not iterate the shared pools slice unlocked while Register replaces
+// elements in place. The serving layer hits this interleaving when a
+// publish-driven eviction or a snapshot runs concurrently with a new
+// tenant's first touch re-registering its pool.
 func TestArbiterTotalsRegisterRace(t *testing.T) {
 	a := NewArbiter()
 	for i := 0; i < 8; i++ {

@@ -6,75 +6,24 @@ import (
 	"testing"
 )
 
-// fakePool is a scriptable Pool for arbiter tests.
+// fakePool is a scriptable Reclaimer for arbiter tests.
 type fakePool struct {
-	name    string
-	used    int64
-	budget  int64
-	demoted int64 // bytes Demote will claim per call
-	evicted int64 // bytes Evict will claim per call
-	mu      sync.Mutex
-	demotes []int64
-	evicts  []int64
+	name      string
+	used      int64
+	budget    int64
+	reclaimed int64 // bytes Reclaim will claim per call
+	mu        sync.Mutex
+	reclaims  []int64
 }
 
 func (p *fakePool) Name() string  { return p.name }
 func (p *fakePool) Used() int64   { return p.used }
 func (p *fakePool) Budget() int64 { return p.budget }
-func (p *fakePool) Demote(need int64) int64 {
+func (p *fakePool) Reclaim(need int64) int64 {
 	p.mu.Lock()
-	p.demotes = append(p.demotes, need)
+	p.reclaims = append(p.reclaims, need)
 	p.mu.Unlock()
-	return p.demoted
-}
-func (p *fakePool) Evict(need int64) int64 {
-	p.mu.Lock()
-	p.evicts = append(p.evicts, need)
-	p.mu.Unlock()
-	return p.evicted
-}
-
-func TestMakeSpaceDemotesFirstWithHeadroom(t *testing.T) {
-	a := NewArbiter()
-	gpu := &fakePool{name: "gpu", used: 100, budget: 100, demoted: 60, evicted: 40}
-	host := &fakePool{name: "cp", used: 10, budget: 1000}
-	a.Register(gpu)
-	a.Register(host)
-
-	if freed := a.MakeSpace("gpu", 100); freed != 100 {
-		t.Fatalf("freed=%d want 100", freed)
-	}
-	if len(gpu.demotes) != 1 || gpu.demotes[0] != 100 {
-		t.Fatalf("demotes=%v want [100]", gpu.demotes)
-	}
-	if len(gpu.evicts) != 1 || gpu.evicts[0] != 40 {
-		t.Fatalf("evicts=%v want [40] (remainder after 60 demoted)", gpu.evicts)
-	}
-	snap := a.Snapshot()
-	if snap[0].Name != "gpu" || snap[1].Name != "cp" {
-		t.Fatalf("snapshot order %v", []string{snap[0].Name, snap[1].Name})
-	}
-	if g := snap[0]; g.PressureEvents != 1 {
-		t.Fatalf("gpu counters %+v", g.Counters)
-	}
-}
-
-func TestMakeSpaceSkipsDemotionWithoutHeadroom(t *testing.T) {
-	a := NewArbiter()
-	gpu := &fakePool{name: "gpu", used: 100, budget: 100, demoted: 60, evicted: 100}
-	full := &fakePool{name: "cp", used: 1000, budget: 1000}
-	a.Register(gpu)
-	a.Register(full)
-
-	if freed := a.MakeSpace("gpu", 80); freed != 100 {
-		t.Fatalf("freed=%d want 100 (eviction only)", freed)
-	}
-	if len(gpu.demotes) != 0 {
-		t.Fatalf("demotes=%v want none: no global headroom", gpu.demotes)
-	}
-	if len(gpu.evicts) != 1 || gpu.evicts[0] != 80 {
-		t.Fatalf("evicts=%v want [80]", gpu.evicts)
-	}
+	return p.reclaimed
 }
 
 // reportPool only reports its bytes: it is not a Reclaimer.
@@ -87,13 +36,76 @@ func (p *reportPool) Name() string  { return p.name }
 func (p *reportPool) Used() int64   { return p.used }
 func (p *reportPool) Budget() int64 { return p.budget }
 
+// demotingPool reclaims the way the GPU device pool does: its one relief
+// is a demotion run through Arbiter.Demote, scripted to release demoted
+// bytes per call.
+type demotingPool struct {
+	reportPool
+	arb     *Arbiter
+	demoted int64
+	demotes []int64
+}
+
+func (p *demotingPool) Reclaim(need int64) int64 {
+	return p.arb.Demote(need, func(n int64) int64 {
+		p.demotes = append(p.demotes, n)
+		return p.demoted
+	})
+}
+
+// TestMakeSpaceDemotesFirstWithHeadroom: while another pool has room to
+// absorb the bytes, MakeSpace on a demoting pool counts one pressure event
+// and demotes for the whole need.
+func TestMakeSpaceDemotesFirstWithHeadroom(t *testing.T) {
+	a := NewArbiter()
+	gpu := &demotingPool{reportPool: reportPool{name: "gpu", used: 100, budget: 100}, arb: a, demoted: 60}
+	host := &reportPool{name: "cp", used: 10, budget: 1000}
+	a.Register(gpu)
+	a.Register(host)
+
+	if freed := a.MakeSpace("gpu", 100); freed != 60 {
+		t.Fatalf("freed=%d want 60 (the demoted bytes)", freed)
+	}
+	if len(gpu.demotes) != 1 || gpu.demotes[0] != 100 {
+		t.Fatalf("demotes=%v want [100]", gpu.demotes)
+	}
+	snap := a.Snapshot()
+	if snap[0].Name != "gpu" || snap[1].Name != "cp" {
+		t.Fatalf("snapshot order %v", []string{snap[0].Name, snap[1].Name})
+	}
+	if g := snap[0]; g.PressureEvents != 1 {
+		t.Fatalf("gpu counters %+v", g.Counters)
+	}
+}
+
+// TestMakeSpaceSkipsDemotionWithoutHeadroom: with every pool full,
+// demoting would only move the problem, so MakeSpace counts the pressure
+// event and releases nothing.
+func TestMakeSpaceSkipsDemotionWithoutHeadroom(t *testing.T) {
+	a := NewArbiter()
+	gpu := &demotingPool{reportPool: reportPool{name: "gpu", used: 100, budget: 100}, arb: a, demoted: 60}
+	full := &reportPool{name: "cp", used: 1000, budget: 1000}
+	a.Register(gpu)
+	a.Register(full)
+
+	if freed := a.MakeSpace("gpu", 80); freed != 0 {
+		t.Fatalf("freed=%d want 0: no global headroom", freed)
+	}
+	if len(gpu.demotes) != 0 {
+		t.Fatalf("demotes=%v want none: no global headroom", gpu.demotes)
+	}
+	if got := a.Snapshot()[0].PressureEvents; got != 1 {
+		t.Fatalf("gpu pressure=%d want 1", got)
+	}
+}
+
 // TestMakeSpaceLeavesReportOnlyPool: a pool that evicts on its own path
 // is summed into the headroom but never reclaimed from, and MakeSpace on
 // it counts no pressure event.
 func TestMakeSpaceLeavesReportOnlyPool(t *testing.T) {
 	a := NewArbiter()
 	cp := &reportPool{name: "cp", used: 100, budget: 100}
-	gpu := &fakePool{name: "gpu", used: 10, budget: 100, demoted: 5, evicted: 5}
+	gpu := &fakePool{name: "gpu", used: 10, budget: 100, reclaimed: 10}
 	a.Register(cp)
 	a.Register(gpu)
 	if freed := a.MakeSpace("cp", 50); freed != 0 {
@@ -109,8 +121,8 @@ func TestMakeSpaceLeavesReportOnlyPool(t *testing.T) {
 	if got := a.GlobalHeadroom(); got != 90 {
 		t.Fatalf("GlobalHeadroom=%d want 90", got)
 	}
-	if freed := a.MakeSpace("gpu", 10); freed != 10 {
-		t.Fatalf("reclaimer freed=%d want 10", freed)
+	if freed := a.MakeSpace("gpu", 10); freed != 10 || len(gpu.reclaims) != 1 || gpu.reclaims[0] != 10 {
+		t.Fatalf("reclaimer freed=%d with reclaims %v, want 10 from one Reclaim(10)", freed, gpu.reclaims)
 	}
 	if got := a.Snapshot()[1].PressureEvents; got != 1 {
 		t.Fatalf("reclaimer pressure=%d want 1", got)
@@ -173,7 +185,7 @@ func TestNoteBeforeRegister(t *testing.T) {
 func TestArbiterConcurrent(t *testing.T) {
 	a := NewArbiter()
 	for i := 0; i < 4; i++ {
-		a.Register(&fakePool{name: fmt.Sprintf("p%d", i), used: int64(i * 10), budget: 100, evicted: 5})
+		a.Register(&fakePool{name: fmt.Sprintf("p%d", i), used: int64(i * 10), budget: 100, reclaimed: 5})
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

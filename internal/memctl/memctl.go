@@ -21,15 +21,13 @@
 //
 // Arbitration. Every region registers with an Arbiter, which keeps its
 // pressure/eviction/demotion counters and sums the global headroom. Only
-// the pools that implement Reclaimer are arbitrated: the GPU device pool,
-// whose ladder demotes cached device pointers to the host cache (where the
-// driver cache's own MAKE_SPACE may later spill them to disk), and the
-// serving layer's shared cache and tenant shares. MakeSpace prefers
-// demotion — which keeps the value reachable in a lower tier — while the
-// system as a whole has headroom, and falls back to eviction when global
-// pressure leaves nowhere to demote to. The driver cache, the Spark reuse
-// share, the block manager and the arena only report: they evict on their
-// own paths and note what they did.
+// the pools that implement Reclaimer are arbitrated, each with one relief
+// method: the GPU device pool demotes cached device pointers to the host
+// cache (where the driver cache's own MAKE_SPACE may later spill them to
+// disk) while the system as a whole has headroom to absorb them, and the
+// serving layer's shared cache and tenant shares evict oldest-first. The
+// driver cache, the Spark reuse share, the block manager and the arena only
+// report: they evict on their own paths and note what they did.
 package memctl
 
 // Candidate is the backend-independent description of one eviction

@@ -89,12 +89,6 @@ type Config struct {
 	// processing) install scaled models.
 	Model *costs.Model
 
-	// Parallelism sets the wall-clock worker fan-out of the dense kernel
-	// layer and the Spark partition prewarm (data.SetParallelism). Zero
-	// leaves the process-wide setting untouched (default: GOMAXPROCS).
-	// Results and virtual times are bitwise-identical for every value.
-	Parallelism int
-
 	// Faults, when non-nil, injects deterministic failures into the GPU
 	// allocator, the Spark simulator, and the driver cache's spill path.
 	// Runs with the same plan replay bitwise-identically.
@@ -103,14 +97,10 @@ type Config struct {
 	// Arena enables the shape-keyed host buffer arena: fused-instruction
 	// outputs draw recycled buffers from it, and the planner's KindFree
 	// points (plus block-end temp clearing) return dead buffers to it.
-	// The arena registers with the memory arbiter as its own pool, so
-	// cross-backend pressure trims its free lists. Results are
-	// bitwise-identical with the arena on or off.
+	// The arena reports to the memory arbiter as its own pool and trims
+	// its free lists itself past data.DefaultArenaBudget retained bytes.
+	// Results are bitwise-identical with the arena on or off.
 	Arena bool
-
-	// ArenaBudget caps the arena's retained free bytes (0 uses
-	// data.DefaultArenaBudget).
-	ArenaBudget int64
 
 	// MemoryPlanner enables the compile-time memory planner
 	// (internal/memplan) under the driver cache budget Cache.CPBudget: every
@@ -243,9 +233,6 @@ func New(conf Config) *Context {
 	if model == nil {
 		model = costs.Default()
 	}
-	if conf.Parallelism > 0 {
-		data.SetParallelism(conf.Parallelism)
-	}
 	ctx := &Context{
 		Clock: clock,
 		Model: model,
@@ -269,15 +256,13 @@ func New(conf Config) *Context {
 		ctx.SC.SetArbiter(ctx.Arb)
 	}
 	if ctx.GM != nil {
-		ctx.Arb.Register(ctx.GM.MemPool(ctx.demoteGPUToHost))
+		ctx.Arb.Register(ctx.GM.MemPool(func(need int64) int64 {
+			return ctx.Arb.Demote(need, ctx.demoteGPUToHost)
+		}))
 		ctx.GM.SetHostEvictor(ctx.evictGPUToHost)
 	}
 	if conf.Arena {
-		budget := conf.ArenaBudget
-		if budget <= 0 {
-			budget = data.DefaultArenaBudget
-		}
-		ctx.arena = data.NewArena(budget)
+		ctx.arena = data.NewArena(data.DefaultArenaBudget)
 		ctx.Arb.Register(ctx.arena)
 	}
 	if conf.Faults != nil {
@@ -439,25 +424,21 @@ func (ctx *Context) Closed() bool { return ctx.closed }
 // evictGPUToHost is the device-to-host eviction hook invoked by the GPU
 // memory manager when recycling cannot satisfy an allocation (Algorithm 1
 // step 5, reached only when the device is genuinely full). It routes the
-// request through the arbiter, whose ladder demotes cached live pointers
-// to the host cache (and from there, under cascading pressure, to disk
-// spill) before falling back to in-pool eviction.
+// request through the arbiter, which counts the pressure event and runs the
+// GPU pool's reclaim: demoteGPUToHost under Arbiter.Demote's headroom check.
 func (ctx *Context) evictGPUToHost(need int64) int64 {
 	return ctx.Arb.MakeSpace(gpu.PoolName, need)
 }
 
-// demoteGPUToHost is the GPU pool's Demote implementation: move the
-// lowest-scored cached live pointers down to the host cache until need
-// bytes of device memory are released. Each pointer's value crosses the
-// bus exactly once — Cache.DemoteGPUPointer detaches the lineage entry
-// and charges the D2H transfer, then Surrender frees the device side
-// without triggering the recycle callback. Variables still referencing
-// the pointer are handed the host matrix so execution falls back to CP
-// transparently.
+// demoteGPUToHost is the GPU pool's demotion: move the lowest-scored cached
+// live pointers down to the host cache (and from there, under cascading
+// pressure, to disk spill) until need bytes of device memory are released.
+// Each pointer's value crosses the bus exactly once — Cache.DemoteGPUPointer
+// detaches the lineage entry and charges the D2H transfer, then Surrender
+// frees the device side without triggering the recycle callback. Variables
+// still referencing the pointer are handed the host matrix so execution
+// falls back to CP transparently.
 func (ctx *Context) demoteGPUToHost(need int64) int64 {
-	if ctx.GM == nil {
-		return 0
-	}
 	var freed int64
 	for _, p := range ctx.GM.DemotableLive() {
 		if freed >= need {

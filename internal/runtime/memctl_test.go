@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"errors"
 	"testing"
 
 	"memphis/internal/costs"
@@ -162,5 +163,62 @@ func TestDemotionCascadesToDiskSpill(t *testing.T) {
 	// The spilled entry is still reachable: restoring charges a disk read.
 	if m := ctx.Cache.Matrix(ec); m == nil || m.Checksum() != mc.Checksum() {
 		t.Fatal("spilled CP entry not restorable")
+	}
+}
+
+// hogPool is a report-only pool holding the given bytes against no budget:
+// registered, it takes that much global headroom away.
+type hogPool struct{ used int64 }
+
+func (h *hogPool) Name() string  { return "hog" }
+func (h *hogPool) Used() int64   { return h.used }
+func (h *hogPool) Budget() int64 { return 0 }
+
+// TestGPUDemotionNeedsGlobalHeadroom: the GPU pool's reclaim demotes only
+// while some pool can absorb the bytes. With no global headroom, Algorithm
+// 1's step 5 counts a pressure event, demotes nothing and the allocation
+// fails; with headroom back, the same allocation demotes the LRU pointer.
+func TestGPUDemotionNeedsGlobalHeadroom(t *testing.T) {
+	conf := testConfig(ReuseMemphis)
+	conf.GPUCapacity = 4 << 10 // room for exactly two 2KB blocks
+	ctx := New(conf)
+	defer ctx.Close()
+	pa := demotableSetup(t, ctx, "a", data.RandNorm(16, 16, 0, 1, 1), 0.5)
+	pb := demotableSetup(t, ctx, "b", data.RandNorm(16, 16, 0, 1, 2), 0.5)
+	hog := &hogPool{used: ctx.Arb.GlobalHeadroom()}
+	ctx.Arb.Register(hog)
+	if h := ctx.Arb.GlobalHeadroom(); h != 0 {
+		t.Fatalf("GlobalHeadroom = %d with the hog registered, want 0", h)
+	}
+	gpuPressure := func() int64 {
+		for _, s := range ctx.Arb.Snapshot() {
+			if s.Name == gpu.PoolName {
+				return s.PressureEvents
+			}
+		}
+		return -1
+	}
+
+	if _, err := ctx.GM.Allocate(2<<10, 1, 0); !errors.Is(err, gpu.ErrOOM) {
+		t.Fatalf("Allocate without headroom: err = %v, want ErrOOM", err)
+	}
+	if got := gpuPressure(); got != 1 {
+		t.Fatalf("gpu pressure events = %d, want 1", got)
+	}
+	if !pa.Valid() || !pb.Valid() || ctx.GM.Stats.HostEvictions != 0 || ctx.Cache.Stats.GPUToHost != 0 {
+		t.Fatalf("demoted without headroom: a valid %v, b valid %v, host evictions %d, GPUToHost %d",
+			pa.Valid(), pb.Valid(), ctx.GM.Stats.HostEvictions, ctx.Cache.Stats.GPUToHost)
+	}
+
+	hog.used = 0
+	if _, err := ctx.GM.Allocate(2<<10, 1, 0); err != nil {
+		t.Fatalf("Allocate with headroom: %v", err)
+	}
+	if got := gpuPressure(); got != 2 {
+		t.Fatalf("gpu pressure events = %d, want 2", got)
+	}
+	if pa.Valid() || !pb.Valid() || ctx.GM.Stats.HostEvictions != 1 {
+		t.Fatalf("with headroom: a valid %v (want demoted), b valid %v, host evictions %d",
+			pa.Valid(), pb.Valid(), ctx.GM.Stats.HostEvictions)
 	}
 }

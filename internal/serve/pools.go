@@ -22,15 +22,13 @@ func (s *SharedCache) evictAtLeast(acct *tenantAccount, need int64) int64 {
 
 // globalPool is the arbiter view (a memctl.Reclaimer) of the whole shared
 // cache. There is no lower tier (a dropped entry is recomputed by the next
-// session that needs it), so Demote returns 0 and MakeSpace falls through
-// to eviction.
+// session that needs it), so reclaiming evicts oldest-first.
 type globalPool struct{ s *SharedCache }
 
-func (p globalPool) Name() string            { return GlobalPoolName }
-func (p globalPool) Used() int64             { return p.s.bytesStored.Load() }
-func (p globalPool) Budget() int64           { return p.s.conf.Budget }
-func (p globalPool) Evict(need int64) int64  { return p.s.evictAtLeast(nil, need) }
-func (p globalPool) Demote(need int64) int64 { return 0 }
+func (p globalPool) Name() string             { return GlobalPoolName }
+func (p globalPool) Used() int64              { return p.s.bytesStored.Load() }
+func (p globalPool) Budget() int64            { return p.s.conf.Budget }
+func (p globalPool) Reclaim(need int64) int64 { return p.s.evictAtLeast(nil, need) }
 
 // tenantPool is the arbiter view of one tenant's budgeted share. Eviction
 // is oldest-first within the tenant's own entries, keeping non-overlapping
@@ -40,8 +38,7 @@ type tenantPool struct {
 	acct *tenantAccount
 }
 
-func (p tenantPool) Name() string            { return p.acct.pool }
-func (p tenantPool) Used() int64             { return p.acct.usage.Load() }
-func (p tenantPool) Budget() int64           { return p.s.conf.TenantBudget }
-func (p tenantPool) Evict(need int64) int64  { return p.s.evictAtLeast(p.acct, need) }
-func (p tenantPool) Demote(need int64) int64 { return 0 }
+func (p tenantPool) Name() string             { return p.acct.pool }
+func (p tenantPool) Used() int64              { return p.acct.usage.Load() }
+func (p tenantPool) Budget() int64            { return p.s.conf.TenantBudget }
+func (p tenantPool) Reclaim(need int64) int64 { return p.s.evictAtLeast(p.acct, need) }

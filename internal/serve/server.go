@@ -95,8 +95,10 @@ type Config struct {
 	MaxBatch int
 }
 
-// DefaultConfig mirrors memphis.Options{Reuse: ReuseFull} for each request
-// session, with a CPU-only backend set (serving adds no GPU by default).
+// DefaultConfig sets only the per-request session template: it mirrors
+// memphis.Options{Reuse: ReuseFull}, with a CPU-only backend set (serving
+// adds no GPU by default). Every other field is zero, which New replaces by
+// its default.
 func DefaultConfig() Config {
 	comp := compiler.DefaultConfig()
 	comp.OpMemBudget = 7 << 20
@@ -110,11 +112,6 @@ func DefaultConfig() Config {
 			Cache:    core.DefaultConfig(),
 			Spark:    spark.DefaultConfig(),
 		},
-		Workers:      4,
-		MaxQueue:     1024,
-		MaxPerTenant: 64,
-		MaxRetries:   2,
-		RetryBackoff: 0.05,
 	}
 }
 

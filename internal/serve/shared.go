@@ -386,7 +386,7 @@ func (s *SharedCache) Publish(tenant string, item *lineage.Item, sig uint64, m *
 		return charge, false
 	}
 	// Both budget checks are arbiter-driven MAKE_SPACE calls against the
-	// corresponding pool, whose Evict drops oldest-first. The outer loops
+	// corresponding pool, whose Reclaim drops oldest-first. The outer loops
 	// re-check usage because concurrent publishers may race on the coupled
 	// global path.
 	acct := s.account(tenant)

@@ -87,9 +87,7 @@ func (p refPool) Budget() int64 {
 	return p.s.conf.TenantBudget
 }
 
-func (p refPool) Demote(int64) int64 { return 0 }
-
-func (p refPool) Evict(need int64) int64 {
+func (p refPool) Reclaim(need int64) int64 {
 	var freed int64
 	for freed < need {
 		n := refEvictOldest(p.s, p.acct)

@@ -35,7 +35,8 @@ type TrafficClass struct {
 }
 
 // TrafficConfig parameterizes the bench. Zero values select the defaults
-// noted on each field.
+// noted on each field; the simulation's shape is fixed by the traffic*
+// constants below.
 type TrafficConfig struct {
 	// Seed drives every random choice (tenant popularity draws, burst
 	// modulation, arrival gaps) through a splitmix64 stream.
@@ -45,10 +46,8 @@ type TrafficConfig struct {
 	// Classes are the distinct request classes (required).
 	Classes []TrafficClass
 	// Tenants is the tenant-population size (default 32). Tenant
-	// popularity is Zipf(ZipfSkew)-distributed (default skew 1.1).
-	Tenants  int
-	ZipfSkew float64
-
+	// popularity is Zipf(trafficZipfSkew)-distributed.
+	Tenants int
 	// RealRequests is the size of the measured phase: requests actually
 	// executed by a Server to obtain per-class virtual service times and
 	// real cache statistics (default 192; a warmup request per class runs
@@ -56,32 +55,38 @@ type TrafficConfig struct {
 	RealRequests int
 	// VirtualRequests is the size of the simulated phase (default 120000).
 	VirtualRequests int
-	// Servers is the simulated worker count W (default 8).
-	Servers int
-	// Load is the offered load: mean arrival rate in calm state is
-	// Load * Servers / meanService (default 1.25 — deliberate overload so
-	// shedding is exercised).
-	Load float64
-	// BurstFactor speeds arrivals up while the burst state is active
-	// (default 12); BurstOn/BurstOff are the per-arrival probabilities of
-	// entering/leaving the burst state (defaults 0.02 and 0.10).
-	BurstFactor float64
-	BurstOn     float64
-	BurstOff    float64
-	// SLOFactor sets the latency objective: SLO = SLOFactor * the largest
-	// per-class service time (default 4 — just above the worst sojourn a
-	// full admission queue allows, so admitted requests generally meet
-	// the SLO and shedding is what costs goodput).
-	SLOFactor float64
-	// ShedDepth sheds a simulated arrival when that many admitted leaders
-	// are waiting to start (default 2*Servers).
-	ShedDepth int
-	// CoalesceWindow and MaxBatch mirror the server's batched-admission
-	// knobs inside the simulation, in arrival-sequence space (defaults
-	// 256 and 64).
-	CoalesceWindow int
-	MaxBatch       int
 }
+
+// The simulated phase's fixed shape.
+const (
+	// trafficZipfSkew is the skew of tenant popularity.
+	trafficZipfSkew = 1.1
+	// trafficServers is the simulated worker count W.
+	trafficServers = 8
+	// trafficLoad is the offered load: the mean arrival rate in calm state
+	// is trafficLoad * trafficServers / meanService — deliberate overload,
+	// so shedding is exercised.
+	trafficLoad = 1.25
+	// trafficBurstFactor speeds arrivals up while the burst state is
+	// active; trafficBurstOn/trafficBurstOff are the per-arrival
+	// probabilities of entering/leaving it.
+	trafficBurstFactor = 12
+	trafficBurstOn     = 0.02
+	trafficBurstOff    = 0.10
+	// trafficSLOFactor sets the latency objective: SLO = trafficSLOFactor *
+	// the largest per-class service time — just above the worst sojourn a
+	// full admission queue allows, so admitted requests generally meet the
+	// SLO and shedding is what costs goodput.
+	trafficSLOFactor = 4
+	// trafficShedDepth sheds a simulated arrival when that many admitted
+	// leaders are waiting to start.
+	trafficShedDepth = 2 * trafficServers
+	// trafficCoalesceWindow and trafficMaxBatch bound a simulated coalesce
+	// group in arrival-sequence space. The simulation models its own batch
+	// cap: it is not the measured server's MaxBatch.
+	trafficCoalesceWindow = 256
+	trafficMaxBatch       = 64
+)
 
 // TrafficReport is the bench output. It deliberately contains only
 // deterministic quantities: virtual times, ticket-space counts, and the
@@ -150,18 +155,18 @@ func (r *trafficRNG) next() uint64 {
 // float64 returns a uniform draw in [0, 1).
 func (r *trafficRNG) float64() float64 { return float64(r.next()>>11) / (1 << 53) }
 
-// zipfSampler draws tenant indices from a Zipf(skew) popularity
+// zipfSampler draws tenant indices from a Zipf(trafficZipfSkew) popularity
 // distribution via a precomputed CDF and binary search.
 type zipfSampler struct {
 	cdf     []float64
 	weights []float64 // normalized popularity, for load calculations
 }
 
-func newZipfSampler(n int, skew float64) *zipfSampler {
+func newZipfSampler(n int) *zipfSampler {
 	w := make([]float64, n)
 	sum := 0.0
 	for i := range w {
-		w[i] = math.Pow(float64(i+1), -skew)
+		w[i] = math.Pow(float64(i+1), -trafficZipfSkew)
 		sum += w[i]
 	}
 	cdf := make([]float64, n)
@@ -180,10 +185,10 @@ func (z *zipfSampler) draw(u float64) int { return sort.SearchFloat64s(z.cdf, u)
 // RunTraffic executes the traffic bench. The supplied server Config is used
 // as the template for the real phase with every nondeterministic admission
 // knob forced off (no fault plan, no deadline, no shed threshold) and
-// coalescing plus the compile cache forced on; admission limits are raised
-// so the measured phase never rejects (rejections would depend on drain
-// timing). The caller's scheduler, worker count, budgets, and runtime
-// template are honored.
+// coalescing plus the compile cache forced on; admission limits are set to
+// the request count so the measured phase never rejects (rejections would
+// depend on drain timing). The caller's scheduler, worker count, budgets,
+// and runtime template are honored.
 func RunTraffic(conf Config, tc TrafficConfig) (*TrafficReport, error) {
 	if len(tc.Classes) == 0 {
 		return nil, errors.New("serve: traffic bench needs at least one class")
@@ -194,41 +199,11 @@ func RunTraffic(conf Config, tc TrafficConfig) (*TrafficReport, error) {
 	if tc.Tenants <= 0 {
 		tc.Tenants = 32
 	}
-	if tc.ZipfSkew <= 0 {
-		tc.ZipfSkew = 1.1
-	}
 	if tc.RealRequests <= 0 {
 		tc.RealRequests = 192
 	}
 	if tc.VirtualRequests <= 0 {
 		tc.VirtualRequests = 120000
-	}
-	if tc.Servers <= 0 {
-		tc.Servers = 8
-	}
-	if tc.Load <= 0 {
-		tc.Load = 1.25
-	}
-	if tc.BurstFactor <= 0 {
-		tc.BurstFactor = 12
-	}
-	if tc.BurstOn <= 0 {
-		tc.BurstOn = 0.02
-	}
-	if tc.BurstOff <= 0 {
-		tc.BurstOff = 0.10
-	}
-	if tc.SLOFactor <= 0 {
-		tc.SLOFactor = 4
-	}
-	if tc.ShedDepth <= 0 {
-		tc.ShedDepth = 2 * tc.Servers
-	}
-	if tc.CoalesceWindow <= 0 {
-		tc.CoalesceWindow = 256
-	}
-	if tc.MaxBatch <= 0 {
-		tc.MaxBatch = 64
 	}
 
 	service, copyCost, snap, failed, err := trafficMeasure(conf, tc)
@@ -241,7 +216,7 @@ func RunTraffic(conf Config, tc TrafficConfig) (*TrafficReport, error) {
 		Workload:        tc.Workload,
 		Tenants:         tc.Tenants,
 		Classes:         len(tc.Classes),
-		ZipfSkew:        tc.ZipfSkew,
+		ZipfSkew:        trafficZipfSkew,
 		RealRequests:    tc.RealRequests,
 		RealCoalesced:   snap.Coalesced,
 		RealFailed:      failed,
@@ -249,8 +224,8 @@ func RunTraffic(conf Config, tc TrafficConfig) (*TrafficReport, error) {
 		ClassService:    service,
 		ClassCopy:       copyCost,
 		VirtualRequests: tc.VirtualRequests,
-		VirtualServers:  tc.Servers,
-		OfferedLoad:     tc.Load,
+		VirtualServers:  trafficServers,
+		OfferedLoad:     trafficLoad,
 	}
 	if snap.Shared.Probes > 0 {
 		rep.SharedHitRatio = float64(snap.Shared.Hits) / float64(snap.Shared.Probes)
@@ -274,9 +249,7 @@ func trafficMeasure(conf Config, tc TrafficConfig) (service, copyCost []float64,
 	conf.Deadline = 0
 	conf.ShedThreshold = 0
 	total := tc.RealRequests + len(tc.Classes)
-	if conf.MaxQueue < total+1 {
-		conf.MaxQueue = total + 1
-	}
+	conf.MaxQueue = total + 1
 	conf.MaxPerTenant = total + 1
 	srv := New(conf)
 	defer srv.Close()
@@ -323,7 +296,7 @@ func trafficMeasure(conf Config, tc TrafficConfig) (service, copyCost []float64,
 	// tenant load far below the raised admission limits, so every Submit
 	// is admitted regardless of drain timing.
 	rng := newTrafficRNG(tc.Seed, 0x6d656173) // "meas" stream
-	zipf := newZipfSampler(tc.Tenants, tc.ZipfSkew)
+	zipf := newZipfSampler(tc.Tenants)
 	const window = 64
 	futs := make([]*Future, tc.RealRequests)
 	classes := make([]int, tc.RealRequests)
@@ -358,35 +331,36 @@ func trafficMeasure(conf Config, tc TrafficConfig) (service, copyCost []float64,
 }
 
 // trafficSimulate is the virtual phase: a discrete-event admission
-// simulation of tc.VirtualRequests arrivals over tc.Servers virtual
+// simulation of tc.VirtualRequests arrivals over trafficServers virtual
 // workers, with coalescing, queue-depth shedding, and an SLO check. It is
 // a pure function of the seed and the measured per-class times.
 //
 // The model: arrivals i=0..N-1 occur at nondecreasing virtual times with
 // exponential gaps whose mean is modulated by a two-state (calm/burst)
 // Markov chain. An arrival whose class has an open group (leader within
-// CoalesceWindow arrivals, group below MaxBatch) coalesces: it occupies no
-// server and completes at max(leaderDone, t) + classCopy. Otherwise it is
-// a leader: it is shed if ShedDepth admitted leaders are waiting to start,
-// else it runs FCFS on the earliest-free server for classService seconds.
+// trafficCoalesceWindow arrivals, group below trafficMaxBatch) coalesces: it
+// occupies no server and completes at max(leaderDone, t) + classCopy.
+// Otherwise it is a leader: it is shed if trafficShedDepth admitted leaders
+// are waiting to start, else it runs FCFS on the earliest-free server for
+// classService seconds.
 // Goodput is the fraction of all offered arrivals that complete within the
 // SLO (shed arrivals count against it).
 func trafficSimulate(tc TrafficConfig, service, copyCost []float64, rep *TrafficReport) {
-	zipf := newZipfSampler(tc.Tenants, tc.ZipfSkew)
+	zipf := newZipfSampler(tc.Tenants)
 	classOf := func(t int) int { return t % len(tc.Classes) }
 
-	// The calm arrival rate targets Load against the system's *effective*
-	// capacity: coalescing lets one leader execution serve up to MaxBatch
-	// arrivals, so the popularity-weighted mean *server* cost per arrival
-	// is the service time amortized over a full batch (fan-out copies are
-	// follower latency, not server work). Load > 1 therefore overloads
-	// the post-coalescing system, and burst periods drive the queue into
-	// the shedding regime.
+	// The calm arrival rate targets trafficLoad against the system's
+	// *effective* capacity: coalescing lets one leader execution serve up to
+	// trafficMaxBatch arrivals, so the popularity-weighted mean *server*
+	// cost per arrival is the service time amortized over a full batch
+	// (fan-out copies are follower latency, not server work). A load > 1
+	// therefore overloads the post-coalescing system, and burst periods
+	// drive the queue into the shedding regime.
 	meanEffective := 0.0
 	maxService := 0.0
 	for t := 0; t < tc.Tenants; t++ {
 		c := classOf(t)
-		meanEffective += zipf.weights[t] * service[c] / float64(tc.MaxBatch)
+		meanEffective += zipf.weights[t] * service[c] / trafficMaxBatch
 		if service[c] > maxService {
 			maxService = service[c]
 		}
@@ -394,9 +368,9 @@ func trafficSimulate(tc TrafficConfig, service, copyCost []float64, rep *Traffic
 	if meanEffective <= 0 {
 		meanEffective = 1e-9
 	}
-	slo := tc.SLOFactor * maxService
-	calmGap := meanEffective / (float64(tc.Servers) * tc.Load)
-	burstGap := calmGap / tc.BurstFactor
+	slo := trafficSLOFactor * maxService
+	calmGap := meanEffective / (trafficServers * trafficLoad)
+	burstGap := calmGap / trafficBurstFactor
 
 	type group struct {
 		leaderSeq  int
@@ -404,8 +378,8 @@ func trafficSimulate(tc TrafficConfig, service, copyCost []float64, rep *Traffic
 		size       int
 	}
 	open := make([]*group, len(tc.Classes))
-	serverFree := make([]float64, tc.Servers)
-	startQ := make([]float64, 0, tc.ShedDepth+1) // start times of admitted, not-yet-started leaders
+	serverFree := make([]float64, trafficServers)
+	startQ := make([]float64, 0, trafficShedDepth+1) // start times of admitted, not-yet-started leaders
 	qhead := 0
 	latencies := make([]float64, 0, tc.VirtualRequests)
 	var admitted, shed, coalesced, sloOK int64
@@ -418,10 +392,10 @@ func trafficSimulate(tc TrafficConfig, service, copyCost []float64, rep *Traffic
 		// Draw order is fixed: state transition, gap, tenant.
 		u := rng.float64()
 		if burst {
-			if u < tc.BurstOff {
+			if u < trafficBurstOff {
 				burst = false
 			}
-		} else if u < tc.BurstOn {
+		} else if u < trafficBurstOn {
 			burst = true
 		}
 		gap := calmGap
@@ -432,7 +406,7 @@ func trafficSimulate(tc TrafficConfig, service, copyCost []float64, rep *Traffic
 		tenant := zipf.draw(rng.float64())
 		class := classOf(tenant)
 
-		if g := open[class]; g != nil && i-g.leaderSeq <= tc.CoalesceWindow && g.size < tc.MaxBatch {
+		if g := open[class]; g != nil && i-g.leaderSeq <= trafficCoalesceWindow && g.size < trafficMaxBatch {
 			done := math.Max(g.leaderDone, now) + copyCost[class]
 			g.size++
 			coalesced++
@@ -450,13 +424,13 @@ func trafficSimulate(tc TrafficConfig, service, copyCost []float64, rep *Traffic
 		for qhead < len(startQ) && startQ[qhead] <= now {
 			qhead++
 		}
-		if len(startQ)-qhead >= tc.ShedDepth {
+		if len(startQ)-qhead >= trafficShedDepth {
 			shed++
 			continue
 		}
 		// Leader: earliest-free server, FCFS.
 		best := 0
-		for w := 1; w < tc.Servers; w++ {
+		for w := 1; w < trafficServers; w++ {
 			if serverFree[w] < serverFree[best] {
 				best = w
 			}

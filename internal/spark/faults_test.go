@@ -84,7 +84,7 @@ func TestStageAbortAtMaxFailures(t *testing.T) {
 func TestFetchFailureRecomputes(t *testing.T) {
 	run := func(plan *faults.Plan) (*data.Matrix, *Context) {
 		c := newFaultContext(plan)
-		agg := square(c, 24, 4, 3).AggregateWide("sum", 2, 2, 24,
+		agg := square(c, 24, 4, 3).AggregateWide(2, 2, 24,
 			func(int) float64 { return 1e5 }, 24*24*8,
 			func(_ int, all []*data.Matrix) *data.Matrix {
 				s := data.Zeros(1, 24)
@@ -172,7 +172,7 @@ func TestSparkFaultDeterminism(t *testing.T) {
 		defer data.SetParallelism(old)
 		c := newFaultContext(plan)
 		sq := square(c, 48, 6, 9).Persist(StorageMemory)
-		agg := sq.AggregateWide("sum", 2, 2, 48,
+		agg := sq.AggregateWide(2, 2, 48,
 			func(int) float64 { return 1e5 }, 48*48*8,
 			func(_ int, all []*data.Matrix) *data.Matrix {
 				s := data.Zeros(1, 48)

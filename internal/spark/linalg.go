@@ -17,7 +17,7 @@ func TSMM(x *RDD) *RDD {
 	flops := func(int) float64 {
 		return costs.MatMulFlops(x.nrows, x.ncols, x.ncols)
 	}
-	return x.AggregateWide("tsmm", 1, n, n, flops, shuffle,
+	return x.AggregateWide(1, n, n, flops, shuffle,
 		func(_ int, all []*data.Matrix) *data.Matrix {
 			acc := data.Zeros(n, n)
 			for _, p := range all {
@@ -54,7 +54,7 @@ func VecMM(vT *Broadcast, x *RDD) *RDD {
 			return data.MatMul(vSlice, p)
 		})
 	shuffle := int64(x.parts) * int64(n) * 8
-	return partial.AggregateWide("vecmm-agg", 1, 1, n,
+	return partial.AggregateWide(1, 1, n,
 		func(int) float64 { return float64(x.parts * n) }, shuffle,
 		func(_ int, all []*data.Matrix) *data.Matrix {
 			acc := data.Zeros(1, n)
@@ -71,7 +71,7 @@ func Elementwise(a, b *RDD, op string, f func(x, y *data.Matrix) *data.Matrix) *
 		lo, hi := rowsOfPart(a.nrows, a.parts, part)
 		return float64((hi - lo) * a.ncols)
 	}
-	return ZipPartitions(a, b, "ew"+op, a.nrows, a.ncols, flops, func(_ int, pa, pb *data.Matrix) *data.Matrix {
+	return ZipPartitions(a, b, a.nrows, a.ncols, flops, func(_ int, pa, pb *data.Matrix) *data.Matrix {
 		return f(pa, pb)
 	})
 }
@@ -114,7 +114,7 @@ func ColAggregate(x *RDD, op string, perPart func(p *data.Matrix) *data.Matrix,
 	partial := x.MapPartitions("colagg-map("+op+")", x.parts, n, flops, nil,
 		func(_ int, p *data.Matrix) *data.Matrix { return perPart(p) })
 	shuffle := int64(x.parts) * int64(n) * 8
-	return partial.AggregateWide("colagg("+op+")", 1, 1, n,
+	return partial.AggregateWide(1, 1, n,
 		func(int) float64 { return float64(x.parts * n) }, shuffle,
 		func(_ int, all []*data.Matrix) *data.Matrix {
 			acc := all[0]
@@ -138,12 +138,12 @@ func CPMM(a, b *RDD) *RDD {
 		lo, hi := rowsOfPart(a.nrows, a.parts, part)
 		return costs.MatMulFlops(m, hi-lo, n)
 	}
-	partial := ZipPartitions(a, b, "cpmm-map", a.parts, m*n, flops,
+	partial := ZipPartitions(a, b, a.parts, m*n, flops,
 		func(_ int, pa, pb *data.Matrix) *data.Matrix {
 			return data.MatMulT(pa, pb)
 		})
 	shuffle := int64(a.parts) * int64(m) * int64(n) * 8
-	return partial.AggregateWide("cpmm-agg", 1, m, n,
+	return partial.AggregateWide(1, m, n,
 		func(int) float64 { return float64(a.parts * m * n) }, shuffle,
 		func(_ int, all []*data.Matrix) *data.Matrix {
 			acc := data.Zeros(m, n)
@@ -171,7 +171,7 @@ func LeftMM(a *Broadcast, x *RDD) *RDD {
 			return data.MatMul(a.Value().Slice(0, m, lo, hi), p)
 		})
 	shuffle := int64(x.parts) * int64(m) * int64(n) * 8
-	return partial.AggregateWide("leftmm-agg", 1, m, n,
+	return partial.AggregateWide(1, m, n,
 		func(int) float64 { return float64(x.parts * m * n) }, shuffle,
 		func(_ int, all []*data.Matrix) *data.Matrix {
 			acc := data.Zeros(m, n)

@@ -49,7 +49,6 @@ type RDD struct {
 	shuffleBytes int64
 	bcasts       []*Broadcast
 	level        StorageLevel
-	name         string
 
 	// shuffleFiles is the implicit map-side output cache of wide RDDs.
 	shuffleFiles []*data.Matrix
@@ -118,8 +117,9 @@ func rowsOfPart(n, parts, part int) (lo, hi int) {
 // Parallelize distributes a driver-local matrix into parts row blocks,
 // charging the driver-to-cluster transfer in full. The partitions are row
 // views of m, built on each lazy evaluation: m is shared with the cluster
-// from here on and must not be written to.
-func (c *Context) Parallelize(m *data.Matrix, parts int, name string) *RDD {
+// from here on and must not be written to. The third parameter is ignored:
+// nothing reads an RDD's name.
+func (c *Context) Parallelize(m *data.Matrix, parts int, _ string) *RDD {
 	if parts <= 0 {
 		parts = c.conf.NumExecutors
 	}
@@ -129,7 +129,7 @@ func (c *Context) Parallelize(m *data.Matrix, parts int, name string) *RDD {
 	c.clock.Advance(costs.Transfer(m.SizeBytes(), c.model.BroadcastBW, 0))
 	c.nextRDD++
 	r := &RDD{
-		id: c.nextRDD, ctx: c, parts: parts, name: name,
+		id: c.nextRDD, ctx: c, parts: parts,
 		nrows: m.Rows, ncols: m.Cols,
 	}
 	r.compute = func(part int, _ [][]*data.Matrix) *data.Matrix {
@@ -142,13 +142,14 @@ func (c *Context) Parallelize(m *data.Matrix, parts int, name string) *RDD {
 
 // MapPartitions applies f to each partition (narrow dependency). outCols
 // gives the logical output column count and outRowsSame indicates the row
-// count is preserved; flops estimates compute per partition.
-func (r *RDD) MapPartitions(name string, outRows, outCols int, flops func(part int) float64,
+// count is preserved; flops estimates compute per partition. The first
+// parameter is ignored: nothing reads an RDD's name.
+func (r *RDD) MapPartitions(_ string, outRows, outCols int, flops func(part int) float64,
 	bcasts []*Broadcast, f func(part int, p *data.Matrix) *data.Matrix) *RDD {
 	c := r.ctx
 	c.nextRDD++
 	out := &RDD{
-		id: c.nextRDD, ctx: c, parts: r.parts, deps: []*RDD{r}, name: name,
+		id: c.nextRDD, ctx: c, parts: r.parts, deps: []*RDD{r},
 		nrows: outRows, ncols: outCols, bcasts: bcasts, flopsPerPart: flops,
 	}
 	out.compute = func(part int, parents [][]*data.Matrix) *data.Matrix {
@@ -158,7 +159,7 @@ func (r *RDD) MapPartitions(name string, outRows, outCols int, flops func(part i
 }
 
 // ZipPartitions combines co-partitioned RDDs elementwise (narrow).
-func ZipPartitions(a, b *RDD, name string, outRows, outCols int,
+func ZipPartitions(a, b *RDD, outRows, outCols int,
 	flops func(part int) float64, f func(part int, pa, pb *data.Matrix) *data.Matrix) *RDD {
 	if a.parts != b.parts {
 		panic(fmt.Sprintf("spark: zip of %d vs %d partitions", a.parts, b.parts))
@@ -166,7 +167,7 @@ func ZipPartitions(a, b *RDD, name string, outRows, outCols int,
 	c := a.ctx
 	c.nextRDD++
 	out := &RDD{
-		id: c.nextRDD, ctx: c, parts: a.parts, deps: []*RDD{a, b}, name: name,
+		id: c.nextRDD, ctx: c, parts: a.parts, deps: []*RDD{a, b},
 		nrows: outRows, ncols: outCols, flopsPerPart: flops,
 	}
 	out.compute = func(part int, parents [][]*data.Matrix) *data.Matrix {
@@ -178,14 +179,14 @@ func ZipPartitions(a, b *RDD, name string, outRows, outCols int,
 // AggregateWide creates a wide (shuffle) dependency: each output partition
 // is computed from all parent partitions. shuffleBytes is the total bytes
 // crossing the shuffle boundary.
-func (r *RDD) AggregateWide(name string, outParts, outRows, outCols int,
+func (r *RDD) AggregateWide(outParts, outRows, outCols int,
 	flops func(part int) float64, shuffleBytes int64,
 	f func(part int, all []*data.Matrix) *data.Matrix) *RDD {
 	c := r.ctx
 	c.nextRDD++
 	out := &RDD{
 		id: c.nextRDD, ctx: c, parts: outParts, deps: []*RDD{r}, wide: true,
-		name: name, nrows: outRows, ncols: outCols,
+		nrows: outRows, ncols: outCols,
 		flopsPerPart: flops, shuffleBytes: shuffleBytes,
 	}
 	out.compute = func(part int, parents [][]*data.Matrix) *data.Matrix {

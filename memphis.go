@@ -71,13 +71,6 @@ type Options struct {
 	// 7 MB ("7 GB" at scale).
 	OpMemBudget int64
 
-	// Parallelism caps the wall-clock worker fan-out of the dense kernel
-	// layer (matmul, conv, elementwise, Spark partition compute). Zero
-	// keeps the process default (GOMAXPROCS); 1 forces the serial path.
-	// Purely a wall-clock knob: results and virtual times are
-	// bitwise-identical for every value.
-	Parallelism int
-
 	// FaultPlan, when non-nil, injects deterministic failures (simulated
 	// GPU OOM, Spark task/fetch/spill/executor faults, driver spill I/O
 	// errors) that the runtime's recovery paths absorb. Same plan, same
@@ -103,9 +96,9 @@ type Options struct {
 
 	// Arena enables the shape-keyed host buffer arena: fused outputs draw
 	// recycled buffers, dead temporaries return theirs at planner free
-	// points, and the arena registers with the memory arbiter as its own
-	// pool (evicting = trimming idle shape classes). MemoryBudgets.Arena
-	// caps retained free bytes. Results are bitwise-identical on/off.
+	// points, and the arena reports to the memory arbiter as its own pool
+	// (it trims idle shape classes itself past data.DefaultArenaBudget
+	// retained free bytes). Results are bitwise-identical on/off.
 	Arena bool
 
 	// MemoryPlanner enables the compile-time memory planner
@@ -127,7 +120,6 @@ type MemoryBudgets struct {
 	SparkReuse int64 // reuse share of cluster storage (default 48 MB)
 	Spark      int64 // cluster storage region (default 64 MB)
 	GPU        int64 // device capacity, when EnableGPU is set (default 48 MB)
-	Arena      int64 // buffer-arena retained free bytes, when Arena is set (default 8 MB)
 }
 
 // FaultPlan is a replayable fault scenario (see internal/faults): a seed plus
@@ -215,11 +207,9 @@ func runtimeConfig(opts Options) runtime.Config {
 		Spark:         sparkConf,
 		GPUCapacity:   gcap,
 		GPUPolicy:     pol,
-		Parallelism:   opts.Parallelism,
 		Faults:        opts.FaultPlan,
 		MemoryPlanner: opts.MemoryPlanner,
 		Arena:         opts.Arena,
-		ArenaBudget:   opts.MemoryBudgets.Arena,
 	}
 }
 
@@ -348,10 +338,6 @@ type PlanReport = runtime.PlanReport
 // Empty unless Options.MemoryPlanner is set.
 func (s *Session) PlanReports() []PlanReport { return s.ctx.PlanReports() }
 
-// CPPeak returns the high-water mark of driver lineage-cache bytes (the
-// measured peak the planner's budget bounds).
-func (s *Session) CPPeak() int64 { return s.ctx.Cache.CPPeak() }
-
 // SerializeLineage returns the lineage log of a variable (the SERIALIZE
 // API, §3.2) for sharing and exact recomputation elsewhere.
 func (s *Session) SerializeLineage(name string) (string, error) {
@@ -387,104 +373,30 @@ type (
 	ServerSnapshot = serve.Snapshot
 )
 
-// ServerOptions configures NewServer. The embedded Options template shapes
-// every per-request session (reuse mode, budgets, backends), exactly as New
-// would build it.
-type ServerOptions struct {
-	Options
+// ServerConfig configures NewServer: it is serve.Config, whose zero fields
+// select serve.New's defaults. NewServer fills in its Runtime template and
+// its Faults from the server's Options.
+type ServerConfig = serve.Config
 
-	// Workers is the worker-pool size (default 4).
-	Workers int
-	// FairScheduling selects fair queueing across tenants (equal weights)
-	// instead of FIFO dispatch.
-	FairScheduling bool
-	// SharedBudget is the cross-tenant cache's global byte budget
-	// (default 64 MB); TenantBudget caps one tenant's share (default
-	// SharedBudget/8). Keeping the sum of tenant shares within the global
-	// budget preserves deterministic per-tenant virtual latencies.
-	SharedBudget int64
-	TenantBudget int64
-	// SharedShards is the shared cache's lock-shard count (default 8).
-	SharedShards int
-	// MaxQueue and MaxPerTenant bound admission (defaults 1024 and 64).
-	MaxQueue     int
-	MaxPerTenant int
-
-	// Deadline, when positive, fails requests whose virtual latency
-	// (execution plus retry backoff) exceeds it, with serve.ErrDeadline.
-	Deadline float64
-	// MaxRetries is how many times a failed attempt is retried before the
-	// request fails (default 2; negative disables retries). RetryBackoff is
-	// the base of the per-retry exponential virtual-time backoff (default
-	// 0.05 s).
-	MaxRetries   int
-	RetryBackoff float64
-	// ShedThreshold, when positive, sheds new submissions with
-	// serve.ErrOverloaded once the queue reaches this depth.
-	ShedThreshold int
-
-	// Coalesce enables batched admission: submissions resolving to the
-	// same compiled plan over the same inputs and fetch set join the
-	// in-flight request's coalesce group — one execution fans out
-	// independent result copies to all of them. CoalesceWindow (tickets,
-	// default 256) and MaxBatch (group size cap, default 64) bound a
-	// group. See serve.Config for the follower latency rule.
-	Coalesce       bool
-	CoalesceWindow uint64
-	MaxBatch       int
-	// DisabledShards starts the listed shared-cache shards degraded: probes
-	// miss and publishes are rejected, so sessions recompute instead of
-	// failing.
-	DisabledShards []int
-}
+// SchedWFQ selects fair queueing across tenants (equal weights) for
+// ServerConfig.Sched; the zero value dispatches FIFO.
+const SchedWFQ = serve.SchedWFQ
 
 // NewServer starts a serving layer whose per-request sessions are built
-// from the embedded Options. Close the server to drain and stop it. Unlike
-// New — which defers Options.Validate errors to Run — NewServer panics on
-// invalid options: a server template misconfiguration would otherwise fail
-// every request of every tenant at execution time.
-func NewServer(opts ServerOptions) *Server {
+// from opts, exactly as New would build them. Close the server to drain and
+// stop it. Unlike New — which defers Options.Validate errors to Run —
+// NewServer panics on invalid options: a server template misconfiguration
+// would otherwise fail every request of every tenant at execution time.
+func NewServer(opts Options, conf ServerConfig) *Server {
 	if err := opts.Validate(); err != nil {
 		panic(err)
 	}
-	conf := serve.DefaultConfig()
-	conf.Runtime = runtimeConfig(opts.Options)
-	if opts.Workers > 0 {
-		conf.Workers = opts.Workers
-	}
-	if opts.FairScheduling {
-		conf.Sched = serve.SchedWFQ
-	}
-	conf.Shared.Budget = opts.SharedBudget
-	conf.Shared.TenantBudget = opts.TenantBudget
-	conf.Shared.Shards = opts.SharedShards
-	if opts.MaxQueue > 0 {
-		conf.MaxQueue = opts.MaxQueue
-	}
-	if opts.MaxPerTenant > 0 {
-		conf.MaxPerTenant = opts.MaxPerTenant
-	}
+	conf.Runtime = runtimeConfig(opts)
 	// The serving layer owns fault injection per request attempt; the
 	// runtime template must not also carry the plan or each session would
 	// replay one fixed stream.
 	conf.Faults = opts.FaultPlan
 	conf.Runtime.Faults = nil
-	conf.Deadline = opts.Deadline
-	if opts.MaxRetries != 0 {
-		conf.MaxRetries = opts.MaxRetries
-	}
-	if opts.RetryBackoff > 0 {
-		conf.RetryBackoff = opts.RetryBackoff
-	}
-	conf.ShedThreshold = opts.ShedThreshold
-	conf.DisabledShards = opts.DisabledShards
-	conf.Coalesce = opts.Coalesce
-	if opts.CoalesceWindow > 0 {
-		conf.CoalesceWindow = opts.CoalesceWindow
-	}
-	if opts.MaxBatch > 0 {
-		conf.MaxBatch = opts.MaxBatch
-	}
 	return serve.New(conf)
 }
 

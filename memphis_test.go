@@ -1,6 +1,7 @@
 package memphis
 
 import (
+	"reflect"
 	"testing"
 
 	"memphis/internal/data"
@@ -185,10 +186,7 @@ func TestSessionLookupAndClose(t *testing.T) {
 // identical programs and data, cross-tenant reuse visible in the snapshot,
 // plus an interactive session attached to the server's shared cache.
 func TestServerFacade(t *testing.T) {
-	srv := NewServer(ServerOptions{
-		Options: Options{Reuse: ReuseFull},
-		Workers: 2,
-	})
+	srv := NewServer(Options{Reuse: ReuseFull}, ServerConfig{Workers: 2})
 	x := data.RandNorm(300, 8, 0, 1, 7)
 	y := data.RandNorm(300, 1, 0, 1, 8)
 	inputs := func() map[string]*Matrix {
@@ -241,6 +239,27 @@ func TestServerFacade(t *testing.T) {
 	}
 	if snap.Completed != 2 || snap.Failed != 0 {
 		t.Fatalf("completed=%d failed=%d, want 2/0", snap.Completed, snap.Failed)
+	}
+}
+
+// TestNewServerConfig reads the configuration a server runs with: a zero
+// ServerConfig gets serve.New's defaults (4 workers, 2 retries), and
+// Options.FaultPlan becomes the server's per-attempt plan while the session
+// template carries none.
+func TestNewServerConfig(t *testing.T) {
+	plan := DefaultFaultPlan(5)
+	srv := NewServer(Options{Reuse: ReuseFull, FaultPlan: plan}, ServerConfig{})
+	defer srv.Close()
+	// serve.Server keeps its Config unexported; reflect reads it.
+	conf := reflect.ValueOf(srv).Elem().FieldByName("conf")
+	if w, r := conf.FieldByName("Workers").Int(), conf.FieldByName("MaxRetries").Int(); w != 4 || r != 2 {
+		t.Fatalf("zero ServerConfig runs with Workers %d, MaxRetries %d; want serve's defaults 4 and 2", w, r)
+	}
+	if conf.FieldByName("Faults").Pointer() != reflect.ValueOf(plan).Pointer() {
+		t.Fatal("Options.FaultPlan is not the server's fault plan")
+	}
+	if !conf.FieldByName("Runtime").FieldByName("Faults").IsNil() {
+		t.Fatal("the session template carries the fault plan")
 	}
 }
 
@@ -334,8 +353,8 @@ func TestMemoryBudgetsAndStats(t *testing.T) {
 	if cp.Used > cp.Budget {
 		t.Fatalf("cp over budget: used %d > %d", cp.Used, cp.Budget)
 	}
-	if peak := s.CPPeak(); peak != cp.PeakUsed || peak < cp.Used || peak > cp.Budget {
-		t.Fatalf("CPPeak = %d, want the cp pool's peak %d (used %d, budget %d)", peak, cp.PeakUsed, cp.Used, cp.Budget)
+	if peak := s.ctx.Cache.CPPeak(); peak != cp.PeakUsed || peak < cp.Used || peak > cp.Budget {
+		t.Fatalf("cache CPPeak = %d, want the cp pool's peak %d (used %d, budget %d)", peak, cp.PeakUsed, cp.Used, cp.Budget)
 	}
 	if pools[2].Budget != 32<<20 {
 		t.Fatalf("spark budget = %d, want MemoryBudgets.Spark", pools[2].Budget)
@@ -404,7 +423,7 @@ func TestSessionRunRewritesOnce(t *testing.T) {
 	}
 
 	// The same program through a server, after the session and before it.
-	srv := NewServer(ServerOptions{Options: Options{Reuse: ReuseFull}})
+	srv := NewServer(Options{Reuse: ReuseFull}, ServerConfig{})
 	defer srv.Close()
 	submit := func(p *ir.Program) {
 		t.Helper()
