@@ -319,9 +319,9 @@ type Cache struct {
 	// inj injects deterministic spill I/O errors; nil means none.
 	inj *faults.Injector
 
-	// arb, when set, receives pressure/eviction/demotion accounting for
-	// the cache's memory regions; nil disables reporting.
-	arb *memctl.Arbiter
+	// cpMeter and sparkMeter report the two pools' pressure, evictions
+	// and demotions to the arbiter; nil (no arbiter) reports nothing.
+	cpMeter, sparkMeter *memctl.Meter
 
 	Stats Stats
 }
@@ -348,35 +348,11 @@ func NewCache(clock *vtime.Clock, model *costs.Model, conf Config,
 // SetInjector installs the fault injector (nil disables injection).
 func (c *Cache) SetInjector(inj *faults.Injector) { c.inj = inj }
 
-// SetArbiter attaches the memory arbiter and registers the cache's two
-// pools (driver cache and Spark reuse share) with it.
+// SetArbiter registers the cache's two pools (driver cache and Spark reuse
+// share) with the memory arbiter.
 func (c *Cache) SetArbiter(a *memctl.Arbiter) {
-	c.arb = a
-	if a != nil {
-		a.Register(cpPool{c})
-		a.Register(sparkReusePool{c})
-	}
-}
-
-// noteEviction reports one object of size bytes dropped from a pool.
-func (c *Cache) noteEviction(pool string, size int64) {
-	if c.arb != nil {
-		c.arb.NoteEviction(pool, 1, size)
-	}
-}
-
-// noteDemotion reports one object of size bytes moved down the ladder.
-func (c *Cache) noteDemotion(pool string, size int64) {
-	if c.arb != nil {
-		c.arb.NoteDemotion(pool, 1, size)
-	}
-}
-
-// notePressure reports a MAKE_SPACE pressure event against a pool.
-func (c *Cache) notePressure(pool string) {
-	if c.arb != nil {
-		c.arb.NotePressure(pool)
-	}
+	c.cpMeter = a.Register(cpPool{c})
+	c.sparkMeter = a.Register(sparkReusePool{c})
 }
 
 // Config returns the active configuration.
@@ -632,7 +608,7 @@ func (c *Cache) invalidateGPU(p *gpu.Pointer) {
 	d2h := costs.Transfer(p.Size(), c.model.D2HBW, c.model.CopyLatency)
 	if v := p.Value(); v != nil && e.ComputeCost > 2*d2h && p.Size() <= c.conf.CPBudget {
 		c.Stats.GPUToHost++
-		c.noteDemotion(gpu.PoolName, p.Size())
+		c.gm.Meter.NoteDemotion(1, p.Size())
 		c.clock.Advance(d2h)
 		c.MakeSpaceCP(p.Size())
 		e.Backend = BackendCP
@@ -644,7 +620,7 @@ func (c *Cache) invalidateGPU(p *gpu.Pointer) {
 		return
 	}
 	c.Stats.GPUInvalidated++
-	c.noteEviction(gpu.PoolName, p.Size())
+	c.gm.Meter.NoteEviction(1, p.Size())
 	c.removeEntry(e)
 }
 
@@ -671,7 +647,7 @@ func (c *Cache) DemoteGPUPointer(p *gpu.Pointer) *data.Matrix {
 	delete(c.gpE, p)
 	p.Cached = false
 	c.Stats.GPUToHost++
-	c.noteDemotion(gpu.PoolName, p.Size())
+	c.gm.Meter.NoteDemotion(1, p.Size())
 	c.clock.Advance(costs.Transfer(p.Size(), c.model.D2HBW, c.model.CopyLatency))
 	if p.Size() <= c.conf.CPBudget {
 		c.MakeSpaceCP(p.Size())

@@ -171,7 +171,7 @@ func (c *Cache) MakeSpaceCP(need int64) {
 	if c.cpUsed+need <= c.conf.CPBudget {
 		return
 	}
-	c.notePressure(PoolCP)
+	c.cpMeter.NotePressure()
 	defer c.cpRank.drop()
 	for c.cpUsed+need > c.conf.CPBudget {
 		if _, ok := c.evictOneCP(); !ok {
@@ -199,16 +199,16 @@ func (c *Cache) evictOneCP() (int64, bool) {
 			costs.Transfer(victim.Size, c.model.DiskBW, 0))
 		if c.inj.Fail(faults.CPSpill) {
 			c.Stats.SpillErrorsCP++
-			c.noteEviction(PoolCP, victim.Size)
+			c.cpMeter.NoteEviction(1, victim.Size)
 			c.removeEntry(victim)
 		} else {
 			c.Stats.SpillsCP++
-			c.noteDemotion(PoolCP, victim.Size)
+			c.cpMeter.NoteDemotion(1, victim.Size)
 			victim.Status = StatusSpilled
 			c.relist(victim)
 		}
 	} else {
-		c.noteEviction(PoolCP, victim.Size)
+		c.cpMeter.NoteEviction(1, victim.Size)
 		c.removeEntry(victim)
 	}
 	return victim.Size, true
@@ -289,7 +289,7 @@ func (c *Cache) MakeSpaceSpark(need int64) {
 	if c.sparkUsed+need <= c.conf.SparkBudget {
 		return
 	}
-	c.notePressure(PoolSparkReuse)
+	c.sparkMeter.NotePressure()
 	defer c.sparkRank.drop()
 	for c.sparkUsed+need > c.conf.SparkBudget {
 		if _, ok := c.evictOneSpark(); !ok {
@@ -307,7 +307,7 @@ func (c *Cache) evictOneSpark() (int64, bool) {
 	}
 	c.Stats.UnpersistsSpark++
 	c.sparkUsed -= victim.Size
-	c.noteEviction(PoolSparkReuse, victim.Size)
+	c.sparkMeter.NoteEviction(1, victim.Size)
 	victim.RDD.Unpersist()
 	c.removeEntry(victim)
 	return victim.Size, true

@@ -70,6 +70,11 @@ type Manager struct {
 	// Algorithm-1 recovery ladder is exercised under test; nil means none.
 	inj *faults.Injector
 
+	// Meter reports the device pool's pressure, evictions and demotions to
+	// the memory arbiter the manager is registered with; nil reports
+	// nothing.
+	Meter *memctl.Meter
+
 	Stats ManagerStats
 }
 
@@ -477,27 +482,13 @@ func (m *Manager) Surrender(p *Pointer) {
 	m.dev.Free(p)
 }
 
-// memPool adapts the manager to memctl.Reclaimer. Used/Budget are the raw
-// device occupancy; Reclaim runs the runtime-installed reclaimer, which
-// demotes cached live pointers to the host cache through the lineage cache.
-// The free list is not a relief: Algorithm 1 has emptied it (step 4) before
-// it asks the arbiter for room (step 5).
-type memPool struct {
-	m       *Manager
-	reclaim func(need int64) int64
-}
-
-func (p memPool) Name() string  { return PoolName }
-func (p memPool) Used() int64   { return p.m.dev.Used() }
-func (p memPool) Budget() int64 { return p.m.dev.Capacity() }
-
-func (p memPool) Reclaim(need int64) int64 { return p.reclaim(need) }
-
-// MemPool returns the arbiter pool view of device memory. reclaim
-// implements its relief: the device-to-host demotion.
-func (m *Manager) MemPool(reclaim func(need int64) int64) memctl.Reclaimer {
-	return memPool{m: m, reclaim: reclaim}
-}
+// Name, Used and Budget make the manager the arbiter's report-only "gpu"
+// pool: Used/Budget are the raw device occupancy. The pool relieves itself,
+// through Algorithm 1's host evictor (step 5). The manager reports no peak,
+// so a snapshot's peak is the Used at that time.
+func (m *Manager) Name() string  { return PoolName }
+func (m *Manager) Used() int64   { return m.dev.Used() }
+func (m *Manager) Budget() int64 { return m.dev.Capacity() }
 
 // recycleExact serves an allocation by recycling the lowest-score free
 // pointer of the exact size, invalidating its cache entry.

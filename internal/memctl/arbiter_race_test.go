@@ -6,57 +6,40 @@ import (
 	"testing"
 )
 
-// TestArbiterTotalsRegisterRace is the -race regression for the pool-list
-// read paths: totals() (behind GlobalHeadroom, which the GPU pool's reclaim
-// consults on every pressure event), MakeSpace's pool lookup and Snapshot
-// must not iterate the shared pools slice unlocked while Register replaces
-// elements in place. The serving layer hits this interleaving when a
-// publish-driven eviction or a snapshot runs concurrently with a new
-// tenant's first touch re-registering its pool.
-func TestArbiterTotalsRegisterRace(t *testing.T) {
+// TestArbiterRegisterRace is the -race regression for the pool-list read
+// paths: MakeSpace's pool lookup and Snapshot must not read the shared
+// meters slice unlocked while Register appends to it. The serving layer hits
+// this interleaving when a publish-driven eviction or a snapshot runs
+// concurrently with a new tenant's first touch registering its pool.
+func TestArbiterRegisterRace(t *testing.T) {
+	const pools, tenants, rounds = 8, 300, 300
 	a := NewArbiter()
-	for i := 0; i < 8; i++ {
-		a.Register(&fakePool{name: fmt.Sprintf("pool%d", i), used: int64(i), budget: 100})
+	for i := 0; i < pools; i++ {
+		a.Register(&fakePool{name: fmt.Sprintf("pool%d", i), used: int64(i), budget: 100, reclaimed: 1})
 	}
-	stop := make(chan struct{})
-	var registrar sync.WaitGroup
-	registrar.Add(1)
+	var wg sync.WaitGroup
+	wg.Add(1)
 	go func() {
-		defer registrar.Done()
-		for n := 0; ; n++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			// Same-name registration replaces the slice element in place —
-			// the write side of the race.
-			a.Register(&fakePool{name: fmt.Sprintf("pool%d", n%8), used: int64(n), budget: 100})
+		defer wg.Done()
+		// Appends grow the backing array: the write side of the race.
+		for i := 0; i < tenants; i++ {
+			a.Register(&reportPool{name: fmt.Sprintf("tenant%d", i), used: 1, budget: 100})
 		}
 	}()
-	var readers sync.WaitGroup
 	for r := 0; r < 4; r++ {
-		readers.Add(1)
+		wg.Add(1)
 		go func() {
-			defer readers.Done()
-			for i := 0; i < 2000; i++ {
-				a.GlobalHeadroom()
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
 				a.MakeSpace("pool3", 10)
 				a.Snapshot()
 			}
 		}()
 	}
-	for r := 0; r < 2; r++ {
-		readers.Add(1)
-		go func() {
-			defer readers.Done()
-			for i := 0; i < 2000; i++ {
-				a.NoteEviction(fmt.Sprintf("pool%d", i%8), 1, 10)
-				a.NoteDemotion(fmt.Sprintf("pool%d", i%8), 1, 10)
-			}
-		}()
+	wg.Wait()
+	snap := a.Snapshot()
+	if len(snap) != pools+tenants || snap[3].PressureEvents != 4*rounds {
+		t.Fatalf("%d rows with pool3 at %d pressure events, want %d rows and %d",
+			len(snap), snap[3].PressureEvents, pools+tenants, 4*rounds)
 	}
-	readers.Wait()
-	close(stop)
-	registrar.Wait()
 }

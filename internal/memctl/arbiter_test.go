@@ -36,72 +36,9 @@ func (p *reportPool) Name() string  { return p.name }
 func (p *reportPool) Used() int64   { return p.used }
 func (p *reportPool) Budget() int64 { return p.budget }
 
-// demotingPool reclaims the way the GPU device pool does: its one relief
-// is a demotion run through Arbiter.Demote, scripted to release demoted
-// bytes per call.
-type demotingPool struct {
-	reportPool
-	arb     *Arbiter
-	demoted int64
-	demotes []int64
-}
-
-func (p *demotingPool) Reclaim(need int64) int64 {
-	return p.arb.Demote(need, func(n int64) int64 {
-		p.demotes = append(p.demotes, n)
-		return p.demoted
-	})
-}
-
-// TestMakeSpaceDemotesFirstWithHeadroom: while another pool has room to
-// absorb the bytes, MakeSpace on a demoting pool counts one pressure event
-// and demotes for the whole need.
-func TestMakeSpaceDemotesFirstWithHeadroom(t *testing.T) {
-	a := NewArbiter()
-	gpu := &demotingPool{reportPool: reportPool{name: "gpu", used: 100, budget: 100}, arb: a, demoted: 60}
-	host := &reportPool{name: "cp", used: 10, budget: 1000}
-	a.Register(gpu)
-	a.Register(host)
-
-	if freed := a.MakeSpace("gpu", 100); freed != 60 {
-		t.Fatalf("freed=%d want 60 (the demoted bytes)", freed)
-	}
-	if len(gpu.demotes) != 1 || gpu.demotes[0] != 100 {
-		t.Fatalf("demotes=%v want [100]", gpu.demotes)
-	}
-	snap := a.Snapshot()
-	if snap[0].Name != "gpu" || snap[1].Name != "cp" {
-		t.Fatalf("snapshot order %v", []string{snap[0].Name, snap[1].Name})
-	}
-	if g := snap[0]; g.PressureEvents != 1 {
-		t.Fatalf("gpu counters %+v", g.Counters)
-	}
-}
-
-// TestMakeSpaceSkipsDemotionWithoutHeadroom: with every pool full,
-// demoting would only move the problem, so MakeSpace counts the pressure
-// event and releases nothing.
-func TestMakeSpaceSkipsDemotionWithoutHeadroom(t *testing.T) {
-	a := NewArbiter()
-	gpu := &demotingPool{reportPool: reportPool{name: "gpu", used: 100, budget: 100}, arb: a, demoted: 60}
-	full := &reportPool{name: "cp", used: 1000, budget: 1000}
-	a.Register(gpu)
-	a.Register(full)
-
-	if freed := a.MakeSpace("gpu", 80); freed != 0 {
-		t.Fatalf("freed=%d want 0: no global headroom", freed)
-	}
-	if len(gpu.demotes) != 0 {
-		t.Fatalf("demotes=%v want none: no global headroom", gpu.demotes)
-	}
-	if got := a.Snapshot()[0].PressureEvents; got != 1 {
-		t.Fatalf("gpu pressure=%d want 1", got)
-	}
-}
-
 // TestMakeSpaceLeavesReportOnlyPool: a pool that evicts on its own path
-// is summed into the headroom but never reclaimed from, and MakeSpace on
-// it counts no pressure event.
+// is reported but never reclaimed from, and MakeSpace on it counts no
+// pressure event.
 func TestMakeSpaceLeavesReportOnlyPool(t *testing.T) {
 	a := NewArbiter()
 	cp := &reportPool{name: "cp", used: 100, budget: 100}
@@ -117,9 +54,6 @@ func TestMakeSpaceLeavesReportOnlyPool(t *testing.T) {
 	}
 	if snap[0].Used != 100 || snap[0].Pressure != 1 || snap[0].PeakUsed != 100 {
 		t.Fatalf("report-only pool row %+v", snap[0])
-	}
-	if got := a.GlobalHeadroom(); got != 90 {
-		t.Fatalf("GlobalHeadroom=%d want 90", got)
 	}
 	if freed := a.MakeSpace("gpu", 10); freed != 10 || len(gpu.reclaims) != 1 || gpu.reclaims[0] != 10 {
 		t.Fatalf("reclaimer freed=%d with reclaims %v, want 10 from one Reclaim(10)", freed, gpu.reclaims)
@@ -147,80 +81,76 @@ func TestPressureAndHeadroom(t *testing.T) {
 			t.Fatalf("%s: Pressure=%v want %v", snap[i].Name, got, want)
 		}
 	}
-	if got := a.GlobalHeadroom(); got != 400-207 {
-		t.Fatalf("GlobalHeadroom=%v", got)
-	}
 }
 
-func TestRegisterReplaceKeepsCounters(t *testing.T) {
+// peakPool reports a high-water mark above its current bytes.
+type peakPool struct{ reportPool }
+
+func (p *peakPool) Peak() int64 { return 2 * p.used }
+
+// TestMeterCounts: a pool reports through the Meter Register returned, and
+// its snapshot row carries those counters and its peak; a nil Meter (a pool
+// that was never registered) records nothing.
+func TestMeterCounts(t *testing.T) {
 	a := NewArbiter()
-	a.Register(&fakePool{name: "tenant", used: 1, budget: 10})
-	a.NoteEviction("tenant", 3, 300)
-	a.Register(&fakePool{name: "tenant", used: 2, budget: 10})
+	m := a.Register(&peakPool{reportPool{name: "spark", used: 5, budget: 10}})
+	m.NotePressure()
+	m.NoteEviction(2, 200)
+	m.NoteDemotion(1, 42)
+	var unregistered *Meter
+	unregistered.NotePressure()
+	unregistered.NoteEviction(1, 1)
+	unregistered.NoteDemotion(1, 1)
 	snap := a.Snapshot()
-	if len(snap) != 1 {
-		t.Fatalf("snapshot len %d", len(snap))
-	}
-	if snap[0].Used != 2 || snap[0].Evictions != 3 || snap[0].EvictedBytes != 300 {
-		t.Fatalf("replace lost state: %+v", snap[0])
+	want := PoolStats{Name: "spark", Used: 5, Budget: 10, Pressure: 0.5, PeakUsed: 10,
+		Counters: Counters{PressureEvents: 1, Evictions: 2, EvictedBytes: 200, Demotions: 1, DemotedBytes: 42}}
+	if len(snap) != 1 || snap[0] != want {
+		t.Fatalf("snapshot %+v, want [%+v]", snap, want)
 	}
 }
 
-func TestNoteBeforeRegister(t *testing.T) {
-	a := NewArbiter()
-	a.NoteDemotion("early", 1, 42)
-	a.NotePressure("early")
-	snap := a.Snapshot()
-	if len(snap) != 1 || snap[0].Name != "early" {
-		t.Fatalf("snapshot %+v", snap)
-	}
-	if snap[0].Demotions != 1 || snap[0].DemotedBytes != 42 || snap[0].PressureEvents != 1 {
-		t.Fatalf("counters %+v", snap[0].Counters)
-	}
-}
-
-// TestArbiterConcurrent is the race-soak target: concurrent registration,
-// counter updates, MakeSpace, and snapshots must be data-race free
-// (the serving layer drives the arbiter from worker goroutines).
+// TestArbiterConcurrent is the race-soak target: registration, meter
+// notes, MakeSpace and snapshots run concurrently (the serving layer drives
+// the arbiter from worker goroutines), and every note and pressure event
+// lands on its own pool's row.
 func TestArbiterConcurrent(t *testing.T) {
 	a := NewArbiter()
-	for i := 0; i < 4; i++ {
-		a.Register(&fakePool{name: fmt.Sprintf("p%d", i), used: int64(i * 10), budget: 100, reclaimed: 5})
+	meters := make([]*Meter, 4)
+	for i := range meters {
+		meters[i] = a.Register(&fakePool{name: fmt.Sprintf("p%d", i), used: int64(i * 10), budget: 100, reclaimed: 5})
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			name := fmt.Sprintf("p%d", g%4)
+			name, m := fmt.Sprintf("p%d", g%4), meters[g%4]
 			for i := 0; i < 200; i++ {
 				switch i % 5 {
 				case 0:
 					a.MakeSpace(name, 10)
 				case 1:
-					a.NoteEviction(name, 1, 10)
+					m.NoteEviction(1, 10)
 				case 2:
-					a.NoteDemotion(name, 1, 10)
+					m.NoteDemotion(1, 10)
 				case 3:
 					_ = a.Snapshot()
 				case 4:
-					_ = a.GlobalHeadroom()
-					_ = a.Pool(name)
+					a.Register(&reportPool{name: fmt.Sprintf("g%d-%d", g, i)})
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
 	snap := a.Snapshot()
-	if len(snap) != 4 {
-		t.Fatalf("snapshot len %d", len(snap))
+	// The four reclaimers, then 8 goroutines × 40 registrations.
+	if len(snap) != 4+320 {
+		t.Fatalf("snapshot len %d, want %d", len(snap), 4+320)
 	}
-	var evictions int64
-	for _, s := range snap {
-		evictions += s.Evictions
-	}
-	// 8 goroutines × 40 NoteEviction calls each.
-	if evictions != 320 {
-		t.Fatalf("evictions=%d want 320", evictions)
+	for i, s := range snap[:4] {
+		// Two goroutines per pool, 40 calls of each kind apiece.
+		if s.Name != fmt.Sprintf("p%d", i) || s.PressureEvents != 80 || s.Evictions != 80 || s.Demotions != 80 {
+			t.Fatalf("row %d: %+v, want p%d with 80 pressure events, evictions and demotions", i, s, i)
+		}
 	}
 }

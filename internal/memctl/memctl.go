@@ -1,11 +1,11 @@
-// Package memctl is MEMPHIS's unified cross-backend memory arbiter: one
+// Package memctl is MEMPHIS's cross-backend memory layer: one
 // victim-scoring function and one pool registry shared by every memory
 // region in the system — the driver's lineage cache (CP), the reuse share
 // of Spark cluster storage, the Spark block manager's partition region,
 // the GPU device pool, and the serving layer's per-tenant shared-cache
-// shares. The paper's holistic-memory-management claim (§4) is that these
-// regions must be reasoned about jointly rather than by isolated
-// evictors; this package is where that joint reasoning lives.
+// shares. As in the paper's holistic memory management (§4), the regions
+// share one lineage cache and one scoring function, and each evicts by its
+// own rule.
 //
 // Scoring. Every backend ranks eviction candidates with Score, a single
 // hybrid of four normalized terms — cost-per-byte ratio, recency, DAG
@@ -19,15 +19,14 @@
 // uses Eq. (2) (recency + 1/height + cost), and the block manager's LRU
 // is the degenerate recency-only instance. Lower scores evict first.
 //
-// Arbitration. Every region registers with an Arbiter, which keeps its
-// pressure/eviction/demotion counters and sums the global headroom. Only
-// the pools that implement Reclaimer are arbitrated, each with one relief
-// method: the GPU device pool demotes cached device pointers to the host
-// cache (where the driver cache's own MAKE_SPACE may later spill them to
-// disk) while the system as a whole has headroom to absorb them, and the
-// serving layer's shared cache and tenant shares evict oldest-first. The
-// driver cache, the Spark reuse share, the block manager and the arena only
-// report: they evict on their own paths and note what they did.
+// Registry. Every region registers with an Arbiter, which hands it a Meter
+// for its pressure/eviction/demotion counters and lists every pool in
+// Snapshot. The arbiter decides nothing: the driver cache, the Spark reuse
+// share, the block manager, the GPU device pool (Algorithm 1, whose step 5
+// demotes cached device pointers to the host cache) and the arena evict on
+// their own paths and note what they did. Only the serving layer's shared
+// cache and tenant shares implement Reclaimer, and MakeSpace on them runs
+// their oldest-first eviction.
 package memctl
 
 // Candidate is the backend-independent description of one eviction

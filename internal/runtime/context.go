@@ -152,9 +152,9 @@ type Context struct {
 	LMap *Table
 	Conf Config
 
-	// Arb is the unified memory arbiter: every backend memory region (CP
-	// cache, Spark reuse share, Spark storage, GPU device) registers with
-	// it, and the cross-backend demotion ladder runs through it.
+	// Arb is the memory pool registry: every backend memory region (CP
+	// cache, Spark reuse share, Spark storage, GPU device, arena) registers
+	// with it and reports its pressure, evictions and demotions.
 	Arb *memctl.Arbiter
 
 	// Shared is the optional cross-session reuse level (serving layer),
@@ -256,9 +256,7 @@ func New(conf Config) *Context {
 		ctx.SC.SetArbiter(ctx.Arb)
 	}
 	if ctx.GM != nil {
-		ctx.Arb.Register(ctx.GM.MemPool(func(need int64) int64 {
-			return ctx.Arb.Demote(need, ctx.demoteGPUToHost)
-		}))
+		ctx.GM.Meter = ctx.Arb.Register(ctx.GM)
 		ctx.GM.SetHostEvictor(ctx.evictGPUToHost)
 	}
 	if conf.Arena {
@@ -423,11 +421,12 @@ func (ctx *Context) Closed() bool { return ctx.closed }
 
 // evictGPUToHost is the device-to-host eviction hook invoked by the GPU
 // memory manager when recycling cannot satisfy an allocation (Algorithm 1
-// step 5, reached only when the device is genuinely full). It routes the
-// request through the arbiter, which counts the pressure event and runs the
-// GPU pool's reclaim: demoteGPUToHost under Arbiter.Demote's headroom check.
+// step 5, reached only when the device is genuinely full). It counts one
+// pressure event against the gpu pool and demotes; as in the paper, the
+// device evicts by its own rule and consults no other pool.
 func (ctx *Context) evictGPUToHost(need int64) int64 {
-	return ctx.Arb.MakeSpace(gpu.PoolName, need)
+	ctx.GM.Meter.NotePressure()
+	return ctx.demoteGPUToHost(need)
 }
 
 // demoteGPUToHost is the GPU pool's demotion: move the lowest-scored cached

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"memphis/internal/costs"
 	"memphis/internal/data"
 	"memphis/internal/ir"
 	"memphis/internal/lineage"
@@ -394,7 +395,7 @@ func TestSharedCacheTenantBudgetEviction(t *testing.T) {
 	if !ok || cost != 1.0 {
 		t.Fatalf("cross-tenant probe: ok=%v cost=%v", ok, cost)
 	}
-	if charge <= sc.conf.Model.Probe {
+	if charge <= sc.model.Probe {
 		t.Fatal("a hit must also charge the transfer of the object")
 	}
 	if got == m || &got.Data[0] == &m.Data[0] {
@@ -478,6 +479,29 @@ func TestSharedCachePoolStats(t *testing.T) {
 	gl := st.Pools[0]
 	if gl.Used != 8<<10 || gl.PressureEvents != 0 || gl.Evictions != 4 {
 		t.Fatalf("global pool %+v", gl)
+	}
+}
+
+// TestServerChargesSharedCacheWithItsModel: the server resolves one cost
+// model (the session template's, else the default) and its shared cache
+// charges with it; a cache built on its own charges with the default.
+func TestServerChargesSharedCacheWithItsModel(t *testing.T) {
+	if got, want := *NewSharedCache(SharedConfig{}).model, *costs.Default(); got != want {
+		t.Fatalf("a lone shared cache charges with %+v, want the default model", got)
+	}
+	conf := DefaultConfig()
+	model := costs.Default()
+	model.Probe *= 3
+	conf.Runtime.Model = model
+	srv := New(conf)
+	defer srv.Close()
+	if srv.Shared().model != model {
+		t.Fatal("the server's shared cache does not charge with the session template's model")
+	}
+	plain := New(DefaultConfig())
+	defer plain.Close()
+	if plain.Shared().model != plain.model || *plain.model != *costs.Default() {
+		t.Fatal("with no template model, the server and its shared cache do not share the default model")
 	}
 }
 

@@ -55,7 +55,8 @@ type Config struct {
 	// its own plan via Faults.ForRequest(ticket, attempt) — keyed by ticket,
 	// not call order, so fault streams (and therefore virtual latencies) are
 	// identical for every worker count. The serve.request site additionally
-	// crashes whole attempts before execution.
+	// crashes whole attempts before execution. It is the server's only
+	// fault plan: New clears Runtime.Faults.
 	Faults *faults.Plan
 	// MaxRetries is how many times a failed attempt (injected crash, stage
 	// abort, panic) is retried before the request fails (default 2; negative
@@ -310,15 +311,15 @@ func New(conf Config) *Server {
 	if conf.RetryBackoff <= 0 {
 		conf.RetryBackoff = 0.05
 	}
-	if conf.Shared.Model == nil {
-		conf.Shared.Model = conf.Runtime.Model
-	}
 	if conf.CoalesceWindow == 0 {
 		conf.CoalesceWindow = 256
 	}
 	if conf.MaxBatch <= 0 {
 		conf.MaxBatch = 64
 	}
+	// The fault plan's one home is conf.Faults: every attempt derives its
+	// session's plan from it, so a plan on the template would go unread.
+	conf.Runtime.Faults = nil
 	model := conf.Runtime.Model
 	if model == nil {
 		model = costs.Default()
@@ -336,6 +337,7 @@ func New(conf Config) *Server {
 		faultCounts:  make(map[string]int64),
 		start:        time.Now(),
 	}
+	s.shared.model = model
 	for _, idx := range conf.DisabledShards {
 		s.shared.SetShardEnabled(idx, false)
 	}

@@ -52,8 +52,6 @@ type SharedConfig struct {
 	// per-tenant determinism guarantee; overcommitting trades it for
 	// capacity.
 	TenantBudget int64
-	// Model overrides the cost model (nil uses costs.Default).
-	Model *costs.Model
 }
 
 func (c *SharedConfig) fill() {
@@ -66,16 +64,14 @@ func (c *SharedConfig) fill() {
 	if c.TenantBudget <= 0 {
 		c.TenantBudget = c.Budget / 8
 	}
-	if c.Model == nil {
-		c.Model = costs.Default()
-	}
 }
 
 // tenantAccount tracks one tenant's shared-cache footprint and activity.
 // The counters are atomics: stats are read concurrently by Snapshot while
 // workers publish.
 type tenantAccount struct {
-	pool      string // arbiter pool name, TenantPoolName(tenant)
+	pool      string        // arbiter pool name, TenantPoolName(tenant)
+	meter     *memctl.Meter // the tenant pool's arbiter counters
 	usage     atomic.Int64
 	tick      atomic.Uint64 // per-tenant publish sequence (eviction order)
 	probes    atomic.Int64
@@ -176,14 +172,15 @@ type shard struct {
 // cost model, for the caller to charge.
 type SharedCache struct {
 	conf   SharedConfig
+	model  *costs.Model // probe, copy and put charges
 	shards []*shard
 	// arb is the serving layer's own memory arbiter: one global pool plus
 	// one pool per tenant, all budget enforcement in Publish routed through
 	// Arbiter.MakeSpace so pressure and eviction counters are uniform with
 	// the session-side pools. Tenant pools partition the global pool's
-	// bytes, so arbiter totals intentionally double-count here; only the
-	// per-pool rows are meaningful.
-	arb *memctl.Arbiter
+	// bytes, so the global row overlaps the tenant rows.
+	arb    *memctl.Arbiter
+	global *memctl.Meter // the global pool's counters
 
 	accMu    sync.RWMutex
 	accounts map[string]*tenantAccount
@@ -200,15 +197,16 @@ type SharedCache struct {
 	degradedProbes atomic.Int64
 }
 
-// NewSharedCache builds the shared level.
+// NewSharedCache builds the shared level, charging from costs.Default.
 func NewSharedCache(conf SharedConfig) *SharedCache {
 	conf.fill()
 	s := &SharedCache{
 		conf:     conf,
+		model:    costs.Default(),
 		arb:      memctl.NewArbiter(),
 		accounts: make(map[string]*tenantAccount),
 	}
-	s.arb.Register(globalPool{s})
+	s.global = s.arb.Register(globalPool{s})
 	s.shards = make([]*shard, conf.Shards)
 	for i := range s.shards {
 		s.shards[i] = &shard{front: s, idx: i, entries: make(map[uint64]*entryMeta)}
@@ -241,7 +239,8 @@ func (s *SharedCache) shardFor(key *lineage.Item) *shard {
 	return s.shards[key.Hash()%uint64(len(s.shards))]
 }
 
-// account returns (creating on first use) the tenant's account.
+// account returns (creating and registering its pool on first use) the
+// tenant's account.
 func (s *SharedCache) account(tenant string) *tenantAccount {
 	s.accMu.RLock()
 	a := s.accounts[tenant]
@@ -252,12 +251,10 @@ func (s *SharedCache) account(tenant string) *tenantAccount {
 	s.accMu.Lock()
 	if a = s.accounts[tenant]; a == nil {
 		a = &tenantAccount{pool: TenantPoolName(tenant), lists: make([]metaList, len(s.shards))}
+		a.meter = s.arb.Register(tenantPool{s: s, acct: a})
 		s.accounts[tenant] = a
 	}
 	s.accMu.Unlock()
-	// Registration is idempotent (replace-by-name keeps counters), so the
-	// race between two first-touches of a tenant is harmless.
-	s.arb.Register(tenantPool{s: s, acct: a})
 	return a
 }
 
@@ -325,8 +322,8 @@ func (sh *shard) drop(md *entryMeta) {
 	md.acct.evictions.Add(1)
 	// The entry left the shared level entirely (no lower tier), so both the
 	// tenant pool and the global pool record an eviction.
-	sh.front.arb.NoteEviction(md.acct.pool, 1, md.size)
-	sh.front.arb.NoteEviction(GlobalPoolName, 1, md.size)
+	md.acct.meter.NoteEviction(1, md.size)
+	sh.front.global.NoteEviction(1, md.size)
 }
 
 // Probe implements runtime.SharedCache: REUSE under the shard lock. A hit
@@ -345,13 +342,13 @@ func (s *SharedCache) Probe(tenant string, item *lineage.Item, sig uint64) (*dat
 		sh.mu.Unlock()
 		s.misses.Add(1)
 		s.degradedProbes.Add(1)
-		return nil, 0, s.conf.Model.Probe, false
+		return nil, 0, s.model.Probe, false
 	}
 	md := sh.find(key)
 	if md == nil {
 		sh.mu.Unlock()
 		s.misses.Add(1)
-		return nil, 0, s.conf.Model.Probe, false
+		return nil, 0, s.model.Probe, false
 	}
 	stored, producer, computeCost := md.m, md.tenant, md.computeCost
 	sh.mu.Unlock()
@@ -362,7 +359,7 @@ func (s *SharedCache) Probe(tenant string, item *lineage.Item, sig uint64) (*dat
 		s.crossHits.Add(1)
 		acct.crossHits.Add(1)
 	}
-	charge := s.conf.Model.Probe + costs.Transfer(m.SizeBytes(), s.conf.Model.MemBW, 0)
+	charge := s.model.Probe + costs.Transfer(m.SizeBytes(), s.model.MemBW, 0)
 	return m, computeCost, charge, true
 }
 
@@ -370,7 +367,7 @@ func (s *SharedCache) Probe(tenant string, item *lineage.Item, sig uint64) (*dat
 // enforcement (MAKE_SPACE evicts the publisher's own oldest entries first,
 // keeping non-overlapping tenants decoupled) and a global-budget backstop.
 func (s *SharedCache) Publish(tenant string, item *lineage.Item, sig uint64, m *data.Matrix, computeCost float64) (float64, bool) {
-	charge := s.conf.Model.CachePut
+	charge := s.model.CachePut
 	size := m.SizeBytes()
 	if size > s.conf.TenantBudget || size > s.conf.Budget {
 		return charge, false

@@ -10,6 +10,7 @@ import (
 
 	"memphis/internal/data"
 	"memphis/internal/lineage"
+	"memphis/internal/memctl"
 )
 
 // The reference victim searches: the full scans the publish-order index
@@ -59,8 +60,7 @@ func refEvictOldest(s *SharedCache, acct *tenantAccount) int64 {
 }
 
 // refPool is an arbiter pool over a SharedCache whose eviction runs the
-// reference scans; registered under a pool's name it replaces the indexed
-// pool and keeps its counters.
+// reference scans in place of the indexed pool of the same name.
 type refPool struct {
 	s    *SharedCache
 	acct *tenantAccount // nil: the global pool
@@ -99,13 +99,17 @@ func (p refPool) Reclaim(need int64) int64 {
 	return freed
 }
 
-// withReferenceEviction swaps every pool of s for its scanning twin. The
-// accounts are created first so that no later first touch re-registers the
-// indexed pool.
+// withReferenceEviction gives a new, untouched s an arbiter whose pools are
+// the scanning twins of its own: the global pool, then one account per
+// tenant, created here so that no later first touch registers an indexed
+// pool.
 func withReferenceEviction(s *SharedCache, tenants []string) {
-	s.arb.Register(refPool{s: s})
+	s.arb = memctl.NewArbiter()
+	s.global = s.arb.Register(refPool{s: s})
 	for _, tn := range tenants {
-		s.arb.Register(refPool{s: s, acct: s.account(tn)})
+		a := &tenantAccount{pool: TenantPoolName(tn), lists: make([]metaList, len(s.shards))}
+		a.meter = s.arb.Register(refPool{s: s, acct: a})
+		s.accounts[tn] = a
 	}
 }
 

@@ -4,19 +4,21 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"memphis/internal/data"
+	"memphis/internal/lineage"
 )
 
 // TestSnapshotDuringTenantRegistration is the -race regression test for the
 // shared-cache stats read path: Snapshot (which walks the memory arbiter's
 // pool list) runs concurrently with first-touch tenant-pool registration
-// and publish-driven eviction pressure. Before the arbiter copied its pool
-// slice under the read lock, Register's in-place replacement of a
-// same-name pool raced the totals walk and tripped the race detector here.
+// and publish-driven eviction pressure.
 func TestSnapshotDuringTenantRegistration(t *testing.T) {
 	conf := DefaultConfig()
 	conf.Workers = 4
-	// A tight shared budget keeps eviction (MakeSpace -> GlobalHeadroom ->
-	// totals) active on the publish path while new tenants register.
+	// A tight shared budget keeps eviction (MakeSpace's pool lookup, then
+	// the pool's Reclaim) active on the publish path while new tenants
+	// register.
 	conf.Shared.Budget = 64 << 10
 	conf.Shared.TenantBudget = 16 << 10
 	srv := New(conf)
@@ -61,4 +63,51 @@ func TestSnapshotDuringTenantRegistration(t *testing.T) {
 	}
 	close(stop)
 	pollers.Wait()
+}
+
+// TestConcurrentFirstTouchRegistersOnce races the first publishes of each
+// tenant: every worker touches the tenants in the same order, so each
+// tenant's first touch is contended. Each tenant's pool is registered once,
+// so the arbiter shows one tenant:<name> row per tenant, and its counters
+// add up to the cache's own.
+func TestConcurrentFirstTouchRegistersOnce(t *testing.T) {
+	const workers, tenants, rounds = 8, 32, 4
+	sc := NewSharedCache(SharedConfig{Shards: 4, Budget: 1 << 20, TenantBudget: 8 << 10})
+	m := data.RandNorm(16, 16, 0, 1, 1) // 2 KB: a tenant holds four
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			for r := 0; r < rounds; r++ {
+				for tn := 0; tn < tenants; tn++ {
+					item := lineage.NewItem("op", "", lineage.NewLeaf("read", fmt.Sprintf("X%d-%d", w, r)))
+					sc.Publish(fmt.Sprintf("t%d", tn), item, 1, m, 1.0)
+				}
+			}
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	st := sc.StatsSnapshot()
+	if len(st.Pools) != 1+tenants || st.Pools[0].Name != GlobalPoolName {
+		t.Fatalf("%d pool rows, want the global one and %d tenant rows", len(st.Pools), tenants)
+	}
+	size := m.SizeBytes()
+	var evictions int64
+	for _, row := range st.Pools[1:] {
+		tn, ok := st.PerTenant[row.Name[len("tenant:"):]]
+		if !ok || row.Name != TenantPoolName(row.Name[len("tenant:"):]) {
+			t.Fatalf("row %q names no tenant", row.Name)
+		}
+		if row.Evictions != tn.Evictions || row.EvictedBytes != tn.Evictions*size || row.Used != tn.Bytes {
+			t.Fatalf("row %+v disagrees with the tenant's own %+v", row, tn)
+		}
+		evictions += row.Evictions
+	}
+	if gl := st.Pools[0]; evictions != st.Evictions || gl.Evictions != st.Evictions || gl.Used != st.BytesStored {
+		t.Fatalf("tenant rows evicted %d, global row %+v, cache %d evictions and %d B", evictions, gl, st.Evictions, st.BytesStored)
+	}
 }

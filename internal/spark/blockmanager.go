@@ -45,9 +45,9 @@ type BlockManager struct {
 	seq int64
 	// inj injects deterministic spill I/O errors; nil means none.
 	inj *faults.Injector
-	// arb, when set, receives pressure/eviction/demotion accounting for
-	// the storage region; nil disables reporting.
-	arb *memctl.Arbiter
+	// meter reports the storage region's pressure, evictions and
+	// demotions to the arbiter; nil (no arbiter) reports nothing.
+	meter *memctl.Meter
 }
 
 func newBlockManager(budget int64) *BlockManager {
@@ -130,7 +130,7 @@ func (b *BlockManager) put(rdd, part int, m *data.Matrix, level StorageLevel) (s
 		return 0, 0, 0
 	}
 	if b.used+size > b.budget {
-		b.notePressure()
+		b.meter.NotePressure()
 	}
 	for b.used+size > b.budget {
 		victim := b.pickVictim(rdd)
@@ -163,15 +163,15 @@ func (b *BlockManager) evictBlock(k blockKey) (spilled, dropped, spillErrs int) 
 	if vb.level == StorageMemoryAndDisk {
 		if b.inj.Fail(faults.SparkSpill) {
 			delete(b.blocks, k)
-			b.noteEviction(vb.size)
+			b.meter.NoteEviction(1, vb.size)
 			return 0, 1, 1
 		}
 		vb.onDisk = true
-		b.noteDemotion(vb.size)
+		b.meter.NoteDemotion(1, vb.size)
 		return 1, 0, 0
 	}
 	delete(b.blocks, k)
-	b.noteEviction(vb.size)
+	b.meter.NoteEviction(1, vb.size)
 	return 0, 1, 0
 }
 
@@ -245,24 +245,4 @@ func (b *BlockManager) clear() {
 	b.blocks = make(map[blockKey]*block)
 	b.seq = 0
 	b.used = 0
-}
-
-// notePressure/noteEviction/noteDemotion report storage-region activity to
-// the arbiter when one is attached.
-func (b *BlockManager) notePressure() {
-	if b.arb != nil {
-		b.arb.NotePressure(PoolName)
-	}
-}
-
-func (b *BlockManager) noteEviction(size int64) {
-	if b.arb != nil {
-		b.arb.NoteEviction(PoolName, 1, size)
-	}
-}
-
-func (b *BlockManager) noteDemotion(size int64) {
-	if b.arb != nil {
-		b.arb.NoteDemotion(PoolName, 1, size)
-	}
 }

@@ -132,14 +132,9 @@ func (c *Context) SetInjector(inj *faults.Injector) {
 	c.bm.inj = inj
 }
 
-// SetArbiter attaches the memory arbiter to the block manager and
-// registers the storage region as a pool (nil disables reporting).
-func (c *Context) SetArbiter(a *memctl.Arbiter) {
-	c.bm.arb = a
-	if a != nil {
-		a.Register(c.bm)
-	}
-}
+// SetArbiter registers the block manager's storage region as a pool with
+// the memory arbiter.
+func (c *Context) SetArbiter(a *memctl.Arbiter) { c.bm.meter = a.Register(c.bm) }
 
 // BlockManager exposes cluster storage (for tests and cache policies).
 func (c *Context) BlockManager() *BlockManager { return c.bm }

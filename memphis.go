@@ -392,11 +392,7 @@ func NewServer(opts Options, conf ServerConfig) *Server {
 		panic(err)
 	}
 	conf.Runtime = runtimeConfig(opts)
-	// The serving layer owns fault injection per request attempt; the
-	// runtime template must not also carry the plan or each session would
-	// replay one fixed stream.
 	conf.Faults = opts.FaultPlan
-	conf.Runtime.Faults = nil
 	return serve.New(conf)
 }
 

@@ -8,6 +8,7 @@ import (
 	"memphis/internal/dml"
 	"memphis/internal/faults"
 	"memphis/internal/ir"
+	"memphis/internal/serve"
 )
 
 // ridgeProgram is a small grid over a reusable gram matrix.
@@ -245,7 +246,8 @@ func TestServerFacade(t *testing.T) {
 // TestNewServerConfig reads the configuration a server runs with: a zero
 // ServerConfig gets serve.New's defaults (4 workers, 2 retries), and
 // Options.FaultPlan becomes the server's per-attempt plan while the session
-// template carries none.
+// template carries none. The plan's one home is ServerConfig.Faults: a plan
+// left on the template given to serve.New is cleared too.
 func TestNewServerConfig(t *testing.T) {
 	plan := DefaultFaultPlan(5)
 	srv := NewServer(Options{Reuse: ReuseFull, FaultPlan: plan}, ServerConfig{})
@@ -260,6 +262,14 @@ func TestNewServerConfig(t *testing.T) {
 	}
 	if !conf.FieldByName("Runtime").FieldByName("Faults").IsNil() {
 		t.Fatal("the session template carries the fault plan")
+	}
+
+	direct := serve.DefaultConfig()
+	direct.Runtime.Faults = plan
+	raw := serve.New(direct)
+	defer raw.Close()
+	if !reflect.ValueOf(raw).Elem().FieldByName("conf").FieldByName("Runtime").FieldByName("Faults").IsNil() {
+		t.Fatal("serve.New keeps a fault plan on the session template")
 	}
 }
 
