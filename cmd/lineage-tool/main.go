@@ -149,13 +149,13 @@ func profileDiff(pathA, pathB string) error {
 	for _, ra := range a {
 		rb, ok := bySig[ra.Sig]
 		if !ok {
-			fmt.Printf("plan %s: only in %s (peak=%d frees=%d splits=%d)\n",
-				ra.Sig, pathA, ra.PeakBytes, ra.Frees, ra.Splits)
+			fmt.Printf("plan %s: only in %s (peak=%d frees=%d)\n",
+				ra.Sig, pathA, ra.PeakBytes, ra.Frees)
 			same = false
 			continue
 		}
 		delete(bySig, ra.Sig)
-		if ra.PeakBytes == rb.PeakBytes && ra.Frees == rb.Frees && ra.Splits == rb.Splits &&
+		if ra.PeakBytes == rb.PeakBytes && ra.Frees == rb.Frees &&
 			ra.Evictions == rb.Evictions && ra.Runs == rb.Runs {
 			continue
 		}
@@ -168,14 +168,13 @@ func profileDiff(pathA, pathB string) error {
 		}
 		diffInt("peak", ra.PeakBytes, rb.PeakBytes)
 		diffInt("frees", int64(ra.Frees), int64(rb.Frees))
-		diffInt("splits", int64(ra.Splits), int64(rb.Splits))
 		diffInt("evictions", ra.Evictions, rb.Evictions)
 		diffInt("runs", ra.Runs, rb.Runs)
 	}
 	for _, rb := range b {
 		if _, dangling := bySig[rb.Sig]; dangling {
-			fmt.Printf("plan %s: only in %s (peak=%d frees=%d splits=%d)\n",
-				rb.Sig, pathB, rb.PeakBytes, rb.Frees, rb.Splits)
+			fmt.Printf("plan %s: only in %s (peak=%d frees=%d)\n",
+				rb.Sig, pathB, rb.PeakBytes, rb.Frees)
 			same = false
 		}
 	}

@@ -142,9 +142,7 @@ func memReport(cpBudget int64, planOn, jsonOut bool) {
 		Runs      int64   `json:"runs"`
 		PeakBytes int64   `json:"peak_bytes"`
 		Frees     int     `json:"frees"`
-		Splits    int     `json:"splits"`
 		Evictions int64   `json:"evictions"`
-		Predicted int64   `json:"predicted_evictions"`
 		EvPerRun  float64 `json:"ev_per_run"`
 	}
 	type arenaOps struct {
@@ -188,7 +186,7 @@ func memReport(cpBudget int64, planOn, jsonOut bool) {
 		if planOn {
 			for _, p := range s.PlanReports() {
 				pr := planRow{Seq: p.Seq, Sig: p.Sig, Runs: p.Runs, PeakBytes: p.PeakBytes,
-					Frees: p.Frees, Splits: p.Splits, Evictions: p.Evictions, Predicted: p.PredictedEvictions}
+					Frees: p.Frees, Evictions: p.Evictions}
 				if p.Runs > 0 {
 					pr.EvPerRun = float64(p.Evictions) / float64(p.Runs)
 				}
@@ -219,12 +217,12 @@ func memReport(cpBudget int64, planOn, jsonOut bool) {
 		fmt.Printf("  arena ops: gets=%d reuses=%d puts=%d escapes=%d\n",
 			r.Arena.Gets, r.Arena.Reuses, r.Arena.Puts, r.Arena.Escapes)
 		if len(r.Plans) > 0 {
-			fmt.Printf("  %-4s %-16s %6s %10s %6s %6s %7s %9s %7s\n",
-				"plan", "sig", "runs", "peakB", "frees", "splits", "evict", "predict", "ev/run")
+			fmt.Printf("  %-4s %-16s %6s %10s %6s %7s %7s\n",
+				"plan", "sig", "runs", "peakB", "frees", "evict", "ev/run")
 			for _, p := range r.Plans {
-				fmt.Printf("  %-4d %-16s %6d %10d %6d %6d %7d %9d %7.2f\n",
-					p.Seq, p.Sig, p.Runs, p.PeakBytes, p.Frees, p.Splits,
-					p.Evictions, p.Predicted, p.EvPerRun)
+				fmt.Printf("  %-4d %-16s %6d %10d %6d %7d %7.2f\n",
+					p.Seq, p.Sig, p.Runs, p.PeakBytes, p.Frees,
+					p.Evictions, p.EvPerRun)
 			}
 		}
 		fmt.Println()

@@ -111,9 +111,9 @@ func main() {
 // table.
 func printPlans(reports []memphis.PlanReport) {
 	for _, r := range reports {
-		fmt.Printf("\nplan %d sig=%s runs=%d insts=%d peak=%d@%d budget=%d frees=%d splits=%d evictions=%d (predicted >= %d)\n",
+		fmt.Printf("\nplan %d sig=%s runs=%d insts=%d peak=%d@%d budget=%d frees=%d evictions=%d\n",
 			r.Seq, r.Sig, r.Runs, r.Instructions, r.PeakBytes, r.PeakAt, r.Budget,
-			r.Frees, r.Splits, r.Evictions, r.PredictedEvictions)
+			r.Frees, r.Evictions)
 		if len(r.NoCache) > 0 {
 			fmt.Printf("  no-cache: %v\n", r.NoCache)
 		}

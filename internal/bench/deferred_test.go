@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"memphis/internal/core"
 	"memphis/internal/key"
 	"memphis/internal/lineage"
 	"memphis/internal/workloads"
@@ -39,7 +40,13 @@ func hbandQuickTrace(t *testing.T) string {
 	}
 	fmt.Fprintf(&sb, "stats %+v\n", ctx.Stats)
 	fmt.Fprintf(&sb, "cache %+v\n", ctx.Cache.Stats)
-	fmt.Fprintf(&sb, "cp peak=%d used=%d entries=%d\n", ctx.Cache.CPPeak(), ctx.Cache.CPUsed(), ctx.Cache.NumEntries())
+	var used int64
+	for _, s := range ctx.Arb.Snapshot() {
+		if s.Name == core.PoolCP {
+			used = s.Used
+		}
+	}
+	fmt.Fprintf(&sb, "cp peak=%d used=%d entries=%d\n", ctx.Cache.CPPeak(), used, ctx.Cache.NumEntries())
 	fmt.Fprintf(&sb, "clock %#x\n", math.Float64bits(ctx.Clock.Now()))
 	return sb.String()
 }

@@ -92,6 +92,17 @@ func (in *Instruction) Output() string {
 	return in.Outputs[0]
 }
 
+// Cacheable reports whether the instruction's output is subject to
+// fine-grained reuse: assignments, checkpoints, function calls and
+// dimension queries never probe or put the lineage cache.
+func (in *Instruction) Cacheable() bool {
+	switch in.Op {
+	case "assign", "chkpoint", "call", "nrow", "ncol":
+		return false
+	}
+	return true
+}
+
 // String renders the instruction in SystemDS's "BACKEND op outputs <- inputs"
 // style for debugging and tests. Fused instructions render their
 // constituent op list so trace dumps and profile diffs stay readable.

@@ -355,12 +355,6 @@ func (c *Cache) SetArbiter(a *memctl.Arbiter) {
 	c.sparkMeter = a.Register(sparkReusePool{c})
 }
 
-// Config returns the active configuration.
-func (c *Cache) Config() Config { return c.conf }
-
-// CPUsed returns the bytes of driver-resident cached matrices.
-func (c *Cache) CPUsed() int64 { return c.cpUsed }
-
 // CPPeak returns the high-water mark of driver-resident cached bytes.
 func (c *Cache) CPPeak() int64 { return c.cpPeak }
 

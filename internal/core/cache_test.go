@@ -356,7 +356,7 @@ func TestClear(t *testing.T) {
 		func(_ int, p *data.Matrix) *data.Matrix { return p }), nil, nil, 1, 1, spark.StorageMemory)
 	e.cache.PutCP(li("m", ""), data.Ones(2, 2), 1, 1, false, false)
 	e.cache.Clear()
-	if e.cache.NumEntries() != 0 || e.cache.CPUsed() != 0 || e.cache.sparkUsed != 0 {
+	if e.cache.NumEntries() != 0 || e.cache.cpUsed != 0 || e.cache.sparkUsed != 0 {
 		t.Fatal("Clear left state behind")
 	}
 }
@@ -388,7 +388,7 @@ func TestCPAccountingProperty(t *testing.T) {
 					cached += en.Size
 				}
 			}
-			if e.cache.CPUsed() != cached || e.cache.CPUsed() > conf.CPBudget {
+			if e.cache.cpUsed != cached || e.cache.cpUsed > conf.CPBudget {
 				return false
 			}
 		}

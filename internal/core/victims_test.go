@@ -151,9 +151,9 @@ func checkLists(t *testing.T, c *Cache, accounting bool) {
 		}
 	}
 	checkPlaceholders(t, c, nPlaceholders)
-	if accounting && (c.CPUsed() != cpBytes || c.sparkUsed != sparkBytes) {
+	if accounting && (c.cpUsed != cpBytes || c.sparkUsed != sparkBytes) {
 		t.Fatalf("used bytes CP %d, Spark %d; listed entries sum to %d and %d",
-			c.CPUsed(), c.sparkUsed, cpBytes, sparkBytes)
+			c.cpUsed, c.sparkUsed, cpBytes, sparkBytes)
 	}
 }
 
@@ -483,7 +483,7 @@ func TestDelayedPutOfStoredItemCountsItsBytesOnce(t *testing.T) {
 		var used []int64
 		for i := 0; i < delay+2; i++ {
 			e.cache.PutCP(li("x", ""), data.Ones(4, 4), 1, delay, false, false)
-			used = append(used, e.cache.CPUsed())
+			used = append(used, e.cache.cpUsed)
 		}
 		if got := used[len(used)-1]; got != 128 || e.cache.NumEntries() != 1 {
 			t.Errorf("delay %d: CPUsed after each put %v with %d entries, want 128 once stored, 1 entry",
@@ -506,9 +506,9 @@ func TestDelayedPutOfStoredItemCountsItsBytesOnce(t *testing.T) {
 	if got := e.cache.PutGPU(li("x", ""), p, 1, 2); got == nil || got.Backend != BackendCP {
 		t.Fatal("PutGPU of a stored CP item must return the CP entry")
 	}
-	if e.cache.CPUsed() != 128 || e.cache.sparkUsed != 0 || r.StorageLevel() != spark.StorageNone || p.Cached {
+	if e.cache.cpUsed != 128 || e.cache.sparkUsed != 0 || r.StorageLevel() != spark.StorageNone || p.Cached {
 		t.Fatalf("CPUsed %d, SparkUsed %d, RDD level %v, pointer cached %v; want 128, 0, none, false",
-			e.cache.CPUsed(), e.cache.sparkUsed, r.StorageLevel(), p.Cached)
+			e.cache.cpUsed, e.cache.sparkUsed, r.StorageLevel(), p.Cached)
 	}
 	checkLists(t, e.cache, true)
 }

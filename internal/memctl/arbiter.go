@@ -27,8 +27,8 @@ type Pool interface {
 }
 
 // Reclaimer is a Pool whose pressure reaches the arbiter: MakeSpace on it
-// runs the pool's one relief method. The serving layer's shared-cache pools
-// evict oldest-first.
+// runs the pool's one relief method. No pool of the program implements it;
+// it stays while a benchmark probe times MakeSpace.
 type Reclaimer interface {
 	Pool
 	// Reclaim releases room for need bytes inside the pool and returns the
@@ -149,34 +149,30 @@ func (a *Arbiter) Register(p Pool) *Meter {
 	return m
 }
 
-// meter returns the Meter of the pool registered under name, or nil.
-func (a *Arbiter) meter(name string) *Meter {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	for _, m := range a.meters {
-		if m.pool.Name() == name {
-			return m
-		}
-	}
-	return nil
-}
-
 // MakeSpace is the arbiter-driven MAKE_SPACE: count a pressure event
 // against the named pool and have it reclaim room for need bytes. Returns
 // the bytes released. Pools note the objects they evict themselves, so a
 // pool's own pressure is counted the same way. A pool that only reports
 // (not a Reclaimer) is left alone: MakeSpace returns 0 and counts nothing.
 func (a *Arbiter) MakeSpace(name string, need int64) int64 {
-	m := a.meter(name)
-	if m == nil || need <= 0 {
+	if need <= 0 {
 		return 0
 	}
-	r, ok := m.pool.(Reclaimer)
-	if !ok {
-		return 0
+	a.mu.RLock()
+	meters := a.meters
+	a.mu.RUnlock()
+	for _, m := range meters {
+		if m.pool.Name() != name {
+			continue
+		}
+		r, ok := m.pool.(Reclaimer)
+		if !ok {
+			return 0
+		}
+		m.pressureEvents.Add(1)
+		return r.Reclaim(need)
 	}
-	m.pressureEvents.Add(1)
-	return r.Reclaim(need)
+	return 0
 }
 
 // Snapshot returns per-pool stats in registration order. The pool methods

@@ -12,18 +12,15 @@
 //     instruction / soon reused / unknown) that the runtime stamps onto
 //     lineage-cache entries; internal/memctl's lifetime-grouped victim
 //     selection consumes the stamps, with the hybrid Score as tiebreak.
-//  3. Rewrites: when the profile's peak exceeds the budget, early-free
-//     instructions are inserted at temporaries' last-use points, oversized
-//     CP matmuls are split into row-panel chains (bounding the largest
-//     single operand), and cache-vs-recompute decisions are flipped for
-//     outputs too large to cache without thrashing.
+//  3. Rewrites: under any positive budget, early-free instructions at
+//     temporaries' last-use points; when the profile's peak exceeds the
+//     budget, the cache-vs-recompute decision flips for outputs too large
+//     to cache without thrashing. Neither rewrite changes a computed value, and
+//     neither raises the stream's peak.
 //
 // Planning is a pure function of the instruction stream and the budget:
 // the same (stream, Config) always yields byte-identical plans, which the
-// CI planner-determinism job asserts. Row-panel splitting preserves
-// bitwise numeric results because the dense matmul kernel computes output
-// rows independently (slicing A by rows, multiplying each panel by B, and
-// rbinding the panels reproduces the unsplit product exactly).
+// CI planner-determinism job asserts.
 package memplan
 
 import (
@@ -37,8 +34,9 @@ import (
 // Config parameterizes one planning pass.
 type Config struct {
 	// Budget is the target byte budget (normally the CP cache budget).
-	// Rewrites fire only when the analyzed peak exceeds it; zero disables
-	// rewrites and yields analysis plus hints only.
+	// Any positive budget inserts early frees, and cache flips fire only
+	// when the analyzed peak exceeds it; zero disables rewrites and yields
+	// analysis plus hints only.
 	Budget int64
 }
 
@@ -66,7 +64,8 @@ type Interval struct {
 // Plan is the planner's artifact for one instruction stream: the liveness
 // table, the memory profile, and the hint/rewrite summary (the
 // memplan.Hints of the design — attached to the compiled program and
-// consumed by the runtime and the memctl arbiter).
+// consumed by the runtime, whose lifetime stamps memctl's victim order
+// reads).
 type Plan struct {
 	// Insts is the stream length the plan describes (post-rewrite).
 	Insts int `json:"instructions"`
@@ -79,27 +78,17 @@ type Plan struct {
 	PeakAt int   `json:"peak_at"`
 	// Budget echoes the planning budget (0 = unbounded).
 	Budget int64 `json:"budget"`
-	// Frees/Splits count inserted early-free instructions and row-panel
-	// matmul splits; NoCache lists outputs flipped to recompute.
+	// Frees counts inserted early-free instructions; NoCache lists outputs
+	// flipped to recompute.
 	Frees   int      `json:"frees"`
-	Splits  int      `json:"splits"`
 	NoCache []string `json:"no_cache,omitempty"`
-	// CacheBytes is the total bytes of cacheable CP puts the stream will
-	// attempt (deduplicated by name, NoCache and over-budget objects
-	// excluded); MaxCacheEntry and CacheEntries describe their granularity.
-	// The runtime combines these with live cache state to predict the
-	// minimum evictions per run.
-	CacheBytes    int64 `json:"cache_bytes"`
-	MaxCacheEntry int64 `json:"max_cache_entry"`
-	CacheEntries  int   `json:"cache_entries"`
 
 	noCache map[string]bool
 	reads   map[string][]int // ascending read positions per name
 }
 
-// isTemp reports whether a name is a block-local temporary (compiler
-// temps "_t<n>" and planner panel temps "_tsp..."; both are cleared at
-// block end by the runtime).
+// isTemp reports whether a name is a block-local temporary (compiler temps
+// "_t<n>", cleared at block end by the runtime).
 func isTemp(name string) bool { return strings.HasPrefix(name, "_t") }
 
 // Analyze computes the liveness table and memory profile of a stream.
@@ -108,11 +97,7 @@ func isTemp(name string) bool { return strings.HasPrefix(name, "_t") }
 // input name and count as uses. A KindFree ends its operand's residency
 // without counting as a data use.
 func Analyze(insts []compiler.Instruction) *Plan {
-	p := &Plan{
-		Insts:   len(insts),
-		noCache: make(map[string]bool),
-		reads:   make(map[string][]int),
-	}
+	p := &Plan{Insts: len(insts), reads: make(map[string][]int)}
 	type info struct {
 		def     int // -1 live-in
 		first   int

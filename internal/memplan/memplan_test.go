@@ -3,7 +3,6 @@ package memplan
 import (
 	"bytes"
 	"fmt"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -83,9 +82,8 @@ func TestLifetimeAt(t *testing.T) {
 // order, so two equal plans give equal bytes.
 func marshal(p *Plan) []byte {
 	var b strings.Builder
-	fmt.Fprintf(&b, "insts=%d peak=%d@%d budget=%d frees=%d splits=%d cache=%d/%d max=%d\n",
-		p.Insts, p.Peak, p.PeakAt, p.Budget, p.Frees, p.Splits,
-		p.CacheBytes, p.CacheEntries, p.MaxCacheEntry)
+	fmt.Fprintf(&b, "insts=%d peak=%d@%d budget=%d frees=%d\n",
+		p.Insts, p.Peak, p.PeakAt, p.Budget, p.Frees)
 	for _, iv := range p.Intervals {
 		fmt.Fprintf(&b, "iv %s def=%d first=%d last=%d end=%d bytes=%d temp=%t uses=%d\n",
 			iv.Name, iv.Def, iv.First, iv.Last, iv.End, iv.Bytes, iv.Temp, iv.Uses)
@@ -123,7 +121,7 @@ func TestApplyDeterministic(t *testing.T) {
 // TestApplyInsertsFrees: temps gain a free at their last use, residency
 // ends early, and the profile's tail shrinks accordingly. Budget 6500 is
 // below the 6656-byte peak but above twice the largest output, so frees
-// fire without triggering a matmul split.
+// fire without flipping any output to recompute.
 func TestApplyInsertsFrees(t *testing.T) {
 	rewritten, p := Apply(testStream(), Config{Budget: 6500})
 	if p.Frees != 2 {
@@ -148,77 +146,26 @@ func TestApplyInsertsFrees(t *testing.T) {
 	}
 }
 
-// TestApplyGating: splits and cache flips fire only over budget (frees
-// fire under any positive budget), and a zero budget yields pure analysis
-// with the stream untouched.
+// TestApplyGating: cache flips fire only over budget, and then only on CP
+// outputs larger than half the budget (frees fire under any positive
+// budget); a zero budget yields pure analysis with the stream untouched.
 func TestApplyGating(t *testing.T) {
 	rewritten, p := Apply(testStream(), Config{Budget: 1 << 30})
-	if p.Splits != 0 || len(p.NoCache) != 0 {
-		t.Errorf("under-budget stream gained splits=%d nocache=%v", p.Splits, p.NoCache)
+	if len(p.NoCache) != 0 {
+		t.Errorf("under-budget stream gained nocache=%v", p.NoCache)
 	}
 	if p.Frees != 2 {
 		t.Errorf("under-budget frees = %d, want 2 (dead temps always freed)", p.Frees)
 	}
+	// 4000 B is under the 6656 B peak, and only Y (3200 B) exceeds half of it.
+	_, p = Apply(testStream(), Config{Budget: 4000})
+	if len(p.NoCache) != 1 || p.NoCache[0] != "Y" || !p.SkipCache("Y") || p.SkipCache("_t0") {
+		t.Errorf("over-budget nocache = %v, want [Y]", p.NoCache)
+	}
 	rewritten, p = Apply(testStream(), Config{Budget: 0})
-	if len(rewritten) != 3 || p.Frees != 0 || p.Splits != 0 || len(p.NoCache) != 0 {
-		t.Errorf("zero-budget stream was rewritten: %d insts, frees=%d splits=%d nocache=%v",
-			len(rewritten), p.Frees, p.Splits, p.NoCache)
-	}
-}
-
-// TestSplitOversizedMatmul: a CP mm whose output exceeds half the budget is
-// lowered to a slice/mm/rbind row-panel chain producing the same name.
-func TestSplitOversizedMatmul(t *testing.T) {
-	insts := []compiler.Instruction{
-		op("mm", "_t0", sh(1000, 100), []string{"A", "B"}, []ir.Shape{sh(1000, 50), sh(50, 100)}),
-		op("sum", "s", sh(1, 1), []string{"_t0"}, []ir.Shape{sh(1000, 100)}),
-	}
-	budget := int64(200 * 1024) // out = 800000 bytes > budget/2
-	rewritten, p := Apply(insts, Config{Budget: budget})
-	if p.Splits != 1 {
-		t.Fatalf("Splits = %d, want 1", p.Splits)
-	}
-	if err := VerifyStream(rewritten); err != nil {
-		t.Fatalf("split stream invalid: %v", err)
-	}
-	var mms, slices, rbinds int
-	defined := map[string]bool{}
-	for i := range rewritten {
-		switch rewritten[i].Op {
-		case "mm":
-			mms++
-		case "slice":
-			slices++
-		case "rbind":
-			rbinds++
-		}
-		if rewritten[i].Kind == compiler.KindOp {
-			defined[rewritten[i].Output()] = true
-		}
-	}
-	if !defined["_t0"] {
-		t.Errorf("split chain never defines the original output _t0")
-	}
-	if mms != slices || rbinds != mms-1 || mms < 2 {
-		t.Errorf("panel structure wrong: %d slices, %d mms, %d rbinds", slices, mms, rbinds)
-	}
-	// Row coverage: slice attrs partition [0, 1000).
-	next := 0
-	for i := range rewritten {
-		if rewritten[i].Op != "slice" {
-			continue
-		}
-		if got := rewritten[i].Attr("r0"); got != strconv.Itoa(next) {
-			t.Errorf("slice starts at %s, want %d", got, next)
-		}
-		r1, err := strconv.Atoi(rewritten[i].Attr("r1"))
-		if err != nil {
-			t.Fatalf("bad r1: %v", err)
-		}
-		next = r1
-	}
-	if next != 1000 {
-		t.Errorf("panels cover rows [0,%d), want [0,1000)", next)
+	if len(rewritten) != 3 || p.Frees != 0 || len(p.NoCache) != 0 {
+		t.Errorf("zero-budget stream was rewritten: %d insts, frees=%d nocache=%v",
+			len(rewritten), p.Frees, p.NoCache)
 	}
 }
 

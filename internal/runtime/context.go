@@ -105,9 +105,9 @@ type Config struct {
 	// MemoryPlanner enables the compile-time memory planner
 	// (internal/memplan) under the driver cache budget Cache.CPBudget: every
 	// compiled stream is analyzed for liveness, lifetime hints are stamped
-	// onto cache entries, and budget-bounding rewrites (early frees,
-	// row-panel matmul splits, cache flips) are applied. Off keeps every
-	// execution path bitwise-identical to the planner-less runtime.
+	// onto cache entries, and budget-bounding rewrites (early frees, cache
+	// flips) are applied. Off keeps every execution path bitwise-identical
+	// to the planner-less runtime.
 	MemoryPlanner bool
 }
 

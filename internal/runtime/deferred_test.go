@@ -145,8 +145,8 @@ func TestDeferredTransposeCachedAndHit(t *testing.T) {
 	if e == nil || e.Status != core.StatusCached || e.Matrix != a.M || e.Size != x.SizeBytes() {
 		t.Fatalf("t result not stored in the driver cache: %+v", e)
 	}
-	if ctx.Cache.CPUsed() != x.SizeBytes() {
-		t.Fatalf("CPUsed = %d, want %d", ctx.Cache.CPUsed(), x.SizeBytes())
+	if used := cpUsed(ctx); used != x.SizeBytes() {
+		t.Fatalf("cp pool uses %d B, want %d", used, x.SizeBytes())
 	}
 	mustExec(t, ctx, inst(core.BackendCP, "t", "b", 7, 40, "x"))
 	if ctx.Stats.Reused != 1 || ctx.Cache.Stats.HitsCP != 1 || ctx.Stats.CPInsts != 1 {

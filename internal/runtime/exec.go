@@ -116,16 +116,6 @@ func (ctx *Context) ensureGPU(v *Value, height int) (*Value, error) {
 	return v, nil
 }
 
-// cacheable reports whether the instruction's output is subject to
-// fine-grained reuse.
-func cacheable(inst *compiler.Instruction) bool {
-	switch inst.Op {
-	case "assign", "chkpoint", "call", "nrow", "ncol":
-		return false
-	}
-	return true
-}
-
 // trace records the instruction in the lineage map (TRACE of the unified
 // API) and returns the new item. Fused instructions replay their
 // constituent ops so reuse keys are identical with fusion on or off.
@@ -202,7 +192,7 @@ func (ctx *Context) execute(inst *compiler.Instruction) error {
 	ctx.Clock.Advance(ctx.Model.Interpret)
 	out := ctx.outCell(inst, 0)
 	var li *lineage.Item
-	wantReuse := ctx.tracing() && cacheable(inst) && ctx.fineGrainedReuse(inst.Backend) &&
+	wantReuse := ctx.tracing() && inst.Cacheable() && ctx.fineGrainedReuse(inst.Backend) &&
 		(ctx.Conf.CPAllowlist == nil || inst.Backend != core.BackendCP || ctx.Conf.CPAllowlist[inst.Op]) &&
 		!ctx.skipCache(inst.Output())
 	switch {

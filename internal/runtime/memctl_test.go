@@ -3,11 +3,23 @@ package runtime
 import (
 	"testing"
 
+	"memphis/internal/core"
 	"memphis/internal/costs"
 	"memphis/internal/data"
 	"memphis/internal/gpu"
 	"memphis/internal/lineage"
 )
+
+// cpUsed is the driver cache's resident bytes, as its arbiter pool reports
+// them.
+func cpUsed(ctx *Context) int64 {
+	for _, s := range ctx.Arb.Snapshot() {
+		if s.Name == core.PoolCP {
+			return s.Used
+		}
+	}
+	return -1
+}
 
 // demotableSetup binds a cached live GPU pointer to variable name, the
 // shape the demotion ladder operates on.
@@ -62,8 +74,8 @@ func TestDemoteGPUChargesD2HOnce(t *testing.T) {
 		t.Fatal("demoted host copy differs from device value")
 	}
 	// The value survived the ladder: it is now a CP cache entry.
-	if ctx.Cache.CPUsed() != m.SizeBytes() {
-		t.Fatalf("CPUsed = %d, want %d", ctx.Cache.CPUsed(), m.SizeBytes())
+	if used := cpUsed(ctx); used != m.SizeBytes() {
+		t.Fatalf("cp pool uses %d B, want %d", used, m.SizeBytes())
 	}
 	snap := ctx.Arb.Snapshot()
 	var gpuDemoted int64

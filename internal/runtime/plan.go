@@ -20,29 +20,26 @@ type planRecord struct {
 
 	runs          int64
 	evictions     int64 // measured CP evictions attributed to this stream
-	predictedEv   int64 // planner-predicted minimum CP evictions
 	peakLiveBytes int64 // max observed live variable bytes during execution
 }
 
 // PlanReport is the per-stream planner report exposed to the facade and the
 // CLIs (-plan dumps and profile diffs).
 type PlanReport struct {
-	Seq                int                `json:"seq"`
-	Sig                string             `json:"sig"`
-	Runs               int64              `json:"runs"`
-	Instructions       int                `json:"instructions"`
-	PeakBytes          int64              `json:"peak_bytes"`
-	PeakAt             int                `json:"peak_at"`
-	Budget             int64              `json:"budget"`
-	Frees              int                `json:"frees"`
-	Splits             int                `json:"splits"`
-	NoCache            []string           `json:"no_cache,omitempty"`
-	PredictedEvictions int64              `json:"predicted_evictions"`
-	Evictions          int64              `json:"evictions"`
-	PeakLiveBytes      int64              `json:"peak_live_bytes"`
-	Intervals          []memplan.Interval `json:"intervals"`
-	Profile            []int64            `json:"profile"`
-	Stream             []string           `json:"stream"`
+	Seq           int                `json:"seq"`
+	Sig           string             `json:"sig"`
+	Runs          int64              `json:"runs"`
+	Instructions  int                `json:"instructions"`
+	PeakBytes     int64              `json:"peak_bytes"`
+	PeakAt        int                `json:"peak_at"`
+	Budget        int64              `json:"budget"`
+	Frees         int                `json:"frees"`
+	NoCache       []string           `json:"no_cache,omitempty"`
+	Evictions     int64              `json:"evictions"`
+	PeakLiveBytes int64              `json:"peak_live_bytes"`
+	Intervals     []memplan.Interval `json:"intervals"`
+	Profile       []int64            `json:"profile"`
+	Stream        []string           `json:"stream"`
 }
 
 // streamSig fingerprints a compiled stream: opcode, operands, backend,
@@ -88,26 +85,6 @@ func (ctx *Context) planRecordFor(cb *CompiledBlock) *planRecord {
 		ctx.planOrder = append(ctx.planOrder, rec)
 	}
 	return rec
-}
-
-// predictEvictions adds the planner's minimum-eviction estimate for one run
-// of the stream: the bytes by which the stream's cacheable puts overflow
-// the remaining CP budget, divided by the mean entry size (a lower bound —
-// actual victim choice can free more or less per eviction).
-func (ctx *Context) predictEvictions(rec *planRecord) {
-	budget, plan := ctx.Cache.Config().CPBudget, rec.cb.Plan
-	if budget <= 0 || plan.CacheEntries == 0 {
-		return
-	}
-	overflow := ctx.Cache.CPUsed() + plan.CacheBytes - budget
-	if overflow <= 0 {
-		return
-	}
-	mean := plan.CacheBytes / int64(plan.CacheEntries)
-	if mean <= 0 {
-		return
-	}
-	rec.predictedEv += (overflow + mean - 1) / mean
 }
 
 // sampleLive sums the resident bytes of all bound variables, deduplicated
@@ -174,22 +151,20 @@ func (ctx *Context) PlanReports() []PlanReport {
 			stream[i] = insts[i].String()
 		}
 		out = append(out, PlanReport{
-			Seq:                seq,
-			Sig:                fmt.Sprintf("%016x", rec.cb.Sig),
-			Runs:               rec.runs,
-			Instructions:       plan.Insts,
-			PeakBytes:          plan.Peak,
-			PeakAt:             plan.PeakAt,
-			Budget:             plan.Budget,
-			Frees:              plan.Frees,
-			Splits:             plan.Splits,
-			NoCache:            plan.NoCache,
-			PredictedEvictions: rec.predictedEv,
-			Evictions:          rec.evictions,
-			PeakLiveBytes:      rec.peakLiveBytes,
-			Intervals:          plan.Intervals,
-			Profile:            plan.Profile,
-			Stream:             stream,
+			Seq:           seq,
+			Sig:           fmt.Sprintf("%016x", rec.cb.Sig),
+			Runs:          rec.runs,
+			Instructions:  plan.Insts,
+			PeakBytes:     plan.Peak,
+			PeakAt:        plan.PeakAt,
+			Budget:        plan.Budget,
+			Frees:         plan.Frees,
+			NoCache:       plan.NoCache,
+			Evictions:     rec.evictions,
+			PeakLiveBytes: rec.peakLiveBytes,
+			Intervals:     plan.Intervals,
+			Profile:       plan.Profile,
+			Stream:        stream,
 		})
 	}
 	return out

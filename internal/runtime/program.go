@@ -121,7 +121,6 @@ func (ctx *Context) runBasicBlock(bb *ir.BasicBlock) error {
 		ctx.activePlan, ctx.planPos = cb.Plan, 0
 		ctx.Cache.BeginPlanEpoch()
 		ctx.Stats.PlanBlocks++
-		ctx.predictEvictions(rec)
 		evictBefore = ctx.Cache.Stats.EvictionsCP
 	}
 	prevDelay, prevLevel := ctx.delayFactor, ctx.storageLevel

@@ -25,7 +25,7 @@ func BenchmarkSharedPublishEvict(b *testing.B) {
 			b.Run(name, func(b *testing.B) {
 				s := NewSharedCache(SharedConfig{Budget: 1 << 40, TenantBudget: int64(resident) * val.SizeBytes()})
 				if ref {
-					withReferenceEviction(s, []string{"t0"})
+					withReferenceEviction(s)
 				}
 				items := make([]*lineage.Item, resident+b.N)
 				for i := range items {

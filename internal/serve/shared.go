@@ -70,8 +70,11 @@ func (c *SharedConfig) fill() {
 // The counters are atomics: stats are read concurrently by Snapshot while
 // workers publish.
 type tenantAccount struct {
-	pool      string        // arbiter pool name, TenantPoolName(tenant)
-	meter     *memctl.Meter // the tenant pool's arbiter counters
+	pool  string        // arbiter pool name, TenantPoolName(tenant)
+	meter *memctl.Meter // the tenant pool's arbiter counters
+	// mu serializes the tenant's publishes from the budget check through
+	// the insert and the usage update.
+	mu        sync.Mutex
 	usage     atomic.Int64
 	tick      atomic.Uint64 // per-tenant publish sequence (eviction order)
 	probes    atomic.Int64
@@ -174,13 +177,16 @@ type SharedCache struct {
 	conf   SharedConfig
 	model  *costs.Model // probe, copy and put charges
 	shards []*shard
-	// arb is the serving layer's own memory arbiter: one global pool plus
-	// one pool per tenant, all budget enforcement in Publish routed through
-	// Arbiter.MakeSpace so pressure and eviction counters are uniform with
-	// the session-side pools. Tenant pools partition the global pool's
-	// bytes, so the global row overlaps the tenant rows.
+	// arb is the serving layer's own pool registry: one global pool plus
+	// one pool per tenant. Publish relieves them directly (evictAtLeast)
+	// and notes pressure and evictions on their meters, so their counters
+	// read like the session-side pools'. Tenant pools partition the global
+	// pool's bytes, so the global row overlaps the tenant rows.
 	arb    *memctl.Arbiter
 	global *memctl.Meter // the global pool's counters
+	// evictNext drops the next FIFO victim of a pool: evictOldest, or in
+	// the index tests the full scan it replaced.
+	evictNext func(acct *tenantAccount) int64
 
 	accMu    sync.RWMutex
 	accounts map[string]*tenantAccount
@@ -207,6 +213,7 @@ func NewSharedCache(conf SharedConfig) *SharedCache {
 		accounts: make(map[string]*tenantAccount),
 	}
 	s.global = s.arb.Register(globalPool{s})
+	s.evictNext = s.evictOldest
 	s.shards = make([]*shard, conf.Shards)
 	for i := range s.shards {
 		s.shards[i] = &shard{front: s, idx: i, entries: make(map[uint64]*entryMeta)}
@@ -382,17 +389,24 @@ func (s *SharedCache) Publish(tenant string, item *lineage.Item, sig uint64, m *
 	if degraded {
 		return charge, false
 	}
-	// Both budget checks are arbiter-driven MAKE_SPACE calls against the
-	// corresponding pool, whose Reclaim drops oldest-first. The outer loops
-	// re-check usage because concurrent publishers may race on the coupled
-	// global path.
+	// The copy needs no lock, so it is made before the tenant's is taken.
+	stored := m.Clone()
+	// Both budget checks are MAKE_SPACE on the corresponding pool, which
+	// drops oldest-first. The tenant's lock is held from its budget check
+	// through the usage update, so its concurrent publishers never evict
+	// for the same room. Publishers of other tenants may still drop this
+	// tenant's entries, or any entries on the global path, between a
+	// check and its eviction pass: a pass that finds nothing to evict
+	// refuses only if no one else made the room meanwhile.
 	acct := s.account(tenant)
+	acct.mu.Lock()
+	defer acct.mu.Unlock()
 	for {
 		over := acct.usage.Load() + size - s.conf.TenantBudget
 		if over <= 0 {
 			break
 		}
-		if s.arb.MakeSpace(acct.pool, over) == 0 {
+		if s.evictAtLeast(acct, over) == 0 && acct.usage.Load()+size > s.conf.TenantBudget {
 			return charge, false
 		}
 	}
@@ -401,11 +415,10 @@ func (s *SharedCache) Publish(tenant string, item *lineage.Item, sig uint64, m *
 		if over <= 0 {
 			break
 		}
-		if s.arb.MakeSpace(GlobalPoolName, over) == 0 {
+		if s.evictAtLeast(nil, over) == 0 && s.bytesStored.Load()+size > s.conf.Budget {
 			return charge, false
 		}
 	}
-	stored := m.Clone()
 	sh.mu.Lock()
 	if sh.find(key) != nil {
 		sh.mu.Unlock()

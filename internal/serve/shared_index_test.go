@@ -10,7 +10,6 @@ import (
 
 	"memphis/internal/data"
 	"memphis/internal/lineage"
-	"memphis/internal/memctl"
 )
 
 // The reference victim searches: the full scans the publish-order index
@@ -59,58 +58,10 @@ func refEvictOldest(s *SharedCache, acct *tenantAccount) int64 {
 	}
 }
 
-// refPool is an arbiter pool over a SharedCache whose eviction runs the
-// reference scans in place of the indexed pool of the same name.
-type refPool struct {
-	s    *SharedCache
-	acct *tenantAccount // nil: the global pool
-}
-
-func (p refPool) Name() string {
-	if p.acct == nil {
-		return GlobalPoolName
-	}
-	return p.acct.pool
-}
-
-func (p refPool) Used() int64 {
-	if p.acct == nil {
-		return p.s.bytesStored.Load()
-	}
-	return p.acct.usage.Load()
-}
-
-func (p refPool) Budget() int64 {
-	if p.acct == nil {
-		return p.s.conf.Budget
-	}
-	return p.s.conf.TenantBudget
-}
-
-func (p refPool) Reclaim(need int64) int64 {
-	var freed int64
-	for freed < need {
-		n := refEvictOldest(p.s, p.acct)
-		if n == 0 {
-			break
-		}
-		freed += n
-	}
-	return freed
-}
-
-// withReferenceEviction gives a new, untouched s an arbiter whose pools are
-// the scanning twins of its own: the global pool, then one account per
-// tenant, created here so that no later first touch registers an indexed
-// pool.
-func withReferenceEviction(s *SharedCache, tenants []string) {
-	s.arb = memctl.NewArbiter()
-	s.global = s.arb.Register(refPool{s: s})
-	for _, tn := range tenants {
-		a := &tenantAccount{pool: TenantPoolName(tn), lists: make([]metaList, len(s.shards))}
-		a.meter = s.arb.Register(refPool{s: s, acct: a})
-		s.accounts[tn] = a
-	}
+// withReferenceEviction makes s evict through the reference scans in place
+// of its publish-order index.
+func withReferenceEviction(s *SharedCache) {
+	s.evictNext = func(acct *tenantAccount) int64 { return refEvictOldest(s, acct) }
 }
 
 // resident names every entry of s by lineage hash and global publish
@@ -245,9 +196,11 @@ func TestVictimOrderMatchesReferenceScan(t *testing.T) {
 		}
 		t.Run(fmt.Sprintf("seed%d_%dshards_%dtenants", seed, shards, len(tenants)), func(t *testing.T) {
 			idx, ref := NewSharedCache(conf), NewSharedCache(conf)
-			withReferenceEviction(ref, tenants)
+			withReferenceEviction(ref)
 			for _, tn := range tenants {
-				idx.account(tn) // the same accounts, and pool rows, on both sides from the start
+				// The same accounts, and pool rows, on both sides from the start.
+				idx.account(tn)
+				ref.account(tn)
 			}
 			evicted := 0
 
@@ -294,11 +247,15 @@ func TestVictimOrderMatchesReferenceScan(t *testing.T) {
 						t.Fatalf("step %d: probe hit %v with the index, %v with the scan", step, hit[0], hit[1])
 					}
 				case op < 94: // explicit MAKE_SPACE on the global or a tenant pool
-					pool, need := GlobalPoolName, int64(1+rng.Intn(2048))
-					if rng.Intn(2) == 0 {
-						pool = TenantPoolName(tn)
-					}
-					both(func(s *SharedCache) { s.account(tn); s.arb.MakeSpace(pool, need) })
+					need := int64(1 + rng.Intn(2048))
+					tenantPool := rng.Intn(2) == 0
+					both(func(s *SharedCache) {
+						var acct *tenantAccount
+						if tenantPool {
+							acct = s.account(tn)
+						}
+						s.evictAtLeast(acct, need)
+					})
 				case op < 98:
 					shard, on := rng.Intn(shards), rng.Intn(2) == 0
 					both(func(s *SharedCache) { s.SetShardEnabled(shard, on) })
@@ -361,11 +318,11 @@ func TestIndexInvariantsUnderConcurrency(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < perTenant; i++ {
-					pool := GlobalPoolName
+					var acct *tenantAccount
 					if i%2 == 1 {
-						pool = TenantPoolName(fmt.Sprintf("t%d", i/2%tenants))
+						acct = s.account(fmt.Sprintf("t%d", i/2%tenants))
 					}
-					s.arb.MakeSpace(pool, 512)
+					s.evictAtLeast(acct, 512)
 					s.SetShardEnabled(i%4, i%8 < 6)
 					if withClear && i%64 == 63 {
 						s.Clear()

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"fmt"
+	goruntime "runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"memphis/internal/data"
@@ -16,9 +18,9 @@ import (
 func TestSnapshotDuringTenantRegistration(t *testing.T) {
 	conf := DefaultConfig()
 	conf.Workers = 4
-	// A tight shared budget keeps eviction (MakeSpace's pool lookup, then
-	// the pool's Reclaim) active on the publish path while new tenants
-	// register.
+	// A tight shared budget keeps eviction (and the pressure and eviction
+	// notes on the pools' meters) active on the publish path while new
+	// tenants register.
 	conf.Shared.Budget = 64 << 10
 	conf.Shared.TenantBudget = 16 << 10
 	srv := New(conf)
@@ -109,5 +111,56 @@ func TestConcurrentFirstTouchRegistersOnce(t *testing.T) {
 	}
 	if gl := st.Pools[0]; evictions != st.Evictions || gl.Evictions != st.Evictions || gl.Used != st.BytesStored {
 		t.Fatalf("tenant rows evicted %d, global row %+v, cache %d evictions and %d B", evictions, gl, st.Evictions, st.BytesStored)
+	}
+}
+
+// TestConcurrentPublishersKeepTenantBudgetExact races publishers whose every
+// publish fits once the oldest entries go, so none may be refused, however
+// the publishers interleave, and no tenant may end over its budget. Two
+// cases: 8 publishers of one 8 KB tenant, and 8 publishers of two tenants
+// each under a global budget that the 16 tenant budgets overcommit, where
+// other tenants' publishes drop a tenant's entries between its budget check
+// and its eviction pass.
+func TestConcurrentPublishersKeepTenantBudgetExact(t *testing.T) {
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(2))
+	const publishers, perPublisher, tenantBudget = 8, 2000, 8 << 10
+	for _, tc := range []struct {
+		name   string
+		budget int64
+		tenant func(p, i int) string
+	}{
+		{"one tenant", 1 << 30, func(int, int) string { return "t" }},
+		{"overcommitted", 32 << 10, func(p, i int) string { return fmt.Sprintf("t%d", 2*p+i%2) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := NewSharedCache(SharedConfig{Shards: 4, Budget: tc.budget, TenantBudget: tenantBudget})
+			m := data.RandNorm(16, 16, 0, 1, 1) // 2 KB: a tenant holds four
+			var refused atomic.Int64
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for p := 0; p < publishers; p++ {
+				wg.Add(1)
+				go func(p int) {
+					defer wg.Done()
+					<-start
+					for i := 0; i < perPublisher; i++ {
+						item := lineage.NewItem("op", "", lineage.NewLeaf("read", fmt.Sprintf("X%d-%d", p, i)))
+						if _, stored := sc.Publish(tc.tenant(p, i), item, 1, m, 1.0); !stored {
+							refused.Add(1)
+						}
+					}
+				}(p)
+			}
+			close(start)
+			wg.Wait()
+			if n := refused.Load(); n != 0 {
+				t.Errorf("%d of %d publishes refused, though each fits its budgets", n, publishers*perPublisher)
+			}
+			for name, tn := range sc.StatsSnapshot().PerTenant {
+				if tn.Bytes > tenantBudget {
+					t.Errorf("tenant %s holds %d B, over its %d B budget", name, tn.Bytes, tenantBudget)
+				}
+			}
+		})
 	}
 }

@@ -104,9 +104,9 @@ type Options struct {
 	// MemoryPlanner enables the compile-time memory planner
 	// (internal/memplan): static liveness and peak-memory profiles per
 	// compiled stream, lifetime hints for the arbiter's victim selection,
-	// and budget-bounding rewrites (early frees, row-panel matmul splits,
-	// cache-vs-recompute flips). The planning budget is the CP cache
-	// budget (MemoryBudgets.CP, else the default).
+	// and budget-bounding rewrites (early frees, cache-vs-recompute
+	// flips). The planning budget is the CP cache budget
+	// (MemoryBudgets.CP, else the default).
 	// Numeric results are bitwise-identical with the planner on or off.
 	MemoryPlanner bool
 }
