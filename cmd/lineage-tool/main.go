@@ -74,7 +74,7 @@ func trace() error {
 		}
 	}
 	logFor := func(fuse bool) (string, error) {
-		s := memphis.New(memphis.Options{Reuse: memphis.ReuseFull, Fusion: fuse, Arena: fuse})
+		s := memphis.New(memphis.Options{Reuse: memphis.ReuseFull, Fusion: fuse})
 		defer s.Close()
 		s.Bind("X", data.RandNorm(200, 8, 0, 1, 42))
 		s.Bind("Y", data.RandNorm(200, 8, 1, 2, 43))

@@ -31,8 +31,8 @@ import (
 // WallSeconds is the simulator's real regeneration cost at the recorded
 // kernel parallelism. AllocsPerOp/BytesPerOp are the heap allocation deltas
 // (runtime.ReadMemStats Mallocs/TotalAlloc) of one experiment regeneration
-// — the "op" is the whole table rebuild — so the fusion/arena alloc savings
-// stay visible in trajectory files.
+// — the "op" is the whole table rebuild — so the fusion alloc savings stay
+// visible in trajectory files.
 type result struct {
 	ID          string     `json:"id"`
 	Title       string     `json:"title"`
@@ -122,11 +122,10 @@ func main() {
 // memReport runs representative workloads on a full-reuse session and
 // prints the unified memory arbiter's per-pool rows (memphis-bench -mem),
 // including each pool's peak (high-water) bytes. Sessions run with
-// elementwise fusion and the buffer arena enabled, so the "arena" pool's
-// retained/peak/eviction row appears alongside cp/spark/gpu. A non-zero cpBudget
-// shrinks the driver cache via Options.MemoryBudgets to make eviction,
-// spill, and demotion activity visible; planOn additionally enables the
-// memory planner and appends an evictions-per-planned-stream table.
+// elementwise fusion enabled. A non-zero cpBudget shrinks the driver cache
+// via Options.MemoryBudgets to make eviction, spill, and demotion activity
+// visible; planOn additionally enables the memory planner and appends an
+// evictions-per-planned-stream table.
 func memReport(cpBudget int64, planOn, jsonOut bool) {
 	cases := []struct {
 		name  string
@@ -145,17 +144,10 @@ func memReport(cpBudget int64, planOn, jsonOut bool) {
 		Evictions int64   `json:"evictions"`
 		EvPerRun  float64 `json:"ev_per_run"`
 	}
-	type arenaOps struct {
-		Gets    int64 `json:"gets"`
-		Reuses  int64 `json:"reuses"`
-		Puts    int64 `json:"puts"`
-		Escapes int64 `json:"escapes"`
-	}
 	type row struct {
 		Workload       string              `json:"workload"`
 		VirtualSeconds float64             `json:"virtual_seconds"`
 		Pools          []memphis.PoolStats `json:"pools"`
-		Arena          arenaOps            `json:"arena"`
 		Plans          []planRow           `json:"plans,omitempty"`
 	}
 	var rows []row
@@ -164,7 +156,6 @@ func memReport(cpBudget int64, planOn, jsonOut bool) {
 		s := memphis.New(memphis.Options{
 			Reuse:         memphis.ReuseFull,
 			Fusion:        true,
-			Arena:         true,
 			MemoryBudgets: memphis.MemoryBudgets{CP: cpBudget},
 			MemoryPlanner: planOn,
 		})
@@ -182,7 +173,6 @@ func memReport(cpBudget int64, planOn, jsonOut bool) {
 			os.Exit(1)
 		}
 		r := row{Workload: c.name, VirtualSeconds: s.VirtualTime(), Pools: s.Stats().Memory}
-		r.Arena.Gets, r.Arena.Reuses, r.Arena.Puts, r.Arena.Escapes = s.ArenaStats()
 		if planOn {
 			for _, p := range s.PlanReports() {
 				pr := planRow{Seq: p.Seq, Sig: p.Sig, Runs: p.Runs, PeakBytes: p.PeakBytes,
@@ -214,8 +204,6 @@ func memReport(cpBudget int64, planOn, jsonOut bool) {
 				p.Name, p.Used, p.PeakUsed, p.Budget, p.Pressure, p.PressureEvents,
 				p.Evictions, p.EvictedBytes, p.Demotions)
 		}
-		fmt.Printf("  arena ops: gets=%d reuses=%d puts=%d escapes=%d\n",
-			r.Arena.Gets, r.Arena.Reuses, r.Arena.Puts, r.Arena.Escapes)
 		if len(r.Plans) > 0 {
 			fmt.Printf("  %-4s %-16s %6s %10s %6s %7s %7s\n",
 				"plan", "sig", "runs", "peakB", "frees", "evict", "ev/run")

@@ -3,12 +3,13 @@
 //
 // Usage:
 //
-//	memphis-run [-reuse full|fine|local|coarse|off] [-gpu] [-fuse] [-arena] [-print var] script.dml
+//	memphis-run [-reuse full|fine|local|coarse|off] [-gpu] [-fuse] [-print var] script.dml
 //	memphis-run -plan [-json] [-membudget n] script.dml
 //
-// -fuse enables the compile-time elementwise fusion pass and -arena the
-// pooled output-buffer arena; both change only allocation behaviour —
-// results are bitwise identical with the flags on or off.
+// -fuse enables the compile-time elementwise fusion pass. It changes the
+// compiled stream, so the instruction count and virtual time move (ridge.dml
+// runs 55 instructions in 0.000418372 virtual s plain, 50 in 0.000393372 s
+// fused); the values are bitwise identical with the flag on or off.
 //
 // With -plan, the compile-time memory planner (internal/memplan) is enabled
 // and each planned instruction stream's liveness table, peak-memory profile,
@@ -34,7 +35,6 @@ func main() {
 	gpu := flag.Bool("gpu", false, "enable the simulated GPU backend")
 	printVar := flag.String("print", "", "print this variable's value after the run")
 	fuse := flag.Bool("fuse", false, "enable compile-time elementwise fusion (results are bitwise identical either way)")
-	arena := flag.Bool("arena", false, "enable the pooled output-buffer arena (results are bitwise identical either way)")
 	plan := flag.Bool("plan", false, "enable the memory planner and dump per-stream liveness and peak profiles")
 	jsonOut := flag.Bool("json", false, "with -plan: dump the plan reports as JSON")
 	memBudget := flag.Int64("membudget", 0, "driver-cache budget in bytes (0 = default); the planner's bounding budget")
@@ -62,7 +62,6 @@ func main() {
 		Reuse:         mode,
 		EnableGPU:     *gpu,
 		Fusion:        *fuse,
-		Arena:         *arena,
 		MemoryPlanner: *plan,
 		MemoryBudgets: memphis.MemoryBudgets{CP: *memBudget},
 	})

@@ -114,9 +114,8 @@ func fusionProgram(seed int64) *ir.Program {
 	stZ := ir.Assign("Z", g.full(4))
 	g.fulls = append(g.fulls, "Z")
 	stOut := ir.Assign("out", g.full(3))
-	// A reduction consumer: the fused chain feeding it dies immediately,
-	// so its buffer is an arena recycling candidate (unlike Y/Z/out, which
-	// stay bound or cached).
+	// A reduction consumer: the fused chain feeding it dies immediately
+	// (unlike Y/Z/out, which stay bound or cached).
 	stRed := ir.Assign("red", ir.Sum(g.full(3)))
 	p.Main = []ir.Block{ir.BB(stY, stZ, stOut, stRed)}
 	return p
@@ -167,7 +166,7 @@ func sameMatrix(a, b *data.Matrix) string {
 }
 
 // TestFusionPropertyEquivalence checks the tentpole's core contract over
-// randomized elementwise DAGs: fusion and the buffer arena, in every
+// randomized elementwise DAGs: fusion and the memory planner, in every
 // combination and at kernel parallelism 1, 4, and 8, produce bitwise
 // identical outputs to the plain interpreter. Fusion must actually fire on
 // at least some of the DAGs (fewer executed instructions), or the property
@@ -178,12 +177,11 @@ func TestFusionPropertyEquivalence(t *testing.T) {
 		opts Options
 	}{
 		{"fuse", Options{Reuse: ReuseFull, Fusion: true}},
-		{"arena", Options{Reuse: ReuseFull, Arena: true, MemoryPlanner: true}},
-		{"fuse+arena", Options{Reuse: ReuseFull, Fusion: true, Arena: true, MemoryPlanner: true}},
-		// Without reuse, fused outputs never escape into the lineage cache,
-		// so planner free points actively recycle buffers mid-run — the
-		// combination where a use-after-put bug would corrupt results.
-		{"fuse+arena-base", Options{Fusion: true, Arena: true, MemoryPlanner: true}},
+		{"plan", Options{Reuse: ReuseFull, MemoryPlanner: true}},
+		{"fuse+plan", Options{Reuse: ReuseFull, Fusion: true, MemoryPlanner: true}},
+		// Without reuse, nothing keeps the fused outputs, so the planner's
+		// free points unbind them mid-run.
+		{"fuse+plan-base", Options{Fusion: true, MemoryPlanner: true}},
 	}
 	fusedLess := 0
 	for seed := int64(0); seed < 12; seed++ {
@@ -198,7 +196,7 @@ func TestFusionPropertyEquivalence(t *testing.T) {
 				if diff := sameMatrix(ref, got); diff != "" {
 					t.Errorf("seed %d %s par %d diverged: %s", seed, v.name, par, diff)
 				}
-				if v.name == "fuse+arena" && par == 1 && insts < refInsts {
+				if v.name == "fuse+plan" && par == 1 && insts < refInsts {
 					fusedLess++
 				}
 			}
@@ -236,11 +234,11 @@ func TestFusionLineageKeysStable(t *testing.T) {
 	}
 }
 
-// TestFusionChaosReplay runs a fused+arena session under the chaos fault
+// TestFusionChaosReplay runs a fused, planned session under the chaos fault
 // plan: two replays of the same plan must be bitwise identical, and the
 // recovered result must equal the fault-free one.
 func TestFusionChaosReplay(t *testing.T) {
-	opts := Options{Reuse: ReuseFull, Fusion: true, Arena: true, MemoryPlanner: true}
+	opts := Options{Reuse: ReuseFull, Fusion: true, MemoryPlanner: true}
 	clean, _ := runFusionDAG(t, 3, opts, 4)
 	chaos := opts
 	chaos.FaultPlan = DefaultFaultPlan(99)
@@ -256,44 +254,11 @@ func TestFusionChaosReplay(t *testing.T) {
 	}
 }
 
-// TestArenaStatsSurface checks that an arena session reports allocation
-// traffic and an "arena" row in the arbiter snapshot.
-func TestArenaStatsSurface(t *testing.T) {
-	// Reuse off: outputs are not retained by the lineage cache, so dead
-	// fused buffers actually return to the arena and later Gets recycle.
-	s := New(Options{Fusion: true, Arena: true, MemoryPlanner: true})
-	defer s.Close()
-	bindFusionInputs(s)
-	for i := 0; i < 3; i++ {
-		if err := s.Run(fusionProgram(7)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	gets, reuses, _, _ := s.ArenaStats()
-	if gets == 0 {
-		t.Errorf("arena saw no Gets despite fused execution")
-	}
-	if reuses == 0 {
-		t.Errorf("arena never reused a buffer across repeated runs (gets=%d)", gets)
-	}
-	found := false
-	memory := s.Stats().Memory
-	for _, row := range memory {
-		if row.Name == "arena" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no arena row in Stats().Memory: %+v", memory)
-	}
-}
-
-// deferredArenaProgram transposes a fused chain's output, runs a second
-// fused chain of the same cell count, and only then multiplies by the
-// transpose. The first chain's buffer dies at the planner's free point
-// right after `t`, while the deferred t(...) still reads it; the second
-// chain then draws that very buffer from the arena.
-func deferredArenaProgram() *ir.Program {
+// deferredTransposeProgram transposes a fused chain's output, runs a
+// second fused chain of the same cell count, and only then multiplies by
+// the transpose. The first chain's temporary dies at the planner's free
+// point right after `t`, while the deferred t(...) still reads its cells.
+func deferredTransposeProgram() *ir.Program {
 	p := ir.NewProgram()
 	p.Main = []ir.Block{ir.BB(
 		ir.Assign("at", ir.T(ir.Exp(ir.Add(ir.Var("X"), ir.Var("X2"))))),
@@ -303,52 +268,38 @@ func deferredArenaProgram() *ir.Program {
 	return p
 }
 
-// TestDeferredTransposeArenaRule: with fusion, arena and planner on, a
-// deferred transpose whose source buffer is recycled is materialized at the
-// free point, so the result stays bitwise what the plain interpreter gives
-// and the arena ownership trace stays clean.
-func TestDeferredTransposeArenaRule(t *testing.T) {
-	run := func(opts Options) (*data.Matrix, *Session) {
+// TestDeferredTransposeBitwise: with fusion and planner on, a deferred
+// transpose whose source temporary is freed before the transpose is read
+// gives bitwise what the plain interpreter gives, with and without reuse.
+func TestDeferredTransposeBitwise(t *testing.T) {
+	run := func(opts Options) (*data.Matrix, int64) {
 		s := New(opts)
+		defer s.Close()
 		bindFusionInputs(s)
-		if a := s.ctx.Arena(); a != nil {
-			a.SetDebug(true)
-		}
-		if err := s.Run(deferredArenaProgram()); err != nil {
+		if err := s.Run(deferredTransposeProgram()); err != nil {
 			t.Fatal(err)
 		}
-		return s.Value("out"), s
+		return s.Value("out"), s.Stats().EarlyFrees
 	}
-	ref, s0 := run(Options{})
-	s0.Close()
-	for _, opts := range []Options{
-		{Fusion: true, Arena: true, MemoryPlanner: true},
-		{Reuse: ReuseFull, Fusion: true, Arena: true, MemoryPlanner: true},
-	} {
-		got, s := run(opts)
+	ref, _ := run(Options{})
+	for _, reuse := range []Reuse{ReuseOff, ReuseFull} {
+		got, frees := run(Options{Reuse: reuse, Fusion: true, MemoryPlanner: true})
 		if diff := sameMatrix(ref, got); diff != "" {
-			t.Errorf("reuse=%v: result read a recycled buffer through a deferred transpose: %s", opts.Reuse, diff)
+			t.Errorf("reuse=%v: result through the deferred transpose differs: %s", reuse, diff)
 		}
-		if err := data.VerifyArenaTrace(s.ctx.Arena().Events()); err != nil {
-			t.Errorf("reuse=%v: arena trace: %v", opts.Reuse, err)
+		if frees == 0 {
+			t.Errorf("reuse=%v: the planner freed nothing; the test is vacuous", reuse)
 		}
-		if opts.Reuse == ReuseOff {
-			if _, reuses, puts, _ := s.ArenaStats(); puts == 0 || reuses == 0 {
-				t.Errorf("the source buffer was not recycled under the deferred value (puts=%d reuses=%d); the test is vacuous", puts, reuses)
-			}
-		}
-		s.Close()
 	}
 }
 
-// handoffCase is one way a fused chain's output — a buffer the arena vended —
-// gains a second owner without being copied. Each program hands the buffer
-// off, lets the planner free the temporary that held it, runs a second fused
-// chain of the same cell count (which would draw the recycled buffer), and
-// only then reads through the hand-off.
+// handoffCase is one way a fused chain's output gains a second owner
+// without being copied. Each program hands the output off, lets the planner
+// free the temporary that held it, runs a second fused chain of the same
+// cell count, and only then reads through the hand-off.
 type handoffCase struct {
 	name string
-	opts Options // backend sizing; the test turns fusion, arena, planner and reuse on over it
+	opts Options // backend sizing; the test turns fusion, planner and reuse on over it
 	prog func() *ir.Program
 }
 
@@ -390,24 +341,22 @@ func handoffCases() []handoffCase {
 	}
 }
 
-// TestArenaHandoffsEscape: with fusion, arena and planner on, a fused CP
-// output that is row-sliced, parallelized, uploaded to the device or
-// broadcast, and then freed by the planner, gives bitwise the results of an
-// arena-less session — the hand-off takes the buffer out of the arena
-// (runtime.Context.shared), so the free does not recycle cells a view, an RDD
-// closure, a broadcast or a device pointer still reads.
-func TestArenaHandoffsEscape(t *testing.T) {
-	run := func(t *testing.T, prog *ir.Program, opts Options) (*data.Matrix, *Session) {
+// TestFusedHandoffsBitwise: with fusion and planner on, a fused CP output
+// that is row-sliced, parallelized, uploaded to the device or broadcast,
+// and then freed by the planner, gives bitwise the results of a plain
+// session, with and without reuse: the free unbinds the temporary and
+// leaves the cells to the view, the RDD closure, the broadcast or the
+// device copy that still reads them.
+func TestFusedHandoffsBitwise(t *testing.T) {
+	run := func(t *testing.T, prog *ir.Program, opts Options) (*data.Matrix, int64) {
 		t.Helper()
 		s := New(opts)
+		defer s.Close()
 		bindFusionInputs(s)
 		s.Bind("W", data.RandNorm(17, 64, 0, 1, 106))
 		s.Bind("W2", data.RandNorm(17, 128, 0, 1, 107))
 		s.Bind("XB", data.RandNorm(200, 17, 0, 1, 108))
 		s.Bind("lo", data.Scalar(2))
-		if a := s.ctx.Arena(); a != nil {
-			a.SetDebug(true)
-		}
 		if err := s.Run(prog); err != nil {
 			t.Fatal(err)
 		}
@@ -415,30 +364,21 @@ func TestArenaHandoffsEscape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out, s
+		return out, s.Stats().EarlyFrees
 	}
 	for _, c := range handoffCases() {
 		t.Run(c.name, func(t *testing.T) {
-			ref, s0 := run(t, c.prog(), c.opts)
-			s0.Close()
+			ref, _ := run(t, c.prog(), c.opts)
 			for _, reuse := range []Reuse{ReuseOff, ReuseFull} {
 				opts := c.opts
-				opts.Reuse, opts.Fusion, opts.Arena, opts.MemoryPlanner = reuse, true, true, true
-				got, s := run(t, c.prog(), opts)
+				opts.Reuse, opts.Fusion, opts.MemoryPlanner = reuse, true, true
+				got, frees := run(t, c.prog(), opts)
 				if diff := sameMatrix(ref, got); diff != "" {
-					t.Errorf("reuse=%v: result read a recycled buffer: %s", reuse, diff)
+					t.Errorf("reuse=%v: result differs from the plain session: %s", reuse, diff)
 				}
-				if err := data.VerifyArenaTrace(s.ctx.Arena().Events()); err != nil {
-					t.Errorf("reuse=%v: arena trace: %v", reuse, err)
+				if frees == 0 {
+					t.Errorf("reuse=%v: the planner freed nothing; the case tests no free", reuse)
 				}
-				_, _, puts, escapes := s.ArenaStats()
-				if reuse == ReuseOff && (escapes == 0 || puts == 0) {
-					// Without a cache nothing but the hand-off escapes a buffer,
-					// and the second chain's temporary is recycled at its free
-					// point: otherwise the case tests nothing.
-					t.Errorf("escapes=%d puts=%d; the hand-off or the planner's frees did not happen", escapes, puts)
-				}
-				s.Close()
 			}
 		})
 	}

@@ -315,11 +315,13 @@ func (fp *FusedProgram) simulateShapes(leaves []*Matrix) (rows, cols int, unifor
 
 // EvalFused executes a fused program over the given leaf matrices. When all
 // step shapes match the output shape the whole chain runs as one loop with
-// zero intermediate matrices, drawing the output buffer from the arena when
-// one is provided; otherwise it falls back to op-at-a-time evaluation with
-// the ordinary kernels. Both paths produce bitwise-identical results to
-// executing the constituent instructions one by one, at any parallelism.
-func EvalFused(fp *FusedProgram, leaves []*Matrix, arena *Arena) *Matrix {
+// zero intermediate matrices, writing into dst when dst holds exactly
+// rows x cols cells (a caller recycling its own previous output) and into a
+// fresh matrix otherwise; when the shapes drifted it falls back to
+// op-at-a-time evaluation with the ordinary kernels and ignores dst. Both
+// paths produce bitwise-identical results to executing the constituent
+// instructions one by one, at any parallelism.
+func EvalFused(fp *FusedProgram, leaves []*Matrix, dst *Matrix) *Matrix {
 	if len(leaves) < fp.Leaves {
 		panic(fmt.Sprintf("data: fused program wants %d leaves, got %d", fp.Leaves, len(leaves)))
 	}
@@ -327,9 +329,9 @@ func EvalFused(fp *FusedProgram, leaves []*Matrix, arena *Arena) *Matrix {
 	if !uniform {
 		return fp.evalStepwise(leaves)
 	}
-	var out *Matrix
-	if arena != nil {
-		out = arena.Get(rows, cols)
+	out := dst
+	if out != nil && len(out.Data) == rows*cols {
+		out.Rows, out.Cols = rows, cols
 	} else {
 		out = New(rows, cols)
 	}

@@ -113,9 +113,9 @@ func TestEvalFusedMatchesKernels(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fusedEq(t, EvalFused(fp, tc.leaves, nil), tc.want(), "no arena")
-			a := NewArena(1 << 20)
-			fusedEq(t, EvalFused(fp, tc.leaves, a), tc.want(), "arena")
+			want := tc.want()
+			fusedEq(t, EvalFused(fp, tc.leaves, nil), want, "allocated")
+			fusedEq(t, EvalFused(fp, tc.leaves, New(want.Rows, want.Cols)), want, "dst")
 		})
 	}
 }
@@ -139,25 +139,62 @@ func TestEvalFusedParallelismInvariant(t *testing.T) {
 	}
 }
 
-// TestEvalFusedArenaRecycles checks that repeated evaluations with an arena
-// reuse the same backing buffer once it is put back.
-func TestEvalFusedArenaRecycles(t *testing.T) {
+// TestEvalFusedDst checks the caller-provided output: a dst of the output's
+// cell count is written (and reshaped) to a result bitwise equal to the
+// allocating one, whatever it held before; a dst of another cell count is
+// left untouched; and the stepwise fallback for non-uniform shapes ignores
+// dst altogether.
+func TestEvalFusedDst(t *testing.T) {
 	X := RandNorm(32, 32, 0, 1, 3)
+	R := RandNorm(1, 32, 0, 1, 4)
+	garbage := func(rows, cols int) *Matrix {
+		m := New(rows, cols)
+		for i := range m.Data {
+			m.Data[i] = math.NaN()
+		}
+		return m
+	}
+	untouched := func(m *Matrix, label string) {
+		t.Helper()
+		for i, v := range m.Data {
+			if !math.IsNaN(v) {
+				t.Fatalf("%s: dst cell %d written (%v)", label, i, v)
+			}
+		}
+	}
+
 	fp, err := ParseFused("exp($0);sigmoid(@0)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := NewArena(1 << 20)
-	out1 := EvalFused(fp, []*Matrix{X}, a)
-	a.Put(out1)
-	out2 := EvalFused(fp, []*Matrix{X}, a)
-	if out2 != out1 {
-		t.Errorf("second evaluation did not recycle the returned buffer")
+	want := EvalFused(fp, []*Matrix{X}, nil)
+	dst := garbage(64, 16) // same cell count, another shape
+	if got := EvalFused(fp, []*Matrix{X}, dst); got != dst {
+		t.Errorf("uniform program: result is not dst")
 	}
-	_, reuses, _, _ := a.Stats()
-	if reuses != 1 {
-		t.Errorf("reuses = %d, want 1", reuses)
+	fusedEq(t, dst, want, "dst")
+
+	wrong := garbage(32, 31)
+	if got := EvalFused(fp, []*Matrix{X}, wrong); got == wrong {
+		t.Errorf("wrong cell count: result is dst")
+	} else {
+		fusedEq(t, got, want, "wrong-size dst")
 	}
+	untouched(wrong, "wrong cell count")
+
+	// exp of the 1x32 leaf is a vector intermediate: stepwise path.
+	fp, err = ParseFused("exp($1);*($0,@0)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = Mul(X, Exp(R))
+	dst = garbage(32, 32)
+	if got := EvalFused(fp, []*Matrix{X, R}, dst); got == dst {
+		t.Errorf("stepwise program: result is dst")
+	} else {
+		fusedEq(t, got, want, "stepwise")
+	}
+	untouched(dst, "stepwise")
 }
 
 // fuzzLeaf returns a rows x cols leaf whose cells mix ordinary values with
@@ -259,10 +296,11 @@ func FuzzParseFused(f *testing.F) {
 	})
 }
 
-// BenchmarkFusedChain pins the tentpole allocation property: a fused
-// three-op chain with an arena allocates at most 2 allocations per
-// evaluation at steady state (the CI alloc gate enforces the ceiling).
-// Serial parallelism keeps the measurement free of shard-closure noise.
+// BenchmarkFusedChain pins the fused chain's allocation property: a fused
+// three-op chain that writes into its previous output (the dst argument)
+// allocates at most 2 allocations per evaluation at steady state (the CI
+// alloc gate enforces the ceiling). Serial parallelism keeps the
+// measurement free of shard-closure noise.
 func BenchmarkFusedChain(b *testing.B) {
 	prev := Parallelism()
 	defer SetParallelism(prev)
@@ -274,14 +312,11 @@ func BenchmarkFusedChain(b *testing.B) {
 		b.Fatal(err)
 	}
 	leaves := []*Matrix{X, Y}
-	a := NewArena(1 << 20)
-	out := EvalFused(fp, leaves, a) // warm the shape class
-	a.Put(out)
+	out := EvalFused(fp, leaves, nil) // warm the program's scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out = EvalFused(fp, leaves, a)
-		a.Put(out)
+		out = EvalFused(fp, leaves, out)
 	}
 }
 

@@ -107,7 +107,7 @@ func viewKernels() []viewKernel {
 		{"ReplaceNaN", func(m, _ *Matrix) []*Matrix { return one(ReplaceNaN(m, 7)) }},
 		{"CountNaN", func(m, _ *Matrix) []*Matrix { return scalar(float64(CountNaN(m))) }},
 		{"EvalFused", func(m, _ *Matrix) []*Matrix {
-			return two(EvalFused(fused, []*Matrix{m, m}, nil), EvalFused(fused, []*Matrix{m, firstRow(m)}, NewArena(0)))
+			return two(EvalFused(fused, []*Matrix{m, m}, nil), EvalFused(fused, []*Matrix{m, firstRow(m)}, New(m.Rows, m.Cols)))
 		}},
 	}
 }

@@ -8,10 +8,9 @@ import (
 // Pool is one memory region registered with the Arbiter for reporting: its
 // resident bytes and budget enter the snapshots. Every pool keeps its own
 // eviction mechanism (the CP cache's MAKE_SPACE, the GPU manager's
-// Algorithm 1, the block manager's partition eviction, the arena's trim)
-// and its own victim ranking, and reports what they do through the Meter
-// that Register returned. A pool the arbiter may also reclaim from
-// implements Reclaimer.
+// Algorithm 1, the block manager's partition eviction) and its own victim
+// ranking, and reports what they do through the Meter that Register
+// returned. A pool the arbiter may also reclaim from implements Reclaimer.
 //
 // Pool methods are called under the owner's execution discipline: the
 // runtime's pools are single-threaded on the driver, the serving layer's

@@ -23,9 +23,9 @@
 // for its pressure/eviction/demotion counters and lists every pool in
 // Snapshot. The arbiter decides nothing: the driver cache, the Spark reuse
 // share, the block manager, the GPU device pool (Algorithm 1, whose step 5
-// demotes cached device pointers to the host cache), the arena and the
-// serving layer's shared cache and tenant shares (oldest-first) evict on
-// their own paths and note what they did.
+// demotes cached device pointers to the host cache) and the serving
+// layer's shared cache and tenant shares (oldest-first) evict on their own
+// paths and note what they did.
 package memctl
 
 // Candidate is the backend-independent description of one eviction

@@ -94,14 +94,6 @@ type Config struct {
 	// Runs with the same plan replay bitwise-identically.
 	Faults *faults.Plan
 
-	// Arena enables the shape-keyed host buffer arena: fused-instruction
-	// outputs draw recycled buffers from it, and the planner's KindFree
-	// points (plus block-end temp clearing) return dead buffers to it.
-	// The arena reports to the memory arbiter as its own pool and trims
-	// its free lists itself past data.DefaultArenaBudget retained bytes.
-	// Results are bitwise-identical with the arena on or off.
-	Arena bool
-
 	// MemoryPlanner enables the compile-time memory planner
 	// (internal/memplan) under the driver cache budget Cache.CPBudget: every
 	// compiled stream is analyzed for liveness, lifetime hints are stamped
@@ -153,7 +145,7 @@ type Context struct {
 	Conf Config
 
 	// Arb is the memory pool registry: every backend memory region (CP
-	// cache, Spark reuse share, Spark storage, GPU device, arena) registers
+	// cache, Spark reuse share, Spark storage, GPU device) registers
 	// with it and reports its pressure, evictions and demotions.
 	Arb *memctl.Arbiter
 
@@ -216,9 +208,8 @@ type Context struct {
 	planRecs   map[uint64]*planRecord
 	planOrder  []*planRecord
 
-	// arena is the optional pooled buffer arena (Config.Arena); fusedProgs
-	// memoizes parsed fused-instruction step programs by encoding.
-	arena      *data.Arena
+	// fusedProgs memoizes parsed fused-instruction step programs by
+	// encoding.
 	fusedProgs map[string]*data.FusedProgram
 
 	closed bool
@@ -258,10 +249,6 @@ func New(conf Config) *Context {
 	if ctx.GM != nil {
 		ctx.GM.Meter = ctx.Arb.Register(ctx.GM)
 		ctx.GM.SetHostEvictor(ctx.evictGPUToHost)
-	}
-	if conf.Arena {
-		ctx.arena = data.NewArena(data.DefaultArenaBudget)
-		ctx.Arb.Register(ctx.arena)
 	}
 	if conf.Faults != nil {
 		ctx.Inj = faults.NewInjector(conf.Faults)
@@ -348,18 +335,14 @@ func (ctx *Context) removeVar(name string) {
 // clearTemps unbinds a block's temporaries (CompiledBlock.temps, slots of
 // the current frame) that are still bound, in stream order, returning their
 // GPU pointers to the free list (this is what makes mini-batch recycling
-// effective) and their host buffers to the arena.
+// effective).
 func (ctx *Context) clearTemps(temps []int32) {
 	for _, s := range temps {
 		if c := ctx.frame[s]; c.v != nil {
-			ctx.recycleValue(c)
 			ctx.unbindCell(c)
 		}
 	}
 }
-
-// Arena exposes the session's buffer arena (nil without Config.Arena).
-func (ctx *Context) Arena() *data.Arena { return ctx.arena }
 
 // shapes snapshots variable shapes for compiling a block.
 func (ctx *Context) shapes() map[string]ir.Shape {

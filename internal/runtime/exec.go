@@ -85,8 +85,7 @@ func (ctx *Context) ensureRDD(v *Value, name string) *spark.RDD {
 	if v.RDD != nil {
 		return v.RDD
 	}
-	m := ctx.shared(ctx.ensureHost(v))
-	v.RDD = ctx.SC.Parallelize(m, ctx.Conf.Spark.NumExecutors, name)
+	v.RDD = ctx.SC.Parallelize(ctx.ensureHost(v), ctx.Conf.Spark.NumExecutors, name)
 	return v.RDD
 }
 
@@ -96,7 +95,7 @@ func (ctx *Context) ensureBcast(v *Value) *spark.Broadcast {
 	if v.Bcast != nil && !v.Bcast.Destroyed() {
 		return v.Bcast
 	}
-	v.Bcast = ctx.SC.NewBroadcast(ctx.shared(ctx.ensureHost(v)), false)
+	v.Bcast = ctx.SC.NewBroadcast(ctx.ensureHost(v), false)
 	return v.Bcast
 }
 
@@ -111,7 +110,7 @@ func (ctx *Context) ensureGPU(v *Value, height int) (*Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx.GM.Device().CopyIn(p, ctx.shared(m))
+	ctx.GM.Device().CopyIn(p, m)
 	v.GPU = p
 	return v, nil
 }
@@ -300,13 +299,6 @@ func (ctx *Context) putValue(inst *compiler.Instruction, li *lineage.Item, v *Va
 		e := ctx.Cache.PutGPU(li, v.GPU, cost, ctx.delay())
 		ctx.stampPlan(e, inst.Output())
 	case v.HasHost():
-		if ctx.arena != nil {
-			// The cache retains the matrix beyond the binding's lifetime:
-			// the buffer must never return to the arena free lists. (A
-			// deferred value has no buffer yet; the one host builds is not
-			// arena-vended.)
-			ctx.arena.Escape(v.M)
-		}
 		cost := costs.Compute(inst.Flops, ctx.Model.CPUFlops)
 		e := ctx.putCP(li, v, cost, ctx.delay(), false)
 		ctx.stampPlan(e, inst.Output())
@@ -411,7 +403,7 @@ func (ctx *Context) execBroadcast(inst *compiler.Instruction) error {
 		return err
 	}
 	if v.HasHost() && (v.Bcast == nil || v.Bcast.Destroyed()) {
-		v.Bcast = ctx.SC.NewBroadcast(ctx.shared(v.host()), true)
+		v.Bcast = ctx.SC.NewBroadcast(v.host(), true)
 	}
 	return nil
 }

@@ -12,11 +12,11 @@ import (
 // Fused-instruction execution and lineage. A fused instruction is a chain
 // of elementwise constituents collapsed by the compiler (internal/compiler
 // FuseElementwise); the runtime executes it as one loop via the data-layer
-// fused interpreter, drawing the output buffer from the session arena when
-// one is configured. Lineage is the part that must NOT be fused: the
-// constituent ops are replayed one by one into lineage items, so the final
-// output's reuse key is identical to what unfused execution would produce —
-// a cache populated with fusion off hits with fusion on and vice versa.
+// fused interpreter, into a fresh output that the lineage cache may then
+// keep. Lineage is the part that must NOT be fused: the constituent ops are
+// replayed one by one into lineage items, so the final output's reuse key
+// is identical to what unfused execution would produce — a cache populated
+// with fusion off hits with fusion on and vice versa.
 
 // fusedProgram parses (and memoizes) a fused instruction's step program.
 // The driver loop is single-threaded per session, so the memo needs no lock
@@ -51,7 +51,7 @@ func (ctx *Context) evalFused(inst *compiler.Instruction) (*data.Matrix, error) 
 		}
 		leaves[i] = m
 	}
-	return data.EvalFused(fp, leaves, ctx.arena), nil
+	return data.EvalFused(fp, leaves, nil), nil
 }
 
 // traceFused replays the constituent ops of a fused instruction into
@@ -94,43 +94,4 @@ func (ctx *Context) traceFused(inst *compiler.Instruction) *lineage.Item {
 	final := items[len(items)-1]
 	ctx.outCell(inst, 0).li = final
 	return final
-}
-
-// shared is the arena's one ownership rule, applied at every hand-off that
-// gives a host buffer a second owner without copying it — a row view, the
-// lazy closure of a parallelized RDD, a broadcast, a device pointer: the
-// buffer escapes the arena, so only single-owner buffers are ever recycled.
-// (Handing off a view needs nothing more: its base escaped when it was made.)
-func (ctx *Context) shared(m *data.Matrix) *data.Matrix {
-	if ctx.arena != nil {
-		ctx.arena.Escape(m)
-	}
-	return m
-}
-
-// recycleValue returns a host matrix to the arena at a free point (planner
-// KindFree or block-end clearTemps) when it is safe: the buffer must still
-// be arena-owned (never escaped into a cache or shared with another owner)
-// and no other binding may alias it. A deferred transpose still reading the
-// buffer is materialized first, so the recycled cells are never read through
-// it. c is the binding being released.
-func (ctx *Context) recycleValue(c *binding) {
-	v := c.v
-	if ctx.arena == nil || v == nil || v.M == nil {
-		return
-	}
-	if !ctx.arena.Vended(v.M) {
-		return
-	}
-	for _, oc := range ctx.LMap.scope {
-		if o := oc.v; oc != c && o != nil && (o == v || o.M == v.M) {
-			return
-		}
-	}
-	for _, oc := range ctx.LMap.scope {
-		if o := oc.v; o != nil && o.tSrc == v.M {
-			o.host()
-		}
-	}
-	ctx.arena.Put(v.M)
 }

@@ -189,7 +189,7 @@ func (ctx *Context) execCP(inst *compiler.Instruction) (*Value, error) {
 }
 
 // slice cuts a slice or sliceRows operand. A row range is contiguous: it is
-// accounted in full and shares the operand's cells, which escape the arena.
+// accounted in full and shares the operand's cells.
 func (ctx *Context) slice(inst *compiler.Instruction, in []*data.Matrix) *data.Matrix {
 	a := in[0]
 	if inst.Op == "sliceRows" {
@@ -198,7 +198,7 @@ func (ctx *Context) slice(inst *compiler.Instruction, in []*data.Matrix) *data.M
 		if start+n > a.Rows {
 			n = a.Rows - start
 		}
-		return ctx.shared(a).RowView(start, start+n)
+		return a.RowView(start, start+n)
 	}
 	r0, r1 := attrInt(inst, "r0", 0), attrInt(inst, "r1", -1)
 	c0, c1 := attrInt(inst, "c0", 0), attrInt(inst, "c1", -1)
@@ -209,7 +209,7 @@ func (ctx *Context) slice(inst *compiler.Instruction, in []*data.Matrix) *data.M
 		c1 = a.Cols
 	}
 	if c0 == 0 && c1 == a.Cols {
-		return ctx.shared(a).RowView(r0, r1)
+		return a.RowView(r0, r1)
 	}
 	return a.Slice(r0, r1, c0, c1)
 }

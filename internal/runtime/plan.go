@@ -132,7 +132,6 @@ func (ctx *Context) skipCache(name string) bool {
 // exactly as clearTemps would at block end, just at its last-use point.
 func (ctx *Context) execFree(inst *compiler.Instruction) error {
 	if c := ctx.inCell(inst, 0); c.v != nil {
-		ctx.recycleValue(c)
 		ctx.unbindCell(c)
 		ctx.Stats.EarlyFrees++
 	}

@@ -234,7 +234,7 @@ func TestEveryExecutedInstructionIsPrepared(t *testing.T) {
 
 	t.Run("fused", func(t *testing.T) {
 		conf := keyConfig(true)
-		conf.Compiler.Fusion, conf.Arena = true, true
+		conf.Compiler.Fusion = true
 		ctx := runtime.New(conf)
 		defer ctx.Close()
 		if _, err := workloads.HCV(400, 16, 2, []float64{0.01, 1, 0.01}, 7).Run(ctx); err != nil {

@@ -392,9 +392,6 @@ func (ctx *Context) execCall(inst *compiler.Instruction) error {
 			case v.RDD != nil && v.M == nil:
 				e = ctx.Cache.PutRDD(outKeys[i], v.RDD, v.children, v.bcasts, cost, 1, ctx.storageLevel)
 			case v.HasHost():
-				if ctx.arena != nil {
-					ctx.arena.Escape(v.M)
-				}
 				e = ctx.putCP(outKeys[i], v, cost, 1, true)
 				ctx.sharePublish(outKeys[i], v, cost)
 			case v.HasGPU():

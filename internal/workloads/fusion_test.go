@@ -12,8 +12,7 @@ import (
 )
 
 // fusedCtx builds a full-MEMPHIS context with the elementwise fusion pass
-// and the buffer arena enabled (plus the memory planner, so planner free
-// points feed the arena), mirroring tightCtx otherwise.
+// and the memory planner enabled, mirroring tightCtx otherwise.
 func fusedCtx(cpBudget, opMem int64, plan *faults.Plan) *runtime.Context {
 	comp := compiler.DefaultConfig()
 	comp.OpMemBudget = opMem
@@ -30,12 +29,11 @@ func fusedCtx(cpBudget, opMem int64, plan *faults.Plan) *runtime.Context {
 		Spark:         spark.DefaultConfig(),
 		Faults:        plan,
 		MemoryPlanner: true,
-		Arena:         true,
 	})
 }
 
 // TestFusedWorkloadEquivalence checks the representative pinned workloads
-// end to end: with fusion and the arena on, every workload's output
+// end to end: with fusion and the planner on, every workload's output
 // checksum equals the plain pipeline's, at kernel parallelism 1, 4, and 8.
 // (Virtual times legitimately differ — fused chains interpret once and
 // skip intermediate cache traffic — so only outputs are compared.)
@@ -80,7 +78,7 @@ func TestFusedWorkloadEquivalence(t *testing.T) {
 }
 
 // TestFusedChaosReplay replays PNMF under the chaos fault plan with fusion
-// and the arena on: two runs with the same seed must be bitwise identical
+// and the planner on: two runs with the same seed must be bitwise identical
 // (virtual time, checksum, counters), and recovery must preserve the
 // fault-free result.
 func TestFusedChaosReplay(t *testing.T) {

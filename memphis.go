@@ -94,13 +94,6 @@ type Options struct {
 	// results are bitwise-identical at any parallelism.
 	Fusion bool
 
-	// Arena enables the shape-keyed host buffer arena: fused outputs draw
-	// recycled buffers, dead temporaries return theirs at planner free
-	// points, and the arena reports to the memory arbiter as its own pool
-	// (it trims idle shape classes itself past data.DefaultArenaBudget
-	// retained free bytes). Results are bitwise-identical on/off.
-	Arena bool
-
 	// MemoryPlanner enables the compile-time memory planner
 	// (internal/memplan): static liveness and peak-memory profiles per
 	// compiled stream, lifetime hints for the arbiter's victim selection,
@@ -209,7 +202,6 @@ func runtimeConfig(opts Options) runtime.Config {
 		GPUPolicy:     pol,
 		Faults:        opts.FaultPlan,
 		MemoryPlanner: opts.MemoryPlanner,
-		Arena:         opts.Arena,
 	}
 }
 
@@ -304,25 +296,13 @@ type Stats struct {
 	// Memory has one row per arbiter pool, in fixed registration order: the
 	// driver cache ("cp"), the reuse share of cluster storage
 	// ("spark-reuse"), the cluster storage region ("spark"), the device pool
-	// ("gpu") when EnableGPU is set, and the buffer arena ("arena") when
-	// Arena is set.
+	// ("gpu") when EnableGPU is set.
 	Memory []PoolStats `json:"memory,omitempty"`
 }
 
 // Stats returns the runtime statistics with the memory report attached.
 func (s *Session) Stats() Stats {
 	return Stats{Stats: s.ctx.Stats, Memory: s.ctx.Arb.Snapshot()}
-}
-
-// ArenaStats reports the buffer arena's allocation counters: total Gets,
-// Gets satisfied from the free lists, Puts, and buffers that escaped into
-// the lineage cache. All zero unless Options.Arena is set.
-func (s *Session) ArenaStats() (gets, reuses, puts, escapes int64) {
-	a := s.ctx.Arena()
-	if a == nil {
-		return 0, 0, 0, 0
-	}
-	return a.Stats()
 }
 
 // CacheStats returns the lineage cache statistics (hits per backend,
