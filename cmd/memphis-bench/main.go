@@ -9,6 +9,7 @@
 //	memphis-bench -quick fig12b
 //	memphis-bench -json -quick all > BENCH_quick.json
 //	memphis-bench -par 1 fig14d   # force the serial kernel path
+//	memphis-bench -mem [-plan] [-membudget n] [-json]
 package main
 
 import (
@@ -45,6 +46,9 @@ type result struct {
 	BytesPerOp  int64      `json:"bytes_per_op"`
 }
 
+const usage = "usage: memphis-bench [-quick] [-json] [-par n] all | <experiment id>...; -list to enumerate;\n" +
+	"       memphis-bench -mem [-plan] [-membudget n] [-json] for the memory report"
+
 func main() {
 	list := flag.Bool("list", false, "list available experiments")
 	quick := flag.Bool("quick", false, "run reduced-size variants")
@@ -54,6 +58,11 @@ func main() {
 	memBudget := flag.Int64("membudget", 0, "driver-cache (cp pool) budget in bytes for -mem (0 = default); see memphis.Options.MemoryBudgets")
 	planOn := flag.Bool("plan", false, "with -mem: enable the compile-time memory planner and report evictions per planned stream")
 	flag.Parse()
+	if !*mem && (*planOn || *memBudget != 0) {
+		fmt.Fprintln(os.Stderr, "memphis-bench: -plan and -membudget apply only with -mem")
+		fmt.Fprintln(os.Stderr, usage)
+		os.Exit(2)
+	}
 
 	if *par > 0 {
 		data.SetParallelism(*par)
@@ -70,7 +79,7 @@ func main() {
 	}
 	args := flag.Args()
 	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: memphis-bench [-quick] [-json] [-par n] all | <experiment id>...; -list to enumerate")
+		fmt.Fprintln(os.Stderr, usage)
 		os.Exit(2)
 	}
 	var ids []string

@@ -30,6 +30,24 @@ import (
 	"memphis/internal/dml"
 )
 
+// parseReuse resolves a -reuse value; an unknown one is an error that lists
+// the valid modes.
+func parseReuse(name string) (memphis.Reuse, error) {
+	switch name {
+	case "full":
+		return memphis.ReuseFull, nil
+	case "fine":
+		return memphis.ReuseFine, nil
+	case "local":
+		return memphis.ReuseLocal, nil
+	case "coarse":
+		return memphis.ReuseCoarse, nil
+	case "off":
+		return memphis.ReuseOff, nil
+	}
+	return 0, fmt.Errorf("unknown reuse mode %q (want full|fine|local|coarse|off)", name)
+}
+
 func main() {
 	reuse := flag.String("reuse", "full", "reuse mode: full|fine|local|coarse|off")
 	gpu := flag.Bool("gpu", false, "enable the simulated GPU backend")
@@ -43,6 +61,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: memphis-run [flags] script.dml")
 		os.Exit(2)
 	}
+	mode, err := parseReuse(*reuse)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "memphis-run:", err)
+		os.Exit(2)
+	}
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "memphis-run:", err)
@@ -53,11 +76,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "memphis-run:", err)
 		os.Exit(1)
 	}
-	mode := map[string]memphis.Reuse{
-		"off": memphis.ReuseOff, "local": memphis.ReuseLocal,
-		"coarse": memphis.ReuseCoarse, "fine": memphis.ReuseFine,
-		"full": memphis.ReuseFull,
-	}[*reuse]
 	s := memphis.New(memphis.Options{
 		Reuse:         mode,
 		EnableGPU:     *gpu,

@@ -26,7 +26,7 @@
 // Usage:
 //
 //	memphis-serve                                # 8 tenants, 2 groups, hcv
-//	memphis-serve -workload l2svm -tenants 12 -sched wfq
+//	memphis-serve -workload l2svm -tenants 12
 //	memphis-serve -verify -check                 # exit 1 unless reuse > 0
 //	                                             # and vtimes are serial
 //	memphis-serve -chaos -verify -check          # faults on; exit 1 unless
@@ -88,7 +88,6 @@ type report struct {
 	RequestsPerTenant int    `json:"requests_per_tenant"`
 	Groups            int    `json:"groups"`
 	Workers           int    `json:"workers"`
-	Sched             string `json:"sched"`
 	// Chaos is set when fault injection is on; ChaosSeed keys the plan.
 	// Snapshot.faults then counts injected failures per site, and
 	// Snapshot.retries the attempts absorbed by the retry loop.
@@ -147,7 +146,6 @@ func main() {
 		requests = flag.Int("requests", 2, "requests per tenant")
 		groups   = flag.Int("groups", 2, "input groups (tenants in a group share data)")
 		workers  = flag.Int("workers", 8, "worker-pool size")
-		sched    = flag.String("sched", "fifo", "dispatch policy: fifo or wfq")
 		shards   = flag.Int("shards", 8, "shared-cache lock shards")
 		budgetMB = flag.Int64("budget", 64, "shared-cache global budget (MB)")
 		tenantMB = flag.Int64("tenant-budget", 8, "per-tenant shared-cache budget (MB)")
@@ -161,9 +159,6 @@ func main() {
 
 		chaos     = flag.Bool("chaos", false, "inject deterministic faults at default probabilities")
 		chaosSeed = flag.Int64("chaos-seed", 7, "fault-plan seed (with -chaos)")
-		deadline  = flag.Float64("deadline", 0, "per-request virtual deadline in seconds (0 = none)")
-		retries   = flag.Int("retries", 0, "max retries per request (0 = default 2, negative disables)")
-		backoff   = flag.Float64("backoff", 0, "retry backoff base in virtual seconds (0 = default 0.05)")
 		degrade   = flag.Int("degrade", 0, "disable the first N shared-cache shards (degraded mode)")
 	)
 	flag.Parse()
@@ -181,16 +176,10 @@ func main() {
 	conf.Shared.Shards = *shards
 	conf.Shared.Budget = *budgetMB << 20
 	conf.Shared.TenantBudget = *tenantMB << 20
-	if *sched == "wfq" {
-		conf.Sched = serve.SchedWFQ
-	}
 	if *chaos {
 		conf.Faults = faults.Default(*chaosSeed)
 		conf.Runtime.Compiler.OpMemBudget = m.chaosOpMem
 	}
-	conf.Deadline = *deadline
-	conf.MaxRetries = *retries
-	conf.RetryBackoff = *backoff
 	if *degrade > 0 {
 		if *degrade > *shards {
 			fmt.Fprintln(os.Stderr, "memphis-serve: -degrade must not exceed -shards")
@@ -263,7 +252,6 @@ func main() {
 		RequestsPerTenant: *requests,
 		Groups:            *groups,
 		Workers:           *workers,
-		Sched:             *sched,
 		Chaos:             *chaos,
 		ChaosSeed:         *chaosSeed,
 		Results:           results,
@@ -276,7 +264,6 @@ func main() {
 	if *verify {
 		serial := conf
 		serial.Workers = 1
-		serial.Sched = serve.SchedFIFO
 		serialRes, _, err := run(m, serial, *tenants, *requests, *groups)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "memphis-serve: serial replay:", err)

@@ -3,13 +3,12 @@ package serve
 import (
 	"errors"
 	"fmt"
-	goruntime "runtime"
 	"sort"
 	"testing"
-	"time"
 
 	"memphis/internal/costs"
 	"memphis/internal/data"
+	"memphis/internal/faults"
 	"memphis/internal/runtime"
 )
 
@@ -164,112 +163,18 @@ func TestCoalesceLateJoinersMatchWaiters(t *testing.T) {
 	}
 }
 
-// TestCoalesceCancelPaths: canceling a waiting follower resolves it with
-// ErrCanceled without touching the group; canceling a queued leader fails
-// the group over to its waiters; and no goroutine outlives Close on either
-// path.
-func TestCoalesceCancelPaths(t *testing.T) {
-	// Warm process-wide pools so the goroutine baseline is stable.
-	{
-		srv := New(coalesceConf(2))
-		w := hcvWorkload()
-		f, err := srv.Submit("warm", w.Prog, SubmitOptions{Inputs: w.HostInputs()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.Wait(); err != nil {
-			t.Fatal(err)
-		}
-		srv.Close()
-	}
-	base := goruntime.NumGoroutine()
-
-	srv := New(coalesceConf(1))
-	w := hcvWorkload()
-	inputs := w.HostInputs()
-	hold := make(chan struct{})
-	started := make(chan struct{})
-	gate, err := srv.Submit("gate", trivialProg(), SubmitOptions{Bind: func(*runtime.Context) {
-		close(started)
-		<-hold
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-started
-	lead, err := srv.Submit("leader", w.Prog, SubmitOptions{Inputs: inputs, Fetch: []string{"best"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f1, err := srv.Submit("f1", w.Prog, SubmitOptions{Inputs: inputs, Fetch: []string{"best"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f2, err := srv.Submit("f2", w.Prog, SubmitOptions{Inputs: inputs, Fetch: []string{"best"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Cancel one waiting follower: it resolves immediately with ErrCanceled
-	// even though the leader has not run.
-	f1.Cancel()
-	if _, err := f1.Wait(); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("canceled follower err = %v, want ErrCanceled", err)
-	}
-	// Cancel the queued leader: the group fails over, so the remaining
-	// waiter resolves with the leader's cancellation, not a hang.
-	lead.Cancel()
-	if _, err := lead.Wait(); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("canceled leader err = %v, want ErrCanceled", err)
-	}
-	if _, err := f2.Wait(); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("orphaned follower err = %v, want wrapped ErrCanceled", err)
-	}
-	// Canceling a finished request is a no-op.
-	f2.Cancel()
-	close(hold)
-	if _, err := gate.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	// A fresh submission after the failed group starts a new group and
-	// succeeds — error-sealed groups must not capture new joiners.
-	f3, err := srv.Submit("f3", w.Prog, SubmitOptions{Inputs: inputs, Fetch: []string{"best"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := f3.Wait()
-	if err != nil {
-		t.Fatalf("post-cancel submission failed: %v", err)
-	}
-	if res.Coalesced {
-		t.Fatal("post-cancel submission joined a dead group")
-	}
-	srv.Close()
-	snap := srv.Snapshot()
-	// f1 and the leader were canceled; the orphaned follower f2 counts as
-	// failed (it resolved with the leader's cancellation), not canceled.
-	if snap.Canceled != 2 {
-		t.Fatalf("snapshot.Canceled = %d, want 2", snap.Canceled)
-	}
-	if snap.Failed != 1 {
-		t.Fatalf("snapshot.Failed = %d, want 1 (the orphaned follower)", snap.Failed)
-	}
-	for i := 0; i < 100 && goruntime.NumGoroutine() > base; i++ {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := goruntime.NumGoroutine(); n > base {
-		buf := make([]byte, 1<<16)
-		t.Fatalf("goroutine leak after cancel paths: %d before, %d after\n%s",
-			base, n, buf[:goruntime.Stack(buf, true)])
-	}
-}
-
-// TestCoalesceDeadlinePropagates: a leader that misses the deadline fails
-// its whole group with ErrDeadline; followers still receive their result
-// copies, and no waiter goroutine leaks.
-func TestCoalesceDeadlinePropagates(t *testing.T) {
+// TestCoalesceLeaderFailureFansOut: a leader that fails past the retry
+// budget seals its group with the error. Every follower that waited on it
+// fails with an error wrapping the leader's, each counts as a failure, and a
+// later submission under the same key opens a new group and succeeds.
+func TestCoalesceLeaderFailureFansOut(t *testing.T) {
+	const followers = 3
 	conf := coalesceConf(1)
-	conf.Deadline = 1e-9
+	// Ticket 1 is the gate, ticket 2 the leader: its worker crashes on more
+	// attempts than the retry budget allows.
+	conf.Faults = &faults.Plan{Seed: 5, Sites: map[faults.Site]faults.Trigger{
+		faults.ServeRequest: {Nth: []int64{2}, Attempts: maxRetries + 3},
+	}}
 	srv := New(conf)
 	defer srv.Close()
 	w := hcvWorkload()
@@ -284,54 +189,63 @@ func TestCoalesceDeadlinePropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started
-	lead, err := srv.Submit("leader", w.Prog, SubmitOptions{Inputs: inputs, Fetch: []string{"best"}})
+	opts := SubmitOptions{Inputs: inputs, Fetch: []string{"best"}}
+	lead, err := srv.Submit("leader", w.Prog, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fol, err := srv.Submit("fol", w.Prog, SubmitOptions{Inputs: inputs, Fetch: []string{"best"}})
-	if err != nil {
-		t.Fatal(err)
+	futs := make([]*Future, followers)
+	for i := range futs {
+		if futs[i], err = srv.Submit(fmt.Sprintf("f%d", i), w.Prog, opts); err != nil {
+			t.Fatal(err)
+		}
 	}
 	close(hold)
 	if _, err := gate.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	leadRes, err := lead.Wait()
-	if !errors.Is(err, ErrDeadline) {
-		t.Fatalf("leader err = %v, want ErrDeadline", err)
+	res, leadErr := lead.Wait()
+	if leadErr == nil || res != nil {
+		t.Fatalf("leader scripted to crash %d attempts returned %v, %v", maxRetries+3, res, leadErr)
 	}
-	folRes, err := fol.Wait()
-	if !errors.Is(err, ErrDeadline) {
-		t.Fatalf("follower err = %v, want wrapped ErrDeadline", err)
+	for i, f := range futs {
+		if res, err := f.Wait(); res != nil || !errors.Is(err, leadErr) {
+			t.Fatalf("follower %d: %v, %v; want no result and an error wrapping %q", i, res, err, leadErr)
+		}
 	}
-	if folRes == nil || folRes.Values["best"] == nil {
-		t.Fatal("deadline-failed follower must still carry the computed result")
+	if snap := srv.Snapshot(); snap.Failed != 1+followers || snap.Coalesced != followers {
+		t.Fatalf("failed=%d coalesced=%d, want %d and %d", snap.Failed, snap.Coalesced, 1+followers, followers)
 	}
-	if !data.AllClose(folRes.Values["best"], leadRes.Values["best"], 0) {
-		t.Fatal("deadline-failed follower result differs from leader")
+	// The error-sealed group takes no joiner: this submission leads its own.
+	again, err := srv.Submit("again", w.Prog, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := again.Wait(); err != nil || res.Coalesced || res.Ticket != 3+followers {
+		t.Fatalf("resubmission: %+v, %v; want ticket %d executed on its own", res, err, 3+followers)
 	}
 	srv.Close()
-	snap := srv.Snapshot()
-	if snap.DeadlineFailures != 2 || snap.Failed != 2 {
-		t.Fatalf("deadline_failures=%d failed=%d, want 2/2", snap.DeadlineFailures, snap.Failed)
+	if snap := srv.Snapshot(); snap.Failed != 1+followers || snap.Completed != 3+followers || snap.Retries != maxRetries {
+		t.Fatalf("failed=%d completed=%d retries=%d, want %d, %d and %d",
+			snap.Failed, snap.Completed, snap.Retries, 1+followers, 3+followers, maxRetries)
 	}
 }
 
-// TestCoalesceGroupsBounded submits twelve windows' worth of requests in four
-// interleaved classes: one repeats the input of the ticket exactly
-// CoalesceWindow earlier (the last that can still join its group), one the
-// input of the ticket one further back (the first that cannot, and opens a
-// new group under the old key), one submits each of its inputs four times in
-// a row so that a group fills up (MaxBatch 2) and is replaced under its key
-// while still inside the window, and one binds never-seen inputs, over four
-// windows' worth of them in all. The group table must stay within
-// CoalesceWindow entries, and every request must get the outcome an unpruned
-// replay of the admission rule gives it: a model that keeps every group
-// forever decides who joins whom, and a follower's virtual latency is its
-// leader's plus the copy charge.
+// TestCoalesceGroupsBounded submits four windows' worth of requests (a
+// window is coalesceWindow tickets) in four interleaved classes: one repeats
+// the input of the ticket exactly a window earlier (the last that can still
+// join its group), one the input of the ticket one further back (the first
+// that cannot, so it opens a new group under the old key in every window),
+// one submits each of its inputs four times in a row so that a group fills up
+// (MaxBatch 2) and is replaced under its key while still inside the window,
+// and one binds never-seen inputs, more than a window's worth of them in
+// all. The group table must stay within the window, and every request must
+// get the outcome an unpruned replay of the admission rule gives it: a model
+// that keeps every group forever decides who joins whom, and a follower's
+// virtual latency is its leader's plus the copy charge.
 func TestCoalesceGroupsBounded(t *testing.T) {
-	const window, tickets, maxBatch = 8, 12 * 8, 2
-	prog := ridgeProg()
+	const window, tickets, maxBatch = coalesceWindow, 4 * coalesceWindow, 2
+	prog := trivialProg()
 	var inputs []map[string]*data.Matrix
 	idOf := make([]int, tickets+1) // input of each ticket, tickets start at 1
 	for tk := 1; tk <= tickets; tk++ {
@@ -344,7 +258,7 @@ func TestCoalesceGroupsBounded(t *testing.T) {
 			idOf[tk] = idOf[tk-4]
 		default:
 			idOf[tk] = len(inputs)
-			inputs = append(inputs, ridgeInputs(int64(100+tk)))
+			inputs = append(inputs, map[string]*data.Matrix{"X": data.Fill(2, 2, float64(tk))})
 		}
 	}
 	// The unpruned replay: one group per input (program and fetch set are
@@ -352,29 +266,33 @@ func TestCoalesceGroupsBounded(t *testing.T) {
 	leaderOf := make([]uint64, tickets+1) // 0: the ticket leads its own group
 	latest := make(map[int]uint64)        // input -> leader of its latest group
 	size := make(map[uint64]int)          // leader -> members
-	followers := 0
+	followers, reopened := 0, 0
 	for tk := uint64(1); tk <= tickets; tk++ {
-		if l, ok := latest[idOf[tk]]; ok && tk-l <= window && size[l] < maxBatch {
+		l, ok := latest[idOf[tk]]
+		switch {
+		case ok && tk-l <= window && size[l] < maxBatch:
 			leaderOf[tk] = l
 			size[l]++
 			followers++
-		} else {
+		case ok:
+			reopened++
+			fallthrough
+		default:
 			latest[idOf[tk]] = tk
 			size[tk] = 1
 		}
 	}
-	if len(latest) < 4*window || followers < window {
-		t.Fatalf("schedule too thin: %d distinct inputs, %d followers", len(latest), followers)
+	if len(latest) <= window || followers < window/2 || reopened < window/2 {
+		t.Fatalf("schedule too thin: %d distinct inputs, %d followers, %d groups reopened", len(latest), followers, reopened)
 	}
 
 	conf := coalesceConf(2)
-	conf.CoalesceWindow = window
 	conf.MaxBatch = maxBatch
 	srv := New(conf)
 	defer srv.Close()
 	results := make([]*Result, tickets+1)
 	for tk := uint64(1); tk <= tickets; tk++ {
-		fut, err := srv.Submit(fmt.Sprintf("t%d", tk%3), prog, SubmitOptions{Inputs: inputs[idOf[tk]], Fetch: []string{"B"}})
+		fut, err := srv.Submit(fmt.Sprintf("t%d", tk%3), prog, SubmitOptions{Inputs: inputs[idOf[tk]], Fetch: []string{"X"}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,11 +25,10 @@ func hcvWorkload() *workloads.Workload {
 // seed, so contents are identical) and returns both results plus the final
 // snapshot. When concurrent is false the first request completes before the
 // second is even submitted — the serial-replay baseline.
-func runPair(t *testing.T, workers int, sched SchedPolicy, concurrent bool) (*Result, *Result, Snapshot) {
+func runPair(t *testing.T, workers int, concurrent bool) (*Result, *Result, Snapshot) {
 	t.Helper()
 	conf := DefaultConfig()
 	conf.Workers = workers
-	conf.Sched = sched
 	srv := New(conf)
 	defer srv.Close()
 	w := hcvWorkload()
@@ -63,8 +62,8 @@ func runPair(t *testing.T, workers int, sched SchedPolicy, concurrent bool) (*Re
 // per-session virtual times of a serial replay, with the second tenant
 // hitting the shared cache.
 func TestCrossTenantReuseDeterministic(t *testing.T) {
-	serA, serB, _ := runPair(t, 1, SchedFIFO, false)
-	conA, conB, snap := runPair(t, 4, SchedFIFO, true)
+	serA, serB, _ := runPair(t, 1, false)
+	conA, conB, snap := runPair(t, 4, true)
 
 	if conA.VirtualSeconds != serA.VirtualSeconds {
 		t.Fatalf("first tenant: concurrent vtime %v != serial %v", conA.VirtualSeconds, serA.VirtualSeconds)
@@ -88,14 +87,6 @@ func TestCrossTenantReuseDeterministic(t *testing.T) {
 	}
 	if !data.AllClose(conA.Values["best"], conB.Values["best"], 0) {
 		t.Fatal("both tenants computed the same program over the same data")
-	}
-
-	// Weighted-fair dispatch reorders only non-conflicting work, so the
-	// virtual times are unchanged.
-	wfqA, wfqB, _ := runPair(t, 4, SchedWFQ, true)
-	if wfqA.VirtualSeconds != serA.VirtualSeconds || wfqB.VirtualSeconds != serB.VirtualSeconds {
-		t.Fatalf("WFQ vtimes (%v, %v) != serial (%v, %v)",
-			wfqA.VirtualSeconds, wfqB.VirtualSeconds, serA.VirtualSeconds, serB.VirtualSeconds)
 	}
 }
 
@@ -302,9 +293,10 @@ func TestAdmissionControl(t *testing.T) {
 }
 
 // TestAdmissionMapsForgetDrainedTenants: once every request of many
-// distinct tenants has run, been delivered as a coalesced follower, or been
-// canceled, the admission maps hold no tenant. They used to keep a key for
-// every tenant ever seen.
+// distinct tenants has run or been delivered as a coalesced follower (one
+// that waited for its leader, or one that joined after it finished), the
+// admission maps hold no tenant. They used to keep a key for every tenant
+// ever seen.
 func TestAdmissionMapsForgetDrainedTenants(t *testing.T) {
 	conf := DefaultConfig()
 	conf.Workers = 1
@@ -338,9 +330,6 @@ func TestAdmissionMapsForgetDrainedTenants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if i%3 == 0 {
-			f.Cancel()
-		}
 		futs = append(futs, f)
 	}
 	close(release)
@@ -348,18 +337,27 @@ func TestAdmissionMapsForgetDrainedTenants(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, f := range futs {
-		<-f.Done()
+		if _, err := f.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The group's leader has finished: this follower is served inside Submit.
+	late, err := srv.Submit("late", trivialProg(), SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := late.Wait(); err != nil || !res.Coalesced {
+		t.Fatalf("late joiner not served as a follower: %v", err)
 	}
 	srv.Close()
-	snap := srv.Snapshot()
-	if snap.Coalesced == 0 || snap.Canceled == 0 {
-		t.Fatalf("%d coalesced, %d canceled: the drain must cover both release paths", snap.Coalesced, snap.Canceled)
+	if snap := srv.Snapshot(); snap.Coalesced != tenants || snap.Completed != 2*tenants+2 {
+		t.Fatalf("%d coalesced, %d completed: want %d and %d", snap.Coalesced, snap.Completed, tenants, 2*tenants+2)
 	}
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
 	if len(srv.tenantLoad) != 0 || len(srv.tenantActive) != 0 {
 		t.Fatalf("after draining %d tenants the admission maps hold %d and %d keys, want 0 and 0",
-			2*tenants+1, len(srv.tenantLoad), len(srv.tenantActive))
+			2*tenants+2, len(srv.tenantLoad), len(srv.tenantActive))
 	}
 }
 
@@ -495,12 +493,12 @@ func TestServerChargesSharedCacheWithItsModel(t *testing.T) {
 	conf.Runtime.Model = model
 	srv := New(conf)
 	defer srv.Close()
-	if srv.Shared().model != model {
+	if srv.shared.model != model {
 		t.Fatal("the server's shared cache does not charge with the session template's model")
 	}
 	plain := New(DefaultConfig())
 	defer plain.Close()
-	if plain.Shared().model != plain.model || *plain.model != *costs.Default() {
+	if plain.shared.model != plain.model || *plain.model != *costs.Default() {
 		t.Fatal("with no template model, the server and its shared cache do not share the default model")
 	}
 }
@@ -591,7 +589,7 @@ func TestAdmissionFingerprintsMatchBindHost(t *testing.T) {
 
 	ctx := runtime.New(conf.Runtime)
 	defer ctx.Close()
-	ctx.AttachShared(srv.Shared(), "carol")
+	ctx.AttachShared(srv.shared, "carol")
 	workloads.BindHostInputs(ctx, inputs)
 	if err := ctx.RunProgram(w.Prog); err != nil {
 		t.Fatal(err)

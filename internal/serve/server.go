@@ -18,18 +18,20 @@ import (
 	"memphis/internal/spark"
 )
 
-// SchedPolicy selects how queued requests are dispatched to workers.
-type SchedPolicy int
-
+// The retry and coalesce-window settings no caller changes.
 const (
-	// SchedFIFO dispatches strictly by ticket (submission) order among
-	// eligible requests.
-	SchedFIFO SchedPolicy = iota
-	// SchedWFQ is fair queueing with every tenant weighted equally: among
-	// eligible requests, the tenant with the least accumulated virtual
-	// service runs next (ties break by ticket). Conflicting requests still
-	// serialize in ticket order, so determinism is unaffected.
-	SchedWFQ
+	// maxRetries is how many times a failed attempt (injected crash, stage
+	// abort, panic) is retried before the request fails.
+	maxRetries = 2
+	// retryBackoff is the base of the exponential virtual-time backoff added
+	// to a request's latency per retry: backoff_i = retryBackoff * 2^i
+	// virtual seconds.
+	retryBackoff = 0.05
+	// coalesceWindow is how many tickets after a group's leader a submission
+	// may still join the group. Joining a group whose leader already finished
+	// yields exactly the same result and virtual latency as joining before it
+	// ran.
+	coalesceWindow = 256
 )
 
 // Config assembles the serving layer.
@@ -40,8 +42,6 @@ type Config struct {
 	Runtime runtime.Config
 	// Workers is the worker-pool size (default 4).
 	Workers int
-	// Sched selects FIFO or fair-queueing dispatch.
-	Sched SchedPolicy
 	// MaxQueue bounds the number of queued requests; Submit rejects with
 	// ErrQueueFull beyond it (default 1024).
 	MaxQueue int
@@ -58,17 +58,6 @@ type Config struct {
 	// crashes whole attempts before execution. It is the server's only
 	// fault plan: New clears Runtime.Faults.
 	Faults *faults.Plan
-	// MaxRetries is how many times a failed attempt (injected crash, stage
-	// abort, panic) is retried before the request fails (default 2; negative
-	// disables retries).
-	MaxRetries int
-	// RetryBackoff is the base of the exponential virtual-time backoff added
-	// to a request's latency per retry: backoff_i = RetryBackoff * 2^i
-	// virtual seconds (default 0.05).
-	RetryBackoff float64
-	// Deadline, when positive, fails a request whose final virtual latency
-	// (execution plus accumulated backoff) exceeds it, with ErrDeadline.
-	Deadline float64
 	// ShedThreshold, when positive, sheds new submissions with ErrOverloaded
 	// once the queue reaches this depth — admission-level load shedding,
 	// tighter than MaxQueue's hard bound.
@@ -84,14 +73,9 @@ type Config struct {
 	// coalesce group instead of queueing. The group leader executes once and
 	// its results fan out to all followers as independent copies. Group
 	// membership is decided purely in ticket space at Submit time (see
-	// CoalesceWindow/MaxBatch), so it is identical for every worker count
+	// coalesceWindow and MaxBatch), so it is identical for every worker count
 	// and interleaving. Disabled by default.
 	Coalesce bool
-	// CoalesceWindow is how many tickets after a group's leader a submission
-	// may still join the group (default 256). Joining a group whose leader
-	// already finished yields exactly the same result and virtual latency as
-	// joining before it ran.
-	CoalesceWindow uint64
 	// MaxBatch caps a coalesce group's size, leader included (default 64).
 	MaxBatch int
 }
@@ -123,13 +107,6 @@ var (
 	ErrTenantLimit = errors.New("serve: tenant request limit reached")
 	ErrOverloaded  = errors.New("serve: overloaded, request shed")
 )
-
-// ErrDeadline marks a request whose virtual latency exceeded Config.Deadline.
-var ErrDeadline = errors.New("serve: deadline exceeded")
-
-// ErrCanceled marks a request whose Future was canceled before it started
-// executing.
-var ErrCanceled = errors.New("serve: request canceled")
 
 // SubmitOptions carries a request's inputs and result selection.
 type SubmitOptions struct {
@@ -173,7 +150,8 @@ type Result struct {
 	CoalescedWith uint64 `json:"coalesced_with,omitempty"`
 }
 
-// request is the queue element behind a Future.
+// request is the queue element behind a Future. A coalesce follower never
+// queues: it carries only its tenant, ticket and outcome.
 type request struct {
 	tenant string
 	prog   *ir.Program
@@ -183,29 +161,23 @@ type request struct {
 	// the scheduler serializes on and the fingerprints the session needs.
 	in     hashedInputs
 	global bool
-	// group is the request's coalesce group (nil when coalescing is off or
-	// the request is ineligible); the request is the group's leader when
-	// group.leader == ticket. coalKey is the group's key in Server.groups.
+	// group is the coalesce group the request leads (nil when coalescing is
+	// off or the request is ineligible). coalKey is the group's key in
+	// Server.groups.
 	group   *coalesceGroup
 	coalKey uint64
 
-	done      chan struct{}
-	once      sync.Once
-	cancelled bool // guarded by Server.mu
-	res       *Result
-	err       error
-
-	srv *Server
+	done chan struct{}
+	res  *Result
+	err  error
 }
 
-// resolve publishes the request's outcome exactly once; later calls are
-// no-ops. Result fields are written before done closes, so Future.Wait
+// resolve publishes the request's outcome; it is called exactly once per
+// request. Result fields are written before done closes, so Future.Wait
 // reads them race-free without locks.
 func (r *request) resolve(res *Result, err error) {
-	r.once.Do(func() {
-		r.res, r.err = res, err
-		close(r.done)
-	})
+	r.res, r.err = res, err
+	close(r.done)
 }
 
 // coalesceGroup is one batched-admission group: the leader executes, the
@@ -233,13 +205,6 @@ func (f *Future) Wait() (*Result, error) {
 	return f.req.res, f.req.err
 }
 
-// Cancel withdraws a request that has not started executing: it is removed
-// from the queue (or from its coalesce group's waiter list) and its Future
-// resolves with ErrCanceled. Canceling a request that is already running
-// or finished is a no-op — the Future resolves with the real outcome.
-// Cancel never leaks the waiter: Done is closed on every path.
-func (f *Future) Cancel() { f.req.srv.cancel(f.req) }
-
 // CompileCache is the server-wide compile cache: runtime.BlockCache, the one
 // compile-cache type, sharded so that every tenant's session can compile
 // through one instance. NewCompileCache and CompileCacheStats are re-exports
@@ -265,29 +230,26 @@ type Server struct {
 	mu           sync.Mutex
 	cond         *sync.Cond
 	queue        []*request
-	running      map[uint64]int  // conflict key -> running holders
-	runningGlob  bool            // a Bind-carrying request is running
-	runningCount int             // requests currently executing
-	tenantActive map[string]bool // tenant has a running request; no key otherwise
-	tenantLoad   map[string]int  // queued+running per tenant (admission); no key at 0
-	service      map[string]float64
+	running      map[uint64]int            // conflict key -> running holders
+	runningGlob  bool                      // a Bind-carrying request is running
+	runningCount int                       // requests currently executing
+	tenantActive map[string]bool           // tenant has a running request; no key otherwise
+	tenantLoad   map[string]int            // queued+running per tenant (admission); no key at 0
 	groups       map[uint64]*coalesceGroup // coalesce key -> latest group
 	groupOrder   []groupRef                // every group put in groups, by leader ticket
 	nextTicket   uint64
 	closed       bool
 
-	submitted     int64
-	completed     int64
-	failed        int64
-	rejected      int64
-	shed          int64
-	retries       int64
-	deadlineFails int64
-	coalesced     int64
-	canceled      int64
-	faultCounts   map[string]int64
-	vtimeTotal    float64
-	start         time.Time
+	submitted   int64
+	completed   int64
+	failed      int64
+	rejected    int64
+	shed        int64
+	retries     int64
+	coalesced   int64
+	faultCounts map[string]int64
+	vtimeTotal  float64
+	start       time.Time
 
 	wg sync.WaitGroup
 }
@@ -302,17 +264,6 @@ func New(conf Config) *Server {
 	}
 	if conf.MaxPerTenant <= 0 {
 		conf.MaxPerTenant = 64
-	}
-	if conf.MaxRetries == 0 {
-		conf.MaxRetries = 2
-	} else if conf.MaxRetries < 0 {
-		conf.MaxRetries = 0
-	}
-	if conf.RetryBackoff <= 0 {
-		conf.RetryBackoff = 0.05
-	}
-	if conf.CoalesceWindow == 0 {
-		conf.CoalesceWindow = 256
 	}
 	if conf.MaxBatch <= 0 {
 		conf.MaxBatch = 64
@@ -332,7 +283,6 @@ func New(conf Config) *Server {
 		running:      make(map[uint64]int),
 		tenantActive: make(map[string]bool),
 		tenantLoad:   make(map[string]int),
-		service:      make(map[string]float64),
 		groups:       make(map[uint64]*coalesceGroup),
 		faultCounts:  make(map[string]int64),
 		start:        time.Now(),
@@ -348,10 +298,6 @@ func New(conf Config) *Server {
 	}
 	return s
 }
-
-// Shared exposes the cross-tenant cache (interactive sessions attach to it
-// via runtime.Context.AttachShared).
-func (s *Server) Shared() *SharedCache { return s.shared }
 
 // hashedInputs is a request's input binding in the order a session binds
 // it (sorted by name), with each matrix's content fingerprint and the
@@ -429,7 +375,7 @@ func coalesceKey(progKey uint64, keys []uint64, fetch []string) uint64 {
 //
 // With Config.Coalesce on, a submission that matches an open coalesce
 // group (same program, inputs, and fetch set; leader submitted at most
-// CoalesceWindow tickets ago; group below MaxBatch) joins the group
+// coalesceWindow tickets ago; group below MaxBatch) joins the group
 // instead of queueing: it bypasses the queue-depth and shed checks (it
 // consumes no queue slot or worker), but still counts against the
 // per-tenant allowance. Whether the leader has already finished does not
@@ -451,31 +397,20 @@ func (s *Server) Submit(tenant string, prog *ir.Program, opts SubmitOptions) (*F
 	if canCoalesce {
 		s.pruneGroupsLocked()
 		coalKey = coalesceKey(progKey, in.keys, opts.Fetch)
-		if g := s.groups[coalKey]; g != nil && s.nextTicket+1-g.leader <= s.conf.CoalesceWindow &&
-			g.size < s.conf.MaxBatch && !(g.done && g.err != nil) {
+		if g := s.groups[coalKey]; g != nil && s.nextTicket+1-g.leader <= coalesceWindow && g.size < s.conf.MaxBatch {
 			if s.tenantLoad[tenant] >= s.conf.MaxPerTenant {
 				s.rejected++
 				return nil, ErrTenantLimit
 			}
 			s.nextTicket++
-			req := &request{
-				tenant:  tenant,
-				prog:    prog,
-				opts:    opts,
-				ticket:  s.nextTicket,
-				in:      in,
-				group:   g,
-				coalKey: coalKey,
-				done:    make(chan struct{}),
-				srv:     s,
-			}
+			req := &request{tenant: tenant, ticket: s.nextTicket, done: make(chan struct{})}
 			g.size++
 			s.tenantLoad[tenant]++
 			s.submitted++
 			s.coalesced++
 			if g.done {
-				res, copySvc, err := s.followerOutcome(req, g)
-				s.accountFollowerLocked(req, res, copySvc, err)
+				res, err := s.followerOutcome(req, g)
+				s.accountLocked(tenant, res, err)
 				req.resolve(res, err)
 			} else {
 				g.waiters = append(g.waiters, req)
@@ -505,7 +440,6 @@ func (s *Server) Submit(tenant string, prog *ir.Program, opts SubmitOptions) (*F
 		in:     in,
 		global: opts.Bind != nil,
 		done:   make(chan struct{}),
-		srv:    s,
 	}
 	if canCoalesce {
 		g := &coalesceGroup{leader: req.ticket, size: 1}
@@ -525,7 +459,7 @@ func (s *Server) Submit(tenant string, prog *ir.Program, opts SubmitOptions) (*F
 type groupRef struct{ leader, coalKey uint64 }
 
 // pruneGroupsLocked forgets coalesce groups no submission can join any more.
-// A group takes joiners only while the next ticket is within CoalesceWindow
+// A group takes joiners only while the next ticket is within coalesceWindow
 // of its leader's, and leaders enter groupOrder in ticket order, so the
 // expired groups are a prefix of it; each is deleted unless a later group has
 // already replaced it under its key. Without this the map would keep every
@@ -535,7 +469,7 @@ type groupRef struct{ leader, coalKey uint64 }
 func (s *Server) pruneGroupsLocked() {
 	n := 0
 	for _, ref := range s.groupOrder {
-		if s.nextTicket+1-ref.leader <= s.conf.CoalesceWindow {
+		if s.nextTicket+1-ref.leader <= coalesceWindow {
 			break
 		}
 		if g := s.groups[ref.coalKey]; g != nil && g.leader == ref.leader {
@@ -546,15 +480,12 @@ func (s *Server) pruneGroupsLocked() {
 	s.groupOrder = s.groupOrder[n:]
 }
 
-// pickLocked selects the next runnable request and removes it from the
-// queue (caller holds s.mu). A request is eligible when its tenant has no
-// earlier work (queued or running) and it conflicts with nothing running or
-// queued ahead of it — so conflicting requests always execute in ticket
-// order, which is what makes virtual latencies interleaving-independent.
+// pickLocked removes and returns the earliest-ticket eligible request
+// (caller holds s.mu). A request is eligible when its tenant has no earlier
+// work (queued or running) and it conflicts with nothing running or queued
+// ahead of it — so conflicting requests always execute in ticket order,
+// which is what makes virtual latencies interleaving-independent.
 func (s *Server) pickLocked() *request {
-	var best *request
-	bestIdx := -1
-	bestScore := 0.0
 	earlier := make(map[uint64]struct{})
 	earlierAny := false
 	earlierGlobal := false
@@ -580,14 +511,8 @@ func (s *Server) pickLocked() *request {
 			}
 		}
 		if eligible {
-			if s.conf.Sched == SchedFIFO {
-				best, bestIdx = r, i
-				break
-			}
-			score := s.service[r.tenant]
-			if best == nil || score < bestScore {
-				best, bestIdx, bestScore = r, i, score
-			}
+			s.queue = append(s.queue[:i], s.queue[i+1:]...)
+			return r
 		}
 		seenTenant[r.tenant] = true
 		earlierAny = true
@@ -599,10 +524,7 @@ func (s *Server) pickLocked() *request {
 			}
 		}
 	}
-	if best != nil {
-		s.queue = append(s.queue[:bestIdx], s.queue[bestIdx+1:]...)
-	}
-	return best
+	return nil
 }
 
 // worker is the pool loop: pick, mark conflicts running, execute on a fresh
@@ -638,7 +560,6 @@ func (s *Server) worker() {
 
 		s.mu.Lock()
 		delete(s.tenantActive, req.tenant)
-		s.releaseTenantLocked(req.tenant)
 		s.runningCount--
 		if req.global {
 			s.runningGlob = false
@@ -649,21 +570,13 @@ func (s *Server) worker() {
 				}
 			}
 		}
-		if res != nil {
-			s.service[req.tenant] += res.VirtualSeconds
-			s.vtimeTotal += res.VirtualSeconds
-		}
-		if err != nil {
-			s.failed++
-		}
-		s.completed++
+		s.accountLocked(req.tenant, res, err)
 		// Seal the coalesce group (if this request leads one) so later
 		// joins are served inline, and take the current waiters for
 		// fan-out.
-		var g *coalesceGroup
+		g := req.group
 		var waiters []*request
-		if req.group != nil && req.group.leader == req.ticket {
-			g = req.group
+		if g != nil {
 			g.done = true
 			g.res, g.err = res, err
 			waiters = g.waiters
@@ -679,9 +592,9 @@ func (s *Server) worker() {
 		s.cond.Broadcast()
 		req.resolve(res, err)
 		for _, w := range waiters {
-			fres, copySvc, ferr := s.followerOutcome(w, g)
+			fres, ferr := s.followerOutcome(w, g)
 			s.mu.Lock()
-			s.accountFollowerLocked(w, fres, copySvc, ferr)
+			s.accountLocked(w.tenant, fres, ferr)
 			s.mu.Unlock()
 			w.resolve(fres, ferr)
 		}
@@ -697,12 +610,10 @@ func (s *Server) worker() {
 // host-memory copy per value (costs.Transfer(bytes, MemBW, CopyLatency)) —
 // a deterministic function of the leader's outcome, so identical for every
 // interleaving and for followers joining before or after the leader ran.
-// A leader error propagates (wrapped with the follower's identity); the
-// follower's total latency is then checked against the deadline like any
-// other request.
-func (s *Server) followerOutcome(w *request, g *coalesceGroup) (*Result, float64, error) {
-	if g.res == nil {
-		return nil, 0, fmt.Errorf("serve: request %d (%s): coalesced with request %d: %w",
+// A leader error propagates, wrapped with the follower's identity.
+func (s *Server) followerOutcome(w *request, g *coalesceGroup) (*Result, error) {
+	if g.err != nil {
+		return nil, fmt.Errorf("serve: request %d (%s): coalesced with request %d: %w",
 			w.ticket, w.tenant, g.leader, g.err)
 	}
 	names := make([]string, 0, len(g.res.Values))
@@ -717,150 +628,58 @@ func (s *Server) followerOutcome(w *request, g *coalesceGroup) (*Result, float64
 		values[n] = m.Clone()
 		copyCost += costs.Transfer(m.SizeBytes(), s.model.MemBW, s.model.CopyLatency)
 	}
-	res := &Result{
+	return &Result{
 		Tenant:         w.tenant,
 		Ticket:         w.ticket,
 		VirtualSeconds: g.res.VirtualSeconds + copyCost,
 		Values:         values,
 		Coalesced:      true,
 		CoalescedWith:  g.leader,
-	}
-	if g.err != nil {
-		return res, copyCost, fmt.Errorf("serve: request %d (%s): coalesced with request %d: %w",
-			w.ticket, w.tenant, g.leader, g.err)
-	}
-	if s.conf.Deadline > 0 && res.VirtualSeconds > s.conf.Deadline {
-		return res, copyCost, fmt.Errorf("serve: request %d (%s): %w (%.3fs > %.3fs)",
-			w.ticket, w.tenant, ErrDeadline, res.VirtualSeconds, s.conf.Deadline)
-	}
-	return res, copyCost, nil
+	}, nil
 }
 
-// accountFollowerLocked applies a delivered follower's bookkeeping: it
-// releases the tenant slot, counts completion/failure, and charges only
-// the fan-out copy to the tenant's WFQ service (the follower occupied no
-// worker). Caller holds s.mu.
-func (s *Server) accountFollowerLocked(w *request, res *Result, copySvc float64, err error) {
-	s.releaseTenantLocked(w.tenant)
-	if res != nil {
-		s.service[w.tenant] += copySvc
-		s.vtimeTotal += res.VirtualSeconds
-	}
-	if err != nil {
-		s.failed++
-		if errors.Is(err, ErrDeadline) {
-			s.deadlineFails++
-		}
-	}
-	s.completed++
-}
-
-// releaseTenantLocked frees one of the tenant's admission slots, deleting
-// the tenant's key when it holds none, so that tenantLoad keeps only
-// tenants with work in flight (a missing key reads as zero). Caller holds
-// s.mu.
-func (s *Server) releaseTenantLocked(tenant string) {
+// accountLocked applies a finished request's bookkeeping, for a leader and a
+// follower alike: it frees one of the tenant's admission slots, deleting the
+// tenant's key when it holds none, so that tenantLoad keeps only tenants with
+// work in flight (a missing key reads as zero), and counts the completion
+// with its virtual time or its failure. Caller holds s.mu.
+func (s *Server) accountLocked(tenant string, res *Result, err error) {
 	if n := s.tenantLoad[tenant] - 1; n != 0 {
 		s.tenantLoad[tenant] = n
 	} else {
 		delete(s.tenantLoad, tenant)
 	}
-}
-
-// cancel implements Future.Cancel: withdraw the request if it is still
-// queued or waiting in a coalesce group; otherwise do nothing.
-func (s *Server) cancel(req *request) {
-	s.mu.Lock()
-	if req.cancelled {
-		s.mu.Unlock()
-		return
+	if err != nil {
+		s.failed++
+	} else {
+		s.vtimeTotal += res.VirtualSeconds
 	}
-	removed := false
-	for i, r := range s.queue {
-		if r == req {
-			s.queue = append(s.queue[:i], s.queue[i+1:]...)
-			removed = true
-			break
-		}
-	}
-	if !removed && req.group != nil && req.group.leader != req.ticket {
-		g := req.group
-		for i, w := range g.waiters {
-			if w == req {
-				g.waiters = append(g.waiters[:i], g.waiters[i+1:]...)
-				removed = true
-				break
-			}
-		}
-	}
-	var orphans []*request
-	if removed {
-		req.cancelled = true
-		s.releaseTenantLocked(req.tenant)
-		s.canceled++
-		s.completed++
-		// A canceled group leader never executes: fail the group over so
-		// its waiters don't hang. They resolve with the leader's
-		// cancellation; the group is sealed so later joins see it too.
-		if g := req.group; g != nil && g.leader == req.ticket && !g.done {
-			g.done = true
-			g.err = fmt.Errorf("serve: coalesce leader %d: %w", req.ticket, ErrCanceled)
-			orphans = g.waiters
-			g.waiters = nil
-			if s.groups[req.coalKey] == g {
-				delete(s.groups, req.coalKey)
-			}
-		}
-	}
-	s.mu.Unlock()
-	if !removed {
-		return
-	}
-	req.resolve(nil, fmt.Errorf("serve: request %d (%s): %w", req.ticket, req.tenant, ErrCanceled))
-	for _, w := range orphans {
-		fres, copySvc, ferr := s.followerOutcome(w, w.group)
-		s.mu.Lock()
-		s.accountFollowerLocked(w, fres, copySvc, ferr)
-		s.mu.Unlock()
-		w.resolve(fres, ferr)
-	}
-	s.cond.Broadcast()
+	s.completed++
 }
 
 // execute runs one request through the retry loop: each attempt executes on a
 // fresh session with its own attempt-derived fault plan; failed attempts
 // (injected worker crash, Spark stage abort, panic) are retried up to
-// Config.MaxRetries times with exponential virtual-time backoff. The final
-// latency — execution plus accumulated backoff — is checked against the
-// deadline. Everything in the loop is a pure function of the ticket, so
+// maxRetries times, each adding an exponential virtual-time backoff to the
+// latency. Everything in the loop is a pure function of the ticket, so
 // latencies stay interleaving-independent.
 func (s *Server) execute(req *request) (*Result, error) {
 	backoff := 0.0
-	var lastErr error
 	for attempt := 0; ; attempt++ {
 		res, err := s.runAttempt(req, attempt)
 		if err == nil {
 			res.Retries = attempt
 			res.VirtualSeconds += backoff
-			if s.conf.Deadline > 0 && res.VirtualSeconds > s.conf.Deadline {
-				s.mu.Lock()
-				s.deadlineFails++
-				s.mu.Unlock()
-				return res, fmt.Errorf("serve: request %d (%s): %w (%.3fs > %.3fs)",
-					req.ticket, req.tenant, ErrDeadline, res.VirtualSeconds, s.conf.Deadline)
-			}
 			return res, nil
 		}
-		lastErr = err
-		if attempt >= s.conf.MaxRetries {
-			break
+		if attempt == maxRetries {
+			return nil, err
 		}
-		backoff += s.conf.RetryBackoff * float64(int64(1)<<uint(attempt))
+		backoff += retryBackoff * float64(int64(1)<<uint(attempt))
 		s.mu.Lock()
 		s.retries++
 		s.mu.Unlock()
 	}
-	return nil, lastErr
 }
 
 // runAttempt runs one attempt of a request on a fresh session attached to the
@@ -943,16 +762,13 @@ type Snapshot struct {
 	Rejected   int64 `json:"rejected"`
 	// Shed counts rejections from ShedThreshold (a subset of Rejected).
 	Shed int64 `json:"shed,omitempty"`
-	// Retries counts retried attempts; DeadlineFailures counts requests that
-	// completed past Config.Deadline. Faults aggregates injected failures by
-	// site across all attempts.
-	Retries          int64            `json:"retries,omitempty"`
-	DeadlineFailures int64            `json:"deadline_failures,omitempty"`
-	Faults           map[string]int64 `json:"faults,omitempty"`
+	// Retries counts retried attempts. Faults aggregates injected failures
+	// by site across all attempts.
+	Retries int64            `json:"retries,omitempty"`
+	Faults  map[string]int64 `json:"faults,omitempty"`
 	// Coalesced counts follower requests served by a group leader's
-	// execution; Canceled counts futures withdrawn before starting.
+	// execution.
 	Coalesced int64 `json:"coalesced,omitempty"`
-	Canceled  int64 `json:"canceled,omitempty"`
 	// WallSeconds and Throughput are real-time aggregates; virtual times
 	// stay per-session and deterministic.
 	WallSeconds             float64            `json:"wall_seconds"`
@@ -974,9 +790,7 @@ func (s *Server) Snapshot() Snapshot {
 		Rejected:                s.rejected,
 		Shed:                    s.shed,
 		Retries:                 s.retries,
-		DeadlineFailures:        s.deadlineFails,
 		Coalesced:               s.coalesced,
-		Canceled:                s.canceled,
 		WallSeconds:             time.Since(s.start).Seconds(),
 		AggregateVirtualSeconds: s.vtimeTotal,
 	}

@@ -40,7 +40,7 @@ func TestSnapshotDuringTenantRegistration(t *testing.T) {
 				}
 				snap := srv.Snapshot()
 				_ = len(snap.Shared.Pools)
-				_ = srv.Shared().StatsSnapshot()
+				_ = srv.shared.StatsSnapshot()
 			}
 		}()
 	}

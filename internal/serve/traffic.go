@@ -184,11 +184,11 @@ func (z *zipfSampler) draw(u float64) int { return sort.SearchFloat64s(z.cdf, u)
 
 // RunTraffic executes the traffic bench. The supplied server Config is used
 // as the template for the real phase with every nondeterministic admission
-// knob forced off (no fault plan, no deadline, no shed threshold) and
-// coalescing plus the compile cache forced on; admission limits are set to
-// the request count so the measured phase never rejects (rejections would
-// depend on drain timing). The caller's scheduler, worker count, budgets,
-// and runtime template are honored.
+// knob forced off (no fault plan, no shed threshold) and coalescing plus
+// the compile cache forced on; admission limits are set to the request
+// count so the measured phase never rejects (rejections would depend on
+// drain timing). The caller's worker count, budgets, and runtime template
+// are honored.
 func RunTraffic(conf Config, tc TrafficConfig) (*TrafficReport, error) {
 	if len(tc.Classes) == 0 {
 		return nil, errors.New("serve: traffic bench needs at least one class")
@@ -246,7 +246,6 @@ func RunTraffic(conf Config, tc TrafficConfig) (*TrafficReport, error) {
 func trafficMeasure(conf Config, tc TrafficConfig) (service, copyCost []float64, snap Snapshot, failed int64, err error) {
 	conf.Coalesce = true
 	conf.Faults = nil
-	conf.Deadline = 0
 	conf.ShedThreshold = 0
 	total := tc.RealRequests + len(tc.Classes)
 	conf.MaxQueue = total + 1

@@ -358,10 +358,6 @@ type (
 // its Faults from the server's Options.
 type ServerConfig = serve.Config
 
-// SchedWFQ selects fair queueing across tenants (equal weights) for
-// ServerConfig.Sched; the zero value dispatches FIFO.
-const SchedWFQ = serve.SchedWFQ
-
 // NewServer starts a serving layer whose per-request sessions are built
 // from opts, exactly as New would build them. Close the server to drain and
 // stop it. Unlike New — which defers Options.Validate errors to Run —
@@ -374,16 +370,4 @@ func NewServer(opts Options, conf ServerConfig) *Server {
 	conf.Runtime = runtimeConfig(opts)
 	conf.Faults = opts.FaultPlan
 	return serve.New(conf)
-}
-
-// NewSessionFor creates an interactive Session attached to a server's
-// shared cache under the given tenant identity: values the session computes
-// are offered to (and reused from) the cross-tenant cache. Unlike Submit,
-// such a session bypasses the server's conflict scheduling, so its virtual
-// times are only reproducible while no overlapping requests run
-// concurrently. Close the session when done.
-func NewSessionFor(srv *Server, tenant string, opts Options) *Session {
-	s := New(opts)
-	s.ctx.AttachShared(srv.Shared(), tenant)
-	return s
 }

@@ -184,8 +184,7 @@ func TestSessionLookupAndClose(t *testing.T) {
 }
 
 // TestServerFacade drives the public serving API end to end: two tenants,
-// identical programs and data, cross-tenant reuse visible in the snapshot,
-// plus an interactive session attached to the server's shared cache.
+// identical programs and data, cross-tenant reuse visible in the snapshot.
 func TestServerFacade(t *testing.T) {
 	srv := NewServer(Options{Reuse: ReuseFull}, ServerConfig{Workers: 2})
 	x := data.RandNorm(300, 8, 0, 1, 7)
@@ -216,23 +215,6 @@ func TestServerFacade(t *testing.T) {
 	if rb.Stats.SharedHits == 0 {
 		t.Fatal("second tenant must reuse the first's work")
 	}
-
-	// An interactive session under a third tenant reuses the served results.
-	s := NewSessionFor(srv, "carol", Options{Reuse: ReuseFull})
-	s.Bind("X", x.Clone())
-	s.Bind("y", y.Clone())
-	if err := s.Run(ridgeProgram([]float64{0.25, 0.75})); err != nil {
-		t.Fatal(err)
-	}
-	if !data.AllClose(s.Value("beta"), ra.Values["beta"], 0) {
-		t.Fatal("interactive session must compute the same beta")
-	}
-	if s.Stats().SharedHits == 0 {
-		t.Fatal("interactive session must hit the shared cache")
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
 	srv.Close()
 	snap := srv.Snapshot()
 	if snap.Shared.CrossTenantHits == 0 {
@@ -244,7 +226,7 @@ func TestServerFacade(t *testing.T) {
 }
 
 // TestNewServerConfig reads the configuration a server runs with: a zero
-// ServerConfig gets serve.New's defaults (4 workers, 2 retries), and
+// ServerConfig gets serve.New's defaults (4 workers), and
 // Options.FaultPlan becomes the server's per-attempt plan while the session
 // template carries none. The plan's one home is ServerConfig.Faults: a plan
 // left on the template given to serve.New is cleared too.
@@ -254,8 +236,8 @@ func TestNewServerConfig(t *testing.T) {
 	defer srv.Close()
 	// serve.Server keeps its Config unexported; reflect reads it.
 	conf := reflect.ValueOf(srv).Elem().FieldByName("conf")
-	if w, r := conf.FieldByName("Workers").Int(), conf.FieldByName("MaxRetries").Int(); w != 4 || r != 2 {
-		t.Fatalf("zero ServerConfig runs with Workers %d, MaxRetries %d; want serve's defaults 4 and 2", w, r)
+	if w := conf.FieldByName("Workers").Int(); w != 4 {
+		t.Fatalf("zero ServerConfig runs with Workers %d; want serve's default 4", w)
 	}
 	if conf.FieldByName("Faults").Pointer() != reflect.ValueOf(plan).Pointer() {
 		t.Fatal("Options.FaultPlan is not the server's fault plan")
