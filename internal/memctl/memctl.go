@@ -16,8 +16,9 @@
 //
 // The driver cache uses LIMA's hybrid (ratio + recency), Spark reuse
 // RDDs use Eq. (1) ((r_h+r_m+r_j)·c/s, unnormalized), the GPU manager
-// uses Eq. (2) (recency + 1/height + cost), and the block manager's LRU
-// is the degenerate recency-only instance. Lower scores evict first.
+// uses Eq. (2) (recency + 1/height + cost). Lower scores evict first. The
+// block manager needs no score: its LRU victim is the partition with the
+// minimum touch sequence.
 //
 // Registry. Every region registers with an Arbiter, which hands it a Meter
 // for its pressure/eviction/demotion counters and lists every pool in
@@ -111,10 +112,6 @@ var (
 	SparkWeights = Weights{CostSize: 1, EqOne: true}
 	// GPUWeights is Eq. (2): T_a + 1/h + c/maxCost.
 	GPUWeights = Weights{Recency: 1, Height: 1, Cost: 1}
-	// LRUWeights is recency-only: with a monotone touch sequence as
-	// LastAccess, the minimum score is exactly the LRU victim (the block
-	// manager's partition policy, §2.2).
-	LRUWeights = Weights{Recency: 1}
 )
 
 // Norms carries the pool-wide normalization constants of one victim

@@ -51,8 +51,6 @@ func TestScoreOrderingPinned(t *testing.T) {
 		// GPU Eq. (2): recency + 1/height + cost. The deep (h=16) cheap
 		// entry 5 evicts first; the max-cost entry 2 survives longest.
 		{"gpu", GPUWeights, Norms{Now: now, MaxCost: 0.5}, []int{5, 4, 0, 1, 3, 2}},
-		// Block manager LRU: recency only — pure access-time order.
-		{"lru", LRUWeights, Norms{Now: now}, []int{4, 0, 2, 5, 1, 3}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"errors"
 	"fmt"
 	goruntime "runtime"
 	"testing"
@@ -259,40 +258,6 @@ func TestRequestFailsPastMaxRetries(t *testing.T) {
 	srv.Close()
 	if snap := srv.Snapshot(); snap.Failed != 1 || snap.Completed != 2 {
 		t.Fatalf("failed=%d completed=%d, want 1/2", snap.Failed, snap.Completed)
-	}
-}
-
-// TestShedThreshold: once the queue reaches the shed threshold, new
-// submissions are rejected with ErrOverloaded instead of queueing.
-func TestShedThreshold(t *testing.T) {
-	conf := DefaultConfig()
-	conf.Workers = 1
-	conf.ShedThreshold = 1
-	srv := New(conf)
-	defer srv.Close()
-	w := hcvWorkload()
-	inputs := w.HostInputs()
-	// A blocks inside its Bind hook until released, pinning the single
-	// worker, so B is guaranteed to sit in the queue when C arrives.
-	hold := make(chan struct{})
-	started := make(chan struct{})
-	if _, err := srv.Submit("a", trivialProg(), SubmitOptions{Bind: func(*runtime.Context) {
-		close(started)
-		<-hold
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	<-started
-	if _, err := srv.Submit("b", w.Prog, SubmitOptions{Inputs: inputs}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.Submit("c", w.Prog, SubmitOptions{Inputs: inputs}); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("err = %v, want ErrOverloaded", err)
-	}
-	close(hold)
-	srv.Close()
-	if snap := srv.Snapshot(); snap.Shed != 1 || snap.Rejected != 1 {
-		t.Fatalf("shed=%d rejected=%d, want 1/1", snap.Shed, snap.Rejected)
 	}
 }
 

@@ -58,10 +58,6 @@ type Config struct {
 	// crashes whole attempts before execution. It is the server's only
 	// fault plan: New clears Runtime.Faults.
 	Faults *faults.Plan
-	// ShedThreshold, when positive, sheds new submissions with ErrOverloaded
-	// once the queue reaches this depth — admission-level load shedding,
-	// tighter than MaxQueue's hard bound.
-	ShedThreshold int
 	// DisabledShards lists shared-cache shards to start degraded (see
 	// SharedCache.SetShardEnabled): probes miss and publishes are rejected,
 	// so sessions recompute instead of failing.
@@ -105,7 +101,6 @@ var (
 	ErrClosed      = errors.New("serve: server closed")
 	ErrQueueFull   = errors.New("serve: request queue full")
 	ErrTenantLimit = errors.New("serve: tenant request limit reached")
-	ErrOverloaded  = errors.New("serve: overloaded, request shed")
 )
 
 // SubmitOptions carries a request's inputs and result selection.
@@ -244,7 +239,6 @@ type Server struct {
 	completed   int64
 	failed      int64
 	rejected    int64
-	shed        int64
 	retries     int64
 	coalesced   int64
 	faultCounts map[string]int64
@@ -376,7 +370,7 @@ func coalesceKey(progKey uint64, keys []uint64, fetch []string) uint64 {
 // With Config.Coalesce on, a submission that matches an open coalesce
 // group (same program, inputs, and fetch set; leader submitted at most
 // coalesceWindow tickets ago; group below MaxBatch) joins the group
-// instead of queueing: it bypasses the queue-depth and shed checks (it
+// instead of queueing: it bypasses the queue-depth check (it
 // consumes no queue slot or worker), but still counts against the
 // per-tenant allowance. Whether the leader has already finished does not
 // change the follower's result or virtual latency, so admission is
@@ -417,11 +411,6 @@ func (s *Server) Submit(tenant string, prog *ir.Program, opts SubmitOptions) (*F
 			}
 			return &Future{req: req}, nil
 		}
-	}
-	if s.conf.ShedThreshold > 0 && len(s.queue) >= s.conf.ShedThreshold {
-		s.rejected++
-		s.shed++
-		return nil, ErrOverloaded
 	}
 	if len(s.queue) >= s.conf.MaxQueue {
 		s.rejected++
@@ -760,7 +749,9 @@ type Snapshot struct {
 	Completed  int64 `json:"completed"`
 	Failed     int64 `json:"failed"`
 	Rejected   int64 `json:"rejected"`
-	// Shed counts rejections from ShedThreshold (a subset of Rejected).
+	// Shed is always 0: the server has no load shedding. The field stays
+	// only because benchmark/wl_serve.go still reads it; omitempty keeps it
+	// out of every report.
 	Shed int64 `json:"shed,omitempty"`
 	// Retries counts retried attempts. Faults aggregates injected failures
 	// by site across all attempts.
@@ -788,7 +779,6 @@ func (s *Server) Snapshot() Snapshot {
 		Completed:               s.completed,
 		Failed:                  s.failed,
 		Rejected:                s.rejected,
-		Shed:                    s.shed,
 		Retries:                 s.retries,
 		Coalesced:               s.coalesced,
 		WallSeconds:             time.Since(s.start).Seconds(),

@@ -5,9 +5,8 @@ import (
 	"testing"
 )
 
-// trafficTestConfig is a CI-sized bench: a couple of classes, a small
-// measured phase, and enough virtual arrivals to exercise bursts,
-// coalescing, and shedding.
+// trafficTestConfig is a CI-sized bench: a couple of classes and a small
+// request stream that still coalesces.
 func trafficTestConfig(seed int64) TrafficConfig {
 	w1, w2 := hcvWorkload(), hcvWorkload()
 	return TrafficConfig{
@@ -17,20 +16,19 @@ func trafficTestConfig(seed int64) TrafficConfig {
 			{Name: "g0", Prog: w1.Prog, Inputs: w1.HostInputs(), Fetch: []string{"best"}},
 			{Name: "g1", Prog: w2.Prog, Inputs: w2.HostInputs(), Fetch: []string{"best"}},
 		},
-		Tenants:         12,
-		RealRequests:    96,
-		VirtualRequests: 20000,
+		Tenants:      12,
+		RealRequests: 96,
 	}
 }
 
 // TestTrafficDeterministicReport: two bench runs with the same seed produce
-// byte-identical JSON reports (the CI job repeats this through the binary
-// with the full 10^5-request default); a different seed produces a
+// byte-identical JSON reports, and so does a run of that seed on one worker
+// (the CI job repeats this through the binary); a different seed produces a
 // different report.
 func TestTrafficDeterministicReport(t *testing.T) {
-	run := func(seed int64) []byte {
+	run := func(seed int64, workers int) []byte {
 		conf := DefaultConfig()
-		conf.Workers = 4
+		conf.Workers = workers
 		conf.MaxBatch = 16
 		rep, err := RunTraffic(conf, trafficTestConfig(seed))
 		if err != nil {
@@ -42,18 +40,21 @@ func TestTrafficDeterministicReport(t *testing.T) {
 		}
 		return out
 	}
-	a, b := run(42), run(42)
+	a, b := run(42, 4), run(42, 4)
 	if string(a) != string(b) {
 		t.Fatalf("same seed, different reports:\n%s\n%s", a, b)
 	}
-	if string(a) == string(run(7)) {
+	if serial := run(42, 1); string(a) != string(serial) {
+		t.Fatalf("same seed, 4 workers vs 1, different reports:\n%s\n%s", a, serial)
+	}
+	if string(a) == string(run(7, 4)) {
 		t.Fatal("different seeds must produce different reports")
 	}
 }
 
 // TestTrafficReportShape: the report's invariants hold — every class got a
-// measured service time, the compile cache was heavily hit, admission adds
-// up, and goodput is a fraction.
+// measured service time, no request failed, some coalesced, and the compile
+// cache was heavily hit.
 func TestTrafficReportShape(t *testing.T) {
 	conf := DefaultConfig()
 	conf.Workers = 4
@@ -66,30 +67,14 @@ func TestTrafficReportShape(t *testing.T) {
 		if s <= 0 {
 			t.Fatalf("class %d has no measured service time", c)
 		}
-		if rep.ClassCopy[c] <= 0 {
-			t.Fatalf("class %d has no fan-out copy charge", c)
-		}
 	}
 	if rep.RealFailed != 0 {
 		t.Fatalf("%d measured requests failed", rep.RealFailed)
 	}
 	if rep.RealCoalesced == 0 {
-		t.Fatal("measured phase never coalesced")
+		t.Fatal("no request coalesced")
 	}
 	if rep.CompileCacheHitRate <= 0.9 {
 		t.Fatalf("compile-cache hit rate %.3f <= 0.9", rep.CompileCacheHitRate)
-	}
-	if rep.Admitted+rep.Shed != int64(rep.VirtualRequests) {
-		t.Fatalf("admitted %d + shed %d != %d arrivals", rep.Admitted, rep.Shed, rep.VirtualRequests)
-	}
-	if rep.VirtualCoalesced == 0 || rep.Shed == 0 {
-		t.Fatalf("bench must exercise coalescing and shedding: coalesced=%d shed=%d",
-			rep.VirtualCoalesced, rep.Shed)
-	}
-	if rep.Goodput <= 0 || rep.Goodput > 1 {
-		t.Fatalf("goodput %v out of range", rep.Goodput)
-	}
-	if rep.P99 < rep.P50 {
-		t.Fatalf("p99 %v < p50 %v", rep.P99, rep.P50)
 	}
 }

@@ -33,8 +33,7 @@ type block struct {
 // partitions live in memory up to a budget; on pressure, the least recently
 // used partitions of other RDDs are evicted — dropped for MEMORY-level
 // RDDs (recomputed from Spark lineage on next access) or spilled for
-// MEMORY_AND_DISK (§2.2). LRU is expressed through the shared policy's
-// recency-only instance (memctl.LRUWeights) over the touch sequence.
+// MEMORY_AND_DISK (§2.2). LRU is the minimum touch sequence.
 type BlockManager struct {
 	budget int64
 	used   int64
@@ -177,22 +176,19 @@ func (b *BlockManager) evictBlock(k blockKey) (spilled, dropped, spillErrs int) 
 
 // pickVictim returns the LRU in-memory block not belonging to the RDD
 // currently being written (Spark never evicts blocks of the same RDD to
-// admit its own partitions). Ranking goes through the shared policy's
-// recency-only instance: with unique monotone touch sequences the minimum
-// score is exactly the LRU block, and the argmin over map iteration is
+// admit its own partitions): the one with the minimum touch sequence.
+// In-memory sequences are unique, so the argmin over map iteration is
 // deterministic.
 func (b *BlockManager) pickVictim(writingRDD int) *blockKey {
-	norms := memctl.Norms{Now: float64(b.seq)}
 	var victim *blockKey
-	best := math.Inf(1)
+	var best int64 = math.MaxInt64
 	for k, blk := range b.blocks {
 		if blk.onDisk || k.rdd == writingRDD {
 			continue
 		}
-		cand := memctl.Candidate{Size: blk.size, LastAccess: float64(blk.seq)}
-		if s := memctl.Score(cand, memctl.LRUWeights, norms); s < best {
+		if blk.seq < best {
 			k := k
-			best, victim = s, &k
+			best, victim = blk.seq, &k
 		}
 	}
 	return victim

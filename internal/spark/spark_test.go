@@ -383,6 +383,34 @@ func TestBlockManagerBudgetProperty(t *testing.T) {
 	}
 }
 
+// TestBlockManagerEvictsLRU pins the victim order: the in-memory partition
+// touched longest ago goes first, a read refreshes it, and the RDD being
+// written never loses its own partitions.
+func TestBlockManagerEvictsLRU(t *testing.T) {
+	block := func() *data.Matrix { return data.Ones(2, 2) } // 32 bytes
+	bm := newBlockManager(4 * 32)
+	for _, k := range []blockKey{{1, 0}, {1, 1}, {2, 0}, {2, 1}} {
+		bm.put(k.rdd, k.part, block(), StorageMemory)
+	}
+	bm.get(1, 0) // now the most recently used
+	steps := []struct {
+		put, evicted blockKey
+	}{
+		{blockKey{3, 0}, blockKey{1, 1}},
+		{blockKey{3, 1}, blockKey{2, 0}},
+		{blockKey{1, 2}, blockKey{2, 1}},
+		// (1,0) is older than (3,0), but RDD 1 is the one being written.
+		{blockKey{1, 3}, blockKey{3, 0}},
+	}
+	for _, s := range steps {
+		before := len(bm.blocks)
+		bm.put(s.put.rdd, s.put.part, block(), StorageMemory)
+		if bm.contains(s.evicted.rdd, s.evicted.part) || len(bm.blocks) != before {
+			t.Fatalf("put %v: want exactly %v evicted, have %v", s.put, s.evicted, bm.blocks)
+		}
+	}
+}
+
 func TestOversizedPartitionGoesToDiskOrSkipped(t *testing.T) {
 	bm := newBlockManager(100)
 	big := data.Ones(100, 1) // 800 bytes > budget
