@@ -129,8 +129,8 @@ func loadReports(path string) ([]memphis.PlanReport, error) {
 }
 
 // profileDiff compares two plan dumps stream by stream (matched on the
-// stream signature) and prints per-plan deltas in peak memory, rewrites,
-// and measured evictions. Streams present in only one dump are listed.
+// stream signature) and prints per-plan deltas in peak memory and
+// measured evictions. Streams present in only one dump are listed.
 // Differences are informational; only I/O and parse failures error.
 func profileDiff(pathA, pathB string) error {
 	a, err := loadReports(pathA)
@@ -149,14 +149,12 @@ func profileDiff(pathA, pathB string) error {
 	for _, ra := range a {
 		rb, ok := bySig[ra.Sig]
 		if !ok {
-			fmt.Printf("plan %s: only in %s (peak=%d frees=%d)\n",
-				ra.Sig, pathA, ra.PeakBytes, ra.Frees)
+			fmt.Printf("plan %s: only in %s (peak=%d)\n", ra.Sig, pathA, ra.PeakBytes)
 			same = false
 			continue
 		}
 		delete(bySig, ra.Sig)
-		if ra.PeakBytes == rb.PeakBytes && ra.Frees == rb.Frees &&
-			ra.Evictions == rb.Evictions && ra.Runs == rb.Runs {
+		if ra.PeakBytes == rb.PeakBytes && ra.Evictions == rb.Evictions && ra.Runs == rb.Runs {
 			continue
 		}
 		same = false
@@ -167,14 +165,12 @@ func profileDiff(pathA, pathB string) error {
 			}
 		}
 		diffInt("peak", ra.PeakBytes, rb.PeakBytes)
-		diffInt("frees", int64(ra.Frees), int64(rb.Frees))
 		diffInt("evictions", ra.Evictions, rb.Evictions)
 		diffInt("runs", ra.Runs, rb.Runs)
 	}
 	for _, rb := range b {
 		if _, dangling := bySig[rb.Sig]; dangling {
-			fmt.Printf("plan %s: only in %s (peak=%d frees=%d)\n",
-				rb.Sig, pathB, rb.PeakBytes, rb.Frees)
+			fmt.Printf("plan %s: only in %s (peak=%d)\n", rb.Sig, pathB, rb.PeakBytes)
 			same = false
 		}
 	}

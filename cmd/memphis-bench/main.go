@@ -149,7 +149,6 @@ func memReport(cpBudget int64, planOn, jsonOut bool) {
 		Sig       string  `json:"sig"`
 		Runs      int64   `json:"runs"`
 		PeakBytes int64   `json:"peak_bytes"`
-		Frees     int     `json:"frees"`
 		Evictions int64   `json:"evictions"`
 		EvPerRun  float64 `json:"ev_per_run"`
 	}
@@ -185,7 +184,7 @@ func memReport(cpBudget int64, planOn, jsonOut bool) {
 		if planOn {
 			for _, p := range s.PlanReports() {
 				pr := planRow{Seq: p.Seq, Sig: p.Sig, Runs: p.Runs, PeakBytes: p.PeakBytes,
-					Frees: p.Frees, Evictions: p.Evictions}
+					Evictions: p.Evictions}
 				if p.Runs > 0 {
 					pr.EvPerRun = float64(p.Evictions) / float64(p.Runs)
 				}
@@ -214,12 +213,11 @@ func memReport(cpBudget int64, planOn, jsonOut bool) {
 				p.Evictions, p.EvictedBytes, p.Demotions)
 		}
 		if len(r.Plans) > 0 {
-			fmt.Printf("  %-4s %-16s %6s %10s %6s %7s %7s\n",
-				"plan", "sig", "runs", "peakB", "frees", "evict", "ev/run")
+			fmt.Printf("  %-4s %-16s %6s %10s %7s %7s\n",
+				"plan", "sig", "runs", "peakB", "evict", "ev/run")
 			for _, p := range r.Plans {
-				fmt.Printf("  %-4d %-16s %6d %10d %6d %7d %7.2f\n",
-					p.Seq, p.Sig, p.Runs, p.PeakBytes, p.Frees,
-					p.Evictions, p.EvPerRun)
+				fmt.Printf("  %-4d %-16s %6d %10d %7d %7.2f\n",
+					p.Seq, p.Sig, p.Runs, p.PeakBytes, p.Evictions, p.EvPerRun)
 			}
 		}
 		fmt.Println()

@@ -13,7 +13,7 @@
 //
 // With -plan, the compile-time memory planner (internal/memplan) is enabled
 // and each planned instruction stream's liveness table, peak-memory profile,
-// and rewrite summary are dumped after the run — human-readable by default,
+// and cache flips are dumped after the run — human-readable by default,
 // as JSON with -json (diffable with `lineage-tool profile-diff`).
 //
 // Input matrices can be created inside the script with rand(...); bound
@@ -109,8 +109,8 @@ func main() {
 				cpPeak = p.PeakUsed
 			}
 		}
-		fmt.Printf("planner: %d planned stream executions, %d early frees, cache peak %d bytes\n",
-			st.PlanBlocks, st.EarlyFrees, cpPeak)
+		fmt.Printf("planner: %d planned stream executions, cache peak %d bytes\n",
+			st.PlanBlocks, cpPeak)
 		printPlans(s.PlanReports())
 	}
 	if *printVar != "" {
@@ -128,9 +128,9 @@ func main() {
 // table.
 func printPlans(reports []memphis.PlanReport) {
 	for _, r := range reports {
-		fmt.Printf("\nplan %d sig=%s runs=%d insts=%d peak=%d@%d budget=%d frees=%d evictions=%d\n",
+		fmt.Printf("\nplan %d sig=%s runs=%d insts=%d peak=%d@%d budget=%d evictions=%d\n",
 			r.Seq, r.Sig, r.Runs, r.Instructions, r.PeakBytes, r.PeakAt, r.Budget,
-			r.Frees, r.Evictions)
+			r.Evictions)
 		if len(r.NoCache) > 0 {
 			fmt.Printf("  no-cache: %v\n", r.NoCache)
 		}
@@ -145,11 +145,11 @@ func printPlans(reports []memphis.PlanReport) {
 			}
 			fmt.Printf("  %s%3d %10d  %s\n", mark, i, bytes, line)
 		}
-		fmt.Printf("  %-12s %5s %5s %5s %5s %10s %5s %5s\n",
-			"name", "def", "first", "last", "end", "bytes", "temp", "uses")
+		fmt.Printf("  %-12s %5s %5s %5s %10s %5s %5s\n",
+			"name", "def", "first", "last", "bytes", "temp", "uses")
 		for _, iv := range r.Intervals {
-			fmt.Printf("  %-12s %5d %5d %5d %5d %10d %5t %5d\n",
-				iv.Name, iv.Def, iv.First, iv.Last, iv.End, iv.Bytes, iv.Temp, iv.Uses)
+			fmt.Printf("  %-12s %5d %5d %5d %10d %5t %5d\n",
+				iv.Name, iv.Def, iv.First, iv.Last, iv.Bytes, iv.Temp, iv.Uses)
 		}
 	}
 }

@@ -60,7 +60,7 @@ wsvm_b2_c0 sum=0x91de907f9a31450a lineage=0x23646fbbdfa2584c
 wmlr_b2_c0 sum=0xbf36398122f43432 lineage=0x8fdca6de075655c1
 p1 sum=0xa1952d152da39287 lineage=0xcbd554e915da976b
 mix sum=0xecc73d6353d21677 lineage=0xb37772c2341e9b53
-stats {Instructions:1136 CPInsts:966 SPInsts:0 GPUInsts:0 Reused:170 ActionReuses:0 FuncCalls:24 FuncReuses:6 Prefetches:0 Broadcasts:0 Checkpoints:0 Evicts:0 GPUFallbacks:0 Collects:0 D2HFetches:0 SharedProbes:0 SharedHits:0 SharedPuts:0 PlanBlocks:0 EarlyFrees:0}
+stats {Instructions:1136 CPInsts:966 SPInsts:0 GPUInsts:0 Reused:170 ActionReuses:0 FuncCalls:24 FuncReuses:6 Prefetches:0 Broadcasts:0 Checkpoints:0 Evicts:0 GPUFallbacks:0 Collects:0 D2HFetches:0 SharedProbes:0 SharedHits:0 SharedPuts:0 PlanBlocks:0}
 cache {Probes:1160 HitsCP:170 HitsRDD:0 HitsGPU:0 HitsFunc:6 HitsActon:0 Misses:984 Puts:984 Placeholders:351 DelayedStores:1 EvictionsCP:515 SpillsCP:0 RestoresCP:0 UnpersistsSpark:0 GPUInvalidated:0 GCBroadcasts:0 GCChildRDDs:0 AsyncMats:0 GPUToHost:0 SpillErrorsCP:0}
 cp peak=5242408 used=5152296 entries=414
 clock 0x3f939668a9e60016

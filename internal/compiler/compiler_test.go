@@ -515,7 +515,7 @@ func TestDefaultConfigDerivedFromCostModel(t *testing.T) {
 // TestKindString: every instruction kind prints its own name.
 func TestKindString(t *testing.T) {
 	for k, want := range map[Kind]string{KindOp: "op", KindPrefetch: "prefetch",
-		KindBroadcast: "broadcast", KindCheckpoint: "chkpoint", KindFree: "free"} {
+		KindBroadcast: "broadcast", KindCheckpoint: "chkpoint"} {
 		if got := k.String(); got != want {
 			t.Errorf("Kind(%d).String() = %q, want %q", int(k), got, want)
 		}

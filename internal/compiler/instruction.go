@@ -30,10 +30,6 @@ const (
 	KindBroadcast
 	// KindCheckpoint persists an RDD-backed variable (§5.2).
 	KindCheckpoint
-	// KindFree releases a block-local temporary at its last-use point.
-	// Inserted by the memory planner (internal/memplan) so intermediates
-	// are dropped deterministically instead of waiting for block end.
-	KindFree
 )
 
 func (k Kind) String() string {
@@ -44,8 +40,6 @@ func (k Kind) String() string {
 		return "broadcast"
 	case KindCheckpoint:
 		return "chkpoint"
-	case KindFree:
-		return "free"
 	default:
 		return "op"
 	}

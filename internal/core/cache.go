@@ -604,13 +604,7 @@ func (c *Cache) invalidateGPU(p *gpu.Pointer) {
 		c.Stats.GPUToHost++
 		c.gm.Meter.NoteDemotion(1, p.Size())
 		c.clock.Advance(d2h)
-		c.MakeSpaceCP(p.Size())
-		e.Backend = BackendCP
-		e.Matrix = v
-		e.GPUPtr = nil
-		c.relist(e)
-		c.cpUsed += e.Size
-		c.bumpCP()
+		c.moveToCP(e, v, p.Size())
 		return
 	}
 	c.Stats.GPUInvalidated++
@@ -644,17 +638,25 @@ func (c *Cache) DemoteGPUPointer(p *gpu.Pointer) *data.Matrix {
 	c.gm.Meter.NoteDemotion(1, p.Size())
 	c.clock.Advance(costs.Transfer(p.Size(), c.model.D2HBW, c.model.CopyLatency))
 	if p.Size() <= c.conf.CPBudget {
-		c.MakeSpaceCP(p.Size())
-		e.Backend = BackendCP
-		e.Matrix = v
-		e.GPUPtr = nil
-		c.relist(e)
-		c.cpUsed += e.Size
-		c.bumpCP()
+		c.moveToCP(e, v, p.Size())
 	} else {
 		c.removeEntry(e)
 	}
 	return v
+}
+
+// moveToCP re-homes a GPU entry in the driver cache on v, the matrix its
+// device pointer of size bytes held: make room, switch the entry to CP, and
+// account its bytes. The caller has detached the entry from gpE and charged
+// the device-to-host transfer.
+func (c *Cache) moveToCP(e *Entry, v *data.Matrix, size int64) {
+	c.MakeSpaceCP(size)
+	e.Backend = BackendCP
+	e.Matrix = v
+	e.GPUPtr = nil
+	c.relist(e)
+	c.cpUsed += e.Size
+	c.bumpCP()
 }
 
 // shouldStore advances delayed-caching state and reports whether the PUT

@@ -4,19 +4,20 @@
 // analyzed as-executed-once per recompilation, with loop-carried variables
 // appearing as block-external live-ins).
 //
-// The planner computes three artifacts per stream:
+// The planner computes two artifacts per stream and never rewrites it:
 //
 //  1. Liveness: first-use/last-use intervals per operand and a running
 //     peak-memory profile, sized from the compiler's shape estimates.
+//     Nothing is released mid-block (the runtime clears temporaries at
+//     block end), so every operand stays resident from its first
+//     appearance to the end of the block.
 //  2. Hints: a per-name lifetime classification (dead after the current
 //     instruction / soon reused / unknown) that the runtime stamps onto
 //     lineage-cache entries; internal/memctl's lifetime-grouped victim
 //     selection consumes the stamps, with the hybrid Score as tiebreak.
-//  3. Rewrites: under any positive budget, early-free instructions at
-//     temporaries' last-use points; when the profile's peak exceeds the
-//     budget, the cache-vs-recompute decision flips for outputs too large
-//     to cache without thrashing. Neither rewrite changes a computed value, and
-//     neither raises the stream's peak.
+//     When the profile's peak exceeds the budget, the cache-vs-recompute
+//     decision also flips for outputs too large to cache without
+//     thrashing; a flip changes no computed value.
 //
 // Planning is a pure function of the instruction stream and the budget:
 // the same (stream, Config) always yields byte-identical plans, which the
@@ -28,15 +29,15 @@ import (
 	"strings"
 
 	"memphis/internal/compiler"
+	"memphis/internal/core"
 	"memphis/internal/memctl"
 )
 
 // Config parameterizes one planning pass.
 type Config struct {
 	// Budget is the target byte budget (normally the CP cache budget).
-	// Any positive budget inserts early frees, and cache flips fire only
-	// when the analyzed peak exceeds it; zero disables rewrites and yields
-	// analysis plus hints only.
+	// Cache flips fire only when the analyzed peak exceeds it; zero
+	// yields analysis plus hints only.
 	Budget int64
 }
 
@@ -46,28 +47,25 @@ type Config struct {
 const DefaultWindow = 8
 
 // Interval is one operand's live range over a stream. Positions are
-// instruction indices; Def is -1 for block-external live-ins. End models
-// actual residency: live-ins and escaping (non-temporary) definitions stay
-// bound to block end, temporaries end at their free point (or block end
-// when unfreed).
+// instruction indices; Def is -1 for block-external live-ins. Every
+// operand stays resident from First to block end.
 type Interval struct {
 	Name  string `json:"name"`
 	Def   int    `json:"def"`   // defining position, -1 = live-in
 	First int    `json:"first"` // first appearance
 	Last  int    `json:"last"`  // last data use (read)
-	End   int    `json:"end"`   // residency end (free point or block end)
 	Bytes int64  `json:"bytes"`
 	Temp  bool   `json:"temp"`
-	Uses  int    `json:"uses"` // data uses (reads), excluding frees
+	Uses  int    `json:"uses"` // data uses (reads)
 }
 
 // Plan is the planner's artifact for one instruction stream: the liveness
-// table, the memory profile, and the hint/rewrite summary (the
+// table, the memory profile, and the hint/flip summary (the
 // memplan.Hints of the design — attached to the compiled program and
 // consumed by the runtime, whose lifetime stamps memctl's victim order
 // reads).
 type Plan struct {
-	// Insts is the stream length the plan describes (post-rewrite).
+	// Insts is the stream length the plan describes.
 	Insts int `json:"instructions"`
 	// Intervals is the liveness table, sorted by (First, Name).
 	Intervals []Interval `json:"intervals"`
@@ -78,9 +76,7 @@ type Plan struct {
 	PeakAt int   `json:"peak_at"`
 	// Budget echoes the planning budget (0 = unbounded).
 	Budget int64 `json:"budget"`
-	// Frees counts inserted early-free instructions; NoCache lists outputs
-	// flipped to recompute.
-	Frees   int      `json:"frees"`
+	// NoCache lists outputs flipped to recompute.
 	NoCache []string `json:"no_cache,omitempty"`
 
 	noCache map[string]bool
@@ -94,25 +90,22 @@ func isTemp(name string) bool { return strings.HasPrefix(name, "_t") }
 // Analyze computes the liveness table and memory profile of a stream.
 // Non-literal inputs are uses; outputs of ordinary operators are
 // definitions, while prefetch/broadcast/checkpoint outputs rebind their
-// input name and count as uses. A KindFree ends its operand's residency
-// without counting as a data use.
+// input name and count as uses.
 func Analyze(insts []compiler.Instruction) *Plan {
 	p := &Plan{Insts: len(insts), reads: make(map[string][]int)}
 	type info struct {
-		def     int // -1 live-in
-		first   int
-		last    int // last read
-		end     int // residency end
-		bytes   int64
-		uses    int
-		freedAt int // -1 when not freed
+		def   int // -1 live-in
+		first int
+		last  int // last read
+		bytes int64
+		uses  int
 	}
 	seen := make(map[string]*info)
 	order := make([]string, 0, len(insts))
 	touch := func(name string, pos int, bytes int64) *info {
 		in := seen[name]
 		if in == nil {
-			in = &info{def: -1, first: pos, last: -1, freedAt: -1}
+			in = &info{def: -1, first: pos, last: -1}
 			seen[name] = in
 			order = append(order, name)
 		}
@@ -123,13 +116,6 @@ func Analyze(insts []compiler.Instruction) *Plan {
 	}
 	for i := range insts {
 		inst := &insts[i]
-		if inst.Kind == compiler.KindFree {
-			if len(inst.Inputs) == 1 && !compiler.IsLiteral(inst.Inputs[0]) {
-				in := touch(inst.Inputs[0], i, 0)
-				in.freedAt = i
-			}
-			continue
-		}
 		for j, op := range inst.Inputs {
 			if compiler.IsLiteral(op) {
 				continue
@@ -166,24 +152,15 @@ func Analyze(insts []compiler.Instruction) *Plan {
 			}
 		}
 	}
-	end := len(insts) - 1
 	p.Intervals = make([]Interval, 0, len(order))
 	for _, name := range order {
 		in := seen[name]
-		e := end
-		if in.freedAt >= 0 {
-			e = in.freedAt
-		} else if in.def < 0 && in.last >= 0 {
-			// Live-ins with no free stay bound beyond the block; model
-			// them resident throughout.
-			e = end
-		}
 		last := in.last
 		if last < 0 {
 			last = in.def
 		}
 		p.Intervals = append(p.Intervals, Interval{
-			Name: name, Def: in.def, First: in.first, Last: last, End: e,
+			Name: name, Def: in.def, First: in.first, Last: last,
 			Bytes: in.bytes, Temp: isTemp(name), Uses: in.uses,
 		})
 	}
@@ -198,26 +175,16 @@ func Analyze(insts []compiler.Instruction) *Plan {
 }
 
 // computeProfile sweeps the intervals into a per-instruction resident-byte
-// profile. An interval [start, End] contributes its bytes from its first
-// appearance through its residency end inclusive.
+// profile. An interval contributes its bytes from its first appearance
+// through block end, so the profile never falls.
 func (p *Plan) computeProfile() {
 	p.Profile = make([]int64, p.Insts)
-	if p.Insts == 0 {
-		return
-	}
-	delta := make([]int64, p.Insts+1)
 	for _, iv := range p.Intervals {
-		start := iv.First
-		end := iv.End
-		if end < start {
-			end = start
-		}
-		delta[start] += iv.Bytes
-		delta[end+1] -= iv.Bytes
+		p.Profile[iv.First] += iv.Bytes
 	}
 	var run int64
-	for i := 0; i < p.Insts; i++ {
-		run += delta[i]
+	for i := range p.Profile {
+		run += p.Profile[i]
 		p.Profile[i] = run
 		if run > p.Peak {
 			p.Peak = run
@@ -259,3 +226,35 @@ func (p *Plan) LifetimeAt(name string, pos, window int) memctl.Lifetime {
 // SkipCache reports whether the plan flipped the named output to
 // recompute-from-lineage (no probe, no put).
 func (p *Plan) SkipCache(name string) bool { return p.noCache[name] }
+
+// Apply plans one compiled stream: the analysis, the budget, and, when the
+// analyzed peak overruns a positive budget, the cache flips. The result is
+// a pure function of (insts, cfg).
+func Apply(insts []compiler.Instruction, cfg Config) *Plan {
+	plan := Analyze(insts)
+	plan.Budget = cfg.Budget
+	if cfg.Budget > 0 && plan.Peak > cfg.Budget {
+		plan.noCache = cacheFlips(insts, cfg.Budget)
+		for n := range plan.noCache {
+			plan.NoCache = append(plan.NoCache, n)
+		}
+		sort.Strings(plan.NoCache)
+	}
+	return plan
+}
+
+// cacheFlips selects the outputs whose cache-vs-recompute decision flips to
+// recompute at compile time on a plan that overruns its budget: any
+// cacheable CP output larger than half the budget. Caching one such object
+// evicts half the cache, the classic thrash source on over-budget plans.
+func cacheFlips(insts []compiler.Instruction, budget int64) map[string]bool {
+	flips := make(map[string]bool)
+	for i := range insts {
+		inst := &insts[i]
+		if inst.Kind == compiler.KindOp && inst.Cacheable() &&
+			inst.Backend == core.BackendCP && inst.Shape.Bytes() > budget/2 {
+			flips[inst.Outputs[0]] = true
+		}
+	}
+	return flips
+}

@@ -37,10 +37,10 @@ func TestAnalyzeLiveness(t *testing.T) {
 		t.Fatalf("Insts = %d, want 3", p.Insts)
 	}
 	want := map[string]Interval{
-		"X":   {Name: "X", Def: -1, First: 0, Last: 2, End: 2, Bytes: 100 * 4 * 8, Uses: 2},
-		"_t0": {Name: "_t0", Def: 0, First: 0, Last: 1, End: 2, Bytes: 4 * 4 * 8, Temp: true, Uses: 1},
-		"_t1": {Name: "_t1", Def: 1, First: 1, Last: 2, End: 2, Bytes: 4 * 4 * 8, Temp: true, Uses: 1},
-		"Y":   {Name: "Y", Def: 2, First: 2, Last: 2, End: 2, Bytes: 100 * 4 * 8, Uses: 0},
+		"X":   {Name: "X", Def: -1, First: 0, Last: 2, Bytes: 100 * 4 * 8, Uses: 2},
+		"_t0": {Name: "_t0", Def: 0, First: 0, Last: 1, Bytes: 4 * 4 * 8, Temp: true, Uses: 1},
+		"_t1": {Name: "_t1", Def: 1, First: 1, Last: 2, Bytes: 4 * 4 * 8, Temp: true, Uses: 1},
+		"Y":   {Name: "Y", Def: 2, First: 2, Last: 2, Bytes: 100 * 4 * 8, Uses: 0},
 	}
 	if len(p.Intervals) != len(want) {
 		t.Fatalf("got %d intervals, want %d: %+v", len(p.Intervals), len(want), p.Intervals)
@@ -82,11 +82,11 @@ func TestLifetimeAt(t *testing.T) {
 // order, so two equal plans give equal bytes.
 func marshal(p *Plan) []byte {
 	var b strings.Builder
-	fmt.Fprintf(&b, "insts=%d peak=%d@%d budget=%d frees=%d\n",
-		p.Insts, p.Peak, p.PeakAt, p.Budget, p.Frees)
+	fmt.Fprintf(&b, "insts=%d peak=%d@%d budget=%d\n",
+		p.Insts, p.Peak, p.PeakAt, p.Budget)
 	for _, iv := range p.Intervals {
-		fmt.Fprintf(&b, "iv %s def=%d first=%d last=%d end=%d bytes=%d temp=%t uses=%d\n",
-			iv.Name, iv.Def, iv.First, iv.Last, iv.End, iv.Bytes, iv.Temp, iv.Uses)
+		fmt.Fprintf(&b, "iv %s def=%d first=%d last=%d bytes=%d temp=%t uses=%d\n",
+			iv.Name, iv.Def, iv.First, iv.Last, iv.Bytes, iv.Temp, iv.Uses)
 	}
 	for _, n := range p.NoCache {
 		fmt.Fprintf(&b, "nocache %s\n", n)
@@ -100,94 +100,27 @@ func marshal(p *Plan) []byte {
 }
 
 // TestApplyDeterministic: planning is a pure function of (stream, config) —
-// two passes yield byte-identical plans and identical rewritten streams.
+// two passes yield byte-identical plans.
 func TestApplyDeterministic(t *testing.T) {
 	cfg := Config{Budget: 4000}
-	r1, p1 := Apply(testStream(), cfg)
-	r2, p2 := Apply(testStream(), cfg)
+	p1, p2 := Apply(testStream(), cfg), Apply(testStream(), cfg)
 	if !bytes.Equal(marshal(p1), marshal(p2)) {
 		t.Errorf("plans differ:\n%s\nvs\n%s", marshal(p1), marshal(p2))
-	}
-	if len(r1) != len(r2) {
-		t.Fatalf("rewritten streams differ in length: %d vs %d", len(r1), len(r2))
-	}
-	for i := range r1 {
-		if r1[i].String() != r2[i].String() {
-			t.Errorf("inst %d differs: %s vs %s", i, r1[i].String(), r2[i].String())
-		}
-	}
-}
-
-// TestApplyInsertsFrees: temps gain a free at their last use, residency
-// ends early, and the profile's tail shrinks accordingly. Budget 6500 is
-// below the 6656-byte peak but above twice the largest output, so frees
-// fire without flipping any output to recompute.
-func TestApplyInsertsFrees(t *testing.T) {
-	rewritten, p := Apply(testStream(), Config{Budget: 6500})
-	if p.Frees != 2 {
-		t.Fatalf("Frees = %d, want 2 (stream: %v)", p.Frees, rewritten)
-	}
-	var frees []string
-	for i := range rewritten {
-		if rewritten[i].Kind == compiler.KindFree {
-			frees = append(frees, rewritten[i].Inputs[0])
-		}
-	}
-	if len(frees) != 2 || frees[0] != "_t0" || frees[1] != "_t1" {
-		t.Errorf("freed %v, want [_t0 _t1]", frees)
-	}
-	if err := VerifyStream(rewritten); err != nil {
-		t.Errorf("rewritten stream invalid: %v", err)
-	}
-	// The final profile must be no worse than the unplanned peak anywhere.
-	unplanned := Analyze(testStream())
-	if p.Peak > unplanned.Peak {
-		t.Errorf("planned peak %d exceeds unplanned %d", p.Peak, unplanned.Peak)
 	}
 }
 
 // TestApplyGating: cache flips fire only over budget, and then only on CP
-// outputs larger than half the budget (frees fire under any positive
-// budget); a zero budget yields pure analysis with the stream untouched.
+// outputs larger than half the budget; a zero budget yields pure analysis.
 func TestApplyGating(t *testing.T) {
-	rewritten, p := Apply(testStream(), Config{Budget: 1 << 30})
-	if len(p.NoCache) != 0 {
+	if p := Apply(testStream(), Config{Budget: 1 << 30}); len(p.NoCache) != 0 {
 		t.Errorf("under-budget stream gained nocache=%v", p.NoCache)
 	}
-	if p.Frees != 2 {
-		t.Errorf("under-budget frees = %d, want 2 (dead temps always freed)", p.Frees)
-	}
 	// 4000 B is under the 6656 B peak, and only Y (3200 B) exceeds half of it.
-	_, p = Apply(testStream(), Config{Budget: 4000})
+	p := Apply(testStream(), Config{Budget: 4000})
 	if len(p.NoCache) != 1 || p.NoCache[0] != "Y" || !p.SkipCache("Y") || p.SkipCache("_t0") {
 		t.Errorf("over-budget nocache = %v, want [Y]", p.NoCache)
 	}
-	rewritten, p = Apply(testStream(), Config{Budget: 0})
-	if len(rewritten) != 3 || p.Frees != 0 || len(p.NoCache) != 0 {
-		t.Errorf("zero-budget stream was rewritten: %d insts, frees=%d nocache=%v",
-			len(rewritten), p.Frees, p.NoCache)
-	}
-}
-
-func TestVerifyStreamNegatives(t *testing.T) {
-	free := func(name string) compiler.Instruction {
-		return compiler.Instruction{Kind: compiler.KindFree, Op: "free",
-			Inputs: []string{name}, Outputs: []string{"_"}, Backend: core.BackendCP}
-	}
-	base := testStream()
-	cases := map[string][]compiler.Instruction{
-		"use after free":    {base[0], free("_t0"), base[1]},
-		"double free":       {base[0], free("_t0"), free("_t0")},
-		"free undefined":    {free("_tghost")},
-		"redefine freed":    {base[0], free("_t0"), base[0]},
-		"free with 2 names": {base[0], {Kind: compiler.KindFree, Op: "free", Inputs: []string{"_t0", "_t0"}, Outputs: []string{"_"}, Backend: core.BackendCP}},
-	}
-	for name, insts := range cases {
-		if err := VerifyStream(insts); err == nil {
-			t.Errorf("%s: VerifyStream accepted an invalid stream", name)
-		}
-	}
-	if err := VerifyStream(base); err != nil {
-		t.Errorf("valid stream rejected: %v", err)
+	if p := Apply(testStream(), Config{Budget: 0}); len(p.NoCache) != 0 || p.Budget != 0 {
+		t.Errorf("zero-budget plan flipped nocache=%v (budget %d)", p.NoCache, p.Budget)
 	}
 }

@@ -15,7 +15,7 @@ import (
 
 // CompiledBlock is one fully prepared basic-block execution unit: the
 // compiled instruction stream, and — when a memory planner is configured —
-// the planner's rewritten stream and plan. Cached blocks are shared
+// the planner's plan for it. Cached blocks are shared
 // read-only across concurrent sessions: the executed stream is prepared
 // (compiler.Prepare) before the block is published and never written
 // afterwards, and memplan.Plan's runtime queries (LifetimeAt, SkipCache,
@@ -23,19 +23,16 @@ import (
 // session holds the block it executes by pointer, so evicting it from a
 // cache mid-run is harmless.
 type CompiledBlock struct {
-	// Insts is the raw compiled stream (before planner rewrites).
+	// Insts is the compiled stream the block executes. It is prepared.
 	Insts []compiler.Instruction
-	// Planned is the stream to execute: the planner-rewritten stream, or
-	// Insts itself when no planner is configured. It is prepared.
-	Planned []compiler.Instruction
-	// Plan is the memory plan for Planned (nil without a planner).
+	// Plan is the memory plan for Insts (nil without a planner).
 	Plan *memplan.Plan
 	// Sig is streamSig(Insts): the key of the session's planner report
 	// rows, so blocks that compile to the same stream share one row.
 	Sig uint64
 
-	// layout is Planned's layout, and temps the slots of the block-local
-	// temporaries ("_t…") Planned binds, in first-binding order: what
+	// layout is Insts' layout, and temps the slots of the block-local
+	// temporaries ("_t…") Insts binds, in first-binding order: what
 	// block end unbinds.
 	layout *compiler.Layout
 	temps  []int32
@@ -309,12 +306,12 @@ func (ctx *Context) compiledBlock(bb *ir.BasicBlock) *CompiledBlock {
 		return cb
 	}
 	insts := compiler.CompileBlock(bb, ctx.shapes(), ctx.Conf.Compiler)
-	cb := &CompiledBlock{Insts: insts, Planned: insts, Sig: streamSig(insts)}
+	cb := &CompiledBlock{Insts: insts, Sig: streamSig(insts)}
 	if ctx.Conf.MemoryPlanner {
-		cb.Planned, cb.Plan = memplan.Apply(insts, memplan.Config{Budget: ctx.Conf.Cache.CPBudget})
+		cb.Plan = memplan.Apply(insts, memplan.Config{Budget: ctx.Conf.Cache.CPBudget})
 	}
-	cb.layout = compiler.Prepare(cb.Planned)
-	cb.temps = tempsOf(cb.Planned)
+	cb.layout = compiler.Prepare(insts)
+	cb.temps = tempsOf(insts)
 	return cc.StoreCompiled(key, cb)
 }
 

@@ -97,8 +97,8 @@ type Config struct {
 	// MemoryPlanner enables the compile-time memory planner
 	// (internal/memplan) under the driver cache budget Cache.CPBudget: every
 	// compiled stream is analyzed for liveness, lifetime hints are stamped
-	// onto cache entries, and budget-bounding rewrites (early frees, cache
-	// flips) are applied. Off keeps every execution path bitwise-identical
+	// onto cache entries, and cache flips apply to streams whose peak
+	// overruns the budget. Off keeps every execution path bitwise-identical
 	// to the planner-less runtime.
 	MemoryPlanner bool
 }
@@ -128,7 +128,6 @@ type Stats struct {
 
 	// Memory-planner events (zero without Config.MemoryPlanner).
 	PlanBlocks int64 // planned stream executions
-	EarlyFrees int64 // planner-inserted frees that released a binding
 }
 
 // Context is the execution context: symbol table, backends, lineage map,

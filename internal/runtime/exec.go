@@ -176,8 +176,6 @@ func (ctx *Context) execute(inst *compiler.Instruction) error {
 		return ctx.execBroadcast(inst)
 	case compiler.KindCheckpoint:
 		return ctx.execCheckpoint(inst)
-	case compiler.KindFree:
-		return ctx.execFree(inst)
 	}
 	switch inst.Op {
 	case "call":

@@ -26,16 +26,24 @@ type planRecord struct {
 // PlanReport is the per-stream planner report exposed to the facade and the
 // CLIs (-plan dumps and profile diffs).
 type PlanReport struct {
-	Seq           int                `json:"seq"`
-	Sig           string             `json:"sig"`
-	Runs          int64              `json:"runs"`
-	Instructions  int                `json:"instructions"`
-	PeakBytes     int64              `json:"peak_bytes"`
-	PeakAt        int                `json:"peak_at"`
-	Budget        int64              `json:"budget"`
-	Frees         int                `json:"frees"`
-	NoCache       []string           `json:"no_cache,omitempty"`
-	Evictions     int64              `json:"evictions"`
+	Seq          int    `json:"seq"`
+	Sig          string `json:"sig"`
+	Runs         int64  `json:"runs"`
+	Instructions int    `json:"instructions"`
+	// PeakBytes is the plan's modeled peak over the stream's own values
+	// (its operands and results, sized from compile-time shapes); PeakAt
+	// is its first position.
+	PeakBytes int64    `json:"peak_bytes"`
+	PeakAt    int      `json:"peak_at"`
+	Budget    int64    `json:"budget"`
+	NoCache   []string `json:"no_cache,omitempty"`
+	Evictions int64    `json:"evictions"`
+	// PeakLiveBytes is sampled while the stream runs and sums every bound
+	// variable in scope, whether the stream touches it or not. It is not
+	// comparable with PeakBytes: plan 3 of ridge.dml under a 16 KB budget
+	// reads 8 B modeled against 528 536 B sampled. ROADMAP item 8(d)
+	// defines live bytes per stream before the two can be checked
+	// against each other.
 	PeakLiveBytes int64              `json:"peak_live_bytes"`
 	Intervals     []memplan.Interval `json:"intervals"`
 	Profile       []int64            `json:"profile"`
@@ -127,24 +135,13 @@ func (ctx *Context) skipCache(name string) bool {
 	return ctx.activePlan != nil && ctx.activePlan.SkipCache(name)
 }
 
-// execFree executes a planner-inserted early free: the temporary is
-// unbound (returning GPU references and dropping its lineage binding)
-// exactly as clearTemps would at block end, just at its last-use point.
-func (ctx *Context) execFree(inst *compiler.Instruction) error {
-	if c := ctx.inCell(inst, 0); c.v != nil {
-		ctx.unbindCell(c)
-		ctx.Stats.EarlyFrees++
-	}
-	return nil
-}
-
 // PlanReports returns one report per planned stream in first-seen order,
 // combining the static plan with the runtime's measured counters. Empty
 // without an active memory planner.
 func (ctx *Context) PlanReports() []PlanReport {
 	out := make([]PlanReport, 0, len(ctx.planOrder))
 	for seq, rec := range ctx.planOrder {
-		plan, insts := rec.cb.Plan, rec.cb.Planned
+		plan, insts := rec.cb.Plan, rec.cb.Insts
 		stream := make([]string, len(insts))
 		for i := range insts {
 			stream[i] = insts[i].String()
@@ -157,7 +154,6 @@ func (ctx *Context) PlanReports() []PlanReport {
 			PeakBytes:     plan.Peak,
 			PeakAt:        plan.PeakAt,
 			Budget:        plan.Budget,
-			Frees:         plan.Frees,
 			NoCache:       plan.NoCache,
 			Evictions:     rec.evictions,
 			PeakLiveBytes: rec.peakLiveBytes,

@@ -104,14 +104,14 @@ func (ctx *Context) runBlocks(blocks []ir.Block) error {
 
 // runBasicBlock executes one basic block's compiled stream, applying the
 // block-header reuse parameters (§5.2) and clearing temporaries afterwards.
-// With a memory planner configured the block carries a plan: the rewritten
-// stream executes under it, lifetime hints are stamped per position, and
+// With a memory planner configured the block carries a plan: the stream
+// executes under it, lifetime hints are stamped per position, and
 // measured evictions are attributed back to the stream's report row. Plan
 // state is saved and restored around the block because function calls and
 // scalar-condition evaluation recurse here.
 func (ctx *Context) runBasicBlock(bb *ir.BasicBlock) error {
 	cb := ctx.compiledBlock(bb)
-	insts := cb.Planned
+	insts := cb.Insts
 	frame := ctx.enterFrame(cb.layout)
 	savedPlan, savedPos := ctx.activePlan, ctx.planPos
 	var rec *planRecord

@@ -97,8 +97,8 @@ type Options struct {
 	// MemoryPlanner enables the compile-time memory planner
 	// (internal/memplan): static liveness and peak-memory profiles per
 	// compiled stream, lifetime hints for the arbiter's victim selection,
-	// and budget-bounding rewrites (early frees, cache-vs-recompute
-	// flips). The planning budget is the CP cache budget
+	// and cache-vs-recompute flips on streams whose peak overruns the
+	// budget. The planning budget is the CP cache budget
 	// (MemoryBudgets.CP, else the default).
 	// Numeric results are bitwise-identical with the planner on or off.
 	MemoryPlanner bool
@@ -310,7 +310,7 @@ func (s *Session) Stats() Stats {
 func (s *Session) CacheStats() core.Stats { return s.ctx.Cache.Stats }
 
 // PlanReport is one planned instruction stream's memory-planner report:
-// the static liveness table, peak-memory profile, and rewrite summary,
+// the static liveness table, peak-memory profile, and cache flips,
 // combined with the measured per-run counters.
 type PlanReport = runtime.PlanReport
 
