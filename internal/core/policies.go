@@ -107,10 +107,10 @@ func cpRowOf(e *Entry) cpRow {
 	return cpRow{memctl.Ratio(cpCandidate(e), false), e.LastAccess}
 }
 
-// rankCP scores the resident CP entries into the CP ranking under the
-// shared hybrid policy (memctl.CPWeights: LIMA's Cost&Size ratio,
-// normalized against the maximum over the resident entries, plus recency),
-// reading each entry's ratio and last access from its row.
+// rankCP ranks the resident CP entries under the shared hybrid policy
+// (memctl.CPScore: LIMA's Cost&Size ratio, normalized against the maximum
+// over the resident entries, plus recency), reading each entry's ratio and
+// last access from its row.
 // Under an active memory plan (planEpoch > 0) the order is lifetime-grouped
 // first: entries the plan marked dead evict before unknown ones, soon-reused
 // ones are protected, and the hybrid score orders each group. With the
@@ -126,22 +126,23 @@ func (c *Cache) rankCP() {
 	}
 	norms := memctl.Norms{MaxRatio: maxRatio, Now: c.clock.Now()}
 	r := &c.cpRank
-	r.drop()
+	r.reset(len(c.cpRows))
 	for i, row := range c.cpRows {
 		e := c.cpCands[i]
-		s := memctl.ScoreRatio(row.ratio, memctl.Candidate{LastAccess: row.last}, memctl.CPWeights, norms)
-		r.heap = append(r.heap, ranked{e, c.entryLife(e), s})
+		if x := (ranked{e, c.entryLife(e), memctl.CPScore(row.ratio, row.last, norms)}); r.wants(x) {
+			r.keep(x)
+		}
 	}
-	r.heapify()
+	r.sort()
 	r.now, r.maxRatio = norms.Now, maxRatio
 }
 
-// cpRankHolds reports whether the CP ranking exists and still orders the
-// candidates as a fresh one would: the clock (which a spill advances) and
-// the maximum ratio have not moved since it was built.
+// cpRankHolds reports whether the CP ranking holds the next victim, as a
+// fresh one would order the candidates: the clock (which a spill advances)
+// and the maximum ratio have not moved since it was built.
 func (c *Cache) cpRankHolds() bool {
 	r := &c.cpRank
-	return r.built && !r.maxLeft && r.now == c.clock.Now()
+	return r.holds() && !r.maxLeft && r.now == c.clock.Now()
 }
 
 // popCPVictim returns the next victim of the current driver-cache
@@ -257,25 +258,27 @@ func (c *Cache) PutRDD(item *lineage.Item, r *spark.RDD, children []*spark.RDD,
 	return e
 }
 
-// rankSpark scores the persisted reuse RDDs into the Spark ranking under
-// the shared policy instance for Spark: Eq. (1), (r_h+r_m+r_j)·c/s
-// (memctl.SparkWeights with MaxRatio 1 keeps the historical unnormalized
-// ordering exactly); of equally scored RDDs the older entry goes first.
+// rankSpark ranks the persisted reuse RDDs under the shared policy
+// instance for Spark: Eq. (1), (r_h+r_m+r_j)·c/s (memctl.SparkWeights with
+// MaxRatio 1 keeps the historical unnormalized ordering exactly); of
+// equally scored RDDs the older entry goes first.
 func (c *Cache) rankSpark() {
 	norms := memctl.Norms{MaxRatio: 1}
 	r := &c.sparkRank
-	r.drop()
+	r.reset(len(c.sparkCands))
 	for _, e := range c.sparkCands {
-		r.heap = append(r.heap, ranked{e, memctl.LifeUnknown, memctl.Score(cpCandidate(e), memctl.SparkWeights, norms)})
+		if x := (ranked{e, memctl.LifeUnknown, memctl.Score(cpCandidate(e), memctl.SparkWeights, norms)}); r.wants(x) {
+			r.keep(x)
+		}
 	}
-	r.heapify()
+	r.sort()
 }
 
 // popSparkVictim returns the next victim of the current Spark-reuse
 // MAKE_SPACE, or nil when nothing is evictable. The Spark norms never
-// move, so one ranking serves the whole call.
+// move, so a ranking serves the call until it runs out.
 func (c *Cache) popSparkVictim() *Entry {
-	if !c.sparkRank.built {
+	if !c.sparkRank.holds() {
 		c.rankSpark()
 	}
 	return c.sparkRank.pop()

@@ -185,11 +185,13 @@ func checkPlaceholders(t *testing.T, c *Cache, n int) {
 // rankCounts tallies how the rankings served the victims popped through
 // checkedSearches.
 type rankCounts struct {
-	pops       int // victims popped, CP and Spark
-	rankings   int // rankings built for them
-	reused     int // pops served by a ranking an earlier pop built
-	clockMoves int // CP re-ranks because a spill moved the clock
-	maxLeft    int // CP re-ranks because the max-ratio entry left
+	pops         int // victims popped, CP and Spark
+	rankings     int // rankings built for them
+	reused       int // pops served by a ranking an earlier pop built
+	clockMoves   int // CP re-ranks because a spill moved the clock
+	maxLeft      int // CP re-ranks because the max-ratio entry left
+	refills      int // CP re-ranks because a truncated ranking ran out
+	sparkRefills int // Spark re-ranks because a truncated ranking ran out
 }
 
 // checkedSearches routes every victim an eviction pops through the
@@ -212,6 +214,9 @@ func checkedSearches(t *testing.T) *rankCounts {
 			if r.maxLeft {
 				n.maxLeft++
 			}
+			if r.built && !r.holds() {
+				n.refills++
+			}
 		}
 		want := refCPVictim(c)
 		if got := c.popCPVictim(); got != want {
@@ -222,10 +227,13 @@ func checkedSearches(t *testing.T) *rankCounts {
 	}
 	searchSpark = func(c *Cache) *Entry {
 		checkLists(t, c, false)
-		if c.sparkRank.built {
+		if r := &c.sparkRank; r.holds() {
 			n.reused++
 		} else {
 			n.rankings++
+			if r.built {
+				n.sparkRefills++
+			}
 		}
 		want := refSparkVictim(c)
 		if got := c.popSparkVictim(); got != want {
@@ -280,9 +288,16 @@ func TestVictimOrderMatchesReferenceScan(t *testing.T) {
 	}
 	var total Stats
 	var counts rankCounts
-	for seed := int64(1); seed <= 16; seed++ {
+	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		conf := Config{CPBudget: int64(1+rng.Intn(4)) << 10, SparkBudget: int64(2+rng.Intn(3)) * 1280}
+		// Seeds past 16 fill both pools with 3·rankTop small residents
+		// first, and again after every Clear, so that one MAKE_SPACE can
+		// take more than rankTop victims in a row.
+		wide := seed > 16
+		if wide {
+			conf = Config{CPBudget: 8 << 10, SparkBudget: 4 << 10}
+		}
 		t.Run(fmt.Sprintf("seed%d_cp%d_spark%d", seed, conf.CPBudget, conf.SparkBudget), func(t *testing.T) {
 			n := checkedSearches(t)
 			clock := vtime.New()
@@ -296,6 +311,16 @@ func TestVictimOrderMatchesReferenceScan(t *testing.T) {
 				Sites: map[faults.Site]faults.Trigger{faults.CPSpill: {Probability: 0.2}}}))
 
 			const keys = 48
+			// fill puts the wide seeds' residents: CP matrices of 64 B,
+			// each cheaper than its disk round trip, and RDDs of 32 B.
+			fill := func() {
+				for i := 0; wide && i < 3*rankTop; i++ {
+					c.PutCP(li("fill", strconv.Itoa(i)), data.Ones(1, 8), rng.Float64()*4e-3, 1, false, false)
+					r := sc.Parallelize(data.Ones(1, 4), 2, "X")
+					c.PutRDD(li("fill-rdd", strconv.Itoa(i)), r, nil, nil, rng.Float64(), 1, spark.StorageMemory)
+				}
+			}
+			fill()
 			delay := func() int {
 				if rng.Intn(2) == 0 {
 					return 1
@@ -388,6 +413,7 @@ func TestVictimOrderMatchesReferenceScan(t *testing.T) {
 					}
 				default:
 					c.Clear()
+					fill()
 				}
 				checkLists(t, c, true)
 				if c.cpRank.built || c.sparkRank.built {
@@ -406,6 +432,8 @@ func TestVictimOrderMatchesReferenceScan(t *testing.T) {
 			counts.reused += n.reused
 			counts.clockMoves += n.clockMoves
 			counts.maxLeft += n.maxLeft
+			counts.refills += n.refills
+			counts.sparkRefills += n.sparkRefills
 			s := c.Stats
 			total.EvictionsCP += s.EvictionsCP
 			total.SpillsCP += s.SpillsCP
@@ -419,25 +447,27 @@ func TestVictimOrderMatchesReferenceScan(t *testing.T) {
 	}
 	// Every transition the lists must follow happened somewhere.
 	for name, n := range map[string]int64{
-		"victim pops":                             int64(counts.pops),
-		"rankings reused for a later pop":         int64(counts.reused),
-		"re-ranks after a spill moved the clock":  int64(counts.clockMoves),
-		"re-ranks after the max-ratio entry left": int64(counts.maxLeft),
-		"CP evictions":                            total.EvictionsCP,
-		"spills":                                  total.SpillsCP,
-		"spill faults":                            total.SpillErrorsCP,
-		"restores":                                total.RestoresCP,
-		"Spark unpersists":                        total.UnpersistsSpark,
-		"GPU-to-host moves":                       total.GPUToHost,
-		"GPU invalidations":                       total.GPUInvalidated,
-		"delayed stores":                          total.DelayedStores,
+		"victim pops":                                      int64(counts.pops),
+		"rankings reused for a later pop":                  int64(counts.reused),
+		"re-ranks after a spill moved the clock":           int64(counts.clockMoves),
+		"re-ranks after the max-ratio entry left":          int64(counts.maxLeft),
+		"CP re-ranks after a truncated ranking ran out":    int64(counts.refills),
+		"Spark re-ranks after a truncated ranking ran out": int64(counts.sparkRefills),
+		"CP evictions":                                     total.EvictionsCP,
+		"spills":                                           total.SpillsCP,
+		"spill faults":                                     total.SpillErrorsCP,
+		"restores":                                         total.RestoresCP,
+		"Spark unpersists":                                 total.UnpersistsSpark,
+		"GPU-to-host moves":                                total.GPUToHost,
+		"GPU invalidations":                                total.GPUInvalidated,
+		"delayed stores":                                   total.DelayedStores,
 	} {
 		if n == 0 {
 			t.Errorf("the sequences made no %s", name)
 		}
 	}
-	t.Logf("%d pops from %d rankings: %d reused, %d re-ranks after a clock move, %d after the max-ratio entry left",
-		counts.pops, counts.rankings, counts.reused, counts.clockMoves, counts.maxLeft)
+	t.Logf("%d pops from %d rankings: %d reused, %d re-ranks after a clock move, %d after the max-ratio entry left, %d CP and %d Spark after a truncated ranking ran out",
+		counts.pops, counts.rankings, counts.reused, counts.clockMoves, counts.maxLeft, counts.refills, counts.sparkRefills)
 }
 
 // TestMakeSpaceRanksOnce: a MAKE_SPACE that evicts several victims without
@@ -462,12 +492,53 @@ func TestMakeSpaceRanksOnce(t *testing.T) {
 			s.EvictionsCP, s.SpillsCP, n.pops, n.rankings)
 	}
 	r := &e.cache.cpRank
-	if r.built || len(r.heap) != 0 {
-		t.Fatalf("the ranking outlived the call: built %v with %d candidates", r.built, len(r.heap))
+	if r.built || r.n != 0 {
+		t.Fatalf("the ranking outlived the call: built %v with %d candidates", r.built, r.n)
 	}
-	for i, x := range r.heap[:cap(r.heap)] {
+	for i, x := range r.top {
 		if x.e != nil {
-			t.Fatalf("the ranking buffer still holds entry %d at slot %d", x.e.seq, i)
+			t.Fatalf("the ranking still holds entry %d at slot %d", x.e.seq, i)
+		}
+	}
+}
+
+// TestMakeSpacePastTheBound: a MAKE_SPACE that evicts 2·rankTop+1 of
+// 3·rankTop residents without spilling any runs out of two truncated
+// rankings, ranks the candidates left each time, and pops the reference
+// scan's victims in order from exactly three rankings; one that evicts all
+// of rankTop+1 residents needs two. The dearest resident, put last, holds
+// the maximum ratio and the latest access, so it scores last and its
+// leaving never forces a re-rank.
+func TestMakeSpacePastTheBound(t *testing.T) {
+	for _, tc := range []struct{ resident, victims, rankings int }{
+		{3 * rankTop, 2*rankTop + 1, 3},
+		{rankTop + 1, rankTop + 1, 2},
+	} {
+		n := checkedSearches(t)
+		conf := DefaultConfig()
+		m := data.Ones(8, 8)
+		conf.CPBudget = int64(tc.resident) * m.SizeBytes()
+		e := newEnv(conf)
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < tc.resident; i++ {
+			// Under the disk round trip: every victim is dropped, none spilled.
+			cost := 1e-4 + rng.Float64()*1e-3
+			if i == tc.resident-1 {
+				cost = 2e-3
+			}
+			e.cache.PutCP(li("resident", strconv.Itoa(i)), m, cost, 1, false, false)
+		}
+		e.cache.MakeSpaceCP(int64(tc.victims) * m.SizeBytes())
+		s := e.cache.Stats
+		if s.EvictionsCP != int64(tc.victims) || s.SpillsCP != 0 || n.pops != tc.victims ||
+			n.rankings != tc.rankings || n.refills != tc.rankings-1 || n.maxLeft != 0 {
+			t.Fatalf("%d residents: %d evictions, %d spills, %d pops from %d rankings (%d after a truncated one ran out); want %d, 0, %d from %d (%d)",
+				tc.resident, s.EvictionsCP, s.SpillsCP, n.pops, n.rankings, n.refills,
+				tc.victims, tc.victims, tc.rankings, tc.rankings-1)
+		}
+		if left := tc.resident - tc.victims; len(e.cache.cpCands) != left ||
+			left > 0 && e.cache.Lookup(li("resident", strconv.Itoa(tc.resident-1))) == nil {
+			t.Fatalf("%d residents left, want %d with the dearest among them", len(e.cache.cpCands), left)
 		}
 	}
 }
@@ -672,15 +743,23 @@ func TestMakeSpaceReranksAfterMaxRatioLeaves(t *testing.T) {
 }
 
 // BenchmarkMakeSpaceVictims times the victim choice of one driver
-// MAKE_SPACE late in a fresh-miss session: 12 victims among 2 300 resident
-// matrices and maxPlaceholders (4 096) delayed-caching placeholders. ranked pops them from
-// one ranking, scan runs the reference scan of the whole map per victim.
-// Nothing is evicted, so every iteration chooses from the same cache.
+// MAKE_SPACE in a fresh-miss session: 12 victims among 2 300 resident
+// matrices (late in a session) or 9 000 (the most a session holds), and
+// maxPlaceholders (4 096) delayed-caching placeholders. ranked pops them
+// from one ranking, scan runs the reference scan of the whole map per
+// victim. Nothing is evicted, so every iteration chooses from the same
+// cache.
 func BenchmarkMakeSpaceVictims(b *testing.B) {
-	const resident, placeholders, victims = 2300, maxPlaceholders, 12
+	for _, resident := range []int{2300, 9000} {
+		b.Run(strconv.Itoa(resident), func(b *testing.B) { benchmarkMakeSpaceVictims(b, resident) })
+	}
+}
+
+func benchmarkMakeSpaceVictims(b *testing.B, resident int) {
+	const placeholders, victims = maxPlaceholders, 12
 	conf := DefaultConfig()
 	m := data.Ones(8, 8)
-	conf.CPBudget = resident * m.SizeBytes()
+	conf.CPBudget = int64(resident) * m.SizeBytes()
 	e := newEnv(conf)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < resident; i++ {

@@ -177,3 +177,18 @@ func ScoreRatio(ratio float64, c Candidate, w Weights, n Norms) float64 {
 	}
 	return s
 }
+
+// CPScore is ScoreRatio(ratio, Candidate{LastAccess: last}, CPWeights, n)
+// with the weights folded in, term for term and bit for bit: the driver
+// cache's ratio/maxRatio + last/now, small enough to inline into a loop
+// over every resident.
+func CPScore(ratio, last float64, n Norms) float64 {
+	s := 0.0
+	if n.MaxRatio > 0 {
+		s += ratio / n.MaxRatio
+	}
+	if n.Now > 0 {
+		s += last / n.Now
+	}
+	return s
+}

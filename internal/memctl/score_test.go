@@ -2,6 +2,7 @@ package memctl
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 )
@@ -98,6 +99,26 @@ func TestScoreBitExactCP(t *testing.T) {
 		got := Score(c, CPWeights, Norms{MaxRatio: maxRatio, Now: now})
 		if got != want {
 			t.Fatalf("entry %d: Score=%v historical=%v (diff %g)", i, got, want, got-want)
+		}
+	}
+	// CPScore, which the driver cache ranks with, is ScoreRatio under
+	// CPWeights bit for bit, with either norm zero too.
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 10000; i++ {
+		ratio, last := rng.ExpFloat64()*rng.Float64(), rng.Float64()*10
+		n := Norms{MaxRatio: ratio + rng.ExpFloat64(), Now: last + rng.Float64()}
+		switch i % 4 {
+		case 1:
+			n.MaxRatio = 0
+		case 2:
+			n.Now = 0
+		case 3:
+			n = Norms{}
+		}
+		got := CPScore(ratio, last, n)
+		want := ScoreRatio(ratio, Candidate{LastAccess: last}, CPWeights, n)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("ratio %v, last %v, norms %+v: CPScore=%v ScoreRatio=%v", ratio, last, n, got, want)
 		}
 	}
 }

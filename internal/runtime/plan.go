@@ -31,8 +31,9 @@ type PlanReport struct {
 	Runs         int64  `json:"runs"`
 	Instructions int    `json:"instructions"`
 	// PeakBytes is the plan's modeled peak over the stream's own values
-	// (its operands and results, sized from compile-time shapes); PeakAt
-	// is its first position.
+	// (its operands and results, sized from compile-time shapes), and
+	// counts no other variable in scope, so PeakLiveBytes below does not
+	// bound it or measure it; PeakAt is its first position.
 	PeakBytes int64    `json:"peak_bytes"`
 	PeakAt    int      `json:"peak_at"`
 	Budget    int64    `json:"budget"`
