@@ -1,17 +1,14 @@
 // Command lineage-tool demonstrates MEMPHIS's lineage serialization and
-// exact recomputation (the SERIALIZE/DESERIALIZE/RECOMPUTE API, §3.2) and
-// diffs memory-planner profiles.
+// exact recomputation (the SERIALIZE/DESERIALIZE/RECOMPUTE API, §3.2).
 //
 // Usage:
 //
 //	lineage-tool demo                      # trace a small program, dump the log
 //	lineage-tool recompute <logfile>       # replay a log produced by demo
-//	lineage-tool profile-diff <a> <b>      # diff two `memphis-run -plan -json` dumps
 //	lineage-tool trace                     # dump compiled streams fused vs unfused
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 
@@ -115,89 +112,9 @@ func recompute(path string) error {
 	return nil
 }
 
-// loadReports parses a `memphis-run -plan -json` dump.
-func loadReports(path string) ([]memphis.PlanReport, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var reports []memphis.PlanReport
-	if err := json.Unmarshal(raw, &reports); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return reports, nil
-}
-
-// profileDiff compares two plan dumps stream by stream (matched on the
-// stream signature) and prints per-plan deltas in peak memory and
-// measured evictions. Streams present in only one dump are listed.
-// Differences are informational; only I/O and parse failures error.
-func profileDiff(pathA, pathB string) error {
-	a, err := loadReports(pathA)
-	if err != nil {
-		return err
-	}
-	b, err := loadReports(pathB)
-	if err != nil {
-		return err
-	}
-	bySig := make(map[string]memphis.PlanReport, len(b))
-	for _, r := range b {
-		bySig[r.Sig] = r
-	}
-	same := true
-	for _, ra := range a {
-		rb, ok := bySig[ra.Sig]
-		if !ok {
-			fmt.Printf("plan %s: only in %s (peak=%d)\n", ra.Sig, pathA, ra.PeakBytes)
-			same = false
-			continue
-		}
-		delete(bySig, ra.Sig)
-		if ra.PeakBytes == rb.PeakBytes && ra.Evictions == rb.Evictions && ra.Runs == rb.Runs {
-			continue
-		}
-		same = false
-		fmt.Printf("plan %s:\n", ra.Sig)
-		diffInt := func(name string, va, vb int64) {
-			if va != vb {
-				fmt.Printf("  %-10s %d -> %d (%+d)\n", name, va, vb, vb-va)
-			}
-		}
-		diffInt("peak", ra.PeakBytes, rb.PeakBytes)
-		diffInt("evictions", ra.Evictions, rb.Evictions)
-		diffInt("runs", ra.Runs, rb.Runs)
-	}
-	for _, rb := range b {
-		if _, dangling := bySig[rb.Sig]; dangling {
-			fmt.Printf("plan %s: only in %s (peak=%d)\n", rb.Sig, pathB, rb.PeakBytes)
-			same = false
-		}
-	}
-	var peakA, peakB, evA, evB int64
-	for _, r := range a {
-		if r.PeakBytes > peakA {
-			peakA = r.PeakBytes
-		}
-		evA += r.Evictions
-	}
-	for _, r := range b {
-		if r.PeakBytes > peakB {
-			peakB = r.PeakBytes
-		}
-		evB += r.Evictions
-	}
-	fmt.Printf("total: %d vs %d plans, max peak %d vs %d, evictions %d vs %d\n",
-		len(a), len(b), peakA, peakB, evA, evB)
-	if same && len(a) == len(b) {
-		fmt.Println("profiles identical")
-	}
-	return nil
-}
-
 func main() {
 	if len(os.Args) < 2 {
-		fmt.Fprintln(os.Stderr, "usage: lineage-tool demo | trace | recompute <logfile> | profile-diff <a.json> <b.json>")
+		fmt.Fprintln(os.Stderr, "usage: lineage-tool demo | trace | recompute <logfile>")
 		os.Exit(2)
 	}
 	var err error
@@ -211,12 +128,6 @@ func main() {
 			err = fmt.Errorf("recompute needs a log file")
 		} else {
 			err = recompute(os.Args[2])
-		}
-	case "profile-diff":
-		if len(os.Args) < 4 {
-			err = fmt.Errorf("profile-diff needs two plan dumps (from memphis-run -plan -json)")
-		} else {
-			err = profileDiff(os.Args[2], os.Args[3])
 		}
 	default:
 		err = fmt.Errorf("unknown subcommand %q", os.Args[1])

@@ -12,9 +12,10 @@
 // fused); the values are bitwise identical with the flag on or off.
 //
 // With -plan, the compile-time memory planner (internal/memplan) is enabled
-// and each planned instruction stream's liveness table, peak-memory profile,
-// and cache flips are dumped after the run — human-readable by default,
-// as JSON with -json (diffable with `lineage-tool profile-diff`).
+// and each planned instruction stream's liveness table, peak bytes (the sum
+// of its operands' bytes: nothing is released before block end) and cache
+// flips are dumped after the run — human-readable by default, as JSON with
+// -json.
 //
 // Input matrices can be created inside the script with rand(...); bound
 // host inputs are not supported from the CLI (use the library API).
@@ -53,7 +54,7 @@ func main() {
 	gpu := flag.Bool("gpu", false, "enable the simulated GPU backend")
 	printVar := flag.String("print", "", "print this variable's value after the run")
 	fuse := flag.Bool("fuse", false, "enable compile-time elementwise fusion (results are bitwise identical either way)")
-	plan := flag.Bool("plan", false, "enable the memory planner and dump per-stream liveness and peak profiles")
+	plan := flag.Bool("plan", false, "enable the memory planner and dump per-stream liveness, peak bytes and cache flips")
 	jsonOut := flag.Bool("json", false, "with -plan: dump the plan reports as JSON")
 	memBudget := flag.Int64("membudget", 0, "driver-cache budget in bytes (0 = default); the planner's bounding budget")
 	flag.Parse()
@@ -123,27 +124,17 @@ func main() {
 	}
 }
 
-// printPlans renders each planned stream: header, per-position profile
-// alongside the instructions (the peak position marked), and the liveness
-// table.
+// printPlans renders each planned stream: header, the instructions, and
+// the liveness table.
 func printPlans(reports []memphis.PlanReport) {
 	for _, r := range reports {
-		fmt.Printf("\nplan %d sig=%s runs=%d insts=%d peak=%d@%d budget=%d evictions=%d\n",
-			r.Seq, r.Sig, r.Runs, r.Instructions, r.PeakBytes, r.PeakAt, r.Budget,
-			r.Evictions)
+		fmt.Printf("\nplan %d sig=%s runs=%d insts=%d peak=%d budget=%d evictions=%d\n",
+			r.Seq, r.Sig, r.Runs, r.Instructions, r.PeakBytes, r.Budget, r.Evictions)
 		if len(r.NoCache) > 0 {
 			fmt.Printf("  no-cache: %v\n", r.NoCache)
 		}
 		for i, line := range r.Stream {
-			mark := " "
-			if i == r.PeakAt {
-				mark = "*"
-			}
-			var bytes int64
-			if i < len(r.Profile) {
-				bytes = r.Profile[i]
-			}
-			fmt.Printf("  %s%3d %10d  %s\n", mark, i, bytes, line)
+			fmt.Printf("  %3d  %s\n", i, line)
 		}
 		fmt.Printf("  %-12s %5s %5s %5s %10s %5s %5s\n",
 			"name", "def", "first", "last", "bytes", "temp", "uses")

@@ -6,18 +6,18 @@
 //
 // The planner computes two artifacts per stream and never rewrites it:
 //
-//  1. Liveness: first-use/last-use intervals per operand and a running
-//     peak-memory profile, sized from the compiler's shape estimates.
-//     Nothing is released mid-block (the runtime clears temporaries at
-//     block end), so every operand stays resident from its first
-//     appearance to the end of the block.
+//  1. Liveness: first-use/last-use intervals per operand, sized from the
+//     compiler's shape estimates, and their sum. Nothing is released
+//     mid-block (the runtime clears temporaries at block end), so every
+//     operand stays resident from its first appearance to the end of the
+//     block, and the sum of the operand bytes is the stream's peak.
 //  2. Hints: a per-name lifetime classification (dead after the current
 //     instruction / soon reused / unknown) that the runtime stamps onto
 //     lineage-cache entries; internal/memctl's lifetime-grouped victim
 //     selection consumes the stamps, with the hybrid Score as tiebreak.
-//     When the profile's peak exceeds the budget, the cache-vs-recompute
-//     decision also flips for outputs too large to cache without
-//     thrashing; a flip changes no computed value.
+//     When that peak exceeds the budget, the cache-vs-recompute decision
+//     also flips for outputs too large to cache without thrashing; a flip
+//     changes no computed value.
 //
 // Planning is a pure function of the instruction stream and the budget:
 // the same (stream, Config) always yields byte-identical plans, which the
@@ -60,7 +60,7 @@ type Interval struct {
 }
 
 // Plan is the planner's artifact for one instruction stream: the liveness
-// table, the memory profile, and the hint/flip summary (the
+// table, its byte sum, and the hint/flip summary (the
 // memplan.Hints of the design — attached to the compiled program and
 // consumed by the runtime, whose lifetime stamps memctl's victim order
 // reads).
@@ -69,11 +69,10 @@ type Plan struct {
 	Insts int `json:"instructions"`
 	// Intervals is the liveness table, sorted by (First, Name).
 	Intervals []Interval `json:"intervals"`
-	// Profile[i] is the modeled resident bytes while instruction i runs.
-	Profile []int64 `json:"profile"`
-	// Peak is max(Profile); PeakAt its first position.
-	Peak   int64 `json:"peak_bytes"`
-	PeakAt int   `json:"peak_at"`
+	// Peak is the sum of the intervals' bytes: nothing is released before
+	// block end, so it is what the stream holds once its last operand is
+	// resident.
+	Peak int64 `json:"peak_bytes"`
 	// Budget echoes the planning budget (0 = unbounded).
 	Budget int64 `json:"budget"`
 	// NoCache lists outputs flipped to recompute.
@@ -87,7 +86,7 @@ type Plan struct {
 // "_t<n>", cleared at block end by the runtime).
 func isTemp(name string) bool { return strings.HasPrefix(name, "_t") }
 
-// Analyze computes the liveness table and memory profile of a stream.
+// Analyze computes the liveness table of a stream and its byte sum.
 // Non-literal inputs are uses; outputs of ordinary operators are
 // definitions, while prefetch/broadcast/checkpoint outputs rebind their
 // input name and count as uses.
@@ -163,6 +162,7 @@ func Analyze(insts []compiler.Instruction) *Plan {
 			Name: name, Def: in.def, First: in.first, Last: last,
 			Bytes: in.bytes, Temp: isTemp(name), Uses: in.uses,
 		})
+		p.Peak += in.bytes
 	}
 	sort.Slice(p.Intervals, func(i, j int) bool {
 		if p.Intervals[i].First != p.Intervals[j].First {
@@ -170,32 +170,12 @@ func Analyze(insts []compiler.Instruction) *Plan {
 		}
 		return p.Intervals[i].Name < p.Intervals[j].Name
 	})
-	p.computeProfile()
 	return p
 }
 
-// computeProfile sweeps the intervals into a per-instruction resident-byte
-// profile. An interval contributes its bytes from its first appearance
-// through block end, so the profile never falls.
-func (p *Plan) computeProfile() {
-	p.Profile = make([]int64, p.Insts)
-	for _, iv := range p.Intervals {
-		p.Profile[iv.First] += iv.Bytes
-	}
-	var run int64
-	for i := range p.Profile {
-		run += p.Profile[i]
-		p.Profile[i] = run
-		if run > p.Peak {
-			p.Peak = run
-			p.PeakAt = i
-		}
-	}
-}
-
-// NextUse returns the first read position of name strictly after pos, or
+// nextUse returns the first read position of name strictly after pos, or
 // -1 when the plan has no further read.
-func (p *Plan) NextUse(name string, pos int) int {
+func (p *Plan) nextUse(name string, pos int) int {
 	reads := p.reads[name]
 	i := sort.SearchInts(reads, pos+1)
 	if i < len(reads) {
@@ -210,7 +190,7 @@ func (p *Plan) NextUse(name string, pos int) int {
 // the window, unknown otherwise. This is the hint the runtime stamps onto
 // cache entries for lifetime-grouped victim selection.
 func (p *Plan) LifetimeAt(name string, pos, window int) memctl.Lifetime {
-	nu := p.NextUse(name, pos)
+	nu := p.nextUse(name, pos)
 	if nu < 0 {
 		if isTemp(name) {
 			return memctl.LifeDead

@@ -97,9 +97,10 @@ type Config struct {
 	// MemoryPlanner enables the compile-time memory planner
 	// (internal/memplan) under the driver cache budget Cache.CPBudget: every
 	// compiled stream is analyzed for liveness, lifetime hints are stamped
-	// onto cache entries, and cache flips apply to streams whose peak
-	// overruns the budget. Off keeps every execution path bitwise-identical
-	// to the planner-less runtime.
+	// onto cache entries, and cache flips apply to streams whose peak (the
+	// sum of their operands' bytes, as nothing is released before block
+	// end) overruns the budget. Off keeps every execution path
+	// bitwise-identical to the planner-less runtime.
 	MemoryPlanner bool
 }
 

@@ -18,37 +18,27 @@ import (
 type planRecord struct {
 	cb *CompiledBlock
 
-	runs          int64
-	evictions     int64 // measured CP evictions attributed to this stream
-	peakLiveBytes int64 // max observed live variable bytes during execution
+	runs      int64
+	evictions int64 // measured CP evictions attributed to this stream
 }
 
 // PlanReport is the per-stream planner report exposed to the facade and the
-// CLIs (-plan dumps and profile diffs).
+// CLI's -plan dumps.
 type PlanReport struct {
 	Seq          int    `json:"seq"`
 	Sig          string `json:"sig"`
 	Runs         int64  `json:"runs"`
 	Instructions int    `json:"instructions"`
-	// PeakBytes is the plan's modeled peak over the stream's own values
-	// (its operands and results, sized from compile-time shapes), and
-	// counts no other variable in scope, so PeakLiveBytes below does not
-	// bound it or measure it; PeakAt is its first position.
-	PeakBytes int64    `json:"peak_bytes"`
-	PeakAt    int      `json:"peak_at"`
-	Budget    int64    `json:"budget"`
-	NoCache   []string `json:"no_cache,omitempty"`
-	Evictions int64    `json:"evictions"`
-	// PeakLiveBytes is sampled while the stream runs and sums every bound
-	// variable in scope, whether the stream touches it or not. It is not
-	// comparable with PeakBytes: plan 3 of ridge.dml under a 16 KB budget
-	// reads 8 B modeled against 528 536 B sampled. ROADMAP item 8(d)
-	// defines live bytes per stream before the two can be checked
-	// against each other.
-	PeakLiveBytes int64              `json:"peak_live_bytes"`
-	Intervals     []memplan.Interval `json:"intervals"`
-	Profile       []int64            `json:"profile"`
-	Stream        []string           `json:"stream"`
+	// PeakBytes is the total modeled bytes of the stream's operands and
+	// results, sized from compile-time shapes: nothing is released before
+	// block end, so the sum is the stream's peak. It counts no other
+	// variable in scope.
+	PeakBytes int64              `json:"peak_bytes"`
+	Budget    int64              `json:"budget"`
+	NoCache   []string           `json:"no_cache,omitempty"`
+	Evictions int64              `json:"evictions"`
+	Intervals []memplan.Interval `json:"intervals"`
+	Stream    []string           `json:"stream"`
 }
 
 // streamSig fingerprints a compiled stream: opcode, operands, backend,
@@ -96,30 +86,6 @@ func (ctx *Context) planRecordFor(cb *CompiledBlock) *planRecord {
 	return rec
 }
 
-// sampleLive sums the resident bytes of all bound variables, deduplicated
-// by value identity (aliases from assignments share a *Value). Host and
-// device copies both count; a value with both counts each copy once.
-func (ctx *Context) sampleLive() int64 {
-	seen := make(map[*Value]bool, len(ctx.LMap.scope))
-	var total int64
-	for _, c := range ctx.LMap.scope {
-		v := c.v
-		if v == nil || seen[v] {
-			continue
-		}
-		seen[v] = true
-		if v.M != nil {
-			total += v.M.SizeBytes()
-		} else if v.tSrc != nil {
-			total += v.SizeBytes() // deferred: the logical size, as if built
-		}
-		if v.HasGPU() {
-			total += v.GPU.Size()
-		}
-	}
-	return total
-}
-
 // stampPlan stamps the active plan's lifetime classification for name onto
 // a cache entry (no-op without an active plan). The stamp feeds memctl's
 // lifetime-grouped victim selection.
@@ -148,19 +114,16 @@ func (ctx *Context) PlanReports() []PlanReport {
 			stream[i] = insts[i].String()
 		}
 		out = append(out, PlanReport{
-			Seq:           seq,
-			Sig:           fmt.Sprintf("%016x", rec.cb.Sig),
-			Runs:          rec.runs,
-			Instructions:  plan.Insts,
-			PeakBytes:     plan.Peak,
-			PeakAt:        plan.PeakAt,
-			Budget:        plan.Budget,
-			NoCache:       plan.NoCache,
-			Evictions:     rec.evictions,
-			PeakLiveBytes: rec.peakLiveBytes,
-			Intervals:     plan.Intervals,
-			Profile:       plan.Profile,
-			Stream:        stream,
+			Seq:          seq,
+			Sig:          fmt.Sprintf("%016x", rec.cb.Sig),
+			Runs:         rec.runs,
+			Instructions: plan.Insts,
+			PeakBytes:    plan.Peak,
+			Budget:       plan.Budget,
+			NoCache:      plan.NoCache,
+			Evictions:    rec.evictions,
+			Intervals:    plan.Intervals,
+			Stream:       stream,
 		})
 	}
 	return out

@@ -142,17 +142,9 @@ func (ctx *Context) runBasicBlock(bb *ir.BasicBlock) error {
 			break
 		}
 		if rec != nil {
-			// Restore the position in case a call/condition recursed and
-			// planned a nested stream, then track the live-byte peak.
-			// Sampling walks every bound variable, so it runs only at the
-			// planner-predicted peak, every 32 instructions, and at block
-			// end — not after every instruction.
+			// Restore the plan in case a call/condition recursed and
+			// planned a nested stream.
 			ctx.activePlan, ctx.planPos = cb.Plan, i
-			if i == cb.Plan.PeakAt || i == len(insts)-1 || i%32 == 31 {
-				if lv := ctx.sampleLive(); lv > rec.peakLiveBytes {
-					rec.peakLiveBytes = lv
-				}
-			}
 		}
 	}
 	ctx.clearTemps(cb.temps)

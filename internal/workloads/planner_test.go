@@ -44,10 +44,11 @@ var plannerCases = []struct {
 	{"pnmf", "obj", 8 << 10, func() *Workload { return PNMF(400, 30, 4, 4, 11) }},
 }
 
-// TestPlannerBoundsPeakBitwise is the planner's core acceptance: with the
-// budget clamped to half the natural peak, the planned run must produce a
-// bitwise-identical result and keep the measured cache peak under the
-// budget.
+// TestPlannerBoundsPeakBitwise: with the budget clamped to half the natural
+// peak, the planned run produces a bitwise-identical result and the planner
+// runs. The measured cache peak stays under the budget too, but that check
+// shows nothing about the planner: the driver cache never exceeds its own
+// budget, planner on or off.
 func TestPlannerBoundsPeakBitwise(t *testing.T) {
 	for _, tc := range plannerCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -83,8 +84,10 @@ func TestPlannerBoundsPeakBitwise(t *testing.T) {
 }
 
 // TestPlannerHintsReduceEvictions compares planner-on and planner-off under
-// the same tight budget: lifetime-grouped victim selection must not evict
-// more than the unplanned baseline.
+// the same tight budget: on these three cases lifetime-grouped victim
+// selection evicts no more than the unplanned baseline. That is a property
+// of the cases, not of the planner: hband (8000×32, seed 11) at a 256 KB
+// budget evicts 748 entries with the planner on against 672 with it off.
 func TestPlannerHintsReduceEvictions(t *testing.T) {
 	for _, tc := range plannerCases {
 		t.Run(tc.name, func(t *testing.T) {
