@@ -90,24 +90,32 @@ func TestRidgeCacheFlipsPinned(t *testing.T) {
 			}
 			continue
 		}
+		// Each eviction counts once, in its innermost planned stream:
+		// plan 2 is beta's body, which plan 1's loop body calls.
 		want := []struct {
 			peak    int64
 			noCache []string
+			evict   int64
 		}{
-			{560256, []string{"X", "_t1", "_t2", "y"}},
-			{576032, []string{"_t1", "_t2", "_t3"}},
-			{1056904, []string{"_t2"}},
-			{8, nil},
+			{560256, []string{"X", "_t1", "_t2", "y"}, 0},
+			{576032, []string{"_t1", "_t2", "_t3"}, 0},
+			{1056904, []string{"_t2"}, 18},
+			{8, nil, 0},
 		}
 		reports := s.PlanReports()
 		if len(reports) != len(want) {
 			t.Fatalf("%d plans, want %d", len(reports), len(want))
 		}
+		var evicted int64
 		for i, r := range reports {
-			if r.PeakBytes != want[i].peak || !reflect.DeepEqual(r.NoCache, want[i].noCache) {
-				t.Errorf("plan %d: peak %d, no_cache %v; want %d, %v",
-					i, r.PeakBytes, r.NoCache, want[i].peak, want[i].noCache)
+			evicted += r.Evictions
+			if r.PeakBytes != want[i].peak || !reflect.DeepEqual(r.NoCache, want[i].noCache) || r.Evictions != want[i].evict {
+				t.Errorf("plan %d: peak %d, no_cache %v, %d evictions; want %d, %v, %d",
+					i, r.PeakBytes, r.NoCache, r.Evictions, want[i].peak, want[i].noCache, want[i].evict)
 			}
+		}
+		if evicted > cs.EvictionsCP {
+			t.Errorf("plan rows claim %d evictions, the run made %d", evicted, cs.EvictionsCP)
 		}
 	}
 }

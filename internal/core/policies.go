@@ -82,19 +82,6 @@ func (c *Cache) Matrix(e *Entry) *data.Matrix {
 	return e.Matrix
 }
 
-// cpCandidate lifts a driver cache entry into the shared scoring shape.
-func cpCandidate(e *Entry) memctl.Candidate {
-	return memctl.Candidate{
-		Hits:        e.Hits,
-		Misses:      e.Misses,
-		Jobs:        e.Jobs,
-		ComputeCost: e.ComputeCost,
-		Size:        e.Size,
-		Height:      e.Height,
-		LastAccess:  e.LastAccess,
-	}
-}
-
 // cpRow is a resident CP matrix's two score inputs that change over its
 // life: its Cost&Size ratio and its last access.
 type cpRow struct {
@@ -104,13 +91,49 @@ type cpRow struct {
 
 // cpRowOf computes e's row from its fields.
 func cpRowOf(e *Entry) cpRow {
-	return cpRow{memctl.Ratio(cpCandidate(e), false), e.LastAccess}
+	return cpRow{cpRatio(e), e.LastAccess}
 }
 
-// rankCP ranks the resident CP entries under the shared hybrid policy
-// (memctl.CPScore: LIMA's Cost&Size ratio, normalized against the maximum
-// over the resident entries, plus recency), reading each entry's ratio and
-// last access from its row.
+// cpRatio is e's Cost&Size ratio (r_h+1)·c/s, with the hit-weighted
+// frequency r_h+1. Sizes are clamped to one byte so zero-sized metadata
+// objects rank as maximally cheap to keep.
+func cpRatio(e *Entry) float64 {
+	s := float64(e.Size)
+	if s <= 0 {
+		s = 1
+	}
+	return float64(e.Hits+1) * e.ComputeCost / s
+}
+
+// cpScore is the driver cache's victim score, LIMA's hybrid of Cost&Size
+// and recency: ratio/maxRatio + last/now, lower evicts first. A
+// non-positive normalizer drops its term: an empty pool has no maximum
+// ratio, time zero has no recency order.
+func cpScore(ratio, last, maxRatio, now float64) float64 {
+	s := 0.0
+	if maxRatio > 0 {
+		s += ratio / maxRatio
+	}
+	if now > 0 {
+		s += last / now
+	}
+	return s
+}
+
+// sparkScore is a reuse RDD's victim score, Eq. (1): (r_h+r_m+r_j)·c/s,
+// unnormalized, with sizes clamped to one byte as in cpRatio; lower
+// unpersists first.
+func sparkScore(e *Entry) float64 {
+	s := float64(e.Size)
+	if s <= 0 {
+		s = 1
+	}
+	return float64(e.Hits+e.Misses+e.Jobs) * e.ComputeCost / s
+}
+
+// rankCP ranks the resident CP entries by cpScore (LIMA's Cost&Size
+// ratio, normalized against the maximum over the resident entries, plus
+// recency), reading each entry's ratio and last access from its row.
 // Under an active memory plan (planEpoch > 0) the order is lifetime-grouped
 // first: entries the plan marked dead evict before unknown ones, soon-reused
 // ones are protected, and the hybrid score orders each group. With the
@@ -124,17 +147,17 @@ func (c *Cache) rankCP() {
 			maxRatio = row.ratio
 		}
 	}
-	norms := memctl.Norms{MaxRatio: maxRatio, Now: c.clock.Now()}
+	now := c.clock.Now()
 	r := &c.cpRank
 	r.reset(len(c.cpRows))
 	for i, row := range c.cpRows {
 		e := c.cpCands[i]
-		if x := (ranked{e, c.entryLife(e), memctl.CPScore(row.ratio, row.last, norms)}); r.wants(x) {
+		if x := (ranked{e, c.entryLife(e), cpScore(row.ratio, row.last, maxRatio, now)}); r.wants(x) {
 			r.keep(x)
 		}
 	}
 	r.sort()
-	r.now, r.maxRatio = norms.Now, maxRatio
+	r.now, r.maxRatio = now, maxRatio
 }
 
 // cpRankHolds reports whether the CP ranking holds the next victim, as a
@@ -258,16 +281,13 @@ func (c *Cache) PutRDD(item *lineage.Item, r *spark.RDD, children []*spark.RDD,
 	return e
 }
 
-// rankSpark ranks the persisted reuse RDDs under the shared policy
-// instance for Spark: Eq. (1), (r_h+r_m+r_j)·c/s (memctl.SparkWeights with
-// MaxRatio 1 keeps the historical unnormalized ordering exactly); of
+// rankSpark ranks the persisted reuse RDDs by sparkScore, Eq. (1); of
 // equally scored RDDs the older entry goes first.
 func (c *Cache) rankSpark() {
-	norms := memctl.Norms{MaxRatio: 1}
 	r := &c.sparkRank
 	r.reset(len(c.sparkCands))
 	for _, e := range c.sparkCands {
-		if x := (ranked{e, memctl.LifeUnknown, memctl.Score(cpCandidate(e), memctl.SparkWeights, norms)}); r.wants(x) {
+		if x := (ranked{e, memctl.LifeUnknown, sparkScore(e)}); r.wants(x) {
 			r.keep(x)
 		}
 	}
@@ -275,8 +295,8 @@ func (c *Cache) rankSpark() {
 }
 
 // popSparkVictim returns the next victim of the current Spark-reuse
-// MAKE_SPACE, or nil when nothing is evictable. The Spark norms never
-// move, so a ranking serves the call until it runs out.
+// MAKE_SPACE, or nil when nothing is evictable. Eq. (1) reads neither the
+// clock nor a pool maximum, so a ranking serves the call until it runs out.
 func (c *Cache) popSparkVictim() *Entry {
 	if !c.sparkRank.holds() {
 		c.rankSpark()

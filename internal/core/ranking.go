@@ -9,13 +9,15 @@ type ranked struct {
 	score float64
 }
 
-// before is the victim order: memctl.PreferVictim (the lower lifetime
-// group, then the lower score), then the older entry. It is a total order
+// before is the victim order: the lower lifetime group (dead < unknown <
+// soon), then the lower score, then the older entry. It is a total order
 // over distinct entries, so its minimum is the victim a scan of the
 // candidates returns.
 func (a ranked) before(b ranked) bool {
-	return memctl.PreferVictim(a.life, a.score, b.life, b.score) ||
-		a.life == b.life && a.score == b.score && a.e.seq < b.e.seq
+	if a.life != b.life {
+		return a.life < b.life
+	}
+	return a.score < b.score || a.score == b.score && a.e.seq < b.e.seq
 }
 
 // rankTop is how many candidates one ranking keeps: a MAKE_SPACE evicts a
@@ -32,9 +34,9 @@ const rankTop = 32
 // the rankTop minima of a total order, they pop in the order a heap of all
 // candidates would. When a truncated ranking runs out, the next request
 // ranks the candidates left, the victims popped so far having left the
-// list. The scores hold only under the norms they were computed with, so
-// the CP ranking is also rebuilt when the clock or the maximum ratio moves
-// (Cache.cpRankHolds); the Spark norms never move. The plan epoch, which
+// list. The CP scores hold only under the clock and maximum ratio they were
+// normalized with, so the CP ranking is also rebuilt when either moves
+// (Cache.cpRankHolds); the Spark scores read neither. The plan epoch, which
 // the lifetimes depend on, cannot move within one call: BeginPlanEpoch
 // runs when a planned block starts, never from inside an eviction.
 type ranking struct {
@@ -46,7 +48,7 @@ type ranking struct {
 	// truncated records that some candidates were not kept.
 	truncated bool
 
-	// The norms the CP scores were computed under.
+	// The clock and maximum ratio the CP scores were computed under.
 	now      float64
 	maxRatio float64
 	// maxLeft records that a popped victim had ratio maxRatio: the

@@ -30,12 +30,12 @@ func refCPVictim(c *Cache) *Entry {
 			if e.Backend != BackendCP || e.Status != StatusCached || e.Matrix == nil {
 				continue
 			}
-			if r := memctl.Ratio(cpCandidate(e), false); r > maxRatio {
+			if r := cpRatio(e); r > maxRatio {
 				maxRatio = r
 			}
 		}
 	}
-	norms := memctl.Norms{MaxRatio: maxRatio, Now: c.clock.Now()}
+	now := c.clock.Now()
 	planOn := c.planEpoch > 0
 	var victim *Entry
 	best := math.Inf(1)
@@ -45,11 +45,10 @@ func refCPVictim(c *Cache) *Entry {
 			if e.Backend != BackendCP || e.Status != StatusCached || e.Matrix == nil {
 				continue
 			}
-			s := memctl.Score(cpCandidate(e), memctl.CPWeights, norms)
+			s := cpScore(cpRatio(e), e.LastAccess, maxRatio, now)
 			if planOn {
 				life := c.entryLife(e)
-				if memctl.PreferVictim(life, s, bestLife, best) ||
-					life == bestLife && s == best && older(e, victim) {
+				if life < bestLife || life == bestLife && (s < best || s == best && older(e, victim)) {
 					bestLife, best, victim = life, s, e
 				}
 			} else if s < best || s == best && older(e, victim) {
@@ -63,7 +62,6 @@ func refCPVictim(c *Cache) *Entry {
 // refSparkVictim is sparkVictim over every entry of the map, filtered by
 // the candidate predicate of the Spark reuse share.
 func refSparkVictim(c *Cache) *Entry {
-	norms := memctl.Norms{MaxRatio: 1}
 	var victim *Entry
 	best := math.Inf(1)
 	for _, e := range c.entries {
@@ -71,7 +69,7 @@ func refSparkVictim(c *Cache) *Entry {
 			if e.Backend != BackendSpark || e.Status != StatusCached || e.RDD == nil {
 				continue
 			}
-			if s := memctl.Score(cpCandidate(e), memctl.SparkWeights, norms); s < best || s == best && older(e, victim) {
+			if s := sparkScore(e); s < best || s == best && older(e, victim) {
 				best, victim = s, e
 			}
 		}

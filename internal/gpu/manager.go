@@ -120,22 +120,24 @@ func (m *Manager) FreeBytes() int64 {
 	return b
 }
 
-// candidate lifts a pointer into the shared scoring shape.
-func candidate(p *Pointer) memctl.Candidate {
-	return memctl.Candidate{
-		ComputeCost: p.ComputeCost,
-		Size:        p.size,
-		Height:      p.Height,
-		LastAccess:  p.LastAccess,
-	}
-}
-
-// score computes the Eq. 2 eviction score via the shared policy instance
-// (memctl.GPUWeights: recency + 1/height + normalized compute cost);
-// lower is recycled first.
+// score is p's Eq. 2 eviction score, recency + 1/height + normalized
+// compute cost, summed in that order; lower is recycled first. A
+// normalized term is dropped while its normalizer is 0 (time zero, no
+// costed allocation yet), and heights are clamped to 1.
 func (m *Manager) score(p *Pointer) float64 {
-	return memctl.Score(candidate(p), memctl.GPUWeights,
-		memctl.Norms{Now: m.dev.clock.Now(), MaxCost: m.maxCost})
+	s := 0.0
+	if now := m.dev.clock.Now(); now > 0 {
+		s += p.LastAccess / now
+	}
+	h := float64(p.Height)
+	if h < 1 {
+		h = 1
+	}
+	s += 1 / h
+	if m.maxCost > 0 {
+		s += p.ComputeCost / m.maxCost
+	}
+	return s
 }
 
 // popFreeExact removes and returns the lowest-score free pointer of exactly
@@ -146,9 +148,10 @@ func (m *Manager) score(p *Pointer) float64 {
 func (m *Manager) popFreeExact(size int64) *Pointer {
 	q := m.free[size]
 	best := -1
-	for i := range q {
-		if best < 0 || m.score(q[i]) < m.score(q[best]) {
-			best = i
+	bestScore := 0.0
+	for i, p := range q {
+		if s := m.score(p); best < 0 || s < bestScore {
+			best, bestScore = i, s
 		}
 	}
 	if best < 0 {

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -477,5 +478,64 @@ func TestCloseMatchesReferenceDrain(t *testing.T) {
 		if got.FreeCount() != 0 || got.LiveCount() != 0 || gd.Used() != 0 {
 			t.Fatalf("seed %d: %d free, %d live, %d bytes used after Close", seed, got.FreeCount(), got.LiveCount(), gd.Used())
 		}
+	}
+}
+
+// scorePointers are the six fixed objects of the driver cache's score
+// tests (core.scoreEntries) as free pointers of one size, in index order.
+func scorePointers() []*Pointer {
+	ps := []*Pointer{
+		{ComputeCost: 0.010, Height: 1, LastAccess: 0.10},
+		{ComputeCost: 0.002, Height: 4, LastAccess: 0.90},
+		{ComputeCost: 0.500, Height: 2, LastAccess: 0.50},
+		{ComputeCost: 0.050, Height: 8, LastAccess: 0.95},
+		{ComputeCost: 0.0001, Height: 0, LastAccess: 0.01},
+		{ComputeCost: 0.020, Height: 16, LastAccess: 0.70},
+	}
+	for i, p := range ps {
+		p.addr, p.size = int64(i)*64, 64
+	}
+	return ps
+}
+
+// TestScoreOrderingPinned pins the order in which popFreeExact recycles
+// the fixed pointers under Eq. (2), recency + 1/height + cost: the deep
+// (h=16) cheap pointer 5 goes first, the max-cost pointer 2 last.
+func TestScoreOrderingPinned(t *testing.T) {
+	m, d := newTestManager(1 << 20)
+	d.clock.Advance(1)
+	m.maxCost = 0.5
+	ps := scorePointers()
+	m.free[64] = slices.Clone(ps)
+	var got []int
+	for p := m.popFreeExact(64); p != nil; p = m.popFreeExact(64) {
+		got = append(got, slices.Index(ps, p))
+	}
+	if want := []int{5, 4, 0, 1, 3, 2}; !slices.Equal(got, want) {
+		t.Fatalf("recycle order = %v, want %v", got, want)
+	}
+	// Equal scores keep the first pointer of the list.
+	a, b := &Pointer{Height: 1, size: 64}, &Pointer{Height: 1, size: 64, addr: 64}
+	m.free[64] = []*Pointer{a, b}
+	if p := m.popFreeExact(64); p != a {
+		t.Fatal("an equally scored later pointer was recycled first")
+	}
+}
+
+// TestScoreZeroGuards pins the degenerate normalizers: at time zero with
+// no costed allocation only 1/h is left, and a zero pointer (height
+// clamped to 1) stays finite.
+func TestScoreZeroGuards(t *testing.T) {
+	m, d := newTestManager(1 << 20)
+	if now := d.clock.Now(); now != 0 {
+		t.Fatalf("fresh clock reads %v", now)
+	}
+	if got := m.score(&Pointer{ComputeCost: 0.1, Height: 2, LastAccess: 0.5}); got != 0.5 {
+		t.Fatalf("zero now/maxCost keeps only 1/h: got %v, want 0.5", got)
+	}
+	d.clock.Advance(1)
+	m.maxCost = 1
+	if got := m.score(&Pointer{}); math.IsNaN(got) || math.IsInf(got, 0) {
+		t.Fatalf("zero pointer must stay finite, got %v", got)
 	}
 }

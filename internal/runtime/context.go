@@ -200,13 +200,15 @@ type Context struct {
 	storageLevel spark.StorageLevel
 
 	// Memory-planner state: the plan of the currently executing stream,
-	// the current instruction position within it, and the planner report
+	// the current instruction position within it, the planner report
 	// rows by stream signature, also listed in first-seen order (nil
-	// without Config.MemoryPlanner).
-	activePlan *memplan.Plan
-	planPos    int
-	planRecs   map[uint64]*planRecord
-	planOrder  []*planRecord
+	// without Config.MemoryPlanner), and the CP evictions those rows have
+	// claimed so far.
+	activePlan  *memplan.Plan
+	planPos     int
+	planRecs    map[uint64]*planRecord
+	planOrder   []*planRecord
+	planEvicted int64
 
 	// fusedProgs memoizes parsed fused-instruction step programs by
 	// encoding.

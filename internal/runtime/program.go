@@ -106,8 +106,10 @@ func (ctx *Context) runBlocks(blocks []ir.Block) error {
 // block-header reuse parameters (§5.2) and clearing temporaries afterwards.
 // With a memory planner configured the block carries a plan: the stream
 // executes under it, lifetime hints are stamped per position, and
-// measured evictions are attributed back to the stream's report row. Plan
-// state is saved and restored around the block because function calls and
+// measured evictions are attributed back to the stream's report row, less
+// those a nested planned stream (a call inside it) already claimed, so each
+// eviction counts once, in its innermost planned stream. Plan state is
+// saved and restored around the block because function calls and
 // scalar-condition evaluation recurse here.
 func (ctx *Context) runBasicBlock(bb *ir.BasicBlock) error {
 	cb := ctx.compiledBlock(bb)
@@ -115,13 +117,13 @@ func (ctx *Context) runBasicBlock(bb *ir.BasicBlock) error {
 	frame := ctx.enterFrame(cb.layout)
 	savedPlan, savedPos := ctx.activePlan, ctx.planPos
 	var rec *planRecord
-	var evictBefore int64
+	var evictBefore, claimedBefore int64
 	if cb.Plan != nil {
 		rec = ctx.planRecordFor(cb)
 		ctx.activePlan, ctx.planPos = cb.Plan, 0
 		ctx.Cache.BeginPlanEpoch()
 		ctx.Stats.PlanBlocks++
-		evictBefore = ctx.Cache.Stats.EvictionsCP
+		evictBefore, claimedBefore = ctx.Cache.Stats.EvictionsCP, ctx.planEvicted
 	}
 	prevDelay, prevLevel := ctx.delayFactor, ctx.storageLevel
 	ctx.delayFactor = bb.DelayFactor
@@ -152,7 +154,9 @@ func (ctx *Context) runBasicBlock(bb *ir.BasicBlock) error {
 	ctx.delayFactor, ctx.storageLevel = prevDelay, prevLevel
 	if rec != nil {
 		rec.runs++
-		rec.evictions += ctx.Cache.Stats.EvictionsCP - evictBefore
+		own := ctx.Cache.Stats.EvictionsCP - evictBefore - (ctx.planEvicted - claimedBefore)
+		rec.evictions += own
+		ctx.planEvicted += own
 	}
 	ctx.activePlan, ctx.planPos = savedPlan, savedPos
 	return err

@@ -8,7 +8,6 @@ import (
 
 	"memphis/internal/data"
 	"memphis/internal/faults"
-	"memphis/internal/runtime"
 )
 
 // chaosRun runs a faulted serve workload mix: `n` tenants submit the same
@@ -83,36 +82,31 @@ func TestChaosDeterminism(t *testing.T) {
 	}
 }
 
-// missCompileCache is the reference side of the compile-cache property: it
-// answers every lookup with a miss, so a session attached to it compiles
-// every block on every execution.
-type missCompileCache struct{}
-
-func (missCompileCache) LookupCompiled(uint64) (*runtime.CompiledBlock, bool) { return nil, false }
-func (missCompileCache) StoreCompiled(_ uint64, cb *runtime.CompiledBlock) *runtime.CompiledBlock {
-	return cb
-}
-
 // TestCompileCacheBitwiseProperty is the compile-cache acceptance property:
-// for every (worker count, fault plan) combination, running on the shared
-// compile cache or compiling every block afresh (a Bind hook attaches the
-// always-miss cache) changes neither a single result bit nor a single
+// for every (worker count, fault plan) combination, running on a cold
+// compile cache or on one an identical earlier server warmed (handed to an
+// unstarted server) changes neither a single result bit nor a single
 // virtual latency. Compilation charges no virtual time and compiled streams
 // are pure functions of (program, shapes, config), so cached and uncached
 // executions are indistinguishable to tenants.
 func TestCompileCacheBitwiseProperty(t *testing.T) {
 	const n = 5
-	run := func(workers int, cache bool, plan *faults.Plan) ([]float64, []*data.Matrix) {
+	// run serves n requests on a server that compiles through cc, a fresh
+	// cache when nil, and returns their latencies, results and the cache.
+	run := func(workers int, cc *CompileCache, plan *faults.Plan) ([]float64, []*data.Matrix, *CompileCache) {
 		conf := DefaultConfig()
 		conf.Workers = workers
 		conf.Faults = plan
-		srv := New(conf)
+		srv := newServer(conf)
+		warm := cc != nil
+		if warm {
+			srv.cc = cc
+		}
+		before := srv.cc.StatsSnapshot()
+		srv.startWorkers()
 		defer srv.Close()
 		w := hcvWorkload()
 		opts := SubmitOptions{Inputs: w.HostInputs(), Fetch: []string{"best"}}
-		if !cache {
-			opts.Bind = func(ctx *runtime.Context) { ctx.AttachCompileCache(missCompileCache{}, 0) }
-		}
 		futs := make([]*Future, n)
 		for i := range futs {
 			f, err := srv.Submit(fmt.Sprintf("t%d", i), w.Prog, opts)
@@ -126,34 +120,40 @@ func TestCompileCacheBitwiseProperty(t *testing.T) {
 		for i, f := range futs {
 			res, err := f.Wait()
 			if err != nil {
-				t.Fatalf("workers=%d cache=%v: request %d failed: %v", workers, cache, i, err)
+				t.Fatalf("workers=%d warm=%v: request %d failed: %v", workers, warm, i, err)
 			}
 			vtimes[i] = res.VirtualSeconds
 			vals[i] = res.Values["best"]
 		}
-		if st := srv.Snapshot().CompileCache; !cache && st.Lookups != 0 {
-			t.Fatalf("workers=%d: the reference side looked up %d blocks in the shared compile cache", workers, st.Lookups)
-		} else if cache && st.Lookups == 0 {
-			t.Fatalf("workers=%d: the cached side never used the shared compile cache", workers)
+		st := srv.cc.StatsSnapshot()
+		lookups, hits, stores := st.Lookups-before.Lookups, st.Hits-before.Hits, st.Stores-before.Stores
+		if !warm && stores == 0 {
+			t.Fatalf("workers=%d: the cold side compiled no block", workers)
+		} else if warm && (lookups == 0 || hits != lookups || stores != 0) {
+			t.Fatalf("workers=%d: the warm side made %d lookups, %d hits, %d stores; want every lookup a hit",
+				workers, lookups, hits, stores)
 		}
-		return vtimes, vals
+		return vtimes, vals, srv.cc
 	}
 	for _, plan := range []*faults.Plan{nil, faults.Default(42)} {
-		refV, refM := run(1, false, plan)
-		for _, workers := range []int{1, 4, 8} {
-			for _, cache := range []bool{false, true} {
-				v, m := run(workers, cache, plan)
-				for i := range v {
-					if v[i] != refV[i] {
-						t.Fatalf("chaos=%v workers=%d cache=%v: request %d vtime %v != reference %v",
-							plan != nil, workers, cache, i, v[i], refV[i])
-					}
-					if !data.AllClose(m[i], refM[i], 0) {
-						t.Fatalf("chaos=%v workers=%d cache=%v: request %d result differs bitwise",
-							plan != nil, workers, cache, i)
-					}
+		refV, refM, _ := run(1, nil, plan)
+		check := func(workers int, warm bool, v []float64, m []*data.Matrix) {
+			for i := range v {
+				if v[i] != refV[i] {
+					t.Fatalf("chaos=%v workers=%d warm=%v: request %d vtime %v != reference %v",
+						plan != nil, workers, warm, i, v[i], refV[i])
+				}
+				if !data.AllClose(m[i], refM[i], 0) {
+					t.Fatalf("chaos=%v workers=%d warm=%v: request %d result differs bitwise",
+						plan != nil, workers, warm, i)
 				}
 			}
+		}
+		for _, workers := range []int{1, 4, 8} {
+			v, m, cc := run(workers, nil, plan)
+			check(workers, false, v, m)
+			v, m, _ = run(workers, cc, plan)
+			check(workers, true, v, m)
 		}
 	}
 }

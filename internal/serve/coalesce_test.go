@@ -9,7 +9,6 @@ import (
 	"memphis/internal/costs"
 	"memphis/internal/data"
 	"memphis/internal/faults"
-	"memphis/internal/runtime"
 )
 
 // coalesceConf is the common template for the batched-admission tests.
@@ -41,26 +40,15 @@ func expectedCopyCharge(leader *Result) float64 {
 // (a) a result bitwise-equal to the leader's, (b) its own deep copy —
 // mutating one tenant's matrix must not leak into any other's, and (c) the
 // documented virtual latency: the leader's plus one copy charge per
-// fetched value. A worker-pinning request queues the leader first, so the
-// followers exercise the pending-group (waiter fan-out) path.
+// fetched value. The server's worker starts after every submission, so the
+// leader sits queued while the followers join: they exercise the
+// pending-group (waiter fan-out) path.
 func TestCoalesceIndependentCopies(t *testing.T) {
 	const followers = 4
-	srv := New(coalesceConf(1))
+	srv := newServer(coalesceConf(1))
 	defer srv.Close()
 	w := hcvWorkload()
 	inputs := w.HostInputs()
-
-	// Pin the single worker so the leader sits queued while followers join.
-	hold := make(chan struct{})
-	started := make(chan struct{})
-	gate, err := srv.Submit("gate", trivialProg(), SubmitOptions{Bind: func(*runtime.Context) {
-		close(started)
-		<-hold
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-started
 
 	lead, err := srv.Submit("leader", w.Prog, SubmitOptions{Inputs: inputs, Fetch: []string{"best"}})
 	if err != nil {
@@ -75,10 +63,7 @@ func TestCoalesceIndependentCopies(t *testing.T) {
 		}
 		futs[i] = f
 	}
-	close(hold)
-	if _, err := gate.Wait(); err != nil {
-		t.Fatal(err)
-	}
+	srv.startWorkers()
 	leadRes, err := lead.Wait()
 	if err != nil {
 		t.Fatal(err)
@@ -170,25 +155,16 @@ func TestCoalesceLateJoinersMatchWaiters(t *testing.T) {
 func TestCoalesceLeaderFailureFansOut(t *testing.T) {
 	const followers = 3
 	conf := coalesceConf(1)
-	// Ticket 1 is the gate, ticket 2 the leader: its worker crashes on more
-	// attempts than the retry budget allows.
+	// Ticket 1 is the leader: its worker crashes on more attempts than the
+	// retry budget allows. The worker starts once the followers have
+	// joined its group.
 	conf.Faults = &faults.Plan{Seed: 5, Sites: map[faults.Site]faults.Trigger{
-		faults.ServeRequest: {Nth: []int64{2}, Attempts: maxRetries + 3},
+		faults.ServeRequest: {Nth: []int64{1}, Attempts: maxRetries + 3},
 	}}
-	srv := New(conf)
+	srv := newServer(conf)
 	defer srv.Close()
 	w := hcvWorkload()
 	inputs := w.HostInputs()
-	hold := make(chan struct{})
-	started := make(chan struct{})
-	gate, err := srv.Submit("gate", trivialProg(), SubmitOptions{Bind: func(*runtime.Context) {
-		close(started)
-		<-hold
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-started
 	opts := SubmitOptions{Inputs: inputs, Fetch: []string{"best"}}
 	lead, err := srv.Submit("leader", w.Prog, opts)
 	if err != nil {
@@ -200,10 +176,7 @@ func TestCoalesceLeaderFailureFansOut(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	close(hold)
-	if _, err := gate.Wait(); err != nil {
-		t.Fatal(err)
-	}
+	srv.startWorkers()
 	res, leadErr := lead.Wait()
 	if leadErr == nil || res != nil {
 		t.Fatalf("leader scripted to crash %d attempts returned %v, %v", maxRetries+3, res, leadErr)
@@ -221,13 +194,13 @@ func TestCoalesceLeaderFailureFansOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res, err := again.Wait(); err != nil || res.Coalesced || res.Ticket != 3+followers {
-		t.Fatalf("resubmission: %+v, %v; want ticket %d executed on its own", res, err, 3+followers)
+	if res, err := again.Wait(); err != nil || res.Coalesced || res.Ticket != 2+followers {
+		t.Fatalf("resubmission: %+v, %v; want ticket %d executed on its own", res, err, 2+followers)
 	}
 	srv.Close()
-	if snap := srv.Snapshot(); snap.Failed != 1+followers || snap.Completed != 3+followers || snap.Retries != maxRetries {
+	if snap := srv.Snapshot(); snap.Failed != 1+followers || snap.Completed != 2+followers || snap.Retries != maxRetries {
 		t.Fatalf("failed=%d completed=%d retries=%d, want %d, %d and %d",
-			snap.Failed, snap.Completed, snap.Retries, 1+followers, 3+followers, maxRetries)
+			snap.Failed, snap.Completed, snap.Retries, 1+followers, 2+followers, maxRetries)
 	}
 }
 

@@ -236,23 +236,15 @@ func trivialProg() *ir.Program {
 	return p
 }
 
-// TestAdmissionControl holds the single worker hostage with a blocking Bind,
-// then verifies the per-tenant and queue-depth rejections.
+// TestAdmissionControl submits to a server whose worker has not started,
+// so every request stays queued, and verifies the per-tenant and
+// queue-depth rejections.
 func TestAdmissionControl(t *testing.T) {
 	conf := DefaultConfig()
 	conf.Workers = 1
 	conf.MaxQueue = 3
 	conf.MaxPerTenant = 2
-	srv := New(conf)
-	started := make(chan struct{})
-	release := make(chan struct{})
-	gate, err := srv.Submit("gate", trivialProg(), SubmitOptions{
-		Bind: func(*runtime.Context) { close(started); <-release },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-started // the gate request is running, not queued
+	srv := newServer(conf)
 
 	var futs []*Future
 	for i := 0; i < 2; i++ {
@@ -274,10 +266,7 @@ func TestAdmissionControl(t *testing.T) {
 		t.Fatalf("submit into a full queue: got %v, want ErrQueueFull", err)
 	}
 
-	close(release)
-	if _, err := gate.Wait(); err != nil {
-		t.Fatal(err)
-	}
+	srv.startWorkers()
 	for _, f := range futs {
 		if _, err := f.Wait(); err != nil {
 			t.Fatal(err)
@@ -301,17 +290,10 @@ func TestAdmissionMapsForgetDrainedTenants(t *testing.T) {
 	conf := DefaultConfig()
 	conf.Workers = 1
 	conf.Coalesce = true
-	srv := New(conf)
+	srv := newServer(conf)
 	defer srv.Close()
-	started := make(chan struct{})
-	release := make(chan struct{})
-	gate, err := srv.Submit("gate", trivialProg(), SubmitOptions{
-		Bind: func(*runtime.Context) { close(started); <-release },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-started // the worker is busy: everything below queues or joins a group
+	// The worker starts after the submissions: each below queues or joins
+	// a group.
 	const tenants = 48
 	var futs []*Future
 	for i := 0; i < tenants; i++ {
@@ -332,10 +314,7 @@ func TestAdmissionMapsForgetDrainedTenants(t *testing.T) {
 		}
 		futs = append(futs, f)
 	}
-	close(release)
-	if _, err := gate.Wait(); err != nil {
-		t.Fatal(err)
-	}
+	srv.startWorkers()
 	for _, f := range futs {
 		if _, err := f.Wait(); err != nil {
 			t.Fatal(err)
@@ -350,14 +329,14 @@ func TestAdmissionMapsForgetDrainedTenants(t *testing.T) {
 		t.Fatalf("late joiner not served as a follower: %v", err)
 	}
 	srv.Close()
-	if snap := srv.Snapshot(); snap.Coalesced != tenants || snap.Completed != 2*tenants+2 {
-		t.Fatalf("%d coalesced, %d completed: want %d and %d", snap.Coalesced, snap.Completed, tenants, 2*tenants+2)
+	if snap := srv.Snapshot(); snap.Coalesced != tenants || snap.Completed != 2*tenants+1 {
+		t.Fatalf("%d coalesced, %d completed: want %d and %d", snap.Coalesced, snap.Completed, tenants, 2*tenants+1)
 	}
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
 	if len(srv.tenantLoad) != 0 || len(srv.tenantActive) != 0 {
 		t.Fatalf("after draining %d tenants the admission maps hold %d and %d keys, want 0 and 0",
-			2*tenants+2, len(srv.tenantLoad), len(srv.tenantActive))
+			2*tenants+1, len(srv.tenantLoad), len(srv.tenantActive))
 	}
 }
 

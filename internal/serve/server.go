@@ -65,12 +65,12 @@ type Config struct {
 
 	// Coalesce enables batched admission: a submission that resolves to the
 	// same compiled plan as a recent one — same program fingerprint, same
-	// input contents, same fetch set, no Bind hook — joins that request's
-	// coalesce group instead of queueing. The group leader executes once and
-	// its results fan out to all followers as independent copies. Group
-	// membership is decided purely in ticket space at Submit time (see
-	// coalesceWindow and MaxBatch), so it is identical for every worker count
-	// and interleaving. Disabled by default.
+	// input contents, same fetch set — joins that request's coalesce group
+	// instead of queueing. The group leader executes once and its results
+	// fan out to all followers as independent copies. Group membership is
+	// decided purely in ticket space at Submit time (see coalesceWindow and
+	// MaxBatch), so it is identical for every worker count and
+	// interleaving. Disabled by default.
 	Coalesce bool
 	// MaxBatch caps a coalesce group's size, leader included (default 64).
 	MaxBatch int
@@ -112,10 +112,6 @@ type SubmitOptions struct {
 	// serialize in ticket order. Inputs must not be mutated from the call to
 	// Submit until the request completes.
 	Inputs map[string]*data.Matrix
-	// Bind, when set, runs after Inputs are bound and may install
-	// additional variables. Because its effects are opaque, the request
-	// conservatively conflicts with every other request.
-	Bind func(*runtime.Context)
 	// Fetch lists variables to materialize to the host in the Result.
 	Fetch []string
 }
@@ -154,11 +150,9 @@ type request struct {
 	ticket uint64
 	// in is the input binding hashed once at admission: the conflict keys
 	// the scheduler serializes on and the fingerprints the session needs.
-	in     hashedInputs
-	global bool
+	in hashedInputs
 	// group is the coalesce group the request leads (nil when coalescing is
-	// off or the request is ineligible). coalKey is the group's key in
-	// Server.groups.
+	// off). coalKey is the group's key in Server.groups.
 	group   *coalesceGroup
 	coalKey uint64
 
@@ -226,7 +220,6 @@ type Server struct {
 	cond         *sync.Cond
 	queue        []*request
 	running      map[uint64]int            // conflict key -> running holders
-	runningGlob  bool                      // a Bind-carrying request is running
 	runningCount int                       // requests currently executing
 	tenantActive map[string]bool           // tenant has a running request; no key otherwise
 	tenantLoad   map[string]int            // queued+running per tenant (admission); no key at 0
@@ -248,8 +241,12 @@ type Server struct {
 	wg sync.WaitGroup
 }
 
-// New starts the server's workers.
-func New(conf Config) *Server {
+// New starts a server and its workers.
+func New(conf Config) *Server { return newServer(conf).startWorkers() }
+
+// newServer builds a server whose workers have not started: submissions
+// queue until startWorkers.
+func newServer(conf Config) *Server {
 	if conf.Workers <= 0 {
 		conf.Workers = 4
 	}
@@ -286,8 +283,13 @@ func New(conf Config) *Server {
 		s.shared.SetShardEnabled(idx, false)
 	}
 	s.cond = sync.NewCond(&s.mu)
-	s.wg.Add(conf.Workers)
-	for i := 0; i < conf.Workers; i++ {
+	return s
+}
+
+// startWorkers launches the server's workers.
+func (s *Server) startWorkers() *Server {
+	s.wg.Add(s.conf.Workers)
+	for i := 0; i < s.conf.Workers; i++ {
 		go s.worker()
 	}
 	return s
@@ -385,10 +387,9 @@ func (s *Server) Submit(tenant string, prog *ir.Program, opts SubmitOptions) (*F
 	if s.closed {
 		return nil, ErrClosed
 	}
-	canCoalesce := s.conf.Coalesce && opts.Bind == nil
 	progKey := s.prepareLocked(prog)
 	var coalKey uint64
-	if canCoalesce {
+	if s.conf.Coalesce {
 		s.pruneGroupsLocked()
 		coalKey = coalesceKey(progKey, in.keys, opts.Fetch)
 		if g := s.groups[coalKey]; g != nil && s.nextTicket+1-g.leader <= coalesceWindow && g.size < s.conf.MaxBatch {
@@ -427,10 +428,9 @@ func (s *Server) Submit(tenant string, prog *ir.Program, opts SubmitOptions) (*F
 		opts:   opts,
 		ticket: s.nextTicket,
 		in:     in,
-		global: opts.Bind != nil,
 		done:   make(chan struct{}),
 	}
-	if canCoalesce {
+	if s.conf.Coalesce {
 		g := &coalesceGroup{leader: req.ticket, size: 1}
 		req.group = g
 		req.coalKey = coalKey
@@ -476,26 +476,18 @@ func (s *Server) pruneGroupsLocked() {
 // which is what makes virtual latencies interleaving-independent.
 func (s *Server) pickLocked() *request {
 	earlier := make(map[uint64]struct{})
-	earlierAny := false
-	earlierGlobal := false
 	seenTenant := make(map[string]bool)
 	for i, r := range s.queue {
 		eligible := !s.tenantActive[r.tenant] && !seenTenant[r.tenant]
 		if eligible {
-			if r.global {
-				eligible = s.runningCount == 0 && !earlierAny
-			} else if s.runningGlob || earlierGlobal {
-				eligible = false
-			} else {
-				for _, k := range r.in.keys {
-					if _, ok := s.running[k]; ok {
-						eligible = false
-						break
-					}
-					if _, ok := earlier[k]; ok {
-						eligible = false
-						break
-					}
+			for _, k := range r.in.keys {
+				if _, ok := s.running[k]; ok {
+					eligible = false
+					break
+				}
+				if _, ok := earlier[k]; ok {
+					eligible = false
+					break
 				}
 			}
 		}
@@ -504,13 +496,8 @@ func (s *Server) pickLocked() *request {
 			return r
 		}
 		seenTenant[r.tenant] = true
-		earlierAny = true
-		if r.global {
-			earlierGlobal = true
-		} else {
-			for _, k := range r.in.keys {
-				earlier[k] = struct{}{}
-			}
+		for _, k := range r.in.keys {
+			earlier[k] = struct{}{}
 		}
 	}
 	return nil
@@ -536,12 +523,8 @@ func (s *Server) worker() {
 		}
 		s.tenantActive[req.tenant] = true
 		s.runningCount++
-		if req.global {
-			s.runningGlob = true
-		} else {
-			for _, k := range req.in.keys {
-				s.running[k]++
-			}
+		for _, k := range req.in.keys {
+			s.running[k]++
 		}
 		s.mu.Unlock()
 
@@ -550,13 +533,9 @@ func (s *Server) worker() {
 		s.mu.Lock()
 		delete(s.tenantActive, req.tenant)
 		s.runningCount--
-		if req.global {
-			s.runningGlob = false
-		} else {
-			for _, k := range req.in.keys {
-				if s.running[k]--; s.running[k] <= 0 {
-					delete(s.running, k)
-				}
+		for _, k := range req.in.keys {
+			if s.running[k]--; s.running[k] <= 0 {
+				delete(s.running, k)
 			}
 		}
 		s.accountLocked(req.tenant, res, err)
@@ -709,9 +688,6 @@ func (s *Server) runAttempt(req *request, attempt int) (res *Result, err error) 
 	ctx.AttachCompileCache(s.cc, 0)
 	for i, n := range req.in.names {
 		ctx.BindHostFingerprinted(n, req.opts.Inputs[n], req.in.sums[i])
-	}
-	if req.opts.Bind != nil {
-		req.opts.Bind(ctx)
 	}
 	if err := ctx.RunProgram(req.prog); err != nil {
 		return nil, fmt.Errorf("serve: request %d (%s): %w", req.ticket, req.tenant, err)
