@@ -74,7 +74,7 @@ func TestRidgeCacheFlipsPinned(t *testing.T) {
 		vtime       string
 		hits, evict int64
 	}{
-		{true, "0.000369732", 4, 18},
+		{true, "0.000618492", 1, 18},
 		{false, "0.000690492", 1, 21},
 	} {
 		s := runRidge(t, tc.planner)

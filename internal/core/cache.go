@@ -131,13 +131,6 @@ type Entry struct {
 	SeenCount   int   // repetitions observed so far
 	UnmatTouch  int64 // reuses while the RDD was unmaterialized
 
-	// Planner hint stamp (memplan): the static lifetime class of the
-	// entry's value in the plan epoch it was stamped under. Stamps from
-	// older epochs are stale (the block that produced them finished) and
-	// read as LifeUnknown.
-	planLife  memctl.Lifetime
-	planEpoch int64
-
 	// seq orders entries by insertion; victim selection breaks score ties
 	// toward the lower (older) one instead of toward candidate order.
 	seq uint64
@@ -304,11 +297,6 @@ type Cache struct {
 	cpPeak    int64
 	sparkPeak int64
 
-	// planEpoch counts planned-block executions; zero means no memory
-	// plan has ever been active and victim selection is byte-identical to
-	// the pre-planner policy.
-	planEpoch int64
-
 	sc  *spark.Context // may be nil (no Spark backend)
 	gm  *gpu.Manager   // may be nil (no GPU backend)
 	gpE map[*gpu.Pointer]*Entry
@@ -369,31 +357,6 @@ func (c *Cache) bumpSpark() {
 	if c.sparkUsed > c.sparkPeak {
 		c.sparkPeak = c.sparkUsed
 	}
-}
-
-// BeginPlanEpoch starts a new planner epoch: stamps from earlier planned
-// blocks become stale. Called by the runtime before executing a planned
-// stream; never called with the planner off, so planEpoch stays zero and
-// victim selection keeps its historical byte-identical order.
-func (c *Cache) BeginPlanEpoch() { c.planEpoch++ }
-
-// StampLifetime attaches the planner's lifetime class to an entry under
-// the current epoch.
-func (c *Cache) StampLifetime(e *Entry, life memctl.Lifetime) {
-	if e == nil {
-		return
-	}
-	e.planLife = life
-	e.planEpoch = c.planEpoch
-}
-
-// entryLife reads an entry's effective lifetime class: the stamp when it
-// is from the current epoch, unknown otherwise.
-func (c *Cache) entryLife(e *Entry) memctl.Lifetime {
-	if c.planEpoch > 0 && e.planEpoch == c.planEpoch {
-		return e.planLife
-	}
-	return memctl.LifeUnknown
 }
 
 // NumEntries returns the number of cache entries (all states).

@@ -454,16 +454,14 @@ func TestCheapGPUEntryDroppedOnRecycle(t *testing.T) {
 
 // TestEvictionTiesGoToTheOlderEntry: three equally scored entries and one
 // more put evict the first of the three, on every one of 200 fresh caches,
-// for the driver cache with the planner off and on and for the Spark reuse
-// share (where Eq. (1) scores every unreferenced RDD 0). Map iteration
-// order used to decide.
+// for the driver cache and for the Spark reuse share (where Eq. (1) scores
+// every unreferenced RDD 0). Map iteration order used to decide.
 func TestEvictionTiesGoToTheOlderEntry(t *testing.T) {
 	cases := []struct {
 		name string
 		run  func() (evicted []string)
 	}{
-		{"cp", func() []string { return cpTie(false) }},
-		{"cp-planned", func() []string { return cpTie(true) }},
+		{"cp", cpTie},
 		{"spark", sparkTie},
 	}
 	for _, c := range cases {
@@ -481,13 +479,10 @@ func TestEvictionTiesGoToTheOlderEntry(t *testing.T) {
 // cpTie puts a, b and c with equal cost, size and last access into a
 // driver cache that fits three, puts d, and returns which of a, b, c went.
 // Each costs 1 ms, below the disk round trip, so the victim is dropped.
-func cpTie(planned bool) []string {
+func cpTie() []string {
 	conf := DefaultConfig()
 	conf.CPBudget = 3 * 8 * 16
 	e := newEnv(conf)
-	if planned {
-		e.cache.BeginPlanEpoch()
-	}
 	for _, n := range []string{"a", "b", "c"} {
 		e.cache.PutCP(li(n, ""), data.Ones(4, 4), 1e-3, 1, false, false).LastAccess = 0
 	}

@@ -6,7 +6,6 @@ import (
 	"memphis/internal/faults"
 	"memphis/internal/gpu"
 	"memphis/internal/lineage"
-	"memphis/internal/memctl"
 	"memphis/internal/spark"
 )
 
@@ -134,12 +133,8 @@ func sparkScore(e *Entry) float64 {
 // rankCP ranks the resident CP entries by cpScore (LIMA's Cost&Size
 // ratio, normalized against the maximum over the resident entries, plus
 // recency), reading each entry's ratio and last access from its row.
-// Under an active memory plan (planEpoch > 0) the order is lifetime-grouped
-// first: entries the plan marked dead evict before unknown ones, soon-reused
-// ones are protected, and the hybrid score orders each group. With the
-// planner off every entry reads LifeUnknown and the order is by score
-// alone. Either way equal scores go to the older entry, so the order of
-// cpCands does not matter.
+// Equal scores go to the older entry, so the order of cpCands does not
+// matter.
 func (c *Cache) rankCP() {
 	maxRatio := 0.0
 	for _, row := range c.cpRows {
@@ -152,7 +147,7 @@ func (c *Cache) rankCP() {
 	r.reset(len(c.cpRows))
 	for i, row := range c.cpRows {
 		e := c.cpCands[i]
-		if x := (ranked{e, c.entryLife(e), cpScore(row.ratio, row.last, maxRatio, now)}); r.wants(x) {
+		if x := (ranked{e, cpScore(row.ratio, row.last, maxRatio, now)}); r.wants(x) {
 			r.keep(x)
 		}
 	}
@@ -287,7 +282,7 @@ func (c *Cache) rankSpark() {
 	r := &c.sparkRank
 	r.reset(len(c.sparkCands))
 	for _, e := range c.sparkCands {
-		if x := (ranked{e, memctl.LifeUnknown, sparkScore(e)}); r.wants(x) {
+		if x := (ranked{e, sparkScore(e)}); r.wants(x) {
 			r.keep(x)
 		}
 	}

@@ -1,22 +1,15 @@
 package core
 
-import "memphis/internal/memctl"
-
 // ranked is one victim candidate with its key in the victim order.
 type ranked struct {
 	e     *Entry
-	life  memctl.Lifetime
 	score float64
 }
 
-// before is the victim order: the lower lifetime group (dead < unknown <
-// soon), then the lower score, then the older entry. It is a total order
-// over distinct entries, so its minimum is the victim a scan of the
-// candidates returns.
+// before is the victim order: the lower score, then the older entry. It
+// is a total order over distinct entries, so its minimum is the victim a
+// scan of the candidates returns.
 func (a ranked) before(b ranked) bool {
-	if a.life != b.life {
-		return a.life < b.life
-	}
 	return a.score < b.score || a.score == b.score && a.e.seq < b.e.seq
 }
 
@@ -36,9 +29,7 @@ const rankTop = 32
 // ranks the candidates left, the victims popped so far having left the
 // list. The CP scores hold only under the clock and maximum ratio they were
 // normalized with, so the CP ranking is also rebuilt when either moves
-// (Cache.cpRankHolds); the Spark scores read neither. The plan epoch, which
-// the lifetimes depend on, cannot move within one call: BeginPlanEpoch
-// runs when a planned block starts, never from inside an eviction.
+// (Cache.cpRankHolds); the Spark scores read neither.
 type ranking struct {
 	top  [rankTop]ranked
 	n    int // candidates kept in top

@@ -36,22 +36,14 @@ func refCPVictim(c *Cache) *Entry {
 		}
 	}
 	now := c.clock.Now()
-	planOn := c.planEpoch > 0
 	var victim *Entry
 	best := math.Inf(1)
-	bestLife := memctl.LifeSoon + 1
 	for _, e := range c.entries {
 		for ; e != nil; e = e.same {
 			if e.Backend != BackendCP || e.Status != StatusCached || e.Matrix == nil {
 				continue
 			}
-			s := cpScore(cpRatio(e), e.LastAccess, maxRatio, now)
-			if planOn {
-				life := c.entryLife(e)
-				if life < bestLife || life == bestLife && (s < best || s == best && older(e, victim)) {
-					bestLife, best, victim = life, s, e
-				}
-			} else if s < best || s == best && older(e, victim) {
+			if s := cpScore(cpRatio(e), e.LastAccess, maxRatio, now); s < best || s == best && older(e, victim) {
 				best, victim = s, e
 			}
 		}
@@ -272,10 +264,9 @@ func collidingKey(k int) *lineage.Item {
 // TestVictimOrderMatchesReferenceScan drives caches with all three backends
 // through seeded random sequences of eager and delayed puts, GPU recycling
 // and demotion, probes, restores of spilled entries under injected spill
-// faults, MAKE_SPACE on both pools directly and through the arbiter, plan
-// epochs with lifetime stamps, and clears. Every victim an eviction pops
-// from a ranking must be what the reference scan picks at that moment, and
-// after every step the candidate lists must equal the map filtered by
+// faults, MAKE_SPACE on both pools directly and through the arbiter, and
+// clears. Every victim an eviction pops from a ranking must be what the
+// reference scan picks at that moment, and after every step the candidate lists must equal the map filtered by
 // their predicates, with the used-byte counters equal to the listed sizes,
 // every score row must equal its candidate's fields, the placeholder list
 // must link exactly the map's placeholders, and the first victims of fresh
@@ -393,7 +384,7 @@ func TestVictimOrderMatchesReferenceScan(t *testing.T) {
 					} else {
 						c.MakeSpaceSpark(rng.Int63n(conf.SparkBudget))
 					}
-				case op < 88:
+				case op < 98:
 					// A need past the free room: MAKE_SPACE frees at
 					// least the extra bytes, at least one victim.
 					need := int64(1 + rng.Intn(1024))
@@ -401,13 +392,6 @@ func TestVictimOrderMatchesReferenceScan(t *testing.T) {
 						c.MakeSpaceCP(conf.CPBudget - c.cpUsed + need)
 					} else {
 						c.MakeSpaceSpark(conf.SparkBudget - c.sparkUsed + need)
-					}
-				case op < 98:
-					if rng.Intn(2) == 0 {
-						c.BeginPlanEpoch()
-					}
-					for i := rng.Intn(6); i > 0; i-- {
-						c.StampLifetime(pick(func(*Entry) bool { return true }), memctl.Lifetime(rng.Intn(3)-1))
 					}
 				default:
 					c.Clear()

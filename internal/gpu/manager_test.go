@@ -499,19 +499,21 @@ func scorePointers() []*Pointer {
 }
 
 // TestScoreOrderingPinned pins the order in which popFreeExact recycles
-// the fixed pointers under Eq. (2), recency + 1/height + cost: the deep
-// (h=16) cheap pointer 5 goes first, the max-cost pointer 2 last.
+// the fixed pointers under Eq. (2), recency + 1/height + cost, and in which
+// DemotableLive lists them as cached live pointers: the deep (h=16) cheap
+// pointer 5 goes first, the max-cost pointer 2 last.
 func TestScoreOrderingPinned(t *testing.T) {
 	m, d := newTestManager(1 << 20)
 	d.clock.Advance(1)
 	m.maxCost = 0.5
+	want := []int{5, 4, 0, 1, 3, 2}
 	ps := scorePointers()
 	m.free[64] = slices.Clone(ps)
 	var got []int
 	for p := m.popFreeExact(64); p != nil; p = m.popFreeExact(64) {
 		got = append(got, slices.Index(ps, p))
 	}
-	if want := []int{5, 4, 0, 1, 3, 2}; !slices.Equal(got, want) {
+	if !slices.Equal(got, want) {
 		t.Fatalf("recycle order = %v, want %v", got, want)
 	}
 	// Equal scores keep the first pointer of the list.
@@ -519,6 +521,26 @@ func TestScoreOrderingPinned(t *testing.T) {
 	m.free[64] = []*Pointer{a, b}
 	if p := m.popFreeExact(64); p != a {
 		t.Fatal("an equally scored later pointer was recycled first")
+	}
+
+	// The same pointers, cached and live, in the demotion candidate order.
+	for _, p := range ps {
+		p.Cached = true
+		m.live[p] = struct{}{}
+	}
+	got = got[:0]
+	for _, p := range m.DemotableLive() {
+		got = append(got, slices.Index(ps, p))
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("demotion order = %v, want %v", got, want)
+	}
+	// Equal scores go in address order.
+	m.live = map[*Pointer]struct{}{}
+	a, b = &Pointer{Height: 1, Cached: true, addr: 64}, &Pointer{Height: 1, Cached: true}
+	m.live[a], m.live[b] = struct{}{}, struct{}{}
+	if got := m.DemotableLive(); len(got) != 2 || got[0] != b || got[1] != a {
+		t.Fatal("equally scored pointers are not listed in address order")
 	}
 }
 

@@ -2,8 +2,7 @@
 // registry shared by every memory region in the system — the driver's
 // lineage cache (CP), the reuse share of Spark cluster storage, the Spark
 // block manager's partition region, the GPU device pool, and the serving
-// layer's per-tenant shared-cache shares — and the lifetime classes the
-// planner-aware pools group their victims by. As in the paper's holistic
+// layer's per-tenant shared-cache shares. As in the paper's holistic
 // memory management (§4), the regions share one lineage cache and each
 // evicts by its own rule, scored next to the code that ranks with it: the
 // driver cache by LIMA's Cost&Size ratio plus recency, the Spark reuse
@@ -18,33 +17,3 @@
 // layer's shared cache and tenant shares (oldest-first) evict on their own
 // paths and note what they did.
 package memctl
-
-// Lifetime is the planner's static liveness classification of a cached
-// object relative to the currently executing instruction stream. Victim
-// selection orders groups before scores: dead objects evict first,
-// soon-reused objects are protected, and the pool's own score breaks ties
-// within a group (Deca-style lifetime-grouped eviction).
-type Lifetime int
-
-const (
-	// LifeDead marks an object with no further use in the current plan
-	// (a block-local temporary past its last-use point): evict first.
-	LifeDead Lifetime = iota - 1
-	// LifeUnknown is the zero value: no plan information, rank by score
-	// alone (the pre-planner behavior).
-	LifeUnknown
-	// LifeSoon marks an object the plan reads again within the protection
-	// window: evict last.
-	LifeSoon
-)
-
-func (l Lifetime) String() string {
-	switch l {
-	case LifeDead:
-		return "dead"
-	case LifeSoon:
-		return "soon"
-	default:
-		return "unknown"
-	}
-}

@@ -11,13 +11,9 @@
 //     mid-block (the runtime clears temporaries at block end), so every
 //     operand stays resident from its first appearance to the end of the
 //     block, and the sum of the operand bytes is the stream's peak.
-//  2. Hints: a per-name lifetime classification (dead after the current
-//     instruction / soon reused / unknown) that the runtime stamps onto
-//     lineage-cache entries; internal/memctl's lifetime-grouped victim
-//     selection consumes the stamps, with the hybrid Score as tiebreak.
-//     When that peak exceeds the budget, the cache-vs-recompute decision
-//     also flips for outputs too large to cache without thrashing; a flip
-//     changes no computed value.
+//  2. Cache flips: when that peak exceeds the budget, the
+//     cache-vs-recompute decision flips for outputs too large to cache
+//     without thrashing; a flip changes no computed value.
 //
 // Planning is a pure function of the instruction stream and the budget:
 // the same (stream, Config) always yields byte-identical plans, which the
@@ -30,21 +26,15 @@ import (
 
 	"memphis/internal/compiler"
 	"memphis/internal/core"
-	"memphis/internal/memctl"
 )
 
 // Config parameterizes one planning pass.
 type Config struct {
 	// Budget is the target byte budget (normally the CP cache budget).
 	// Cache flips fire only when the analyzed peak exceeds it; zero
-	// yields analysis plus hints only.
+	// yields the analysis only.
 	Budget int64
 }
-
-// DefaultWindow is the soon-reuse protection distance in instructions the
-// runtime stamps lifetimes with: a cached value read again within it is
-// classified LifeSoon.
-const DefaultWindow = 8
 
 // Interval is one operand's live range over a stream. Positions are
 // instruction indices; Def is -1 for block-external live-ins. Every
@@ -60,10 +50,8 @@ type Interval struct {
 }
 
 // Plan is the planner's artifact for one instruction stream: the liveness
-// table, its byte sum, and the hint/flip summary (the
-// memplan.Hints of the design — attached to the compiled program and
-// consumed by the runtime, whose lifetime stamps memctl's victim order
-// reads).
+// table, its byte sum, and the cache flips, attached to the compiled
+// program; the runtime skips the probe and put of a flipped output.
 type Plan struct {
 	// Insts is the stream length the plan describes.
 	Insts int `json:"instructions"`
@@ -79,7 +67,6 @@ type Plan struct {
 	NoCache []string `json:"no_cache,omitempty"`
 
 	noCache map[string]bool
-	reads   map[string][]int // ascending read positions per name
 }
 
 // isTemp reports whether a name is a block-local temporary (compiler temps
@@ -91,7 +78,7 @@ func isTemp(name string) bool { return strings.HasPrefix(name, "_t") }
 // definitions, while prefetch/broadcast/checkpoint outputs rebind their
 // input name and count as uses.
 func Analyze(insts []compiler.Instruction) *Plan {
-	p := &Plan{Insts: len(insts), reads: make(map[string][]int)}
+	p := &Plan{Insts: len(insts)}
 	type info struct {
 		def   int // -1 live-in
 		first int
@@ -126,7 +113,6 @@ func Analyze(insts []compiler.Instruction) *Plan {
 			in := touch(op, i, b)
 			in.last = i
 			in.uses++
-			p.reads[op] = append(p.reads[op], i)
 		}
 		if inst.Kind == compiler.KindOp {
 			for _, op := range inst.Outputs {
@@ -147,7 +133,6 @@ func Analyze(insts []compiler.Instruction) *Plan {
 				in := touch(op, i, 0)
 				in.last = i
 				in.uses++
-				p.reads[op] = append(p.reads[op], i)
 			}
 		}
 	}
@@ -171,36 +156,6 @@ func Analyze(insts []compiler.Instruction) *Plan {
 		return p.Intervals[i].Name < p.Intervals[j].Name
 	})
 	return p
-}
-
-// nextUse returns the first read position of name strictly after pos, or
-// -1 when the plan has no further read.
-func (p *Plan) nextUse(name string, pos int) int {
-	reads := p.reads[name]
-	i := sort.SearchInts(reads, pos+1)
-	if i < len(reads) {
-		return reads[i]
-	}
-	return -1
-}
-
-// LifetimeAt classifies a name's liveness relative to position pos: dead
-// when a temporary has no further read (non-temporaries escape the block,
-// so they are never classified dead), soon when the next read is within
-// the window, unknown otherwise. This is the hint the runtime stamps onto
-// cache entries for lifetime-grouped victim selection.
-func (p *Plan) LifetimeAt(name string, pos, window int) memctl.Lifetime {
-	nu := p.nextUse(name, pos)
-	if nu < 0 {
-		if isTemp(name) {
-			return memctl.LifeDead
-		}
-		return memctl.LifeUnknown
-	}
-	if nu-pos <= window {
-		return memctl.LifeSoon
-	}
-	return memctl.LifeUnknown
 }
 
 // SkipCache reports whether the plan flipped the named output to

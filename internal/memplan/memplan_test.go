@@ -9,7 +9,6 @@ import (
 	"memphis/internal/compiler"
 	"memphis/internal/core"
 	"memphis/internal/ir"
-	"memphis/internal/memctl"
 )
 
 func op(opcode string, out string, outShape ir.Shape, ins []string, inShapes []ir.Shape) compiler.Instruction {
@@ -53,22 +52,6 @@ func TestAnalyzeLiveness(t *testing.T) {
 	// Peak: X + _t0 + _t1 + Y, all resident until block end.
 	if p.Peak != 6656 {
 		t.Errorf("Peak = %d, want 6656", p.Peak)
-	}
-}
-
-func TestLifetimeAt(t *testing.T) {
-	p := Analyze(testStream())
-	if l := p.LifetimeAt("_t0", 1, 8); l != memctl.LifeDead {
-		t.Errorf("_t0 after last use = %v, want dead", l)
-	}
-	if l := p.LifetimeAt("_t0", 0, 8); l != memctl.LifeSoon {
-		t.Errorf("_t0 before reuse = %v, want soon", l)
-	}
-	if l := p.LifetimeAt("X", 2, 8); l != memctl.LifeUnknown {
-		t.Errorf("live-in X after last use = %v, want unknown (non-temps escape)", l)
-	}
-	if l := p.LifetimeAt("X", 0, 1); l != memctl.LifeUnknown {
-		t.Errorf("X with next use beyond window = %v, want unknown", l)
 	}
 }
 

@@ -18,8 +18,8 @@ import (
 // the planner's plan for it. Cached blocks are shared
 // read-only across concurrent sessions: the executed stream is prepared
 // (compiler.Prepare) before the block is published and never written
-// afterwards, and memplan.Plan's runtime queries (LifetimeAt, SkipCache)
-// are read-only, so no further synchronization is needed. A session holds
+// afterwards, and memplan.Plan's runtime query (SkipCache) is read-only,
+// so no further synchronization is needed. A session holds
 // the block it executes by pointer, so evicting it from a cache mid-run is
 // harmless.
 type CompiledBlock struct {

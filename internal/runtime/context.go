@@ -96,10 +96,9 @@ type Config struct {
 
 	// MemoryPlanner enables the compile-time memory planner
 	// (internal/memplan) under the driver cache budget Cache.CPBudget: every
-	// compiled stream is analyzed for liveness, lifetime hints are stamped
-	// onto cache entries, and cache flips apply to streams whose peak (the
-	// sum of their operands' bytes, as nothing is released before block
-	// end) overruns the budget. Off keeps every execution path
+	// compiled stream is analyzed for liveness, and cache flips apply to
+	// streams whose peak (the sum of their operands' bytes, as nothing is
+	// released before block end) overruns the budget. Off keeps every execution path
 	// bitwise-identical to the planner-less runtime.
 	MemoryPlanner bool
 }
@@ -200,12 +199,10 @@ type Context struct {
 	storageLevel spark.StorageLevel
 
 	// Memory-planner state: the plan of the currently executing stream,
-	// the current instruction position within it, the planner report
-	// rows by stream signature, also listed in first-seen order (nil
-	// without Config.MemoryPlanner), and the CP evictions those rows have
-	// claimed so far.
+	// the planner report rows by stream signature, also listed in
+	// first-seen order (nil without Config.MemoryPlanner), and the CP
+	// evictions those rows have claimed so far.
 	activePlan  *memplan.Plan
-	planPos     int
 	planRecs    map[uint64]*planRecord
 	planOrder   []*planRecord
 	planEvicted int64

@@ -243,7 +243,6 @@ func (ctx *Context) reuse(inst *compiler.Instruction, out *binding, li *lineage.
 	if !hit {
 		return false
 	}
-	ctx.stampPlan(e, inst.Output())
 	v := ctx.valueFromEntry(e)
 	if v == nil {
 		return false
@@ -284,22 +283,19 @@ func gpuDims(e *core.Entry) (int, int) {
 	return 1, int(e.Size / 8)
 }
 
-// putValue stores a freshly computed value (PUT of the unified API),
-// stamping the memory planner's lifetime hint onto the stored entry.
+// putValue stores a freshly computed value (PUT of the unified API) in the
+// cache of the backend that holds it.
 func (ctx *Context) putValue(inst *compiler.Instruction, li *lineage.Item, v *Value) {
 	switch {
 	case v.RDD != nil && v.M == nil:
 		cost := costs.Compute(inst.Flops, ctx.Model.SparkFlops) + ctx.Model.SparkJobOverhead
-		e := ctx.Cache.PutRDD(li, v.RDD, v.children, v.bcasts, cost, ctx.delay(), ctx.storageLevel)
-		ctx.stampPlan(e, inst.Output())
+		ctx.Cache.PutRDD(li, v.RDD, v.children, v.bcasts, cost, ctx.delay(), ctx.storageLevel)
 	case v.HasGPU() && v.M == nil:
 		cost := costs.Compute(inst.Flops, ctx.Model.GPUFlops)
-		e := ctx.Cache.PutGPU(li, v.GPU, cost, ctx.delay())
-		ctx.stampPlan(e, inst.Output())
+		ctx.Cache.PutGPU(li, v.GPU, cost, ctx.delay())
 	case v.HasHost():
 		cost := costs.Compute(inst.Flops, ctx.Model.CPUFlops)
-		e := ctx.putCP(li, v, cost, ctx.delay(), false)
-		ctx.stampPlan(e, inst.Output())
+		ctx.putCP(li, v, cost, ctx.delay(), false)
 		if ctx.Shared != nil {
 			ctx.sharePublish(li, v, cost)
 		}

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"memphis/internal/compiler"
-	"memphis/internal/core"
 	"memphis/internal/key"
 	"memphis/internal/memplan"
 )
@@ -84,16 +83,6 @@ func (ctx *Context) planRecordFor(cb *CompiledBlock) *planRecord {
 		ctx.planOrder = append(ctx.planOrder, rec)
 	}
 	return rec
-}
-
-// stampPlan stamps the active plan's lifetime classification for name onto
-// a cache entry (no-op without an active plan). The stamp feeds memctl's
-// lifetime-grouped victim selection.
-func (ctx *Context) stampPlan(e *core.Entry, name string) {
-	if ctx.activePlan == nil || e == nil {
-		return
-	}
-	ctx.Cache.StampLifetime(e, ctx.activePlan.LifetimeAt(name, ctx.planPos, memplan.DefaultWindow))
 }
 
 // skipCache reports whether the active plan flipped the instruction's

@@ -9,8 +9,8 @@ import (
 )
 
 // TestPlannerNeverRaisesPeak: the planner rewrites no stream, so every
-// planned block's plan spans exactly the stream the block executes (the
-// positions its lifetime stamps index) and its peak is that stream's own.
+// planned block's plan spans exactly the stream the block executes and its
+// peak is that stream's own.
 // The runs are the tree's tight planned runs: ridge.dml and HBAND under a
 // 16 KB driver cache, and the workloads package's planner cases at half
 // their natural cache peak.

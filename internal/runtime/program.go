@@ -105,23 +105,22 @@ func (ctx *Context) runBlocks(blocks []ir.Block) error {
 // runBasicBlock executes one basic block's compiled stream, applying the
 // block-header reuse parameters (§5.2) and clearing temporaries afterwards.
 // With a memory planner configured the block carries a plan: the stream
-// executes under it, lifetime hints are stamped per position, and
-// measured evictions are attributed back to the stream's report row, less
-// those a nested planned stream (a call inside it) already claimed, so each
-// eviction counts once, in its innermost planned stream. Plan state is
-// saved and restored around the block because function calls and
-// scalar-condition evaluation recurse here.
+// executes under its cache flips, and measured evictions are attributed
+// back to the stream's report row, less those a nested planned stream (a
+// call inside it) already claimed, so each eviction counts once, in its
+// innermost planned stream. The active plan is saved and restored around
+// the block because function calls and scalar-condition evaluation recurse
+// here.
 func (ctx *Context) runBasicBlock(bb *ir.BasicBlock) error {
 	cb := ctx.compiledBlock(bb)
 	insts := cb.Insts
 	frame := ctx.enterFrame(cb.layout)
-	savedPlan, savedPos := ctx.activePlan, ctx.planPos
+	savedPlan := ctx.activePlan
 	var rec *planRecord
 	var evictBefore, claimedBefore int64
 	if cb.Plan != nil {
 		rec = ctx.planRecordFor(cb)
-		ctx.activePlan, ctx.planPos = cb.Plan, 0
-		ctx.Cache.BeginPlanEpoch()
+		ctx.activePlan = cb.Plan
 		ctx.Stats.PlanBlocks++
 		evictBefore, claimedBefore = ctx.Cache.Stats.EvictionsCP, ctx.planEvicted
 	}
@@ -137,16 +136,8 @@ func (ctx *Context) runBasicBlock(bb *ir.BasicBlock) error {
 	}
 	var err error
 	for i := range insts {
-		if rec != nil {
-			ctx.planPos = i
-		}
 		if err = ctx.execute(&insts[i]); err != nil {
 			break
-		}
-		if rec != nil {
-			// Restore the plan in case a call/condition recursed and
-			// planned a nested stream.
-			ctx.activePlan, ctx.planPos = cb.Plan, i
 		}
 	}
 	ctx.clearTemps(cb.temps)
@@ -158,7 +149,7 @@ func (ctx *Context) runBasicBlock(bb *ir.BasicBlock) error {
 		rec.evictions += own
 		ctx.planEvicted += own
 	}
-	ctx.activePlan, ctx.planPos = savedPlan, savedPos
+	ctx.activePlan = savedPlan
 	return err
 }
 

@@ -84,10 +84,10 @@ func TestPlannerBoundsPeakBitwise(t *testing.T) {
 }
 
 // TestPlannerHintsReduceEvictions compares planner-on and planner-off under
-// the same tight budget: on these three cases lifetime-grouped victim
-// selection evicts no more than the unplanned baseline. That is a property
-// of the cases, not of the planner: hband (8000×32, seed 11) at a 256 KB
-// budget evicts 748 entries with the planner on against 672 with it off.
+// the same half-peak budget: on these three cases the planned run evicts no
+// more than the unplanned baseline. The drop is the cache flips' doing (hcv
+// goes from 3 evictions to 0; l2svm and pnmf read the same either way), and
+// it is a property of the cases, not of the planner.
 func TestPlannerHintsReduceEvictions(t *testing.T) {
 	for _, tc := range plannerCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -116,8 +116,8 @@ func TestPlannerHintsReduceEvictions(t *testing.T) {
 }
 
 // TestPlannerUnderInjectedEvictions is the interaction property test:
-// compiler.InjectEvictions (applied by runPinned) under the planner's
-// lifetime stamps and cache flips — the ladder workload's planned run stays
+// compiler.InjectEvictions (applied by runPinned) under the planner's cache
+// flips — the ladder workload's planned run stays
 // bitwise-identical across kernel parallelism 1/4/8 and replays identically
 // under the chaos fault plan.
 func TestPlannerUnderInjectedEvictions(t *testing.T) {

@@ -97,9 +97,8 @@ type Options struct {
 	// MemoryPlanner enables the compile-time memory planner
 	// (internal/memplan): a static liveness table per compiled stream and
 	// its peak, the sum of its operands' bytes (nothing is released before
-	// block end), lifetime hints for the arbiter's victim selection, and
-	// cache-vs-recompute flips on streams whose peak overruns the
-	// budget. The planning budget is the CP cache budget
+	// block end), and cache-vs-recompute flips on streams whose peak
+	// overruns the budget. The planning budget is the CP cache budget
 	// (MemoryBudgets.CP, else the default).
 	// Numeric results are bitwise-identical with the planner on or off.
 	MemoryPlanner bool
