@@ -12,10 +12,10 @@
 // fused); the values are bitwise identical with the flag on or off.
 //
 // With -plan, the compile-time memory planner (internal/memplan) is enabled
-// and each planned instruction stream's liveness table, peak bytes (the sum
-// of its operands' bytes: nothing is released before block end) and cache
-// flips are dumped after the run — human-readable by default, as JSON with
-// -json.
+// and each planned instruction stream's peak bytes (the sum of its
+// operands' bytes: nothing is released before block end), cache flips and
+// instructions are dumped after the run — human-readable by default, as
+// JSON with -json.
 //
 // Input matrices can be created inside the script with rand(...); bound
 // host inputs are not supported from the CLI (use the library API).
@@ -54,7 +54,7 @@ func main() {
 	gpu := flag.Bool("gpu", false, "enable the simulated GPU backend")
 	printVar := flag.String("print", "", "print this variable's value after the run")
 	fuse := flag.Bool("fuse", false, "enable compile-time elementwise fusion (results are bitwise identical either way)")
-	plan := flag.Bool("plan", false, "enable the memory planner and dump per-stream liveness, peak bytes and cache flips")
+	plan := flag.Bool("plan", false, "enable the memory planner and dump per-stream peak bytes, cache flips and instructions")
 	jsonOut := flag.Bool("json", false, "with -plan: dump the plan reports as JSON")
 	memBudget := flag.Int64("membudget", 0, "driver-cache budget in bytes (0 = default); the planner's bounding budget")
 	flag.Parse()
@@ -124,8 +124,8 @@ func main() {
 	}
 }
 
-// printPlans renders each planned stream: header, the instructions, and
-// the liveness table.
+// printPlans renders each planned stream: its header (peak and budget
+// among it), the flipped outputs and the instructions.
 func printPlans(reports []memphis.PlanReport) {
 	for _, r := range reports {
 		fmt.Printf("\nplan %d sig=%s runs=%d insts=%d peak=%d budget=%d evictions=%d\n",
@@ -135,12 +135,6 @@ func printPlans(reports []memphis.PlanReport) {
 		}
 		for i, line := range r.Stream {
 			fmt.Printf("  %3d  %s\n", i, line)
-		}
-		fmt.Printf("  %-12s %5s %5s %5s %10s %5s %5s\n",
-			"name", "def", "first", "last", "bytes", "temp", "uses")
-		for _, iv := range r.Intervals {
-			fmt.Printf("  %-12s %5d %5d %5d %10d %5t %5d\n",
-				iv.Name, iv.Def, iv.First, iv.Last, iv.Bytes, iv.Temp, iv.Uses)
 		}
 	}
 }

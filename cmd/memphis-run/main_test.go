@@ -117,5 +117,11 @@ func TestRidgeCacheFlipsPinned(t *testing.T) {
 		if evicted > cs.EvictionsCP {
 			t.Errorf("plan rows claim %d evictions, the run made %d", evicted, cs.EvictionsCP)
 		}
+		// A report's flip list is the caller's own: editing it changes
+		// neither a later report nor the plan's flips.
+		reports[2].NoCache[0] = "edited"
+		if got := s.PlanReports()[2].NoCache; !reflect.DeepEqual(got, []string{"_t2"}) {
+			t.Errorf("after editing a report, plan 2 no_cache %v, want [_t2]", got)
+		}
 	}
 }

@@ -63,7 +63,7 @@ type Instruction struct {
 
 	// InShapes carries the compile-time input size estimates (parallel to
 	// Inputs; literals get the 1x1 scalar shape). The memory planner's
-	// liveness analysis sizes block-external operands from these.
+	// peak sizes block-external operands from these.
 	InShapes []ir.Shape
 
 	// prep is the execution-ready view Prepare fills in; nil until then.

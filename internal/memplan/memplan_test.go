@@ -3,6 +3,7 @@ package memplan
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -30,28 +31,35 @@ func testStream() []compiler.Instruction {
 	}
 }
 
+// TestAnalyzeLiveness pins the sum's rules: each distinct operand counts
+// once, at the largest size it appears with; literal inputs, rebinding
+// prefetches and broadcasts, and "_" outputs add nothing.
 func TestAnalyzeLiveness(t *testing.T) {
-	p := Analyze(testStream())
-	if p.Insts != 3 {
-		t.Fatalf("Insts = %d, want 3", p.Insts)
+	// Peak: X + _t0 + _t1 + Y, all resident until block end.
+	if p := Analyze(testStream()); p.Peak != 6656 {
+		t.Errorf("Peak = %d, want 6656", p.Peak)
 	}
-	want := map[string]Interval{
-		"X":   {Name: "X", Def: -1, First: 0, Last: 2, Bytes: 100 * 4 * 8, Uses: 2},
-		"_t0": {Name: "_t0", Def: 0, First: 0, Last: 1, Bytes: 4 * 4 * 8, Temp: true, Uses: 1},
-		"_t1": {Name: "_t1", Def: 1, First: 1, Last: 2, Bytes: 4 * 4 * 8, Temp: true, Uses: 1},
-		"Y":   {Name: "Y", Def: 2, First: 2, Last: 2, Bytes: 100 * 4 * 8, Uses: 0},
-	}
-	if len(p.Intervals) != len(want) {
-		t.Fatalf("got %d intervals, want %d: %+v", len(p.Intervals), len(want), p.Intervals)
-	}
-	for _, iv := range p.Intervals {
-		if w, ok := want[iv.Name]; !ok || iv != w {
-			t.Errorf("interval %+v, want %+v", iv, w)
+	rebind := func(kind compiler.Kind) compiler.Instruction {
+		return compiler.Instruction{
+			Kind: kind, Inputs: []string{"X"}, Outputs: []string{"X"},
+			Shape: sh(1000, 1000), InShapes: []ir.Shape{sh(100, 4)},
 		}
 	}
-	// Peak: X + _t0 + _t1 + Y, all resident until block end.
-	if p.Peak != 6656 {
-		t.Errorf("Peak = %d, want 6656", p.Peak)
+	for _, tc := range []struct {
+		name  string
+		extra compiler.Instruction
+		peak  int64
+	}{
+		{"smaller re-read", op("exp", "W", sh(1, 1), []string{"X"}, []ir.Shape{sh(10, 4)}), 6656 + 8},
+		{"larger re-read", op("exp", "W", sh(1, 1), []string{"X"}, []ir.Shape{sh(200, 4)}), 6656 + 3200 + 8},
+		{"literal input", op("+", "_t0", sh(4, 4), []string{"_t0", "#2"}, []ir.Shape{sh(4, 4), sh(1000, 1000)}), 6656},
+		{"prefetch", rebind(compiler.KindPrefetch), 6656},
+		{"broadcast", rebind(compiler.KindBroadcast), 6656},
+		{"_ output", op("exp", "_", sh(1000, 1000), []string{"Y"}, []ir.Shape{sh(100, 4)}), 6656},
+	} {
+		if p := Analyze(append(testStream(), tc.extra)); p.Peak != tc.peak {
+			t.Errorf("%s: Peak = %d, want %d", tc.name, p.Peak, tc.peak)
+		}
 	}
 }
 
@@ -59,11 +67,7 @@ func TestAnalyzeLiveness(t *testing.T) {
 // order, so two equal plans give equal bytes.
 func marshal(p *Plan) []byte {
 	var b strings.Builder
-	fmt.Fprintf(&b, "insts=%d peak=%d budget=%d\n", p.Insts, p.Peak, p.Budget)
-	for _, iv := range p.Intervals {
-		fmt.Fprintf(&b, "iv %s def=%d first=%d last=%d bytes=%d temp=%t uses=%d\n",
-			iv.Name, iv.Def, iv.First, iv.Last, iv.Bytes, iv.Temp, iv.Uses)
-	}
+	fmt.Fprintf(&b, "peak=%d budget=%d\n", p.Peak, p.Budget)
 	for _, n := range p.NoCache {
 		fmt.Fprintf(&b, "nocache %s\n", n)
 	}
@@ -90,6 +94,11 @@ func TestApplyGating(t *testing.T) {
 	p := Apply(testStream(), Config{Budget: 4000})
 	if len(p.NoCache) != 1 || p.NoCache[0] != "Y" || !p.SkipCache("Y") || p.SkipCache("_t0") {
 		t.Errorf("over-budget nocache = %v, want [Y]", p.NoCache)
+	}
+	// Y assigned twice is flipped once.
+	twice := append(testStream(), testStream()[2])
+	if p := Apply(twice, Config{Budget: 4000}); !slices.Equal(p.NoCache, []string{"Y"}) || !p.SkipCache("Y") {
+		t.Errorf("twice-assigned nocache = %v, want [Y]", p.NoCache)
 	}
 	if p := Apply(testStream(), Config{Budget: 0}); len(p.NoCache) != 0 || p.Budget != 0 {
 		t.Errorf("zero-budget plan flipped nocache=%v (budget %d)", p.NoCache, p.Budget)

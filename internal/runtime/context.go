@@ -96,9 +96,9 @@ type Config struct {
 
 	// MemoryPlanner enables the compile-time memory planner
 	// (internal/memplan) under the driver cache budget Cache.CPBudget: every
-	// compiled stream is analyzed for liveness, and cache flips apply to
-	// streams whose peak (the sum of their operands' bytes, as nothing is
-	// released before block end) overruns the budget. Off keeps every execution path
+	// compiled stream's peak is summed from its operands' bytes (nothing is
+	// released before block end), and cache flips apply to streams whose
+	// peak overruns the budget. Off keeps every execution path
 	// bitwise-identical to the planner-less runtime.
 	MemoryPlanner bool
 }

@@ -2,11 +2,11 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"memphis/internal/compiler"
 	"memphis/internal/key"
-	"memphis/internal/memplan"
 )
 
 // planRecord accumulates what a session observed while running one planned
@@ -32,12 +32,12 @@ type PlanReport struct {
 	// results, sized from compile-time shapes: nothing is released before
 	// block end, so the sum is the stream's peak. It counts no other
 	// variable in scope.
-	PeakBytes int64              `json:"peak_bytes"`
-	Budget    int64              `json:"budget"`
-	NoCache   []string           `json:"no_cache,omitempty"`
-	Evictions int64              `json:"evictions"`
-	Intervals []memplan.Interval `json:"intervals"`
-	Stream    []string           `json:"stream"`
+	PeakBytes int64 `json:"peak_bytes"`
+	Budget    int64 `json:"budget"`
+	// NoCache lists the flipped outputs; each report holds its own copy.
+	NoCache   []string `json:"no_cache,omitempty"`
+	Evictions int64    `json:"evictions"`
+	Stream    []string `json:"stream"`
 }
 
 // streamSig fingerprints a compiled stream: opcode, operands, backend,
@@ -106,12 +106,11 @@ func (ctx *Context) PlanReports() []PlanReport {
 			Seq:          seq,
 			Sig:          fmt.Sprintf("%016x", rec.cb.Sig),
 			Runs:         rec.runs,
-			Instructions: plan.Insts,
+			Instructions: len(insts),
 			PeakBytes:    plan.Peak,
 			Budget:       plan.Budget,
-			NoCache:      plan.NoCache,
+			NoCache:      slices.Clone(plan.NoCache),
 			Evictions:    rec.evictions,
-			Intervals:    plan.Intervals,
 			Stream:       stream,
 		})
 	}

@@ -9,8 +9,7 @@ import (
 )
 
 // TestPlannerNeverRaisesPeak: the planner rewrites no stream, so every
-// planned block's plan spans exactly the stream the block executes and its
-// peak is that stream's own.
+// planned block's peak is that of the stream the block executes.
 // The runs are the tree's tight planned runs: ridge.dml and HBAND under a
 // 16 KB driver cache, and the workloads package's planner cases at half
 // their natural cache peak.
@@ -36,9 +35,6 @@ func TestPlannerNeverRaisesPeak(t *testing.T) {
 		for _, cb := range streams {
 			if cb.Plan == nil {
 				t.Fatal("a block compiled without a plan")
-			}
-			if cb.Plan.Insts != len(cb.Insts) {
-				t.Errorf("plan spans %d instructions, the block executes %d", cb.Plan.Insts, len(cb.Insts))
 			}
 			if compiled := memplan.Analyze(cb.Insts).Peak; cb.Plan.Peak != compiled {
 				t.Errorf("planned peak %d B, the compiled stream's is %d B", cb.Plan.Peak, compiled)

@@ -95,11 +95,11 @@ type Options struct {
 	Fusion bool
 
 	// MemoryPlanner enables the compile-time memory planner
-	// (internal/memplan): a static liveness table per compiled stream and
-	// its peak, the sum of its operands' bytes (nothing is released before
-	// block end), and cache-vs-recompute flips on streams whose peak
-	// overruns the budget. The planning budget is the CP cache budget
-	// (MemoryBudgets.CP, else the default).
+	// (internal/memplan): a static peak per compiled stream, the sum of its
+	// operands' bytes (nothing is released before block end), and
+	// cache-vs-recompute flips on streams whose peak overruns the budget.
+	// The planning budget is the CP cache budget (MemoryBudgets.CP, else
+	// the default).
 	// Numeric results are bitwise-identical with the planner on or off.
 	MemoryPlanner bool
 }
@@ -310,8 +310,8 @@ func (s *Session) Stats() Stats {
 func (s *Session) CacheStats() core.Stats { return s.ctx.Cache.Stats }
 
 // PlanReport is one planned instruction stream's memory-planner report:
-// the static liveness table, its byte sum (the stream's peak) and cache
-// flips, combined with the measured runs and CP evictions.
+// the static peak (the sum of the stream's operand bytes) and cache flips,
+// combined with the measured runs and CP evictions.
 type PlanReport = runtime.PlanReport
 
 // PlanReports returns one report per planned stream in first-seen order.
