@@ -5,11 +5,12 @@
 // and lineage-identified intermediates are exactly recomputable.
 //
 // Ownership contract: a matrix reachable from more than one owner — through a
-// RowView, an RDD partition, a broadcast, a device pointer, a cache entry — is
-// immutable, and kernels never write to their arguments. That is what lets
-// every hand-off between backends share the buffer instead of copying it;
-// callers that need a private buffer to write into take one with Clone, Slice
-// or SliceRows.
+// RowView, an RDD partition, a broadcast, a device pointer, a session or
+// cross-tenant cache entry — is immutable, and kernels never write to their
+// arguments. That is what lets every hand-off between backends, and between
+// the sessions of a server, share the buffer instead of copying it; callers
+// that need a private buffer to write into take one with Clone, Slice or
+// SliceRows.
 package data
 
 import (

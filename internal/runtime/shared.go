@@ -27,11 +27,13 @@ import (
 // only on hit/miss and object size, keeping per-session virtual time
 // deterministic when conflicting requests are serialized in a fixed order.
 type SharedCache interface {
-	// Probe looks up (item, sig); on a hit it returns a private copy of
-	// the matrix, the producer's estimated compute cost (for local cache
-	// admission), and the virtual cost of the probe plus the copy.
+	// Probe looks up (item, sig); on a hit it returns the stored matrix,
+	// which the session only reads (the ownership contract of
+	// internal/data), the producer's estimated compute cost (for local cache
+	// admission), and the virtual cost of the probe plus a copy.
 	Probe(tenant string, item *lineage.Item, sig uint64) (m *data.Matrix, computeCost, charge float64, ok bool)
-	// Publish offers a freshly computed driver-local value. It reports
+	// Publish offers a freshly computed driver-local value, which may be
+	// stored as is: the session never writes it afterwards. It reports
 	// whether the object was stored and the virtual cost of the put.
 	Publish(tenant string, item *lineage.Item, sig uint64, m *data.Matrix, computeCost float64) (charge float64, stored bool)
 }
@@ -102,8 +104,8 @@ func (ctx *Context) shareSig(it *lineage.Item) (uint64, bool) {
 }
 
 // shareProbe consults the shared level for an item, charging the returned
-// virtual cost on the session clock. On a hit it returns a private matrix
-// copy and the producer's compute-cost estimate.
+// virtual cost on the session clock. On a hit it returns the shared matrix
+// and the producer's compute-cost estimate.
 func (ctx *Context) shareProbe(it *lineage.Item) (*data.Matrix, float64, bool) {
 	if ctx.Shared == nil {
 		return nil, 0, false

@@ -50,6 +50,26 @@ func BenchmarkSharedPublishEvict(b *testing.B) {
 	}
 }
 
+// BenchmarkSharedProbeHit probes a resident 128 KB entry from another tenant:
+// the cross-tenant hit of a serving session. A hit hands out the stored
+// buffer, so what it allocates is the share key, not the entry's cells.
+func BenchmarkSharedProbeHit(b *testing.B) {
+	s := NewSharedCache(SharedConfig{})
+	val := data.New(128, 128) // 128 KB
+	item := lineage.NewItem("tsmm", "", lineage.NewLeaf("read", "X"))
+	const sig = 0x9e3779b97f4a7c15
+	if _, stored := s.Publish("t0", item, sig, val, 1e-3); !stored {
+		b.Fatal("publish rejected")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, hit := s.Probe("t1", item, sig); !hit {
+			b.Fatal("probe missed")
+		}
+	}
+}
+
 // BenchmarkSubmitCoalesced times a submission that joins a coalesce group
 // whose leader has already finished: it is served inside Submit for the price
 // of fingerprinting its inputs and copying the fetched value. Three requests

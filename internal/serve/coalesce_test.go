@@ -148,6 +148,41 @@ func TestCoalesceLateJoinersMatchWaiters(t *testing.T) {
 	}
 }
 
+// TestCoalesceLeaderEditDoesNotReachLateJoiner: the group keeps the
+// leader's session values and the leader's caller gets its own copy, so an
+// edit by that caller never reaches a follower that joins the sealed group
+// afterwards.
+func TestCoalesceLeaderEditDoesNotReachLateJoiner(t *testing.T) {
+	srv := New(coalesceConf(1))
+	defer srv.Close()
+	w := hcvWorkload()
+	inputs := w.HostInputs()
+	lead, err := srv.Submit("leader", w.Prog, SubmitOptions{Inputs: inputs, Fetch: []string{"best"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leadRes, err := lead.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	computed := leadRes.Values["best"].Clone()
+	leadRes.Values["best"].Set(0, 0, computed.At(0, 0)+1e9)
+	late, err := srv.Submit("late", w.Prog, SubmitOptions{Inputs: inputs, Fetch: []string{"best"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lateRes, err := late.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !lateRes.Coalesced {
+		t.Fatal("the late submission did not join the sealed group")
+	}
+	if got := lateRes.Values["best"].At(0, 0); got != computed.At(0, 0) || !data.AllClose(lateRes.Values["best"], computed, 0) {
+		t.Fatalf("late joiner read best[0,0] = %v, want the computed %v", got, computed.At(0, 0))
+	}
+}
+
 // TestCoalesceLeaderFailureFansOut: a leader that fails past the retry
 // budget seals its group with the error. Every follower that waited on it
 // fails with an error wrapping the leader's, each counts as a failure, and a

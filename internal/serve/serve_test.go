@@ -367,7 +367,8 @@ func TestSharedCacheTenantBudgetEviction(t *testing.T) {
 	}
 
 	// A second tenant hitting the survivor counts as a cross-tenant hit and
-	// receives a private clone.
+	// receives the published buffer itself: nothing inside the server writes
+	// it, so the hit copies nothing.
 	got, cost, charge, ok := sc.Probe("b", items[5], 6)
 	if !ok || cost != 1.0 {
 		t.Fatalf("cross-tenant probe: ok=%v cost=%v", ok, cost)
@@ -375,11 +376,11 @@ func TestSharedCacheTenantBudgetEviction(t *testing.T) {
 	if charge <= sc.model.Probe {
 		t.Fatal("a hit must also charge the transfer of the object")
 	}
-	if got == m || &got.Data[0] == &m.Data[0] {
-		t.Fatal("probe must return a private clone, never shared storage")
+	if &got.Data[0] != &m.Data[0] {
+		t.Fatal("a hit must share the published buffer, not copy it")
 	}
 	if !data.AllClose(got, m, 0) {
-		t.Fatal("clone content mismatch")
+		t.Fatal("hit content mismatch")
 	}
 	if st := sc.StatsSnapshot(); st.CrossTenantHits != 1 {
 		t.Fatalf("cross hits=%d, want 1", st.CrossTenantHits)
@@ -580,5 +581,84 @@ func TestAdmissionFingerprintsMatchBindHost(t *testing.T) {
 	}
 	if ctx.Clock.Now() != handed.VirtualSeconds {
 		t.Fatalf("BindHost session took %v virtual seconds, handed-over request %v", ctx.Clock.Now(), handed.VirtualSeconds)
+	}
+}
+
+// TestCallerEditDoesNotReachSharedCache: the shared cache stores the
+// publishing session's own matrices, so the server must hand its caller a
+// copy. Tenant a's request publishes G = t(X) %*% X, and its caller then
+// overwrites every cell of the fetched G; tenant b, with coalescing off, runs
+// the same program over the same data, hits a's entry and must fetch the
+// computed bits.
+func TestCallerEditDoesNotReachSharedCache(t *testing.T) {
+	conf := DefaultConfig()
+	conf.Workers = 1
+	srv := New(conf)
+	defer srv.Close()
+	prog := ir.NewProgram()
+	prog.Main = []ir.Block{ir.BB(ir.Assign("G", ir.TSMM(ir.Var("X"))))}
+	run := func(tenant string) *Result {
+		t.Helper()
+		f, err := srv.Submit(tenant, prog, SubmitOptions{Inputs: ridgeInputs(1), Fetch: []string{"G"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := f.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	ra := run("a")
+	computed := ra.Values["G"].Clone()
+	for i := range ra.Values["G"].Data {
+		ra.Values["G"].Data[i] = -1e9
+	}
+	rb := run("b")
+	if snap := srv.Snapshot(); snap.Shared.CrossTenantHits != 1 {
+		t.Fatalf("cross-tenant hits = %d, want 1", snap.Shared.CrossTenantHits)
+	}
+	if !data.AllClose(rb.Values["G"], computed, 0) {
+		t.Fatal("tenant b fetched tenant a's caller's edits from the shared cache")
+	}
+}
+
+// TestSharedStatsPoolsSortedByName: the pool rows list the global pool first
+// and then the tenant pools by name, whatever order the tenants first
+// touched the cache in.
+func TestSharedStatsPoolsSortedByName(t *testing.T) {
+	sc := NewSharedCache(SharedConfig{})
+	m := data.RandNorm(4, 4, 0, 1, 1)
+	for i, tenant := range []string{"zeta", "alpha", "mid"} {
+		sc.Publish(tenant, lineage.NewLeaf("read", tenant), uint64(i+1), m, 1)
+	}
+	var names []string
+	for _, p := range sc.StatsSnapshot().Pools {
+		names = append(names, p.Name)
+	}
+	want := []string{GlobalPoolName, TenantPoolName("alpha"), TenantPoolName("mid"), TenantPoolName("zeta")}
+	if fmt.Sprint(names) != fmt.Sprint(want) {
+		t.Fatalf("pools %v, want %v", names, want)
+	}
+}
+
+// TestAggregateVirtualSecondsOrderIndependent: the snapshot's summed virtual
+// time must not depend on the order requests complete in. Added one by one
+// in float64, 0.1, 0.2 and 0.3 give 0.6000000000000001 in that order and 0.6
+// in the reverse.
+func TestAggregateVirtualSecondsOrderIndependent(t *testing.T) {
+	total := func(vs ...float64) float64 {
+		srv := newServer(DefaultConfig())
+		srv.mu.Lock()
+		for _, v := range vs {
+			srv.tenantLoad["t"]++
+			srv.accountLocked("t", &Result{VirtualSeconds: v}, nil)
+		}
+		srv.mu.Unlock()
+		return srv.Snapshot().AggregateVirtualSeconds
+	}
+	fwd, rev := total(0.1, 0.2, 0.3), total(0.3, 0.2, 0.1)
+	if fwd != rev || fwd != 0.6 {
+		t.Fatalf("aggregate %v in completion order 1,2,3 and %v in 3,2,1, want 0.6 for both", fwd, rev)
 	}
 }

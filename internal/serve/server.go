@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -109,8 +110,9 @@ type SubmitOptions struct {
 	// request's fresh session before execution. Their content fingerprints
 	// (data.Matrix.Fingerprint, taken once inside Submit) define the
 	// request's conflict keys: requests sharing any (name, content) pair
-	// serialize in ticket order. Inputs must not be mutated from the call to
-	// Submit until the request completes.
+	// serialize in ticket order. Inputs are shared with the server, not
+	// copied, and must not be mutated once submitted: a shared-cache entry
+	// may be a row view of one, which outlives the request.
 	Inputs map[string]*data.Matrix
 	// Fetch lists variables to materialize to the host in the Result.
 	Fetch []string
@@ -124,19 +126,22 @@ type Result struct {
 	// its private session clock — independent of worker interleaving.
 	VirtualSeconds float64 `json:"virtual_seconds"`
 	// WallSeconds is the real execution time (throughput accounting only).
-	WallSeconds float64                 `json:"wall_seconds"`
-	Values      map[string]*data.Matrix `json:"-"`
-	Stats       runtime.Stats           `json:"stats"`
-	Cache       core.Stats              `json:"-"`
+	WallSeconds float64 `json:"wall_seconds"`
+	// Values holds the fetched variables as the caller's own copies: no
+	// cache entry, session or other request shares their storage, so the
+	// caller may write them.
+	Values map[string]*data.Matrix `json:"-"`
+	Stats  runtime.Stats           `json:"stats"`
+	Cache  core.Stats              `json:"-"`
 	// Retries is how many failed attempts preceded the successful one.
 	Retries int `json:"retries,omitempty"`
 	// Faults counts injected failures per site during the winning attempt.
 	Faults map[string]int64 `json:"faults,omitempty"`
-	// Coalesced marks a follower of a coalesce group: its Values are
-	// independent copies of the leader's, and its VirtualSeconds is the
-	// leader's latency plus one host-memory copy charge per fetched value
-	// (costs.Transfer(bytes, MemBW, CopyLatency)). CoalescedWith is the
-	// leader's ticket.
+	// Coalesced marks a follower of a coalesce group: its Values are copies
+	// of the values the leader's session fetched, and its VirtualSeconds is
+	// the leader's latency plus one host-memory copy charge per fetched
+	// value (costs.Transfer(bytes, MemBW, CopyLatency)). CoalescedWith is
+	// the leader's ticket.
 	Coalesced     bool   `json:"coalesced,omitempty"`
 	CoalescedWith uint64 `json:"coalesced_with,omitempty"`
 }
@@ -172,7 +177,9 @@ func (r *request) resolve(res *Result, err error) {
 // coalesceGroup is one batched-admission group: the leader executes, the
 // followers wait for the fan-out. Membership (size, waiters) is guarded by
 // Server.mu; res/err are written once under mu when the leader finishes
-// (done flips true) and are read-only afterwards.
+// (done flips true) and are read-only afterwards. res is the leader's
+// session result, whose Values no caller ever receives: the leader's caller
+// and every follower get copies of them.
 type coalesceGroup struct {
 	leader  uint64 // leader's ticket
 	size    int    // members including the leader
@@ -235,7 +242,7 @@ type Server struct {
 	retries     int64
 	coalesced   int64
 	faultCounts map[string]int64
-	vtimeTotal  float64
+	vtimeTotal  exactSum
 	start       time.Time
 
 	wg sync.WaitGroup
@@ -558,7 +565,7 @@ func (s *Server) worker() {
 		}
 		s.mu.Unlock()
 		s.cond.Broadcast()
-		req.resolve(res, err)
+		req.resolve(callerCopy(res), err)
 		for _, w := range waiters {
 			fres, ferr := s.followerOutcome(w, g)
 			s.mu.Lock()
@@ -572,9 +579,25 @@ func (s *Server) worker() {
 	}
 }
 
+// callerCopy is a leader's result as its caller receives it: res with its
+// Values cloned. The session's own values may be stored in the shared cache
+// or be read by the coalesce group's followers, so they never leave the
+// server. A nil res (a failed request) stays nil.
+func callerCopy(res *Result) *Result {
+	if res == nil {
+		return nil
+	}
+	out := *res
+	out.Values = make(map[string]*data.Matrix, len(res.Values))
+	for n, m := range res.Values {
+		out.Values[n] = m.Clone()
+	}
+	return &out
+}
+
 // followerOutcome builds a follower's result from its group's sealed
-// outcome. The follower receives independent deep copies of the leader's
-// fetched values and is charged the leader's virtual latency plus one
+// outcome. The follower receives its own copies of the values the leader's
+// session fetched and is charged the leader's virtual latency plus one
 // host-memory copy per value (costs.Transfer(bytes, MemBW, CopyLatency)) —
 // a deterministic function of the leader's outcome, so identical for every
 // interleaving and for followers joining before or after the leader ran.
@@ -620,9 +643,60 @@ func (s *Server) accountLocked(tenant string, res *Result, err error) {
 	if err != nil {
 		s.failed++
 	} else {
-		s.vtimeTotal += res.VirtualSeconds
+		s.vtimeTotal.add(res.VirtualSeconds)
 	}
 	s.completed++
+}
+
+// exactSum adds float64s without rounding error: Shewchuk's non-overlapping
+// partials, as in Python's math.fsum. value is the exact sum rounded once,
+// so it does not depend on the order of the adds (the order requests
+// complete in).
+type exactSum struct{ partials []float64 }
+
+func (e *exactSum) add(x float64) {
+	i := 0
+	for _, y := range e.partials {
+		if math.Abs(x) < math.Abs(y) {
+			x, y = y, x
+		}
+		hi := x + y
+		if lo := y - (hi - x); lo != 0 {
+			e.partials[i] = lo
+			i++
+		}
+		x = hi
+	}
+	e.partials = append(e.partials[:i], x)
+}
+
+// value returns the sum rounded to nearest, ties to even: the partials are
+// summed from the largest down until the sum turns inexact, and a remainder
+// of the same sign as the next partial down breaks a tie upwards.
+func (e *exactSum) value() float64 {
+	p := e.partials
+	n := len(p)
+	if n == 0 {
+		return 0
+	}
+	n--
+	hi, lo := p[n], 0.0
+	for n > 0 {
+		x := hi
+		n--
+		y := p[n]
+		hi = x + y
+		if lo = y - (hi - x); lo != 0 {
+			break
+		}
+	}
+	if n > 0 && (lo < 0 && p[n-1] < 0 || lo > 0 && p[n-1] > 0) {
+		y := lo * 2
+		if x := hi + y; x-hi == y {
+			hi = x
+		}
+	}
+	return hi
 }
 
 // execute runs one request through the retry loop: each attempt executes on a
@@ -758,7 +832,7 @@ func (s *Server) Snapshot() Snapshot {
 		Retries:                 s.retries,
 		Coalesced:               s.coalesced,
 		WallSeconds:             time.Since(s.start).Seconds(),
-		AggregateVirtualSeconds: s.vtimeTotal,
+		AggregateVirtualSeconds: s.vtimeTotal.value(),
 	}
 	if len(s.faultCounts) > 0 {
 		snap.Faults = make(map[string]int64, len(s.faultCounts))

@@ -12,9 +12,11 @@
 // different keys and never alias.
 //
 // Storage. The shared cache is its own lock-sharded map from lineage hash to
-// entries that hold the stored matrix; it keeps no clock and no session
-// cache inside. Budgets are enforced per tenant, FIFO by publish order,
-// through the serving layer's memory arbiter.
+// entries that hold the publisher's matrix itself; it keeps no clock and no
+// session cache inside. Inside the server a buffer is shared and never
+// written: a matrix leaves it only as the caller's own copy (Result.Values).
+// Budgets are enforced per tenant, FIFO by publish order, through the
+// serving layer's memory arbiter.
 //
 // Determinism. Each request runs on a fresh session with its own virtual
 // clock; all shared-cache costs are charged from the analytic model, so a
@@ -29,6 +31,7 @@
 package serve
 
 import (
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -100,7 +103,7 @@ type entryMeta struct {
 	tenant      string
 	acct        *tenantAccount
 	key         *lineage.Item
-	m           *data.Matrix // the publisher's value, cloned; never written
+	m           *data.Matrix // the publisher's value itself; never written
 	size        int64
 	computeCost float64
 	// seq is the entry's publish sequence in each order: the global sequence
@@ -171,8 +174,8 @@ type shard struct {
 
 // SharedCache is the sharded, concurrency-safe cross-tenant lineage cache
 // that implements runtime.SharedCache. It owns no session state and no
-// clock: probes return private matrix copies and virtual costs, all from the
-// cost model, for the caller to charge.
+// clock: probes return the stored matrices, which no holder writes, and
+// virtual costs, all from the cost model, for the caller to charge.
 type SharedCache struct {
 	conf   SharedConfig
 	model  *costs.Model // probe, copy and put charges
@@ -334,10 +337,11 @@ func (sh *shard) drop(md *entryMeta) {
 }
 
 // Probe implements runtime.SharedCache: REUSE under the shard lock. A hit
-// returns a private clone (sessions must never share matrix storage) and
-// charges the probe plus a host-memory copy of the object. The copy itself
-// is made after the lock is released: a stored matrix is never written, and
-// an eviction in between only drops the cache's reference to it.
+// returns the stored matrix itself, which every holder only reads (the
+// ownership contract of internal/data), so an eviction after the lock is
+// released only drops the cache's reference to it. The charge is the probe
+// plus a host-memory copy of the object: it models the copy the paper's
+// cross-session reuse makes, which the host no longer performs.
 func (s *SharedCache) Probe(tenant string, item *lineage.Item, sig uint64) (*data.Matrix, float64, float64, bool) {
 	acct := s.account(tenant)
 	s.probes.Add(1)
@@ -357,9 +361,8 @@ func (s *SharedCache) Probe(tenant string, item *lineage.Item, sig uint64) (*dat
 		s.misses.Add(1)
 		return nil, 0, s.model.Probe, false
 	}
-	stored, producer, computeCost := md.m, md.tenant, md.computeCost
+	m, producer, computeCost := md.m, md.tenant, md.computeCost
 	sh.mu.Unlock()
-	m := stored.Clone()
 	s.hits.Add(1)
 	acct.hits.Add(1)
 	if producer != tenant {
@@ -373,6 +376,10 @@ func (s *SharedCache) Probe(tenant string, item *lineage.Item, sig uint64) (*dat
 // Publish implements runtime.SharedCache: PUT with per-tenant budget
 // enforcement (MAKE_SPACE evicts the publisher's own oldest entries first,
 // keeping non-overlapping tenants decoupled) and a global-budget backstop.
+// The entry stores m itself, not a copy: the publishing session never writes
+// it again, and the server hands its callers copies (Result.Values). A row
+// view keeps its whole base alive while it is resident, as it does in the
+// session cache. The charge is one cache put, whatever the size.
 func (s *SharedCache) Publish(tenant string, item *lineage.Item, sig uint64, m *data.Matrix, computeCost float64) (float64, bool) {
 	charge := s.model.CachePut
 	size := m.SizeBytes()
@@ -389,8 +396,6 @@ func (s *SharedCache) Publish(tenant string, item *lineage.Item, sig uint64, m *
 	if degraded {
 		return charge, false
 	}
-	// The copy needs no lock, so it is made before the tenant's is taken.
-	stored := m.Clone()
 	// Both budget checks are MAKE_SPACE on the corresponding pool, which
 	// drops oldest-first. The tenant's lock is held from its budget check
 	// through the usage update, so its concurrent publishers never evict
@@ -430,7 +435,7 @@ func (s *SharedCache) Publish(tenant string, item *lineage.Item, sig uint64, m *
 		tenant:      tenant,
 		acct:        acct,
 		key:         key,
-		m:           stored,
+		m:           m,
 		size:        size,
 		computeCost: computeCost,
 		seq:         [2]uint64{byGlobal: s.gseq.Add(1), byTenant: acct.tick.Add(1)},
@@ -507,7 +512,8 @@ type SharedStats struct {
 	DisabledShards      int                    `json:"disabled_shards"`
 	PerTenant           map[string]TenantStats `json:"per_tenant"`
 	// Pools is the arbiter's per-pool pressure/eviction surface: the global
-	// pool first (registration order), then one row per tenant.
+	// pool first, then one row per tenant, sorted by pool name so that the
+	// report does not depend on which tenant touched the cache first.
 	Pools []memctl.PoolStats `json:"pools,omitempty"`
 }
 
@@ -549,5 +555,8 @@ func (s *SharedCache) StatsSnapshot() SharedStats {
 	}
 	s.accMu.RUnlock()
 	st.Pools = s.arb.Snapshot()
+	// The global pool registers first, in NewSharedCache.
+	tenants := st.Pools[1:]
+	sort.Slice(tenants, func(i, j int) bool { return tenants[i].Name < tenants[j].Name })
 	return st
 }
