@@ -65,6 +65,36 @@ func BenchmarkSessionReuseHit(b *testing.B) {
 	}
 }
 
+// BenchmarkSessionCallHit measures a warm deterministic two-output call
+// through the public API: the function-level probe covers both outputs, so
+// the body never runs.
+func BenchmarkSessionCallHit(b *testing.B) {
+	s := New(Options{Reuse: ReuseFull})
+	s.Bind("X", data.RandNorm(256, 16, 0, 1, 7))
+	prog := ir.NewProgram()
+	prog.Define(&ir.Function{
+		Name: "gram", Params: []string{"A"}, Returns: []string{"G", "t"}, Deterministic: true,
+		Body: []ir.Block{ir.BB(
+			ir.Assign("G", ir.TSMM(ir.Var("A"))),
+			ir.Assign("t", ir.Sum(ir.Var("G"))),
+		)},
+	})
+	prog.Main = []ir.Block{ir.BB(ir.Call("gram", []string{"G", "t"}, ir.Var("X")))}
+	if err := s.Run(prog); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Run(prog); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if st := s.Stats(); st.FuncReuses != int64(b.N) || st.FuncCalls != int64(b.N)+1 {
+		b.Fatalf("%d of %d warm calls reused", st.FuncReuses, b.N)
+	}
+}
+
 // BenchmarkSessionBase measures the same program without tracing/reuse.
 func BenchmarkSessionBase(b *testing.B) {
 	s := New(Options{})

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"memphis/internal/compiler"
+	"memphis/internal/data"
 	"memphis/internal/lineage"
 )
 
@@ -11,9 +12,18 @@ import (
 // unknown input binds a leaf to a name without a value. A cell with neither
 // is unbound. A scope never deletes a cell, so a cell stays the name's for
 // the scope's life and a frame may hold it across instructions.
+//
+// A CP cache hit or a loop scalar is bound in place: v points at own, and
+// nothing but the cell may. A value handed to a second cell or out of the
+// runtime is lent first (lend), which moves it to the heap, so the backend
+// attachments a later instruction gives it (an RDD, a broadcast, a device
+// copy) are shared by exactly the cells that received it, as when every
+// hit had a Value of its own. own is zero whenever v does not point at it,
+// so a cell never keeps a matrix alive that it no longer binds.
 type binding struct {
-	v  *Value
-	li *lineage.Item
+	v   *Value
+	li  *lineage.Item
+	own Value
 }
 
 // Table is the session's symbol table: one map from names to cells serving
@@ -40,6 +50,15 @@ func (t *Table) Traced() int64 { return t.traced }
 
 // lookup returns name's cell in the current scope, or nil.
 func (t *Table) lookup(name string) *binding { return t.scope[name] }
+
+// value returns name's bound value in the current scope, or nil, without
+// lending it: for reads that keep no pointer to it past the read.
+func (t *Table) value(name string) *Value {
+	if c := t.scope[name]; c != nil {
+		return c.v
+	}
+	return nil
+}
 
 // cell returns name's cell in the current scope, adding an unbound one.
 func (t *Table) cell(name string) *binding {
@@ -102,19 +121,53 @@ func (ctx *Context) outCell(inst *compiler.Instruction, i int) *binding {
 	return ctx.frame[inst.OutSlot(i)]
 }
 
+// lend returns a cell's value for a second holder: a value bound in place
+// moves to the heap first, and the cell binds the moved value, so both hold
+// one object.
+func lend(c *binding) *Value {
+	if c.v == &c.own {
+		v := new(Value)
+		*v = c.own
+		c.own = Value{}
+		c.v = v
+	}
+	return c.v
+}
+
 // bindCell rebinds a cell's value, managing GPU reference counts: the old
 // binding's device reference is released and the new binding retained.
 func (ctx *Context) bindCell(c *binding, v *Value) {
-	if old := c.v; old != nil && old != v && old.HasGPU() && ctx.GM != nil {
-		ctx.GM.Release(old.GPU)
+	if old := c.v; old != nil && old != v {
+		ctx.drop(c)
 	}
 	c.v = v
 }
 
+// bindOwn binds a host matrix in place: the cell's own value becomes m with
+// lineage lin, and nothing is allocated.
+func (ctx *Context) bindOwn(c *binding, m *data.Matrix, lin *lineage.Item) {
+	if c.v != nil {
+		ctx.drop(c)
+	}
+	c.own = Value{Rows: m.Rows, Cols: m.Cols, M: m, Lin: lin}
+	c.v = &c.own
+}
+
+// drop lets go of a cell's bound value: its device reference is released
+// and a value bound in place is cleared. The caller rebinds c.v.
+func (ctx *Context) drop(c *binding) {
+	if old := c.v; old.HasGPU() && ctx.GM != nil {
+		ctx.GM.Release(old.GPU)
+	}
+	if c.v == &c.own {
+		c.own = Value{}
+	}
+}
+
 // unbindCell empties a cell, releasing its GPU reference.
 func (ctx *Context) unbindCell(c *binding) {
-	if old := c.v; old != nil && old.HasGPU() && ctx.GM != nil {
-		ctx.GM.Release(old.GPU)
+	if c.v != nil {
+		ctx.drop(c)
 	}
 	c.v, c.li = nil, nil
 }
@@ -136,10 +189,7 @@ func (ctx *Context) enterScope() map[string]*binding {
 // bindings hold, and restores the caller's.
 func (ctx *Context) leaveScope(caller map[string]*binding) {
 	for _, c := range ctx.LMap.scope {
-		if c.v != nil && c.v.HasGPU() && ctx.GM != nil {
-			ctx.GM.Release(c.v.GPU)
-		}
-		c.v, c.li = nil, nil
+		ctx.unbindCell(c)
 	}
 	ctx.depth--
 	ctx.LMap.scope = caller

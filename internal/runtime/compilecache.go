@@ -262,7 +262,7 @@ func (ctx *Context) blockKey(bb *ir.BasicBlock) uint64 {
 	same := parts.keyed && parts.conf == conf
 	for i, name := range parts.reads {
 		var s readShape
-		if v := ctx.Var(name); v != nil {
+		if v := ctx.LMap.value(name); v != nil {
 			s = readShape{v.Rows, v.Cols, true}
 		}
 		if parts.shapes[i] != s {

@@ -157,16 +157,17 @@ type Context struct {
 	// attached (AttachCompileCache) or, without one, the session's own.
 	// bbKeys memoizes per-block key components and the key last computed,
 	// condBBs the block wrapped around each while/if condition, loopLeaves
-	// each for loop's lineage leaves (all three keyed by pointers into
-	// prog) and fnOuts each function's output-key data strings (by name).
+	// each for loop's scalars and lineage leaves (all three keyed by
+	// pointers into prog) and fnOuts each function's output-key data and
+	// lineage prefixes (by name).
 	// All are dropped when RunProgram sees a different program, so a
 	// long-lived session holds memos for one program at a time.
 	attached   CompileCache
 	own        *BlockCache
 	bbKeys     map[*ir.BasicBlock]blockKeyParts
 	condBBs    map[*ir.Node]*ir.BasicBlock
-	loopLeaves map[*ir.ForBlock][]*lineage.Item
-	fnOuts     map[string][]string
+	loopLeaves map[*ir.ForBlock][]loopLit
+	fnOuts     map[string][]fnOut
 
 	prog *ir.Program
 
@@ -180,9 +181,11 @@ type Context struct {
 	scopes []map[string]*binding
 	depth  int
 
-	// cand is the lineage candidate a reuse probe fills: an item is
-	// allocated only when the probe misses.
-	cand lineage.Candidate
+	// cand is the lineage candidate a reuse probe fills, and fnCands those
+	// a call's function-output probes fill: an item is allocated only when
+	// a probe misses.
+	cand    lineage.Candidate
+	fnCands [callStack]lineage.Candidate
 
 	// inputSigs records content fingerprints of host-bound inputs by name,
 	// and leafMemo caches per-item read-leaf name sets; both feed the
@@ -291,10 +294,22 @@ func (ctx *Context) multiLevelReuse(fn string) bool {
 	}
 }
 
-// Var returns a bound value or nil.
+// Var returns a bound value or nil. The value is lent (see binding): it
+// stays what it is when the name is later rebound, and a backend copy made
+// of it is shared with the name while the name binds it.
 func (ctx *Context) Var(name string) *Value {
-	if c := ctx.LMap.lookup(name); c != nil {
-		return c.v
+	if c := ctx.LMap.lookup(name); c != nil && c.v != nil {
+		return lend(c)
+	}
+	return nil
+}
+
+// Host returns the host copy of a bound value, fetched as EnsureHostValue
+// fetches it, or nil when the name is unbound. It lends nothing, so fetching
+// a cache hit allocates no Value.
+func (ctx *Context) Host(name string) *data.Matrix {
+	if v := ctx.LMap.value(name); v != nil {
+		return ctx.ensureHost(v)
 	}
 	return nil
 }

@@ -214,9 +214,7 @@ func (ctx *Context) execute(inst *compiler.Instruction) error {
 		if inst.Backend == core.BackendCP && ctx.Shared != nil {
 			if m, computeCost, ok := ctx.shareProbe(li); ok {
 				ctx.Cache.PutCP(li, m, computeCost, 1, false, false)
-				v := NewHostValue(m)
-				v.Lin = li
-				ctx.bindCell(out, v)
+				ctx.bindOwn(out, m, li)
 				ctx.Stats.Reused++
 				return nil
 			}
@@ -237,31 +235,33 @@ func (ctx *Context) execute(inst *compiler.Instruction) error {
 // reuse probes the driver cache for an instruction's lineage item and, on a
 // hit whose value is still usable, binds the value to the output cell with
 // the cached key as its lineage: compaction, so future DAGs share sub-DAGs
-// by identity (Figure 5).
+// by identity (Figure 5). A host value is bound in place.
 func (ctx *Context) reuse(inst *compiler.Instruction, out *binding, li *lineage.Item) bool {
 	e, hit := ctx.Cache.Probe(li)
 	if !hit {
 		return false
 	}
-	v := ctx.valueFromEntry(e)
-	if v == nil {
-		return false
+	if e.Backend == core.BackendCP {
+		ctx.bindOwn(out, ctx.Cache.Matrix(e), e.Key)
+	} else {
+		v := ctx.valueFromEntry(e)
+		if v == nil {
+			return false
+		}
+		v.Lin = e.Key
+		ctx.bindCell(out, v)
 	}
-	v.Lin = e.Key
-	ctx.bindCell(out, v)
 	out.li = e.Key
 	ctx.Stats.Reused++
 	return true
 }
 
-// valueFromEntry materializes a Value from a cache entry, performing the
-// backend-side reuse bookkeeping. Returns nil when the entry is no longer
-// usable (e.g. a recycled GPU pointer).
+// valueFromEntry makes a Value of a Spark or GPU cache entry, performing
+// the backend-side reuse bookkeeping. Returns nil when the entry is no
+// longer usable (e.g. a recycled GPU pointer). A CP entry's matrix is bound
+// in place instead (bindOwn).
 func (ctx *Context) valueFromEntry(e *core.Entry) *Value {
 	switch e.Backend {
-	case core.BackendCP:
-		m := ctx.Cache.Matrix(e)
-		return NewHostValue(m)
 	case core.BackendSpark:
 		ctx.Cache.OnRDDReuse(e)
 		return NewRDDValue(e.RDD)
@@ -321,10 +321,11 @@ func (ctx *Context) execAssign(inst *compiler.Instruction) error {
 	if err != nil {
 		return err
 	}
+	out := ctx.outCell(inst, 0)
+	v = ctx.lendInput(inst, out, v)
 	if v.HasGPU() && ctx.GM != nil {
 		ctx.GM.Retain(v.GPU)
 	}
-	out := ctx.outCell(inst, 0)
 	ctx.bindCell(out, v)
 	if ctx.tracing() {
 		if s := inst.Slot(0); s < 0 {
@@ -411,6 +412,7 @@ func (ctx *Context) execCheckpoint(inst *compiler.Instruction) error {
 		return nil // variable out of scope: checkpoint is a no-op
 	}
 	out := ctx.outCell(inst, 0)
+	v = ctx.lendInput(inst, out, v)
 	ctx.bindCell(out, v)
 	// Checkpoints are lineage-transparent: the output carries the input's
 	// lineage unchanged (the linearizer may route it through a temporary).
@@ -432,6 +434,15 @@ func (ctx *Context) execCheckpoint(inst *compiler.Instruction) error {
 		ctx.Cache.PutRDD(v.Lin, v.RDD, v.children, v.bcasts, cost, 1, level)
 	}
 	return nil
+}
+
+// lendInput returns operand 0's value v for binding to out: lent when it comes
+// from another cell, as is when out is its own cell or it is a literal.
+func (ctx *Context) lendInput(inst *compiler.Instruction, out *binding, v *Value) *Value {
+	if s := inst.Slot(0); s >= 0 && ctx.frame[s] != out {
+		return lend(ctx.frame[s])
+	}
+	return v
 }
 
 // EnsureHostValue is the exported host-fetch used by the public facade and

@@ -19,7 +19,7 @@ func refBlockKey(ctx *Context, bb *ir.BasicBlock) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%016x|", parts.fp)
 	for _, name := range parts.reads {
-		if v := ctx.Var(name); v != nil {
+		if v := ctx.LMap.value(name); v != nil {
 			fmt.Fprintf(h, "%s=%dx%d;", name, v.Rows, v.Cols)
 		} else {
 			fmt.Fprintf(h, "%s=?;", name)

@@ -66,8 +66,9 @@ func (ctx *Context) execSP(inst *compiler.Instruction) (*Value, error) {
 			return nil, err
 		}
 		x := ctx.ensureRDD(v, inst.Inputs[0])
+		cells := float64(v.Rows * v.Cols)
 		out := x.MapPartitions("rowSums", v.Rows, 1,
-			func(int) float64 { return float64(v.Rows * v.Cols) }, nil,
+			func(int) float64 { return cells }, nil,
 			func(_ int, p *data.Matrix) *data.Matrix { return data.RowSums(p) })
 		return ctx.spValue(out, x), nil
 	case "colSums", "colMeans", "colVars", "colMins", "colMaxs", "sum", "mean":

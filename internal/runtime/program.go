@@ -6,7 +6,9 @@ import (
 
 	"memphis/internal/compiler"
 	"memphis/internal/core"
+	"memphis/internal/data"
 	"memphis/internal/ir"
+	"memphis/internal/key"
 	"memphis/internal/lineage"
 	"memphis/internal/spark"
 )
@@ -56,9 +58,8 @@ func (ctx *Context) runBlocks(blocks []ir.Block) error {
 				return err
 			}
 		case *ir.ForBlock:
-			leaves := ctx.loopLits(t)
-			for i, val := range t.Values {
-				ctx.bindLoopVar(t.Var, val, leaves[i])
+			for _, lit := range ctx.loopLits(t) {
+				ctx.bindLoopVar(t.Var, lit)
 				if err := ctx.runBlocks(t.Body); err != nil {
 					return err
 				}
@@ -153,54 +154,69 @@ func (ctx *Context) runBasicBlock(bb *ir.BasicBlock) error {
 	return err
 }
 
-// bindLoopVar binds the loop variable as a literal scalar: its lineage is
-// leaf, a value-carrying leaf whose data is the value's text, so
-// loop-dependent operations have iteration-specific lineage (not reusable)
-// while loop-independent ones reuse across iterations.
-func (ctx *Context) bindLoopVar(name string, val float64, leaf *lineage.Item) {
+// loopLit is one value of a for loop: its scalar and its lineage leaf.
+type loopLit struct {
+	m    *data.Matrix
+	leaf *lineage.Item
+}
+
+// bindLoopVar binds the loop variable in place to the value's scalar; its
+// lineage is the value's leaf, a value-carrying leaf whose data is the
+// value's text, so loop-dependent operations have iteration-specific lineage
+// (not reusable) while loop-independent ones reuse across iterations.
+func (ctx *Context) bindLoopVar(name string, lit loopLit) {
 	c := ctx.LMap.cell(name)
-	ctx.bindCell(c, NewScalar(val))
+	ctx.bindOwn(c, lit.m, nil)
 	if ctx.tracing() {
-		c.li = leaf
+		c.li = lit.leaf
 	}
 }
 
-// loopLits returns the lineage leaf ("lit", fmt.Sprint of the value) of each
-// value of a for loop, built once per loop of the running program: a leaf
-// is immutable, so every iteration over a value binds the same one.
-func (ctx *Context) loopLits(f *ir.ForBlock) []*lineage.Item {
-	leaves, ok := ctx.loopLeaves[f]
-	if !ok || len(leaves) != len(f.Values) {
-		leaves = make([]*lineage.Item, len(f.Values))
+// loopLits returns the scalar and the lineage leaf ("lit", fmt.Sprint of
+// the value) of each value of a for loop, built once per loop of the running
+// program: both are immutable, so every iteration over a value binds the
+// same ones.
+func (ctx *Context) loopLits(f *ir.ForBlock) []loopLit {
+	lits, ok := ctx.loopLeaves[f]
+	if !ok || len(lits) != len(f.Values) {
+		lits = make([]loopLit, len(f.Values))
 		for i, v := range f.Values {
-			leaves[i] = lineage.NewLeaf("lit", fmt.Sprint(v))
+			lits[i] = loopLit{data.Scalar(v), lineage.NewLeaf("lit", fmt.Sprint(v))}
 		}
 		if ctx.loopLeaves == nil {
-			ctx.loopLeaves = make(map[*ir.ForBlock][]*lineage.Item)
+			ctx.loopLeaves = make(map[*ir.ForBlock][]loopLit)
 		}
-		ctx.loopLeaves[f] = leaves
+		ctx.loopLeaves[f] = lits
 	}
-	return leaves
+	return lits
 }
 
-// fnOutData returns the data strings ("fn#ret") of a function's output
-// keys, built once per function name of the running program. They live in
-// the session, not in a compiled block: block keys cover neither the
-// program nor function bodies, so programs that share a call block may
-// define the function differently.
-func (ctx *Context) fnOutData(fnName string, fn *ir.Function) []string {
-	data, ok := ctx.fnOuts[fnName]
-	if !ok || len(data) != len(fn.Returns) {
-		data = make([]string, len(fn.Returns))
+// fnOut is one output of a function: the data string ("fn#ret") of its
+// output key and the key's lineage prefix.
+type fnOut struct {
+	data   string
+	prefix key.Hash
+}
+
+// fnOutKeys returns the output-key data and prefixes of a function, built
+// once per function name of the running program. They live in the session,
+// not in a compiled block: block keys cover neither the program nor function
+// bodies, so programs that share a call block may define the function
+// differently.
+func (ctx *Context) fnOutKeys(fnName string, fn *ir.Function) []fnOut {
+	outs, ok := ctx.fnOuts[fnName]
+	if !ok || len(outs) != len(fn.Returns) {
+		outs = make([]fnOut, len(fn.Returns))
 		for i, ret := range fn.Returns {
-			data[i] = fnName + "#" + ret
+			d := fnName + "#" + ret
+			outs[i] = fnOut{d, lineage.Prefix("fnout", d)}
 		}
 		if ctx.fnOuts == nil {
-			ctx.fnOuts = make(map[string][]string)
+			ctx.fnOuts = make(map[string][]fnOut)
 		}
-		ctx.fnOuts[fnName] = data
+		ctx.fnOuts[fnName] = outs
 	}
-	return data
+	return outs
 }
 
 // evalScalar evaluates a scalar condition expression. The block wrapped
@@ -218,7 +234,7 @@ func (ctx *Context) evalScalar(cond *ir.Node) (float64, error) {
 	if err := ctx.runBasicBlock(bb); err != nil {
 		return 0, err
 	}
-	v := ctx.Var("_cond")
+	v := ctx.LMap.value("_cond")
 	if v == nil {
 		return 0, fmt.Errorf("runtime: condition produced no value")
 	}
@@ -256,7 +272,8 @@ func (ctx *Context) execCall(inst *compiler.Instruction) error {
 		return fmt.Errorf("runtime: %s returns %d values, got %d targets", fnName, len(fn.Returns), len(inst.Outputs))
 	}
 	// Arguments, output keys and probed values of a call with few of them
-	// stay on the stack: a reused call allocates only its keys.
+	// stay on the stack, and its output keys are probed as the context's
+	// candidates: a reused call allocates nothing.
 	var argBuf [callStack]*Value
 	var linBuf [callStack]*lineage.Item
 	args, argLis := fit(argBuf[:], len(inst.Inputs)), fit(linBuf[:], len(inst.Inputs))
@@ -278,53 +295,26 @@ func (ctx *Context) execCall(inst *compiler.Instruction) error {
 	var keyBuf [callStack]*lineage.Item
 	var outKeys []*lineage.Item
 	if multiLevel {
-		var valBuf [callStack]*Value
 		outKeys = fit(keyBuf[:], len(fn.Returns))
-		vals := fit(valBuf[:], len(fn.Returns))
-		for i, data := range ctx.fnOutData(fnName, fn) {
-			outKeys[i] = lineage.NewItem("fnout", data, argLis...)
-		}
-		// Probe all outputs; reuse only if the whole call is covered. On a
-		// local miss the shared level (serving layer) is consulted and a
-		// hit is installed locally, so whole calls reuse across tenants.
-		allHit := true
-		for i, key := range outKeys {
-			if e, hit := ctx.Cache.Probe(key); hit {
-				if v := ctx.valueFromEntry(e); v != nil {
-					vals[i] = v
-					continue
-				}
-			}
-			if m, computeCost, ok := ctx.shareProbe(key); ok {
-				ctx.Cache.PutCP(key, m, computeCost, 1, false, true)
-				v := NewHostValue(m)
-				vals[i] = v
-				continue
-			}
-			allHit = false
-			break
-		}
-		if allHit {
-			ctx.Stats.FuncReuses++
-			for i, key := range outKeys {
-				// Bind the fine-grained alias lineage when recorded so
-				// downstream operations key consistently across hit and
-				// miss paths, and the value stays recomputable.
-				lin := key
-				if e := ctx.Cache.Lookup(key); e != nil && e.Alias != nil {
-					lin = e.Alias
-				}
-				vals[i].Lin = lin
-				out := ctx.outCell(inst, i)
-				ctx.bindCell(out, vals[i])
-				out.li = lin
-			}
+		cands := fit(ctx.fnCands[:], len(fn.Returns))
+		if ctx.probeCall(inst, ctx.fnOutKeys(fnName, fn), argLis, cands, outKeys) {
 			return nil
+		}
+		// The body runs: every output needs a key of its own.
+		for i, k := range outKeys {
+			if k == nil {
+				outKeys[i] = cands[i].Keep()
+			}
 		}
 	}
 	// Execute the body in a scope of its own. The caller's frame stays
 	// resolved in the caller's scope, and callee blocks stack their frames
-	// above it.
+	// above it. Arguments and returns change scope, so both are lent.
+	for i := range inst.Inputs {
+		if s := inst.Slot(i); s >= 0 {
+			args[i] = lend(ctx.frame[s])
+		}
+	}
 	start := ctx.Clock.Now()
 	frame := ctx.frame
 	caller := ctx.enterScope()
@@ -339,8 +329,9 @@ func (ctx *Context) execCall(inst *compiler.Instruction) error {
 		}
 	}
 	runErr := ctx.runBlocks(fn.Body)
-	outs := make([]*Value, len(fn.Returns))
-	outLis := make([]*lineage.Item, len(fn.Returns))
+	var outBuf [callStack]*Value
+	var outLiBuf [callStack]*lineage.Item
+	outs, outLis := fit(outBuf[:], len(fn.Returns)), fit(outLiBuf[:], len(fn.Returns))
 	if runErr == nil {
 		for i, ret := range fn.Returns {
 			c := ctx.LMap.lookup(ret)
@@ -348,7 +339,7 @@ func (ctx *Context) execCall(inst *compiler.Instruction) error {
 				runErr = fmt.Errorf("runtime: %s did not assign return %q", fnName, ret)
 				break
 			}
-			outs[i], outLis[i] = c.v, c.li
+			outs[i], outLis[i] = lend(c), c.li
 			if outs[i].HasGPU() && ctx.GM != nil {
 				ctx.GM.Retain(outs[i].GPU) // caller's reference
 			}
@@ -390,4 +381,69 @@ func (ctx *Context) execCall(inst *compiler.Instruction) error {
 		}
 	}
 	return nil
+}
+
+// probeCall fills the candidates cands with a deterministic call's output
+// keys (the output-key data and prefixes outs over the arguments' items
+// argLis), probes them in order and reuses the call if every output is
+// covered: it binds each output's value, a host matrix in place, with the
+// entry's recorded alias as lineage, else its key. On a local miss the
+// shared level (serving layer) is consulted and a hit is installed locally,
+// so whole calls reuse across tenants. An output whose local probe missed
+// has its candidate kept in keys; the others' keys stay nil.
+func (ctx *Context) probeCall(inst *compiler.Instruction, outs []fnOut, argLis []*lineage.Item,
+	cands []lineage.Candidate, keys []*lineage.Item) bool {
+	var itBuf [callStack]*lineage.Item
+	var mBuf [callStack]*data.Matrix
+	var vBuf [callStack]*Value
+	items, ms, vals := fit(itBuf[:], len(outs)), fit(mBuf[:], len(outs)), fit(vBuf[:], len(outs))
+	for i, o := range outs {
+		cands[i].Reset(o.prefix, "fnout", o.data)
+		for _, li := range argLis {
+			cands[i].Add(li)
+		}
+		items[i] = cands[i].Seal()
+	}
+	for i := range outs {
+		if e, hit := ctx.Cache.Probe(items[i]); hit {
+			if e.Backend == core.BackendCP {
+				ms[i] = ctx.Cache.Matrix(e)
+				continue
+			}
+			if vals[i] = ctx.valueFromEntry(e); vals[i] != nil {
+				continue
+			}
+		}
+		keys[i] = cands[i].Keep()
+		if m, computeCost, ok := ctx.shareProbe(keys[i]); ok {
+			ctx.Cache.PutCP(keys[i], m, computeCost, 1, false, true)
+			ms[i] = m
+			continue
+		}
+		return false
+	}
+	ctx.Stats.FuncReuses++
+	for i, it := range items {
+		// Bind the fine-grained alias lineage when recorded so downstream
+		// operations key consistently across hit and miss paths, and the
+		// value stays recomputable.
+		lin := keys[i]
+		switch e := ctx.Cache.Lookup(it); {
+		case e != nil && e.Alias != nil:
+			lin = e.Alias
+		case e != nil:
+			lin = e.Key
+		case lin == nil:
+			lin = cands[i].Keep()
+		}
+		out := ctx.outCell(inst, i)
+		if ms[i] != nil {
+			ctx.bindOwn(out, ms[i], lin)
+		} else {
+			vals[i].Lin = lin
+			ctx.bindCell(out, vals[i])
+		}
+		out.li = lin
+	}
+	return true
 }

@@ -27,7 +27,7 @@ func Recompute(ctx *Context, root *lineage.Item) (*data.Matrix, error) {
 		names[it.ID()] = name
 		switch it.Opcode() {
 		case "read":
-			if ctx.Var(it.Data()) == nil {
+			if ctx.LMap.value(it.Data()) == nil {
 				return nil, fmt.Errorf("runtime: recompute needs input %q", it.Data())
 			}
 			names[it.ID()] = it.Data()
@@ -52,7 +52,7 @@ func Recompute(ctx *Context, root *lineage.Item) (*data.Matrix, error) {
 		}
 	}
 	ctx.leaveFrame(frame)
-	out := ctx.Var(names[root.ID()])
+	out := ctx.LMap.value(names[root.ID()])
 	if out == nil {
 		return nil, fmt.Errorf("runtime: recompute produced no value")
 	}

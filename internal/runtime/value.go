@@ -16,7 +16,11 @@ import (
 	"memphis/internal/vtime"
 )
 
-// Value is a multi-backend data object.
+// Value is a multi-backend data object. A cache hit's Value lives in the
+// cell that binds it (see binding), and a later hit rewrites it there: an
+// operand Value is valid for the instruction that reads it. Whatever keeps
+// one longer, binds it to a second name or hands it out gets it lent first
+// (Context.Var does), and no closure captures one.
 type Value struct {
 	Rows, Cols int
 

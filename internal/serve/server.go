@@ -768,8 +768,8 @@ func (s *Server) runAttempt(req *request, attempt int) (res *Result, err error) 
 	}
 	values := make(map[string]*data.Matrix, len(req.opts.Fetch))
 	for _, n := range req.opts.Fetch {
-		if v := ctx.Var(n); v != nil {
-			values[n] = ctx.EnsureHostValue(v)
+		if m := ctx.Host(n); m != nil {
+			values[n] = m
 		}
 	}
 	var siteCounts map[string]int64

@@ -257,10 +257,6 @@ func (s *Session) Lookup(name string) (m *Matrix, err error) {
 	if s.ctx.Closed() {
 		return nil, fmt.Errorf("memphis: session is closed")
 	}
-	v := s.ctx.Var(name)
-	if v == nil {
-		return nil, fmt.Errorf("memphis: variable %q is not bound", name)
-	}
 	defer func() {
 		if r := recover(); r != nil {
 			if e, ok := r.(error); ok && errors.Is(e, spark.ErrStageAbort) {
@@ -270,7 +266,10 @@ func (s *Session) Lookup(name string) (m *Matrix, err error) {
 			panic(r)
 		}
 	}()
-	return s.ctx.EnsureHostValue(v), nil
+	if m = s.ctx.Host(name); m == nil {
+		return nil, fmt.Errorf("memphis: variable %q is not bound", name)
+	}
+	return m, nil
 }
 
 // Close releases the session's simulated resources: GPU pointers are freed,

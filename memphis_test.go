@@ -183,6 +183,39 @@ func TestSessionLookupAndClose(t *testing.T) {
 	}
 }
 
+// TestLookupOfHitAllocatesNothing: a warm run of a loop binds each hit in
+// place, and fetching a name bound to one reads the matrix there and lends
+// no Value: run and fetch allocate nothing.
+func TestLookupOfHitAllocatesNothing(t *testing.T) {
+	s := New(Options{Reuse: ReuseFull})
+	x, _ := bindInputs(s)
+	p := ridgeProgram([]float64{0.5})
+	for run := 0; run < 4; run++ { // past the delayed-caching factor
+		if err := s.Run(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.Stats().Reused == 0 {
+		t.Fatal("the warm runs reused nothing")
+	}
+	var got *Matrix
+	allocs := testing.AllocsPerRun(100, func() {
+		err := s.Run(p)
+		if err == nil {
+			got, err = s.Lookup("G")
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a warm run and Lookup of its hit allocate %v objects, want 0", allocs)
+	}
+	if !data.AllClose(got, data.TSMM(x), 1e-12) {
+		t.Fatal("Lookup returned the wrong matrix")
+	}
+}
+
 // TestServerFacade drives the public serving API end to end: two tenants,
 // identical programs and data, cross-tenant reuse visible in the snapshot.
 func TestServerFacade(t *testing.T) {
